@@ -26,10 +26,6 @@ def _die(msg: str) -> "NoReturn":  # noqa: F821
     sys.exit(2)
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
-
-
 def _weight(w) -> List[str]:
     return [str(Fraction(c)) for c in w]
 

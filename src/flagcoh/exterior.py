@@ -243,19 +243,6 @@ def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     return barwedge(psi, phi) - barwedge(phi, psi).scale(sign)
 
 
-def compose_as_derivations(
-    phi: VectorValuedForm, psi: VectorValuedForm
-) -> Dict[Monomial, GrassmannElement]:
-    """i(phi) o i(psi) on all basis monomials; used by the bracket oracle."""
-    m = phi.m
-    out = {}
-    for p in range(m + 1):
-        for mono in basis_monomials(m, p):
-            a = GrassmannElement.make(m, {mono: Fraction(1)})
-            out[mono] = apply_derivation(phi, apply_derivation(psi, a))
-    return out
-
-
 def contraction_c(phi: VectorValuedForm) -> GrassmannElement:
     """c(phi) normalized so that c(j(psi)) = p! (m-p) psi for deg-p psi.
 

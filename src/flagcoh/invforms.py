@@ -153,15 +153,6 @@ def _clean(t: Dict[Key, Vec]) -> Dict[Key, Tuple]:
     return out
 
 
-def _keys(space, p, q) -> List[Key]:
-    n = space.dim
-    return [
-        (u, v)
-        for u in itertools.combinations(range(n), p)
-        for v in itertools.combinations(range(n), q)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # The theta family (any space): determinant formula over the pairing.
 # ---------------------------------------------------------------------------

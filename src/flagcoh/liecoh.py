@@ -86,6 +86,9 @@ class GModuleBasis:
     levi_raise: List[int]        # indices of e_{alpha_i}, i in S
     levi_lower: List[int]
     space: object                # the invforms pair space
+    # (i, j) -> coordinates of [e_i, e_j], filled by bracket_coords
+    _brackets: Dict[Tuple[int, int], Tuple[Fraction, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -131,9 +134,13 @@ class GModuleBasis:
         coords = self.expand(X)
         return [coords[i] for i in self.nplus_order]
 
-    def bracket_coords(self, i: int, j: int) -> List[Fraction]:
-        return self.expand(_commutator(self.elements[i].matrix,
-                                       self.elements[j].matrix))
+    def bracket_coords(self, i: int, j: int) -> Tuple[Fraction, ...]:
+        """Coordinates of [e_i, e_j], computed once per pair and basis."""
+        coords = self._brackets.get((i, j))
+        if coords is None:
+            coords = self._brackets[(i, j)] = tuple(self.expand(_commutator(
+                self.elements[i].matrix, self.elements[j].matrix)))
+        return coords
 
 
 def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[Fraction, ...]:
@@ -461,19 +468,11 @@ def ce_differential(c: Cochain) -> Cochain:
     md = c.module_dim
     if c.degree >= 2:
         raise ValueError("differential implemented for degrees 0 and 1 only")
-    bracket_cache: Dict[Tuple[int, int], List[Fraction]] = {}
-
-    def brk(v: int, w: int) -> List[Fraction]:
-        key = (v, w)
-        if key not in bracket_cache:
-            bracket_cache[key] = gb.bracket_coords(gb.nminus_order[v], w)
-        return bracket_cache[key]
-
     out: Dict[object, EVec] = {}
     if c.degree == 0:
         for v in range(n):
             for w in range(dim_g):
-                coords = brk(v, w)
+                coords = gb.bracket_coords(gb.nminus_order[v], w)
                 acc = [QS_ZERO] * md
                 for gi, co in enumerate(coords):
                     if co:
@@ -491,7 +490,7 @@ def ce_differential(c: Cochain) -> Cochain:
             for w in range(dim_g):
                 acc = [QS_ZERO] * md
                 for (va, vb, sgn) in ((v1, v2, 1), (v2, v1, -1)):
-                    coords = brk(va, w)
+                    coords = gb.bracket_coords(gb.nminus_order[va], w)
                     for gi, co in enumerate(coords):
                         if co:
                             val = c.data.get((vb, gi))
@@ -535,15 +534,11 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
 # R-invariance: weights and Levi generator actions
 # ---------------------------------------------------------------------------
 
-def _eps_weight_of_g(gb: GModuleBasis, idx: int):
-    return gb.elements[idx].eps_weight
-
-
 def _module_g(gb: GModuleBasis):
     """(weights, action) of g as an R-module via ad."""
     weights = [gb.elements[i].eps_weight for i in range(gb.dim)]
 
-    def act(gen_idx: int, i: int) -> List[Fraction]:
+    def act(gen_idx: int, i: int) -> Tuple[Fraction, ...]:
         return gb.bracket_coords(gen_idx, i)
 
     return weights, act
@@ -828,7 +823,7 @@ def _lambda2_module(gb: GModuleBasis):
 
 def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
                               ) -> Cochain:
-    """The 2-cochain representing w -> [theta /\ (theta2 /\ w)] at o."""
+    """The 2-cochain representing w -> [theta /\\ (theta2 /\\ w)] at o."""
     from .invforms import barwedge_inv
 
     n, dim_g = gb.n, gb.dim
@@ -899,20 +894,14 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
     # rows: coordinates of delta x and of c2 over weight-zero keys
     rows: List[List[QSqrt2]] = []
     rhs: List[QSqrt2] = []
-    brk_cache: Dict[Tuple[int, int], List[Fraction]] = {}
-
-    def brk(v, w):
-        if (v, w) not in brk_cache:
-            brk_cache[(v, w)] = gb.bracket_coords(gb.nminus_order[v], w)
-        return brk_cache[(v, w)]
-
     for v1 in range(n):
         for v2 in range(v1 + 1, n):
             for w in range(dim_g):
                 target = c2.data.get((v1, v2, w))
                 coeffs: Dict[int, Dict[int, Fraction]] = {}
                 for (va, vb, sgn) in ((v1, v2, 1), (v2, v1, -1)):
-                    for gi, co in enumerate(brk(va, w)):
+                    for gi, co in enumerate(
+                            gb.bracket_coords(gb.nminus_order[va], w)):
                         if co:
                             col = coeffs.setdefault((vb, gi), {})
                             col[0] = col.get(0, Fraction(0)) + sgn * co
@@ -967,7 +956,7 @@ def _two_differential(c: Cochain) -> Dict[object, EVec]:
 
 def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
     """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
-    when the class family [theta /\ (theta2 /\ w)] in H^2(Omega^2 (x) Theta)
+    when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
     vanishes; decided by the exact weight-zero coboundary solve."""
     key = ("adj01", str(H.rd.type), H.alpha0, QSqrt2(a), QSqrt2(b))
     if key in _VERDICT_CACHE:

@@ -1,10 +1,16 @@
-"""Exact scalars: rationals, the quadratic field Q(sqrt 2), and dense exact
-linear algebra (rref/rank/nullspace/solve) generic over both."""
+"""Exact scalars: rationals, the quadratic field Q(sqrt 2), and sparse exact
+linear algebra (rref/rank/nullspace/solve) generic over both.
+
+All four linear-algebra entry points go through one sparse Gauss-Jordan
+kernel on dict rows.  Matrices whose entries are all rational are eliminated
+over Fraction, whatever their entry type; a Q(sqrt2) right-hand side of a
+rational system is split into its rational and sqrt(2) parts.  Q(sqrt2)
+arithmetic remains only for matrices that contain sqrt(2) themselves."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class QSqrt2:
@@ -187,40 +193,105 @@ def format_scalar(x) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Exact dense linear algebra, generic over Fraction / QSqrt2 entries.
+# Exact sparse linear algebra over Fraction / QSqrt2 entries.
+#
+# Columns are reduced in their natural order, so the result is the unique
+# reduced row echelon form whichever row serves as pivot; the candidate with
+# the fewest nonzeros is taken, which keeps fill-in down.
 # ---------------------------------------------------------------------------
 
 Row = List
 Matrix = List[Row]
+SparseRow = Dict[int, object]
 
 
 def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
-    m = [list(r) for r in mat]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    """Reduced row echelon form and pivot columns.
+
+    The rows come back dense, nonzero rows first in pivot order.  Entries
+    are QSqrt2 when any entry of mat is, and Fraction otherwise.
+    """
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if n_rows else 0
+    rows = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    typed = any(isinstance(x, QSqrt2) for row in mat for x in row)
+    rational = all(not isinstance(x, QSqrt2) or not x.b
+                   for row in rows for x in row.values())
+    if rational:
+        rows = [{c: _to_fraction(x) for c, x in row.items()} for row in rows]
+    else:
+        rows = [{c: _coerce(x) for c, x in row.items()} for row in rows]
+    red, pivots = _gauss_jordan(rows, n_cols)
+    lift = QSqrt2 if typed and rational else None
+    zero = QS_ZERO if typed else Fraction(0)
+    out: Matrix = []
+    for row in red:
+        dense = [zero] * n_cols
+        for c, x in row.items():
+            dense[c] = lift(x) if lift else x
+        out.append(dense)
+    out.extend([zero] * n_cols for _ in range(n_rows - len(red)))
+    return out, pivots
+
+
+def _to_fraction(x) -> Fraction:
+    return x.a if isinstance(x, QSqrt2) else Fraction(x)
+
+
+def _gauss_jordan(rows: List[SparseRow], n_cols: int
+                  ) -> Tuple[List[SparseRow], List[int]]:
+    """The nonzero rows of the RREF of `rows` (consumed) and their pivots."""
+    # column -> rows not yet used as a pivot that are nonzero there
+    where: Dict[int, Set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    red: List[SparseRow] = []
     pivots: List[int] = []
-    r = 0
+    # forward pass: below each pivot, eliminate its column
     for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+        cand = where.pop(c, None)
+        if not cand:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        cand.discard(p)
+        piv = rows[p].pop(c)
+        prow = {k: x / piv for k, x in rows[p].items()}
+        for k in prow:
+            where[k].discard(p)
+        for i in cand:
+            _axpy(rows[i], rows[i].pop(c), prow, where, i)
+        prow[c] = piv / piv
+        red.append(prow)
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    # backward pass: above each pivot, from the last one up
+    for k in range(len(red) - 1, 0, -1):
+        c, prow = pivots[k], red[k]
+        tail = {j: x for j, x in prow.items() if j != c}
+        for row in red[:k]:
+            f = row.pop(c, None)
+            if f is not None:
+                _axpy(row, f, tail, None, 0)
+    return red, pivots
+
+
+def _axpy(row: SparseRow, f, prow: SparseRow,
+          where: Optional[Dict[int, Set[int]]], i: int) -> None:
+    """row -= f * prow in place, keeping where[col] (if given) in step."""
+    for k, x in prow.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -f * x
+            if where is not None:
+                where.setdefault(k, set()).add(i)
+            continue
+        new = old - f * x
+        if new:
+            row[k] = new
+        else:
+            del row[k]
+            if where is not None:
+                where[k].discard(i)
 
 
 def rank(mat: Matrix) -> int:
@@ -236,7 +307,7 @@ def nullspace(mat: Matrix, n_cols: Optional[int] = None) -> Matrix:
     if n_cols is None:
         n_cols = len(mat[0])
     red, pivots = rref(mat)
-    one = _unit_like(mat[0][0])
+    one = QS_ONE if n_cols and isinstance(red[0][0], QSqrt2) else Fraction(1)
     zero = one - one
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
@@ -250,23 +321,29 @@ def nullspace(mat: Matrix, n_cols: Optional[int] = None) -> Matrix:
 
 
 def solve(mat: Matrix, rhs: Row) -> Optional[Row]:
-    """One exact solution of mat · x = rhs, or None if inconsistent."""
+    """One exact solution of mat . x = rhs, or None if inconsistent.
+
+    Over a rational matrix the right-hand side r + s*sqrt2 is reduced as the
+    two rational columns [mat | r | s]: a pivot in either means no solution,
+    and otherwise x = x_r + sqrt2 * x_s.
+    """
     if not mat:
         return [] if not any(rhs) else None
     n_cols = len(mat[0])
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
+    typed = any(isinstance(x, QSqrt2) for row in mat for x in row) \
+        or any(isinstance(b, QSqrt2) for b in rhs)
+    split = not any(isinstance(x, QSqrt2) and x.b for row in mat for x in row)
+    if split:
+        aug = [[x.a if isinstance(x, QSqrt2) else x for x in row]
+               + [_to_fraction(b), b.b if isinstance(b, QSqrt2) else 0]
+               for row, b in zip(mat, rhs)]
+    else:
+        aug = [list(row) + [b] for row, b in zip(mat, rhs)]
     red, pivots = rref(aug)
-    if n_cols in pivots:
+    if pivots and pivots[-1] >= n_cols:
         return None
-    one = _unit_like(mat[0][0])
-    zero = one - one
-    x = [zero] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
+    x = [QS_ZERO if typed else Fraction(0)] * n_cols
+    for row, pc in zip(red, pivots):
+        x[pc] = QSqrt2(row[n_cols], row[n_cols + 1]) if split and typed \
+            else row[n_cols]
     return x
-
-
-def _unit_like(sample):
-    if isinstance(sample, QSqrt2):
-        return QS_ONE
-    return Fraction(1)

@@ -94,9 +94,9 @@ def assemble_E2(H: HermitianSymmetricSpace, q_max: int = 2) -> Table:
     return table
 
 
-def _remove(entry: List[Summand], provenance: str, tag: str, count: int) -> int:
-    """Remove up to count multiplicity from matching summands; returns the
-    amount actually removed."""
+def _remove(entry: List[Summand], provenance: str, tag: str, count: int) -> None:
+    """Remove count multiplicity from matching summands; raises if the entry
+    holds less, since the d2 bookkeeping would then be wrong."""
     removed = 0
     for s in entry:
         if removed >= count:
@@ -109,7 +109,10 @@ def _remove(entry: List[Summand], provenance: str, tag: str, count: int) -> int:
             )
             removed += take
     entry[:] = [s for s in entry if s.descriptor.mult > 0]
-    return removed
+    if removed != count:
+        raise AssertionError(
+            f"E3 bookkeeping: {provenance}*-{tag} has multiplicity {removed}, "
+            f"d2 needs {count}")
 
 
 def _count(entry: List[Summand], provenance: str, tag: str) -> int:
@@ -156,12 +159,12 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     # (i) E2^{-1,0}: w -> l*[theta /\ w], rank 0 or dim g (liecoh)
     rank_v = d2_rank_on_vector_fields(H, a, b)
     if rank_v:
-        assert _remove(E3[(-1, 0)], "i", "adjoint", 1) == 1
-        assert _remove(E3[(1, 1)], "l", "adjoint", 1) == 1
+        _remove(E3[(-1, 0)], "i", "adjoint", 1)
+        _remove(E3[(1, 1)], "l", "adjoint", 1)
 
     # (ii) the grading field at (0,0) never survives: d2(eps) = -2 l*[theta]
-    assert _remove(E3[(0, 0)], "i", "trivial", 1) == 1
-    assert _remove(E3[(2, 1)], "l", "trivial", 1) == 1
+    _remove(E3[(0, 0)], "i", "trivial", 1)
+    _remove(E3[(2, 1)], "l", "trivial", 1)
 
     # (iii) i*-part of (1,1): phi -> l*[theta /\ phi] into the invariant part
     # of (3,2); kernel computed exactly on the invariant (2,1)-forms
@@ -177,8 +180,8 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     avail = _count(E3.get((1, 1), []), "i", "trivial")
     assert avail == len(basis21), (avail, len(basis21))
     _remove(E3[(1, 1)], "i", "trivial", rank11)
-    removed32 = _remove(E3.get((3, 2), []), "l", "trivial", rank11)
-    assert removed32 == rank11, "image must land in the invariant part"
+    # the image lands in the invariant part of (3,2)
+    _remove(E3.get((3, 2), []), "l", "trivial", rank11)
 
     # (iv) adjoint summand at (0,1): structurally closed unless the target
     # (2,2)-l has an adjoint component; then decided by the exact solve
@@ -187,8 +190,8 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
         if _count(E3.get((2, 2), []), "l", "adjoint"):
             adj01 = d2_vanishes_on_adjoint_at_01(H, a, b)
             if not adj01:
-                assert _remove(E3[(0, 1)], "i", "adjoint", 1) == 1
-                assert _remove(E3[(2, 2)], "l", "adjoint", 1) == 1
+                _remove(E3[(0, 1)], "i", "adjoint", 1)
+                _remove(E3[(2, 2)], "l", "adjoint", 1)
                 notes.append(
                     "d2 is nonzero on the adjoint summand of E2^{0,1} "
                     "(absent from the published tables)"

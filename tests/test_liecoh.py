@@ -6,6 +6,7 @@ import pytest
 from flagcoh.bott import space_from_preset
 from flagcoh.liecoh import (
     Cochain,
+    _commutator,
     build_g_basis,
     ce_differential,
     cochain_from_form,
@@ -29,6 +30,18 @@ def test_basis_dimensions():
     assert build_g_basis(space_from_preset("Q3")).dim == 10
     assert build_g_basis(space_from_preset("LG3")).dim == 21
     assert build_g_basis(space_from_preset("S-D4")).dim == 28
+
+
+@pytest.mark.parametrize("name", ["Gr(4,2)", "Q5", "LG3", "S-D4"])
+def test_bracket_coords_memo_matches_fresh_expansion(name):
+    gb = build_g_basis(space_from_preset(name))
+    for i, ei in enumerate(gb.elements):
+        for j, ej in enumerate(gb.elements):
+            coords = gb.bracket_coords(i, j)
+            assert list(coords) == gb.expand(_commutator(ei.matrix, ej.matrix))
+            assert gb.bracket_coords(i, j) is coords
+    with pytest.raises(TypeError):
+        coords[0] = Fraction(1)
 
 
 def test_projection_structure(gr42):

@@ -22,6 +22,80 @@ def qs(a, b=0):
     return QSqrt2(a, b)
 
 
+def dense_rref(mat):
+    """Reference: dense Gauss-Jordan, columns in order, first nonzero pivot."""
+    m = [list(r) for r in mat]
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pr = None
+        for i in range(r, n_rows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def dense_solve(mat, rhs):
+    """Reference solve over the dense RREF of [mat | rhs]."""
+    n_cols = len(mat[0])
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(mat, rhs)])
+    if n_cols in pivots:
+        return None
+    x = [QS_ZERO] * n_cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n_cols]
+    return x
+
+
+def random_sparse(rng, kind, n_rows, n_cols, density):
+    """A random matrix with some dependent rows; kind is 'fraction',
+    'rational-qsqrt2' (QSqrt2 entries with no sqrt2 part) or 'qsqrt2'."""
+    def entry():
+        if rng.random() > density:
+            return Fraction(0) if kind == "fraction" else QS_ZERO
+        v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if kind == "fraction":
+            return v
+        return qs(v, rng.randint(-2, 2) if kind == "qsqrt2" else 0)
+
+    mat = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(2, n_rows, 3):
+        mat[i] = [a - 2 * b for a, b in zip(mat[i - 2], mat[i - 1])]
+    rng.shuffle(mat)
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["fraction", "rational-qsqrt2", "qsqrt2"])
+def test_rref_matches_dense_reference(kind):
+    rng = random.Random(f"rref/{kind}")
+    for _ in range(20):
+        n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.15, 0.4, 1.0))
+        mat = random_sparse(rng, kind, n_rows, n_cols, density)
+        want_rows, want_pivots = dense_rref(mat)
+        got_rows, got_pivots = rref(mat)
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
+        entry_type = Fraction if kind == "fraction" else QSqrt2
+        assert all(type(x) is entry_type for row in got_rows for x in row)
+
+
 @given(st.integers(-20, 20), st.integers(-20, 20),
        st.integers(-20, 20), st.integers(-20, 20))
 @settings(max_examples=80, deadline=None)
@@ -76,6 +150,27 @@ def test_linear_algebra_round_trip(field):
         assert sol is not None
         for row, b in zip(mat, rhs):
             assert sum((c * x for c, x in zip(row, sol)), start=zero) == b
+
+
+@pytest.mark.parametrize("kind", ["fraction", "rational-qsqrt2"])
+def test_solve_splits_qsqrt2_rhs_of_rational_matrix(kind):
+    rng = random.Random(f"split/{kind}")
+    for _ in range(10):
+        n_rows, n_cols = rng.randint(2, 30), rng.randint(1, 30)
+        mat = random_sparse(rng, kind, n_rows, n_cols, rng.choice((0.1, 0.5)))
+        mat.append([a + b for a, b in zip(mat[0], mat[1])])
+        x0 = [qs(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n_cols)]
+        rhs = [sum((x * c for c, x in zip(row, x0)), start=QS_ZERO)
+               for row in mat]
+        sol = solve(mat, rhs)
+        assert sol == dense_solve(mat, rhs)
+        assert all(isinstance(x, QSqrt2) for x in sol)
+        # the last row is the sum of the first two: shifting its right-hand
+        # side by sqrt2 leaves the rational part consistent
+        bad = rhs[:-1] + [rhs[-1] + RT2]
+        assert solve(mat, bad) is None
+        assert dense_solve(mat, bad) is None
+        assert solve(mat, [b.a for b in bad]) is not None
 
 
 def test_solve_detects_inconsistency():

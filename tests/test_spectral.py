@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import flagcoh
 from flagcoh.bott import space_from_preset
 from flagcoh.scalars import QSqrt2, RT2
 from flagcoh.spectral import (
@@ -217,3 +223,18 @@ def test_undetermined_entries_are_marked():
     for (p, q), entry in res.E3.items():
         if q <= 1:
             assert all(s.status == "ok" for s in entry)
+
+
+@pytest.mark.parametrize("space", ["Gr(4,2)", "CP2", "Q3"])
+def test_e3_is_the_same_under_python_O(space):
+    """The E3 bookkeeping must not live inside asserts that -O strips."""
+    src = str(Path(flagcoh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "flagcoh.cli", "e3", "--space", space, "--a", "1", "--b", "0"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
+                       capture_output=True, text=True).stdout
+        for flags in ([], ["-O"])
+    )
+    assert '"H0"' in plain
+    assert optimized == plain
