@@ -24,7 +24,7 @@ from .repdecomp import (
     trivial_multiplicity,
     _intw,
 )
-from .rootsys import RootDatum, SimpleLieType, Weight, build_root_system
+from .rootsys import RootDatum, SimpleLieType, Weight, _require, build_root_system
 
 Case = str  # "I" | "II" | "III"
 
@@ -70,9 +70,8 @@ def build_space(t: SimpleLieType, alpha0: int) -> HermitianSymmetricSpace:
             n_plus.append(_intw(r))
     # n+ is abelian: the sum of two of its roots has alpha0-coefficient 2
     roots = {tuple(int(c) for c in r) for r in rd.positive_roots}
-    for a in n_plus:
-        for b in n_plus:
-            assert tuple(x + y for x, y in zip(a, b)) not in roots
+    _require(all(tuple(x + y for x, y in zip(a, b)) not in roots for a in n_plus for b in n_plus),
+             f"n+ of {t}/alpha{alpha0} is abelian")
 
     neighbors = tuple(
         i for i in range(rd.rank) if i != alpha0 and rd.cartan[i][alpha0] != 0
@@ -139,7 +138,7 @@ def space_from_preset(name: str) -> HermitianSymmetricSpace:
         raise ValueError(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")
     tspec, a0, dim = _PRESETS[key]
     H = build_space(SimpleLieType(tspec[0], int(tspec[1:])), a0)
-    assert H.dim == dim, f"{key}: dim {H.dim} != classical {dim}"
+    _require(H.dim == dim, f"{key}: dim {H.dim} != classical {dim}")
     return H
 
 
@@ -172,7 +171,7 @@ def bott_irreducible(
     if singular:
         return None
     lam_star = tuple(a - g for a, g in zip(dom, rd.gamma))
-    assert rd.is_dominant(lam_star)
+    _require(rd.is_dominant(lam_star), "Bott's lam* is dominant")
     return index, lam_star
 
 
@@ -259,7 +258,7 @@ def published_k_value(H: HermitianSymmetricSpace) -> Optional[int]:
         return 0 if l == 2 else 1
     if H.case == "II":
         rs = grassmannian_rs(H)
-        assert rs is not None
+        _require(rs is not None, "a case II space is a Grassmannian")
         r, s = sorted(rs)
         if (r, s) == (2, 2):
             return 2

@@ -593,13 +593,9 @@ def invariant_zero_cochains(gb: GModuleBasis) -> List[Cochain]:
     ]
     index = {ut: k for k, ut in enumerate(unknowns)}
     rows: List[List[Fraction]] = []
-    gens = gb.levi_raise + gb.levi_lower + [
-        i for i, el in enumerate(gb.elements) if el.block == "t"
-    ]
-    for gen in gens:
-        gen_is_torus = gb.elements[gen].block == "t"
-        if gen_is_torus:
-            continue  # torus handled by the weight pairing
+    # the torus needs no equations: unknowns pair equal weights only
+    for gen in gb.levi_raise + gb.levi_lower:
+        e_imgs = [e_act(gen, s) for s in range(n * n)]
         for w in range(dim_g):
             coords = g_act(gen, w)  # [gen, g_w] in g-coordinates
             for t in range(n * n):
@@ -609,8 +605,7 @@ def invariant_zero_cochains(gb: GModuleBasis) -> List[Cochain]:
                 # e_act(gen, s)[t]
                 for s in range(n * n):
                     if (w, s) in index:
-                        img = e_act(gen, s)
-                        c = img.get(t)
+                        c = e_imgs[s].get(t)
                         if c:
                             row[index[(w, s)]] = row.get(index[(w, s)], Fraction(0)) + c
                 # term -c([gen, w]) at coordinate t
@@ -882,13 +877,11 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
             )
         )
 
-    unknowns = [
-        (v, w, t)
-        for v in range(n)
-        for w in range(dim_g)
-        for t in range(md)
-        if wof(v, w) == mod_weights[t]
-    ]
+    unknowns = []
+    for v in range(n):
+        for w in range(dim_g):
+            wt = wof(v, w)
+            unknowns.extend((v, w, t) for t in range(md) if wt == mod_weights[t])
     index = {u: k for k, u in enumerate(unknowns)}
 
     # rows: coordinates of delta x and of c2 over weight-zero keys

@@ -3,10 +3,12 @@ the Levi subgroup R of a parabolic.
 
 Characters are weight -> multiplicity dicts with integer weight coordinates
 in the simple-root basis of the ambient group; the central directions ride
-along untouched.  Irreducible Levi characters come from the Freudenthal
-recursion run with the ambient invariant form (the central component of every
-weight of an irreducible is constant and orthogonal to span(S), so no
-projection is needed).
+along untouched.  `decompose` folds every weight into the dominant chamber of
+the Levi Weyl group W_S (Racah-Speiser/Klimyk; Humphreys, Introduction to Lie
+Algebras and Representation Theory, 24): a W_S-invariant chi is
+sum_lam c_lam ch V_lam, and chi is a module character exactly when every
+c_lam is >= 0.  The Freudenthal recursion `irreducible_character` is kept as
+an independent reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .rootsys import RootDatum, Weight
+from .rootsys import RootDatum, _require
 
 IntWeight = Tuple[int, ...]
 FormalCharacter = Dict[IntWeight, int]
@@ -106,8 +108,8 @@ def _exterior_newton(chi: FormalCharacter, p: int) -> FormalCharacter:
     out: FormalCharacter = {}
     for w, m in es[p].items():
         if m:
-            assert m.denominator == 1
-            out[w] = int(m)
+            _require(m.denominator == 1, "exterior-power multiplicity is integral")
+            out[w] = m.numerator
     return out
 
 
@@ -126,20 +128,6 @@ class LeviDatum:
             raise ValueError("S must be a proper subset of the simple roots")
         object.__setattr__(self, "S", tuple(sorted(self.S)))
 
-    @property
-    def center_direction(self) -> Weight:
-        """Fundamental-weight direction complementary to span(S)."""
-        missing = [i for i in range((self.rd.rank)) if i not in self.S]
-        i0 = missing[0]
-        from .scalars import solve
-
-        rows = [[Fraction(self.rd.cartan[j][i]) for j in range(self.rd.rank)]
-                for i in range(self.rd.rank)]
-        rhs = [Fraction(1) if i == i0 else Fraction(0) for i in range(self.rd.rank)]
-        sol = solve(rows, rhs)
-        assert sol is not None
-        return tuple(sol)
-
     def levi_positive_roots(self) -> List[IntWeight]:
         s = set(self.S)
         out = []
@@ -149,11 +137,10 @@ class LeviDatum:
                 out.append(ri)
         return out
 
-    def rho(self) -> Tuple[Fraction, ...]:
+    def two_rho(self) -> IntWeight:
+        """2 rho_S: the sum of the Levi positive roots."""
         pos = self.levi_positive_roots()
-        return tuple(
-            Fraction(sum(r[i] for r in pos), 2) for i in range(self.rd.rank)
-        )
+        return tuple(sum(r[i] for r in pos) for i in range(self.rd.rank))
 
     def is_S_dominant(self, lam: Sequence) -> bool:
         return all(self.rd.pairing_simple(lam, i) >= 0 for i in self.S)
@@ -165,7 +152,8 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     Freudenthal recursion over the Levi's positive roots, run level by level
     from the highest weight.  Exact integer arithmetic throughout: the
     recursion is evaluated with 2x the invariant form, which is integral on
-    the root lattice shifted by lam.
+    the root lattice shifted by lam.  The ambient form needs no projection:
+    the central component of every weight is constant and orthogonal to span(S).
     """
     lam = _intw(lam)
     if not L.is_S_dominant(lam):
@@ -173,14 +161,12 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     rd = L.rd
     rank = rd.rank
     pos = L.levi_positive_roots()
-    two_rho = tuple(sum(r[i] for r in pos) for i in range(rank))
+    two_rho = L.two_rho()
 
     # inner2(x, y) = 2(x, y), integral for integer vectors
     g2 = [[rd.gram[i][j] * 2 for j in range(rank)] for i in range(rank)]
-    for row in g2:
-        for v in row:
-            assert Fraction(v).denominator == 1
-    g2 = [[int(v) for v in row] for row in g2]
+    _require(all(v.denominator == 1 for row in g2 for v in row), "2 x the form is integral")
+    g2 = [[v.numerator for v in row] for row in g2]
 
     def inner2(x, y):
         tot = 0
@@ -219,7 +205,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
                     k += 1
             if num:
                 q, r = divmod(num, den)
-                assert r == 0, "Freudenthal multiplicity must be integral"
+                _require(r == 0, "Freudenthal multiplicity must be integral")
                 if q > 0:
                     mult[mu] = q
                     new_level.append(mu)
@@ -231,38 +217,36 @@ def _le(w, lam) -> bool:
     return all(a <= b for a, b in zip(w, lam))
 
 
-def _char_sub(chi: FormalCharacter, other: FormalCharacter, k: int) -> None:
-    for w, m in other.items():
-        cur = chi.get(w, 0) - k * m
-        if cur < 0:
-            raise ValueError("not an R-module character (negative multiplicity)")
-        if cur:
-            chi[w] = cur
-        else:
-            chi.pop(w, None)
-
-
 def decompose(L: LeviDatum, chi: FormalCharacter) -> List[Tuple[IntWeight, int]]:
     """Highest weights (with multiplicities) of a completely reducible module.
 
-    Repeatedly extracts a maximal S-dominant weight and subtracts its
-    irreducible character.  Maximality is realized as (height, lex)-max among
-    S-dominant weights of positive multiplicity: a maximal-height S-dominant
-    weight is maximal in the root order, and the lex refinement makes the
-    ordering deterministic.  Raises if a subtraction goes negative, i.e. the
-    input was not an R-module character.
+    Each weight mu of chi is folded by W_S: 2(mu + rho_S) goes into the
+    closed dominant chamber in integers, a result on a wall is dropped, and
+    otherwise (-1)^steps m(mu) is added to the coefficient of
+    lam = w(mu + rho_S) - rho_S.  Sorted by (height, lex), largest first.
+    Raises ValueError unless chi is an R-module character: chi must be
+    W_S-invariant, and then every coefficient must be >= 0.
     """
-    work = dict(chi)
-    out: List[Tuple[IntWeight, int]] = []
-    while work:
-        cands = [w for w in work if L.is_S_dominant(w)]
-        if not cands:
-            raise ValueError("no S-dominant weight left; not an R-module character")
-        best_h = max(sum(w) for w in cands)
-        top = max(w for w in cands if sum(w) == best_h)
-        k = work[top]
-        _char_sub(work, irreducible_character(L, top), k)
-        out.append((top, k))
+    rd, S = L.rd, L.S
+    for mu, m in chi.items():
+        pr = rd.simple_pairings(mu)
+        for i in S:
+            c = pr[i]
+            if c and chi.get(mu[:i] + (mu[i] - c,) + mu[i + 1:], 0) != m:
+                raise ValueError(f"not an R-module character (not W_S-invariant at {mu})")
+    two_rho = L.two_rho()
+    coeffs: Dict[IntWeight, int] = {}
+    for mu, m in chi.items():
+        v, steps, singular = rd.fold(
+            tuple(2 * a + b for a, b in zip(mu, two_rho)), S
+        )
+        if not singular:
+            lam = tuple((a - b) // 2 for a, b in zip(v, two_rho))
+            coeffs[lam] = coeffs.get(lam, 0) + (-m if steps % 2 else m)
+    out = [(lam, k) for lam, k in coeffs.items() if k]
+    for lam, k in out:
+        if k < 0:
+            raise ValueError(f"not an R-module character (V{lam} has multiplicity {k})")
     out.sort(key=lambda t: (-sum(t[0]), tuple(-c for c in t[0])))
     return out
 

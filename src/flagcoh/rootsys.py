@@ -8,10 +8,12 @@ length 2; short roots (types B, C) get 1, which keeps every Cartan pairing
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from operator import mul
+from typing import List, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -100,6 +102,19 @@ def _weyl_orbit_roots(cartan: List[List[int]], l: int) -> List[Tuple[int, ...]]:
     return sorted(seen)
 
 
+def _require(cond: bool, msg: str) -> None:
+    """An invariant check that, unlike assert, python -O does not remove."""
+    if not cond:
+        raise AssertionError(msg)
+
+
+def _scaled_to_integers(xi: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """(D xi, D) for the least common denominator D of xi's coordinates."""
+    xi = [Fraction(c) for c in xi]
+    D = math.lcm(*(c.denominator for c in xi))
+    return tuple(c.numerator * (D // c.denominator) for c in xi), D
+
+
 @dataclass(frozen=True)
 class RootDatum:
     type: SimpleLieType
@@ -126,34 +141,28 @@ class RootDatum:
             if a and b
         ) or Fraction(0)
 
-    def pairing(self, lam: Sequence, beta: Sequence) -> Fraction:
-        """<lam, beta> = 2(lam, beta)/(beta, beta)."""
-        bb = self.inner(beta, beta)
-        return 2 * self.inner(lam, beta) / bb
-
     def pairing_simple(self, lam: Sequence, i: int) -> Fraction:
         """<lam, alpha_i> via the Cartan matrix; integral on the root lattice."""
         return sum(Fraction(lam[j]) * self.cartan[j][i] for j in range(self.rank))
 
     # -- Weyl group --------------------------------------------------------
-    def is_root(self, v: Sequence) -> bool:
-        return tuple(Fraction(c) for c in v) in self._root_set()
+    @cached_property
+    def _roots(self) -> frozenset:
+        return frozenset(self.positive_roots) | {tuple(-c for c in r) for r in self.positive_roots}
 
-    def _root_set(self):
-        rs = getattr(self, "_roots_cache", None)
-        if rs is None:
-            rs = set(self.positive_roots) | {
-                tuple(-c for c in r) for r in self.positive_roots
-            }
-            object.__setattr__(self, "_roots_cache", rs)
-        return rs
+    @cached_property
+    def _two_gram_pos(self) -> Tuple[Tuple[int, ...], ...]:
+        """2 gram alpha for each positive root alpha: v . (2 gram alpha) = 2 (v, alpha)."""
+        g2 = [[(2 * x).numerator for x in row] for row in self.gram]
+        return tuple(tuple(sum(g * a.numerator for g, a in zip(row, al)) for row in g2)
+                     for al in self.positive_roots)
 
     def reflect(self, lam: Sequence, alpha: Sequence) -> Weight:
         """sigma_alpha(lam) = lam - <lam,alpha> alpha; alpha must be a root."""
         al = tuple(Fraction(c) for c in alpha)
-        if al not in self._root_set():
+        if al not in self._roots:
             raise ValueError(f"{alpha} is not a root of {self.type}")
-        pr = self.pairing(lam, al)
+        pr = 2 * self.inner(lam, al) / self.inner(al, al)
         return tuple(Fraction(x) - pr * a for x, a in zip(lam, al))
 
     def reflect_simple(self, lam: Sequence, i: int) -> Weight:
@@ -162,38 +171,51 @@ class RootDatum:
             Fraction(x) - pr if j == i else Fraction(x) for j, x in enumerate(lam)
         )
 
+    def simple_pairings(self, v: Sequence[int]) -> List[int]:
+        """[<v, alpha_i> for every i], in integers for an integer v."""
+        return [sum(map(mul, v, col)) for col in zip(*self.cartan)]
+
+    def fold(
+        self, v: Sequence[int], simple: Sequence[int]
+    ) -> Tuple[Tuple[int, ...], int, bool]:
+        """Fold an integer vector into the closed dominant chamber of W_simple.
+
+        v is in simple-root coordinates.  While <v, alpha_i> < 0 for some i
+        in `simple` (the first such i in `simple`), v becomes s_i v.  Returns
+        (folded, steps, singular); singular means <folded, alpha_i> = 0 for
+        some i in `simple`, since a point of the closed chamber is regular
+        iff every simple pairing is positive.  Integer arithmetic only.
+        """
+        pr = self.simple_pairings(v)
+        v = list(v)
+        steps = 0
+        while True:
+            i = next((i for i in simple if pr[i] < 0), None)
+            if i is None:
+                return tuple(v), steps, any(pr[i] == 0 for i in simple)
+            c = pr[i]
+            v[i] -= c
+            # s_i changes <v, alpha_k> by -<v, alpha_i><alpha_i, alpha_k>
+            pr = [p - c * cik for p, cik in zip(pr, self.cartan[i])]
+            steps += 1
+
     def dominant_representative(self, xi: Sequence) -> Tuple[Weight, int, bool]:
         """Weyl-orbit representative in the dominant chamber.
 
         Returns (dominant, index, singular): index = #{a in D+ : (xi, a) < 0},
         equal to the number of greedy simple reflections applied; singular is
         set when (xi, a) = 0 for some positive root (callers must check it
-        before trusting Bott degrees).
+        before trusting Bott degrees).  xi is scaled by the common denominator
+        D of its coordinates, folded in integers and divided by D again.
         """
-        xi = tuple(Fraction(c) for c in xi)
-        index = 0
-        singular = False
-        for al in self.positive_roots:
-            v = self.inner(xi, al)
-            if v < 0:
-                index += 1
-            elif v == 0:
-                singular = True
-        cur = xi
-        steps = 0
-        while True:
-            for i in range(self.rank):
-                if self.pairing_simple(cur, i) < 0:
-                    cur = self.reflect_simple(cur, i)
-                    steps += 1
-                    break
-            else:
-                break
-        if not singular and steps != index:
-            raise AssertionError(
-                f"greedy reflection count {steps} != root-counting index {index}"
-            )
-        return cur, index, singular
+        v, D = _scaled_to_integers(xi)
+        pairs = [sum(map(mul, v, g2al)) for g2al in self._two_gram_pos]  # 2D (xi, a)
+        index = sum(1 for s in pairs if s < 0)
+        singular = 0 in pairs
+        dom, steps, _ = self.fold(v, range(self.rank))
+        _require(singular or steps == index,
+                 f"greedy reflection count {steps} != root-counting index {index}")
+        return tuple(Fraction(c, D) for c in dom), index, singular
 
     def is_dominant(self, lam: Sequence) -> bool:
         return all(self.pairing_simple(lam, i) >= 0 for i in range(self.rank))
@@ -203,14 +225,17 @@ class RootDatum:
         return [i for i, n in enumerate(self.n_coeffs) if n == 1]
 
     def weyl_dimension(self, lam: Sequence) -> int:
-        """Weyl dimension formula for a dominant weight of the full group."""
-        num = Fraction(1)
-        for al in self.positive_roots:
-            num *= self.inner(tuple(Fraction(a) + g for a, g in zip(lam, self.gamma)), al) / self.inner(
-                self.gamma, al
-            )
-        assert num.denominator == 1
-        return int(num)
+        """Weyl dimension formula for a dominant weight of the full group:
+        the product over positive roots of (lam + gamma, a) / (gamma, a),
+        computed on D lam for the common denominator D of lam."""
+        v, D = _scaled_to_integers(lam)
+        two_gamma = [(2 * g).numerator for g in self.gamma]
+        u = [2 * a + D * g for a, g in zip(v, two_gamma)]  # 2D (lam + gamma)
+        num = math.prod(sum(map(mul, u, g2al)) for g2al in self._two_gram_pos)
+        den = math.prod(D * sum(map(mul, two_gamma, g2al)) for g2al in self._two_gram_pos)
+        if num % den:
+            raise ValueError(f"{tuple(lam)} is not an integral weight of {self.type}")
+        return num // den
 
 
 _CLASSICAL_COUNT = {
@@ -228,14 +253,12 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
     gram = tuple(
         tuple(Fraction(cartan[j][i] * norms[i], 2) for j in range(l)) for i in range(l)
     )
-    # gram[i][j] = (a_i, a_j) = <a_j, a_i>(a_i,a_i)/2; symmetry is asserted below
-    for i in range(l):
-        for j in range(l):
-            assert gram[i][j] == gram[j][i], "Gram symmetry"
+    # gram[i][j] = (a_i, a_j) = <a_j, a_i>(a_i,a_i)/2; symmetry is checked below
+    _require(all(gram[i][j] == gram[j][i] for i in range(l) for j in range(l)), "Gram symmetry")
 
     roots = _weyl_orbit_roots(cartan, l)
     pos = [r for r in roots if all(c >= 0 for c in r)]
-    assert len(pos) == _CLASSICAL_COUNT[t.family](l), "positive-root count"
+    _require(len(pos) == _CLASSICAL_COUNT[t.family](l), "positive-root count")
     pos_w: List[Weight] = [tuple(Fraction(c) for c in r) for r in sorted(pos)]
 
     gamma = tuple(
@@ -244,10 +267,10 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
     highest = [r for r in pos_w if all(
         all(Fraction(a) - Fraction(b) >= 0 for a, b in zip(r, s)) for s in pos_w
     )]
-    assert len(highest) == 1, "highest root uniqueness"
+    _require(len(highest) == 1, "highest root uniqueness")
     delta = highest[0]
     n_coeffs = tuple(int(c) for c in delta)
-    assert all(n > 0 for n in n_coeffs)
+    _require(all(n > 0 for n in n_coeffs), "highest root has a zero coefficient")
 
     rd = RootDatum(
         type=t,
@@ -262,7 +285,7 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
         delta=delta,
         n_coeffs=n_coeffs,
     )
-    assert rd.inner(delta, delta) == 2, "highest root is long"
+    _require(rd.inner(delta, delta) == 2, "highest root is long")
     return rd
 
 

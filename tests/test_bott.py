@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import flagcoh
 from flagcoh.bott import (
     DESK_PRESETS,
     ModuleDescriptor,
@@ -301,3 +307,22 @@ def test_grassmannian_rs():
     assert grassmannian_rs(space_from_preset("Gr(5,2)")) == (3, 2)
     assert grassmannian_rs(space_from_preset("CP2")) == (2, 1)
     assert grassmannian_rs(space_from_preset("Q3")) is None
+
+
+@pytest.mark.parametrize("space", ["Gr(5,2)", "Gr(6,3)"])
+@pytest.mark.parametrize("query", [
+    ["cohomology-table"], ["invariants", "--p", "3", "--q", "2"],
+], ids=["cohomology-table", "invariants"])
+def test_tables_are_the_same_under_python_O(space, query):
+    """No check that guards a value in rootsys, repdecomp or bott may live in
+    an assert that -O strips."""
+    src = str(Path(flagcoh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "flagcoh.cli", query[0], "--space", space, *query[1:]]
+    plain, optimized = (
+        json.loads(subprocess.run([sys.executable, *flags, *argv], env=env,
+                                  check=True, capture_output=True, text=True).stdout)
+        for flags in ([], ["-O"])
+    )
+    assert plain
+    assert optimized == plain

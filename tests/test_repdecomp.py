@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcoh.bott import build_space, space_from_preset
+from flagcoh.bott import DESK_PRESETS, build_space, space_from_preset
 from flagcoh.repdecomp import (
     LeviDatum,
     char_dim,
@@ -102,7 +102,7 @@ def kostant_multiplicity(L, lam, mu):
     """Oracle: mult of mu in L(lam) = sum_w (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
     rd = L.rd
     pos = tuple(tuple(int(c) for c in r) for r in L.levi_positive_roots())
-    rho = L.rho()
+    rho = tuple(Fraction(c, 2) for c in L.two_rho())
     total = 0
     for mat, sign in _levi_weyl_group(L):
         lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, rho))
@@ -114,6 +114,59 @@ def kostant_multiplicity(L, lam, mu):
             continue
         total += sign * _kp(tuple(int(t) for t in tgt), pos)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Peeling oracle: decomposition by subtracting Freudenthal characters
+# ---------------------------------------------------------------------------
+
+def peel_decompose(L, chi):
+    """Repeatedly take the (height, lex)-maximal S-dominant weight of chi and
+    subtract its Freudenthal character; ValueError when a multiplicity goes
+    negative or no S-dominant weight is left."""
+    work = dict(chi)
+    out = []
+    while work:
+        cands = [w for w in work if L.is_S_dominant(w)]
+        if not cands:
+            raise ValueError("no S-dominant weight left; not an R-module character")
+        best_h = max(sum(w) for w in cands)
+        top = max(w for w in cands if sum(w) == best_h)
+        k = work[top]
+        for w, m in irreducible_character(L, top).items():
+            cur = work.get(w, 0) - k * m
+            if cur < 0:
+                raise ValueError("not an R-module character (negative multiplicity)")
+            if cur:
+                work[w] = cur
+            else:
+                work.pop(w, None)
+        out.append((top, k))
+    out.sort(key=lambda t: (-sum(t[0]), tuple(-c for c in t[0])))
+    return out
+
+
+def _table_and_invariant_cells(H):
+    """((p, q), character) for every character that cohomology_omega_p_theta
+    (p <= 4) and invariant_dimension at (2,1), (3,2), (4,3) decompose; (p, q)
+    is that of wedge^p n- (x) wedge^q n+ (x) n+, with q = 0 for the columns
+    n+ (x) wedge^p n- of the table."""
+    chi_n = H.n_plus_character()
+    for p in range(min(4, H.dim) + 1):
+        yield (p, 0), tensor(chi_n, exterior_power(dual(chi_n), p))
+    for p, q in ((2, 1), (3, 2), (4, 3)):
+        if p <= H.dim and q <= H.dim:
+            yield (p, q), tensor(tensor(exterior_power(dual(chi_n), p),
+                                        exterior_power(chi_n, q)), chi_n)
+
+
+@pytest.mark.parametrize("name", DESK_PRESETS + ("Gr(5,3)",))
+def test_fold_matches_peeling_on_presets(name):
+    H = space_from_preset(name)
+    for (p, q), chi in _table_and_invariant_cells(H):
+        if name == "Gr(6,3)" and p + q > 4:
+            continue  # the peeling oracle takes seconds per cell beyond this
+        assert decompose(H.levi, chi) == peel_decompose(H.levi, chi), (p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +305,28 @@ def test_decompose_rejects_non_module():
     rd = root_system("A2")
     L = LeviDatum(rd, (0,))
     # a bare non-extreme weight multiset is not W(S)-symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not W_S-invariant"):
         decompose(L, {(1, 1): 1, (1, 0): 2})
+
+
+def test_decompose_rejects_invariant_virtual_character():
+    """{alpha, -alpha} is W_S-invariant but equals V(alpha) - V(0)."""
+    rd = root_system("A2")
+    L = LeviDatum(rd, (0,))
+    chi = {(1, 0): 1, (-1, 0): 1}
+    with pytest.raises(ValueError, match="multiplicity -1"):
+        decompose(L, chi)
+    with pytest.raises(ValueError):
+        peel_decompose(L, chi)
+    # adding the missing zero weight makes it the adjoint of sl2
+    assert decompose(L, {**chi, (0, 0): 1}) == [((1, 0), 1)]
+
+
+def test_decompose_of_empty_and_negative_characters():
+    L = LeviDatum(root_system("A2"), (0,))
+    assert decompose(L, {}) == []
+    with pytest.raises(ValueError):
+        decompose(L, {(0, 0): -1})
 
 
 def test_trivial_multiplicity_examples():
@@ -275,7 +348,7 @@ def test_schur_lower_bound():
         assert trivial_multiplicity(H.levi, tensor(chi, dual(chi))) >= 1
 
 
-@given(st.sampled_from(["A2", "A3", "B3"]), st.integers(0, 400))
+@given(st.sampled_from(["A2", "A3", "B3", "C3", "D4"]), st.integers(0, 400))
 @settings(max_examples=25, deadline=None)
 def test_decompose_of_sums_is_identity(spec, seed):
     rd = root_system(spec)
@@ -284,7 +357,7 @@ def test_decompose_of_sums_is_identity(spec, seed):
     L = LeviDatum(rd, S)
     picks = {}
     for _ in range(rng.randint(1, 3)):
-        lam = tuple(rng.randint(0, 1) for _ in range(rd.rank))
+        lam = tuple(rng.randint(0, 2) for _ in range(rd.rank))
         if L.is_S_dominant(lam):
             picks[lam] = picks.get(lam, 0) + 1
     if not picks:

@@ -250,3 +250,72 @@ def test_unsupported_types_rejected():
     for fam, rank in (("B", 1), ("D", 2), ("E", 8), ("F", 4)):
         with pytest.raises(ValueError):
             build_root_system(SimpleLieType(fam, rank))
+
+
+def greedy_dominant_representative(rd, xi, simple=None):
+    """The Fraction loop dominant_representative used before the integer fold:
+    reflect by the first simple root with a negative pairing until none is
+    left.  Returns (dominant, steps)."""
+    simple = range(rd.rank) if simple is None else simple
+    cur = tuple(Fraction(c) for c in xi)
+    steps = 0
+    while True:
+        for i in simple:
+            if rd.pairing_simple(cur, i) < 0:
+                cur = rd.reflect_simple(cur, i)
+                steps += 1
+                break
+        else:
+            return cur, steps
+
+
+@pytest.mark.parametrize("spec", ["A2", "B3", "C3", "D4", "E6"])
+def test_dominant_representative_of_thirds_matches_greedy_loop(spec):
+    rd = root_system(spec)
+    rng = random.Random(spec)
+    for _ in range(150):
+        xi = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 6)))
+                   for _ in range(rd.rank))
+        dom, idx, sing = rd.dominant_representative(xi)
+        want, steps = greedy_dominant_representative(rd, xi)
+        assert dom == want
+        assert all(type(c) is Fraction for c in dom)
+        assert sing == any(rd.inner(xi, al) == 0 for al in rd.positive_roots)
+        assert idx == sum(1 for al in rd.positive_roots if rd.inner(xi, al) < 0)
+        if not sing:
+            assert idx == steps
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "E6"])
+def test_fold_over_a_subset_matches_greedy_loop(spec):
+    rd = root_system(spec)
+    rng = random.Random(spec + "/fold")
+    for _ in range(150):
+        simple = tuple(sorted(rng.sample(range(rd.rank), rng.randint(1, rd.rank))))
+        v = tuple(rng.randint(-6, 6) for _ in range(rd.rank))
+        folded, steps, singular = rd.fold(v, simple)
+        want, want_steps = greedy_dominant_representative(rd, v, simple)
+        assert folded == want and steps == want_steps
+        assert all(type(c) is int for c in folded)
+        assert singular == any(rd.pairing_simple(folded, i) == 0 for i in simple)
+        assert rd.simple_pairings(v) == [rd.pairing_simple(v, i) for i in range(rd.rank)]
+
+
+def test_fold_examples():
+    a2 = root_system("A2")
+    # -alpha_0 folds to alpha_0 in one step under W = <s_0>
+    assert a2.fold((-1, 0), (0,)) == ((1, 0), 1, False)
+    # the highest root pairs to 1 with both simple roots
+    assert a2.fold((1, 1), (0, 1)) == ((1, 1), 0, False)
+    # <(1, 2), alpha_0> = 2 - 2 = 0: on the wall of s_0
+    assert a2.fold((1, 2), (0,)) == ((1, 2), 0, True)
+    # simple roots outside `simple` are never used: <(0, -1), alpha_1> = -2
+    assert a2.fold((-1, -1), (0,)) == ((0, -1), 1, False)
+
+
+def test_weyl_dimension_rejects_non_integral_weights():
+    rd = root_system("A2")
+    assert rd.weyl_dimension(rd.delta) == 8
+    assert rd.weyl_dimension((Fraction(2, 3), Fraction(1, 3))) == 3
+    with pytest.raises(ValueError):
+        rd.weyl_dimension((Fraction(1, 3), Fraction(1, 3)))
