@@ -5,6 +5,12 @@ Derivations are Leibniz extensions of their values on generators; the
 multilinear alternation formulas of the source material are kept in the test
 suite as oracles (their prefactor conventions are mutually inconsistent, so
 they pin per-degree constants there instead of driving this implementation).
+
+`_merge_sign` is the one Grassmann-monomial kernel: it multiplies two sorted
+index tuples with the anticommutation sign.  `superfields` multiplies the odd
+parts of its super monomials with the same function.  Products, sums and
+derivations accumulate kernel output into one dict per call and build the
+result without validating it again; only the public `make` validates.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .rootsys import _require
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
 
@@ -53,9 +61,15 @@ class GrassmannElement:
     @staticmethod
     def make(m: int, data: Dict[Monomial, Fraction]) -> "GrassmannElement":
         clean = {k: Fraction(v) for k, v in data.items() if v}
-        for k in clean:
-            assert all(1 <= i <= m for i in k) and list(k) == sorted(set(k))
+        bad = [k for k in clean
+               if not (all(1 <= i <= m for i in k) and list(k) == sorted(set(k)))]
+        _require(not bad, f"not strictly increasing monomials in 1..{m}: {bad}")
         return GrassmannElement(m, tuple(sorted(clean.items())))
+
+    @staticmethod
+    def _from_dict(m: int, acc: Dict[Monomial, Fraction]) -> "GrassmannElement":
+        """The element of kernel-produced monomials and Fraction values."""
+        return GrassmannElement(m, tuple(sorted((k, c) for k, c in acc.items() if c)))
 
     @staticmethod
     def zero(m: int) -> "GrassmannElement":
@@ -81,17 +95,17 @@ class GrassmannElement:
             return degs.pop()
         return None if degs else 0
 
-    def homogeneous_part(self, p: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.m, tuple((k, c) for k, c in self.terms if len(k) == p)
-        )
-
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        assert self.m == other.m
-        acc = self.tdict()
+        _require(self.m == other.m, "adding Grassmann elements of different m")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
         for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return GrassmannElement.make(self.m, acc)
+            old = acc.get(k)
+            acc[k] = c if old is None else old + c
+        return GrassmannElement._from_dict(self.m, acc)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + (-other)
@@ -106,14 +120,16 @@ class GrassmannElement:
         return GrassmannElement(self.m, tuple((k, c * v) for k, v in self.terms))
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
-        assert self.m == other.m
+        _require(self.m == other.m, "multiplying Grassmann elements of different m")
         acc: Dict[Monomial, Fraction] = {}
         for ka, ca in self.terms:
             for kb, cb in other.terms:
                 k, s = _merge_sign(ka, kb)
                 if k is not None:
-                    acc[k] = acc.get(k, Fraction(0)) + s * ca * cb
-        return GrassmannElement.make(self.m, acc)
+                    t = ca * cb if s > 0 else -(ca * cb)
+                    old = acc.get(k)
+                    acc[k] = t if old is None else old + t
+        return GrassmannElement._from_dict(self.m, acc)
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self.tdict().get(tuple(mono), Fraction(0))
@@ -137,17 +153,17 @@ class VectorValuedForm:
 
     @staticmethod
     def make(m: int, degree: int, comps: Sequence[GrassmannElement]) -> "VectorValuedForm":
-        assert len(comps) == m
-        assert -1 <= degree <= m
+        _require(len(comps) == m, f"a form on m={m} needs {m} components")
+        _require(-1 <= degree <= m, f"derivation degree {degree} outside [-1, {m}]")
         for c in comps:
-            assert c.m == m
-            h = c.is_homogeneous()
-            assert h in (0, degree + 1) or c.is_zero()
+            _require(c.m == m, "component of a different m")
+            _require(c.is_zero() or c.is_homogeneous() == degree + 1,
+                     f"component not homogeneous of degree {degree + 1}")
         return VectorValuedForm(m, degree, tuple(comps))
 
     @staticmethod
     def zero(m: int, degree: int) -> "VectorValuedForm":
-        return VectorValuedForm(m, degree, tuple(GrassmannElement.zero(m) for _ in range(m)))
+        return VectorValuedForm(m, degree, (GrassmannElement.zero(m),) * m)
 
     @staticmethod
     def basis_element(m: int, mono: Monomial, j: int) -> "VectorValuedForm":
@@ -160,7 +176,7 @@ class VectorValuedForm:
         return self.degree % 2
 
     def __add__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        assert self.m == other.m
+        _require(self.m == other.m, "adding forms of different m")
         if self.degree != other.degree:
             # only zero forms may cross degrees (they carry a clamped label)
             if self.is_zero():
@@ -174,7 +190,10 @@ class VectorValuedForm:
         )
 
     def __sub__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        return self + other.scale(-1)
+        return self + (-other)
+
+    def __neg__(self) -> "VectorValuedForm":
+        return VectorValuedForm(self.m, self.degree, tuple(-x for x in self.components))
 
     def scale(self, c) -> "VectorValuedForm":
         return VectorValuedForm(
@@ -186,21 +205,34 @@ class VectorValuedForm:
 
 
 def apply_derivation(phi: VectorValuedForm, a: GrassmannElement) -> GrassmannElement:
-    """i(phi) acting on a by the super-Leibniz rule from xi_k -> phi(xi_k)."""
+    """i(phi) acting on a by the super-Leibniz rule from xi_k -> phi(xi_k).
+
+    For the letter at position pos of a monomial, xi_left phi(xi_letter)
+    xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
+    moving the derivation past pos letters adds (-1)^{pos par}.
+    """
     if phi.m != a.m:
         raise ValueError("dimension mismatch")
-    m = phi.m
+    if not a.terms:
+        return a
     par = phi.parity()
-    out = GrassmannElement.zero(m)
+    acc: Dict[Monomial, Fraction] = {}
     for mono, c in a.terms:
         for pos, letter in enumerate(mono):
-            # sign from moving the parity-par derivation past pos odd letters
-            sign = -1 if (par and pos % 2 == 1) else 1
-            left = GrassmannElement.make(m, {tuple(mono[:pos]): Fraction(1)})
-            right = GrassmannElement.make(m, {tuple(mono[pos + 1:]): Fraction(1)})
-            term = left * phi.components[letter - 1] * right
-            out = out + term.scale(sign * c)
-    return out
+            image = phi.components[letter - 1].terms
+            if not image:
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            for k, v in image:
+                merged, sign = _merge_sign(k, rest)
+                if merged is None:
+                    continue
+                if pos % 2 and (par + len(k)) % 2:
+                    sign = -sign
+                t = c * v if sign > 0 else -(c * v)
+                old = acc.get(merged)
+                acc[merged] = t if old is None else old + t
+    return GrassmannElement._from_dict(phi.m, acc)
 
 
 def grading_derivation(m: int) -> VectorValuedForm:
@@ -211,9 +243,9 @@ def grading_derivation(m: int) -> VectorValuedForm:
 
 def j_map(m: int, psi: GrassmannElement, degree: int = None) -> VectorValuedForm:
     """j(psi) = sum_k (psi xi_k) (x) xi_k*; degree disambiguates psi = 0."""
-    assert psi.m == m
+    _require(psi.m == m, f"j_map on m={m} got an element of m={psi.m}")
     p = psi.is_homogeneous()
-    assert p is not None
+    _require(p is not None, "j_map needs a homogeneous element")
     if degree is not None and psi.is_zero():
         p = degree
     comps = [psi * GrassmannElement.generator(m, k) for k in range(1, m + 1)]
@@ -232,15 +264,15 @@ def barwedge(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     deg = phi.degree + psi.degree
     if deg < -1 or deg > phi.m:
         return VectorValuedForm.zero(phi.m, min(max(deg, -1), phi.m))
-    return VectorValuedForm.make(phi.m, deg, comps)
+    return VectorValuedForm(phi.m, deg, tuple(comps))
 
 
 def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)]."""
     if phi.m != psi.m:
         raise ValueError("dimension mismatch")
-    sign = -1 if (phi.degree % 2) and (psi.degree % 2) else 1
-    return barwedge(psi, phi) - barwedge(phi, psi).scale(sign)
+    left, right = barwedge(psi, phi), barwedge(phi, psi)
+    return left + right if (phi.degree % 2) and (psi.degree % 2) else left - right
 
 
 def contraction_c(phi: VectorValuedForm) -> GrassmannElement:

@@ -39,10 +39,6 @@ class MatrixPairSpace:
     def dim(self) -> int:
         return self.r * self.s
 
-    @property
-    def grassmann(self) -> bool:
-        return True
-
     def index(self, i: int, a: int) -> int:
         return i * self.s + a
 
@@ -56,10 +52,6 @@ class RootPairSpace:
     (e_alpha, f_beta) = delta; theta forms only."""
 
     dim: int
-
-    @property
-    def grassmann(self) -> bool:
-        return False
 
 
 def _sort_sign(tup: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:

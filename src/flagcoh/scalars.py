@@ -79,7 +79,7 @@ class QSqrt2:
         return hash((self.a, self.b))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.a or self.b)
 
     def __repr__(self):
         if self.b == 0:

@@ -10,11 +10,12 @@ identity blocks in the frame rows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .exterior import _merge_sign
+from .rootsys import _require
 from .scalars import nullspace
 
 # monomial: (x-part as sorted tuple of (flat index, exponent), xi-part as
@@ -22,34 +23,12 @@ from .scalars import nullspace
 Monomial = Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
 
 
-def _merge_xi(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out: List[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 def _merge_x(a, b):
-    acc: Dict[int, int] = {}
-    for (k, e) in a:
-        acc[k] = acc.get(k, 0) + e
+    if not a:
+        return b
+    if not b:
+        return a
+    acc: Dict[int, int] = dict(a)
     for (k, e) in b:
         acc[k] = acc.get(k, 0) + e
     return tuple(sorted(acc.items()))
@@ -66,6 +45,11 @@ class SuperPolynomial:
     def make(nvars: int, data: Dict[Monomial, Fraction]) -> "SuperPolynomial":
         clean = {k: Fraction(v) for k, v in data.items() if v}
         return SuperPolynomial(nvars, tuple(sorted(clean.items())))
+
+    @staticmethod
+    def _from_dict(nvars: int, acc: Dict[Monomial, Fraction]) -> "SuperPolynomial":
+        """The polynomial of kernel-produced monomials and Fraction values."""
+        return SuperPolynomial(nvars, tuple(sorted((k, c) for k, c in acc.items() if c)))
 
     @staticmethod
     def zero(nvars: int) -> "SuperPolynomial":
@@ -92,35 +76,40 @@ class SuperPolynomial:
         return not self.terms
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        acc = self.tdict()
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
         for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return SuperPolynomial.make(self.nvars, acc)
+            old = acc.get(k)
+            acc[k] = c if old is None else old + c
+        return SuperPolynomial._from_dict(self.nvars, acc)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
+
+    def __neg__(self) -> "SuperPolynomial":
+        return SuperPolynomial(self.nvars, tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "SuperPolynomial":
         c = Fraction(c)
-        return SuperPolynomial(self.nvars, tuple((k, c * v) for k, v in self.terms if c * v))
+        if not c:
+            return SuperPolynomial.zero(self.nvars)
+        return SuperPolynomial(self.nvars, tuple((k, c * v) for k, v in self.terms))
 
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         acc: Dict[Monomial, Fraction] = {}
         for (xa, sa), ca in self.terms:
             for (xb, sb), cb in other.terms:
-                xs = _merge_x(xa, xb)
-                ss, sg = _merge_xi(sa, sb)
+                ss, sg = _merge_sign(sa, sb)
                 if ss is None:
                     continue
-                key = (xs, ss)
-                acc[key] = acc.get(key, Fraction(0)) + sg * ca * cb
-        return SuperPolynomial.make(self.nvars, acc)
-
-    def parity_split(self) -> Tuple["SuperPolynomial", "SuperPolynomial"]:
-        ev = {k: c for k, c in self.terms if len(k[1]) % 2 == 0}
-        od = {k: c for k, c in self.terms if len(k[1]) % 2 == 1}
-        return (SuperPolynomial.make(self.nvars, ev),
-                SuperPolynomial.make(self.nvars, od))
+                key = (_merge_x(xa, xb), ss)
+                t = ca * cb if sg > 0 else -(ca * cb)
+                old = acc.get(key)
+                acc[key] = t if old is None else old + t
+        return SuperPolynomial._from_dict(self.nvars, acc)
 
     def sigma(self) -> "SuperPolynomial":
         """Parity automorphism: negate odd terms."""
@@ -131,32 +120,6 @@ class SuperPolynomial:
 
     def constant_term(self) -> Fraction:
         return self.tdict().get(((), ()), Fraction(0))
-
-    def substitute_zero(self) -> Fraction:
-        return self.constant_term()
-
-
-# first-order jets: P0 + t P1 with t^2 = 0, t of fixed parity
-@dataclass(frozen=True)
-class Jet:
-    p0: SuperPolynomial
-    p1: SuperPolynomial
-    odd_t: bool
-
-    def __add__(self, other: "Jet") -> "Jet":
-        assert self.odd_t == other.odd_t
-        return Jet(self.p0 + other.p0, self.p1 + other.p1, self.odd_t)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        # (P0 + t P1)(Q0 + t Q1) = P0 Q0 + t (sigma^t(P0) Q1 + P1 Q0)
-        assert self.odd_t == other.odd_t
-        p0 = self.p0 * other.p0
-        head = self.p0.sigma() if self.odd_t else self.p0
-        p1 = head * other.p1 + self.p1 * other.p0
-        return Jet(p0, p1, self.odd_t)
-
-    def scale(self, c) -> "Jet":
-        return Jet(self.p0.scale(c), self.p1.scale(c), self.odd_t)
 
 
 @dataclass
@@ -177,20 +140,9 @@ class SuperDerivation:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.c_x + self.c_xi)
 
-    def check_parity(self) -> bool:
-        for p in self.c_x:
-            ev, od = p.parity_split()
-            if (od if self.parity == 0 else ev).is_zero() is False:
-                return False
-        for p in self.c_xi:
-            ev, od = p.parity_split()
-            if (ev if self.parity == 0 else od).is_zero() is False:
-                # coefficient of d/dxi has parity parity+1
-                return False
-        return True
-
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
-        assert (self.r, self.s, self.parity) == (other.r, other.s, other.parity)
+        _require((self.r, self.s, self.parity) == (other.r, other.s, other.parity),
+                 "adding derivations of different charts or parities")
         return SuperDerivation(
             self.r, self.s, self.parity,
             [a + b for a, b in zip(self.c_x, other.c_x)],
@@ -208,31 +160,46 @@ class SuperDerivation:
         return self + other.scale(-1)
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Leibniz action on a polynomial."""
-        n = self.nvars
-        out = SuperPolynomial.zero(n)
+        """Leibniz action on a polynomial.
+
+        d/dx_k sends x^e to e x^(e-1) and commutes with everything.  The
+        d/dxi part moves past the x's (even) and the j preceding xi's (a sign
+        for odd derivations), and xi_left c xi_right = (-1)^{j |k|} xi_k
+        xi_rest for each image monomial k.
+        """
+        acc: Dict[Monomial, Fraction] = {}
         for (xs, ss), coeff in f.terms:
-            # d/dx part
             for pos, (k, e) in enumerate(xs):
-                if self.c_x[k].is_zero():
+                image = self.c_x[k].terms
+                if not image:
                     continue
-                rest_x = list(xs)
-                if e == 1:
-                    rest_x.pop(pos)
-                else:
-                    rest_x[pos] = (k, e - 1)
-                base = SuperPolynomial(n, (((tuple(rest_x), ss), coeff * e),))
-                out = out + self.c_x[k] * base
-            # d/dxi part: move the derivation past the x's (even) and the
-            # preceding xi's (sign for odd derivations)
+                lowered = ((k, e - 1),) if e > 1 else ()
+                rest_x = xs[:pos] + lowered + xs[pos + 1:]
+                c = coeff * e if e > 1 else coeff
+                for (ix, isx), v in image:
+                    merged, sign = _merge_sign(isx, ss)
+                    if merged is None:
+                        continue
+                    key = (_merge_x(ix, rest_x), merged)
+                    t = c * v if sign > 0 else -(c * v)
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
             for j, sidx in enumerate(ss):
-                if self.c_xi[sidx].is_zero():
+                image = self.c_xi[sidx].terms
+                if not image:
                     continue
-                sign = -1 if (self.parity and j % 2 == 1) else 1
-                left = SuperPolynomial(n, (((xs, ss[:j]), Fraction(sign) * coeff),))
-                right = SuperPolynomial(n, ((((), ss[j + 1:]), Fraction(1)),))
-                out = out + left * self.c_xi[sidx] * right
-        return out
+                rest = ss[:j] + ss[j + 1:]
+                for (ix, isx), v in image:
+                    merged, sign = _merge_sign(isx, rest)
+                    if merged is None:
+                        continue
+                    if j % 2 and (self.parity + len(isx)) % 2:
+                        sign = -sign
+                    key = (_merge_x(xs, ix), merged)
+                    t = coeff * v if sign > 0 else -(coeff * v)
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
+        return SuperPolynomial._from_dict(self.nvars, acc)
 
     def evaluate_at_origin(self) -> Tuple[List[Fraction], List[Fraction]]:
         return (
@@ -252,18 +219,19 @@ def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
 
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     """Super-commutator, evaluated on the coordinate generators."""
-    assert (d1.r, d1.s) == (d2.r, d2.s)
-    r, s = d1.r, d1.s
-    n = r * s
-    parity = (d1.parity + d2.parity) % 2
-    sign = -1 if (d1.parity and d2.parity) else 1
-    out = derivation_zero(r, s, parity)
-    for k in range(n):
-        xk = SuperPolynomial.x(n, k)
-        out.c_x[k] = d1.apply(d2.apply(xk)) - d2.apply(d1.apply(xk)).scale(sign)
-        xik = SuperPolynomial.xi(n, k)
-        out.c_xi[k] = d1.apply(d2.apply(xik)) - d2.apply(d1.apply(xik)).scale(sign)
-    return out
+    _require((d1.r, d1.s) == (d2.r, d2.s), "bracket of derivations on different charts")
+    both_odd = d1.parity and d2.parity
+
+    # a derivation's value on a coordinate is its coefficient there
+    def commutator(c1: SuperPolynomial, c2: SuperPolynomial) -> SuperPolynomial:
+        a, b = d1.apply(c2), d2.apply(c1)
+        return a + b if both_odd else a - b
+
+    return SuperDerivation(
+        d1.r, d1.s, (d1.parity + d2.parity) % 2,
+        [commutator(c1, c2) for c1, c2 in zip(d1.c_x, d2.c_x)],
+        [commutator(c1, c2) for c1, c2 in zip(d1.c_xi, d2.c_xi)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,56 +278,49 @@ def qn_basis(n: int) -> List[QnElement]:
 
 def qn_bracket(g1: QnElement, g2: QnElement) -> QnElement:
     """Supercommutator on q_n by blocks: even x even -> [A1,A2]; even x odd
-    -> (0, A1 B2 - B2 A1); odd x odd -> (B1 B2 + B2 B1, 0)."""
+    -> (0, A1 B2 - B2 A1); odd x odd -> (B1 B2 + B2 B1, 0).  In all,
+    A = A1 A2 - A2 A1 + B1 B2 + B2 B1 and B = A1 B2 - B2 A1 + B1 A2 - A2 B1,
+    summed over the nonzero entries only."""
     n = g1.n
+    zero = Fraction(0)
 
-    def mm(X, Y):
-        return tuple(
-            tuple(sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    def rows(X) -> Dict[int, List[Tuple[int, Fraction]]]:
+        nz = {i: [(k, x) for k, x in enumerate(row) if x] for i, row in enumerate(X)}
+        return {i: row for i, row in nz.items() if row}
 
-    def add(X, Y, sgn=1):
-        return tuple(
-            tuple(a + sgn * b for a, b in zip(rx, ry)) for rx, ry in zip(X, Y)
-        )
+    a1, b1, a2, b2 = rows(g1.A), rows(g1.B), rows(g2.A), rows(g2.B)
 
-    A = add(
-        add(mm(g1.A, g2.A), mm(g2.A, g1.A), -1),
-        add(mm(g1.B, g2.B), mm(g2.B, g1.B), 1),
-    )
-    Bm = add(
-        add(mm(g1.A, g2.B), mm(g2.B, g1.A), -1),
-        add(mm(g1.B, g2.A), mm(g2.A, g1.B), -1),
-    )
-    return QnElement(n, A, Bm)
+    def block(products):
+        acc: Dict[Tuple[int, int], Fraction] = {}
+        for sign, X, Y in products:
+            for i, xrow in X.items():
+                for k, x in xrow:
+                    for j, y in Y.get(k, ()):
+                        t = x * y if sign > 0 else -(x * y)
+                        old = acc.get((i, j))
+                        acc[i, j] = t if old is None else old + t
+        return tuple(tuple(acc.get((i, j), zero) for j in range(n)) for i in range(n))
+
+    A = block(((1, a1, a2), (-1, a2, a1), (1, b1, b2), (1, b2, b1)))
+    B = block(((1, a1, b2), (-1, b2, a1), (1, b1, a2), (-1, a2, b1)))
+    return QnElement(n, A, B)
 
 
-def _coordinate_matrix(n: int, s: int, odd_t: bool) -> List[List[Jet]]:
-    """The 2n x 2s chart matrix over the jet ring."""
+def _coordinate_matrix(n: int, s: int) -> List[List[SuperPolynomial]]:
+    """The 2n x 2s chart matrix."""
     r = n - s
     nv = r * s
     zero = SuperPolynomial.zero(nv)
-
-    def jconst(c):
-        return Jet(SuperPolynomial.const(nv, c), zero, odd_t)
-
-    def jx(i, a):
-        return Jet(SuperPolynomial.x(nv, i * s + a), zero, odd_t)
-
-    def jxi(i, a):
-        return Jet(SuperPolynomial.xi(nv, i * s + a), zero, odd_t)
-
-    Z = [[jconst(0) for _ in range(2 * s)] for _ in range(2 * n)]
+    one = SuperPolynomial.const(nv, 1)
+    Z = [[zero for _ in range(2 * s)] for _ in range(2 * n)]
     for i in range(r):
         for a in range(s):
-            Z[i][a] = jx(i, a)
-            Z[i][s + a] = jxi(i, a)
-            Z[n + i][a] = jxi(i, a)
-            Z[n + i][s + a] = jx(i, a)
+            x = SuperPolynomial.x(nv, i * s + a)
+            xi = SuperPolynomial.xi(nv, i * s + a)
+            Z[i][a] = Z[n + i][s + a] = x
+            Z[i][s + a] = Z[n + i][a] = xi
     for a in range(s):
-        Z[r + a][a] = jconst(1)
-        Z[n + r + a][s + a] = jconst(1)
+        Z[r + a][a] = Z[n + r + a][s + a] = one
     return Z
 
 
@@ -399,53 +360,43 @@ def fundamental_field_parts(g: QnElement, s: int) -> List[SuperDerivation]:
 
 
 def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
+    """The field of the parity part M: with a square-zero parameter t of
+    M's parity, the chart matrix Z moves to Z + t MZ, where M acts in the
+    [[A, B], [B, A]] pattern of its parity."""
     r = n - s
     nv = r * s
-    Z = _coordinate_matrix(n, s, odd)
+    Z = _coordinate_matrix(n, s)
     zero = SuperPolynomial.zero(nv)
 
-    # Z' = Z + t (M2 Z) with M2 = [[A,B],[B,A]] pattern of the parity part
-    big = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            if M[i][j]:
-                if odd:
-                    big[i][n + j] = M[i][j]
-                    big[n + i][j] = M[i][j]
-                else:
-                    big[i][j] = M[i][j]
-                    big[n + i][n + j] = M[i][j]
-
+    # row i of the pattern reads row j (even) or n + j (odd) of Z at M[i][j],
+    # and row n + i reads the other half
     MZ = [[zero for _ in range(2 * s)] for _ in range(2 * n)]
-    for i in range(2 * n):
-        row = big[i]
-        for j in range(2 * s):
-            acc = zero
-            for k in range(2 * n):
-                if row[k]:
-                    acc = acc + Z[k][j].p0.scale(row[k])
-            MZ[i][j] = acc
-    Zp = [
-        [Jet(Z[i][j].p0, Z[i][j].p1 + MZ[i][j], odd) for j in range(2 * s)]
-        for i in range(2 * n)
-    ]
+    for i, row in enumerate(M):
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            for dst, src in ((i, n + j if odd else j), (n + i, j if odd else n + j)):
+                for col in range(2 * s):
+                    if Z[src][col].terms:
+                        MZ[dst][col] = MZ[dst][col] + Z[src][col].scale(c)
 
     # frame block C = I + t C1 from rows r..r+s-1 and n+r..2n-1
     frame_rows = list(range(r, r + s)) + list(range(n + r, 2 * n))
-    C1 = [[Zp[fr][j].p1 for j in range(2 * s)] for fr in frame_rows]
+    C1 = [MZ[fr] for fr in frame_rows]
 
-    # Z'' = Z' (I - t C1): raw t-part = Z'.p1 - sigma^t(Z.p0) C1
+    # Z'' = (Z + t MZ)(I - t C1): raw t-part = MZ - sigma^t(Z) C1
+    C1_rows = [(k, row) for k, row in enumerate(C1) if any(p.terms for p in row)]
+
     def tparts(row):
-        out = []
-        for j in range(2 * s):
-            corr = zero
-            for k in range(2 * s):
-                z0 = Z[row][k].p0
-                if z0.is_zero() or C1[k][j].is_zero():
-                    continue
-                head = z0.sigma() if odd else z0
-                corr = corr + head * C1[k][j]
-            out.append(Zp[row][j].p1 - corr)
+        out = list(MZ[row])
+        for k, c1 in C1_rows:
+            z0 = Z[row][k]
+            if z0.is_zero():
+                continue
+            head = z0.sigma() if odd else z0
+            for j, c in enumerate(c1):
+                if c.terms:
+                    out[j] = out[j] - head * c
         return out
 
     field_x = [zero for _ in range(nv)]
@@ -456,7 +407,7 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
         for j in range(2 * s):
             # Pi-symmetry of the chart: the lower half mirrors x <-> xi
             mirror = lower[j + s] if j < s else lower[j - s]
-            assert (upper[j] - mirror).is_zero(), "Pi-symmetry broken in jet"
+            _require((upper[j] - mirror).is_zero(), "Pi-symmetry broken in jet")
             # left extraction of the square-zero parameter, signs changed:
             # this makes a -> a* a homomorphism up to the super sign rule
             # (see homomorphism_check)
@@ -573,11 +524,11 @@ def transitivity_at_origin(n: int, s: int) -> Dict[str, int]:
         if f.parity == 0:
             if any(cx):
                 ev_rows.append(cx)
-            assert not any(cxi)
+            _require(not any(cxi), "an even field has an odd value at the origin")
         else:
             if any(cxi):
                 od_rows.append(cxi)
-            assert not any(cx)
+            _require(not any(cx), "an odd field has an even value at the origin")
     from .scalars import rank
 
     return {
@@ -606,13 +557,13 @@ def isotropy_weights(n: int, s: int) -> Dict[Tuple[int, ...], Dict[str, int]]:
                 # coefficient of x_k in f(x_k)
                 val = f.c_x[k].tdict().get(((((k, 1),), ())), Fraction(0))
                 val_xi = f.c_xi[k].tdict().get((((), (k,))), Fraction(0))
-                assert val == val_xi, "x and xi germs must share the weight"
+                _require(val == val_xi, "x and xi germs must share the weight")
                 wvec.append(int(val))
             key = tuple(wvec)
             expected = tuple(
                 (-1 if j == i else 0) + (1 if j == r + a else 0) for j in range(n)
             )
-            assert key == expected
+            _require(key == expected, f"isotropy weight {key} != {expected}")
             entry = weights.setdefault(key, {"even": 0, "odd": 0})
             entry["even"] += 1
             entry["odd"] += 1

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,20 @@ def test_pi_grassmannian_command(capsys):
     assert data["kernel_dim"] == 1
     assert data["homomorphism"]["sigma"] == 1
     assert data["transitivity"]["even"] == 2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PI_GRASSMANNIAN = json.loads((GOLDEN / "pi_grassmannian.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(PI_GRASSMANNIAN))
+def test_pi_grassmannian_matches_golden_output(capsys, key):
+    """stdout is byte-identical to the recorded output of the dense q_n
+    bracket and per-letter Leibniz implementation."""
+    n, s = key.split(",")
+    code, out = run_cli(capsys, "pi-grassmannian", "--n", n, "--s", s)
+    assert code == 0
+    assert out == json.dumps(PI_GRASSMANNIAN[key], indent=2, sort_keys=True) + "\n"
 
 
 def test_markdown_format(capsys):

@@ -1,10 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import flagcoh
 
 from flagcoh.exterior import (
     GrassmannElement,
@@ -433,3 +439,130 @@ def test_barwedge_bilinear_and_degree(seed):
     rl = barwedge(psi, phi1.scale(c) + phi2)
     rr = barwedge(psi, phi1).scale(c) + barwedge(psi, phi2)
     assert rl.components == rr.components
+
+
+# --- the product and Leibniz loop the shared kernel replaced, as oracles ------
+#
+# Copied from the implementation before `_merge_sign` became the one
+# Grassmann-monomial kernel: a monomial product by merge, and a Leibniz rule
+# that builds xi_left * phi(xi_letter) * xi_right for every letter.  They run
+# on plain dicts, so they share no code with the library's kernel.
+
+def old_merge_sign(a, b):
+    if not a:
+        return b, 1
+    if not b:
+        return a, 1
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None, 0
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            if (len(a) - i) % 2 == 1:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), sign
+
+
+def old_mul(x, y):
+    acc = {}
+    for ka, ca in x.items():
+        for kb, cb in y.items():
+            k, s = old_merge_sign(ka, kb)
+            if k is not None:
+                acc[k] = acc.get(k, Fraction(0)) + s * ca * cb
+    return acc
+
+
+def old_apply_derivation(phi, a):
+    par = phi.degree % 2
+    out = {}
+    for mono, c in a.terms:
+        for pos, letter in enumerate(mono):
+            sign = -1 if (par and pos % 2 == 1) else 1
+            left = {tuple(mono[:pos]): Fraction(1)}
+            right = {tuple(mono[pos + 1:]): Fraction(1)}
+            term = old_mul(old_mul(left, phi.components[letter - 1].tdict()), right)
+            for k, v in term.items():
+                out[k] = out.get(k, Fraction(0)) + sign * c * v
+    return GrassmannElement.make(phi.m, out)
+
+
+def random_element(rng, m, degrees):
+    data = {}
+    for q in degrees:
+        for mono in basis_monomials(m, q):
+            if rng.random() < 0.6:
+                data[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return G(m, data)
+
+
+def assert_canonical(x: GrassmannElement):
+    keys = [k for k, _ in x.terms]
+    assert keys == sorted(set(keys))
+    assert all(type(c) is Fraction and c for _, c in x.terms)
+
+
+def test_kernel_matches_old_leibniz_loop_m_le_5():
+    """apply_derivation and the product equal the per-letter loop on random
+    rational elements, for m <= 5 and every derivation degree -1..m, on
+    homogeneous and mixed-degree arguments."""
+    rng = random.Random(5)
+    for m in range(1, 6):
+        for degree in range(-1, m + 1):
+            for _ in range(4):
+                comps = [random_element(rng, m, [degree + 1]) for _ in range(m)]
+                phi = VectorValuedForm.make(m, degree, comps)
+                q = rng.randint(0, m)
+                for a in (random_element(rng, m, [q]),
+                          random_element(rng, m, range(m + 1))):
+                    got = apply_derivation(phi, a)
+                    assert got == old_apply_derivation(phi, a), (m, degree)
+                    assert_canonical(got)
+                    b = random_element(rng, m, range(m + 1))
+                    prod = a * b
+                    assert prod == GrassmannElement.make(m, old_mul(a.tdict(), b.tdict()))
+                    assert_canonical(prod)
+                    assert_canonical(a + b)
+                    assert_canonical(a - b)
+
+
+def test_kernel_matches_old_leibniz_loop_on_every_basis_pair_m_le_3():
+    for m in (1, 2, 3):
+        for mono, j in wedge_basis(m):
+            phi = VectorValuedForm.basis_element(m, mono, j)
+            for q in range(m + 1):
+                for amono in basis_monomials(m, q):
+                    a = G(m, {amono: 1})
+                    assert apply_derivation(phi, a) == old_apply_derivation(phi, a)
+
+
+def test_make_rejects_malformed_monomials():
+    for bad in ((2, 1), (1, 1), (0,), (4,)):
+        with pytest.raises(AssertionError, match="monomials"):
+            GrassmannElement.make(3, {bad: 1})
+    with pytest.raises(AssertionError, match="homogeneous"):
+        j_map(3, G(3, {(1,): 1, (1, 2): 1}))
+    for degree, comp in ((0, {(1, 2): 1}), (1, {(): 1}), (0, {(1,): 1, (): 1})):
+        with pytest.raises(AssertionError, match="homogeneous"):
+            VectorValuedForm.make(2, degree, [G(2, comp), G(2, {})])
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_inhomogeneous_j_map_raises_with_and_without_python_O(flags):
+    src = str(Path(flagcoh.__file__).resolve().parent.parent)
+    code = ("from flagcoh.exterior import GrassmannElement, j_map\n"
+            "j_map(3, GrassmannElement.make(3, {(1,): 1, (1, 2): 1}))\n")
+    run = subprocess.run([sys.executable, *flags, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "AssertionError: j_map needs a homogeneous element" in run.stderr

@@ -109,6 +109,19 @@ def test_field_axioms(a1, b1, a2, b2):
     assert RT2 * RT2 == qs(2)
 
 
+@pytest.mark.parametrize("a,b,truth", [
+    (0, 0, False),
+    (Fraction(-3, 4), 0, True),
+    (0, Fraction(1, 2), True),
+    (1, -1, True),
+])
+def test_truth_is_nonzero(a, b, truth):
+    x = qs(a, b)
+    assert bool(x) is truth
+    assert bool(-x) is truth
+    assert bool(x - x) is False
+
+
 def test_sqrt_in_field():
     assert qs(2).sqrt() == RT2 or qs(2).sqrt() == -RT2
     assert qs(4).sqrt() in (qs(2), qs(-2))

@@ -1,7 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import flagcoh
 
 from flagcoh.superfields import (
     QnElement,
@@ -300,3 +307,279 @@ def test_mixed_parity_element_rejected():
         fundamental_field(g, 1)
     parts = fundamental_field_parts(g, 1)
     assert len(parts) == 2
+
+
+# --- the dense q_n bracket, the per-letter Leibniz loop and the dense jet
+#     field that the sparse code replaced, as oracles -------------------------
+#
+# Copied from the implementation before superfields shared exterior's
+# Grassmann-monomial kernel.  Polynomials are plain {monomial: Fraction}
+# dicts here, so the oracles share no arithmetic with the library.
+
+def dense_qn_bracket(g1, g2):
+    n = g1.n
+
+    def mm(X, Y):
+        return tuple(
+            tuple(sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    def add(X, Y, sgn=1):
+        return tuple(
+            tuple(a + sgn * b for a, b in zip(rx, ry)) for rx, ry in zip(X, Y)
+        )
+
+    A = add(
+        add(mm(g1.A, g2.A), mm(g2.A, g1.A), -1),
+        add(mm(g1.B, g2.B), mm(g2.B, g1.B), 1),
+    )
+    Bm = add(
+        add(mm(g1.A, g2.B), mm(g2.B, g1.A), -1),
+        add(mm(g1.B, g2.A), mm(g2.A, g1.B), -1),
+    )
+    return QnElement(n, A, Bm)
+
+
+def old_merge_xi(a, b):
+    if not a:
+        return b, 1
+    if not b:
+        return a, 1
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None, 0
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            if (len(a) - i) % 2 == 1:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), sign
+
+
+def old_merge_x(a, b):
+    acc = {}
+    for (k, e) in a:
+        acc[k] = acc.get(k, 0) + e
+    for (k, e) in b:
+        acc[k] = acc.get(k, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def old_mul(p, q):
+    acc = {}
+    for (xa, sa), ca in p.items():
+        for (xb, sb), cb in q.items():
+            ss, sg = old_merge_xi(sa, sb)
+            if ss is None:
+                continue
+            key = (old_merge_x(xa, xb), ss)
+            acc[key] = acc.get(key, Fraction(0)) + sg * ca * cb
+    return acc
+
+
+def add_into(out, p, c=1):
+    for k, v in p.items():
+        out[k] = out.get(k, Fraction(0)) + c * v
+    return out
+
+
+def clean(p):
+    return {k: v for k, v in p.items() if v}
+
+
+def old_apply(d, f):
+    """SuperDerivation.apply before dict accumulation: one product per letter."""
+    out = {}
+    for (xs, ss), coeff in f.items():
+        for pos, (k, e) in enumerate(xs):
+            if d.c_x[k].is_zero():
+                continue
+            rest_x = list(xs)
+            if e == 1:
+                rest_x.pop(pos)
+            else:
+                rest_x[pos] = (k, e - 1)
+            base = {(tuple(rest_x), ss): coeff * e}
+            add_into(out, old_mul(d.c_x[k].tdict(), base))
+        for j, sidx in enumerate(ss):
+            if d.c_xi[sidx].is_zero():
+                continue
+            sign = -1 if (d.parity and j % 2 == 1) else 1
+            left = {(xs, ss[:j]): Fraction(sign) * coeff}
+            right = {((), ss[j + 1:]): Fraction(1)}
+            add_into(out, old_mul(old_mul(left, d.c_xi[sidx].tdict()), right))
+    return clean(out)
+
+
+def old_bracket(d1, d2):
+    nv = d1.nvars
+    sign = -1 if (d1.parity and d2.parity) else 1
+
+    def comm(g):
+        a = old_apply(d1, old_apply(d2, g))
+        return clean(add_into(a, old_apply(d2, old_apply(d1, g)), -sign))
+
+    return ([comm({(((k, 1),), ()): Fraction(1)}) for k in range(nv)],
+            [comm({((), (k,)): Fraction(1)}) for k in range(nv)])
+
+
+def old_jet_field(n, s, M, odd):
+    """The dense jet: MZ over the whole 2n x 2n pattern matrix, then the
+    frame correction; returns the x and xi coefficient dicts."""
+    r = n - s
+    one = Fraction(1)
+    Z = [[{} for _ in range(2 * s)] for _ in range(2 * n)]
+    for i in range(r):
+        for a in range(s):
+            k = i * s + a
+            Z[i][a] = Z[n + i][s + a] = {(((k, 1),), ()): one}
+            Z[i][s + a] = Z[n + i][a] = {((), (k,)): one}
+    for a in range(s):
+        Z[r + a][a] = Z[n + r + a][s + a] = {((), ()): one}
+    big = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            if M[i][j]:
+                if odd:
+                    big[i][n + j] = big[n + i][j] = M[i][j]
+                else:
+                    big[i][j] = big[n + i][n + j] = M[i][j]
+    MZ = [[{} for _ in range(2 * s)] for _ in range(2 * n)]
+    for i in range(2 * n):
+        for j in range(2 * s):
+            for k in range(2 * n):
+                if big[i][k]:
+                    add_into(MZ[i][j], Z[k][j], big[i][k])
+    frame_rows = list(range(r, r + s)) + list(range(n + r, 2 * n))
+    C1 = [[clean(MZ[fr][j]) for j in range(2 * s)] for fr in frame_rows]
+
+    def sigma(p):
+        return {k: -c if len(k[1]) % 2 else c for k, c in p.items()}
+
+    def tparts(row):
+        out = []
+        for j in range(2 * s):
+            corr = {}
+            for k in range(2 * s):
+                z0 = Z[row][k]
+                if not z0 or not C1[k][j]:
+                    continue
+                add_into(corr, old_mul(sigma(z0) if odd else z0, C1[k][j]))
+            out.append(clean(add_into(dict(MZ[row][j]), corr, -1)))
+        return out
+
+    field_x = [{} for _ in range(r * s)]
+    field_xi = [{} for _ in range(r * s)]
+    for i in range(r):
+        upper, lower = tparts(i), tparts(n + i)
+        for j in range(2 * s):
+            assert upper[j] == (lower[j + s] if j < s else lower[j - s])
+            target = field_x if j < s else field_xi
+            target[i * s + j % s] = {k: -c for k, c in upper[j].items()}
+    return field_x, field_xi
+
+
+def random_qn(rng, n, density):
+    def block():
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+
+    return QnElement.make(n, A=block(), B=block())
+
+
+def random_super_polynomial(rng, nv):
+    data = {}
+    for _ in range(rng.randint(0, 6)):
+        xs = tuple(sorted((k, rng.randint(1, 2))
+                          for k in rng.sample(range(nv), rng.randint(0, min(nv, 2)))))
+        ss = tuple(sorted(rng.sample(range(nv), rng.randint(0, min(nv, 3)))))
+        data[(xs, ss)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return SuperPolynomial.make(nv, data)
+
+
+def assert_fraction_entries(g):
+    assert all(type(x) is Fraction for X in (g.A, g.B) for row in X for x in row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_qn_bracket_matches_dense_on_every_basis_pair(n):
+    basis = qn_basis(n)
+    for g1 in basis:
+        for g2 in basis:
+            got = qn_bracket(g1, g2)
+            assert got == dense_qn_bracket(g1, g2)
+            assert_fraction_entries(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sparse_qn_bracket_matches_dense_on_random_elements(n):
+    rng = random.Random(n)
+    for density in (0.2, 0.5, 1.0):
+        for _ in range(15):
+            g1, g2 = random_qn(rng, n, density), random_qn(rng, n, density)
+            got = qn_bracket(g1, g2)
+            assert got == dense_qn_bracket(g1, g2)
+            assert_fraction_entries(got)
+
+
+@pytest.mark.parametrize("n,s", [(3, 1), (4, 2), (5, 2)])
+def test_fields_match_dense_jet_on_every_basis_element(n, s):
+    rng = random.Random(10 * n + s)
+    elements = qn_basis(n) + [random_qn(rng, n, 0.5) for _ in range(3)]
+    for g in elements:
+        for f in fundamental_field_parts(g, s):
+            M = g.B if f.parity else g.A
+            fx, fxi = old_jet_field(n, s, M, bool(f.parity))
+            assert [p.tdict() for p in f.c_x] == fx
+            assert [p.tdict() for p in f.c_xi] == fxi
+
+
+@pytest.mark.parametrize("n,s", [(3, 1), (4, 2), (5, 2)])
+def test_apply_and_bracket_match_the_per_letter_loop(n, s):
+    rng = random.Random(100 * n + s)
+    nv = (n - s) * s
+    fields = [fundamental_field(g, s) for g in qn_basis(n)]
+    for f in fields:
+        for _ in range(3):
+            p = random_super_polynomial(rng, nv)
+            got = f.apply(p)
+            assert got.tdict() == old_apply(f, p.tdict())
+            assert all(type(c) is Fraction for _, c in got.terms)
+            assert [k for k, _ in got.terms] == sorted(k for k, _ in got.terms)
+    for _ in range(60):
+        d1, d2 = rng.choice(fields), rng.choice(fields)
+        br = bracket(d1, d2)
+        assert ([p.tdict() for p in br.c_x], [p.tdict() for p in br.c_xi]) \
+            == old_bracket(d1, d2)
+
+
+def test_superfields_shares_the_exterior_kernel():
+    import flagcoh.exterior as exterior
+    import flagcoh.superfields as superfields
+
+    assert not hasattr(superfields, "_merge_xi")
+    assert superfields._merge_sign is exterior._merge_sign
+
+
+def test_pi_grassmannian_is_the_same_under_python_O():
+    """The Pi-symmetry, transitivity and isotropy checks are not asserts
+    that -O strips, and the output does not depend on them running."""
+    src = str(Path(flagcoh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["-m", "flagcoh.cli", "pi-grassmannian", "--n", "4", "--s", "2"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env,
+                       check=True, capture_output=True, text=True).stdout
+        for flags in ([], ["-O"])
+    )
+    assert json.loads(plain)["kernel_dim"] == 1
+    assert optimized == plain
