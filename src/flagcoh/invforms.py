@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .rootsys import _require
 from .scalars import QS_ONE, QS_ZERO, QSqrt2, rank
 
 Vec = Dict[int, QSqrt2]  # sparse vector in n+ coordinates
@@ -104,7 +105,8 @@ class InvariantVectorForm:
         )
 
     def __add__(self, other: "InvariantVectorForm") -> "InvariantVectorForm":
-        assert (self.p, self.q) == (other.p, other.q)
+        if (self.p, self.q) != (other.p, other.q):
+            raise ValueError("forms of different bidegree")
         out: Dict[Key, Vec] = {k: dict(v) for k, v in self.tensor.items()}
         for k, vec in other.tensor.items():
             tgt = out.setdefault(k, {})
@@ -393,7 +395,7 @@ def barwedge_kappa() -> QSqrt2:
             rv = raw.tensor.get(k, {})
             for i, c in vec.items():
                 ratios.add(c / rv[i])
-        assert len(ratios) == 1, "anchor identity must pin a single constant"
+        _require(len(ratios) == 1, "anchor identity must pin a single constant")
         _KAPPA = ratios.pop()
     return _KAPPA
 

@@ -4,9 +4,12 @@ coboundary solves over the R-invariant subspace, and the resulting rank of
 the degree-2 spectral differential on vector fields.
 
 Works over explicit matrix realizations: sl_n for the Grassmannians, so/sp
-for the classical case-I spaces.  R-invariants are cut out as the
-simultaneous kernel of the Levi generators (torus weights block-diagonalize
-everything; no averaging).
+for the classical case-I spaces.  R-invariants are cut out by torus weights
+plus the raising generators e_{alpha_i}, i in S, alone: the unknowns pair
+coordinates of equal weight, and a weight-zero vector that every
+e_{alpha_i} kills is a highest-weight vector of weight 0, which spans a
+trivial module (Humphreys, Introduction to Lie Algebras and Representation
+Theory, 20-21), so the lowering generators add no equation.  No averaging.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import HermitianSymmetricSpace, grassmannian_rs
 from .invforms import (
@@ -24,7 +27,8 @@ from .invforms import (
     eta,
     theta_p,
 )
-from .scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, solve
+from .rootsys import _require
+from .scalars import QS_ZERO, QSqrt2, SparseRow, rref_kernel, solve, sparse_rref
 
 Mat = Dict[Tuple[int, int], Fraction]
 
@@ -84,11 +88,14 @@ class GModuleBasis:
     nplus_order: List[int]       # element indices in the invforms basis order
     nminus_order: List[int]      # dual order: (x_i, y_j) = delta_ij
     levi_raise: List[int]        # indices of e_{alpha_i}, i in S
-    levi_lower: List[int]
     space: object                # the invforms pair space
     # (i, j) -> coordinates of [e_i, e_j], filled by bracket_coords
     _brackets: Dict[Tuple[int, int], Tuple[Fraction, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # the invariant 0-cochains and their delta images, filled by
+    # _invariant_zero
+    _invariant_zero: Optional[Tuple[list, list]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -127,7 +134,7 @@ class GModuleBasis:
                         rec[k] = nv
                     else:
                         rec.pop(k, None)
-        assert rec == {k: v for k, v in X.items() if v}, "expansion failed"
+        _require(rec == {k: v for k, v in X.items() if v}, "expansion failed")
         return out
 
     def project_nplus(self, X: Mat) -> List[Fraction]:
@@ -274,7 +281,8 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
         block = "n+" if a0c == 1 else "n-" if a0c == -1 else "r"
         elements.append(BasisElement(m, w, block, pos))
     n_roots = len(H.rd.positive_roots) * 2
-    assert len(elements) == n_roots, (len(elements), n_roots)
+    _require(len(elements) == n_roots,
+             f"{len(elements)} root vectors for {n_roots} roots")
     zero_eps = tuple(Fraction(0) for _ in elements[0].eps_weight)
     for m, pos in zip(cartan, cartan_canon):
         elements.append(BasisElement(m, zero_eps, "t", pos))
@@ -310,12 +318,13 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
             for idx, el in enumerate(elements):
                 if el.block == "n-" and el.eps_weight == neg:
                     nminus_order.append(idx)
-    assert len(nplus_order) == H.dim and len(nminus_order) == H.dim
+    _require(len(nplus_order) == H.dim and len(nminus_order) == H.dim,
+             "n+/n- bases do not match the pair space")
 
     # normalize n- representatives so that tr(x_i y_j) = delta_ij
     for k, (ip, im) in enumerate(zip(nplus_order, nminus_order)):
         t = _trace_prod(elements[ip].matrix, elements[im].matrix)
-        assert t != 0
+        _require(t != 0, "n- representative orthogonal to its n+ partner")
         if t != 1:
             el = elements[im]
             elements[im] = BasisElement(
@@ -325,22 +334,18 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
     for ip in nplus_order:
         for im in nminus_order:
             t = _trace_prod(elements[ip].matrix, elements[im].matrix)
-            assert t == (1 if nplus_order.index(ip) == nminus_order.index(im) else 0)
+            _require(t == (1 if nplus_order.index(ip) == nminus_order.index(im) else 0),
+                     "n+ and n- bases are not dual")
 
     # Levi simple-root vectors
-    levi_raise, levi_lower = [], []
+    levi_raise = []
     for i in H.levi.S:
-        root = tuple(1 if j == i else 0 for j in range(l))
-        eps = _root_to_eps(H, root)
-        neg = tuple(-c for c in eps)
+        eps = _root_to_eps(H, tuple(1 if j == i else 0 for j in range(l)))
         up = [k for k, el in enumerate(elements) if el.block == "r" and el.eps_weight == eps]
-        dn = [k for k, el in enumerate(elements) if el.block == "r" and el.eps_weight == neg]
-        assert len(up) == 1 and len(dn) == 1
+        _require(len(up) == 1, f"no single root vector for alpha_{i}")
         levi_raise.append(up[0])
-        levi_lower.append(dn[0])
 
-    gb = GModuleBasis(H, elements, nplus_order, nminus_order,
-                      levi_raise, levi_lower, space)
+    gb = GModuleBasis(H, elements, nplus_order, nminus_order, levi_raise, space)
     _sanity_check(gb)
     return gb
 
@@ -351,7 +356,7 @@ def roots_key(H, el: BasisElement):
     n = len(simple[0])
     mat = [[simple[j][i] for j in range(len(simple))] for i in range(n)]
     x = solve(mat, [Fraction(c) for c in el.eps_weight])
-    assert x is not None
+    _require(x is not None, "root-vector weight outside the root lattice")
     return tuple(x)
 
 
@@ -366,7 +371,7 @@ def _sanity_check(gb: GModuleBasis) -> None:
             br = _commutator(el_t.matrix, el.matrix)
             lam = _weight_eval(gb, el_t, el.eps_weight)
             want = {k: lam * v for k, v in el.matrix.items() if lam * v}
-            assert br == want, "weight bookkeeping broken"
+            _require(br == want, "weight bookkeeping broken")
 
 
 def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> Fraction:
@@ -396,7 +401,7 @@ EVec = List[QSqrt2]  # coordinates in the coefficient module
 
 @dataclass
 class Cochain:
-    """CE cochain of n- with values in Hom(g, M), degree 0..2.
+    """CE cochain of n- with values in Hom(g, M), of degree k >= 0.
 
     The default coefficient module M is n- (x) n+ (coordinate v*n + u);
     mdim overrides the module dimension for other coefficient modules.
@@ -404,7 +409,7 @@ class Cochain:
 
     gb: GModuleBasis
     degree: int
-    # deg 0: data[w] ; deg 1: data[(v, w)] ; deg 2: data[(v1, v2, w)], v1 < v2
+    # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk
     data: Dict[object, EVec]
     mdim: Optional[int] = None
 
@@ -419,7 +424,8 @@ class Cochain:
         return all(not any(v) for v in self.data.values())
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.degree == other.degree and self.module_dim == other.module_dim
+        if self.degree != other.degree or self.module_dim != other.module_dim:
+            raise ValueError("cochains of different degree or module")
         out = {k: list(v) for k, v in self.data.items()}
         for k, v in other.data.items():
             if k in out:
@@ -439,69 +445,50 @@ class Cochain:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def flat(self) -> List[QSqrt2]:
-        n = self.gb.n
-        dim_g = self.gb.dim
-        out: List[QSqrt2] = []
-        md = self.module_dim
-        if self.degree == 0:
-            keys = list(range(dim_g))
-        elif self.degree == 1:
-            keys = [(v, w) for v in range(n) for w in range(dim_g)]
-        else:
-            keys = [
-                (v1, v2, w)
-                for v1 in range(n) for v2 in range(v1 + 1, n)
-                for w in range(dim_g)
-            ]
-        for k in keys:
-            out.extend(self.value(k))
-        return out
+
+def _delta_terms(gb: GModuleBasis, k: int):
+    """The CE differential on k-cochains as a sparse matrix:
+    (delta c)(v0 < ... < vk)(w) = sum_i (-1)^i c(v0 .. ^vi .. vk)([vi, w])
+    (n- abelian, trivial action on the coefficients).  Yields each key of
+    delta c with its terms [(key of c, coefficient)]."""
+    n, dim_g = gb.n, gb.dim
+    ad = [[[(gi, co) for gi, co in enumerate(gb.bracket_coords(v, w)) if co]
+           for w in range(dim_g)] for v in gb.nminus_order]
+    for vs in itertools.combinations(range(n), k + 1):
+        for w in range(dim_g):
+            terms = []
+            for i, v in enumerate(vs):
+                rest, sign = vs[:i] + vs[i + 1:], -1 if i % 2 else 1
+                terms.extend((rest + (gi,) if rest else gi, sign * co)
+                             for gi, co in ad[v][w])
+            if terms:
+                yield vs + (w,), terms
+
+
+def _differential(c: Cochain) -> Cochain:
+    """delta c in any degree (see _delta_terms)."""
+    out: Dict[object, EVec] = {}
+    for key, terms in _delta_terms(c.gb, c.degree):
+        acc = [QS_ZERO] * c.module_dim
+        for src, co in terms:
+            val = c.data.get(src)
+            if val:
+                f = QSqrt2(co)
+                for t, x in enumerate(val):
+                    if x:
+                        acc[t] = acc[t] + x * f
+        if any(acc):
+            out[key] = acc
+    return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
 def ce_differential(c: Cochain) -> Cochain:
     """delta with the convention (delta c)(y)(z) = c([y, z]) in degree 0 and
     (delta c)(y1,y2)(z) = c(y2)([y1,z]) - c(y1)([y2,z]) in degree 1
     (n- abelian, trivial action on the coefficients)."""
-    gb = c.gb
-    n, dim_g = gb.n, gb.dim
-    md = c.module_dim
     if c.degree >= 2:
         raise ValueError("differential implemented for degrees 0 and 1 only")
-    out: Dict[object, EVec] = {}
-    if c.degree == 0:
-        for v in range(n):
-            for w in range(dim_g):
-                coords = gb.bracket_coords(gb.nminus_order[v], w)
-                acc = [QS_ZERO] * md
-                for gi, co in enumerate(coords):
-                    if co:
-                        val = c.data.get(gi)
-                        if val:
-                            for t, x in enumerate(val):
-                                if x:
-                                    acc[t] = acc[t] + x * QSqrt2(co)
-                if any(acc):
-                    out[(v, w)] = acc
-        return Cochain(gb, 1, out, c.mdim)
-
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            for w in range(dim_g):
-                acc = [QS_ZERO] * md
-                for (va, vb, sgn) in ((v1, v2, 1), (v2, v1, -1)):
-                    coords = gb.bracket_coords(gb.nminus_order[va], w)
-                    for gi, co in enumerate(coords):
-                        if co:
-                            val = c.data.get((vb, gi))
-                            if val:
-                                f = QSqrt2(sgn * co)
-                                for t, x in enumerate(val):
-                                    if x:
-                                        acc[t] = acc[t] + x * f
-                if any(acc):
-                    out[(v1, v2, w)] = acc
-    return Cochain(gb, 2, out, c.mdim)
+    return _differential(c)
 
 
 def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
@@ -531,234 +518,169 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# R-invariance: weights and Levi generator actions
+# R-invariance: one equivariant system over torus weights and raising
+# generators
 # ---------------------------------------------------------------------------
 
-def _module_g(gb: GModuleBasis):
-    """(weights, action) of g as an R-module via ad."""
-    weights = [gb.elements[i].eps_weight for i in range(gb.dim)]
-
-    def act(gen_idx: int, i: int) -> Tuple[Fraction, ...]:
-        return gb.bracket_coords(gen_idx, i)
-
-    return weights, act
+def _wsum(*ws) -> Tuple[Fraction, ...]:
+    return tuple(sum(c) for c in zip(*ws))
 
 
-def _module_nminus_nplus(gb: GModuleBasis):
-    n = gb.n
-    zero = tuple(Fraction(0) for _ in gb.elements[0].eps_weight)
+class _Module(NamedTuple):
+    """An R-module in a weight basis: eps weights, and for each raising
+    generator the sparse image of every basis vector."""
 
-    def wsum(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    weights: List[Tuple[Fraction, ...]]
+    act: Dict[int, List[SparseRow]]
 
-    weights = []
-    for v in range(n):
-        for u in range(n):
-            weights.append(
-                wsum(
-                    gb.elements[gb.nminus_order[v]].eps_weight,
-                    gb.elements[gb.nplus_order[u]].eps_weight,
-                )
-            )
 
-    def act(gen_idx: int, t: int) -> Dict[int, Fraction]:
-        v, u = divmod(t, n)
-        out: Dict[int, Fraction] = {}
-        bv = gb.bracket_coords(gen_idx, gb.nminus_order[v])
-        for vi, nm in enumerate(gb.nminus_order):
-            c = bv[nm]
-            if c:
-                out[vi * n + u] = out.get(vi * n + u, Fraction(0)) + c
-        bu = gb.bracket_coords(gen_idx, gb.nplus_order[u])
-        for ui, npl in enumerate(gb.nplus_order):
-            c = bu[npl]
-            if c:
-                out[v * n + ui] = out.get(v * n + ui, Fraction(0)) + c
-        return out
+def _ad_module(gb: GModuleBasis, idx: Sequence[int]) -> _Module:
+    """The span of the basis elements idx under ad; g, n- and n+ are
+    R-submodules of g."""
+    pos = {i: k for k, i in enumerate(idx)}
+    act = {x: [{pos[j]: co for j, co in enumerate(gb.bracket_coords(x, i)) if co}
+               for i in idx]
+           for x in gb.levi_raise}
+    return _Module([gb.elements[i].eps_weight for i in idx], act)
 
-    return weights, act
+
+def _tensor(A: _Module, B: _Module) -> _Module:
+    """A (x) B with basis a * dim B + b."""
+    nb = len(B.weights)
+    act = {}
+    for x in A.act:
+        imgs = []
+        for a, ia in enumerate(A.act[x]):
+            for b, ib in enumerate(B.act[x]):
+                img = {a2 * nb + b: co for a2, co in ia.items()}
+                for b2, co in ib.items():
+                    img[a * nb + b2] = img.get(a * nb + b2, 0) + co
+                imgs.append(img)
+        act[x] = imgs
+    return _Module([_wsum(wa, wb) for wa in A.weights for wb in B.weights], act)
+
+
+def _weight_pairs(v_weights, e_weights) -> List[Tuple[int, int]]:
+    """The pairs (i, t) of equal weight, i major, t minor."""
+    by_weight: Dict[Tuple[Fraction, ...], List[int]] = {}
+    for t, w in enumerate(e_weights):
+        by_weight.setdefault(w, []).append(t)
+    return [(i, t) for i, w in enumerate(v_weights) for t in by_weight.get(w, ())]
+
+
+def _equivariant_system(V: _Module, E: _Module
+                        ) -> Tuple[List[Tuple[int, int]], List[SparseRow]]:
+    """Unknowns and sparse rows of rho_E(x) f - f rho_V(x) = 0, f in Hom(V, E).
+
+    The unknowns are the coordinates f(i)_t with equal weights of i and t,
+    so the torus needs no equation, and x runs over the raising generators
+    only (see the module docstring).
+    """
+    unknowns = _weight_pairs(V.weights, E.weights)
+    by_source: Dict[int, List[Tuple[int, int]]] = {}
+    for k, (i, t) in enumerate(unknowns):
+        by_source.setdefault(i, []).append((t, k))
+    rows: List[SparseRow] = []
+    for x in V.act:
+        eqs: Dict[Tuple[int, int], SparseRow] = {}
+        for k, (i, s) in enumerate(unknowns):
+            for t, co in E.act[x][s].items():
+                row = eqs.setdefault((i, t), {})
+                row[k] = row.get(k, 0) + co
+        for i, img in enumerate(V.act[x]):
+            for i2, co in img.items():
+                for t, k in by_source.get(i2, ()):
+                    row = eqs.setdefault((i, t), {})
+                    row[k] = row.get(k, 0) - co
+        rows.extend(eqs.values())
+    return unknowns, rows
+
+
+def _cochain_system(gb: GModuleBasis, degree: int):
+    """The equivariant system of the `degree`-cochains (0 or 1), i.e. of
+    the maps V -> n- (x) n+ for V = g or n- (x) g."""
+    g = _ad_module(gb, range(gb.dim))
+    nminus = _ad_module(gb, gb.nminus_order)
+    V = g if degree == 0 else _tensor(nminus, g)
+    return _equivariant_system(V, _tensor(nminus, _ad_module(gb, gb.nplus_order)))
+
+
+def _invariant_cochains(gb: GModuleBasis, degree: int) -> List[Cochain]:
+    """Basis of the invariant `degree`-cochains: the kernel of their
+    equivariant system, one vector per free unknown."""
+    unknowns, rows = _cochain_system(gb, degree)
+    red, pivots, _ = sparse_rref(rows, len(unknowns))
+    out = []
+    for vec in rref_kernel(red, pivots, len(unknowns)):
+        data: Dict[object, EVec] = {}
+        for k, x in sorted(vec.items()):
+            i, t = unknowns[k]
+            key = i if degree == 0 else divmod(i, gb.dim)
+            data.setdefault(key, [QS_ZERO] * (gb.n * gb.n))[t] = QSqrt2(x)
+        out.append(Cochain(gb, degree, data))
+    return out
+
+
+def _invariant_zero(gb: GModuleBasis) -> Tuple[List[Cochain], List[Cochain]]:
+    """The invariant 0-cochains and their delta images, solved once per
+    basis."""
+    if gb._invariant_zero is None:
+        basis = _invariant_cochains(gb, 0)
+        gb._invariant_zero = (basis, [ce_differential(b) for b in basis])
+    return gb._invariant_zero
 
 
 def invariant_zero_cochains(gb: GModuleBasis) -> List[Cochain]:
     """Basis of Hom_R(g, n- (x) n+) by the weight-blocked equivariant solve."""
-    n, dim_g = gb.n, gb.dim
-    g_weights, g_act = _module_g(gb)
-    e_weights, e_act = _module_nminus_nplus(gb)
-
-    unknowns = [
-        (w, t)
-        for w in range(dim_g)
-        for t in range(n * n)
-        if g_weights[w] == e_weights[t]
-    ]
-    index = {ut: k for k, ut in enumerate(unknowns)}
-    rows: List[List[Fraction]] = []
-    # the torus needs no equations: unknowns pair equal weights only
-    for gen in gb.levi_raise + gb.levi_lower:
-        e_imgs = [e_act(gen, s) for s in range(n * n)]
-        for w in range(dim_g):
-            coords = g_act(gen, w)  # [gen, g_w] in g-coordinates
-            for t in range(n * n):
-                # equation: sum over images; row over unknowns
-                row = {}
-                # term rho_E(gen) c(w) at coordinate t: c(w)_s contributes via
-                # e_act(gen, s)[t]
-                for s in range(n * n):
-                    if (w, s) in index:
-                        c = e_imgs[s].get(t)
-                        if c:
-                            row[index[(w, s)]] = row.get(index[(w, s)], Fraction(0)) + c
-                # term -c([gen, w]) at coordinate t
-                for w2, co in enumerate(coords):
-                    if co and (w2, t) in index:
-                        row[index[(w2, t)]] = row.get(index[(w2, t)], Fraction(0)) - co
-                if row:
-                    dense = [Fraction(0)] * len(unknowns)
-                    for k, v in row.items():
-                        dense[k] = v
-                    rows.append(dense)
-    basis = nullspace(rows, len(unknowns)) if rows else [
-        [Fraction(1) if i == k else Fraction(0) for i in range(len(unknowns))]
-        for k in range(len(unknowns))
-    ]
-    out = []
-    for vec in basis:
-        data: Dict[object, EVec] = {}
-        for k, c in enumerate(vec):
-            if c:
-                w, t = unknowns[k]
-                arr = data.setdefault(w, [QS_ZERO] * (n * n))
-                arr[t] = arr[t] + QSqrt2(c)
-        out.append(Cochain(gb, 0, data))
-    return out
-
-
-def is_r_invariant(c: Cochain) -> bool:
-    """(x . c) = 0 for the torus and the Levi raise/lower generators."""
-    gb = c.gb
-    n, dim_g = gb.n, gb.dim
-    _, e_act = _module_nminus_nplus(gb)
-    gens = gb.levi_raise + gb.levi_lower + [
-        i for i, el in enumerate(gb.elements) if el.block == "t"
-    ]
-    assert c.degree == 1
-    for gen in gens:
-        for v in range(n):
-            brv = gb.bracket_coords(gen, gb.nminus_order[v])
-            brv_in_nm = [brv[nm] for nm in gb.nminus_order]
-            for w in range(dim_g):
-                acc = [QS_ZERO] * (n * n)
-                val = c.data.get((v, w))
-                if val:
-                    for s in range(n * n):
-                        if val[s]:
-                            for t, co in e_act(gen, s).items():
-                                acc[t] = acc[t] + val[s] * QSqrt2(co)
-                brw = gb.bracket_coords(gen, w)
-                for w2, co in enumerate(brw):
-                    if co:
-                        v2 = c.data.get((v, w2))
-                        if v2:
-                            for t in range(n * n):
-                                acc[t] = acc[t] - v2[t] * QSqrt2(co)
-                for v2, co in enumerate(brv_in_nm):
-                    if co:
-                        val2 = c.data.get((v2, w))
-                        if val2:
-                            for t in range(n * n):
-                                acc[t] = acc[t] - val2[t] * QSqrt2(co)
-                if any(acc):
-                    return False
-    return True
+    return list(_invariant_zero(gb)[0])
 
 
 def invariant_one_cochains(gb: GModuleBasis) -> List[Cochain]:
     """Basis of Hom_R(n- (x) g, n- (x) n+), i.e. the invariant 1-cochains."""
-    n, dim_g = gb.n, gb.dim
-    e_weights, e_act = _module_nminus_nplus(gb)
+    return _invariant_cochains(gb, 1)
 
-    def wsum(a, b):
-        return tuple(x + y for x, y in zip(a, b))
 
-    v_weights = [
-        wsum(gb.elements[gb.nminus_order[v]].eps_weight, gb.elements[w].eps_weight)
-        for v in range(n) for w in range(dim_g)
-    ]
-    unknowns = [
-        (k, t)
-        for k in range(n * dim_g)
-        for t in range(n * n)
-        if v_weights[k] == e_weights[t]
-    ]
-    index = {ut: i for i, ut in enumerate(unknowns)}
-    rows: List[List[Fraction]] = []
-    gens = gb.levi_raise + gb.levi_lower
-    for gen in gens:
-        # action of gen on the (v, w) tensor basis
-        act_v: Dict[int, Dict[int, Fraction]] = {}
-        for v in range(n):
-            brv = gb.bracket_coords(gen, gb.nminus_order[v])
-            row = {}
-            for vi, nm in enumerate(gb.nminus_order):
-                if brv[nm]:
-                    row[vi] = brv[nm]
-            act_v[v] = row
-        for k in range(n * dim_g):
-            v, w = divmod(k, dim_g)
-            img: Dict[int, Fraction] = {}
-            for vi, c in act_v[v].items():
-                key = vi * dim_g + w
-                img[key] = img.get(key, Fraction(0)) + c
-            for w2, c in enumerate(gb.bracket_coords(gen, w)):
-                if c:
-                    key = v * dim_g + w2
-                    img[key] = img.get(key, Fraction(0)) + c
-            for t in range(n * n):
-                row = {}
-                if (k, t) not in index and not img:
-                    continue
-                for s in range(n * n):
-                    if (k, s) in index:
-                        c = e_act(gen, s).get(t)
-                        if c:
-                            row[index[(k, s)]] = row.get(index[(k, s)], Fraction(0)) + c
-                for k2, c in img.items():
-                    if (k2, t) in index:
-                        row[index[(k2, t)]] = row.get(index[(k2, t)], Fraction(0)) - c
-                if row:
-                    dense = [Fraction(0)] * len(unknowns)
-                    for idx, val in row.items():
-                        dense[idx] = val
-                    rows.append(dense)
-    basis = nullspace(rows, len(unknowns)) if rows else []
-    out = []
-    for vec in basis:
-        data: Dict[object, EVec] = {}
-        for i, c in enumerate(vec):
-            if c:
-                k, t = unknowns[i]
-                v, w = divmod(k, dim_g)
-                arr = data.setdefault((v, w), [QS_ZERO] * (n * n))
-                arr[t] = arr[t] + QSqrt2(c)
-        out.append(Cochain(gb, 1, data))
-    return out
+def is_r_invariant(c: Cochain) -> bool:
+    """x . c = 0 for every x in r, for a 1-cochain c: c has weight zero (the
+    torus) and satisfies the equivariant system (the raising generators)."""
+    if c.degree != 1:
+        raise ValueError("R-invariance test implemented for 1-cochains")
+    unknowns, rows = _cochain_system(c.gb, 1)
+    index = {u: k for k, u in enumerate(unknowns)}
+    coords: Dict[int, QSqrt2] = {}
+    for (v, w), vec in c.data.items():
+        for t, x in enumerate(vec):
+            if x:
+                k = index.get((v * c.gb.dim + w, t))
+                if k is None:
+                    return False
+                coords[k] = x
+    return not any(sum((co * coords[k] for k, co in row.items() if k in coords),
+                       QS_ZERO) for row in rows)
+
+
+def _coordinate_rows(cochains: Sequence[Cochain]) -> List[SparseRow]:
+    """The cochains as the columns of a sparse matrix whose rows are their
+    coordinates (key, t)."""
+    rows: Dict[Tuple[object, int], SparseRow] = {}
+    for j, c in enumerate(cochains):
+        for key, vec in c.data.items():
+            for t, x in enumerate(vec):
+                if x:
+                    rows.setdefault((key, t), {})[j] = x
+    return list(rows.values())
+
+
+def _cochain_rank(cochains: Sequence[Cochain]) -> int:
+    return len(sparse_rref(_coordinate_rows(cochains), len(cochains))[1])
 
 
 def h1_invariant_dimension(gb: GModuleBasis) -> int:
     """dim H^1(n-, Hom(g, n- (x) n+))^R = invariant cocycles modulo the
     differentials of invariant 0-cochains (delta commutes with R)."""
     ones = invariant_one_cochains(gb)
-    if not ones:
-        return 0
-    from .scalars import rank as _rank
-
-    diff_flat = [ce_differential(c).flat() for c in ones]
-    n_rows = len(ones)
-    cocycle_dim = n_rows - _rank(diff_flat)
-    zeros = invariant_zero_cochains(gb)
-    boundary_flat = [ce_differential(z).flat() for z in zeros]
-    boundary_dim = _rank(boundary_flat) if boundary_flat else 0
-    return cocycle_dim - boundary_dim
+    cocycle_dim = len(ones) - _cochain_rank([ce_differential(c) for c in ones])
+    return cocycle_dim - _cochain_rank(_invariant_zero(gb)[1])
 
 
 @dataclass
@@ -774,18 +696,18 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
     if not ce_differential(c).is_zero():
         raise ValueError("input is not a cocycle")
     gb = c.gb
-    basis = invariant_zero_cochains(gb)
-    images = [ce_differential(b).flat() for b in basis]
-    target = c.flat()
+    basis, images = _invariant_zero(gb)
     if not basis:
-        return CoboundaryResult(not any(target), None)
-    mat = [[images[j][i] for j in range(len(basis))] for i in range(len(target))]
-    x = solve(mat, target)
+        return CoboundaryResult(c.is_zero(), None)
+    # the target c is one more column, moved to the right-hand side
+    rows = _coordinate_rows(images + [c])
+    rhs = [row.pop(len(basis), QS_ZERO) for row in rows]
+    x = sparse_rref(rows, len(basis), rhs)[2]
     if x is None:
         return CoboundaryResult(False, None)
     witness = Cochain(gb, 0, {})
-    for xj, b in zip(x, basis):
-        witness = witness + b.scale(xj)
+    for j, b in enumerate(basis):
+        witness = witness + b.scale(x.get(j, 0))
     return CoboundaryResult(True, witness)
 
 
@@ -803,16 +725,9 @@ def _lambda2_module(gb: GModuleBasis):
     n = gb.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_index = {p: k for k, p in enumerate(pairs)}
-
-    def wsum(*ws):
-        return tuple(sum(c) for c in zip(*ws))
-
-    weights = []
-    for (i, j) in pairs:
-        wi = gb.elements[gb.nminus_order[i]].eps_weight
-        wj = gb.elements[gb.nminus_order[j]].eps_weight
-        for u in range(n):
-            weights.append(wsum(wi, wj, gb.elements[gb.nplus_order[u]].eps_weight))
+    wm = [gb.elements[v].eps_weight for v in gb.nminus_order]
+    weights = [_wsum(wm[i], wm[j], gb.elements[u].eps_weight)
+               for (i, j) in pairs for u in gb.nplus_order]
     return pairs, pair_index, weights
 
 
@@ -864,87 +779,27 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
 def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
     """Solve delta x = c2 over the weight-zero block of the 1-cochains with
     coefficients in Lambda^2 n- (x) n+ (exact; sufficient by equivariance)."""
-    n, dim_g = gb.n, gb.dim
-    md = c2.module_dim
     _, _, mod_weights = _lambda2_module(gb)
-
-    def wof(v, w):
-        return tuple(
-            a + b
-            for a, b in zip(
-                gb.elements[gb.nminus_order[v]].eps_weight,
-                gb.elements[w].eps_weight,
-            )
-        )
-
-    unknowns = []
-    for v in range(n):
-        for w in range(dim_g):
-            wt = wof(v, w)
-            unknowns.extend((v, w, t) for t in range(md) if wt == mod_weights[t])
-    index = {u: k for k, u in enumerate(unknowns)}
-
-    # rows: coordinates of delta x and of c2 over weight-zero keys
-    rows: List[List[QSqrt2]] = []
-    rhs: List[QSqrt2] = []
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            for w in range(dim_g):
-                target = c2.data.get((v1, v2, w))
-                coeffs: Dict[int, Dict[int, Fraction]] = {}
-                for (va, vb, sgn) in ((v1, v2, 1), (v2, v1, -1)):
-                    for gi, co in enumerate(
-                            gb.bracket_coords(gb.nminus_order[va], w)):
-                        if co:
-                            col = coeffs.setdefault((vb, gi), {})
-                            col[0] = col.get(0, Fraction(0)) + sgn * co
-                if not coeffs and target is None:
-                    continue
-                for t in range(md):
-                    row_entries = {}
-                    for (vb, gi), cmap in coeffs.items():
-                        if (vb, gi, t) in index:
-                            row_entries[index[(vb, gi, t)]] = cmap[0]
-                    tval = target[t] if target else QS_ZERO
-                    if not row_entries and not tval:
-                        continue
-                    dense = [QS_ZERO] * len(unknowns)
-                    for k, co in row_entries.items():
-                        dense[k] = QSqrt2(co)
-                    rows.append(dense)
-                    rhs.append(tval)
-    if not rows:
-        return True
-    mat = [list(r) for r in rows]
-    return solve(mat, rhs) is not None
-
-
-def _two_differential(c: Cochain) -> Dict[object, EVec]:
-    """Private degree-2 -> 3 differential, used only to assert closedness."""
-    gb = c.gb
-    n, dim_g, md = gb.n, gb.dim, c.module_dim
-    out: Dict[object, EVec] = {}
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            for v3 in range(v2 + 1, n):
-                for w in range(dim_g):
-                    acc = [QS_ZERO] * md
-                    for (va, pair, sgn) in (
-                        (v1, (v2, v3), 1), (v2, (v1, v3), -1), (v3, (v1, v2), 1)
-                    ):
-                        for gi, co in enumerate(
-                            gb.bracket_coords(gb.nminus_order[va], w)
-                        ):
-                            if co:
-                                val = c.data.get(pair + (gi,))
-                                if val:
-                                    f = QSqrt2(sgn * co)
-                                    for t, x in enumerate(val):
-                                        if x:
-                                            acc[t] = acc[t] + x * f
-                    if any(acc):
-                        out[(v1, v2, v3, w)] = acc
-    return out
+    v_weights = [_wsum(gb.elements[v].eps_weight, el.eps_weight)
+                 for v in gb.nminus_order for el in gb.elements]
+    unknowns = _weight_pairs(v_weights, mod_weights)
+    # key (v, w) of x -> [(t, column of x(v, w)_t)]
+    columns: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for k, (i, t) in enumerate(unknowns):
+        columns.setdefault(divmod(i, gb.dim), []).append((t, k))
+    rows: Dict[Tuple[object, int], SparseRow] = {}
+    for key, terms in _delta_terms(gb, 1):
+        for src, co in terms:
+            for t, k in columns.get(src, ()):
+                row = rows.setdefault((key, t), {})
+                row[k] = row.get(k, 0) + co
+    target = {(key, t): x for key, vec in c2.data.items()
+              for t, x in enumerate(vec) if x}
+    for coord in target:
+        rows.setdefault(coord, {})
+    coords = list(rows)
+    return sparse_rref([rows[k] for k in coords], len(unknowns),
+                       [target.get(k, QS_ZERO) for k in coords])[2] is not None
 
 
 def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
@@ -960,7 +815,7 @@ def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
     if c2.is_zero():
         verdict = True
     else:
-        assert not _two_differential(c2), "d2-image family must be a cocycle"
+        _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
         verdict = two_cochain_is_coboundary(gb, c2)
     _VERDICT_CACHE[key] = verdict
     return verdict

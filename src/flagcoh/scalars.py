@@ -1,11 +1,13 @@
 """Exact scalars: rationals, the quadratic field Q(sqrt 2), and sparse exact
 linear algebra (rref/rank/nullspace/solve) generic over both.
 
-All four linear-algebra entry points go through one sparse Gauss-Jordan
-kernel on dict rows.  Matrices whose entries are all rational are eliminated
-over Fraction, whatever their entry type; a Q(sqrt2) right-hand side of a
-rational system is split into its rational and sqrt(2) parts.  Q(sqrt2)
-arithmetic remains only for matrices that contain sqrt(2) themselves."""
+`sparse_rref` is the one entry point to the sparse Gauss-Jordan kernel: it
+takes dict rows and a column count, and the dense rref/rank/nullspace/solve
+are thin wrappers over it.  Matrices whose entries are all rational are
+eliminated over Fraction, whatever their entry type; a Q(sqrt2) right-hand
+side of a rational system is split into its rational and sqrt(2) parts.
+Q(sqrt2) arithmetic remains only for matrices that contain sqrt(2)
+themselves."""
 
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ class QSqrt2:
 
     def __init__(self, a=0, b=0):
         if isinstance(a, QSqrt2):
-            assert b == 0
+            if b:
+                raise ValueError("QSqrt2(x, b) with x in Q(sqrt2) takes no b")
             self.a, self.b = a.a, a.b
             return
         self.a = Fraction(a)
@@ -205,33 +208,68 @@ Matrix = List[Row]
 SparseRow = Dict[int, object]
 
 
-def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and pivot columns.
+def sparse_rref(rows: List[SparseRow], n_cols: int,
+                rhs: Optional[Row] = None
+                ) -> Tuple[List[SparseRow], List[int], Optional[SparseRow]]:
+    """(red, pivots, x) for sparse rows (column -> entry) over n_cols columns.
 
-    The rows come back dense, nonzero rows first in pivot order.  Entries
-    are QSqrt2 when any entry of mat is, and Fraction otherwise.
+    red holds the nonzero rows of the reduced row echelon form, with pivot
+    columns `pivots`; x is the solution of rows . x = rhs (rhs = 0 when
+    None) whose free unknowns are 0, as column -> value, or None when there
+    is none.  The rows are not modified and may hold zeros.
+
+    A matrix whose entries are all rational is eliminated over Fraction,
+    whatever their type, and red holds Fractions; any other over QSqrt2.
+    Over a rational matrix the right-hand side r + s*sqrt2 is reduced as the
+    two rational columns [rows | r | s]: a pivot in either means no
+    solution, and otherwise x = x_r + sqrt2 * x_s.
     """
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    rows = [{c: x for c, x in enumerate(row) if x} for row in mat]
-    typed = any(isinstance(x, QSqrt2) for row in mat for x in row)
     rational = all(not isinstance(x, QSqrt2) or not x.b
                    for row in rows for x in row.values())
-    if rational:
-        rows = [{c: _to_fraction(x) for c, x in row.items()} for row in rows]
-    else:
-        rows = [{c: _coerce(x) for c, x in row.items()} for row in rows]
-    red, pivots = _gauss_jordan(rows, n_cols)
-    lift = QSqrt2 if typed and rational else None
-    zero = QS_ZERO if typed else Fraction(0)
-    out: Matrix = []
-    for row in red:
-        dense = [zero] * n_cols
-        for c, x in row.items():
-            dense[c] = lift(x) if lift else x
-        out.append(dense)
-    out.extend([zero] * n_cols for _ in range(n_rows - len(red)))
-    return out, pivots
+    conv = _to_fraction if rational else _coerce
+    work = [{c: conv(x) for c, x in row.items() if x} for row in rows]
+    typed_rhs = False
+    if rhs is not None:
+        typed_rhs = any(isinstance(b, QSqrt2) for b in rhs)
+        for row, b in zip(work, rhs):
+            if not b:
+                continue
+            if rational:
+                r, s = _to_fraction(b), _coerce(b).b
+                if r:
+                    row[n_cols] = r
+                if s:
+                    row[n_cols + 1] = s
+            else:
+                row[n_cols] = _coerce(b)
+    red, pivots = _gauss_jordan(work, n_cols + (2 if rhs is not None else 0))
+    x: Optional[SparseRow] = {}
+    while pivots and pivots[-1] >= n_cols:
+        pivots.pop()
+        red.pop()
+        x = None
+    for row, pc in zip(red, pivots):
+        r, s = row.pop(n_cols, 0), row.pop(n_cols + 1, 0)
+        if x is not None and (r or s):
+            x[pc] = QSqrt2(r, s) if rational and typed_rhs else r
+    return red, pivots, x
+
+
+def rref_kernel(red: List[SparseRow], pivots: List[int], n_cols: int
+                ) -> List[SparseRow]:
+    """Basis of the right kernel from a sparse RREF, one vector per free
+    column in increasing order, each as column -> value."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
 
 
 def _to_fraction(x) -> Fraction:
@@ -294,6 +332,31 @@ def _axpy(row: SparseRow, f, prow: SparseRow,
                 where[k].discard(i)
 
 
+def _dense(row: SparseRow, n_cols: int, typed: bool) -> Row:
+    out = [QS_ZERO if typed else Fraction(0)] * n_cols
+    for c, x in row.items():
+        out[c] = _coerce(x) if typed else x
+    return out
+
+
+def _typed(mat: Matrix) -> bool:
+    return any(isinstance(x, QSqrt2) for row in mat for x in row)
+
+
+def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form and pivot columns.
+
+    The rows come back dense, nonzero rows first in pivot order.  Entries
+    are QSqrt2 when any entry of mat is, and Fraction otherwise.
+    """
+    n_cols = len(mat[0]) if mat else 0
+    red, pivots, _ = sparse_rref([dict(enumerate(row)) for row in mat], n_cols)
+    typed = _typed(mat)
+    out = [_dense(row, n_cols, typed) for row in red]
+    out.extend(_dense({}, n_cols, typed) for _ in range(len(mat) - len(red)))
+    return out, pivots
+
+
 def rank(mat: Matrix) -> int:
     if not mat:
         return 0
@@ -306,44 +369,18 @@ def nullspace(mat: Matrix, n_cols: Optional[int] = None) -> Matrix:
         return []
     if n_cols is None:
         n_cols = len(mat[0])
-    red, pivots = rref(mat)
-    one = QS_ONE if n_cols and isinstance(red[0][0], QSqrt2) else Fraction(1)
-    zero = one - one
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * n_cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    red, pivots, _ = sparse_rref([dict(enumerate(row)) for row in mat], n_cols)
+    typed = _typed(mat)
+    return [_dense(v, n_cols, typed) for v in rref_kernel(red, pivots, n_cols)]
 
 
 def solve(mat: Matrix, rhs: Row) -> Optional[Row]:
-    """One exact solution of mat . x = rhs, or None if inconsistent.
-
-    Over a rational matrix the right-hand side r + s*sqrt2 is reduced as the
-    two rational columns [mat | r | s]: a pivot in either means no solution,
-    and otherwise x = x_r + sqrt2 * x_s.
-    """
+    """One exact solution of mat . x = rhs, or None if inconsistent; see
+    `sparse_rref` for how a Q(sqrt2) right-hand side is reduced."""
     if not mat:
         return [] if not any(rhs) else None
     n_cols = len(mat[0])
-    typed = any(isinstance(x, QSqrt2) for row in mat for x in row) \
-        or any(isinstance(b, QSqrt2) for b in rhs)
-    split = not any(isinstance(x, QSqrt2) and x.b for row in mat for x in row)
-    if split:
-        aug = [[x.a if isinstance(x, QSqrt2) else x for x in row]
-               + [_to_fraction(b), b.b if isinstance(b, QSqrt2) else 0]
-               for row, b in zip(mat, rhs)]
-    else:
-        aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] >= n_cols:
+    _, _, x = sparse_rref([dict(enumerate(row)) for row in mat], n_cols, rhs)
+    if x is None:
         return None
-    x = [QS_ZERO if typed else Fraction(0)] * n_cols
-    for row, pc in zip(red, pivots):
-        x[pc] = QSqrt2(row[n_cols], row[n_cols + 1]) if split and typed \
-            else row[n_cols]
-    return x
+    return _dense(x, n_cols, _typed(mat) or any(isinstance(b, QSqrt2) for b in rhs))

@@ -37,6 +37,7 @@ from .liecoh import (
     d2_vanishes_on_adjoint_at_01,
     theta_form,
 )
+from .rootsys import _require
 from .scalars import QS_ONE, QS_ZERO, QSqrt2
 
 
@@ -178,7 +179,8 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     rank11 = rank_of(nonzero_images) if nonzero_images else 0
     kernel11 = len(basis21) - rank11
     avail = _count(E3.get((1, 1), []), "i", "trivial")
-    assert avail == len(basis21), (avail, len(basis21))
+    _require(avail == len(basis21),
+             f"{avail} trivial i*-summands at (1,1) for {len(basis21)} invariant (2,1)-forms")
     _remove(E3[(1, 1)], "i", "trivial", rank11)
     # the image lands in the invariant part of (3,2)
     _remove(E3.get((3, 2), []), "l", "trivial", rank11)
@@ -250,7 +252,7 @@ def cohomology_of_T(H: HermitianSymmetricSpace,
         if q > 1:
             continue
         for s in entry:
-            assert s.status == "ok", "rows 0,1 must be fully determined"
+            _require(s.status == "ok", "rows 0,1 must be fully determined")
             buckets[(str(q), p % 2)].append(s.descriptor)
     def merge(items):
         from .bott import _merge_descriptors

@@ -113,6 +113,38 @@ def test_pi_grassmannian_matches_golden_output(capsys, key):
     assert out == json.dumps(PI_GRASSMANNIAN[key], indent=2, sort_keys=True) + "\n"
 
 
+SPECTRAL = json.loads((GOLDEN / "spectral.json").read_text(encoding="utf-8"))
+
+
+def _spectral_argv(key):
+    cmd, space, a, b = key.split(" ")
+    return [cmd, "--space", space, "--a", a, "--b", b]
+
+
+@pytest.mark.parametrize("key", sorted(SPECTRAL))
+def test_spectral_matches_golden_output(capsys, key):
+    """stdout of d2 (with its coboundary witness, which pins the order of the
+    unknowns) and e3 is byte-identical to the recorded output of the
+    hand-written equivariant solves and dense systems."""
+    code, out = run_cli(capsys, *_spectral_argv(key))
+    assert code == 0
+    assert out == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1"])
+def test_optimized_interpreter_gives_same_output(key):
+    """python -O drops assert statements; no result may depend on them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["-m", "flagcoh.cli", *_spectral_argv(key)]
+    env = {"PYTHONPATH": src, "PATH": ""}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
+                       capture_output=True, text=True).stdout
+        for flags in ((), ("-O",)))
+    assert optimized == plain
+    assert plain == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
+
+
 def test_markdown_format(capsys):
     code, out = run_cli(capsys, "--format", "markdown",
                         "cohomology-table", "--space", "CP2")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,17 +8,23 @@ from flagcoh.bott import space_from_preset
 from flagcoh.liecoh import (
     Cochain,
     _commutator,
+    _differential,
     build_g_basis,
     ce_differential,
     cochain_from_form,
     d2_rank_on_vector_fields,
     h1_invariant_dimension,
+    invariant_one_cochains,
     invariant_zero_cochains,
     is_invariant_coboundary,
     is_r_invariant,
     theta_form,
 )
-from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2
+from flagcoh.repdecomp import char_of_roots, dual, tensor, trivial_multiplicity
+from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank
+
+MATRIX_PRESETS = ["CP2", "CP3", "Q3", "Q5", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)",
+                  "Gr(6,3)", "LG3", "S-D4"]
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +242,242 @@ def test_frobenius_consistency_h1(name, expected):
     col = cohomology_omega_p_theta(gb.H, 1, q_max=1)
     adj = sum(d.mult for d in col[1] if d.tag == "adjoint")
     assert adj == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: hand-written invariance solves over the torus
+# and both the raising and the lowering Levi generators, with dense rows,
+# and the hand-written degree-2 differential.
+# ---------------------------------------------------------------------------
+
+def _levi_lower(gb):
+    """e_{-alpha_i}, i in S, in the order of gb.levi_raise."""
+    out = []
+    for x in gb.levi_raise:
+        neg = tuple(-c for c in gb.elements[x].eps_weight)
+        out.append(next(k for k, el in enumerate(gb.elements)
+                        if el.block == "r" and el.eps_weight == neg))
+    return out
+
+
+def _ref_module_nminus_nplus(gb):
+    n = gb.n
+
+    def wsum(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    weights = [wsum(gb.elements[gb.nminus_order[v]].eps_weight,
+                    gb.elements[gb.nplus_order[u]].eps_weight)
+               for v in range(n) for u in range(n)]
+
+    def act(gen_idx, t):
+        v, u = divmod(t, n)
+        out = {}
+        bv = gb.bracket_coords(gen_idx, gb.nminus_order[v])
+        for vi, nm in enumerate(gb.nminus_order):
+            if bv[nm]:
+                out[vi * n + u] = out.get(vi * n + u, Fraction(0)) + bv[nm]
+        bu = gb.bracket_coords(gen_idx, gb.nplus_order[u])
+        for ui, npl in enumerate(gb.nplus_order):
+            if bu[npl]:
+                out[v * n + ui] = out.get(v * n + ui, Fraction(0)) + bu[npl]
+        return out
+
+    return weights, act
+
+
+def ref_invariant_zero_cochains(gb):
+    n, dim_g = gb.n, gb.dim
+    g_weights = [el.eps_weight for el in gb.elements]
+    e_weights, e_act = _ref_module_nminus_nplus(gb)
+    unknowns = [(w, t) for w in range(dim_g) for t in range(n * n)
+                if g_weights[w] == e_weights[t]]
+    index = {ut: k for k, ut in enumerate(unknowns)}
+    rows = []
+    for gen in gb.levi_raise + _levi_lower(gb):
+        e_imgs = [e_act(gen, s) for s in range(n * n)]
+        for w in range(dim_g):
+            coords = gb.bracket_coords(gen, w)
+            for t in range(n * n):
+                row = {}
+                for s in range(n * n):
+                    if (w, s) in index and e_imgs[s].get(t):
+                        k = index[(w, s)]
+                        row[k] = row.get(k, Fraction(0)) + e_imgs[s][t]
+                for w2, co in enumerate(coords):
+                    if co and (w2, t) in index:
+                        k = index[(w2, t)]
+                        row[k] = row.get(k, Fraction(0)) - co
+                if row:
+                    dense = [Fraction(0)] * len(unknowns)
+                    for k, v in row.items():
+                        dense[k] = v
+                    rows.append(dense)
+    out = []
+    for vec in nullspace(rows, len(unknowns)):
+        data = {}
+        for k, c in enumerate(vec):
+            if c:
+                w, t = unknowns[k]
+                arr = data.setdefault(w, [QS_ZERO] * (n * n))
+                arr[t] = arr[t] + QSqrt2(c)
+        out.append(Cochain(gb, 0, data))
+    return out
+
+
+def ref_invariant_one_cochains(gb):
+    n, dim_g = gb.n, gb.dim
+    e_weights, e_act = _ref_module_nminus_nplus(gb)
+    v_weights = [tuple(a + b for a, b in zip(
+        gb.elements[gb.nminus_order[v]].eps_weight, gb.elements[w].eps_weight))
+        for v in range(n) for w in range(dim_g)]
+    unknowns = [(k, t) for k in range(n * dim_g) for t in range(n * n)
+                if v_weights[k] == e_weights[t]]
+    index = {ut: i for i, ut in enumerate(unknowns)}
+    rows = []
+    for gen in gb.levi_raise + _levi_lower(gb):
+        act_v = {}
+        for v in range(n):
+            brv = gb.bracket_coords(gen, gb.nminus_order[v])
+            act_v[v] = {vi: brv[nm] for vi, nm in enumerate(gb.nminus_order) if brv[nm]}
+        for k in range(n * dim_g):
+            v, w = divmod(k, dim_g)
+            img = {}
+            for vi, c in act_v[v].items():
+                img[vi * dim_g + w] = img.get(vi * dim_g + w, Fraction(0)) + c
+            for w2, c in enumerate(gb.bracket_coords(gen, w)):
+                if c:
+                    img[v * dim_g + w2] = img.get(v * dim_g + w2, Fraction(0)) + c
+            for t in range(n * n):
+                row = {}
+                for s in range(n * n):
+                    if (k, s) in index:
+                        c = e_act(gen, s).get(t)
+                        if c:
+                            row[index[(k, s)]] = row.get(index[(k, s)], Fraction(0)) + c
+                for k2, c in img.items():
+                    if (k2, t) in index:
+                        row[index[(k2, t)]] = row.get(index[(k2, t)], Fraction(0)) - c
+                if row:
+                    dense = [Fraction(0)] * len(unknowns)
+                    for i, val in row.items():
+                        dense[i] = val
+                    rows.append(dense)
+    out = []
+    for vec in nullspace(rows, len(unknowns)):
+        data = {}
+        for i, c in enumerate(vec):
+            if c:
+                k, t = unknowns[i]
+                arr = data.setdefault(divmod(k, dim_g), [QS_ZERO] * (n * n))
+                arr[t] = arr[t] + QSqrt2(c)
+        out.append(Cochain(gb, 1, data))
+    return out
+
+
+def ref_two_differential(c):
+    gb = c.gb
+    n, dim_g, md = gb.n, gb.dim, c.module_dim
+    out = {}
+    for v1 in range(n):
+        for v2 in range(v1 + 1, n):
+            for v3 in range(v2 + 1, n):
+                for w in range(dim_g):
+                    acc = [QS_ZERO] * md
+                    for (va, pair, sgn) in (
+                        (v1, (v2, v3), 1), (v2, (v1, v3), -1), (v3, (v1, v2), 1)
+                    ):
+                        for gi, co in enumerate(
+                                gb.bracket_coords(gb.nminus_order[va], w)):
+                            val = c.data.get(pair + (gi,))
+                            if co and val:
+                                for t, x in enumerate(val):
+                                    acc[t] = acc[t] + x * QSqrt2(sgn * co)
+                    if any(acc):
+                        out[(v1, v2, v3, w)] = acc
+    return out
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
+def test_invariant_bases_match_reference_solves(name):
+    gb = build_g_basis(space_from_preset(name))
+    for got, want in ((invariant_zero_cochains(gb), ref_invariant_zero_cochains(gb)),
+                      (invariant_one_cochains(gb), ref_invariant_one_cochains(gb))):
+        assert [c.data for c in got] == [c.data for c in want]
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
+def test_invariant_bases_match_character_count(name):
+    """dim Hom_R(V, n- (x) n+) = trivial multiplicity of V* (x) n- (x) n+."""
+    H = space_from_preset(name)
+    gb = build_g_basis(H)
+    roots = [tuple(int(c) for c in r) for r in H.rd.positive_roots]
+    chi_g = char_of_roots(roots + [tuple(-c for c in r) for r in roots])
+    chi_g[(0,) * H.rd.rank] = H.rd.rank
+    chi_nminus = dual(H.n_plus_character())
+    chi_e = tensor(chi_nminus, H.n_plus_character())
+    for basis, chi_v in ((invariant_zero_cochains(gb), chi_g),
+                         (invariant_one_cochains(gb), tensor(chi_nminus, chi_g))):
+        assert len(basis) == trivial_multiplicity(H.levi, tensor(dual(chi_v), chi_e))
+
+
+def _random_cochain(gb, degree, rng):
+    data = {}
+    for vs in itertools.combinations(range(gb.n), degree):
+        for w in range(gb.dim):
+            if rng.random() < 0.3:
+                data[vs + (w,)] = [QSqrt2(rng.randint(-2, 2), rng.randint(-1, 1))
+                                   for _ in range(gb.n * gb.n)]
+    return Cochain(gb, degree, data)
+
+
+@pytest.mark.parametrize("name", ["Gr(4,2)", "Q5", "Gr(5,3)"])
+def test_delta_squared_zero_through_degree_3(name):
+    gb = build_g_basis(space_from_preset(name))
+    rng = random.Random(name)
+    for _ in range(3):
+        c1 = _random_cochain(gb, 1, rng)
+        d1 = ce_differential(c1)
+        assert not d1.is_zero()
+        assert _differential(d1).is_zero()
+        c2 = _random_cochain(gb, 2, rng)
+        d2 = _differential(c2)
+        assert d2.degree == 3 and d2.data == ref_two_differential(c2)
+        assert _differential(d2).is_zero()
+
+
+def test_is_r_invariant_rejects_non_invariant_cochains(gr42):
+    gb = gr42
+    n = gb.n
+    e_weights, _ = _ref_module_nminus_nplus(gb)
+
+    def weight(v, w, t):
+        return (tuple(a + b for a, b in zip(gb.elements[gb.nminus_order[v]].eps_weight,
+                                            gb.elements[w].eps_weight)), e_weights[t])
+
+    def single(v, w, t):
+        vec = [QS_ZERO] * (n * n)
+        vec[t] = QS_ONE
+        return Cochain(gb, 1, {(v, w): vec})
+
+    coords = [(v, w, t) for v in range(n) for w in range(gb.dim) for t in range(n * n)]
+    off = next(k for k in coords if weight(*k)[0] != weight(*k)[1])
+    assert not is_r_invariant(single(*off))
+    # a weight-zero coordinate outside the span of the reference invariant
+    # basis, so that a raising or lowering generator moves it
+    ref = ref_invariant_one_cochains(gb)
+
+    def in_ref_span(k):
+        flat = [[c.value((v, w))[t] for v, w, t in coords] for c in ref]
+        return rank(flat + [[QS_ONE if x == k else QS_ZERO for x in coords]]) == len(ref)
+
+    on = next(k for k in coords if weight(*k)[0] == weight(*k)[1]
+              and not in_ref_span(k))
+    assert not is_r_invariant(single(*on))
+    # the invariant cochain c_theta2 stays invariant, plus a weight-zero
+    # perturbation it does not
+    c = cochain_from_form(gb, theta_form(gb, 1, 0))
+    assert is_r_invariant(c)
+    assert not is_r_invariant(c + single(*on))
+    with pytest.raises(ValueError):
+        is_r_invariant(Cochain(gb, 0, {}))

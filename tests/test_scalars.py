@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,24 @@ def test_solve_detects_inconsistency():
     mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert solve(mat, [Fraction(1), Fraction(3)]) is None
     assert solve(mat, [Fraction(1), Fraction(2)]) == [Fraction(1), Fraction(0)]
+
+
+def test_nested_qsqrt2_takes_no_second_part():
+    assert QSqrt2(qs(1, 2)) == qs(1, 2)
+    assert QSqrt2(qs(1, 2), 0) == qs(1, 2)
+    with pytest.raises(ValueError):
+        QSqrt2(qs(1, 2), 1)
+
+
+def test_nested_qsqrt2_check_survives_optimized_interpreter():
+    """python -O drops assert statements, not this check."""
+    code = ("from flagcoh.scalars import QSqrt2\n"
+            "try:\n    QSqrt2(QSqrt2(1), 1)\n"
+            "except ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
+                   check=True)
 
 
 def test_parse_round_trip():

@@ -1,7 +1,7 @@
 """Every library module compiles with warnings turned into errors, so that
 no source depends on syntax a later Python rejects (e.g. invalid escapes).
-The representation-theory, exterior-calculus and super-field modules hold
-no assert statement, so python -O cannot drop a check that guards a value."""
+No library module holds an assert statement, so python -O cannot drop a
+check that guards a value."""
 
 import ast
 import warnings
@@ -21,10 +21,8 @@ def test_module_compiles_with_warnings_as_errors(path):
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-@pytest.mark.parametrize("name", ["rootsys.py", "repdecomp.py", "bott.py",
-                                  "exterior.py", "superfields.py"])
-def test_module_has_no_assert_statement(name):
-    path = Path(flagcoh.__file__).resolve().parent / name
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
