@@ -239,23 +239,19 @@ def cmd_d2(args) -> int:
     H = space_from_preset(args.space)
     a = parse_scalar(args.a) if args.a else QSqrt2(1)
     b = parse_scalar(args.b) if args.b else QSqrt2(0)
-    rank = liecoh.d2_rank_on_vector_fields(H, a, b)
-    gb = liecoh.build_g_basis(H)
-    c = liecoh.cochain_from_form(gb, liecoh.theta_form(gb, a, b))
+    rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
-    if not c.is_zero():
-        res = liecoh.is_invariant_coboundary(c)
-        if res.is_coboundary and res.witness is not None:
-            witness = {
-                str(w): [format_scalar(x) for x in vec]
-                for w, vec in sorted(res.witness.data.items())
-            }
+    if res.witness is not None:
+        witness = {
+            str(w): [format_scalar(x) for x in vec]
+            for w, vec in sorted(res.witness.data.items())
+        }
     payload = {
         "space": args.space,
         "a": format_scalar(a),
         "b": format_scalar(b),
         "rank": rank,
-        "dim_g": gb.dim,
+        "dim_g": liecoh.build_g_basis(H).dim,
         "coboundary_witness": witness,
     }
     _emit(payload, args.format)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exterior import _merge_sign
 from .rootsys import _require
-from .scalars import QS_ONE, QS_ZERO, QSqrt2, rank
+from .scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank, rref, solve
 
 Vec = Dict[int, QSqrt2]  # sparse vector in n+ coordinates
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -55,20 +55,6 @@ class RootPairSpace:
     dim: int
 
 
-def _sort_sign(tup: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """Sorted tuple and permutation sign; None on repeats."""
-    if len(set(tup)) != len(tup):
-        return None, 0
-    s = tuple(sorted(tup))
-    sign = 1
-    lst = list(tup)
-    for i in range(len(lst)):
-        for j in range(i + 1, len(lst)):
-            if lst[i] > lst[j]:
-                sign = -sign
-    return s, sign
-
-
 @dataclass
 class InvariantVectorForm:
     space: object
@@ -78,16 +64,18 @@ class InvariantVectorForm:
 
     def value(self, us: Sequence[int], vs: Sequence[int]) -> Vec:
         """Evaluate on arbitrary basis-index tuples via antisymmetry."""
-        su, sgu = _sort_sign(us)
-        if su is None:
-            return {}
-        sv, sgv = _sort_sign(vs)
-        if sv is None:
-            return {}
-        base = self.tensor.get((su, sv))
+        key, sign = [], 1
+        for group in (us, vs):
+            mono: Optional[Tuple[int, ...]] = ()
+            for x in group:
+                mono, s = _merge_sign(mono, (x,))
+                if mono is None:
+                    return {}
+                sign *= s
+            key.append(mono)
+        base = self.tensor.get(tuple(key))
         if not base:
             return {}
-        sign = sgu * sgv
         if sign == 1:
             return base
         return {k: -c for k, c in base.items()}
@@ -152,45 +140,21 @@ def _clean(t: Dict[Key, Vec]) -> Dict[Key, Tuple]:
 # ---------------------------------------------------------------------------
 
 def theta_p(space, p: int) -> InvariantVectorForm:
-    """The (p, p-1)-form with prefactor (p-1)!; theta_1 is the identity."""
+    """The (p, p-1)-form with prefactor (p-1)!; theta_1 is the identity.
+
+    With the Kronecker pairing the determinant of the pairing block between
+    us minus u_k and vs is 1 when vs = us minus u_k (both sorted) and 0
+    otherwise, so each entry is a single signed u_k."""
     n = space.dim
     if not 1 <= p <= n:
         raise ValueError(f"theta_{p} needs 1 <= p <= dim = {n}")
-    pref = Fraction(factorial(p - 1))
+    pref = factorial(p - 1)
     tensor: Dict[Key, Vec] = {}
     for us in itertools.combinations(range(n), p):
-        for vs in itertools.combinations(range(n), p - 1):
-            vec: Vec = {}
-            for k_pos, uk in enumerate(us):
-                rows = [u for u in us if u != uk]
-                # det of the Kronecker pairing block (rows x vs)
-                d = _kron_det(rows, vs)
-                if d:
-                    sign = 1 if (p + k_pos + 1) % 2 == 0 else -1
-                    c = QSqrt2(pref * sign * d)
-                    if c:
-                        prev = vec.get(uk, QS_ZERO) + c
-                        if prev:
-                            vec[uk] = prev
-                        else:
-                            vec.pop(uk, None)
-            if vec:
-                tensor[(us, vs)] = vec
+        for k, uk in enumerate(us):
+            sign = 1 if (p + k + 1) % 2 == 0 else -1
+            tensor[(us, us[:k] + us[k + 1:])] = {uk: QSqrt2(pref * sign)}
     return InvariantVectorForm(space, p, p - 1, tensor)
-
-
-def _kron_det(rows: Sequence[int], cols: Sequence[int]) -> int:
-    """Determinant of the 0/1 matrix [delta_{rows_a, cols_b}]: a permutation
-    matrix determinant, 0 unless the index sets agree."""
-    if set(rows) != set(cols):
-        return 0
-    perm = [list(cols).index(r) for r in rows]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +405,6 @@ def independent_coefficients(
     dim = target.space.dim
     cols = [f.flat_coefficients(keys, dim) for f in basis]
     rhs = target.flat_coefficients(keys, dim)
-    from .scalars import solve
-
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(rhs))]
     return solve(mat, rhs)
 
@@ -460,96 +422,66 @@ class NilpotentPairReport:
 
 def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
     """All ((a,b),(c,d)) with (a th2 + b eta) /\\ (c th2 + d eta) = 0, up to
-    scalar, via the exact bilinear system on the four product tensors."""
+    scalar, via the exact bilinear system on the four product tensors.
+
+    Raises ValueError when (a : b) solves a single quadratic whose roots lie
+    outside Q(sqrt2)."""
     if space.r < 2 or space.s < 2:
         raise ValueError("eta degenerates to theta2 for s = 1 or r = 1")
     th2 = theta_p(space, 2)
     et = eta(space)
-    P = {
-        (0, 0): barwedge_inv(th2, th2),
-        (0, 1): barwedge_inv(th2, et),
-        (1, 0): barwedge_inv(et, th2),
-        (1, 1): barwedge_inv(et, et),
-    }
-    keys = sorted({k for f in P.values() for k in f.tensor})
-    dim = space.dim
-    flat = {ab: P[ab].flat_coefficients(keys, dim) for ab in P}
-    N = len(flat[(0, 0)])
+    # P00, P01, P10, P11 with Pxy the product of form x with form y
+    products = [barwedge_inv(x, y) for x in (th2, et) for y in (th2, et)]
+    keys = sorted({k for f in products for k in f.tensor})
+    flat = [f.flat_coefficients(keys, space.dim) for f in products]
 
     # theta /\ phi = a c P00 + a d P01 + b c P10 + b d P11; for fixed (a,b)
     # the map (c,d) -> result is linear with columns V1 = a P00 + b P10,
-    # V2 = a P01 + b P11.  A nontrivial kernel needs all 2x2 minors of
-    # [V1 V2] to vanish: A a^2 + B ab + C b^2 = 0 per coordinate pair.
-    quads = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            A = flat[(0, 0)][i] * flat[(0, 1)][j] - flat[(0, 0)][j] * flat[(0, 1)][i]
-            B = (
-                flat[(0, 0)][i] * flat[(1, 1)][j]
-                - flat[(0, 0)][j] * flat[(1, 1)][i]
-                + flat[(1, 0)][i] * flat[(0, 1)][j]
-                - flat[(1, 0)][j] * flat[(0, 1)][i]
-            )
-            C = flat[(1, 0)][i] * flat[(1, 1)][j] - flat[(1, 0)][j] * flat[(1, 1)][i]
-            if A or B or C:
-                quads.append((A, B, C))
-            if len(quads) > 400:
-                break
-        if len(quads) > 400:
-            break
-    # reduce to an independent set
-    rows = [[q[0], q[1], q[2]] for q in quads]
-    from .scalars import rref
-
-    red, pivots = rref(rows) if rows else ([], [])
-    quads = [tuple(red[r]) for r in range(len(pivots))]
-
+    # V2 = a P01 + b P11.  Restriction to the pivot columns J of the four
+    # products is injective on their span, so [V1 V2] and its rows over J
+    # have the same kernel, and |J| <= 4.  A nontrivial kernel needs the 2x2
+    # minors over J to vanish: A a^2 + B ab + C b^2 = 0 per pair in J.
+    J = rref(flat)[1]
+    p00, p01, p10, p11 = ([row[j] for j in J] for row in flat)
+    quads = [
+        [p00[i] * p01[j] - p00[j] * p01[i],
+         p00[i] * p11[j] - p00[j] * p11[i] + p10[i] * p01[j] - p10[j] * p01[i],
+         p10[i] * p11[j] - p10[j] * p11[i]]
+        for i, j in itertools.combinations(range(len(p00)), 2)
+    ]
     solutions = []
     for (a, b) in _projective_roots(quads):
-        V1 = [a * flat[(0, 0)][i] + b * flat[(1, 0)][i] for i in range(N)]
-        V2 = [a * flat[(0, 1)][i] + b * flat[(1, 1)][i] for i in range(N)]
-        from .scalars import nullspace
-
-        kern = nullspace([[V1[i], V2[i]] for i in range(N)], 2)
-        for cd in kern:
-            c, d = cd
-            if c or d:
-                solutions.append(((a, b), (c, d)))
+        kern = nullspace([[a * x00 + b * x10, a * x01 + b * x11]
+                          for x00, x01, x10, x11 in zip(p00, p01, p10, p11)], 2)
+        solutions.extend(((a, b), (c, d)) for c, d in kern)
     return NilpotentPairReport(space, not solutions, solutions)
 
 
 def _projective_roots(quads) -> List[Tuple[QSqrt2, QSqrt2]]:
-    """Common projective solutions (a : b) of quadratic forms over Q(rt2)."""
+    """Common projective roots (a : b) of the quadratic forms
+    A a^2 + B ab + C b^2 over Q(sqrt2), by the rank of the rows (A, B, C):
+    (1 : 0) first, then (t : 1) in increasing (rational, sqrt2) order of t."""
+    red, pivots = rref(quads) if quads else ([], [])
+    quads = red[:len(pivots)]
     if not quads:
         # every (a,b) works; report the two coordinate axes as generators
         return [(QS_ONE, QS_ZERO), (QS_ZERO, QS_ONE)]
-    out = []
-    # b = 0 case: need A = 0 for all
-    if all(not q[0] for q in quads):
-        out.append((QS_ONE, QS_ZERO))
-    # b = 1: common roots of A t^2 + B t + C
-    roots: Optional[set] = None
-    for (A, B, C) in quads:
-        cur = set()
-        if A:
-            disc = B * B - 4 * A * C
-            sq = disc.sqrt()
-            if sq is not None:
-                for sgn in (1, -1):
-                    t = (QSqrt2(0) - B + sq * QSqrt2(sgn)) / (A * QSqrt2(2))
-                    cur.add((t.a, t.b))
-        elif B:
-            t = (QSqrt2(0) - C) / B
-            cur.add((t.a, t.b))
-        else:
-            if not C:
-                cur = None  # identically satisfied; no constraint
-        if cur is None:
-            continue
-        roots = cur if roots is None else (roots & cur)
-        if not roots:
-            break
-    if roots:
-        for (ta, tb) in sorted(roots):
-            out.append((QSqrt2(ta, tb), QS_ONE))
-    return out
+    if len(quads) == 3:
+        return []
+    if len(quads) == 2:
+        # (a^2, ab, b^2) must span the kernel line of the two rows, which
+        # their cross product w spans; that needs w1^2 = w0 w2
+        (A1, B1, C1), (A2, B2, C2) = quads
+        w0, w1, w2 = B1 * C2 - C1 * B2, C1 * A2 - A1 * C2, A1 * B2 - B1 * A2
+        if w1 * w1 != w0 * w2:
+            return []
+        return [(w1 / w2, QS_ONE)] if w2 else [(QS_ONE, QS_ZERO)]
+    (A, B, C), = quads
+    if not A:
+        # b = 0 is a root, and b = 1 leaves B t + C = 0
+        return [(QS_ONE, QS_ZERO)] + ([(-C / B, QS_ONE)] if B else [])
+    sq = (B * B - 4 * A * C).sqrt()
+    if sq is None:
+        raise ValueError(f"the roots of {A} t^2 + {B} t + {C} lie outside Q(sqrt2)")
+    roots = {(-B + sq) / (2 * A), (-B - sq) / (2 * A)}
+    return [(t, QS_ONE) for t in sorted(roots, key=lambda t: (t.a, t.b))]

@@ -837,19 +837,24 @@ def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
     return th2.scale(a)
 
 
+def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
+                        ) -> Tuple[int, CoboundaryResult]:
+    """The rank of ad_{l*[theta]}: H^0(M, T_-1) -> H^1(M, T_1) for theta =
+    a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
+    c_theta it is read from (witness None when c_theta = 0); one solve per
+    space and (a, b)."""
+    key = ("d2", str(H.rd.type), H.alpha0, QSqrt2(a), QSqrt2(b))
+    if key not in _VERDICT_CACHE:
+        gb = build_g_basis(H)
+        c = cochain_from_form(gb, theta_form(gb, a, b))
+        res = (CoboundaryResult(True, None) if c.is_zero()
+               else is_invariant_coboundary(c))
+        # dim g when the CE class of c_theta is nonzero, 0 when it vanishes
+        _VERDICT_CACHE[key] = (0 if res.is_coboundary else gb.dim, res)
+    return _VERDICT_CACHE[key]
+
+
 def d2_rank_on_vector_fields(H: HermitianSymmetricSpace, a, b) -> int:
-    """Rank of ad_{l*[theta]}: H^0(M, T_-1) -> H^1(M, T_1): dim g when the
-    CE class of c_theta is nonzero, 0 when it is an invariant coboundary."""
-    key = ("rank", str(H.rd.type), H.alpha0, QSqrt2(a), QSqrt2(b))
-    if key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[key]
-    gb = build_g_basis(H)
-    th = theta_form(gb, a, b)
-    c = cochain_from_form(gb, th)
-    if c.is_zero():
-        rank = 0
-    else:
-        res = is_invariant_coboundary(c)
-        rank = 0 if res.is_coboundary else gb.dim
-    _VERDICT_CACHE[key] = rank
-    return rank
+    """Rank of ad_{l*[theta]}: H^0(M, T_-1) -> H^1(M, T_1); see
+    `d2_on_vector_fields`."""
+    return d2_on_vector_fields(H, a, b)[0]

@@ -20,7 +20,6 @@ from .bott import (
     ModuleDescriptor,
     grassmannian_rs,
     invariant_dimension,
-    space_from_preset,
     tangent_sheaf_E2,
 )
 from .invforms import (
@@ -32,13 +31,11 @@ from .invforms import (
     theta_p,
 )
 from .liecoh import (
-    build_g_basis,
     d2_rank_on_vector_fields,
     d2_vanishes_on_adjoint_at_01,
-    theta_form,
 )
 from .rootsys import _require
-from .scalars import QS_ONE, QS_ZERO, QSqrt2
+from .scalars import QS_ZERO, QSqrt2
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,18 @@ def test_spectral_matches_golden_output(capsys, key):
     assert out == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
 
 
+FORMS = json.loads((GOLDEN / "forms.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("space", sorted(FORMS))
+def test_forms_matches_golden_output(capsys, space):
+    """stdout of forms is byte-identical to the recorded output of the
+    minor scan over every coordinate pair of the flattened products."""
+    code, out = run_cli(capsys, "forms", "--space", space)
+    assert code == 0
+    assert out == json.dumps(FORMS[space], indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1"])
 def test_optimized_interpreter_gives_same_output(key):
     """python -O drops assert statements; no result may depend on them."""
@@ -143,6 +155,23 @@ def test_optimized_interpreter_gives_same_output(key):
         for flags in ((), ("-O",)))
     assert optimized == plain
     assert plain == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
+
+
+def test_d2_solves_the_coboundary_system_once(capsys, monkeypatch):
+    """The rank and the witness of one d2 query come from one solve, and
+    criterion 6 solves once per space and theta."""
+    from flagcoh import liecoh, verify
+    calls = []
+    solve = liecoh.is_invariant_coboundary
+    monkeypatch.setattr(liecoh, "is_invariant_coboundary",
+                        lambda c: calls.append(c) or solve(c))
+    monkeypatch.setattr(liecoh, "_VERDICT_CACHE", {})
+    code, out = run_cli(capsys, *_spectral_argv("d2 Gr(4,2) 0 1"))
+    assert code == 0 and json.loads(out)["coboundary_witness"] is not None
+    assert len(calls) == 1
+    monkeypatch.setattr(liecoh, "_VERDICT_CACHE", {})
+    assert verify.check_c6_d2_ranks()[0]
+    assert len(calls) == 1 + 4
 
 
 def test_markdown_format(capsys):

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +21,9 @@ from flagcoh.invforms import (
     rank_of,
     theta_barwedge_theta,
     theta_p,
+    _projective_roots,
 )
-from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2
+from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rref
 
 
 GR42 = MatrixPairSpace(2, 2)
@@ -282,3 +286,143 @@ def test_nilpotent_pairs_zero_verification():
 def test_nilpotent_pairs_rejects_degenerate_spaces():
     with pytest.raises(ValueError):
         nilpotent_pairs(MatrixPairSpace(3, 1))
+
+
+# --- nilpotent pairs against the exhaustive minor scan ----------------------------
+#
+# The oracle takes 2x2 minors over every coordinate pair of the flattened
+# products (stopping after ~400 nonzero ones), intersects the root sets of
+# the reduced quadratics one by one (dropping a root outside Q(sqrt2)
+# without a word), and takes the kernel over all N coordinates.
+
+def _scan_roots(quads):
+    if not quads:
+        return [(QS_ONE, QS_ZERO), (QS_ZERO, QS_ONE)]
+    out = []
+    if all(not q[0] for q in quads):
+        out.append((QS_ONE, QS_ZERO))
+    roots = None
+    for (A, B, C) in quads:
+        cur = set()
+        if A:
+            disc = B * B - 4 * A * C
+            sq = disc.sqrt()
+            if sq is not None:
+                for sgn in (1, -1):
+                    t = (QSqrt2(0) - B + sq * QSqrt2(sgn)) / (A * QSqrt2(2))
+                    cur.add((t.a, t.b))
+        elif B:
+            t = (QSqrt2(0) - C) / B
+            cur.add((t.a, t.b))
+        else:
+            if not C:
+                cur = None
+        if cur is None:
+            continue
+        roots = cur if roots is None else (roots & cur)
+        if not roots:
+            break
+    if roots:
+        for (ta, tb) in sorted(roots):
+            out.append((QSqrt2(ta, tb), QS_ONE))
+    return out
+
+
+def _scan_reduced_roots(rows):
+    red, pivots = rref(rows) if rows else ([], [])
+    return _scan_roots([tuple(red[r]) for r in range(len(pivots))])
+
+
+def _scan_nilpotent_pairs(space):
+    th2 = theta_p(space, 2)
+    et = eta(space)
+    P = {
+        (0, 0): barwedge_inv(th2, th2),
+        (0, 1): barwedge_inv(th2, et),
+        (1, 0): barwedge_inv(et, th2),
+        (1, 1): barwedge_inv(et, et),
+    }
+    keys = sorted({k for f in P.values() for k in f.tensor})
+    flat = {ab: P[ab].flat_coefficients(keys, space.dim) for ab in P}
+    N = len(flat[(0, 0)])
+    quads = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            A = flat[(0, 0)][i] * flat[(0, 1)][j] - flat[(0, 0)][j] * flat[(0, 1)][i]
+            B = (
+                flat[(0, 0)][i] * flat[(1, 1)][j]
+                - flat[(0, 0)][j] * flat[(1, 1)][i]
+                + flat[(1, 0)][i] * flat[(0, 1)][j]
+                - flat[(1, 0)][j] * flat[(0, 1)][i]
+            )
+            C = flat[(1, 0)][i] * flat[(1, 1)][j] - flat[(1, 0)][j] * flat[(1, 1)][i]
+            if A or B or C:
+                quads.append((A, B, C))
+            if len(quads) > 400:
+                break
+        if len(quads) > 400:
+            break
+    solutions = []
+    for (a, b) in _scan_reduced_roots([list(q) for q in quads]):
+        V1 = [a * flat[(0, 0)][i] + b * flat[(1, 0)][i] for i in range(N)]
+        V2 = [a * flat[(0, 1)][i] + b * flat[(1, 1)][i] for i in range(N)]
+        for c, d in nullspace([[V1[i], V2[i]] for i in range(N)], 2):
+            if c or d:
+                solutions.append(((a, b), (c, d)))
+    return solutions
+
+
+@pytest.mark.parametrize("rs", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)], ids=str)
+def test_nilpotent_pairs_match_the_exhaustive_minor_scan(rs):
+    """Same solutions, with the same representatives, in the same order."""
+    space = MatrixPairSpace(*rs)
+    assert nilpotent_pairs(space).solutions == _scan_nilpotent_pairs(space)
+
+
+def q(a, b=0):
+    return QSqrt2(a, b)
+
+
+@pytest.mark.parametrize("rows,roots", [
+    # rank 0: every (a : b) solves, reported as the two axes
+    ([], [(q(1), q(0)), (q(0), q(1))]),
+    ([[q(0), q(0), q(0)]], [(q(1), q(0)), (q(0), q(1))]),
+    # rank 1: one quadratic, its roots in Q(sqrt2), (1 : 0) when A = 0
+    ([[q(1), q(0), q(-2)], [q(2), q(0), q(-4)]], [(q(0, -1), q(1)), (q(0, 1), q(1))]),
+    ([[q(1), q(-3), q(2)]], [(q(1), q(1)), (q(2), q(1))]),
+    ([[q(1), q(-2), q(1)]], [(q(1), q(1))]),
+    ([[q(0), q(1), q(1)]], [(q(1), q(0)), (q(-1), q(1))]),
+    ([[q(0), q(0), q(5)]], [(q(1), q(0))]),
+    # rank 2: the cross product w is proportional to (a^2, ab, b^2)
+    ([[q(1), q(-2), q(0)], [q(0), q(1), q(-2)]], [(q(2), q(1))]),
+    ([[q(1), q(0), q(-2)], [q(0), q(1), q(0, -1)]], [(q(0, 1), q(1))]),
+    ([[q(0), q(1), q(0)], [q(0), q(0), q(1)]], [(q(1), q(0))]),
+    # rank 2 with w1^2 != w0 w2: a^2 + b^2 = ab = 0 has no root
+    ([[q(1), q(0), q(1)], [q(0), q(1), q(0)]], []),
+    ([[q(1), q(0), q(0)], [q(0), q(0), q(1)]], []),
+    # rank 3: only a = b = 0
+    ([[q(1), q(0), q(0)], [q(0), q(1), q(0)], [q(1), q(1), q(1)]], []),
+])
+def test_projective_roots_by_rank(rows, roots):
+    assert _projective_roots(rows) == roots
+    assert _scan_reduced_roots(rows) == roots
+
+
+def test_projective_roots_outside_the_field_raise():
+    """a^2 - 3 b^2 has roots +-sqrt3; the minor scan dropped them silently."""
+    rows = [[q(1), q(0), q(-3)]]
+    with pytest.raises(ValueError):
+        _projective_roots(rows)
+    assert _scan_reduced_roots(rows) == []
+
+
+def test_forms_under_optimized_interpreter_gives_same_output():
+    """python -O drops assert statements; no result may depend on them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["-m", "flagcoh.cli", "forms", "--space", "Gr(4,2)"]
+    env = {"PYTHONPATH": src, "PATH": ""}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
+                       capture_output=True, text=True).stdout
+        for flags in ((), ("-O",)))
+    assert plain and optimized == plain
