@@ -10,17 +10,8 @@ import time
 
 from flagcoh import bott, invforms, spectral
 from flagcoh.bott import DESK_PRESETS, space_from_preset
+from flagcoh.cli import module_label
 from flagcoh.scalars import RT2, QSqrt2, format_scalar
-
-
-def tag_short(d):
-    if d.tag == "adjoint":
-        base = "g"
-    elif d.tag == "trivial":
-        base = "C"
-    else:
-        base = f"V{d.dim}"
-    return base + (f"^{d.mult}" if d.mult > 1 else "")
 
 
 def cohomology_section(name):
@@ -35,13 +26,15 @@ def cohomology_section(name):
         cells = []
         for p in range(p_max + 1):
             mods = cols[p][q]
-            cells.append(" + ".join(tag_short(d) for d in mods) if mods else "0")
+            cells.append(" + ".join(module_label(d.tag, d.dim, d.mult) for d in mods)
+                         if mods else "0")
         print(f"| {q} | " + " | ".join(cells) + " |")
     devs = bott.PUBLISHED_TABLE_DEVIATIONS.get(name, {})
     if devs:
         print("\nDeviations from the published table (verified):")
         for (p, q), ds in sorted(devs.items()):
-            print(f"- (p={p}, q={q}): extra " + ", ".join(tag_short(d) for d in ds))
+            print(f"- (p={p}, q={q}): extra "
+                  + ", ".join(module_label(d.tag, d.dim, d.mult) for d in ds))
 
 
 def e3_section(name, a, b, label):

@@ -46,6 +46,12 @@ def _emit(payload: Dict, fmt: str, markdown_fn=None, csv_fn=None) -> None:
         _die(f"unknown format {fmt}")
 
 
+def module_label(tag: str, dim: int, mult: int) -> str:
+    """Table label of a module summand: g, C or V<dim>, then ^mult if > 1."""
+    base = "g" if tag == "adjoint" else "C" if tag == "trivial" else f"V{dim}"
+    return base + (f"^{mult}" if mult > 1 else "")
+
+
 def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
     return {
         "tag": d.tag,
@@ -147,11 +153,7 @@ def cmd_cohomology_table(args) -> int:
                     cells.append("0")
                 else:
                     cells.append(" + ".join(
-                        (f"g" if m["tag"] == "adjoint" else
-                         "C" if m["tag"] == "trivial" else f"V{m['dim']}")
-                        + (f"^{m['mult']}" if m["mult"] > 1 else "")
-                        for m in mods
-                    ))
+                        module_label(m["tag"], m["dim"], m["mult"]) for m in mods))
             lines.append(f"| {q} | " + " | ".join(cells) + " |")
         if pl["published_table_deviations"]:
             lines.append("")
@@ -308,9 +310,7 @@ def cmd_e3(args) -> int:
                     else:
                         cells.append(" + ".join(
                             f"{s['provenance']}*("
-                            + ("g" if s["tag"] == "adjoint" else
-                               "C" if s["tag"] == "trivial" else f"V{s['dim']}")
-                            + (f"^{s['mult']}" if s["mult"] > 1 else "")
+                            + module_label(s["tag"], s["dim"], s["mult"])
                             + ("?" if s["status"] == "undetermined" else "")
                             + ")"
                             for s in ss

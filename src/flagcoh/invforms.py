@@ -4,7 +4,9 @@ realized exactly by their values at the base point.
 A form of bidegree (p, q) is stored as a sparse tensor over strictly
 increasing index tuples (holomorphic group of size p over the n+ basis,
 antiholomorphic group of size q over the dual n- basis), with values sparse
-vectors in n+ over Q(sqrt 2).
+vectors in n+ over Q(sqrt 2).  The barwedge runs over the stored entries on
+the `exterior._merge_sign` sign kernel; ranks and coordinates are taken
+over the sorted nonzero (key, n+ index) pairs only.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
 from .rootsys import _require
-from .scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank, rref, solve
+from .scalars import QS_ONE, QS_ZERO, QSqrt2, SparseRow, nullspace, rank, rref, sparse_rref
 
 Vec = Dict[int, QSqrt2]  # sparse vector in n+ coordinates
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -98,12 +100,7 @@ class InvariantVectorForm:
         out: Dict[Key, Vec] = {k: dict(v) for k, v in self.tensor.items()}
         for k, vec in other.tensor.items():
             tgt = out.setdefault(k, {})
-            for i, c in vec.items():
-                nc = tgt.get(i, QS_ZERO) + c
-                if nc:
-                    tgt[i] = nc
-                else:
-                    tgt.pop(i, None)
+            _add_into(tgt, QS_ONE, vec)
             if not tgt:
                 out.pop(k)
         return InvariantVectorForm(self.space, self.p, self.q, out)
@@ -117,13 +114,15 @@ class InvariantVectorForm:
             and _clean(self.tensor) == _clean(other.tensor)
         )
 
-    def flat_coefficients(self, keys: List[Key], dim: int) -> List[QSqrt2]:
-        out = []
-        for k in keys:
-            vec = self.tensor.get(k, {})
-            for i in range(dim):
-                out.append(vec.get(i, QS_ZERO))
-        return out
+
+def _add_into(tgt: Vec, coeff: QSqrt2, vec: Vec) -> None:
+    """tgt += coeff * vec, dropping the entries that cancel."""
+    for i, c in vec.items():
+        nc = tgt.get(i, QS_ZERO) + coeff * c
+        if nc:
+            tgt[i] = nc
+        else:
+            tgt.pop(i, None)
 
 
 def _clean(t: Dict[Key, Vec]) -> Dict[Key, Tuple]:
@@ -290,29 +289,20 @@ def _uvuvu(space, ua, v1, ub, v2, uc) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# barwedge on invariant forms: shuffle alternation with one global constant.
+# barwedge on invariant forms: a sparse product with one global constant.
 # ---------------------------------------------------------------------------
 
 _KAPPA: Optional[QSqrt2] = None
 
 
-def _shuffles(universe: Tuple[int, ...], k: int):
-    """(subset, complement, sign) triples over increasing universe."""
-    n = len(universe)
-    for picks in itertools.combinations(range(n), k):
-        subset = tuple(universe[i] for i in picks)
-        rest = tuple(universe[i] for i in range(n) if i not in picks)
-        sign = 1
-        # inversions of the shuffle permutation (subset before rest)
-        for out_pos, i in enumerate(picks):
-            sign *= (-1) ** (i - out_pos)
-        yield subset, rest, sign
-
-
 def _barwedge_raw(phi: InvariantVectorForm, psi: InvariantVectorForm
                   ) -> InvariantVectorForm:
     """Shuffle-sum insertion of psi into the first holomorphic slot of phi;
-    equals the full alternation divided by (p1-1)! p2! q1! q2!."""
+    equals the full alternation divided by (p1-1)! p2! q1! q2!.
+
+    Sparse over stored entries: psi's (ku, kv) -> w feeds slot k of phi's
+    (lu, lv) when w has the index lu[k], at the keys `_merge_sign` gives for
+    (ku, lu minus slot k) and (kv, lv), with (-1)^k times their signs."""
     space = phi.space
     P = phi.p + psi.p - 1
     Q = phi.q + psi.q
@@ -320,30 +310,21 @@ def _barwedge_raw(phi: InvariantVectorForm, psi: InvariantVectorForm
     tensor: Dict[Key, Vec] = {}
     if P > n or Q > n or P < 0:
         return InvariantVectorForm(space, max(P, 0), Q, tensor)
-    for us in itertools.combinations(range(n), P):
-        u_shuffles = list(_shuffles(us, psi.p))
-        for vs in itertools.combinations(range(n), Q):
-            out: Vec = {}
-            for vsub, vrest, vsign in _shuffles(vs, psi.q):
-                for usub, urest, usign in u_shuffles:
-                    w = psi.value(usub, vsub)
-                    if not w:
-                        continue
-                    sgn = usign * vsign
-                    for widx, wc in w.items():
-                        inner = phi.value((widx,) + urest, vrest)
-                        if not inner:
-                            continue
-                        coeff = wc if sgn == 1 else -wc
-                        for i, c in inner.items():
-                            nc = out.get(i, QS_ZERO) + coeff * c
-                            if nc:
-                                out[i] = nc
-                            else:
-                                out.pop(i, None)
-            if out:
-                tensor[(us, vs)] = out
-    return InvariantVectorForm(space, P, Q, tensor)
+    by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], QSqrt2]]] = {}
+    for (ku, kv), w in psi.tensor.items():
+        for widx, wc in w.items():
+            by_index.setdefault(widx, []).append((ku, kv, wc))
+    for (lu, lv), vec in phi.tensor.items():
+        for k, widx in enumerate(lu):
+            urest = lu[:k] + lu[k + 1:]
+            for ku, kv, wc in by_index.get(widx, ()):
+                us, su = _merge_sign(ku, urest)
+                vs, sv = _merge_sign(kv, lv)
+                if us is None or vs is None:
+                    continue
+                coeff = wc if su * sv == (-1) ** k else -wc
+                _add_into(tensor.setdefault((us, vs), {}), coeff, vec)
+    return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
 
 
 def barwedge_kappa() -> QSqrt2:
@@ -382,6 +363,17 @@ def theta_barwedge_theta(space, p: int, q: int) -> InvariantVectorForm:
 # Linear algebra over the form spaces.
 # ---------------------------------------------------------------------------
 
+def _sparse_rows(forms: List[InvariantVectorForm]
+                 ) -> Tuple[List[SparseRow], int]:
+    """The forms as sparse rows over their nonzero (key, n+ index)
+    coordinates in sorted order, and the number of those coordinates."""
+    coords = sorted({(k, i) for f in forms for k, vec in f.tensor.items() for i in vec})
+    col = {c: j for j, c in enumerate(coords)}
+    rows = [{col[(k, i)]: c for k, vec in f.tensor.items() for i, c in vec.items()}
+            for f in forms]
+    return rows, len(coords)
+
+
 def rank_of(forms: List[InvariantVectorForm]) -> int:
     if not forms:
         return 0
@@ -390,23 +382,30 @@ def rank_of(forms: List[InvariantVectorForm]) -> int:
     for f in forms[1:]:
         if (f.p, f.q) != (p, q) or f.space != space:
             raise ValueError("mixed bidegrees or spaces")
-    keys = sorted({k for f in forms for k in f.tensor})
-    rows = [f.flat_coefficients(keys, space.dim) for f in forms]
-    return rank(rows)
+    rows, n_coords = _sparse_rows(forms)  # dense `rank`: perfbench traces that binding
+    return rank([[row.get(j, QS_ZERO) for j in range(n_coords)] for row in rows])
 
 
 def independent_coefficients(
     target: InvariantVectorForm, basis: List[InvariantVectorForm]
 ) -> Optional[List[QSqrt2]]:
-    """Exact coordinates of target in the span of basis, or None."""
-    keys = sorted(
-        {k for f in basis for k in f.tensor} | set(target.tensor)
-    )
-    dim = target.space.dim
-    cols = [f.flat_coefficients(keys, dim) for f in basis]
-    rhs = target.flat_coefficients(keys, dim)
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(rhs))]
-    return solve(mat, rhs)
+    """Exact coordinates of target in the span of basis, or None.
+
+    One equation sum_j basis_j[c] x_j = target[c] per nonzero (key, n+ index)
+    coordinate c; target's entries sit in column len(basis) until moved
+    to the right-hand side."""
+    n = len(basis)
+    equations: Dict[Tuple[Key, int], SparseRow] = {}
+    for j, f in enumerate(basis + [target]):
+        for k, vec in f.tensor.items():
+            for i, c in vec.items():
+                equations.setdefault((k, i), {})[j] = c
+    coords = sorted(equations)
+    rhs = [equations[c].pop(n, QS_ZERO) for c in coords]
+    _, _, x = sparse_rref([equations[c] for c in coords], n, rhs)
+    if x is None:
+        return None
+    return [x.get(j, QS_ZERO) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +431,7 @@ def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
     et = eta(space)
     # P00, P01, P10, P11 with Pxy the product of form x with form y
     products = [barwedge_inv(x, y) for x in (th2, et) for y in (th2, et)]
-    keys = sorted({k for f in products for k in f.tensor})
-    flat = [f.flat_coefficients(keys, space.dim) for f in products]
+    rows, n_coords = _sparse_rows(products)
 
     # theta /\ phi = a c P00 + a d P01 + b c P10 + b d P11; for fixed (a,b)
     # the map (c,d) -> result is linear with columns V1 = a P00 + b P10,
@@ -441,8 +439,8 @@ def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
     # products is injective on their span, so [V1 V2] and its rows over J
     # have the same kernel, and |J| <= 4.  A nontrivial kernel needs the 2x2
     # minors over J to vanish: A a^2 + B ab + C b^2 = 0 per pair in J.
-    J = rref(flat)[1]
-    p00, p01, p10, p11 = ([row[j] for j in J] for row in flat)
+    J = sparse_rref(rows, n_coords)[1]
+    p00, p01, p10, p11 = ([row.get(j, QS_ZERO) for j in J] for row in rows)
     quads = [
         [p00[i] * p01[j] - p00[j] * p01[i],
          p00[i] * p11[j] - p00[j] * p11[i] + p10[i] * p01[j] - p10[j] * p01[i],

@@ -289,11 +289,6 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
 
     # n+ ordering must match the invforms space
     rs = grassmannian_rs(H)
-    by_root: Dict[Tuple[int, ...], int] = {}
-    for idx, el in enumerate(elements):
-        if el.block in ("n+", "n-"):
-            key = tuple(int(c) for c in roots_key(H, el))
-            by_root[(el.block,) + key] = idx
     nplus_order: List[int] = []
     nminus_order: List[int] = []
     if rs is not None:

@@ -10,11 +10,15 @@ registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
 from flagcoh import verify
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
 _CHECKS = verify.all_checks()
 _RESULTS = {}
@@ -47,3 +51,12 @@ def test_criterion9_runtime_budget():
     total = sum(sec for _, _, sec in _RESULTS.values())
     print(f"[INFO] acceptance gate total compute time: {total:.0f}s")
     assert total < 600, f"acceptance gate took {total:.0f}s"
+
+
+def test_verdicts_and_details_match_golden():
+    """Every check's verdict and detail, from the runs above, equal the ones
+    recorded in tests/golden/verify_all.json."""
+    for crit, name, fn in _CHECKS:
+        _run(crit, name, fn)
+    got = {name: [ok, detail] for name, (ok, detail, _) in _RESULTS.items()}
+    assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))

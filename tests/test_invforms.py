@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import subprocess
 import sys
@@ -21,9 +23,11 @@ from flagcoh.invforms import (
     rank_of,
     theta_barwedge_theta,
     theta_p,
+    _barwedge_raw,
+    _clean,
     _projective_roots,
 )
-from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rref
+from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rank, rref, solve
 
 
 GR42 = MatrixPairSpace(2, 2)
@@ -295,6 +299,11 @@ def test_nilpotent_pairs_rejects_degenerate_spaces():
 # the reduced quadratics one by one (dropping a root outside Q(sqrt2)
 # without a word), and takes the kernel over all N coordinates.
 
+def _flat_coefficients(form, keys, dim):
+    """The form's coefficients over every (key, n+ index), zeros included."""
+    return [form.tensor.get(k, {}).get(i, QS_ZERO) for k in keys for i in range(dim)]
+
+
 def _scan_roots(quads):
     if not quads:
         return [(QS_ONE, QS_ZERO), (QS_ZERO, QS_ONE)]
@@ -343,7 +352,7 @@ def _scan_nilpotent_pairs(space):
         (1, 1): barwedge_inv(et, et),
     }
     keys = sorted({k for f in P.values() for k in f.tensor})
-    flat = {ab: P[ab].flat_coefficients(keys, space.dim) for ab in P}
+    flat = {ab: _flat_coefficients(P[ab], keys, space.dim) for ab in P}
     N = len(flat[(0, 0)])
     quads = []
     for i in range(N):
@@ -426,3 +435,123 @@ def test_forms_under_optimized_interpreter_gives_same_output():
                        capture_output=True, text=True).stdout
         for flags in ((), ("-O",)))
     assert plain and optimized == plain
+
+
+# --- the sparse product and the sparse rows against the dense originals -----------
+#
+# The oracle product visits every (us, vs) key tuple and every shuffle of both
+# argument groups, evaluating psi and phi through `value`; the oracle linear
+# algebra flattens the forms over every (key, n+ index), zeros included.
+
+def _shuffles(universe, k):
+    """(subset, complement, sign) triples over increasing universe."""
+    n = len(universe)
+    for picks in itertools.combinations(range(n), k):
+        subset = tuple(universe[i] for i in picks)
+        rest = tuple(universe[i] for i in range(n) if i not in picks)
+        sign = 1
+        for out_pos, i in enumerate(picks):
+            sign *= (-1) ** (i - out_pos)
+        yield subset, rest, sign
+
+
+def _dense_barwedge_raw(phi, psi):
+    space = phi.space
+    P = phi.p + psi.p - 1
+    Q = phi.q + psi.q
+    n = space.dim
+    tensor = {}
+    if P > n or Q > n or P < 0:
+        return InvariantVectorForm(space, max(P, 0), Q, tensor)
+    # both forms are evaluated on sorted arguments, or on one index in front
+    # of a sorted tuple; the values depend on nothing else, so memoize them
+    psi_value = functools.lru_cache(maxsize=None)(psi.value)
+    phi_value = functools.lru_cache(maxsize=None)(phi.value)
+    for us in itertools.combinations(range(n), P):
+        u_shuffles = list(_shuffles(us, psi.p))
+        for vs in itertools.combinations(range(n), Q):
+            out = {}
+            for vsub, vrest, vsign in _shuffles(vs, psi.q):
+                for usub, urest, usign in u_shuffles:
+                    w = psi_value(usub, vsub)
+                    if not w:
+                        continue
+                    sgn = usign * vsign
+                    for widx, wc in w.items():
+                        inner = phi_value((widx,) + urest, vrest)
+                        if not inner:
+                            continue
+                        coeff = wc if sgn == 1 else -wc
+                        for i, c in inner.items():
+                            nc = out.get(i, QS_ZERO) + coeff * c
+                            if nc:
+                                out[i] = nc
+                            else:
+                                out.pop(i, None)
+            if out:
+                tensor[(us, vs)] = out
+    return InvariantVectorForm(space, P, Q, tensor)
+
+
+def _family(space):
+    forms = {f"theta{p}": theta_p(space, p) for p in range(1, min(4, space.dim) + 1)}
+    forms.update(eta=eta(space), eta1=eta1(space), eta2=eta2(space), eta3=eta3(space))
+    return forms
+
+
+def _assert_same_product(phi, psi, label):
+    got, want = _barwedge_raw(phi, psi), _dense_barwedge_raw(phi, psi)
+    assert (got.p, got.q) == (want.p, want.q), label
+    assert _clean(got.tensor) == _clean(want.tensor), label
+
+
+@pytest.mark.parametrize("rs", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)], ids=str)
+def test_sparse_barwedge_matches_the_shuffle_sum(rs):
+    """Every ordered pair of the theta and eta families whose product fits
+    the dimension."""
+    space = MatrixPairSpace(*rs)
+    forms = _family(space)
+    for (x, phi), (y, psi) in itertools.product(forms.items(), repeat=2):
+        if phi.p + psi.p - 1 <= space.dim and phi.q + psi.q <= space.dim:
+            _assert_same_product(phi, psi, (rs, x, y))
+
+
+def test_sparse_barwedge_matches_the_shuffle_sum_on_gr63():
+    forms = {"theta2": theta_p(GR63, 2), "eta": eta(GR63)}
+    for (x, phi), (y, psi) in itertools.product(forms.items(), repeat=2):
+        _assert_same_product(phi, psi, (x, y))
+
+
+def _dense_rank_of(forms):
+    keys = sorted({k for f in forms for k in f.tensor})
+    return rank([_flat_coefficients(f, keys, f.space.dim) for f in forms])
+
+
+def _dense_coefficients(target, basis):
+    keys = sorted({k for f in basis for k in f.tensor} | set(target.tensor))
+    dim = target.space.dim
+    cols = [_flat_coefficients(f, keys, dim) for f in basis]
+    rhs = _flat_coefficients(target, keys, dim)
+    return solve([[col[i] for col in cols] for i in range(len(rhs))], rhs)
+
+
+@pytest.mark.parametrize("space", [GR42, GR52, GR53], ids=str)
+def test_sparse_rows_match_the_dense_flatten(space):
+    th2, th3, et = theta_p(space, 2), theta_p(space, 3), eta(space)
+    e1, e2, e3 = eta1(space), eta2(space), eta3(space)
+    mixed = th2.scale(RT2) + et
+    for forms in ([th2, et], [th2, et, mixed], [mixed, th2 + et.scale(RT2)],
+                  [th3, e1, e2, e3], [th3, e1, e1.scale(RT2)]):
+        assert rank_of(forms) == _dense_rank_of(forms)
+    basis = [th3, e1, e2, e3]
+    targets = [barwedge_inv(x, y) for x in (th2, et, mixed) for y in (th2, et, mixed)]
+    for target in targets:
+        got = independent_coefficients(target, basis)
+        assert got is not None and got == _dense_coefficients(target, basis)
+        assert all(isinstance(c, QSqrt2) for c in got)
+    assert independent_coefficients(mixed, [th2, et]) == [RT2, QS_ONE]
+    assert independent_coefficients(mixed, [th2, et]) == _dense_coefficients(mixed, [th2, et])
+    # outside the span: eta is not a multiple of theta2 on these spaces
+    assert independent_coefficients(mixed, [th2]) is None
+    assert _dense_coefficients(mixed, [th2]) is None
+    assert independent_coefficients(e1, []) is None
