@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -50,6 +51,32 @@ def module_label(tag: str, dim: int, mult: int) -> str:
     """Table label of a module summand: g, C or V<dim>, then ^mult if > 1."""
     base = "g" if tag == "adjoint" else "C" if tag == "trivial" else f"V{dim}"
     return base + (f"^{mult}" if mult > 1 else "")
+
+
+def _modules_label(mods: List[Dict]) -> str:
+    return " + ".join(module_label(m["tag"], m["dim"], m["mult"]) for m in mods)
+
+
+def _grid(ps, qs, cells: Dict, label) -> List[str]:
+    """Markdown `| q \\ p |` grid, one column per p and one row per q: the
+    entry cells[(p, q)] written by label, or 0 where it is missing or empty."""
+    lines = ["| q \\ p | " + " | ".join(map(str, ps)) + " |",
+             "|" + "---|" * (len(ps) + 1)]
+    for q in qs:
+        lines.append(f"| {q} | " + " | ".join(
+            label(cells[p, q]) if cells.get((p, q)) else "0" for p in ps) + " |")
+    return lines
+
+
+def parse_space_list(text: str) -> List[str]:
+    """Comma-separated preset names, split only at commas outside
+    parentheses (so `Gr(4,2),Q3` is two names); an unknown name is an
+    error."""
+    names = [bott._norm_name(s) for s in re.split(r",(?![^()]*\))", text)]
+    for name in names:
+        if name not in PRESET_NAMES:
+            _die(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")
+    return names
 
 
 def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
@@ -142,24 +169,13 @@ def cmd_cohomology_table(args) -> int:
 
     def md(pl):
         lines = [f"# H^q(M, Omega^p x Theta) for {pl['space']} (case {pl['case']})", ""]
-        lines.append("| q \\ p | " + " | ".join(str(p) for p in range(p_max + 1)) + " |")
-        lines.append("|" + "---|" * (p_max + 2))
         grid = {(e["p"], e["q"]): e["modules"] for e in pl["entries"]}
-        for q in range(q_max + 1):
-            cells = []
-            for p in range(p_max + 1):
-                mods = grid.get((p, q), [])
-                if not mods:
-                    cells.append("0")
-                else:
-                    cells.append(" + ".join(
-                        module_label(m["tag"], m["dim"], m["mult"]) for m in mods))
-            lines.append(f"| {q} | " + " | ".join(cells) + " |")
+        lines += _grid(range(p_max + 1), range(q_max + 1), grid, _modules_label)
         if pl["published_table_deviations"]:
             lines.append("")
             lines.append("flagged deviations from the published tables:")
             for d in pl["published_table_deviations"]:
-                lines.append(f"- (p={d['p']}, q={d['q']}): extra {d['extra']}")
+                lines.append(f"- (p={d['p']}, q={d['q']}): extra {_modules_label(d['extra'])}")
         return "\n".join(lines)
 
     def csv(pl):
@@ -233,7 +249,24 @@ def cmd_forms(args) -> int:
             ],
         },
     }
-    _emit(payload, args.format)
+
+    def md(pl):
+        lines = [f"# theta/eta forms on {pl['space']}", "",
+                 f"- rank(theta3, eta1, eta2, eta3) = {pl['rank_theta3_eta123']}",
+                 f"- rank(theta2, eta) = {pl['rank_theta2_eta']}"]
+        for k, v in products.items():
+            lines.append(f"- {k} = " + (
+                "(" + ", ".join(map(str, v)) + ") in (theta3, eta1, eta2, eta3)"
+                if v is not None else "outside span(theta3, eta1, eta2, eta3)"))
+        lines += ["", f"## nilpotent pairs on {pl['space']}"]
+        if rep.trivial_only:
+            lines.append("- only trivial solutions")
+        for ab, cd in rep.solutions:
+            lines.append(f"- theta = ({ab[0]}) theta2 + ({ab[1]}) eta,  "
+                         f"phi = ({cd[0]}) theta2 + ({cd[1]}) eta")
+        return "\n".join(lines)
+
+    _emit(payload, args.format, md)
     return 0
 
 
@@ -293,32 +326,19 @@ def cmd_e3(args) -> int:
     }
 
     def md(pl):
-        lines = [f"# E2/E3 for {pl['space']}, theta = a theta2 + b eta", ""]
+        lines = [f"# E2/E3 for {pl['space']}, theta = ({a}) theta2 + ({b}) eta", ""]
         for nm in ("E2", "E3"):
-            lines.append(f"## {nm}")
-            ps = sorted({e["p"] for e in pl[nm]})
-            qs = sorted({e["q"] for e in pl[nm]})
             grid = {(e["p"], e["q"]): e["summands"] for e in pl[nm]}
-            lines.append("| q \\ p | " + " | ".join(map(str, ps)) + " |")
-            lines.append("|" + "---|" * (len(ps) + 1))
-            for q in qs:
-                cells = []
-                for p in ps:
-                    ss = grid.get((p, q), [])
-                    if not ss:
-                        cells.append("0")
-                    else:
-                        cells.append(" + ".join(
-                            f"{s['provenance']}*("
-                            + module_label(s["tag"], s["dim"], s["mult"])
-                            + ("?" if s["status"] == "undetermined" else "")
-                            + ")"
-                            for s in ss
-                        ))
-                lines.append(f"| {q} | " + " | ".join(cells) + " |")
+            lines.append(f"## {nm}")
+            lines += _grid(sorted({p for p, _ in grid}), sorted({q for _, q in grid}), grid,
+                           lambda ss: " + ".join(
+                               f"{s['provenance']}*({_modules_label([s])}"
+                               + ("?)" if s["status"] == "undetermined" else ")")
+                               for s in ss))
             lines.append("")
         lines.append(f"H0 = ({pl['H0']['even']} | {pl['H0']['odd']}), "
                      f"H1 = ({pl['H1']['even']} | {pl['H1']['odd']})")
+        lines += [f"- note: {note}" for note in pl["notes"]]
         return "\n".join(lines)
 
     _emit(payload, args.format, md)
@@ -388,10 +408,9 @@ def cmd_verify_all(args) -> int:
         if "criteria" in man:
             criteria = [c.strip() for c in man["criteria"].split(",")]
         if "spaces" in man:
-            spaces = [s.strip() for s in man["spaces"].split(",")]
+            spaces = parse_space_list(man["spaces"])
     t0 = time.time()
-    results = verify.run_all(criteria=criteria, spaces=spaces,
-                             parallel=args.parallel)
+    results = verify.run_all(criteria=criteria, spaces=spaces)
     n_pass = sum(1 for r in results if r.ok)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -464,7 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("verify-all", help="run the acceptance gate")
     p.add_argument("--manifest", default=None,
                    help="key=value file pinning criteria=.. and spaces=..")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(fn=cmd_verify_all)
 
     args = ap.parse_args(argv)

@@ -520,10 +520,16 @@ def _run_one(job) -> CheckResult:
 
 
 def run_all(criteria: Optional[List[str]] = None,
-            spaces: Optional[List[str]] = None,
-            parallel: int = 1) -> List[CheckResult]:
+            spaces: Optional[List[str]] = None) -> List[CheckResult]:
+    """Run the selected checks in order, one at a time.  A criterion no
+    check has, or a selection that matches no check, is a ValueError."""
+    checks = all_checks()
+    known = {k for c, _, _ in checks for k in (c, c.rstrip("c"))}
+    unknown = sorted(set(criteria or ()) - known)
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; known: {sorted(known)}")
     jobs: List[Tuple[str, str, Callable]] = []
-    for crit, name, fn in all_checks():
+    for crit, name, fn in checks:
         if criteria and crit.rstrip("c") not in criteria and crit not in criteria:
             continue
         if spaces and "[" in name:
@@ -531,21 +537,6 @@ def run_all(criteria: Optional[List[str]] = None,
             if inside not in spaces:
                 continue
         jobs.append((crit, name, fn))
-
-    if parallel > 1:
-        # fan out over independent checks; results merged in input order
-        from concurrent.futures import ProcessPoolExecutor
-
-        names = [(c, n) for c, n, _ in jobs]
-        with ProcessPoolExecutor(max_workers=parallel) as ex:
-            outs = list(ex.map(_run_named, names))
-        return outs
+    if not jobs:
+        raise ValueError(f"no check matches criteria={criteria} spaces={spaces}")
     return [_run_one(job) for job in jobs]
-
-
-def _run_named(cn) -> CheckResult:
-    crit, name = cn
-    for c, n, fn in all_checks():
-        if (c, n) == (crit, name):
-            return _run_one((c, n, fn))
-    return CheckResult(crit, name, False, "check not found", 0.0)

@@ -208,6 +208,50 @@ def test_verify_all_with_manifest(tmp_path, capsys):
     assert "[PASS] 3.k-values" in out
 
 
+def _verify_all_names(out):
+    return [line.split("] ", 1)[1].split(" (", 1)[0]
+            for line in out.splitlines() if line.startswith("[")]
+
+
+def test_verify_all_manifest_spaces_keep_grassmannians(tmp_path, capsys):
+    man = tmp_path / "manifest.txt"
+    man.write_text("criteria = 1\nspaces = Gr(4,2),Q3\n")
+    code, out = run_cli(capsys, "verify-all", "--manifest", str(man))
+    assert _verify_all_names(out) == [
+        "1.tables[Q3]", "1c.tables-computed[Q3]",
+        "1.tables[Gr(4,2)]", "1c.tables-computed[Gr(4,2)]"]
+    assert "[PASS] 1.tables[Gr(4,2)]" in out
+    assert code == 1  # 1.tables[Q3] is red by design
+
+
+@pytest.mark.parametrize("manifest", [
+    "criteria = 9\n",                       # no such criterion
+    "criteria = 1\nspaces = Gr(5,3)\n",     # a preset no criterion-1 check covers
+    "spaces = Gr(4\n",                      # not a preset
+])
+def test_verify_all_rejects_an_empty_or_unknown_selection(tmp_path, capsys, manifest):
+    man = tmp_path / "manifest.txt"
+    man.write_text(manifest)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--manifest", str(man)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_all_has_no_parallel_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--parallel", "2"])
+    assert exc.value.code == 2
+
+
+def test_space_list_splits_outside_parentheses_only():
+    from flagcoh.cli import parse_space_list
+
+    assert parse_space_list("Gr(4,2),Q3, Gr(5, 3),CP^2") == [
+        "Gr(4,2)", "Q3", "Gr(5,3)", "CP2"]
+
+
 def test_scalar_parsing():
     from fractions import Fraction
 
@@ -215,3 +259,49 @@ def test_scalar_parsing():
     assert parse_scalar("1+2*rt2") == QSqrt2(1, 2)
     assert parse_scalar("-rt2") == QSqrt2(0, -1)
     assert parse_scalar("3/2-1/2*rt2") == QSqrt2(Fraction(3, 2), Fraction(-1, 2))
+
+
+TABLES = json.loads((GOLDEN / "tables.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_rendered_tables_match_golden_output(capsys, key):
+    """stdout of cohomology-table (json, markdown, csv), e3 and forms
+    (markdown) is byte-identical to the recorded output."""
+    fmt, cmd, space, *ab = key.split(" ")
+    argv = ["--format", fmt, cmd, "--space", space]
+    if ab:
+        argv += ["--a", ab[0], "--b", ab[1]]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == TABLES[key]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("spaces", [None, "Gr(4,2),Q3"])
+def test_run_tables_script_emits_one_section_per_space(spaces):
+    from flagcoh.bott import DESK_PRESETS
+
+    extra = [] if spaces is None else ["--spaces", spaces]
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_tables.py"), *extra],
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    head = "# H^q(M, Omega^p x Theta) for "
+    sections = [line[len(head):].split(" (")[0]
+                for line in run.stdout.splitlines() if line.startswith(head)]
+    assert sections == (list(DESK_PRESETS) if spaces is None else ["Gr(4,2)", "Q3"])
+    assert "## nilpotent pairs on Gr(4,2)" in run.stdout
+    assert "# E2/E3 for Q3, theta = (1) theta2 + (0) eta" in run.stdout
+
+
+def test_run_tables_script_rejects_an_unknown_space():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_tables.py"), "--spaces", "Gr(4,2),P9"],
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
+        capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == "" and run.stderr.startswith("error: unknown space preset 'P9'")
