@@ -11,6 +11,11 @@ index tuples with the anticommutation sign.  `superfields` multiplies the odd
 parts of its super monomials with the same function.  Products, sums and
 derivations accumulate kernel output into one dict per call and build the
 result without validating it again; only the public `make` validates.
+
+`_leibniz_into` is the one Leibniz loop: it adds +-i(phi)a into a caller's
+dict.  `apply_derivation` and `barwedge` call it once per element, and
+`bracket` calls it twice per component, i(phi) on psi's component and -+i(psi)
+on phi's, into one dict, with no intermediate form, negation or sum.
 """
 
 from __future__ import annotations
@@ -108,13 +113,22 @@ class GrassmannElement:
         return GrassmannElement._from_dict(self.m, acc)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self + (-other)
+        _require(self.m == other.m, "subtracting Grassmann elements of different m")
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            old = acc.get(k)
+            acc[k] = -c if old is None else old - c
+        return GrassmannElement._from_dict(self.m, acc)
 
     def __neg__(self) -> "GrassmannElement":
         return GrassmannElement(self.m, tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "GrassmannElement":
         c = Fraction(c)
+        if c == 1:
+            return self
         if not c:
             return GrassmannElement.zero(self.m)
         return GrassmannElement(self.m, tuple((k, c * v) for k, v in self.terms))
@@ -190,12 +204,24 @@ class VectorValuedForm:
         )
 
     def __sub__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        return self + (-other)
+        _require(self.m == other.m, "subtracting forms of different m")
+        if self.degree != other.degree:
+            if self.is_zero():
+                return -other
+            if other.is_zero():
+                return self
+            raise AssertionError("degree mismatch in form subtraction")
+        return VectorValuedForm(
+            self.m, self.degree,
+            tuple(a - b for a, b in zip(self.components, other.components)),
+        )
 
     def __neg__(self) -> "VectorValuedForm":
         return VectorValuedForm(self.m, self.degree, tuple(-x for x in self.components))
 
     def scale(self, c) -> "VectorValuedForm":
+        if c == 1:
+            return self
         return VectorValuedForm(
             self.m, self.degree, tuple(x.scale(c) for x in self.components)
         )
@@ -204,34 +230,45 @@ class VectorValuedForm:
         return all(c.is_zero() for c in self.components)
 
 
-def apply_derivation(phi: VectorValuedForm, a: GrassmannElement) -> GrassmannElement:
-    """i(phi) acting on a by the super-Leibniz rule from xi_k -> phi(xi_k).
+def _leibniz_into(acc: Dict[Monomial, Fraction], phi: VectorValuedForm,
+                  a: GrassmannElement, sign: int) -> None:
+    """Add sign * i(phi)a into acc by the super-Leibniz rule from
+    xi_k -> phi(xi_k).
 
     For the letter at position pos of a monomial, xi_left phi(xi_letter)
     xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
     moving the derivation past pos letters adds (-1)^{pos par}.
     """
-    if phi.m != a.m:
-        raise ValueError("dimension mismatch")
-    if not a.terms:
-        return a
     par = phi.parity()
-    acc: Dict[Monomial, Fraction] = {}
+    comps = phi.components
     for mono, c in a.terms:
         for pos, letter in enumerate(mono):
-            image = phi.components[letter - 1].terms
+            image = comps[letter - 1].terms
             if not image:
                 continue
             rest = mono[:pos] + mono[pos + 1:]
             for k, v in image:
-                merged, sign = _merge_sign(k, rest)
+                merged, s = _merge_sign(k, rest)
                 if merged is None:
                     continue
                 if pos % 2 and (par + len(k)) % 2:
-                    sign = -sign
-                t = c * v if sign > 0 else -(c * v)
+                    s = -s
+                t = c * v
                 old = acc.get(merged)
-                acc[merged] = t if old is None else old + t
+                if s == sign:
+                    acc[merged] = t if old is None else old + t
+                else:
+                    acc[merged] = -t if old is None else old - t
+
+
+def apply_derivation(phi: VectorValuedForm, a: GrassmannElement) -> GrassmannElement:
+    """i(phi) acting on a by the super-Leibniz rule (see `_leibniz_into`)."""
+    if phi.m != a.m:
+        raise ValueError("dimension mismatch")
+    if not a.terms:
+        return a
+    acc: Dict[Monomial, Fraction] = {}
+    _leibniz_into(acc, phi, a, 1)
     return GrassmannElement._from_dict(phi.m, acc)
 
 
@@ -255,24 +292,42 @@ def j_map(m: int, psi: GrassmannElement, degree: int = None) -> VectorValuedForm
 def barwedge(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     """Insertion product: apply i(psi) to the components of phi.
 
-    In derivation degrees this maps W_p x W_q -> W_{p+q}; the bracket below
-    is built from it.
+    In derivation degrees this maps W_p x W_q -> W_{p+q}.
     """
     if phi.m != psi.m:
         raise ValueError("dimension mismatch")
-    comps = [apply_derivation(psi, c) for c in phi.components]
     deg = phi.degree + psi.degree
     if deg < -1 or deg > phi.m:
         return VectorValuedForm.zero(phi.m, min(max(deg, -1), phi.m))
+    comps = []
+    for c in phi.components:
+        acc: Dict[Monomial, Fraction] = {}
+        _leibniz_into(acc, psi, c, 1)
+        comps.append(GrassmannElement._from_dict(phi.m, acc))
     return VectorValuedForm(phi.m, deg, tuple(comps))
 
 
 def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
-    """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)]."""
+    """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)].
+
+    Component k is i(phi)psi_k -+ i(psi)phi_k (+ when both are odd), both
+    summed into one dict; components where phi and psi are both zero are
+    skipped.
+    """
     if phi.m != psi.m:
         raise ValueError("dimension mismatch")
-    left, right = barwedge(psi, phi), barwedge(phi, psi)
-    return left + right if (phi.degree % 2) and (psi.degree % 2) else left - right
+    m, deg = phi.m, phi.degree + psi.degree
+    if deg < -1 or deg > m:
+        return VectorValuedForm.zero(m, min(max(deg, -1), m))
+    sign = 1 if (phi.degree % 2) and (psi.degree % 2) else -1
+    comps = [GrassmannElement.zero(m)] * m
+    for idx, (a, b) in enumerate(zip(phi.components, psi.components)):
+        if a.terms or b.terms:
+            acc: Dict[Monomial, Fraction] = {}
+            _leibniz_into(acc, phi, b, 1)
+            _leibniz_into(acc, psi, a, sign)
+            comps[idx] = GrassmannElement._from_dict(m, acc)
+    return VectorValuedForm(m, deg, tuple(comps))
 
 
 def contraction_c(phi: VectorValuedForm) -> GrassmannElement:

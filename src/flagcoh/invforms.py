@@ -349,7 +349,8 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
                  ) -> InvariantVectorForm:
     if phi.space != psi.space:
         raise ValueError("forms live on different spaces")
-    return _barwedge_raw(phi, psi).scale(barwedge_kappa())
+    raw, kappa = _barwedge_raw(phi, psi), barwedge_kappa()
+    return raw if kappa == 1 else raw.scale(kappa)
 
 
 def theta_barwedge_theta(space, p: int, q: int) -> InvariantVectorForm:

@@ -6,6 +6,11 @@ acting element, plus bracket / kernel / transitivity / isotropy utilities.
 Chart data: even coordinates x_{i,a} and odd xi_{i,a} with 1 <= i <= r,
 1 <= a <= s, r = n - s, arranged in the 2n x 2s coordinate matrix with
 identity blocks in the frame rows.
+
+The field map g -> g* is linear, so `homomorphism_check` builds the 2n^2
+basis fields once and expands each basis bracket [g1, g2]* as the
+combination of those fields with [g1, g2]'s entries, accumulated into one
+dict per coordinate, instead of running the jet again on the bracket.
 """
 
 from __future__ import annotations
@@ -86,14 +91,22 @@ class SuperPolynomial:
             acc[k] = c if old is None else old + c
         return SuperPolynomial._from_dict(self.nvars, acc)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            old = acc.get(k)
+            acc[k] = -c if old is None else old - c
+        return SuperPolynomial._from_dict(self.nvars, acc)
 
     def __neg__(self) -> "SuperPolynomial":
         return SuperPolynomial(self.nvars, tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "SuperPolynomial":
         c = Fraction(c)
+        if c == 1:
+            return self
         if not c:
             return SuperPolynomial.zero(self.nvars)
         return SuperPolynomial(self.nvars, tuple((k, c * v) for k, v in self.terms))
@@ -156,8 +169,14 @@ class SuperDerivation:
             [p.scale(c) for p in self.c_xi],
         )
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def __sub__(self, other: "SuperDerivation") -> "SuperDerivation":
+        _require((self.r, self.s, self.parity) == (other.r, other.s, other.parity),
+                 "subtracting derivations of different charts or parities")
+        return SuperDerivation(
+            self.r, self.s, self.parity,
+            [a - b for a, b in zip(self.c_x, other.c_x)],
+            [a - b for a, b in zip(self.c_xi, other.c_xi)],
+        )
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         """Leibniz action on a polynomial.
@@ -221,10 +240,12 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     """Super-commutator, evaluated on the coordinate generators."""
     _require((d1.r, d1.s) == (d2.r, d2.s), "bracket of derivations on different charts")
     both_odd = d1.parity and d2.parity
+    zero = SuperPolynomial.zero(d1.nvars)
 
     # a derivation's value on a coordinate is its coefficient there
     def commutator(c1: SuperPolynomial, c2: SuperPolynomial) -> SuperPolynomial:
-        a, b = d1.apply(c2), d2.apply(c1)
+        a = d1.apply(c2) if c2.terms else zero
+        b = d2.apply(c1) if c1.terms else zero
         return a + b if both_odd else a - b
 
     return SuperDerivation(
@@ -349,16 +370,6 @@ def fundamental_field(g: QnElement, s: int) -> SuperDerivation:
     )
 
 
-def fundamental_field_parts(g: QnElement, s: int) -> List[SuperDerivation]:
-    """Fundamental fields of the even and odd parts of g (each homogeneous)."""
-    out = []
-    for odd in (False, True):
-        M = g.B if odd else g.A
-        if any(any(row) for row in M):
-            out.append(_jet_field(g.n, s, M, odd))
-    return out
-
-
 def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
     """The field of the parity part M: with a square-zero parameter t of
     M's parity, the chart matrix Z moves to Z + t MZ, where M acts in the
@@ -444,13 +455,13 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             p2 = 1 if j >= n * n else 0
             br_alg = qn_bracket(g1, g2)
             br_fields = bracket(fields[i], fields[j])
-            parts = fundamental_field_parts(br_alg, s)
-            target = derivation_zero(n - s, s, br_fields.parity)
-            for p in parts:
-                if p.parity == br_fields.parity:
-                    target = target + p
-                elif not p.is_zero():
-                    raise AssertionError("parity bookkeeping broken")
+            # the field map is linear: [g1, g2]* is the combination of the
+            # basis fields with [g1, g2]'s entries, summed per parity block
+            parts = [_combination(fields, n * n * odd, M, n - s, s, odd)
+                     for odd, M in ((0, br_alg.A), (1, br_alg.B))]
+            target = parts[br_fields.parity]
+            if not parts[1 - br_fields.parity].is_zero():
+                raise AssertionError("parity bookkeeping broken")
             twist = -1 if (p1 and p2) else 1
             if br_fields.is_zero() and target.is_zero():
                 checked += 1
@@ -469,6 +480,33 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
         "pairs": checked,
         "convention": "super sign rule: [g1*,g2*] = sigma (-1)^{p1 p2} [g1,g2]*",
     }
+
+
+def _combination(fields: List[SuperDerivation], offset: int, M, r: int, s: int,
+                 parity: int) -> SuperDerivation:
+    """sum M[a][b] fields[offset + a n + b] over the nonzero entries of the
+    n x n block M, accumulated into one dict per coordinate."""
+    n = len(M)
+    entries = [(offset + a * n + b, c)
+               for a, row in enumerate(M) for b, c in enumerate(row) if c]
+    if not entries:
+        return derivation_zero(r, s, parity)
+    nv = r * s
+    acc_x: List[Dict[Monomial, Fraction]] = [{} for _ in range(nv)]
+    acc_xi: List[Dict[Monomial, Fraction]] = [{} for _ in range(nv)]
+    for k, c in entries:
+        f = fields[k]
+        for accs, polys in ((acc_x, f.c_x), (acc_xi, f.c_xi)):
+            for acc, p in zip(accs, polys):
+                for mono, v in p.terms:
+                    t = c * v
+                    old = acc.get(mono)
+                    acc[mono] = t if old is None else old + t
+    return SuperDerivation(
+        r, s, parity,
+        [SuperPolynomial._from_dict(nv, acc) for acc in acc_x],
+        [SuperPolynomial._from_dict(nv, acc) for acc in acc_xi],
+    )
 
 
 def kernel_of_action(n: int, s: int) -> List[QnElement]:

@@ -521,8 +521,9 @@ def _run_one(job) -> CheckResult:
 
 def run_all(criteria: Optional[List[str]] = None,
             spaces: Optional[List[str]] = None) -> List[CheckResult]:
-    """Run the selected checks in order, one at a time.  A criterion no
-    check has, or a selection that matches no check, is a ValueError."""
+    """Run the selected checks in order, one at a time.  With `spaces`, only
+    checks whose `[space]` is listed run.  A criterion no check has, or a
+    selection that matches no check, is a ValueError."""
     checks = all_checks()
     known = {k for c, _, _ in checks for k in (c, c.rstrip("c"))}
     unknown = sorted(set(criteria or ()) - known)
@@ -532,10 +533,9 @@ def run_all(criteria: Optional[List[str]] = None,
     for crit, name, fn in checks:
         if criteria and crit.rstrip("c") not in criteria and crit not in criteria:
             continue
-        if spaces and "[" in name:
-            inside = name[name.index("[") + 1: name.index("]")]
-            if inside not in spaces:
-                continue
+        space = name[name.index("[") + 1: name.index("]")] if "[" in name else None
+        if spaces and space not in spaces:
+            continue
         jobs.append((crit, name, fn))
     if not jobs:
         raise ValueError(f"no check matches criteria={criteria} spaces={spaces}")

@@ -224,6 +224,17 @@ def test_verify_all_manifest_spaces_keep_grassmannians(tmp_path, capsys):
     assert code == 1  # 1.tables[Q3] is red by design
 
 
+def test_verify_all_manifest_spaces_alone_runs_only_that_space(tmp_path, capsys):
+    """Checks without a [space] in their name (4.exterior, 8.superfields,
+    ...) are not about any one space and stay out of a spaces selection."""
+    man = tmp_path / "manifest.txt"
+    man.write_text("spaces = Q3\n")
+    code, out = run_cli(capsys, "verify-all", "--manifest", str(man))
+    assert _verify_all_names(out) == [
+        "1.tables[Q3]", "1c.tables-computed[Q3]", "2.dual-route[Q3]", "7.I[Q3]"]
+    assert code == 1  # 1.tables[Q3] is red by design
+
+
 @pytest.mark.parametrize("manifest", [
     "criteria = 9\n",                       # no such criterion
     "criteria = 1\nspaces = Gr(5,3)\n",     # a preset no criterion-1 check covers

@@ -566,3 +566,82 @@ def test_inhomogeneous_j_map_raises_with_and_without_python_O(flags):
                          capture_output=True, text=True)
     assert run.returncode != 0
     assert "AssertionError: j_map needs a homogeneous element" in run.stderr
+
+
+# --- the one-pass bracket against the two-barwedge bracket it replaced -------
+
+def old_bracket(phi, psi):
+    """{phi, psi} as barwedge(psi, phi) -+ barwedge(phi, psi), + when both
+    are odd: two intermediate forms, a negation and a sum."""
+    left, right = barwedge(psi, phi), barwedge(phi, psi)
+    return left + right if (phi.degree % 2) and (psi.degree % 2) else left + (-right)
+
+
+def random_rational_form(rng, m, degree, density):
+    comps = [random_element(rng, m, [degree + 1]) if rng.random() < density
+             else GrassmannElement.zero(m) for _ in range(m)]
+    return VectorValuedForm.make(m, degree, comps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bracket_matches_the_two_barwedge_oracle_m_le_4(m):
+    """Every degree pair in [-1, m]^2, among them the clamped pairs with
+    p + q < -1 and p + q > m, on random rational forms with some zero
+    components."""
+    rng = random.Random(40 + m)
+    for p in range(-1, m + 1):
+        for q in range(-1, m + 1):
+            for density in (1.0, 0.5, 0.0):
+                phi = random_rational_form(rng, m, p, density)
+                psi = random_rational_form(rng, m, q, 1.0)
+                for a, b in ((phi, psi), (psi, phi)):
+                    got = bracket(a, b)
+                    assert got == old_bracket(a, b), (m, p, q)
+                    for comp in got.components:
+                        assert_canonical(comp)
+
+
+def test_bracket_calls_apply_derivation_zero_times(monkeypatch):
+    import flagcoh.exterior as exterior
+
+    calls = []
+    apply = exterior.apply_derivation
+    monkeypatch.setattr(exterior, "apply_derivation",
+                        lambda phi, a: calls.append(a) or apply(phi, a))
+    rng = random.Random(3)
+    for p, q in ((0, 1), (1, 1), (-1, 2), (2, 2)):
+        br = exterior.bracket(random_form(rng, 3, p), random_form(rng, 3, q))
+        assert br.degree == min(p + q, 3)
+    assert calls == []
+
+
+def test_sub_matches_add_of_negation():
+    rng = random.Random(8)
+    for m in range(1, 5):
+        for _ in range(10):
+            a = random_element(rng, m, range(m + 1))
+            b = random_element(rng, m, range(m + 1))
+            for x, y in ((a, b), (b, a), (a, a), (a, GrassmannElement.zero(m)),
+                         (GrassmannElement.zero(m), b)):
+                assert x - y == x + (-y)
+                assert_canonical(x - y)
+        for p in range(-1, m + 1):
+            phi, psi = random_form(rng, m, p), random_form(rng, m, p)
+            assert phi - psi == phi + (-psi)
+            for q in range(-1, m + 1):
+                if q == p:
+                    continue
+                zero = VectorValuedForm.zero(m, q)
+                assert phi - zero == phi + (-zero)
+                assert zero - phi == zero + (-phi)
+                other = random_form(rng, m, q)
+                if not phi.is_zero() and not other.is_zero():
+                    with pytest.raises(AssertionError, match="degree mismatch"):
+                        phi - other
+
+
+def test_scale_by_one_is_the_same_object():
+    rng = random.Random(9)
+    phi = random_form(rng, 3, 1)
+    assert phi.scale(1) is phi
+    assert phi.components[0].scale(Fraction(1)) is phi.components[0]

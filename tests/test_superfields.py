@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import flagcoh
+import flagcoh.superfields as superfields
 
 from flagcoh.superfields import (
     QnElement,
@@ -17,7 +18,6 @@ from flagcoh.superfields import (
     bracket,
     derivation_zero,
     fundamental_field,
-    fundamental_field_parts,
     homomorphism_check,
     isotropy_weights,
     kernel_of_action,
@@ -488,6 +488,54 @@ def old_jet_field(n, s, M, odd):
     return field_x, field_xi
 
 
+def fundamental_field_parts(g, s):
+    """Fundamental fields of the even and odd parts of g (each homogeneous),
+    one jet per nonzero parity block."""
+    out = []
+    for odd in (False, True):
+        M = g.B if odd else g.A
+        if any(any(row) for row in M):
+            out.append(superfields._jet_field(g.n, s, M, odd))
+    return out
+
+
+def old_homomorphism_check(n, s):
+    """homomorphism_check before the linear expansion: the jet runs again on
+    the parity parts of every basis bracket."""
+    basis = qn_basis(n)
+    fields = [fundamental_field(g, s) for g in basis]
+    sigma = None
+    checked = 0
+    for i, g1 in enumerate(basis):
+        p1 = 1 if i >= n * n else 0
+        for j, g2 in enumerate(basis):
+            p2 = 1 if j >= n * n else 0
+            br_alg = qn_bracket(g1, g2)
+            br_fields = bracket(fields[i], fields[j])
+            target = derivation_zero(n - s, s, br_fields.parity)
+            for p in fundamental_field_parts(br_alg, s):
+                if p.parity == br_fields.parity:
+                    target = target + p
+                elif not p.is_zero():
+                    raise AssertionError("parity bookkeeping broken")
+            twist = -1 if (p1 and p2) else 1
+            if br_fields.is_zero() and target.is_zero():
+                checked += 1
+                continue
+            for cand in (1, -1) if sigma is None else (sigma,):
+                if (br_fields - target.scale(cand * twist)).is_zero():
+                    sigma = cand
+                    break
+            else:
+                raise AssertionError(f"no uniform sign at basis pair ({i}, {j})")
+            checked += 1
+    return {
+        "sigma": sigma if sigma is not None else 1,
+        "pairs": checked,
+        "convention": "super sign rule: [g1*,g2*] = sigma (-1)^{p1 p2} [g1,g2]*",
+    }
+
+
 def random_qn(rng, n, density):
     def block():
         return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -583,3 +631,63 @@ def test_pi_grassmannian_is_the_same_under_python_O():
     )
     assert json.loads(plain)["kernel_dim"] == 1
     assert optimized == plain
+
+
+# --- the linear expansion in homomorphism_check ------------------------------
+
+C8_SIZES = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("n,s", C8_SIZES)
+def test_homomorphism_check_matches_the_per_pair_jet(n, s):
+    assert homomorphism_check(n, s) == old_homomorphism_check(n, s)
+
+
+@pytest.mark.parametrize("n,s", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_field_map_is_linear(n, s):
+    """f(x g1 + y g2) = x f(g1) + y f(g2) on random elements of each parity,
+    which the expansion of brackets over the basis fields rests on."""
+    rng = random.Random(7 * n + s)
+    for odd in (False, True):
+        for _ in range(4):
+            h1, h2 = random_qn(rng, n, 1.0), random_qn(rng, n, 1.0)
+            b1, b2 = (h1.B, h2.B) if odd else (h1.A, h2.A)
+            x = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            y = Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 4))
+            combo = [[x * u + y * v for u, v in zip(r1, r2)] for r1, r2 in zip(b1, b2)]
+            g1, g2, g = (QnElement.make(n, B=M) if odd else QnElement.make(n, A=M)
+                         for M in (b1, b2, combo))
+            lhs = fundamental_field(g, s)
+            rhs = fundamental_field(g1, s).scale(x) + fundamental_field(g2, s).scale(y)
+            assert lhs.parity == rhs.parity == int(odd)
+            assert (lhs.c_x, lhs.c_xi) == (rhs.c_x, rhs.c_xi)
+
+
+def test_homomorphism_check_runs_the_jet_once_per_basis_element(monkeypatch):
+    """Brackets are expanded over the 2n^2 basis fields, not re-jetted."""
+    calls = []
+    jet = superfields._jet_field
+    monkeypatch.setattr(superfields, "_jet_field",
+                        lambda *args: calls.append(args[:2]) or jet(*args))
+    for n, s in C8_SIZES:
+        calls.clear()
+        homomorphism_check(n, s)
+        assert len(calls) == 2 * n * n, (n, s)
+
+
+def test_sub_matches_add_of_negation():
+    rng = random.Random(11)
+    nv = 4
+    for _ in range(40):
+        a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
+        assert a - b == a + (-b)
+        assert a - a == SuperPolynomial.zero(nv)
+    fields = [fundamental_field(g, 2) for g in qn_basis(4)]
+    for _ in range(40):
+        d1, d2 = rng.choice(fields), rng.choice(fields)
+        if d1.parity != d2.parity:
+            with pytest.raises(AssertionError, match="parities"):
+                d1 - d2
+            continue
+        got, want = d1 - d2, d1 + d2.scale(-1)
+        assert (got.parity, got.c_x, got.c_xi) == (want.parity, want.c_x, want.c_xi)
