@@ -4,9 +4,10 @@ realized exactly by their values at the base point.
 A form of bidegree (p, q) is stored as a sparse tensor over strictly
 increasing index tuples (holomorphic group of size p over the n+ basis,
 antiholomorphic group of size q over the dual n- basis), with values sparse
-vectors in n+ over Q(sqrt 2).  The barwedge runs over the stored entries on
-the `exterior._merge_sign` sign kernel; ranks and coordinates are taken
-over the sorted nonzero (key, n+ index) pairs only.
+vectors in n+.  The theta and eta families have rational entries; scaling by
+a parameter with a sqrt(2) part gives QSqrt2 entries.  The barwedge runs
+over the stored entries on the `exterior._merge_sign` sign kernel; ranks and
+coordinates are taken over the sorted nonzero (key, n+ index) pairs only.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -18,14 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
-from .rootsys import _require
-from .scalars import QS_ONE, QS_ZERO, QSqrt2, SparseRow, nullspace, rank, rref, sparse_rref
+from .scalars import QSqrt2, SparseRow, narrow, nullspace, rank, rref, sparse_rref
 
-Vec = Dict[int, QSqrt2]  # sparse vector in n+ coordinates
+Vec = Dict[int, Fraction]  # sparse vector in n+ coordinates
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -86,7 +88,7 @@ class InvariantVectorForm:
         return not self.tensor
 
     def scale(self, c) -> "InvariantVectorForm":
-        c = c if isinstance(c, QSqrt2) else QSqrt2(c)
+        c = narrow(c)
         if not c:
             return InvariantVectorForm(self.space, self.p, self.q, {})
         return InvariantVectorForm(
@@ -100,7 +102,7 @@ class InvariantVectorForm:
         out: Dict[Key, Vec] = {k: dict(v) for k, v in self.tensor.items()}
         for k, vec in other.tensor.items():
             tgt = out.setdefault(k, {})
-            _add_into(tgt, QS_ONE, vec)
+            _add_into(tgt, 1, vec)
             if not tgt:
                 out.pop(k)
         return InvariantVectorForm(self.space, self.p, self.q, out)
@@ -115,20 +117,20 @@ class InvariantVectorForm:
         )
 
 
-def _add_into(tgt: Vec, coeff: QSqrt2, vec: Vec) -> None:
+def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
     """tgt += coeff * vec, dropping the entries that cancel."""
     for i, c in vec.items():
-        nc = tgt.get(i, QS_ZERO) + coeff * c
+        nc = tgt.get(i, 0) + coeff * c
         if nc:
             tgt[i] = nc
         else:
             tgt.pop(i, None)
 
 
-def _clean(t: Dict[Key, Vec]) -> Dict[Key, Tuple]:
+def _clean(t: Dict[Key, Vec]) -> Dict[Key, Vec]:
     out = {}
     for k, vec in t.items():
-        v = tuple(sorted((i, (c.a, c.b)) for i, c in vec.items() if c))
+        v = {i: c for i, c in vec.items() if c}
         if v:
             out[k] = v
     return out
@@ -152,7 +154,7 @@ def theta_p(space, p: int) -> InvariantVectorForm:
     for us in itertools.combinations(range(n), p):
         for k, uk in enumerate(us):
             sign = 1 if (p + k + 1) % 2 == 0 else -1
-            tensor[(us, us[:k] + us[k + 1:])] = {uk: QSqrt2(pref * sign)}
+            tensor[(us, us[:k] + us[k + 1:])] = {uk: Fraction(pref * sign)}
     return InvariantVectorForm(space, p, p - 1, tensor)
 
 
@@ -191,7 +193,7 @@ def _uvu(space, ua, v, ub) -> Optional[int]:
 def _vec_add(vec: Vec, idx: Optional[int], coeff) -> None:
     if idx is None:
         return
-    c = vec.get(idx, QS_ZERO) + QSqrt2(coeff)
+    c = vec.get(idx, 0) + Fraction(coeff)
     if c:
         vec[idx] = c
     else:
@@ -289,20 +291,20 @@ def _uvuvu(space, ua, v1, ub, v2, uc) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# barwedge on invariant forms: a sparse product with one global constant.
+# barwedge on invariant forms: a sparse product over the stored entries.
 # ---------------------------------------------------------------------------
 
-_KAPPA: Optional[QSqrt2] = None
-
-
-def _barwedge_raw(phi: InvariantVectorForm, psi: InvariantVectorForm
-                  ) -> InvariantVectorForm:
+def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
+                 ) -> InvariantVectorForm:
     """Shuffle-sum insertion of psi into the first holomorphic slot of phi;
-    equals the full alternation divided by (p1-1)! p2! q1! q2!.
+    equals the full alternation divided by (p1-1)! p2! q1! q2!, which makes
+    theta2 /\\ theta2 = 2 theta3.
 
     Sparse over stored entries: psi's (ku, kv) -> w feeds slot k of phi's
     (lu, lv) when w has the index lu[k], at the keys `_merge_sign` gives for
     (ku, lu minus slot k) and (kv, lv), with (-1)^k times their signs."""
+    if phi.space != psi.space:
+        raise ValueError("forms live on different spaces")
     space = phi.space
     P = phi.p + psi.p - 1
     Q = phi.q + psi.q
@@ -310,7 +312,7 @@ def _barwedge_raw(phi: InvariantVectorForm, psi: InvariantVectorForm
     tensor: Dict[Key, Vec] = {}
     if P > n or Q > n or P < 0:
         return InvariantVectorForm(space, max(P, 0), Q, tensor)
-    by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], QSqrt2]]] = {}
+    by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction]]] = {}
     for (ku, kv), w in psi.tensor.items():
         for widx, wc in w.items():
             by_index.setdefault(widx, []).append((ku, kv, wc))
@@ -325,32 +327,6 @@ def _barwedge_raw(phi: InvariantVectorForm, psi: InvariantVectorForm
                 coeff = wc if su * sv == (-1) ** k else -wc
                 _add_into(tensor.setdefault((us, vs), {}), coeff, vec)
     return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
-
-
-def barwedge_kappa() -> QSqrt2:
-    """The module constant, solved once from theta2 /\\ theta2 = 2 theta3 on
-    the smallest space carrying a nonzero theta3 and reused unchanged."""
-    global _KAPPA
-    if _KAPPA is None:
-        space = MatrixPairSpace(3, 1)
-        raw = _barwedge_raw(theta_p(space, 2), theta_p(space, 2))
-        target = theta_p(space, 3).scale(2)
-        ratios = set()
-        for k, vec in target.tensor.items():
-            rv = raw.tensor.get(k, {})
-            for i, c in vec.items():
-                ratios.add(c / rv[i])
-        _require(len(ratios) == 1, "anchor identity must pin a single constant")
-        _KAPPA = ratios.pop()
-    return _KAPPA
-
-
-def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
-                 ) -> InvariantVectorForm:
-    if phi.space != psi.space:
-        raise ValueError("forms live on different spaces")
-    raw, kappa = _barwedge_raw(phi, psi), barwedge_kappa()
-    return raw if kappa == 1 else raw.scale(kappa)
 
 
 def theta_barwedge_theta(space, p: int, q: int) -> InvariantVectorForm:
@@ -384,7 +360,7 @@ def rank_of(forms: List[InvariantVectorForm]) -> int:
         if (f.p, f.q) != (p, q) or f.space != space:
             raise ValueError("mixed bidegrees or spaces")
     rows, n_coords = _sparse_rows(forms)  # dense `rank`: perfbench traces that binding
-    return rank([[row.get(j, QS_ZERO) for j in range(n_coords)] for row in rows])
+    return rank([[row.get(j, 0) for j in range(n_coords)] for row in rows])
 
 
 def independent_coefficients(
@@ -402,16 +378,34 @@ def independent_coefficients(
             for i, c in vec.items():
                 equations.setdefault((k, i), {})[j] = c
     coords = sorted(equations)
-    rhs = [equations[c].pop(n, QS_ZERO) for c in coords]
+    rhs = [equations[c].pop(n, 0) for c in coords]
     _, _, x = sparse_rref([equations[c] for c in coords], n, rhs)
     if x is None:
         return None
-    return [x.get(j, QS_ZERO) for j in range(n)]
+    return [QSqrt2(x.get(j, 0)) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# Nilpotent pairs: (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
+# The (2,1)-forms theta2, eta and their product table; nilpotent pairs
+# (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
+    """P[x][y] = B_x /\\ B_y over the basis B of the invariant (2,1)-forms,
+    theta2 and (when r, s >= 2) eta, restricted to the pivot columns J of
+    the products.  Restriction to J is injective on the span of the
+    products, so every combination of them keeps its rank and kernel there;
+    |J| <= 4."""
+    basis = [theta_p(space, 2)]
+    if isinstance(space, MatrixPairSpace) and min(space.r, space.s) >= 2:
+        basis.append(eta(space))
+    rows, n_coords = _sparse_rows([barwedge_inv(x, y) for x in basis for y in basis])
+    J = sparse_rref(rows, n_coords)[1]
+    P = [tuple(row.get(j, 0) for j in J) for row in rows]
+    m = len(basis)
+    return tuple(tuple(P[x * m:(x + 1) * m]) for x in range(m))
+
 
 @dataclass
 class NilpotentPairReport:
@@ -422,26 +416,19 @@ class NilpotentPairReport:
 
 def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
     """All ((a,b),(c,d)) with (a th2 + b eta) /\\ (c th2 + d eta) = 0, up to
-    scalar, via the exact bilinear system on the four product tensors.
+    scalar, via the exact bilinear system on the product table.
 
     Raises ValueError when (a : b) solves a single quadratic whose roots lie
     outside Q(sqrt2)."""
     if space.r < 2 or space.s < 2:
         raise ValueError("eta degenerates to theta2 for s = 1 or r = 1")
-    th2 = theta_p(space, 2)
-    et = eta(space)
-    # P00, P01, P10, P11 with Pxy the product of form x with form y
-    products = [barwedge_inv(x, y) for x in (th2, et) for y in (th2, et)]
-    rows, n_coords = _sparse_rows(products)
+    (p00, p01), (p10, p11) = product_table(space)
 
     # theta /\ phi = a c P00 + a d P01 + b c P10 + b d P11; for fixed (a,b)
     # the map (c,d) -> result is linear with columns V1 = a P00 + b P10,
-    # V2 = a P01 + b P11.  Restriction to the pivot columns J of the four
-    # products is injective on their span, so [V1 V2] and its rows over J
-    # have the same kernel, and |J| <= 4.  A nontrivial kernel needs the 2x2
-    # minors over J to vanish: A a^2 + B ab + C b^2 = 0 per pair in J.
-    J = sparse_rref(rows, n_coords)[1]
-    p00, p01, p10, p11 = ([row.get(j, QS_ZERO) for j in J] for row in rows)
+    # V2 = a P01 + b P11, read on the pivot columns J of the table.  A
+    # nontrivial kernel needs the 2x2 minors over J to vanish:
+    # A a^2 + B ab + C b^2 = 0 per pair in J.
     quads = [
         [p00[i] * p01[j] - p00[j] * p01[i],
          p00[i] * p11[j] - p00[j] * p11[i] + p10[i] * p01[j] - p10[j] * p01[i],
@@ -464,23 +451,27 @@ def _projective_roots(quads) -> List[Tuple[QSqrt2, QSqrt2]]:
     quads = red[:len(pivots)]
     if not quads:
         # every (a,b) works; report the two coordinate axes as generators
-        return [(QS_ONE, QS_ZERO), (QS_ZERO, QS_ONE)]
-    if len(quads) == 3:
-        return []
-    if len(quads) == 2:
+        roots = [(1, 0), (0, 1)]
+    elif len(quads) == 3:
+        roots = []
+    elif len(quads) == 2:
         # (a^2, ab, b^2) must span the kernel line of the two rows, which
         # their cross product w spans; that needs w1^2 = w0 w2
         (A1, B1, C1), (A2, B2, C2) = quads
         w0, w1, w2 = B1 * C2 - C1 * B2, C1 * A2 - A1 * C2, A1 * B2 - B1 * A2
         if w1 * w1 != w0 * w2:
-            return []
-        return [(w1 / w2, QS_ONE)] if w2 else [(QS_ONE, QS_ZERO)]
-    (A, B, C), = quads
-    if not A:
+            roots = []
+        else:
+            roots = [(w1 / w2, 1)] if w2 else [(1, 0)]
+    elif not quads[0][0]:
         # b = 0 is a root, and b = 1 leaves B t + C = 0
-        return [(QS_ONE, QS_ZERO)] + ([(-C / B, QS_ONE)] if B else [])
-    sq = (B * B - 4 * A * C).sqrt()
-    if sq is None:
-        raise ValueError(f"the roots of {A} t^2 + {B} t + {C} lie outside Q(sqrt2)")
-    roots = {(-B + sq) / (2 * A), (-B - sq) / (2 * A)}
-    return [(t, QS_ONE) for t in sorted(roots, key=lambda t: (t.a, t.b))]
+        (_, B, C), = quads
+        roots = [(1, 0)] + ([(-C / B, 1)] if B else [])
+    else:
+        (A, B, C), = quads
+        sq = QSqrt2(B * B - 4 * A * C).sqrt()
+        if sq is None:
+            raise ValueError(f"the roots of {A} t^2 + {B} t + {C} lie outside Q(sqrt2)")
+        ts = {(-B + sq) / (2 * A), (-B - sq) / (2 * A)}
+        roots = [(t, 1) for t in sorted(ts, key=lambda t: (t.a, t.b))]
+    return [(QSqrt2(a), QSqrt2(b)) for a, b in roots]

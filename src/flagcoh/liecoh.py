@@ -28,7 +28,7 @@ from .invforms import (
     theta_p,
 )
 from .rootsys import _require
-from .scalars import QS_ZERO, QSqrt2, SparseRow, rref_kernel, solve, sparse_rref
+from .scalars import QSqrt2, SparseRow, narrow, rref_kernel, solve, sparse_rref
 
 Mat = Dict[Tuple[int, int], Fraction]
 
@@ -391,7 +391,9 @@ def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> Fracti
 # Cochains
 # ---------------------------------------------------------------------------
 
-EVec = List[QSqrt2]  # coordinates in the coefficient module
+# coordinates in the coefficient module: Fractions, and QSqrt2 where the
+# parameter of a theta form has a sqrt(2) part
+EVec = List[Fraction]
 
 
 @dataclass
@@ -413,7 +415,7 @@ class Cochain:
         return self.mdim if self.mdim is not None else self.gb.n * self.gb.n
 
     def value(self, key) -> EVec:
-        return self.data.get(key, [QS_ZERO] * self.module_dim)
+        return self.data.get(key, [Fraction(0)] * self.module_dim)
 
     def is_zero(self) -> bool:
         return all(not any(v) for v in self.data.values())
@@ -430,7 +432,6 @@ class Cochain:
         return Cochain(self.gb, self.degree, out, self.mdim)
 
     def scale(self, c) -> "Cochain":
-        c = c if isinstance(c, QSqrt2) else QSqrt2(c)
         return Cochain(
             self.gb, self.degree,
             {k: [c * x for x in v] for k, v in self.data.items()},
@@ -464,14 +465,13 @@ def _differential(c: Cochain) -> Cochain:
     """delta c in any degree (see _delta_terms)."""
     out: Dict[object, EVec] = {}
     for key, terms in _delta_terms(c.gb, c.degree):
-        acc = [QS_ZERO] * c.module_dim
+        acc = [Fraction(0)] * c.module_dim
         for src, co in terms:
             val = c.data.get(src)
             if val:
-                f = QSqrt2(co)
                 for t, x in enumerate(val):
                     if x:
-                        acc[t] = acc[t] + x * f
+                        acc[t] = acc[t] + x * co
         if any(acc):
             out[key] = acc
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
@@ -498,15 +498,14 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
         if not any(pw):
             continue
         for v in range(n):
-            acc = [QS_ZERO] * (n * n)
+            acc = [Fraction(0)] * (n * n)
             for j, co in enumerate(pw):
                 if not co:
                     continue
-                f = QSqrt2(co)
                 for i in range(n):
                     vec = theta.value([i, j], [v])
                     for u, x in vec.items():
-                        acc[i * n + u] = acc[i * n + u] + f * x
+                        acc[i * n + u] = acc[i * n + u] + co * x
             if any(acc):
                 out[(v, w)] = acc
     return Cochain(gb, 1, out)
@@ -611,7 +610,7 @@ def _invariant_cochains(gb: GModuleBasis, degree: int) -> List[Cochain]:
         for k, x in sorted(vec.items()):
             i, t = unknowns[k]
             key = i if degree == 0 else divmod(i, gb.dim)
-            data.setdefault(key, [QS_ZERO] * (gb.n * gb.n))[t] = QSqrt2(x)
+            data.setdefault(key, [Fraction(0)] * (gb.n * gb.n))[t] = x
         out.append(Cochain(gb, degree, data))
     return out
 
@@ -642,7 +641,7 @@ def is_r_invariant(c: Cochain) -> bool:
         raise ValueError("R-invariance test implemented for 1-cochains")
     unknowns, rows = _cochain_system(c.gb, 1)
     index = {u: k for k, u in enumerate(unknowns)}
-    coords: Dict[int, QSqrt2] = {}
+    coords: Dict[int, Fraction] = {}
     for (v, w), vec in c.data.items():
         for t, x in enumerate(vec):
             if x:
@@ -650,8 +649,8 @@ def is_r_invariant(c: Cochain) -> bool:
                 if k is None:
                     return False
                 coords[k] = x
-    return not any(sum((co * coords[k] for k, co in row.items() if k in coords),
-                       QS_ZERO) for row in rows)
+    return not any(sum(co * coords[k] for k, co in row.items() if k in coords)
+                   for row in rows)
 
 
 def _coordinate_rows(cochains: Sequence[Cochain]) -> List[SparseRow]:
@@ -696,7 +695,7 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
         return CoboundaryResult(c.is_zero(), None)
     # the target c is one more column, moved to the right-hand side
     rows = _coordinate_rows(images + [c])
-    rhs = [row.pop(len(basis), QS_ZERO) for row in rows]
+    rhs = [row.pop(len(basis), 0) for row in rows]
     x = sparse_rref(rows, len(basis), rhs)[2]
     if x is None:
         return CoboundaryResult(False, None)
@@ -748,7 +747,7 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
                 for j, co in enumerate(pw):
                     if co:
                         for u, x in th2.value([j, a], [b]).items():
-                            nx = vec.get(u, QS_ZERO) + QSqrt2(co) * x
+                            nx = vec.get(u, 0) + co * x
                             if nx:
                                 vec[u] = nx
                             else:
@@ -759,7 +758,7 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
         F_w = barwedge_inv(theta, phi_w)  # (2,2)-form
         for v1 in range(n):
             for v2 in range(v1 + 1, n):
-                acc = [QS_ZERO] * md
+                acc = [Fraction(0)] * md
                 nonzero = False
                 for (i, j) in pairs:
                     vec = F_w.value([i, j], [v1, v2])
@@ -794,7 +793,7 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
         rows.setdefault(coord, {})
     coords = list(rows)
     return sparse_rref([rows[k] for k in coords], len(unknowns),
-                       [target.get(k, QS_ZERO) for k in coords])[2] is not None
+                       [target.get(k, 0) for k in coords])[2] is not None
 
 
 def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
@@ -817,9 +816,9 @@ def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
-    """a theta2 + b eta on the realization's pair space (eta needs Grassmann)."""
-    a = a if isinstance(a, QSqrt2) else QSqrt2(a)
-    b = b if isinstance(b, QSqrt2) else QSqrt2(b)
+    """a theta2 + b eta on the realization's pair space (eta needs Grassmann);
+    rational when a and b are."""
+    a, b = narrow(a), narrow(b)
     th2 = theta_p(gb.space, 2)
     if isinstance(gb.space, MatrixPairSpace) and min(gb.space.r, gb.space.s) >= 2:
         return th2.scale(a) + eta(gb.space).scale(b)
@@ -827,7 +826,7 @@ def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
         # eta degenerates (or is undefined); fold it into theta2 where legal
         if isinstance(gb.space, MatrixPairSpace):
             sign = 1 if gb.space.r == 1 else -1
-            return th2.scale(a + b * QSqrt2(sign))
+            return th2.scale(a + b * sign)
         raise ValueError("eta undefined on non-Grassmann spaces")
     return th2.scale(a)
 

@@ -1,6 +1,13 @@
 """Exact scalars: rationals, the quadratic field Q(sqrt 2), and sparse exact
 linear algebra (rref/rank/nullspace/solve) generic over both.
 
+The forms, structure constants and cochains are rational and computed over
+Fraction; sqrt(2) enters only through a parameter (a, b) of
+theta = a theta2 + b eta and through the roots of the nilpotent-pair
+quadratics.  `narrow` turns a parameter without a sqrt(2) part into its
+Fraction where it enters, and mixed sums and products fall through to
+QSqrt2's reflected operators.
+
 `sparse_rref` is the one entry point to the sparse Gauss-Jordan kernel: it
 takes dict rows and a column count, and the dense rref/rank/nullspace/solve
 are thin wrappers over it.  Matrices whose entries are all rational are
@@ -18,8 +25,9 @@ from typing import Dict, List, Optional, Set, Tuple
 class QSqrt2:
     """Element a + b*sqrt(2) of Q(sqrt 2), with exact rational a, b.
 
-    The only irrationality the library ever needs: nilpotent-pair solutions
-    involve sqrt(2) and nothing else.
+    The only irrationality the library ever needs: the published parameter
+    sqrt2 theta2 + eta and the nilpotent-pair roots involve sqrt(2) and
+    nothing else.
     """
 
     __slots__ = ("a", "b")
@@ -91,12 +99,6 @@ class QSqrt2:
             return f"{self.b}*rt2"
         return f"{self.a}+{self.b}*rt2"
 
-    def conj(self) -> "QSqrt2":
-        return QSqrt2(self.a, -self.b)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sqrt(self) -> Optional["QSqrt2"]:
         """Exact square root inside Q(sqrt2), or None if there is none.
 
@@ -128,6 +130,13 @@ class QSqrt2:
 RT2 = QSqrt2(0, 1)
 QS_ZERO = QSqrt2(0, 0)
 QS_ONE = QSqrt2(1, 0)
+
+
+def narrow(x):
+    """x as a Fraction when it is rational, else the QSqrt2 itself."""
+    if isinstance(x, QSqrt2):
+        return x if x.b else x.a
+    return Fraction(x)
 
 
 def _coerce(x) -> QSqrt2:

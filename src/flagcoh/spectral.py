@@ -22,20 +22,14 @@ from .bott import (
     invariant_dimension,
     tangent_sheaf_E2,
 )
-from .invforms import (
-    MatrixPairSpace,
-    RootPairSpace,
-    barwedge_inv,
-    eta,
-    rank_of,
-    theta_p,
-)
+from .invforms import product_table
 from .liecoh import (
+    build_g_basis,
     d2_rank_on_vector_fields,
     d2_vanishes_on_adjoint_at_01,
 )
 from .rootsys import _require
-from .scalars import QS_ZERO, QSqrt2
+from .scalars import QSqrt2, narrow, rank
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ def theta_for(H: HermitianSymmetricSpace, a=1, b=0) -> ThetaParameter:
         rs = grassmannian_rs(H)
         if rs is not None:
             sign = 1 if rs[0] == 1 else -1
-            a, b = a + b * QSqrt2(sign), QS_ZERO
+            a, b = a + b * sign, QSqrt2(0)
         else:
             raise ValueError("eta is Grassmann-specific; case I takes b = 0")
     return ThetaParameter(H.case, a, b)
@@ -133,16 +127,6 @@ class E3Result:
     notes: List[str] = field(default_factory=list)
 
 
-def _invariant_21_basis(H: HermitianSymmetricSpace):
-    """Basis of the invariant (2,1)-forms and the tensor space they live on."""
-    rs = grassmannian_rs(H)
-    if rs is not None and min(rs) >= 2:
-        space = MatrixPairSpace(*rs)
-        return space, [theta_p(space, 2), eta(space)]
-    space = MatrixPairSpace(*rs) if rs is not None else RootPairSpace(H.dim)
-    return space, [theta_p(space, 2)]
-
-
 def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     if H.rd.type.family == "E":
         raise ValueError("E-type spectral tables are outside the desk scale")
@@ -152,7 +136,7 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
         for k, v in E2.items()
     }
     notes: List[str] = []
-    a, b = theta.a, theta.b
+    a, b = narrow(theta.a), narrow(theta.b)
 
     # (i) E2^{-1,0}: w -> l*[theta /\ w], rank 0 or dim g (liecoh)
     rank_v = d2_rank_on_vector_fields(H, a, b)
@@ -165,19 +149,17 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     _remove(E3[(2, 1)], "l", "trivial", 1)
 
     # (iii) i*-part of (1,1): phi -> l*[theta /\ phi] into the invariant part
-    # of (3,2); kernel computed exactly on the invariant (2,1)-forms
-    space, basis21 = _invariant_21_basis(H)
-    if isinstance(space, MatrixPairSpace) and min(space.r, space.s) >= 2:
-        th_form = theta_p(space, 2).scale(a) + eta(space).scale(b)
-    else:
-        th_form = theta_p(space, 2).scale(a)  # b collapsed by theta_for
-    images = [barwedge_inv(th_form, phi) for phi in basis21]
-    nonzero_images = [f for f in images if not f.is_zero()]
-    rank11 = rank_of(nonzero_images) if nonzero_images else 0
-    kernel11 = len(basis21) - rank11
+    # of (3,2); on the invariant (2,1)-forms B_y, theta /\ B_y is
+    # sum_x c_x B_x /\ B_y with (c_x) = (a, b) (b collapsed by theta_for
+    # where eta is no basis form), read on the product table
+    P = product_table(build_g_basis(H).space)
+    coeffs = (a, b)[:len(P)]
+    rank11 = rank([[sum(c * Px[y][j] for c, Px in zip(coeffs, P))
+                    for j in range(len(P[0][y]))] for y in range(len(P))])
+    kernel11 = len(P) - rank11
     avail = _count(E3.get((1, 1), []), "i", "trivial")
-    _require(avail == len(basis21),
-             f"{avail} trivial i*-summands at (1,1) for {len(basis21)} invariant (2,1)-forms")
+    _require(avail == len(P),
+             f"{avail} trivial i*-summands at (1,1) for {len(P)} invariant (2,1)-forms")
     _remove(E3[(1, 1)], "i", "trivial", rank11)
     # the image lands in the invariant part of (3,2)
     _remove(E3.get((3, 2), []), "l", "trivial", rank11)

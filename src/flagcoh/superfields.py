@@ -466,8 +466,9 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             if br_fields.is_zero() and target.is_zero():
                 checked += 1
                 continue
+            # both sides are canonical (sorted terms, no zeros)
             for cand in (1, -1) if sigma is None else (sigma,):
-                if (br_fields - target.scale(cand * twist)).is_zero():
+                if br_fields == target.scale(cand * twist):
                     sigma = cand
                     break
             else:

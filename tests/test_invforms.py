@@ -13,7 +13,6 @@ from flagcoh.invforms import (
     MatrixPairSpace,
     RootPairSpace,
     barwedge_inv,
-    barwedge_kappa,
     eta,
     eta1,
     eta2,
@@ -23,7 +22,6 @@ from flagcoh.invforms import (
     rank_of,
     theta_barwedge_theta,
     theta_p,
-    _barwedge_raw,
     _clean,
     _projective_roots,
 )
@@ -137,10 +135,6 @@ def test_eta_theta2_independent_in_the_middle():
 
 # --- barwedge normalization and the theta product law -------------------------
 
-def test_kappa_is_one():
-    assert barwedge_kappa() == QS_ONE
-
-
 def test_theta1_unit_laws():
     for sp in (GR42, GR52):
         th1 = theta_p(sp, 1)
@@ -153,6 +147,7 @@ def test_theta1_unit_laws():
 @pytest.mark.parametrize("space,pairs", [
     (GR52, [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4)]),
     (GR63, [(2, 2), (2, 3), (3, 2), (1, 4)]),
+    (MatrixPairSpace(3, 1), [(2, 2)]),  # the smallest space with theta3 != 0
 ])
 def test_theta_product_law(space, pairs):
     """theta_p /\\ theta_q = p theta_{p+q-1} for p+q <= 5."""
@@ -500,7 +495,7 @@ def _family(space):
 
 
 def _assert_same_product(phi, psi, label):
-    got, want = _barwedge_raw(phi, psi), _dense_barwedge_raw(phi, psi)
+    got, want = barwedge_inv(phi, psi), _dense_barwedge_raw(phi, psi)
     assert (got.p, got.q) == (want.p, want.q), label
     assert _clean(got.tensor) == _clean(want.tensor), label
 

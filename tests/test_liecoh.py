@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flagcoh.bott import space_from_preset
+from flagcoh.invforms import barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
     _commutator,
@@ -25,6 +26,7 @@ from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank
 
 MATRIX_PRESETS = ["CP2", "CP3", "Q3", "Q5", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)",
                   "Gr(6,3)", "LG3", "S-D4"]
+GRASSMANN_PRESETS = ["CP2", "CP3", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)", "Gr(6,3)"]
 
 
 @pytest.fixture(scope="module")
@@ -481,3 +483,22 @@ def test_is_r_invariant_rejects_non_invariant_cochains(gr42):
     assert not is_r_invariant(c + single(*on))
     with pytest.raises(ValueError):
         is_r_invariant(Cochain(gb, 0, {}))
+
+
+@pytest.mark.parametrize("name", GRASSMANN_PRESETS)
+def test_rational_forms_and_cochains_hold_no_qsqrt2(name):
+    """The theta and eta families, the four theta2/eta products and the
+    cocycle of the rational parameter (0, 1) are computed over Fraction;
+    sqrt(2) enters only with a parameter or a root that carries it."""
+    gb = build_g_basis(space_from_preset(name))
+    sp = gb.space
+    th2, et = theta_p(sp, 2), eta(sp)
+    forms = [theta_p(sp, p) for p in range(1, sp.dim + 1)]
+    forms += [et, eta1(sp), eta2(sp), eta3(sp)]
+    forms += [barwedge_inv(x, y) for x in (th2, et) for y in (th2, et)]
+    for f in forms:
+        assert not any(isinstance(c, QSqrt2)
+                       for vec in f.tensor.values() for c in vec.values()), f.p
+    c = cochain_from_form(gb, theta_form(gb, QSqrt2(0), QSqrt2(1)))
+    assert not c.is_zero()
+    assert not any(isinstance(x, QSqrt2) for vec in c.data.values() for x in vec)
