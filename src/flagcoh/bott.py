@@ -42,10 +42,6 @@ class HermitianSymmetricSpace:
     def dim(self) -> int:
         return len(self.N_plus)
 
-    def m_coefficient(self, lam: Sequence) -> Fraction:
-        """Coefficient at alpha_1 (case I/III) or the sum over both neighbors."""
-        return sum(Fraction(lam[i]) for i in self.neighbors)
-
     def n_plus_character(self) -> FormalCharacter:
         return char_of_roots(self.N_plus)
 

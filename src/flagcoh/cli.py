@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bott, invforms, liecoh, spectral, superfields, verify
 from .bott import PRESET_NAMES, space_from_preset
@@ -168,7 +168,8 @@ def cmd_cohomology_table(args) -> int:
     }
 
     def md(pl):
-        lines = [f"# H^q(M, Omega^p x Theta) for {pl['space']} (case {pl['case']})", ""]
+        lines = [f"# H^q(M, Omega^p x Theta) for {pl['space']} "
+                 f"(case {pl['case']}, dim {pl['dim']}, k = {pl['k']})", ""]
         grid = {(e["p"], e["q"]): e["modules"] for e in pl["entries"]}
         lines += _grid(range(p_max + 1), range(q_max + 1), grid, _modules_label)
         if pl["published_table_deviations"]:
@@ -338,6 +339,10 @@ def cmd_e3(args) -> int:
             lines.append("")
         lines.append(f"H0 = ({pl['H0']['even']} | {pl['H0']['odd']}), "
                      f"H1 = ({pl['H1']['even']} | {pl['H1']['odd']})")
+        f32 = pl["flag_32"]
+        lines.append(f"flag_32: computed trivial {f32['computed_trivial']}, "
+                     f"published reading {f32['published_reading']}, "
+                     f"agree {'yes' if f32['agree'] else 'no'}, k = {f32['k']}")
         lines += [f"- note: {note}" for note in pl["notes"]]
         return "\n".join(lines)
 
@@ -425,7 +430,49 @@ def cmd_verify_all(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
+_SPACE = ("--space", {"required": True})
+
+# name -> (handler, help, arguments as (flag, add_argument keywords))
+COMMANDS: Dict[str, Tuple[Callable, str, Tuple]] = {
+    "roots": (cmd_roots, "root-system report",
+              (("type", {"help": "simple type, e.g. B3"}),)),
+    "bott": (cmd_bott, "Bott's algorithm for one bundle weight", (
+        ("--space", {"required": True, "help": f"one of {PRESET_NAMES}"}),
+        ("--weight", {"required": True,
+                      "help": "S-dominant weight, comma-separated simple-root coords"}))),
+    "cohomology-table": (cmd_cohomology_table, "H^q(M, Omega^p x Theta) table", (
+        _SPACE, ("--p", {"type": int, "help": "max p (default 4)"}),
+        ("--q", {"type": int, "help": "max q (default 2)"}))),
+    "invariants": (cmd_invariants, "invariant dimension by both routes",
+                   (_SPACE, ("--p", {"type": int}), ("--q", {"type": int}))),
+    "forms": (cmd_forms, "theta/eta family report", (_SPACE,)),
+    "d2": (cmd_d2, "degree-2 differential rank on vector fields", (
+        _SPACE, ("--a", {"help": "scalar, e.g. '1' or '1+2*rt2'"}), ("--b", {}))),
+    "e3": (cmd_e3, "E2/E3 tables and H^0/H^1 report", (_SPACE, ("--a", {}), ("--b", {}))),
+    "pi-grassmannian": (cmd_pi_grassmannian, "fundamental fields of the q_n action", (
+        ("--n", {"type": int, "required": True}), ("--s", {"type": int, "required": True}))),
+    "verify-all": (cmd_verify_all, "run the acceptance gate", (
+        ("--manifest", {"help": "key=value file pinning criteria=.. and spaces=.."}),)),
+}
+
+
+def _named_command(argv: List[str]) -> Optional[str]:
+    """The command argv names: its first token that is neither an option nor
+    the value of --format, if that token is a command; else None."""
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--format":
+            next(tokens, None)
+        elif not tok.startswith("-"):
+            return tok if tok in COMMANDS else None
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse argv and run its command.  Only the named command's subparser
+    is built; with no command named, all are, so that --help and the
+    invalid-choice error list every command."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = argparse.ArgumentParser(
         prog="flagcoh",
         description=__doc__,
@@ -433,57 +480,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--format", choices=("json", "csv", "markdown"),
                     default="json")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="root-system report")
-    p.add_argument("type", help="simple type, e.g. B3")
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("bott", help="Bott's algorithm for one bundle weight")
-    p.add_argument("--space", required=True, help=f"one of {PRESET_NAMES}")
-    p.add_argument("--weight", required=True,
-                   help="S-dominant weight, comma-separated simple-root coords")
-    p.set_defaults(fn=cmd_bott)
-
-    p = sub.add_parser("cohomology-table",
-                       help="H^q(M, Omega^p x Theta) table")
-    p.add_argument("--space", required=True)
-    p.add_argument("--p", type=int, default=None, help="max p (default 4)")
-    p.add_argument("--q", type=int, default=None, help="max q (default 2)")
-    p.set_defaults(fn=cmd_cohomology_table)
-
-    p = sub.add_parser("invariants",
-                       help="invariant dimension by both routes")
-    p.add_argument("--space", required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("forms", help="theta/eta family report")
-    p.add_argument("--space", required=True)
-    p.set_defaults(fn=cmd_forms)
-
-    p = sub.add_parser("d2", help="degree-2 differential rank on vector fields")
-    p.add_argument("--space", required=True)
-    p.add_argument("--a", default=None, help="scalar, e.g. '1' or '1+2*rt2'")
-    p.add_argument("--b", default=None)
-    p.set_defaults(fn=cmd_d2)
-
-    p = sub.add_parser("e3", help="E2/E3 tables and H^0/H^1 report")
-    p.add_argument("--space", required=True)
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.set_defaults(fn=cmd_e3)
-
-    p = sub.add_parser("pi-grassmannian",
-                       help="fundamental fields of the q_n action")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(fn=cmd_pi_grassmannian)
-
-    p = sub.add_parser("verify-all", help="run the acceptance gate")
-    p.add_argument("--manifest", default=None,
-                   help="key=value file pinning criteria=.. and spaces=..")
-    p.set_defaults(fn=cmd_verify_all)
+    named = _named_command(argv)
+    for name, (fn, help_text, arguments) in COMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
     try:

@@ -4,10 +4,14 @@ realized exactly by their values at the base point.
 A form of bidegree (p, q) is stored as a sparse tensor over strictly
 increasing index tuples (holomorphic group of size p over the n+ basis,
 antiholomorphic group of size q over the dual n- basis), with values sparse
-vectors in n+.  The theta and eta families have rational entries; scaling by
-a parameter with a sqrt(2) part gives QSqrt2 entries.  The barwedge runs
-over the stored entries on the `exterior._merge_sign` sign kernel; ranks and
-coordinates are taken over the sorted nonzero (key, n+ index) pairs only.
+vectors in n+.  theta_p has a closed form; eta, eta1, eta2 and eta3 are each
+the alternation over S_p x S_q of one matrix chain (u1 v u2, tr(u1 v1 u2 v2)
+u3, (u1, v1) u2 v2 u3, u1 v1 u2 v2 u3), summed by `_alternate` over the
+chain's nonzero ordered values.  Both families have rational entries;
+scaling by a parameter with a sqrt(2) part gives QSqrt2 entries.  The
+barwedge runs over the stored entries on the `exterior._merge_sign` sign
+kernel; ranks and coordinates are taken over the sorted nonzero (key, n+
+index) pairs only.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
 from .scalars import QSqrt2, SparseRow, narrow, nullspace, rank, rref, sparse_rref
@@ -68,21 +72,10 @@ class InvariantVectorForm:
 
     def value(self, us: Sequence[int], vs: Sequence[int]) -> Vec:
         """Evaluate on arbitrary basis-index tuples via antisymmetry."""
-        key, sign = [], 1
-        for group in (us, vs):
-            mono: Optional[Tuple[int, ...]] = ()
-            for x in group:
-                mono, s = _merge_sign(mono, (x,))
-                if mono is None:
-                    return {}
-                sign *= s
-            key.append(mono)
-        base = self.tensor.get(tuple(key))
-        if not base:
-            return {}
-        if sign == 1:
-            return base
-        return {k: -c for k, c in base.items()}
+        ku, su = _sorted_with_sign(us)
+        kv, sv = _sorted_with_sign(vs)
+        base = self.tensor.get((ku, kv), {})
+        return base if su * sv == 1 else {k: -c for k, c in base.items()}
 
     def is_zero(self) -> bool:
         return not self.tensor
@@ -115,6 +108,19 @@ class InvariantVectorForm:
             (self.p, self.q) == (other.p, other.q)
             and _clean(self.tensor) == _clean(other.tensor)
         )
+
+
+def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """The increasing tuple of group's indices and the sign of the sorting
+    permutation, or (None, 0) when an index repeats."""
+    mono: Optional[Tuple[int, ...]] = ()
+    sign = 1
+    for x in group:
+        mono, s = _merge_sign(mono, (x,))
+        if mono is None:
+            return None, 0
+        sign *= s
+    return mono, sign
 
 
 def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
@@ -159,135 +165,66 @@ def theta_p(space, p: int) -> InvariantVectorForm:
 
 
 # ---------------------------------------------------------------------------
-# The eta family (Grassmann spaces only): matrix-product alternations.
+# The eta family (Grassmann spaces only): alternations of one matrix chain.
+# u = E_{ia} is the n+ index (i, a), v = E_{aj} the n- index (j, a), so a
+# chain of matrix units is nonzero exactly on matching inner indices.
 # ---------------------------------------------------------------------------
 
+def _alternate(space, p: int, q: int, chains: Iterable[Tuple]) -> InvariantVectorForm:
+    """Alt over S_p x S_q of a chain given by its nonzero ordered values:
+    (us, vs, w) adds sgn(us) sgn(vs) E_w at the sorted key (us, vs), and a
+    repeated index alternates to zero.  Keys come out in sorted order."""
+    acc: Dict[Key, Dict[int, int]] = {}
+    for us, vs, w in chains:
+        ku, su = _sorted_with_sign(us)
+        kv, sv = _sorted_with_sign(vs)
+        if su and sv:
+            vec = acc.setdefault((ku, kv), {})
+            vec[w] = vec.get(w, 0) + su * sv
+    tensor = {key: {w: Fraction(c) for w, c in acc[key].items() if c}
+              for key in sorted(acc)}
+    return InvariantVectorForm(space, p, q, {k: vec for k, vec in tensor.items() if vec})
+
+
+def _cells(space: MatrixPairSpace, k: int):
+    """Every k-tuple of row indices with every k-tuple of column indices."""
+    return itertools.product(itertools.product(range(space.r), repeat=k),
+                             itertools.product(range(space.s), repeat=k))
+
+
 def eta(space: MatrixPairSpace) -> InvariantVectorForm:
-    """(2,1)-form u1 v u2 - u2 v u1 (matrix products)."""
-    return _alternation_form(
-        space, 2, 1,
-        lambda us, vs: _terms_eta(space, us, vs),
-    )
-
-
-def _terms_eta(space, us, vs):
-    (u1, u2), (v,) = us, vs
-    out: Vec = {}
-    t1 = _uvu(space, u1, v, u2)
-    t2 = _uvu(space, u2, v, u1)
-    _vec_add(out, t1, 1)
-    _vec_add(out, t2, -1)
-    return out
-
-
-def _uvu(space, ua, v, ub) -> Optional[int]:
-    """Index of E_{ua} E_v E_{ub} with E_v the n- matrix E_{av, iv}."""
-    ia, aa = space.coords(ua)
-    iv, av = space.coords(v)
-    ib, ab = space.coords(ub)
-    if aa == av and iv == ib:
-        return space.index(ia, ab)
-    return None
-
-
-def _vec_add(vec: Vec, idx: Optional[int], coeff) -> None:
-    if idx is None:
-        return
-    c = vec.get(idx, 0) + Fraction(coeff)
-    if c:
-        vec[idx] = c
-    else:
-        vec.pop(idx, None)
-
-
-def _alternation_form(space, p, q, term_fn) -> InvariantVectorForm:
-    tensor: Dict[Key, Vec] = {}
-    n = space.dim
-    for us in itertools.combinations(range(n), p):
-        for vs in itertools.combinations(range(n), q):
-            vec = term_fn(us, vs)
-            if vec:
-                tensor[(us, vs)] = vec
-    return InvariantVectorForm(space, p, q, tensor)
-
-
-def _pair(space, u, v) -> int:
-    return 1 if u == v else 0
+    """(2,1)-form u1 v u2 - u2 v u1: E_{ia} E_{aj} E_{jb} = E_{ib}."""
+    ix = space.index
+    return _alternate(space, 2, 1, (
+        ((ix(i, a), ix(j, b)), (ix(j, a),), ix(i, b))
+        for (i, j), (a, b) in _cells(space, 2)))
 
 
 def eta1(space: MatrixPairSpace) -> InvariantVectorForm:
-    """2 Alt (u1 v1, u2 v2) u3: twelve-term display with the overall 2."""
+    """2 Alt (u1 v1, u2 v2) u3, with tr(E_{ia} E_{aj} E_{jb} E_{bi}) = 1.
 
-    def terms(us, vs):
-        (u1, u2, u3), (v1, v2) = us, vs
-        out: Vec = {}
-        for (a, b, c, sign) in _alt6(u1, u2, u3):
-            val = _pair4(space, a, v1, b, v2)
-            if val:
-                _vec_add(out, c, 2 * sign * val)
-        return out
-
-    return _alternation_form(space, 3, 2, terms)
-
-
-def _pair4(space, ua, v1, ub, v2) -> int:
-    """(u_a v_1, u_b v_2) = tr(u_a v_1 u_b v_2)."""
-    ia, aa = space.coords(ua)
-    i1, a1 = space.coords(v1)
-    ib, ab = space.coords(ub)
-    i2, a2 = space.coords(v2)
-    # tr(E_{ia aa} E_{a1 i1} E_{ib ab} E_{a2 i2})
-    return 1 if (aa == a1 and i1 == ib and ab == a2 and i2 == ia) else 0
-
-
-def _alt6(u1, u2, u3):
-    """Signed permutations matching the displayed six-term alternation:
-    (1,2,3)+, (2,3,1)+, (3,1,2)+, (2,1,3)-, (3,2,1)-, (1,3,2)-."""
-    return [
-        (u1, u2, u3, 1), (u2, u3, u1, 1), (u3, u1, u2, 1),
-        (u2, u1, u3, -1), (u3, u2, u1, -1), (u1, u3, u2, -1),
-    ]
+    No factor 2 here: by cyclicity of the trace the v1<->v2 chain equals the
+    u1<->u2 chain, so the S_2 alternation over vs gives the displayed 2."""
+    ix = space.index
+    return _alternate(space, 3, 2, (
+        ((ix(i, a), ix(j, b), x), (ix(j, a), ix(i, b)), x)
+        for (i, j), (a, b) in _cells(space, 2) for x in range(space.dim)))
 
 
 def eta2(space: MatrixPairSpace) -> InvariantVectorForm:
-    """Alt (u1, v1) u2 v2 u3: the twelve-term display (v-swap included)."""
-
-    def terms(us, vs):
-        (u1, u2, u3), (v1, v2) = us, vs
-        out: Vec = {}
-        for (a, b, c, sign) in _alt6(u1, u2, u3):
-            if _pair(space, a, v1):
-                _vec_add(out, _uvu(space, b, v2, c), sign)
-            if _pair(space, a, v2):
-                _vec_add(out, _uvu(space, b, v1, c), -sign)
-        return out
-
-    return _alternation_form(space, 3, 2, terms)
+    """Alt (u1, v1) u2 v2 u3, the pairing being 1 exactly on u1 = v1."""
+    ix = space.index
+    return _alternate(space, 3, 2, (
+        ((x, ix(i, a), ix(j, b)), (x, ix(j, a)), ix(i, b))
+        for (i, j), (a, b) in _cells(space, 2) for x in range(space.dim)))
 
 
 def eta3(space: MatrixPairSpace) -> InvariantVectorForm:
-    """Alt u1 v1 u2 v2 u3: twelve five-factor matrix products."""
-
-    def terms(us, vs):
-        (u1, u2, u3), (v1, v2) = us, vs
-        out: Vec = {}
-        for (a, b, c, sign) in _alt6(u1, u2, u3):
-            _vec_add(out, _uvuvu(space, a, v1, b, v2, c), sign)
-            _vec_add(out, _uvuvu(space, a, v2, b, v1, c), -sign)
-        return out
-
-    return _alternation_form(space, 3, 2, terms)
-
-
-def _uvuvu(space, ua, v1, ub, v2, uc) -> Optional[int]:
-    ia, aa = space.coords(ua)
-    i1, a1 = space.coords(v1)
-    ib, ab = space.coords(ub)
-    i2, a2 = space.coords(v2)
-    ic, ac = space.coords(uc)
-    if aa == a1 and i1 == ib and ab == a2 and i2 == ic:
-        return space.index(ia, ac)
-    return None
+    """Alt u1 v1 u2 v2 u3: E_{ia} E_{aj} E_{jb} E_{bk} E_{kc} = E_{ic}."""
+    ix = space.index
+    return _alternate(space, 3, 2, (
+        ((ix(i, a), ix(j, b), ix(k, c)), (ix(j, a), ix(k, b)), ix(i, c))
+        for (i, j, k), (a, b, c) in _cells(space, 3)))
 
 
 # ---------------------------------------------------------------------------

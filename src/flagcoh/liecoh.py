@@ -634,25 +634,6 @@ def invariant_one_cochains(gb: GModuleBasis) -> List[Cochain]:
     return _invariant_cochains(gb, 1)
 
 
-def is_r_invariant(c: Cochain) -> bool:
-    """x . c = 0 for every x in r, for a 1-cochain c: c has weight zero (the
-    torus) and satisfies the equivariant system (the raising generators)."""
-    if c.degree != 1:
-        raise ValueError("R-invariance test implemented for 1-cochains")
-    unknowns, rows = _cochain_system(c.gb, 1)
-    index = {u: k for k, u in enumerate(unknowns)}
-    coords: Dict[int, Fraction] = {}
-    for (v, w), vec in c.data.items():
-        for t, x in enumerate(vec):
-            if x:
-                k = index.get((v * c.gb.dim + w, t))
-                if k is None:
-                    return False
-                coords[k] = x
-    return not any(sum(co * coords[k] for k, co in row.items() if k in coords)
-                   for row in rows)
-
-
 def _coordinate_rows(cochains: Sequence[Cochain]) -> List[SparseRow]:
     """The cochains as the columns of a sparse matrix whose rows are their
     coordinates (key, t)."""

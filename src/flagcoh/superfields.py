@@ -281,12 +281,6 @@ class QnElement:
         m = tuple(tuple(row) for row in m)
         return QnElement.make(n, A=None if odd else m, B=m if odd else None)
 
-    @staticmethod
-    def identity_nn(n: int) -> "QnElement":
-        return QnElement.make(
-            n, A=[[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
 
 def qn_basis(n: int) -> List[QnElement]:
     out = []

@@ -59,10 +59,15 @@ def test_non_special_root_rejected():
         build_space(SimpleLieType("C", 3), 0)
 
 
+def _m_coefficient(H, lam):
+    """Coefficient at alpha_1 (case I/III) or the sum over both neighbors."""
+    return sum(Fraction(lam[i]) for i in H.neighbors)
+
+
 def test_m_coefficient_of_delta():
     for name in DESK_PRESETS:
         H = space_from_preset(name)
-        m = H.m_coefficient(H.rd.delta)
+        m = _m_coefficient(H, H.rd.delta)
         assert m == (1 if H.case == "III" else 2)
 
 

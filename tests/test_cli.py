@@ -256,6 +256,56 @@ def test_verify_all_has_no_parallel_option(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "B2"],
+    ["--format", "csv", "cohomology-table", "--space", "CP2"],
+    ["--format=markdown", "invariants", "--space", "Q3", "--p", "2"],
+    ["e3", "--space=CP2", "--a=1", "--b=0"],
+], ids=lambda argv: " ".join(argv))
+def test_a_query_builds_only_its_own_subparser(monkeypatch, capsys, argv):
+    """The top-level parser and the named command's subparser: two
+    `ArgumentParser`s, not one per command."""
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert len(built) <= 2, built
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), ([], 2), (["nosuch"], 2), (["--format", "markdown"], 2),
+])
+def test_help_and_a_missing_or_unknown_command_list_every_command(capsys, argv, code):
+    from flagcoh.cli import COMMANDS
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert "{" + ",".join(COMMANDS) + "}" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["e3", "--help"], 0),
+    (["e3"], 2),
+    (["e3", "--space"], 2),
+    (["--format", "xml", "e3", "--space", "CP2"], 2),
+    (["roots", "B2", "--space", "CP2"], 2),
+])
+def test_a_named_command_keeps_its_help_and_argparse_exit_codes(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert "flagcoh" in "".join(capsys.readouterr())
+
+
 def test_space_list_splits_outside_parentheses_only():
     from flagcoh.cli import parse_space_list
 

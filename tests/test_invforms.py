@@ -550,3 +550,126 @@ def test_sparse_rows_match_the_dense_flatten(space):
     assert independent_coefficients(mixed, [th2]) is None
     assert _dense_coefficients(mixed, [th2]) is None
     assert independent_coefficients(e1, []) is None
+
+
+# --- the eta family against its hand-written displays ------------------------
+#
+# The oracle evaluates the six- and twelve-term displays of eta, eta1, eta2 and
+# eta3 on every (us, vs) key pair of C(n,p) x C(n,q), in the order of
+# `itertools.combinations`; the library alternates one matrix chain instead.
+
+def _uvu(space, ua, v, ub):
+    """Index of E_{ua} E_v E_{ub} with E_v the n- matrix E_{av, iv}."""
+    ia, aa = space.coords(ua)
+    iv, av = space.coords(v)
+    ib, ab = space.coords(ub)
+    return space.index(ia, ab) if aa == av and iv == ib else None
+
+
+def _uvuvu(space, ua, v1, ub, v2, uc):
+    ia, aa = space.coords(ua)
+    i1, a1 = space.coords(v1)
+    ib, ab = space.coords(ub)
+    i2, a2 = space.coords(v2)
+    ic, ac = space.coords(uc)
+    return space.index(ia, ac) if aa == a1 and i1 == ib and ab == a2 and i2 == ic else None
+
+
+def _pair4(space, ua, v1, ub, v2):
+    """(u_a v_1, u_b v_2) = tr(u_a v_1 u_b v_2)."""
+    ia, aa = space.coords(ua)
+    i1, a1 = space.coords(v1)
+    ib, ab = space.coords(ub)
+    i2, a2 = space.coords(v2)
+    return 1 if (aa == a1 and i1 == ib and ab == a2 and i2 == ia) else 0
+
+
+def _alt6(u1, u2, u3):
+    """The displayed six-term alternation:
+    (1,2,3)+, (2,3,1)+, (3,1,2)+, (2,1,3)-, (3,2,1)-, (1,3,2)-."""
+    return [
+        (u1, u2, u3, 1), (u2, u3, u1, 1), (u3, u1, u2, 1),
+        (u2, u1, u3, -1), (u3, u2, u1, -1), (u1, u3, u2, -1),
+    ]
+
+
+def _vec_add(vec, idx, coeff):
+    if idx is None:
+        return
+    c = vec.get(idx, 0) + Fraction(coeff)
+    if c:
+        vec[idx] = c
+    else:
+        vec.pop(idx, None)
+
+
+def _alternation_form(space, p, q, term_fn):
+    tensor = {}
+    for us in itertools.combinations(range(space.dim), p):
+        for vs in itertools.combinations(range(space.dim), q):
+            vec = term_fn(space, us, vs)
+            if vec:
+                tensor[(us, vs)] = vec
+    return InvariantVectorForm(space, p, q, tensor)
+
+
+def _terms_eta(space, us, vs):
+    """u1 v u2 - u2 v u1."""
+    (u1, u2), (v,) = us, vs
+    out = {}
+    _vec_add(out, _uvu(space, u1, v, u2), 1)
+    _vec_add(out, _uvu(space, u2, v, u1), -1)
+    return out
+
+
+def _terms_eta1(space, us, vs):
+    """2 Alt (u1 v1, u2 v2) u3: six terms with the overall 2."""
+    (u1, u2, u3), (v1, v2) = us, vs
+    out = {}
+    for a, b, c, sign in _alt6(u1, u2, u3):
+        _vec_add(out, c, 2 * sign * _pair4(space, a, v1, b, v2))
+    return out
+
+
+def _terms_eta2(space, us, vs):
+    """Alt (u1, v1) u2 v2 u3: twelve terms, the v-swap included."""
+    (u1, u2, u3), (v1, v2) = us, vs
+    out = {}
+    for a, b, c, sign in _alt6(u1, u2, u3):
+        if a == v1:
+            _vec_add(out, _uvu(space, b, v2, c), sign)
+        if a == v2:
+            _vec_add(out, _uvu(space, b, v1, c), -sign)
+    return out
+
+
+def _terms_eta3(space, us, vs):
+    """Alt u1 v1 u2 v2 u3: twelve five-factor matrix products."""
+    (u1, u2, u3), (v1, v2) = us, vs
+    out = {}
+    for a, b, c, sign in _alt6(u1, u2, u3):
+        _vec_add(out, _uvuvu(space, a, v1, b, v2, c), sign)
+        _vec_add(out, _uvuvu(space, a, v2, b, v1, c), -sign)
+    return out
+
+
+ETA_DISPLAYS = {
+    "eta": (eta, 2, 1, _terms_eta),
+    "eta1": (eta1, 3, 2, _terms_eta1),
+    "eta2": (eta2, 3, 2, _terms_eta2),
+    "eta3": (eta3, 3, 2, _terms_eta3),
+}
+
+
+@pytest.mark.parametrize("rs", [(1, 2), (2, 1), (1, 4), (2, 2), (3, 2), (2, 3),
+                                (3, 3), (4, 2), (2, 4)], ids=str)
+def test_eta_family_matches_the_displays(rs):
+    """Same bidegree, same keys in the same sorted order, and the same
+    `Fraction` entries as the displays evaluated on every key pair."""
+    space = MatrixPairSpace(*rs)
+    for name, (form, p, q, terms) in ETA_DISPLAYS.items():
+        got, want = form(space), _alternation_form(space, p, q, terms)
+        assert (got.p, got.q) == (want.p, want.q), name
+        assert list(got.tensor) == list(want.tensor), name
+        assert got.tensor == want.tensor, name
+        assert all(type(c) is Fraction for vec in got.tensor.values() for c in vec.values())

@@ -8,6 +8,7 @@ from flagcoh.bott import space_from_preset
 from flagcoh.invforms import barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
+    _cochain_system,
     _commutator,
     _differential,
     build_g_basis,
@@ -18,7 +19,6 @@ from flagcoh.liecoh import (
     invariant_one_cochains,
     invariant_zero_cochains,
     is_invariant_coboundary,
-    is_r_invariant,
     theta_form,
 )
 from flagcoh.repdecomp import char_of_roots, dual, tensor, trivial_multiplicity
@@ -32,6 +32,26 @@ GRASSMANN_PRESETS = ["CP2", "CP3", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)", "Gr(6,3)"]
 @pytest.fixture(scope="module")
 def gr42():
     return build_g_basis(space_from_preset("Gr(4,2)"))
+
+
+def is_r_invariant(c: Cochain) -> bool:
+    """Oracle: x . c = 0 for every x in r, for a 1-cochain c: c has weight
+    zero (the torus) and satisfies the equivariant system (the raising
+    generators)."""
+    if c.degree != 1:
+        raise ValueError("R-invariance test implemented for 1-cochains")
+    unknowns, rows = _cochain_system(c.gb, 1)
+    index = {u: k for k, u in enumerate(unknowns)}
+    coords = {}
+    for (v, w), vec in c.data.items():
+        for t, x in enumerate(vec):
+            if x:
+                k = index.get((v * c.gb.dim + w, t))
+                if k is None:
+                    return False
+                coords[k] = x
+    return not any(sum(co * coords[k] for k, co in row.items() if k in coords)
+                   for row in rows)
 
 
 def test_basis_dimensions():
