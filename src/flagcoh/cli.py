@@ -144,6 +144,8 @@ def cmd_cohomology_table(args) -> int:
     H = space_from_preset(args.space)
     p_max = min(args.p if args.p is not None else 4, H.dim)
     q_max = args.q if args.q is not None else 2
+    if min(p_max, q_max) < 0:
+        _die("--p and --q must be nonnegative")
     entries = []
     for p in range(0, p_max + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=q_max)
@@ -278,8 +280,10 @@ def cmd_d2(args) -> int:
     rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
     if res.witness is not None:
+        # each sparse value is written as a dense list of module_dim scalars
+        dim = res.witness.module_dim
         witness = {
-            str(w): [format_scalar(x) for x in vec]
+            str(w): [format_scalar(vec.get(t, 0)) for t in range(dim)]
             for w, vec in sorted(res.witness.data.items())
         }
     payload = {

@@ -3,6 +3,11 @@ Hom(g, n- (x) n+), the cocycle attached to an invariant (2,1)-form, exact
 coboundary solves over the R-invariant subspace, and the resulting rank of
 the degree-2 spectral differential on vector fields.
 
+Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
+without zero entries: the g-coordinates of `GModuleBasis.expand`, and each
+value of a cochain, whose absent keys are zero.  Sums go through
+`invforms._add_into`.
+
 Works over explicit matrix realizations: sl_n for the Grassmannians, so/sp
 for the classical case-I spaces.  R-invariants are cut out by torus weights
 plus the raising generators e_{alpha_i}, i in S, alone: the unknowns pair
@@ -17,18 +22,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import HermitianSymmetricSpace, grassmannian_rs
 from .invforms import (
     InvariantVectorForm,
     MatrixPairSpace,
     RootPairSpace,
+    Vec,
+    _add_into,
     eta,
     theta_p,
 )
 from .rootsys import _require
-from .scalars import QSqrt2, SparseRow, narrow, rref_kernel, solve, sparse_rref
+from .scalars import SparseRow, narrow, rref_kernel, solve, sparse_rref
 
 Mat = Dict[Tuple[int, int], Fraction]
 
@@ -51,12 +59,7 @@ def _mat_mul(A: Mat, B: Mat) -> Mat:
 
 def _mat_sub(A: Mat, B: Mat) -> Mat:
     out = dict(A)
-    for k, c in B.items():
-        v = out.get(k, Fraction(0)) - c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
+    _add_into(out, -1, B)
     return out
 
 
@@ -90,7 +93,7 @@ class GModuleBasis:
     levi_raise: List[int]        # indices of e_{alpha_i}, i in S
     space: object                # the invforms pair space
     # (i, j) -> coordinates of [e_i, e_j], filled by bracket_coords
-    _brackets: Dict[Tuple[int, int], Tuple[Fraction, ...]] = field(
+    _brackets: Dict[Tuple[int, int], Mapping[int, Fraction]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # the invariant 0-cochains and their delta images, filled by
     # _invariant_zero
@@ -105,48 +108,44 @@ class GModuleBasis:
     def n(self) -> int:
         return len(self.nplus_order)
 
-    def expand(self, X: Mat) -> List[Fraction]:
-        """Coordinates of X in the basis.
+    def expand(self, X: Mat) -> Vec:
+        """Coordinates of X in the basis, as element index -> coefficient.
 
         Root-vector supports are disjoint, so their coefficients read off
         canonical positions; the A-family torus (H_i = E_ii - E_{i+1,i+1})
         overlaps and uses cumulative diagonal sums instead.
         """
-        out = []
+        out: Vec = {}
         fam_a_torus = self.H.rd.type.family == "A"
         acc = Fraction(0)
-        for el in self.elements:
+        for g, el in enumerate(self.elements):
             pos = el.canonical
             if el.block == "t" and fam_a_torus:
                 acc += X.get(pos, Fraction(0))
-                out.append(acc)
-                continue
-            c = X.get(pos, Fraction(0))
-            ref = el.matrix.get(pos)
-            out.append(c / ref)
+                c = acc
+            else:
+                c = X.get(pos, Fraction(0)) / el.matrix[pos]
+            if c:
+                out[g] = c
         # safety: reconstruct
         rec: Mat = {}
-        for c, el in zip(out, self.elements):
-            if c:
-                for k, v in el.matrix.items():
-                    nv = rec.get(k, Fraction(0)) + c * v
-                    if nv:
-                        rec[k] = nv
-                    else:
-                        rec.pop(k, None)
+        for g, c in out.items():
+            _add_into(rec, c, self.elements[g].matrix)
         _require(rec == {k: v for k, v in X.items() if v}, "expansion failed")
         return out
 
-    def project_nplus(self, X: Mat) -> List[Fraction]:
+    def project_nplus(self, X: Mat) -> Vec:
+        """The n+ coordinates of X, as n+ index -> coefficient."""
         coords = self.expand(X)
-        return [coords[i] for i in self.nplus_order]
+        return {u: coords[g] for u, g in enumerate(self.nplus_order) if g in coords}
 
-    def bracket_coords(self, i: int, j: int) -> Tuple[Fraction, ...]:
-        """Coordinates of [e_i, e_j], computed once per pair and basis."""
+    def bracket_coords(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """Coordinates of [e_i, e_j], computed once per pair and basis and
+        shared read-only."""
         coords = self._brackets.get((i, j))
         if coords is None:
-            coords = self._brackets[(i, j)] = tuple(self.expand(_commutator(
-                self.elements[i].matrix, self.elements[j].matrix)))
+            coords = self._brackets[(i, j)] = MappingProxyType(self.expand(
+                _commutator(self.elements[i].matrix, self.elements[j].matrix)))
         return coords
 
 
@@ -391,9 +390,12 @@ def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> Fracti
 # Cochains
 # ---------------------------------------------------------------------------
 
-# coordinates in the coefficient module: Fractions, and QSqrt2 where the
-# parameter of a theta form has a sqrt(2) part
-EVec = List[Fraction]
+def _accumulate(data: Dict[object, Vec], key, coeff, vec: Vec) -> None:
+    """data[key] += coeff * vec, dropping the key when its value cancels."""
+    tgt = data.setdefault(key, {})
+    _add_into(tgt, coeff, vec)
+    if not tgt:
+        del data[key]
 
 
 @dataclass
@@ -402,41 +404,46 @@ class Cochain:
 
     The default coefficient module M is n- (x) n+ (coordinate v*n + u);
     mdim overrides the module dimension for other coefficient modules.
+    Each value is a sparse Vec {coordinate: scalar} without zeros, and a
+    key whose value vanishes is absent.  The scalars are Fractions, and
+    elements of Q(sqrt2) where the parameter of a theta form has a sqrt(2)
+    part.
     """
 
     gb: GModuleBasis
     degree: int
     # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk
-    data: Dict[object, EVec]
+    data: Dict[object, Vec]
     mdim: Optional[int] = None
+
+    def __post_init__(self):
+        # a value given as a dense list of module_dim scalars (a JSON
+        # witness, a test oracle) is stored sparse
+        if any(isinstance(v, list) for v in self.data.values()):
+            sparse = ((k, {t: x for t, x in enumerate(v) if x}
+                       if isinstance(v, list) else v) for k, v in self.data.items())
+            self.data = {k: v for k, v in sparse if v}
 
     @property
     def module_dim(self) -> int:
         return self.mdim if self.mdim is not None else self.gb.n * self.gb.n
 
-    def value(self, key) -> EVec:
-        return self.data.get(key, [Fraction(0)] * self.module_dim)
-
     def is_zero(self) -> bool:
-        return all(not any(v) for v in self.data.values())
+        return not self.data
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree or self.module_dim != other.module_dim:
             raise ValueError("cochains of different degree or module")
-        out = {k: list(v) for k, v in self.data.items()}
+        out = {k: dict(v) for k, v in self.data.items()}
         for k, v in other.data.items():
-            if k in out:
-                out[k] = [a + b for a, b in zip(out[k], v)]
-            else:
-                out[k] = list(v)
+            _accumulate(out, k, 1, v)
         return Cochain(self.gb, self.degree, out, self.mdim)
 
     def scale(self, c) -> "Cochain":
-        return Cochain(
-            self.gb, self.degree,
-            {k: [c * x for x in v] for k, v in self.data.items()},
-            self.mdim,
-        )
+        out: Dict[object, Vec] = {}
+        for k, v in self.data.items():
+            _accumulate(out, k, c, v)
+        return Cochain(self.gb, self.degree, out, self.mdim)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -448,8 +455,8 @@ def _delta_terms(gb: GModuleBasis, k: int):
     (n- abelian, trivial action on the coefficients).  Yields each key of
     delta c with its terms [(key of c, coefficient)]."""
     n, dim_g = gb.n, gb.dim
-    ad = [[[(gi, co) for gi, co in enumerate(gb.bracket_coords(v, w)) if co]
-           for w in range(dim_g)] for v in gb.nminus_order]
+    ad = [[gb.bracket_coords(v, w).items() for w in range(dim_g)]
+          for v in gb.nminus_order]
     for vs in itertools.combinations(range(n), k + 1):
         for w in range(dim_g):
             terms = []
@@ -463,17 +470,11 @@ def _delta_terms(gb: GModuleBasis, k: int):
 
 def _differential(c: Cochain) -> Cochain:
     """delta c in any degree (see _delta_terms)."""
-    out: Dict[object, EVec] = {}
+    out: Dict[object, Vec] = {}
     for key, terms in _delta_terms(c.gb, c.degree):
-        acc = [Fraction(0)] * c.module_dim
         for src, co in terms:
-            val = c.data.get(src)
-            if val:
-                for t, x in enumerate(val):
-                    if x:
-                        acc[t] = acc[t] + x * co
-        if any(acc):
-            out[key] = acc
+            if src in c.data:
+                _accumulate(out, key, co, c.data[src])
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
@@ -491,23 +492,14 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
     worked examples (the displayed argument order differs by a global sign)."""
     if theta.space != gb.space:
         raise ValueError("form space does not match the algebra realization")
-    n, dim_g = gb.n, gb.dim
-    out: Dict[object, EVec] = {}
-    for w in range(dim_g):
-        pw = gb.project_nplus(gb.elements[w].matrix)
-        if not any(pw):
-            continue
-        for v in range(n):
-            acc = [Fraction(0)] * (n * n)
-            for j, co in enumerate(pw):
-                if not co:
-                    continue
+    n = gb.n
+    out: Dict[object, Vec] = {}
+    for w, el in enumerate(gb.elements):
+        for j, co in gb.project_nplus(el.matrix).items():
+            for v in range(n):
                 for i in range(n):
-                    vec = theta.value([i, j], [v])
-                    for u, x in vec.items():
-                        acc[i * n + u] = acc[i * n + u] + co * x
-            if any(acc):
-                out[(v, w)] = acc
+                    _accumulate(out, (v, w), co, {
+                        i * n + u: x for u, x in theta.value([i, j], [v]).items()})
     return Cochain(gb, 1, out)
 
 
@@ -532,7 +524,7 @@ def _ad_module(gb: GModuleBasis, idx: Sequence[int]) -> _Module:
     """The span of the basis elements idx under ad; g, n- and n+ are
     R-submodules of g."""
     pos = {i: k for k, i in enumerate(idx)}
-    act = {x: [{pos[j]: co for j, co in enumerate(gb.bracket_coords(x, i)) if co}
+    act = {x: [{pos[j]: co for j, co in gb.bracket_coords(x, i).items()}
                for i in idx]
            for x in gb.levi_raise}
     return _Module([gb.elements[i].eps_weight for i in idx], act)
@@ -606,11 +598,10 @@ def _invariant_cochains(gb: GModuleBasis, degree: int) -> List[Cochain]:
     red, pivots, _ = sparse_rref(rows, len(unknowns))
     out = []
     for vec in rref_kernel(red, pivots, len(unknowns)):
-        data: Dict[object, EVec] = {}
-        for k, x in sorted(vec.items()):
+        data: Dict[object, Vec] = {}
+        for k, x in vec.items():
             i, t = unknowns[k]
-            key = i if degree == 0 else divmod(i, gb.dim)
-            data.setdefault(key, [Fraction(0)] * (gb.n * gb.n))[t] = x
+            data.setdefault(i if degree == 0 else divmod(i, gb.dim), {})[t] = x
         out.append(Cochain(gb, degree, data))
     return out
 
@@ -640,9 +631,8 @@ def _coordinate_rows(cochains: Sequence[Cochain]) -> List[SparseRow]:
     rows: Dict[Tuple[object, int], SparseRow] = {}
     for j, c in enumerate(cochains):
         for key, vec in c.data.items():
-            for t, x in enumerate(vec):
-                if x:
-                    rows.setdefault((key, t), {})[j] = x
+            for t, x in vec.items():
+                rows.setdefault((key, t), {})[j] = x
     return list(rows.values())
 
 
@@ -680,10 +670,11 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
     x = sparse_rref(rows, len(basis), rhs)[2]
     if x is None:
         return CoboundaryResult(False, None)
-    witness = Cochain(gb, 0, {})
-    for j, b in enumerate(basis):
-        witness = witness + b.scale(x.get(j, 0))
-    return CoboundaryResult(True, witness)
+    data: Dict[object, Vec] = {}
+    for j, xj in x.items():
+        for key, vec in basis[j].data.items():
+            _accumulate(data, key, xj, vec)
+    return CoboundaryResult(True, Cochain(gb, 0, data))
 
 
 # ---------------------------------------------------------------------------
@@ -711,44 +702,28 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
     """The 2-cochain representing w -> [theta /\\ (theta2 /\\ w)] at o."""
     from .invforms import barwedge_inv
 
-    n, dim_g = gb.n, gb.dim
+    n = gb.n
     th2 = theta_p(gb.space, 2)
     pairs, pair_index, _ = _lambda2_module(gb)
-    md = len(pairs) * n
-    data: Dict[object, EVec] = {}
-    for w in range(dim_g):
-        pw = gb.project_nplus(gb.elements[w].matrix)
-        if not any(pw):
+    data: Dict[object, Vec] = {}
+    for w, el in enumerate(gb.elements):
+        pw = gb.project_nplus(el.matrix)
+        if not pw:
             continue
         # phi_w(u; v) = theta2(pi(w), u; v), a (1,1)-form
         phi_tensor: Dict = {}
         for a in range(n):
             for b in range(n):
-                vec = {}
-                for j, co in enumerate(pw):
-                    if co:
-                        for u, x in th2.value([j, a], [b]).items():
-                            nx = vec.get(u, 0) + co * x
-                            if nx:
-                                vec[u] = nx
-                            else:
-                                vec.pop(u, None)
-                if vec:
-                    phi_tensor[((a,), (b,))] = vec
+                for j, co in pw.items():
+                    _accumulate(phi_tensor, ((a,), (b,)), co,
+                                th2.value([j, a], [b]))
         phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
-        F_w = barwedge_inv(theta, phi_w)  # (2,2)-form
-        for v1 in range(n):
-            for v2 in range(v1 + 1, n):
-                acc = [Fraction(0)] * md
-                nonzero = False
-                for (i, j) in pairs:
-                    vec = F_w.value([i, j], [v1, v2])
-                    for u, x in vec.items():
-                        acc[pair_index[(i, j)] * n + u] = x
-                        nonzero = True
-                if nonzero:
-                    data[(v1, v2, w)] = acc
-    return Cochain(gb, 2, data, md)
+        # F_w = theta /\ phi_w, a (2,2)-form: its entry at ((i, j), (v1, v2))
+        # is the value at (v1, v2, w) on the coordinates ((i, j), u)
+        for ((i, j), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
+            _accumulate(data, (v1, v2, w), 1, {
+                pair_index[(i, j)] * n + u: x for u, x in vec.items()})
+    return Cochain(gb, 2, data, len(pairs) * n)
 
 
 def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
@@ -768,8 +743,7 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
             for t, k in columns.get(src, ()):
                 row = rows.setdefault((key, t), {})
                 row[k] = row.get(k, 0) + co
-    target = {(key, t): x for key, vec in c2.data.items()
-              for t, x in enumerate(vec) if x}
+    target = {(key, t): x for key, vec in c2.data.items() for t, x in vec.items()}
     for coord in target:
         rows.setdefault(coord, {})
     coords = list(rows)
@@ -781,7 +755,7 @@ def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
     """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
     when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
     vanishes; decided by the exact weight-zero coboundary solve."""
-    key = ("adj01", str(H.rd.type), H.alpha0, QSqrt2(a), QSqrt2(b))
+    key = ("adj01", str(H.rd.type), H.alpha0, narrow(a), narrow(b))
     if key in _VERDICT_CACHE:
         return _VERDICT_CACHE[key]
     gb = build_g_basis(H)
@@ -818,7 +792,9 @@ def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
     a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
     c_theta it is read from (witness None when c_theta = 0); one solve per
     space and (a, b)."""
-    key = ("d2", str(H.rd.type), H.alpha0, QSqrt2(a), QSqrt2(b))
+    if not (a or b):
+        raise ValueError("theta parameter must be nonzero")
+    key = ("d2", str(H.rd.type), H.alpha0, narrow(a), narrow(b))
     if key not in _VERDICT_CACHE:
         gb = build_g_basis(H)
         c = cochain_from_form(gb, theta_form(gb, a, b))

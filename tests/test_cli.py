@@ -131,6 +131,29 @@ def test_spectral_matches_golden_output(capsys, key):
     assert out == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("space", ["Gr(4,2)", "Gr(5,2)"])
+def test_d2_witness_read_back_as_dense_lists_is_a_coboundary(capsys, space):
+    """The JSON witness holds one dense list of n^2 scalars per g-basis
+    index; read back into a Cochain as those lists, its differential is
+    c_theta (the substitution check of the benchmark's d2 operations)."""
+    from fractions import Fraction
+
+    from flagcoh import liecoh
+    from flagcoh.bott import space_from_preset
+
+    code, out = run_cli(capsys, "d2", "--space", space, "--a", "0", "--b", "1")
+    assert code == 0
+    witness = json.loads(out)["coboundary_witness"]
+    gb = liecoh.build_g_basis(space_from_preset(space))
+    assert witness and all(len(vec) == gb.n * gb.n for vec in witness.values())
+    w = liecoh.Cochain(gb, 0, {
+        int(k): [QSqrt2(Fraction(x["rat"]), Fraction(x["rt2"])) for x in vec]
+        for k, vec in witness.items()})
+    c = liecoh.cochain_from_form(gb, liecoh.theta_form(gb, 0, 1))
+    assert not w.is_zero() and not c.is_zero()
+    assert (liecoh.ce_differential(w) - c).is_zero()
+
+
 FORMS = json.loads((GOLDEN / "forms.json").read_text(encoding="utf-8"))
 
 
@@ -366,3 +389,20 @@ def test_run_tables_script_rejects_an_unknown_space():
         capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stdout == "" and run.stderr.startswith("error: unknown space preset 'P9'")
+
+
+QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(QUERIES))
+def test_queries_match_golden_output(capsys, key):
+    """roots on every preset's type, invariants at (3, 2) on every preset and
+    rejected inputs (among them a negative table size and the zero theta
+    parameter, which exit 2 with an error): exit code, stdout and stderr are
+    byte-identical to the recorded ones."""
+    try:
+        code = main(key.split(" "))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert {"rc": code, "stdout": captured.out, "stderr": captured.err} == QUERIES[key]
