@@ -792,8 +792,6 @@ def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
     a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
     c_theta it is read from (witness None when c_theta = 0); one solve per
     space and (a, b)."""
-    if not (a or b):
-        raise ValueError("theta parameter must be nonzero")
     key = ("d2", str(H.rd.type), H.alpha0, narrow(a), narrow(b))
     if key not in _VERDICT_CACHE:
         gb = build_g_basis(H)
