@@ -73,12 +73,21 @@ class GrassmannElement:
 
     @staticmethod
     def _from_dict(m: int, acc: Dict[Monomial, Fraction]) -> "GrassmannElement":
-        """The element of kernel-produced monomials and Fraction values."""
-        return GrassmannElement(m, tuple(sorted((k, c) for k, c in acc.items() if c)))
+        """The element of kernel-produced monomials and Fraction values; the
+        shared zero when every value cancelled."""
+        if len(acc) == 1:
+            ((k, c),) = acc.items()
+            return GrassmannElement(m, ((k, c),)) if c else GrassmannElement.zero(m)
+        terms = tuple(sorted((k, c) for k, c in acc.items() if c))
+        return GrassmannElement(m, terms) if terms else GrassmannElement.zero(m)
 
     @staticmethod
     def zero(m: int) -> "GrassmannElement":
-        return GrassmannElement(m, ())
+        """The zero of Lambda(xi_1..xi_m), one shared instance per m."""
+        z = _ZEROS.get(m)
+        if z is None:
+            z = _ZEROS[m] = GrassmannElement(m, ())
+        return z
 
     @staticmethod
     def one(m: int) -> "GrassmannElement":
@@ -126,9 +135,11 @@ class GrassmannElement:
         return GrassmannElement(self.m, tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c) -> "GrassmannElement":
-        c = Fraction(c)
-        if c == 1:
+        if c == 1 or not self.terms:
             return self
+        if c == -1:
+            return -self
+        c = Fraction(c)
         if not c:
             return GrassmannElement.zero(self.m)
         return GrassmannElement(self.m, tuple((k, c * v) for k, v in self.terms))
@@ -147,6 +158,9 @@ class GrassmannElement:
 
     def coeff(self, mono: Monomial) -> Fraction:
         return self.tdict().get(tuple(mono), Fraction(0))
+
+
+_ZEROS: Dict[int, GrassmannElement] = {}
 
 
 def basis_monomials(m: int, p: int) -> List[Monomial]:
@@ -239,7 +253,7 @@ def _leibniz_into(acc: Dict[Monomial, Fraction], phi: VectorValuedForm,
     xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
     moving the derivation past pos letters adds (-1)^{pos par}.
     """
-    par = phi.parity()
+    par = phi.degree % 2
     comps = phi.components
     for mono, c in a.terms:
         for pos, letter in enumerate(mono):
@@ -311,8 +325,8 @@ def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)].
 
     Component k is i(phi)psi_k -+ i(psi)phi_k (+ when both are odd), both
-    summed into one dict; components where phi and psi are both zero are
-    skipped.
+    summed into one dict; a zero half is skipped, and a component where
+    both halves are zero or cancel is the shared zero.
     """
     if phi.m != psi.m:
         raise ValueError("dimension mismatch")
@@ -322,11 +336,14 @@ def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     sign = 1 if (phi.degree % 2) and (psi.degree % 2) else -1
     comps = [GrassmannElement.zero(m)] * m
     for idx, (a, b) in enumerate(zip(phi.components, psi.components)):
-        if a.terms or b.terms:
-            acc: Dict[Monomial, Fraction] = {}
+        if not (a.terms or b.terms):
+            continue
+        acc: Dict[Monomial, Fraction] = {}
+        if b.terms:
             _leibniz_into(acc, phi, b, 1)
+        if a.terms:
             _leibniz_into(acc, psi, a, sign)
-            comps[idx] = GrassmannElement._from_dict(m, acc)
+        comps[idx] = GrassmannElement._from_dict(m, acc)
     return VectorValuedForm(m, deg, tuple(comps))
 
 

@@ -9,8 +9,17 @@ identity blocks in the frame rows.
 
 The field map g -> g* is linear, so `homomorphism_check` builds the 2n^2
 basis fields once and expands each basis bracket [g1, g2]* as the
-combination of those fields with [g1, g2]'s entries, accumulated into one
-dict per coordinate, instead of running the jet again on the bracket.
+combination of those fields with [g1, g2]'s entries, instead of running the
+jet again on the bracket.  It reads those entries, at most two, from the
+closed-form structure constants of `qn_structure_constants`
+(E_ab E_cd = delta_bc E_ad); the block-product `qn_bracket` of two whole
+elements stays public and is their test oracle.
+
+`_apply_into` is the one Leibniz loop of the super fields: it adds +-d(f)
+into a caller's dict.  `SuperDerivation.apply` calls it once, and `bracket`
+twice per coordinate, d1(d2_k) and -+d2(d1_k) into one dict, with no
+intermediate polynomial or sum.  Only the public `SuperPolynomial.make`
+validates monomials; kernel output goes through `_from_dict` unchecked.
 """
 
 from __future__ import annotations
@@ -39,6 +48,28 @@ def _merge_x(a, b):
     return tuple(sorted(acc.items()))
 
 
+def _is_monomial(nvars: int, mono) -> bool:
+    """Whether mono is (x-part, xi-part) in canonical form over nvars."""
+    def increasing(idx) -> bool:
+        return (all(type(i) is int and 0 <= i < nvars for i in idx)
+                and all(a < b for a, b in zip(idx, idx[1:])))
+
+    if not (type(mono) is tuple and len(mono) == 2):
+        return False
+    xs, ss = mono
+    if not (type(xs) is tuple and type(ss) is tuple):
+        return False
+    if not all(type(t) is tuple and len(t) == 2 and type(t[1]) is int and t[1] >= 1
+               for t in xs):
+        return False
+    return increasing(tuple(k for k, _ in xs)) and increasing(ss)
+
+
+def _same_nvars(p: "SuperPolynomial", q: "SuperPolynomial", op: str) -> None:
+    if p.nvars != q.nvars:
+        raise ValueError(f"{op} of polynomials in {p.nvars} and {q.nvars} variables")
+
+
 @dataclass(frozen=True)
 class SuperPolynomial:
     """Polynomial in commuting x's and anticommuting xi's, exact rationals."""
@@ -48,6 +79,12 @@ class SuperPolynomial:
 
     @staticmethod
     def make(nvars: int, data: Dict[Monomial, Fraction]) -> "SuperPolynomial":
+        bad = [k for k in data if not _is_monomial(nvars, k)]
+        if bad:
+            raise ValueError(
+                f"not monomials over nvars={nvars} (an x-part of (index, "
+                f"exponent >= 1) pairs and a xi-part of indices, both strictly "
+                f"increasing in 0..{nvars - 1}): {bad}")
         clean = {k: Fraction(v) for k, v in data.items() if v}
         return SuperPolynomial(nvars, tuple(sorted(clean.items())))
 
@@ -81,6 +118,7 @@ class SuperPolynomial:
         return not self.terms
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
+        _same_nvars(self, other, "sum")
         if not other.terms:
             return self
         if not self.terms:
@@ -92,6 +130,7 @@ class SuperPolynomial:
         return SuperPolynomial._from_dict(self.nvars, acc)
 
     def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
+        _same_nvars(self, other, "difference")
         if not other.terms:
             return self
         acc = dict(self.terms)
@@ -112,6 +151,7 @@ class SuperPolynomial:
         return SuperPolynomial(self.nvars, tuple((k, c * v) for k, v in self.terms))
 
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
+        _same_nvars(self, other, "product")
         acc: Dict[Monomial, Fraction] = {}
         for (xa, sa), ca in self.terms:
             for (xb, sb), cb in other.terms:
@@ -179,45 +219,9 @@ class SuperDerivation:
         )
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Leibniz action on a polynomial.
-
-        d/dx_k sends x^e to e x^(e-1) and commutes with everything.  The
-        d/dxi part moves past the x's (even) and the j preceding xi's (a sign
-        for odd derivations), and xi_left c xi_right = (-1)^{j |k|} xi_k
-        xi_rest for each image monomial k.
-        """
+        """Leibniz action on a polynomial (see `_apply_into`)."""
         acc: Dict[Monomial, Fraction] = {}
-        for (xs, ss), coeff in f.terms:
-            for pos, (k, e) in enumerate(xs):
-                image = self.c_x[k].terms
-                if not image:
-                    continue
-                lowered = ((k, e - 1),) if e > 1 else ()
-                rest_x = xs[:pos] + lowered + xs[pos + 1:]
-                c = coeff * e if e > 1 else coeff
-                for (ix, isx), v in image:
-                    merged, sign = _merge_sign(isx, ss)
-                    if merged is None:
-                        continue
-                    key = (_merge_x(ix, rest_x), merged)
-                    t = c * v if sign > 0 else -(c * v)
-                    old = acc.get(key)
-                    acc[key] = t if old is None else old + t
-            for j, sidx in enumerate(ss):
-                image = self.c_xi[sidx].terms
-                if not image:
-                    continue
-                rest = ss[:j] + ss[j + 1:]
-                for (ix, isx), v in image:
-                    merged, sign = _merge_sign(isx, rest)
-                    if merged is None:
-                        continue
-                    if j % 2 and (self.parity + len(isx)) % 2:
-                        sign = -sign
-                    key = (_merge_x(xs, ix), merged)
-                    t = coeff * v if sign > 0 else -(coeff * v)
-                    old = acc.get(key)
-                    acc[key] = t if old is None else old + t
+        _apply_into(acc, self, f, 1)
         return SuperPolynomial._from_dict(self.nvars, acc)
 
     def evaluate_at_origin(self) -> Tuple[List[Fraction], List[Fraction]]:
@@ -236,17 +240,72 @@ def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
     )
 
 
+def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
+                f: SuperPolynomial, sign: int) -> None:
+    """Add sign * d(f) into acc by the Leibniz rule.
+
+    d/dx_k sends x^e to e x^(e-1) and commutes with everything.  The d/dxi
+    part moves past the x's (even) and the j preceding xi's (a sign for odd
+    derivations), and xi_left c xi_right = (-1)^{j |k|} xi_k xi_rest for each
+    image monomial k.
+    """
+    c_x, c_xi = d.c_x, d.c_xi
+    for (xs, ss), coeff in f.terms:
+        for pos, (k, e) in enumerate(xs):
+            image = c_x[k].terms
+            if not image:
+                continue
+            lowered = ((k, e - 1),) if e > 1 else ()
+            rest_x = xs[:pos] + lowered + xs[pos + 1:]
+            c = coeff * e if e > 1 else coeff
+            for (ix, isx), v in image:
+                merged, s = _merge_sign(isx, ss)
+                if merged is None:
+                    continue
+                key = (_merge_x(ix, rest_x), merged)
+                t = c * v
+                old = acc.get(key)
+                if s == sign:
+                    acc[key] = t if old is None else old + t
+                else:
+                    acc[key] = -t if old is None else old - t
+        for j, sidx in enumerate(ss):
+            image = c_xi[sidx].terms
+            if not image:
+                continue
+            rest = ss[:j] + ss[j + 1:]
+            for (ix, isx), v in image:
+                merged, s = _merge_sign(isx, rest)
+                if merged is None:
+                    continue
+                if j % 2 and (d.parity + len(isx)) % 2:
+                    s = -s
+                key = (_merge_x(xs, ix), merged)
+                t = coeff * v
+                old = acc.get(key)
+                if s == sign:
+                    acc[key] = t if old is None else old + t
+                else:
+                    acc[key] = -t if old is None else old - t
+
+
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
-    """Super-commutator, evaluated on the coordinate generators."""
+    """Super-commutator, evaluated on the coordinate generators: component k
+    is d1(d2_k) -+ d2(d1_k) (+ when both are odd), both summed into one dict;
+    a zero half is skipped."""
     _require((d1.r, d1.s) == (d2.r, d2.s), "bracket of derivations on different charts")
-    both_odd = d1.parity and d2.parity
-    zero = SuperPolynomial.zero(d1.nvars)
+    nv = d1.nvars
+    sign = 1 if d1.parity and d2.parity else -1
+    zero = SuperPolynomial.zero(nv)
 
     # a derivation's value on a coordinate is its coefficient there
     def commutator(c1: SuperPolynomial, c2: SuperPolynomial) -> SuperPolynomial:
-        a = d1.apply(c2) if c2.terms else zero
-        b = d2.apply(c1) if c1.terms else zero
-        return a + b if both_odd else a - b
+        acc: Dict[Monomial, Fraction] = {}
+        if c2.terms:
+            _apply_into(acc, d1, c2, 1)
+        if c1.terms:
+            _apply_into(acc, d2, c1, sign)
+        return SuperPolynomial._from_dict(nv, acc) if acc else zero
 
     return SuperDerivation(
         d1.r, d1.s, (d1.parity + d2.parity) % 2,
@@ -439,23 +498,20 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     and this twisted identity is exactly the standard supergeometric
     statement that the sign-changed fundamental fields form an action.
     """
-    basis = qn_basis(n)
-    fields = [fundamental_field(g, s) for g in basis]
+    nn = n * n
+    fields = [fundamental_field(g, s) for g in qn_basis(n)]
+    consts = qn_structure_constants(n)
     sigma: Optional[int] = None
     checked = 0
-    for i, g1 in enumerate(basis):
-        p1 = 1 if i >= n * n else 0
-        for j, g2 in enumerate(basis):
-            p2 = 1 if j >= n * n else 0
-            br_alg = qn_bracket(g1, g2)
+    for i in range(2 * nn):
+        p1 = 1 if i >= nn else 0
+        for j in range(2 * nn):
+            p2 = 1 if j >= nn else 0
             br_fields = bracket(fields[i], fields[j])
+            _require(br_fields.parity == p1 ^ p2, "parity bookkeeping broken")
             # the field map is linear: [g1, g2]* is the combination of the
-            # basis fields with [g1, g2]'s entries, summed per parity block
-            parts = [_combination(fields, n * n * odd, M, n - s, s, odd)
-                     for odd, M in ((0, br_alg.A), (1, br_alg.B))]
-            target = parts[br_fields.parity]
-            if not parts[1 - br_fields.parity].is_zero():
-                raise AssertionError("parity bookkeeping broken")
+            # basis fields with [g1, g2]'s structure constants
+            target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
             twist = -1 if (p1 and p2) else 1
             if br_fields.is_zero() and target.is_zero():
                 checked += 1
@@ -477,13 +533,35 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     }
 
 
-def _combination(fields: List[SuperDerivation], offset: int, M, r: int, s: int,
+def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, Fraction], ...]]]:
+    """[e_i, e_j] on the basis `qn_basis(n)` as its nonzero (k, c) terms in
+    increasing k.  With e_i = E_ab of parity p and e_j = E_cd of parity q,
+    E_ab E_cd = delta_bc E_ad makes [e_i, e_j] = delta_bc E_ad -+ delta_da E_cb
+    of parity p xor q, with + when both are odd (`qn_bracket` by blocks)."""
+    nn = n * n
+    table = []
+    for i in range(2 * nn):
+        p, (a, b) = i // nn, divmod(i % nn, n)
+        row = []
+        for j in range(2 * nn):
+            q, (c, d) = j // nn, divmod(j % nn, n)
+            off = (p ^ q) * nn
+            acc: Dict[int, int] = {}
+            if b == c:
+                acc[off + a * n + d] = 1
+            if d == a:
+                k = off + c * n + b
+                acc[k] = acc.get(k, 0) + (1 if p and q else -1)
+            row.append(tuple((k, Fraction(v)) for k, v in sorted(acc.items()) if v))
+        table.append(row)
+    return table
+
+
+def _combination(fields: List[SuperDerivation],
+                 entries: Tuple[Tuple[int, Fraction], ...], r: int, s: int,
                  parity: int) -> SuperDerivation:
-    """sum M[a][b] fields[offset + a n + b] over the nonzero entries of the
-    n x n block M, accumulated into one dict per coordinate."""
-    n = len(M)
-    entries = [(offset + a * n + b, c)
-               for a, row in enumerate(M) for b, c in enumerate(row) if c]
+    """sum c fields[k] over the (k, c) entries, accumulated into one dict per
+    coordinate."""
     if not entries:
         return derivation_zero(r, s, parity)
     nv = r * s

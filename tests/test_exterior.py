@@ -601,6 +601,32 @@ def test_bracket_matches_the_two_barwedge_oracle_m_le_4(m):
                         assert_canonical(comp)
 
 
+def test_cancelled_bracket_component_is_the_shared_zero():
+    """{phi, phi} of an even form: on each component the two halves
+    i(phi)phi_k and -i(phi)phi_k cancel exactly."""
+    rng = random.Random(12)
+    for m in (2, 3, 4):
+        zero = GrassmannElement.zero(m)
+        assert zero is GrassmannElement.zero(m)
+        cancelled = 0
+        for density in (1.0, 0.5, 1.0):
+            phi = random_rational_form(rng, m, 0, density)
+            br = bracket(phi, phi)
+            cancelled += sum(bool(apply_derivation(phi, half).terms)
+                             for half in phi.components)
+            for comp in br.components:
+                assert comp == zero
+                assert comp is zero
+        assert cancelled, m
+    # a vanishing component beside a surviving one
+    m = 2
+    phi = VectorValuedForm.basis_element(m, (1,), 1)     # xi1 d/dxi1
+    psi = VectorValuedForm.basis_element(m, (1,), 2)     # xi1 d/dxi2
+    br = bracket(phi, psi)
+    assert br.components[0] is GrassmannElement.zero(m)
+    assert br.components[1] == G(m, {(1,): 1})
+
+
 def test_bracket_calls_apply_derivation_zero_times(monkeypatch):
     import flagcoh.exterior as exterior
 

@@ -559,6 +559,13 @@ def random_super_polynomial(rng, nv):
     return SuperPolynomial.make(nv, data)
 
 
+def assert_canonical(p):
+    """Strictly increasing monomials, no zero coefficient, Fraction values."""
+    keys = [k for k, _ in p.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(c and type(c) is Fraction for _, c in p.terms)
+
+
 def assert_fraction_entries(g):
     assert all(type(x) is Fraction for X in (g.A, g.B) for row in X for x in row)
 
@@ -582,6 +589,30 @@ def test_sparse_qn_bracket_matches_dense_on_random_elements(n):
             got = qn_bracket(g1, g2)
             assert got == dense_qn_bracket(g1, g2)
             assert_fraction_entries(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structure_constants_match_qn_bracket_on_every_basis_pair(n):
+    """Against the sparse qn_bracket and the dense products; the dense
+    oracle runs on integer unit matrices, which compare equal to their
+    Fraction counterparts."""
+    basis = qn_basis(n)
+    int_basis = [QnElement(n, *(tuple(tuple(int(x) for x in row) for row in X)
+                                for X in (g.A, g.B))) for g in basis]
+    table = superfields.qn_structure_constants(n)
+    for i, g1 in enumerate(basis):
+        for j, g2 in enumerate(basis):
+            entries = table[i][j]
+            assert [k for k, _ in entries] == sorted({k for k, _ in entries})
+            assert all(c and type(c) is Fraction for _, c in entries)
+            A = [[Fraction(0)] * n for _ in range(n)]
+            B = [[Fraction(0)] * n for _ in range(n)]
+            for k, c in entries:
+                odd, (a, b) = k // (n * n), divmod(k % (n * n), n)
+                (B if odd else A)[a][b] += c
+            got = QnElement.make(n, A, B)
+            assert got == qn_bracket(g1, g2), (n, i, j)
+            assert got == dense_qn_bracket(int_basis[i], int_basis[j]), (n, i, j)
 
 
 @pytest.mark.parametrize("n,s", [(3, 1), (4, 2), (5, 2)])
@@ -613,6 +644,8 @@ def test_apply_and_bracket_match_the_per_letter_loop(n, s):
         br = bracket(d1, d2)
         assert ([p.tdict() for p in br.c_x], [p.tdict() for p in br.c_xi]) \
             == old_bracket(d1, d2)
+        for p in br.c_x + br.c_xi:
+            assert_canonical(p)
 
 
 def test_superfields_shares_the_exterior_kernel():
@@ -678,6 +711,53 @@ def test_homomorphism_check_runs_the_jet_once_per_basis_element(monkeypatch):
         calls.clear()
         homomorphism_check(n, s)
         assert len(calls) == 2 * n * n, (n, s)
+
+
+def test_homomorphism_check_reads_brackets_from_the_structure_constants(monkeypatch):
+    """No qn_bracket call, and every one of the (2n^2)^2 pairs is checked."""
+    calls = []
+    monkeypatch.setattr(superfields, "qn_bracket",
+                        lambda *args: calls.append(args) or qn_bracket(*args))
+    for n, s in C8_SIZES:
+        res = homomorphism_check(n, s)
+        assert res["pairs"] == 4 * n ** 4, (n, s)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mono", [
+    ((), (2, 0)),             # unsorted xi-part
+    ((), (1, 1)),             # repeated xi
+    ((), (3,)),               # xi index >= nvars
+    ((), (-1,)),              # negative index
+    (((3, 1),), ()),          # x index >= nvars
+    (((1, 1), (0, 1)), ()),   # unsorted x-part
+    (((1, 1), (1, 2)), ()),   # repeated x
+    (((0, 0),), ()),          # exponent 0
+    (((0, 1.0),), ()),        # non-integer exponent
+    ((0,), ()),               # x entry not an (index, exponent) pair
+    ((), 0),                  # xi-part not a tuple
+    ((), ),                   # not an (x-part, xi-part) pair
+])
+def test_make_rejects_malformed_monomials(mono):
+    with pytest.raises(ValueError, match="not monomials over nvars=3"):
+        SuperPolynomial.make(3, {mono: 1})
+    with pytest.raises(ValueError):
+        SuperPolynomial.make(3, {((), ()): 1, mono: 0})
+
+
+def test_make_accepts_canonical_monomials():
+    mono = (((0, 1), (2, 3)), (0, 1, 2))
+    p = SuperPolynomial.make(3, {mono: 2, ((), ()): 0})
+    assert p.terms == ((mono, Fraction(2)),)
+
+
+def test_arithmetic_rejects_different_nvars():
+    p, q = x(3, 0), x(4, 0)
+    for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: q + p):
+        with pytest.raises(ValueError, match="polynomials in"):
+            op()
+    with pytest.raises(ValueError):
+        p + SuperPolynomial.zero(4)
 
 
 def test_sub_matches_add_of_negation():
