@@ -10,7 +10,8 @@ even k and the change checkout first on odd k, so that a drift in host speed
 does not favour either side.  For each workload and each end-to-end metric
 the record holds every run's value, the median and quartiles per side, and
 the number of pairs in which the change checkout was lower.  On `gate` it
-also keeps each check's latency (its minimum over a run's passes).  With
+also keeps each check's latency (its minimum over a run's passes) and the
+per-layer metrics of one traced run per checkout.  With
 --tier1 the change checkout's test suite runs once more, and its wall time,
 summary line and ten slowest tests go into the record.
 """
@@ -32,14 +33,19 @@ METRICS = ("run_s", "peak_rss_mb", "setup_s")
 REPORTED = ("probe_ms", "wall_run_s")
 
 
+def bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+    """stdout lines of one perfbench invocation in the checkout at root."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True)
+    return proc.stdout.strip().splitlines()
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> Dict:
     """One perfbench invocation: its result line, printed figures and the
     per-operation latencies of its record."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True, check=True)
-    lines = proc.stdout.strip().splitlines()
+    lines = bench(root, workload, seed, seconds)
     result = json.loads(lines[-1])
     printed = {}
     for line in lines:
@@ -132,6 +138,12 @@ def main() -> int:
             print(f"{workload} pair {k}: run_s parent {runs['parent'][-1]['run_s']:.4f}"
                   f" change {runs['change'][-1]['run_s']:.4f}", file=sys.stderr)
         record["workloads"][workload] = summarise(runs, workload)
+    if "gate" in args.workloads:
+        record["gate_traced"] = {
+            "seed": seeds[0],
+            **{side: {k: v["value"] for k, v in json.loads(
+                bench(root, "gate", seeds[0], args.seconds, trace=1)[-1])["metrics"].items()}
+               for side, root in (("parent", args.parent), ("change", args.change))}}
     if args.tier1:
         record["tier1"] = tier1(args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
