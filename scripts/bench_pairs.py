@@ -1,19 +1,18 @@
 """Alternating parent/change runs of perfbench/run.py, summarised in one JSON.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--pairs 10] [--seed0 101] [--seconds 20] [--workloads gate tables spectral] \
-        [--tier1]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
 DIR is the root of a checkout (one with `src/flagcoh` and `perfbench`).
-Pair k runs both checkouts on seed seed0 + k, the parent checkout first on
-even k and the change checkout first on odd k, so that a drift in host speed
-does not favour either side.  For each workload and each end-to-end metric
+Every workload runs ten pairs of `perfbench/run.py --seconds 20`; pair k
+runs both checkouts on seed 101 + k, the parent checkout first on even k and
+the change checkout first on odd k, so that a drift in host speed does not
+favour either side.  For each workload and each end-to-end metric
 the record holds every run's value, the median and quartiles per side, and
 the number of pairs in which the change checkout was lower.  On `gate` it
 also keeps each check's latency (its minimum over a run's passes) and the
-per-layer metrics of one traced run per checkout.  With
---tier1 the change checkout's test suite runs once more, and its wall time,
-summary line and ten slowest tests go into the record.
+per-layer metrics of one traced run per checkout.  Last, the change
+checkout's test suite runs once, and its wall time, summary line and ten
+slowest tests go into the record.
 """
 
 from __future__ import annotations
@@ -31,21 +30,24 @@ from typing import Dict, List
 
 METRICS = ("run_s", "peak_rss_mb", "setup_s")
 REPORTED = ("probe_ms", "wall_run_s")
+WORKLOADS = ("gate", "tables", "spectral")
+SEEDS = tuple(range(101, 111))    # one per pair
+SECONDS = 20
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+def bench(root: Path, workload: str, seed: int, trace: int = 0):
     """stdout lines of one perfbench invocation in the checkout at root."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
     return proc.stdout.strip().splitlines()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> Dict:
+def run_once(root: Path, workload: str, seed: int) -> Dict:
     """One perfbench invocation: its result line, printed figures and the
     per-operation latencies of its record."""
-    lines = bench(root, workload, seed, seconds)
+    lines = bench(root, workload, seed)
     result = json.loads(lines[-1])
     printed = {}
     for line in lines:
@@ -111,41 +113,33 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed0", type=int, default=101)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workloads", nargs="+", default=["gate", "tables", "spectral"])
-    ap.add_argument("--tier1", action="store_true")
     args = ap.parse_args()
 
-    seeds = [args.seed0 + k for k in range(args.pairs)]
     record: Dict = {
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
-        "seeds": seeds,
+        "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS}",
+        "seeds": list(SEEDS),
         "order": "parent first on even pairs, change first on odd pairs",
         "python": sys.version.split()[0],
         "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
-        for k, seed in enumerate(seeds):
+        for k, seed in enumerate(SEEDS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 root = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(root, workload, seed, args.seconds))
+                runs[side].append(run_once(root, workload, seed))
             print(f"{workload} pair {k}: run_s parent {runs['parent'][-1]['run_s']:.4f}"
                   f" change {runs['change'][-1]['run_s']:.4f}", file=sys.stderr)
         record["workloads"][workload] = summarise(runs, workload)
-    if "gate" in args.workloads:
-        record["gate_traced"] = {
-            "seed": seeds[0],
-            **{side: {k: v["value"] for k, v in json.loads(
-                bench(root, "gate", seeds[0], args.seconds, trace=1)[-1])["metrics"].items()}
-               for side, root in (("parent", args.parent), ("change", args.change))}}
-    if args.tier1:
-        record["tier1"] = tier1(args.change)
+    record["gate_traced"] = {
+        "seed": SEEDS[0],
+        **{side: {k: v["value"] for k, v in json.loads(
+            bench(root, "gate", SEEDS[0], trace=1)[-1])["metrics"].items()}
+           for side, root in (("parent", args.parent), ("change", args.change))}}
+    record["tier1"] = tier1(args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

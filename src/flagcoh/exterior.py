@@ -137,8 +137,6 @@ class GrassmannElement:
     def scale(self, c) -> "GrassmannElement":
         if c == 1 or not self.terms:
             return self
-        if c == -1:
-            return -self
         c = Fraction(c)
         if not c:
             return GrassmannElement.zero(self.m)
@@ -325,8 +323,8 @@ def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)].
 
     Component k is i(phi)psi_k -+ i(psi)phi_k (+ when both are odd), both
-    summed into one dict; a zero half is skipped, and a component where
-    both halves are zero or cancel is the shared zero.
+    summed into one dict; components where phi and psi are both zero are
+    skipped, and a component whose halves cancel is the shared zero.
     """
     if phi.m != psi.m:
         raise ValueError("dimension mismatch")
@@ -336,14 +334,11 @@ def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
     sign = 1 if (phi.degree % 2) and (psi.degree % 2) else -1
     comps = [GrassmannElement.zero(m)] * m
     for idx, (a, b) in enumerate(zip(phi.components, psi.components)):
-        if not (a.terms or b.terms):
-            continue
-        acc: Dict[Monomial, Fraction] = {}
-        if b.terms:
+        if a.terms or b.terms:
+            acc: Dict[Monomial, Fraction] = {}
             _leibniz_into(acc, phi, b, 1)
-        if a.terms:
             _leibniz_into(acc, psi, a, sign)
-        comps[idx] = GrassmannElement._from_dict(m, acc)
+            comps[idx] = GrassmannElement._from_dict(m, acc)
     return VectorValuedForm(m, deg, tuple(comps))
 
 

@@ -18,8 +18,9 @@ elements stays public and is their test oracle.
 `_apply_into` is the one Leibniz loop of the super fields: it adds +-d(f)
 into a caller's dict.  `SuperDerivation.apply` calls it once, and `bracket`
 twice per coordinate, d1(d2_k) and -+d2(d1_k) into one dict, with no
-intermediate polynomial or sum.  Only the public `SuperPolynomial.make`
-validates monomials; kernel output goes through `_from_dict` unchecked.
+intermediate polynomial or sum.  The public constructors validate their
+input: `SuperPolynomial.make` every monomial, `x` and `xi` the variable
+index; kernel output goes through `_from_dict` unchecked.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def _is_monomial(nvars: int, mono) -> bool:
     return increasing(tuple(k for k, _ in xs)) and increasing(ss)
 
 
+def _variable(nvars: int, k) -> int:
+    """k, checked to index one of the nvars even or odd variables."""
+    if not (type(k) is int and 0 <= k < nvars):
+        raise ValueError(f"variable index {k!r} outside 0..{nvars - 1}")
+    return k
+
+
 def _same_nvars(p: "SuperPolynomial", q: "SuperPolynomial", op: str) -> None:
     if p.nvars != q.nvars:
         raise ValueError(f"{op} of polynomials in {p.nvars} and {q.nvars} variables")
@@ -105,11 +113,13 @@ class SuperPolynomial:
 
     @staticmethod
     def x(nvars: int, k: int) -> "SuperPolynomial":
-        return SuperPolynomial(nvars, (((((k, 1),), ()), Fraction(1)),))
+        mono = (((_variable(nvars, k), 1),), ())
+        return SuperPolynomial(nvars, ((mono, Fraction(1)),))
 
     @staticmethod
     def xi(nvars: int, k: int) -> "SuperPolynomial":
-        return SuperPolynomial(nvars, ((((), (k,)), Fraction(1)),))
+        mono = ((), (_variable(nvars, k),))
+        return SuperPolynomial(nvars, ((mono, Fraction(1)),))
 
     def tdict(self) -> Dict[Monomial, Fraction]:
         return dict(self.terms)

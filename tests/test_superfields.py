@@ -745,6 +745,13 @@ def test_make_rejects_malformed_monomials(mono):
         SuperPolynomial.make(3, {((), ()): 1, mono: 0})
 
 
+@pytest.mark.parametrize("k", [-1, 3, 5, 1.0, None])
+def test_variable_constructors_reject_out_of_range_indices(k):
+    for ctor in (SuperPolynomial.x, SuperPolynomial.xi):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            ctor(3, k)
+
+
 def test_make_accepts_canonical_monomials():
     mono = (((0, 1), (2, 3)), (0, 1, 2))
     p = SuperPolynomial.make(3, {mono: 2, ((), ()): 0})
