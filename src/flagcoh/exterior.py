@@ -75,9 +75,6 @@ class GrassmannElement:
     def _from_dict(m: int, acc: Dict[Monomial, Fraction]) -> "GrassmannElement":
         """The element of kernel-produced monomials and Fraction values; the
         shared zero when every value cancelled."""
-        if len(acc) == 1:
-            ((k, c),) = acc.items()
-            return GrassmannElement(m, ((k, c),)) if c else GrassmannElement.zero(m)
         terms = tuple(sorted((k, c) for k, c in acc.items() if c))
         return GrassmannElement(m, terms) if terms else GrassmannElement.zero(m)
 
