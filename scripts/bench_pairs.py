@@ -12,7 +12,8 @@ the number of pairs in which the change checkout was lower.  On `gate` it
 also keeps each check's latency (its minimum over a run's passes) and the
 per-layer metrics of one traced run per checkout.  Last, the change
 checkout's test suite runs once, and its wall time, summary line and ten
-slowest tests go into the record.
+slowest tests go into the record, beside the line count of each checkout's
+`src/flagcoh` (`src_lines`).
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def summarise(runs: Dict[str, List[Dict]], workload: str) -> Dict:
     return out
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the Python files in root/src/flagcoh, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "flagcoh").glob("*.py"))
+
+
 def tier1(root: Path) -> Dict:
     started = time.monotonic()
     proc = subprocess.run(
@@ -122,6 +128,7 @@ def main() -> int:
         "python": sys.version.split()[0],
         "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "workloads": {},
     }
     for workload in WORKLOADS:

@@ -91,6 +91,8 @@ def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
 # --- commands -----------------------------------------------------------------
 
 def cmd_roots(args) -> int:
+    if not args.type[1:].isdigit():
+        raise ValueError(f"simple type {args.type!r} is not a letter and a rank, e.g. B3")
     t = SimpleLieType(args.type[0].upper(), int(args.type[1:]))
     rd = build_root_system(t)
     payload = {
@@ -401,13 +403,17 @@ def cmd_pi_grassmannian(args) -> int:
 
 def _load_manifest(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read manifest {path}: {exc.strerror}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
 
 

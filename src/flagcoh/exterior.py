@@ -7,10 +7,13 @@ suite as oracles (their prefactor conventions are mutually inconsistent, so
 they pin per-degree constants there instead of driving this implementation).
 
 `_merge_sign` is the one Grassmann-monomial kernel: it multiplies two sorted
-index tuples with the anticommutation sign.  `superfields` multiplies the odd
-parts of its super monomials with the same function.  Products, sums and
-derivations accumulate kernel output into one dict per call and build the
-result without validating it again; only the public `make` validates.
+index tuples with the anticommutation sign.  `TermAlgebra` is the one sparse
+term arithmetic (sum, difference, negation, scaling, product, the shared zero)
+on top of it; `GrassmannElement` and `superfields.SuperPolynomial` subclass
+it and differ only in their monomial product and their constructors.
+Products, sums and derivations accumulate kernel output into one dict per
+call and build the result through `_from_dict` without validating it again;
+only the public constructors validate.
 
 `_leibniz_into` is the one Leibniz loop: it adds +-i(phi)a into a caller's
 dict.  `apply_derivation` and `barwedge` call it once per element, and
@@ -21,6 +24,7 @@ on phi's, into one dict, with no intermediate form, negation or sum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,11 +61,103 @@ def _merge_sign(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
 
 
 @dataclass(frozen=True)
-class GrassmannElement:
-    """Element of Lambda(xi_1..xi_m) with exact rational coefficients."""
+class TermAlgebra:
+    """Exact sparse combination of monomials in m variables, the arithmetic
+    shared by `GrassmannElement` and `superfields.SuperPolynomial`.
+
+    terms holds (monomial, nonzero Fraction) pairs sorted by monomial.  A
+    subclass supplies `_mono_mul`, the product of two monomials as
+    (monomial, sign), or (None, 0) when it vanishes; each class keeps one
+    shared zero per m.  Subclasses add no field, so they are plain classes
+    that inherit the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
+    """
 
     m: int
-    terms: Tuple[Tuple[Monomial, Fraction], ...]
+    terms: Tuple[Tuple[object, Fraction], ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._zeros = {}
+
+    @classmethod
+    def _from_dict(cls, m: int, acc: Dict[object, Fraction]):
+        """The element of kernel-produced monomials and Fraction values; the
+        shared zero when every value cancelled."""
+        terms = tuple(sorted([(k, c) for k, c in acc.items() if c]))
+        return cls(m, terms) if terms else cls.zero(m)
+
+    @classmethod
+    def zero(cls, m: int):
+        """The zero in m variables, one shared instance per class and m."""
+        z = cls._zeros.get(m)
+        if z is None:
+            z = cls._zeros[m] = cls(m, ())
+        return z
+
+    def tdict(self) -> Dict[object, Fraction]:
+        return dict(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if self.m != other.m:
+            raise _mismatch("sum", self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            old = acc.get(k)
+            acc[k] = c if old is None else old + c
+        return self._from_dict(self.m, acc)
+
+    def __sub__(self, other):
+        if self.m != other.m:
+            raise _mismatch("difference", self, other)
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            old = acc.get(k)
+            acc[k] = -c if old is None else old - c
+        return self._from_dict(self.m, acc)
+
+    def __neg__(self):
+        return type(self)(self.m, tuple((k, -c) for k, c in self.terms))
+
+    def scale(self, c):
+        if c == 1:
+            return self
+        c = Fraction(c)
+        if not c:
+            return self.zero(self.m)
+        return type(self)(self.m, tuple((k, c * v) for k, v in self.terms))
+
+    def __mul__(self, other):
+        if self.m != other.m:
+            raise _mismatch("product", self, other)
+        mono_mul = self._mono_mul
+        acc: Dict[object, Fraction] = {}
+        for ka, ca in self.terms:
+            for kb, cb in other.terms:
+                k, s = mono_mul(ka, kb)
+                if k is not None:
+                    t = ca * cb if s > 0 else -(ca * cb)
+                    old = acc.get(k)
+                    acc[k] = t if old is None else old + t
+        return self._from_dict(self.m, acc)
+
+
+def _mismatch(op: str, a: TermAlgebra, b: TermAlgebra) -> ValueError:
+    return ValueError(f"{op} of polynomials in {a.m} and {b.m} variables")
+
+
+class GrassmannElement(TermAlgebra):
+    """Element of Lambda(xi_1..xi_m) with exact rational coefficients."""
+
+    _mono_mul = staticmethod(_merge_sign)
 
     @staticmethod
     def make(m: int, data: Dict[Monomial, Fraction]) -> "GrassmannElement":
@@ -72,21 +168,6 @@ class GrassmannElement:
         return GrassmannElement(m, tuple(sorted(clean.items())))
 
     @staticmethod
-    def _from_dict(m: int, acc: Dict[Monomial, Fraction]) -> "GrassmannElement":
-        """The element of kernel-produced monomials and Fraction values; the
-        shared zero when every value cancelled."""
-        terms = tuple(sorted((k, c) for k, c in acc.items() if c))
-        return GrassmannElement(m, terms) if terms else GrassmannElement.zero(m)
-
-    @staticmethod
-    def zero(m: int) -> "GrassmannElement":
-        """The zero of Lambda(xi_1..xi_m), one shared instance per m."""
-        z = _ZEROS.get(m)
-        if z is None:
-            z = _ZEROS[m] = GrassmannElement(m, ())
-        return z
-
-    @staticmethod
     def one(m: int) -> "GrassmannElement":
         return GrassmannElement(m, (((), Fraction(1)),))
 
@@ -94,68 +175,11 @@ class GrassmannElement:
     def generator(m: int, j: int) -> "GrassmannElement":
         return GrassmannElement.make(m, {(j,): Fraction(1)})
 
-    def tdict(self) -> Dict[Monomial, Fraction]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_homogeneous(self) -> Optional[int]:
         degs = {len(k) for k, _ in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None if degs else 0
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        _require(self.m == other.m, "adding Grassmann elements of different m")
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = c if old is None else old + c
-        return GrassmannElement._from_dict(self.m, acc)
-
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        _require(self.m == other.m, "subtracting Grassmann elements of different m")
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = -c if old is None else old - c
-        return GrassmannElement._from_dict(self.m, acc)
-
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.m, tuple((k, -c) for k, c in self.terms))
-
-    def scale(self, c) -> "GrassmannElement":
-        if c == 1 or not self.terms:
-            return self
-        c = Fraction(c)
-        if not c:
-            return GrassmannElement.zero(self.m)
-        return GrassmannElement(self.m, tuple((k, c * v) for k, v in self.terms))
-
-    def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
-        _require(self.m == other.m, "multiplying Grassmann elements of different m")
-        acc: Dict[Monomial, Fraction] = {}
-        for ka, ca in self.terms:
-            for kb, cb in other.terms:
-                k, s = _merge_sign(ka, kb)
-                if k is not None:
-                    t = ca * cb if s > 0 else -(ca * cb)
-                    old = acc.get(k)
-                    acc[k] = t if old is None else old + t
-        return GrassmannElement._from_dict(self.m, acc)
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.tdict().get(tuple(mono), Fraction(0))
-
-
-_ZEROS: Dict[int, GrassmannElement] = {}
 
 
 def basis_monomials(m: int, p: int) -> List[Monomial]:
@@ -191,12 +215,9 @@ class VectorValuedForm:
     @staticmethod
     def basis_element(m: int, mono: Monomial, j: int) -> "VectorValuedForm":
         """xi_{mono} d/dxi_j."""
-        comps = [GrassmannElement.zero(m) for _ in range(m)]
+        comps = [GrassmannElement.zero(m)] * m
         comps[j - 1] = GrassmannElement.make(m, {tuple(mono): Fraction(1)})
         return VectorValuedForm.make(m, len(mono) - 1, comps)
-
-    def parity(self) -> int:
-        return self.degree % 2
 
     def __add__(self, other: "VectorValuedForm") -> "VectorValuedForm":
         _require(self.m == other.m, "adding forms of different m")
@@ -351,10 +372,7 @@ def contraction_c(phi: VectorValuedForm) -> GrassmannElement:
     for k in range(1, m + 1):
         dk = VectorValuedForm.basis_element(m, (), k)
         total = total + apply_derivation(dk, phi.components[k - 1])
-    factor = Fraction(_factorial(p)) if p >= 0 else Fraction(1)
-    if p >= 0 and p % 2 == 1:
-        factor = -factor
-    return total.scale(factor)
+    return total.scale((-1) ** p * math.factorial(p) if p >= 0 else 1)
 
 
 def decompose_im_j_ker_c(
@@ -364,16 +382,9 @@ def decompose_im_j_ker_c(
     m, p = phi.m, phi.degree
     if p >= m:
         raise ValueError("the Im j (+) Ker c splitting needs degree < m")
-    psi = contraction_c(phi).scale(Fraction(1, _factorial(p) * (m - p)))
+    psi = contraction_c(phi).scale(Fraction(1, math.factorial(max(p, 0)) * (m - p)))
     chi = phi - j_map(m, psi, degree=p)
     return psi, chi
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def wedge_basis(m: int) -> List[Tuple[Monomial, int]]:

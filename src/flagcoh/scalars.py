@@ -185,16 +185,21 @@ def parse_scalar(text: str) -> QSqrt2:
     terms.append(cur)
     a = Fraction(0)
     b = Fraction(0)
-    for t in terms:
-        if "rt2" in t:
-            coeff = t.replace("*rt2", "").replace("rt2", "")
-            if coeff in ("", "+"):
-                coeff = "1"
-            elif coeff == "-":
-                coeff = "-1"
-            b += Fraction(coeff)
-        else:
-            a += Fraction(t)
+    try:
+        for t in terms:
+            if t.count("rt2") > 1:
+                raise ValueError(f"more than one rt2 factor in a term of {text!r}")
+            if "rt2" in t:
+                coeff = t.replace("*rt2", "").replace("rt2", "")
+                if coeff in ("", "+"):
+                    coeff = "1"
+                elif coeff == "-":
+                    coeff = "-1"
+                b += Fraction(coeff)
+            else:
+                a += Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the scalar {text!r}") from None
     return QSqrt2(a, b)
 
 

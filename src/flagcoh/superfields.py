@@ -18,8 +18,13 @@ elements stays public and is their test oracle.
 `_apply_into` is the one Leibniz loop of the super fields: it adds +-d(f)
 into a caller's dict.  `SuperDerivation.apply` calls it once, and `bracket`
 twice per coordinate, d1(d2_k) and -+d2(d1_k) into one dict, with no
-intermediate polynomial or sum.  The public constructors validate their
-input: `SuperPolynomial.make` every monomial, `x` and `xi` the variable
+intermediate polynomial or sum.
+
+`SuperPolynomial` takes its sums, products, scaling and shared zero from
+`exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
+only its monomial product (the x-parts add, the xi-parts go through
+`exterior._merge_sign`) and its constructors.  The public constructors
+validate their input: `make` every monomial, `x` and `xi` the variable
 index; kernel output goes through `_from_dict` unchecked.
 """
 
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import _merge_sign
+from .exterior import TermAlgebra, _merge_sign
 from .rootsys import _require
 from .scalars import nullspace
 
@@ -73,17 +78,21 @@ def _variable(nvars: int, k) -> int:
     return k
 
 
-def _same_nvars(p: "SuperPolynomial", q: "SuperPolynomial", op: str) -> None:
-    if p.nvars != q.nvars:
-        raise ValueError(f"{op} of polynomials in {p.nvars} and {q.nvars} variables")
+class SuperPolynomial(TermAlgebra):
+    """Polynomial in nvars commuting x's and nvars anticommuting xi's, exact
+    rationals; nvars is the shared arithmetic's m."""
 
+    @staticmethod
+    def _mono_mul(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
+        """The x-parts add, the xi-parts go through `_merge_sign`."""
+        ss, sg = _merge_sign(a[1], b[1])
+        if ss is None:
+            return None, 0
+        return (_merge_x(a[0], b[0]), ss), sg
 
-@dataclass(frozen=True)
-class SuperPolynomial:
-    """Polynomial in commuting x's and anticommuting xi's, exact rationals."""
-
-    nvars: int
-    terms: Tuple[Tuple[Monomial, Fraction], ...]
+    @property
+    def nvars(self) -> int:
+        return self.m
 
     @staticmethod
     def make(nvars: int, data: Dict[Monomial, Fraction]) -> "SuperPolynomial":
@@ -95,15 +104,6 @@ class SuperPolynomial:
                 f"increasing in 0..{nvars - 1}): {bad}")
         clean = {k: Fraction(v) for k, v in data.items() if v}
         return SuperPolynomial(nvars, tuple(sorted(clean.items())))
-
-    @staticmethod
-    def _from_dict(nvars: int, acc: Dict[Monomial, Fraction]) -> "SuperPolynomial":
-        """The polynomial of kernel-produced monomials and Fraction values."""
-        return SuperPolynomial(nvars, tuple(sorted((k, c) for k, c in acc.items() if c)))
-
-    @staticmethod
-    def zero(nvars: int) -> "SuperPolynomial":
-        return SuperPolynomial(nvars, ())
 
     @staticmethod
     def const(nvars: int, c) -> "SuperPolynomial":
@@ -121,63 +121,10 @@ class SuperPolynomial:
         mono = ((), (_variable(nvars, k),))
         return SuperPolynomial(nvars, ((mono, Fraction(1)),))
 
-    def tdict(self) -> Dict[Monomial, Fraction]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        _same_nvars(self, other, "sum")
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = c if old is None else old + c
-        return SuperPolynomial._from_dict(self.nvars, acc)
-
-    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        _same_nvars(self, other, "difference")
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = -c if old is None else old - c
-        return SuperPolynomial._from_dict(self.nvars, acc)
-
-    def __neg__(self) -> "SuperPolynomial":
-        return SuperPolynomial(self.nvars, tuple((k, -c) for k, c in self.terms))
-
-    def scale(self, c) -> "SuperPolynomial":
-        c = Fraction(c)
-        if c == 1:
-            return self
-        if not c:
-            return SuperPolynomial.zero(self.nvars)
-        return SuperPolynomial(self.nvars, tuple((k, c * v) for k, v in self.terms))
-
-    def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        _same_nvars(self, other, "product")
-        acc: Dict[Monomial, Fraction] = {}
-        for (xa, sa), ca in self.terms:
-            for (xb, sb), cb in other.terms:
-                ss, sg = _merge_sign(sa, sb)
-                if ss is None:
-                    continue
-                key = (_merge_x(xa, xb), ss)
-                t = ca * cb if sg > 0 else -(ca * cb)
-                old = acc.get(key)
-                acc[key] = t if old is None else old + t
-        return SuperPolynomial._from_dict(self.nvars, acc)
-
     def sigma(self) -> "SuperPolynomial":
         """Parity automorphism: negate odd terms."""
         return SuperPolynomial(
-            self.nvars,
+            self.m,
             tuple((k, -c if len(k[1]) % 2 else c) for k, c in self.terms),
         )
 
@@ -301,21 +248,17 @@ def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
 
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
     """Super-commutator, evaluated on the coordinate generators: component k
-    is d1(d2_k) -+ d2(d1_k) (+ when both are odd), both summed into one dict;
-    a zero half is skipped."""
+    is d1(d2_k) -+ d2(d1_k) (+ when both are odd), both summed into one dict."""
     _require((d1.r, d1.s) == (d2.r, d2.s), "bracket of derivations on different charts")
     nv = d1.nvars
     sign = 1 if d1.parity and d2.parity else -1
-    zero = SuperPolynomial.zero(nv)
 
     # a derivation's value on a coordinate is its coefficient there
     def commutator(c1: SuperPolynomial, c2: SuperPolynomial) -> SuperPolynomial:
         acc: Dict[Monomial, Fraction] = {}
-        if c2.terms:
-            _apply_into(acc, d1, c2, 1)
-        if c1.terms:
-            _apply_into(acc, d2, c1, sign)
-        return SuperPolynomial._from_dict(nv, acc) if acc else zero
+        _apply_into(acc, d1, c2, 1)
+        _apply_into(acc, d2, c1, sign)
+        return SuperPolynomial._from_dict(nv, acc)
 
     return SuperDerivation(
         d1.r, d1.s, (d1.parity + d2.parity) % 2,

@@ -397,10 +397,11 @@ QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_queries_match_golden_output(capsys, key):
     """roots on every preset's type, invariants at (3, 2) on every preset and
-    rejected inputs (among them a negative table size and the zero theta
-    parameter, also where CP2 folds a theta2 + b eta to zero, which exit 2
-    with an error): exit code, stdout and stderr are byte-identical to the
-    recorded ones."""
+    rejected inputs (among them a negative table size, the zero theta
+    parameter, also where CP2 folds a theta2 + b eta to zero, a scalar with a
+    zero denominator or two rt2 factors in a term, an empty root type and a
+    missing manifest, which exit 2 with one error line): exit code, stdout
+    and stderr are byte-identical to the recorded ones."""
     try:
         code = main(key.split(" "))
     except SystemExit as exc:

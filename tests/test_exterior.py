@@ -556,6 +556,14 @@ def test_make_rejects_malformed_monomials():
             VectorValuedForm.make(2, degree, [G(2, comp), G(2, {})])
 
 
+def test_arithmetic_rejects_different_m_as_super_polynomials_do():
+    a, b = GrassmannElement.generator(2, 1), GrassmannElement.generator(3, 1)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b - a,
+               lambda: a + GrassmannElement.zero(3)):
+        with pytest.raises(ValueError, match="polynomials in [23] and [23] variables"):
+            op()
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
 def test_inhomogeneous_j_map_raises_with_and_without_python_O(flags):
     src = str(Path(flagcoh.__file__).resolve().parent.parent)

@@ -212,3 +212,21 @@ def test_parse_round_trip():
         v = parse_scalar(text)
         assert isinstance(v, QSqrt2)
     assert parse_scalar("2+3*rt2") * parse_scalar("2-3*rt2") == qs(4 - 18)
+
+
+@pytest.mark.parametrize("text", ["rt2*rt2", "rt2rt2", "sqrt2*sqrt2", "1+2*rt2*rt2",
+                                  "3*rt2-rt2*rt2"])
+def test_parse_rejects_two_rt2_factors_in_a_term(text):
+    with pytest.raises(ValueError, match="more than one rt2"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1+2/0*rt2", "-3/0"])
+def test_parse_rejects_zero_denominators(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
+def test_parse_keeps_one_rt2_per_term():
+    assert parse_scalar("rt2+rt2") == qs(0, 2)
+    assert parse_scalar("2rt2-1/2*rt2") == qs(0, Fraction(3, 2))

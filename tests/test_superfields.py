@@ -10,6 +10,7 @@ import pytest
 
 import flagcoh
 import flagcoh.superfields as superfields
+from flagcoh.exterior import GrassmannElement
 
 from flagcoh.superfields import (
     QnElement,
@@ -765,6 +766,38 @@ def test_arithmetic_rejects_different_nvars():
             op()
     with pytest.raises(ValueError):
         p + SuperPolynomial.zero(4)
+
+
+SHARED = ("__add__", "__sub__", "__neg__", "scale", "__mul__", "_from_dict", "zero",
+          "tdict", "is_zero")
+
+
+def test_grassmann_and_super_polynomials_share_one_arithmetic():
+    def impl(cls, name):
+        attr = getattr(cls, name)
+        return getattr(attr, "__func__", attr)
+
+    for name in SHARED:
+        assert name not in vars(GrassmannElement) and name not in vars(SuperPolynomial)
+        assert impl(GrassmannElement, name) is impl(SuperPolynomial, name), name
+
+
+def test_cancelling_sum_is_the_shared_zero():
+    nv = 3
+    mono = (((0, 1),), (1,))
+    got = SuperPolynomial._from_dict(nv, {mono: Fraction(0), ((), ()): Fraction(0)})
+    assert got is SuperPolynomial.zero(nv)
+    p = x(nv, 0) * xi(nv, 1)
+    assert p - p is SuperPolynomial.zero(nv)
+    assert SuperPolynomial.zero(nv) is not GrassmannElement.zero(nv)
+    assert SuperPolynomial.zero(nv) != GrassmannElement.zero(nv)
+
+
+def test_nvars_is_a_read_only_alias_of_m():
+    p = x(4, 2)
+    assert p.nvars == p.m == 4
+    with pytest.raises(AttributeError):
+        p.nvars = 5
 
 
 def test_sub_matches_add_of_negation():
