@@ -15,10 +15,14 @@ Products, sums and derivations accumulate kernel output into one dict per
 call and build the result through `_from_dict` without validating it again;
 only the public constructors validate.
 
-`_leibniz_into` is the one Leibniz loop: it adds +-i(phi)a into a caller's
-dict.  `apply_derivation` and `barwedge` call it once per element, and
-`bracket` calls it twice per component, i(phi) on psi's component and -+i(psi)
-on phi's, into one dict, with no intermediate form, negation or sum.
+`Derivation` is the one derivation type, held as `images`, its values on
+the generators: it writes sums, scaling, `apply` and the bracket once, with
+one mismatch rule (`ValueError`).  `VectorValuedForm` and
+`superfields.SuperDerivation` subclass it with their labels and hooks: the
+term algebra, a same-space constructor and the Leibniz loop.  Here that loop
+is `_leibniz_into`, which adds +-i(phi)a into a caller's dict; `apply` and
+`barwedge` call it once per element, and the bracket twice per generator,
+i(phi) on psi's image and -+i(psi) on phi's, into one dict.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import _require
@@ -186,17 +191,153 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
     return [tuple(c) for c in itertools.combinations(range(1, m + 1), p)]
 
 
-@dataclass(frozen=True)
-class VectorValuedForm:
-    """Element of Lambda^{p+1} E (x) E*, i.e. the degree-p part of der Lambda E.
+class Derivation:
+    """A derivation of a `TermAlgebra`, held as `images`, its values on the
+    generators; sums, scaling, `apply` and the bracket are written once here.
 
-    degree is the derivation degree p in [-1, m]; components[k] is the image
-    of xi_{k+1}, a Grassmann element of degree p+1.
+    A subclass is a frozen dataclass whose last field is `images`.  It names
+    its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
+    labels that tell two spaces of the same m apart, or None) and its
+    `_grade_field` (degree or parity), and supplies its Leibniz loop
+    `_into(acc, a, sign)`, which adds sign * self(a) into acc,
+    `_bracket_label` and `_relabel(grade, images)`, a derivation on the same
+    space.  Operands on different spaces raise `ValueError`, and so do
+    nonzero operands of different grades in a sum; a zero of another grade
+    is absorbed.
     """
+
+    @property
+    def _grade(self) -> int:
+        return getattr(self, self._grade_field)
+
+    def _same_space(self, other: "Derivation", op: str) -> None:
+        if self.m != other.m or self._space != other._space:
+            raise ValueError(f"{op} of derivations on {self._space or self.m} "
+                             f"and {other._space or other.m}")
+
+    def _sum_grade(self, other: "Derivation", op: str) -> Optional[int]:
+        """The grade of both operands; None if other has another grade,
+        which only a zero operand may."""
+        self._same_space(other, op)
+        field = self._grade_field
+        grade, other_grade = getattr(self, field), getattr(other, field)
+        if grade == other_grade:
+            return grade
+        if self.is_zero() or other.is_zero():
+            return None
+        raise ValueError(f"{op} of derivations of {field} {grade} and {other_grade}")
+
+    def __add__(self, other):
+        grade = self._sum_grade(other, "sum")
+        if grade is None:
+            return other if self.is_zero() else self
+        return self._relabel(grade, tuple(map(add, self.images, other.images)))
+
+    def __sub__(self, other):
+        grade = self._sum_grade(other, "difference")
+        if grade is None:
+            return -other if self.is_zero() else self
+        return self._relabel(grade, tuple(map(sub, self.images, other.images)))
+
+    def __neg__(self):
+        return self._relabel(self._grade, tuple(-a for a in self.images))
+
+    def scale(self, c):
+        if c == 1:
+            return self
+        return self._relabel(self._grade, tuple(a.scale(c) for a in self.images))
+
+    def is_zero(self) -> bool:
+        return not any(a.terms for a in self.images)
+
+    def apply(self, a):
+        """self(a) by the Leibniz loop `_into`."""
+        if a.m != self.m:
+            raise ValueError(f"derivation in {self.m} variables applied in {a.m}")
+        if not a.terms:
+            return a
+        acc: Dict[object, Fraction] = {}
+        self._into(acc, a, 1)
+        return self._algebra._from_dict(self.m, acc)
+
+    def bracket(self, other):
+        """{self, other} on the generators: image k is self(other_k) +
+        sign * other(self_k), both summed into one dict, with the grade and
+        the sign (-1, +1 when both are odd, 0 when the bracket vanishes by
+        degree) from `_bracket_label`.  Generators with two zero images are
+        skipped, and an image whose halves cancel is the shared zero."""
+        self._same_space(other, "bracket")
+        grade, sign = self._bracket_label(other)
+        algebra, nv = self._algebra, self.m
+        images = [algebra.zero(nv)] * len(self.images)
+        if sign:
+            for k, (a, b) in enumerate(zip(self.images, other.images)):
+                if a.terms or b.terms:
+                    acc: Dict[object, Fraction] = {}
+                    self._into(acc, b, 1)
+                    other._into(acc, a, sign)
+                    images[k] = algebra._from_dict(nv, acc)
+        return self._relabel(grade, tuple(images))
+
+
+def _leibniz_into(phi: "VectorValuedForm", acc: Dict[Monomial, Fraction],
+                  a: GrassmannElement, sign: int) -> None:
+    """Add sign * i(phi)a into acc by the super-Leibniz rule from
+    xi_k -> phi(xi_k).
+
+    For the letter at position pos of a monomial, xi_left phi(xi_letter)
+    xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
+    moving the derivation past pos letters adds (-1)^{pos par}.
+    """
+    par = phi.degree % 2
+    images = phi.images
+    for mono, c in a.terms:
+        for pos, letter in enumerate(mono):
+            image = images[letter - 1].terms
+            if not image:
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            for k, v in image:
+                merged, s = _merge_sign(k, rest)
+                if merged is None:
+                    continue
+                if pos % 2 and (par + len(k)) % 2:
+                    s = -s
+                t = c * v
+                old = acc.get(merged)
+                if s == sign:
+                    acc[merged] = t if old is None else old + t
+                else:
+                    acc[merged] = -t if old is None else old - t
+
+
+@dataclass(frozen=True)
+class VectorValuedForm(Derivation):
+    """Element of Lambda^{p+1} E (x) E*, i.e. the degree-p part of der Lambda E:
+    degree is p in [-1, m], and images[k], read as components[k] too, is the
+    image of xi_{k+1}, of degree p+1."""
 
     m: int
     degree: int
-    components: Tuple[GrassmannElement, ...]
+    images: Tuple[GrassmannElement, ...]
+
+    _algebra = GrassmannElement
+    _into = _leibniz_into
+    _space = None
+    _grade_field = "degree"
+
+    @property
+    def components(self) -> Tuple[GrassmannElement, ...]:
+        return self.images
+
+    def _bracket_label(self, other: "VectorValuedForm") -> Tuple[int, int]:
+        deg = self.degree + other.degree
+        if deg < -1 or deg > self.m:
+            return min(max(deg, -1), self.m), 0
+        return deg, 1 if self.degree % 2 and other.degree % 2 else -1
+
+    def _relabel(self, degree: int, images) -> "VectorValuedForm":
+        return VectorValuedForm(self.m, degree, images)
 
     @staticmethod
     def make(m: int, degree: int, comps: Sequence[GrassmannElement]) -> "VectorValuedForm":
@@ -219,87 +360,11 @@ class VectorValuedForm:
         comps[j - 1] = GrassmannElement.make(m, {tuple(mono): Fraction(1)})
         return VectorValuedForm.make(m, len(mono) - 1, comps)
 
-    def __add__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        _require(self.m == other.m, "adding forms of different m")
-        if self.degree != other.degree:
-            # only zero forms may cross degrees (they carry a clamped label)
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise AssertionError("degree mismatch in form addition")
-        return VectorValuedForm(
-            self.m, self.degree,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
 
-    def __sub__(self, other: "VectorValuedForm") -> "VectorValuedForm":
-        _require(self.m == other.m, "subtracting forms of different m")
-        if self.degree != other.degree:
-            if self.is_zero():
-                return -other
-            if other.is_zero():
-                return self
-            raise AssertionError("degree mismatch in form subtraction")
-        return VectorValuedForm(
-            self.m, self.degree,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def __neg__(self) -> "VectorValuedForm":
-        return VectorValuedForm(self.m, self.degree, tuple(-x for x in self.components))
-
-    def scale(self, c) -> "VectorValuedForm":
-        if c == 1:
-            return self
-        return VectorValuedForm(
-            self.m, self.degree, tuple(x.scale(c) for x in self.components)
-        )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-
-def _leibniz_into(acc: Dict[Monomial, Fraction], phi: VectorValuedForm,
-                  a: GrassmannElement, sign: int) -> None:
-    """Add sign * i(phi)a into acc by the super-Leibniz rule from
-    xi_k -> phi(xi_k).
-
-    For the letter at position pos of a monomial, xi_left phi(xi_letter)
-    xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
-    moving the derivation past pos letters adds (-1)^{pos par}.
-    """
-    par = phi.degree % 2
-    comps = phi.components
-    for mono, c in a.terms:
-        for pos, letter in enumerate(mono):
-            image = comps[letter - 1].terms
-            if not image:
-                continue
-            rest = mono[:pos] + mono[pos + 1:]
-            for k, v in image:
-                merged, s = _merge_sign(k, rest)
-                if merged is None:
-                    continue
-                if pos % 2 and (par + len(k)) % 2:
-                    s = -s
-                t = c * v
-                old = acc.get(merged)
-                if s == sign:
-                    acc[merged] = t if old is None else old + t
-                else:
-                    acc[merged] = -t if old is None else old - t
-
-
-def apply_derivation(phi: VectorValuedForm, a: GrassmannElement) -> GrassmannElement:
-    """i(phi) acting on a by the super-Leibniz rule (see `_leibniz_into`)."""
-    if phi.m != a.m:
-        raise ValueError("dimension mismatch")
-    if not a.terms:
-        return a
-    acc: Dict[Monomial, Fraction] = {}
-    _leibniz_into(acc, phi, a, 1)
-    return GrassmannElement._from_dict(phi.m, acc)
+# i(phi)a by the super-Leibniz rule `_leibniz_into`, and the algebraic bracket
+# {phi, psi} with i({phi,psi}) = [i(phi), i(psi)], as functions
+apply_derivation = Derivation.apply
+bracket = Derivation.bracket
 
 
 def grading_derivation(m: int) -> VectorValuedForm:
@@ -320,44 +385,15 @@ def j_map(m: int, psi: GrassmannElement, degree: int = None) -> VectorValuedForm
 
 
 def barwedge(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
-    """Insertion product: apply i(psi) to the components of phi.
+    """Insertion product: apply i(psi) to the images of phi.
 
     In derivation degrees this maps W_p x W_q -> W_{p+q}.
     """
-    if phi.m != psi.m:
-        raise ValueError("dimension mismatch")
+    phi._same_space(psi, "barwedge")
     deg = phi.degree + psi.degree
     if deg < -1 or deg > phi.m:
         return VectorValuedForm.zero(phi.m, min(max(deg, -1), phi.m))
-    comps = []
-    for c in phi.components:
-        acc: Dict[Monomial, Fraction] = {}
-        _leibniz_into(acc, psi, c, 1)
-        comps.append(GrassmannElement._from_dict(phi.m, acc))
-    return VectorValuedForm(phi.m, deg, tuple(comps))
-
-
-def bracket(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
-    """Algebraic bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)].
-
-    Component k is i(phi)psi_k -+ i(psi)phi_k (+ when both are odd), both
-    summed into one dict; components where phi and psi are both zero are
-    skipped, and a component whose halves cancel is the shared zero.
-    """
-    if phi.m != psi.m:
-        raise ValueError("dimension mismatch")
-    m, deg = phi.m, phi.degree + psi.degree
-    if deg < -1 or deg > m:
-        return VectorValuedForm.zero(m, min(max(deg, -1), m))
-    sign = 1 if (phi.degree % 2) and (psi.degree % 2) else -1
-    comps = [GrassmannElement.zero(m)] * m
-    for idx, (a, b) in enumerate(zip(phi.components, psi.components)):
-        if a.terms or b.terms:
-            acc: Dict[Monomial, Fraction] = {}
-            _leibniz_into(acc, phi, b, 1)
-            _leibniz_into(acc, psi, a, sign)
-            comps[idx] = GrassmannElement._from_dict(m, acc)
-    return VectorValuedForm(m, deg, tuple(comps))
+    return VectorValuedForm(phi.m, deg, tuple(psi.apply(c) for c in phi.images))
 
 
 def contraction_c(phi: VectorValuedForm) -> GrassmannElement:
@@ -366,12 +402,11 @@ def contraction_c(phi: VectorValuedForm) -> GrassmannElement:
     The bare interior-product contraction sum_k d_k(phi_k) satisfies
     cj = (-1)^p (m-p) id; the (-1)^p p! factor restores the stated law.
     """
-    m = phi.m
-    p = phi.degree
+    m, p = phi.m, phi.degree
     total = GrassmannElement.zero(m)
     for k in range(1, m + 1):
         dk = VectorValuedForm.basis_element(m, (), k)
-        total = total + apply_derivation(dk, phi.components[k - 1])
+        total = total + apply_derivation(dk, phi.images[k - 1])
     return total.scale((-1) ** p * math.factorial(p) if p >= 0 else 1)
 
 
@@ -389,9 +424,5 @@ def decompose_im_j_ker_c(
 
 def wedge_basis(m: int) -> List[Tuple[Monomial, int]]:
     """Basis (monomial, j) of W(E): xi_mono d/dxi_j."""
-    out = []
-    for p in range(-1, m + 1):
-        for mono in basis_monomials(m, p + 1):
-            for j in range(1, m + 1):
-                out.append((mono, j))
-    return out
+    return [(mono, j) for p in range(-1, m + 1)
+            for mono in basis_monomials(m, p + 1) for j in range(1, m + 1)]

@@ -168,8 +168,25 @@ def _int_sqrt(n: int) -> Optional[int]:
     return None
 
 
+def _rt2_coefficient(term: str) -> Fraction:
+    """c in a signed term c*rt2 whose factor stands alone ('-rt2'), last
+    ('3*rt2', '1/2*rt2', '3rt2') or first ('rt2/2', 'rt2*3')."""
+    head, tail = term.split("rt2")
+    if head in ("", "+", "-"):
+        unit = Fraction(-1 if head == "-" else 1)
+        if not tail:
+            return unit
+        if tail[0] == "*":
+            return unit * Fraction(tail[1:])
+        if tail[0] == "/" and "/" not in tail[1:]:
+            return unit / Fraction(tail[1:])
+    elif not tail:
+        return Fraction(head[:-1] if head.endswith("*") else head)
+    raise ValueError(term)
+
+
 def parse_scalar(text: str) -> QSqrt2:
-    """Parse 'p/q', 'p/q+r/s*rt2', '-rt2', '2*rt2' style literals."""
+    """Parse 'p/q', 'p/q+r/s*rt2', '-rt2', '2*rt2', 'rt2/2' style literals."""
     s = text.replace(" ", "").replace("sqrt2", "rt2").replace("√2", "rt2")
     if not s:
         raise ValueError("empty scalar literal")
@@ -190,12 +207,12 @@ def parse_scalar(text: str) -> QSqrt2:
             if t.count("rt2") > 1:
                 raise ValueError(f"more than one rt2 factor in a term of {text!r}")
             if "rt2" in t:
-                coeff = t.replace("*rt2", "").replace("rt2", "")
-                if coeff in ("", "+"):
-                    coeff = "1"
-                elif coeff == "-":
-                    coeff = "-1"
-                b += Fraction(coeff)
+                try:
+                    b += _rt2_coefficient(t)
+                except ValueError:
+                    raise ValueError(
+                        f"cannot read {t!r} in the scalar {text!r} as a multiple of "
+                        f"rt2: write 3*rt2, 1/2*rt2, rt2/2 or rt2*3") from None
             else:
                 a += Fraction(t)
     except ZeroDivisionError:

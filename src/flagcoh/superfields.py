@@ -15,10 +15,12 @@ closed-form structure constants of `qn_structure_constants`
 (E_ab E_cd = delta_bc E_ad); the block-product `qn_bracket` of two whole
 elements stays public and is their test oracle.
 
-`_apply_into` is the one Leibniz loop of the super fields: it adds +-d(f)
-into a caller's dict.  `SuperDerivation.apply` calls it once, and `bracket`
-twice per coordinate, d1(d2_k) and -+d2(d1_k) into one dict, with no
-intermediate polynomial or sum.
+`SuperDerivation` is an `exterior.Derivation`: its `images` are the
+coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
+bracket and the mismatch rule from there.  It adds its labels (r, s,
+parity), the views `c_x` and `c_xi`, and its Leibniz loop, `_apply_into`,
+which adds +-d(f) into a caller's dict; the bracket calls it twice per
+coordinate, d1(d2_k) and -+d2(d1_k) into one dict.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import TermAlgebra, _merge_sign
+from .exterior import Derivation, TermAlgebra, _merge_sign
 from .rootsys import _require
 from .scalars import nullspace
 
@@ -132,72 +134,7 @@ class SuperPolynomial(TermAlgebra):
         return self.tdict().get(((), ()), Fraction(0))
 
 
-@dataclass
-class SuperDerivation:
-    """Vector field sum c_x[k] d/dx_k + c_xi[k] d/dxi_k with polynomial
-    coefficients; parity-homogeneous."""
-
-    r: int
-    s: int
-    parity: int
-    c_x: List[SuperPolynomial]
-    c_xi: List[SuperPolynomial]
-
-    @property
-    def nvars(self) -> int:
-        return self.r * self.s
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.c_x + self.c_xi)
-
-    def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
-        _require((self.r, self.s, self.parity) == (other.r, other.s, other.parity),
-                 "adding derivations of different charts or parities")
-        return SuperDerivation(
-            self.r, self.s, self.parity,
-            [a + b for a, b in zip(self.c_x, other.c_x)],
-            [a + b for a, b in zip(self.c_xi, other.c_xi)],
-        )
-
-    def scale(self, c) -> "SuperDerivation":
-        return SuperDerivation(
-            self.r, self.s, self.parity,
-            [p.scale(c) for p in self.c_x],
-            [p.scale(c) for p in self.c_xi],
-        )
-
-    def __sub__(self, other: "SuperDerivation") -> "SuperDerivation":
-        _require((self.r, self.s, self.parity) == (other.r, other.s, other.parity),
-                 "subtracting derivations of different charts or parities")
-        return SuperDerivation(
-            self.r, self.s, self.parity,
-            [a - b for a, b in zip(self.c_x, other.c_x)],
-            [a - b for a, b in zip(self.c_xi, other.c_xi)],
-        )
-
-    def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Leibniz action on a polynomial (see `_apply_into`)."""
-        acc: Dict[Monomial, Fraction] = {}
-        _apply_into(acc, self, f, 1)
-        return SuperPolynomial._from_dict(self.nvars, acc)
-
-    def evaluate_at_origin(self) -> Tuple[List[Fraction], List[Fraction]]:
-        return (
-            [p.constant_term() for p in self.c_x],
-            [p.constant_term() for p in self.c_xi],
-        )
-
-
-def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
-    n = r * s
-    return SuperDerivation(
-        r, s, parity,
-        [SuperPolynomial.zero(n) for _ in range(n)],
-        [SuperPolynomial.zero(n) for _ in range(n)],
-    )
-
-
-def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
+def _apply_into(d: "SuperDerivation", acc: Dict[Monomial, Fraction],
                 f: SuperPolynomial, sign: int) -> None:
     """Add sign * d(f) into acc by the Leibniz rule.
 
@@ -206,10 +143,10 @@ def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
     derivations), and xi_left c xi_right = (-1)^{j |k|} xi_k xi_rest for each
     image monomial k.
     """
-    c_x, c_xi = d.c_x, d.c_xi
+    images, nv = d.images, d.m
     for (xs, ss), coeff in f.terms:
         for pos, (k, e) in enumerate(xs):
-            image = c_x[k].terms
+            image = images[k].terms
             if not image:
                 continue
             lowered = ((k, e - 1),) if e > 1 else ()
@@ -227,7 +164,7 @@ def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
                 else:
                     acc[key] = -t if old is None else old - t
         for j, sidx in enumerate(ss):
-            image = c_xi[sidx].terms
+            image = images[nv + sidx].terms
             if not image:
                 continue
             rest = ss[:j] + ss[j + 1:]
@@ -246,25 +183,59 @@ def _apply_into(acc: Dict[Monomial, Fraction], d: SuperDerivation,
                     acc[key] = -t if old is None else old - t
 
 
+@dataclass(frozen=True)
+class SuperDerivation(Derivation):
+    """Vector field sum c_x[k] d/dx_k + c_xi[k] d/dxi_k with polynomial
+    coefficients; parity-homogeneous.  images is c_x followed by c_xi."""
+
+    r: int
+    s: int
+    parity: int
+    images: Tuple[SuperPolynomial, ...]
+
+    _algebra = SuperPolynomial
+    _into = _apply_into
+    _grade_field = "parity"
+
+    @property
+    def nvars(self) -> int:
+        return self.r * self.s
+
+    m = nvars  # the term algebra's m
+
+    @property
+    def _space(self) -> Tuple[int, int]:
+        return self.r, self.s
+
+    def _bracket_label(self, other: "SuperDerivation") -> Tuple[int, int]:
+        return self.parity ^ other.parity, 1 if self.parity and other.parity else -1
+
+    def _relabel(self, parity: int, images) -> "SuperDerivation":
+        return SuperDerivation(self.r, self.s, parity, images)
+
+    @property
+    def c_x(self) -> Tuple[SuperPolynomial, ...]:
+        return self.images[:self.nvars]
+
+    @property
+    def c_xi(self) -> Tuple[SuperPolynomial, ...]:
+        return self.images[self.nvars:]
+
+    def evaluate_at_origin(self) -> Tuple[List[Fraction], List[Fraction]]:
+        return (
+            [p.constant_term() for p in self.c_x],
+            [p.constant_term() for p in self.c_xi],
+        )
+
+
+def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
+    return SuperDerivation(r, s, parity, (SuperPolynomial.zero(r * s),) * (2 * r * s))
+
+
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
-    """Super-commutator, evaluated on the coordinate generators: component k
-    is d1(d2_k) -+ d2(d1_k) (+ when both are odd), both summed into one dict."""
-    _require((d1.r, d1.s) == (d2.r, d2.s), "bracket of derivations on different charts")
-    nv = d1.nvars
-    sign = 1 if d1.parity and d2.parity else -1
-
-    # a derivation's value on a coordinate is its coefficient there
-    def commutator(c1: SuperPolynomial, c2: SuperPolynomial) -> SuperPolynomial:
-        acc: Dict[Monomial, Fraction] = {}
-        _apply_into(acc, d1, c2, 1)
-        _apply_into(acc, d2, c1, sign)
-        return SuperPolynomial._from_dict(nv, acc)
-
-    return SuperDerivation(
-        d1.r, d1.s, (d1.parity + d2.parity) % 2,
-        [commutator(c1, c2) for c1, c2 in zip(d1.c_x, d2.c_x)],
-        [commutator(c1, c2) for c1, c2 in zip(d1.c_xi, d2.c_xi)],
-    )
+    """Super-commutator, evaluated on the coordinate generators
+    (`Derivation.bracket`)."""
+    return d1.bracket(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +326,15 @@ def fundamental_field(g: QnElement, s: int) -> SuperDerivation:
     """The vector field of the q_n action: first-order jet of the left
     multiplication on the chart matrix, renormalized by the inverse of the
     frame block (I + t C)^{-1} = I - t C, signs flipped to make the map a
-    homomorphism; even and odd parts computed separately and summed."""
+    homomorphism; g must be even (B = 0) or odd (A = 0)."""
     n = g.n
-    r = n - s
     if not 1 <= s <= n - 1:
         raise ValueError("need 1 <= s <= n-1")
-    total: Dict[int, SuperDerivation] = {}
-    for odd in (False, True):
-        M = g.B if odd else g.A
-        if not any(any(row) for row in M):
-            continue
-        D = _jet_field(n, s, M, odd)
-        total[int(odd)] = D
-    if not total:
-        return derivation_zero(r, s, 0)
-    if len(total) == 1:
-        return next(iter(total.values()))
-    raise ValueError(
-        "mixed-parity element; apply fundamental_field to the parity parts"
-    )
+    parts = [(M, odd) for M, odd in ((g.A, False), (g.B, True))
+             if any(any(row) for row in M)]
+    if len(parts) > 1:
+        raise ValueError("mixed-parity element; apply fundamental_field to the parity parts")
+    return _jet_field(n, s, *parts[0]) if parts else derivation_zero(n - s, s, 0)
 
 
 def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
@@ -416,8 +377,7 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
                     out[j] = out[j] - head * c
         return out
 
-    field_x = [zero for _ in range(nv)]
-    field_xi = [zero for _ in range(nv)]
+    images = [zero] * (2 * nv)  # c_x, then c_xi
     for i in range(r):
         upper = tparts(i)
         lower = tparts(n + i)
@@ -428,13 +388,9 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
             # left extraction of the square-zero parameter, signs changed:
             # this makes a -> a* a homomorphism up to the super sign rule
             # (see homomorphism_check)
-            tp = upper[j]
-            a = j if j < s else j - s
-            if j < s:
-                field_x[i * s + a] = field_x[i * s + a] - tp
-            else:
-                field_xi[i * s + a] = field_xi[i * s + a] - tp
-    return SuperDerivation(r, s, int(odd), field_x, field_xi)
+            k = i * s + j if j < s else nv + i * s + j - s
+            images[k] = images[k] - upper[j]
+    return SuperDerivation(r, s, int(odd), tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +470,19 @@ def _combination(fields: List[SuperDerivation],
                  entries: Tuple[Tuple[int, Fraction], ...], r: int, s: int,
                  parity: int) -> SuperDerivation:
     """sum c fields[k] over the (k, c) entries, accumulated into one dict per
-    coordinate."""
+    image."""
     if not entries:
         return derivation_zero(r, s, parity)
     nv = r * s
-    acc_x: List[Dict[Monomial, Fraction]] = [{} for _ in range(nv)]
-    acc_xi: List[Dict[Monomial, Fraction]] = [{} for _ in range(nv)]
+    accs: List[Dict[Monomial, Fraction]] = [{} for _ in range(2 * nv)]
     for k, c in entries:
-        f = fields[k]
-        for accs, polys in ((acc_x, f.c_x), (acc_xi, f.c_xi)):
-            for acc, p in zip(accs, polys):
-                for mono, v in p.terms:
-                    t = c * v
-                    old = acc.get(mono)
-                    acc[mono] = t if old is None else old + t
+        for acc, p in zip(accs, fields[k].images):
+            for mono, v in p.terms:
+                t = c * v
+                old = acc.get(mono)
+                acc[mono] = t if old is None else old + t
     return SuperDerivation(
-        r, s, parity,
-        [SuperPolynomial._from_dict(nv, acc) for acc in acc_x],
-        [SuperPolynomial._from_dict(nv, acc) for acc in acc_xi],
-    )
+        r, s, parity, tuple(SuperPolynomial._from_dict(nv, acc) for acc in accs))
 
 
 def kernel_of_action(n: int, s: int) -> List[QnElement]:
@@ -540,23 +490,15 @@ def kernel_of_action(n: int, s: int) -> List[QnElement]:
     basis = qn_basis(n)
     fields = [fundamental_field(g, s) for g in basis]
     # flatten each field over a common monomial index
-    keys = sorted(
-        {
-            (slot, k, mono)
-            for f in fields
-            for slot, polys in (("x", f.c_x), ("xi", f.c_xi))
-            for k, p in enumerate(polys)
-            for mono, _ in p.terms
-        }
-    )
+    keys = sorted({(k, mono) for f in fields
+                   for k, p in enumerate(f.images) for mono, _ in p.terms})
     kidx = {k: i for i, k in enumerate(keys)}
     rows = []
     for f in fields:
         row = [Fraction(0)] * len(keys)
-        for slot, polys in (("x", f.c_x), ("xi", f.c_xi)):
-            for k, p in enumerate(polys):
-                for mono, c in p.terms:
-                    row[kidx[(slot, k, mono)]] = c
+        for k, p in enumerate(f.images):
+            for mono, c in p.terms:
+                row[kidx[(k, mono)]] = c
         rows.append(row)
     # kernel of the transpose action: coefficients z with sum z_i field_i = 0
     mat = [[rows[i][j] for i in range(len(rows))] for j in range(len(keys))]

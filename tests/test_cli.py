@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from flagcoh.bott import PRESET_NAMES
 from flagcoh.cli import main
 from flagcoh.scalars import QSqrt2, parse_scalar
 
@@ -396,10 +397,12 @@ QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_queries_match_golden_output(capsys, key):
-    """roots on every preset's type, invariants at (3, 2) on every preset and
-    rejected inputs (among them a negative table size, the zero theta
-    parameter, also where CP2 folds a theta2 + b eta to zero, a scalar with a
-    zero denominator or two rt2 factors in a term, an empty root type and a
+    """roots on every preset's type, invariants at (3, 2) on every preset,
+    bott on every preset at a vanishing weight, one with q = 0 and one with
+    q > 0, d2 with the rt2 factor first or last, and rejected inputs (among
+    them a negative table size, the zero theta parameter, also where CP2
+    folds a theta2 + b eta to zero, a scalar with a zero denominator, two rt2
+    factors in a term or rt2 in a denominator, an empty root type and a
     missing manifest, which exit 2 with one error line): exit code, stdout
     and stderr are byte-identical to the recorded ones."""
     try:
@@ -408,3 +411,18 @@ def test_queries_match_golden_output(capsys, key):
         code = exc.code
     captured = capsys.readouterr()
     assert {"rc": code, "stdout": captured.out, "stderr": captured.err} == QUERIES[key]
+
+
+def test_rt2_factor_first_or_last_gives_one_output():
+    first, last = (QUERIES[f"d2 --space Gr(4,2) --a {a}"] for a in ("rt2*3", "3*rt2"))
+    assert first["rc"] == 0 and first == last
+
+
+def test_bott_goldens_cover_every_preset_and_outcome():
+    outcomes = {}
+    for key, rec in QUERIES.items():
+        if key.startswith("bott ") and rec["rc"] == 0:
+            result = json.loads(rec["stdout"])["result"]
+            kind = result if result == "vanishes" else min(result["q"], 1)
+            outcomes.setdefault(key.split(" ")[2], set()).add(kind)
+    assert outcomes == {name: {"vanishes", 0, 1} for name in PRESET_NAMES}

@@ -670,7 +670,7 @@ def test_sub_matches_add_of_negation():
                 assert zero - phi == zero + (-phi)
                 other = random_form(rng, m, q)
                 if not phi.is_zero() and not other.is_zero():
-                    with pytest.raises(AssertionError, match="degree mismatch"):
+                    with pytest.raises(ValueError, match="of degree"):
                         phi - other
 
 
@@ -679,3 +679,28 @@ def test_scale_by_one_is_the_same_object():
     phi = random_form(rng, 3, 1)
     assert phi.scale(1) is phi
     assert phi.components[0].scale(Fraction(1)) is phi.components[0]
+
+
+def test_a_different_m_raises_value_error_even_with_a_zero():
+    rng = random.Random(10)
+    phi = random_form(rng, 3, 1)
+    for other in (VectorValuedForm.zero(2, 1), VectorValuedForm.zero(2, 0),
+                  random_form(rng, 4, 1)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, bracket, barwedge):
+            with pytest.raises(ValueError, match="on 3 and|on [24] and 3"):
+                op(phi, other)
+            with pytest.raises(ValueError, match="on 3 and|on [24] and 3"):
+                op(other, phi)
+    with pytest.raises(ValueError, match="derivation in 3 variables"):
+        apply_derivation(phi, gen(4, 1))
+
+
+def test_form_images_are_read_only():
+    phi = random_form(random.Random(11), 3, 0)
+    assert phi.components is phi.images
+    with pytest.raises(TypeError):
+        phi.components[0] = GrassmannElement.zero(3)
+    with pytest.raises(AttributeError):
+        phi.components = phi.images
+    with pytest.raises(AttributeError):
+        phi.degree = 1

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -203,15 +205,26 @@ def _det_of_accumulated_reflections(rd, xi):
             return sign
 
 
+def _regularity_table(rd):
+    """den * gram * alpha for each positive root alpha, with den the lcm of
+    the gram denominators, so that xi . row = den (xi, alpha) in integers."""
+    den = math.lcm(*(x.denominator for row in rd.gram for x in row))
+    return [tuple(int(den * sum(g * a for g, a in zip(row, al))) for row in rd.gram)
+            for al in rd.positive_roots]
+
+
 @pytest.mark.parametrize("spec", ["A2", "A3", "B2", "B3", "C3", "D4", "E6"])
 def test_index_parity_and_greedy_count(spec):
     rd = root_system(spec)
+    table = _regularity_table(rd)
     rng = random.Random(20240811)
     trials = 0
     while trials < 200:
-        xi = tuple(Fraction(rng.randint(-4, 4)) for _ in range(rd.rank))
-        if any(rd.inner(xi, al) == 0 for al in rd.positive_roots):
+        coords = [rng.randint(-4, 4) for _ in range(rd.rank)]
+        # regular: (xi, alpha) != 0 for every positive root, in integers
+        if not all(sum(map(mul, coords, row)) for row in table):
             continue
+        xi = tuple(map(Fraction, coords))
         trials += 1
         dom, idx, sing = rd.dominant_representative(xi)
         assert not sing

@@ -230,3 +230,30 @@ def test_parse_rejects_zero_denominators(text):
 def test_parse_keeps_one_rt2_per_term():
     assert parse_scalar("rt2+rt2") == qs(0, 2)
     assert parse_scalar("2rt2-1/2*rt2") == qs(0, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("text,b", [
+    ("rt2", 1), ("-rt2", -1), ("3*rt2", 3), ("1/2*rt2", Fraction(1, 2)), ("3rt2", 3),
+    ("rt2/2", Fraction(1, 2)), ("rt2*3", 3), ("-rt2/2", Fraction(-1, 2)),
+    ("rt2*1/2", Fraction(1, 2)), ("sqrt2/4", Fraction(1, 4))])
+def test_parse_reads_the_rt2_factor_alone_first_or_last(text, b):
+    assert parse_scalar(text) == qs(0, b)
+    assert parse_scalar(("1" if text[0] == "-" else "1+") + text) == qs(1, b)
+
+
+def test_parse_gives_one_value_for_the_factor_first_or_last():
+    assert parse_scalar("rt2*3") == parse_scalar("3*rt2") == parse_scalar("3rt2")
+    assert parse_scalar("rt2/2") == parse_scalar("1/2*rt2")
+    assert parse_scalar("2-rt2/2") == qs(2, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("text", ["2/rt2", "3*rt2/2", "2*rt2*3", "rt2/2/3", "rt2*",
+                                  "rt2/", "3**rt2", "rt2x", "1+2/rt2"])
+def test_parse_rejects_other_rt2_terms_clearly(text):
+    with pytest.raises(ValueError, match="as a multiple of rt2"):
+        parse_scalar(text)
+
+
+def test_parse_rejects_a_zero_denominator_after_rt2():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("rt2/0")

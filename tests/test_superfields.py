@@ -10,7 +10,7 @@ import pytest
 
 import flagcoh
 import flagcoh.superfields as superfields
-from flagcoh.exterior import GrassmannElement
+from flagcoh.exterior import Derivation, GrassmannElement, VectorValuedForm
 
 from flagcoh.superfields import (
     QnElement,
@@ -42,39 +42,44 @@ def xi(nv, k):
 
 # --- explicit displayed block formulas as oracles -------------------------------
 
+def images_zero(nv):
+    """Zero coefficient lists (c_x, c_xi) to fill before building a field."""
+    return [SuperPolynomial.zero(nv)] * nv, [SuperPolynomial.zero(nv)] * nv
+
+
 def field_a1(n, s, A1):
     """a1* = -sum a_ik x_ka d/dx_ia - sum a_ik xi_ka d/dxi_ia."""
     r = n - s
     nv = r * s
-    d = derivation_zero(r, s, 0)
+    cx, cxi = images_zero(nv)
     for i in range(r):
         for k in range(r):
             if A1[i][k]:
                 for a in range(s):
-                    d.c_x[i * s + a] = d.c_x[i * s + a] + x(nv, k * s + a).scale(-A1[i][k])
-                    d.c_xi[i * s + a] = d.c_xi[i * s + a] + xi(nv, k * s + a).scale(-A1[i][k])
-    return d
+                    cx[i * s + a] = cx[i * s + a] + x(nv, k * s + a).scale(-A1[i][k])
+                    cxi[i * s + a] = cxi[i * s + a] + xi(nv, k * s + a).scale(-A1[i][k])
+    return SuperDerivation(r, s, 0, tuple(cx + cxi))
 
 
 def field_a2(n, s, B2):
     """a2* = +sum b_ba x_ib d/dx_ia + same on xi."""
     r = n - s
     nv = r * s
-    d = derivation_zero(r, s, 0)
+    cx, cxi = images_zero(nv)
     for a in range(s):
         for b in range(s):
             if B2[b][a]:
                 for i in range(r):
-                    d.c_x[i * s + a] = d.c_x[i * s + a] + x(nv, i * s + b).scale(B2[b][a])
-                    d.c_xi[i * s + a] = d.c_xi[i * s + a] + xi(nv, i * s + b).scale(B2[b][a])
-    return d
+                    cx[i * s + a] = cx[i * s + a] + x(nv, i * s + b).scale(B2[b][a])
+                    cxi[i * s + a] = cxi[i * s + a] + xi(nv, i * s + b).scale(B2[b][a])
+    return SuperDerivation(r, s, 0, tuple(cx + cxi))
 
 
 def field_v(n, s, V):
     """v* with v_{b j}: x-part sum v_bj (x_ib x_ja + xi_ib xi_ja) d/dx_ia etc."""
     r = n - s
     nv = r * s
-    d = derivation_zero(r, s, 0)
+    cx, cxi = images_zero(nv)
     for i in range(r):
         for j in range(r):
             for a in range(s):
@@ -84,23 +89,23 @@ def field_v(n, s, V):
                         continue
                     xx = x(nv, i * s + b) * x(nv, j * s + a)
                     ss = xi(nv, i * s + b) * xi(nv, j * s + a)
-                    d.c_x[i * s + a] = d.c_x[i * s + a] + (xx + ss).scale(c)
+                    cx[i * s + a] = cx[i * s + a] + (xx + ss).scale(c)
                     xs = xi(nv, i * s + b) * x(nv, j * s + a)
                     sx = x(nv, i * s + b) * xi(nv, j * s + a)
-                    d.c_xi[i * s + a] = d.c_xi[i * s + a] + (xs + sx).scale(c)
-    return d
+                    cxi[i * s + a] = cxi[i * s + a] + (xs + sx).scale(c)
+    return SuperDerivation(r, s, 0, tuple(cx + cxi))
 
 
 def field_y(n, s, Y):
     """y* = -sum y_ia d/dxi_ia for the odd upper-right block."""
     r = n - s
     nv = r * s
-    d = derivation_zero(r, s, 1)
+    cx, cxi = images_zero(nv)
     for i in range(r):
         for a in range(s):
             if Y[i][a]:
-                d.c_xi[i * s + a] = d.c_xi[i * s + a] + SuperPolynomial.const(nv, -Y[i][a])
-    return d
+                cxi[i * s + a] = cxi[i * s + a] + SuperPolynomial.const(nv, -Y[i][a])
+    return SuperDerivation(r, s, 1, tuple(cx + cxi))
 
 
 def _eq(d1, d2):
@@ -162,17 +167,18 @@ def test_identity_nn_acts_by_zero():
 def test_bracket_basics():
     r, s = 2, 2
     nv = r * s
-    d1 = derivation_zero(r, s, 1)
-    d1.c_xi[0] = SuperPolynomial.const(nv, 1)          # d/dxi_0
-    d2 = derivation_zero(r, s, 1)
-    d2.c_x[0] = xi(nv, 0)                              # xi_0 d/dx_0
+    cx, cxi = images_zero(nv)
+    cxi[0] = SuperPolynomial.const(nv, 1)              # d/dxi_0
+    d1 = SuperDerivation(r, s, 1, tuple(cx + cxi))
+    cx, cxi = images_zero(nv)
+    cx[0] = xi(nv, 0)                                  # xi_0 d/dx_0
+    d2 = SuperDerivation(r, s, 1, tuple(cx + cxi))
     br = bracket(d1, d2)                               # odd, odd
     assert br.parity == 0
     assert dict(br.c_x[0].terms) == {((), ()): Fraction(1)}
     # [eps-analog, d/dxi] = -d/dxi
-    eps = derivation_zero(r, s, 0)
-    for k in range(nv):
-        eps.c_xi[k] = xi(nv, k)
+    cx, _ = images_zero(nv)
+    eps = SuperDerivation(r, s, 0, tuple(cx + [xi(nv, k) for k in range(nv)]))
     br2 = bracket(eps, d1)
     assert _eq(br2, d1.scale(-1))
 
@@ -811,8 +817,64 @@ def test_sub_matches_add_of_negation():
     for _ in range(40):
         d1, d2 = rng.choice(fields), rng.choice(fields)
         if d1.parity != d2.parity:
-            with pytest.raises(AssertionError, match="parities"):
+            with pytest.raises(ValueError, match="of parity"):
                 d1 - d2
             continue
         got, want = d1 - d2, d1 + d2.scale(-1)
         assert (got.parity, got.c_x, got.c_xi) == (want.parity, want.c_x, want.c_xi)
+
+
+# --- one derivation type ------------------------------------------------------
+
+def test_both_derivation_types_share_one_arithmetic_and_bracket():
+    for name in ("__add__", "__sub__", "__neg__", "scale", "is_zero", "apply", "bracket"):
+        shared = getattr(Derivation, name)
+        assert getattr(VectorValuedForm, name) is shared, name
+        assert getattr(SuperDerivation, name) is shared, name
+        assert name not in vars(VectorValuedForm) and name not in vars(SuperDerivation)
+
+
+def test_a_different_space_raises_value_error_even_with_a_zero():
+    rng = random.Random(5)
+    f = rng.choice([f for f in (fundamental_field(g, 1) for g in qn_basis(3))
+                    if not f.is_zero()])                      # r, s = 2, 1
+    for other in (derivation_zero(1, 2, f.parity), derivation_zero(1, 2, 1 - f.parity),
+                  derivation_zero(2, 2, f.parity), fundamental_field(qn_basis(3)[1], 2)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, bracket):
+            with pytest.raises(ValueError, match="on \\("):
+                op(f, other)
+            with pytest.raises(ValueError, match="on \\("):
+                op(other, f)
+
+
+def test_nonzero_fields_of_different_parity_raise_value_error():
+    fields = [fundamental_field(g, 1) for g in qn_basis(3)]
+    even = next(f for f in fields if f.parity == 0 and not f.is_zero())
+    odd = next(f for f in fields if f.parity == 1 and not f.is_zero())
+    for a, b in ((even, odd), (odd, even)):
+        with pytest.raises(ValueError, match="of parity"):
+            a + b
+        with pytest.raises(ValueError, match="of parity"):
+            a - b
+    assert bracket(even, odd).parity == 1
+
+
+def test_a_zero_field_of_the_other_parity_is_absorbed():
+    for f in (fundamental_field(g, 2) for g in qn_basis(4)):
+        zero = derivation_zero(2, 2, 1 - f.parity)
+        assert f + zero is f and zero + f is f and f - zero is f
+        assert zero - f == -f == f.scale(-1)
+        assert (zero - f).parity == f.parity
+
+
+def test_images_are_read_only():
+    f = fundamental_field(qn_basis(3)[0], 1)
+    assert f.images == f.c_x + f.c_xi and len(f.c_x) == len(f.c_xi) == 2
+    with pytest.raises(TypeError):
+        f.c_x[0] = SuperPolynomial.zero(2)
+    with pytest.raises(TypeError):
+        f.c_xi[1] = SuperPolynomial.zero(2)
+    with pytest.raises(AttributeError):
+        f.c_x = f.c_xi
+    with pytest.raises(AttributeError):
+        f.images = ()
