@@ -124,7 +124,10 @@ def cmd_roots(args) -> int:
 
 def cmd_bott(args) -> int:
     H = space_from_preset(args.space)
-    lam = tuple(int(x) for x in args.weight.split(","))
+    try:
+        lam = tuple(int(x) for x in args.weight.split(","))
+    except ValueError:
+        _die("weight must be comma-separated integers")
     if len(lam) != H.rd.rank:
         _die(f"weight must have {H.rd.rank} coordinates")
     if not H.levi.is_S_dominant(lam):
@@ -479,11 +482,26 @@ def _named_command(argv: List[str]) -> Optional[str]:
     return None
 
 
+# options whose value may begin with '-': a negative weight or scalar
+_SIGNED = ("--weight", "--a", "--b")
+
+
+def _glue_signed(argv: List[str]) -> List[str]:
+    """argv with the token after each _SIGNED option glued on as
+    --opt=value, so that argparse does not read a value such as -1,0 or
+    -1/2 as an option."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _SIGNED else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse argv and run its command.  Only the named command's subparser
     is built; with no command named, all are, so that --help and the
     invalid-choice error list every command."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _glue_signed(sys.argv[1:] if argv is None else argv)
     ap = argparse.ArgumentParser(
         prog="flagcoh",
         description=__doc__,

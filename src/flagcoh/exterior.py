@@ -10,10 +10,12 @@ they pin per-degree constants there instead of driving this implementation).
 index tuples with the anticommutation sign.  `TermAlgebra` is the one sparse
 term arithmetic (sum, difference, negation, scaling, product, the shared zero)
 on top of it; `GrassmannElement` and `superfields.SuperPolynomial` subclass
-it and differ only in their monomial product and their constructors.
-Products, sums and derivations accumulate kernel output into one dict per
-call and build the result through `_from_dict` without validating it again;
-only the public constructors validate.
+it and differ only in their monomial product and their constructors.  A
+coefficient is an int when integral and a Fraction otherwise.  Products, sums
+and derivations accumulate kernel output, in ints while the values are ints,
+into one dict per call and build the result through `_from_dict`, which makes
+an integral Fraction an int but validates nothing else; only the public
+constructors validate, and `_canon` normalises each value they take.
 
 `Derivation` is the one derivation type, held as `images`, its values on
 the generators: it writes sums, scaling, `apply` and the bracket once, with
@@ -32,11 +34,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .rootsys import _require
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
+Coeff = Union[int, Fraction]  # int when integral (see `_canon`)
 
 
 def _merge_sign(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
@@ -65,30 +68,39 @@ def _merge_sign(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
     return tuple(out), sign
 
 
+def _canon(c):
+    """c as an int when it is integral (a bool too), else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True)
 class TermAlgebra:
     """Exact sparse combination of monomials in m variables, the arithmetic
     shared by `GrassmannElement` and `superfields.SuperPolynomial`.
 
-    terms holds (monomial, nonzero Fraction) pairs sorted by monomial.  A
-    subclass supplies `_mono_mul`, the product of two monomials as
-    (monomial, sign), or (None, 0) when it vanishes; each class keeps one
-    shared zero per m.  Subclasses add no field, so they are plain classes
-    that inherit the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
+    terms holds (monomial, nonzero int-or-Fraction) pairs sorted by monomial,
+    an int iff integral.  A subclass supplies `_mono_mul`, the product of two
+    monomials as (monomial, sign), or (None, 0) when it vanishes; each class
+    keeps one shared zero per m.  Subclasses add no field, so they inherit
+    the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
     """
 
     m: int
-    terms: Tuple[Tuple[object, Fraction], ...]
+    terms: Tuple[Tuple[object, Coeff], ...]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._zeros = {}
 
     @classmethod
-    def _from_dict(cls, m: int, acc: Dict[object, Fraction]):
-        """The element of kernel-produced monomials and Fraction values; the
-        shared zero when every value cancelled."""
-        terms = tuple(sorted([(k, c) for k, c in acc.items() if c]))
+    def _from_dict(cls, m: int, acc: Dict[object, Coeff]):
+        """The element of kernel-produced monomials and values, an integral
+        Fraction made an int; the shared zero when every value cancelled."""
+        terms = tuple(sorted([(k, c if type(c) is int else _canon(c))
+                              for k, c in acc.items() if c]))
         return cls(m, terms) if terms else cls.zero(m)
 
     @classmethod
@@ -99,7 +111,7 @@ class TermAlgebra:
             z = cls._zeros[m] = cls(m, ())
         return z
 
-    def tdict(self) -> Dict[object, Fraction]:
+    def tdict(self) -> Dict[object, Coeff]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
@@ -135,16 +147,19 @@ class TermAlgebra:
     def scale(self, c):
         if c == 1:
             return self
-        c = Fraction(c)
+        c = _canon(c)
         if not c:
             return self.zero(self.m)
-        return type(self)(self.m, tuple((k, c * v) for k, v in self.terms))
+        # an int times a Fraction can be integral: only all-int products are ints
+        if type(c) is int and all(type(v) is int for _, v in self.terms):
+            return type(self)(self.m, tuple((k, c * v) for k, v in self.terms))
+        return self._from_dict(self.m, {k: c * v for k, v in self.terms})
 
     def __mul__(self, other):
         if self.m != other.m:
             raise _mismatch("product", self, other)
         mono_mul = self._mono_mul
-        acc: Dict[object, Fraction] = {}
+        acc: Dict[object, Coeff] = {}
         for ka, ca in self.terms:
             for kb, cb in other.terms:
                 k, s = mono_mul(ka, kb)
@@ -165,8 +180,8 @@ class GrassmannElement(TermAlgebra):
     _mono_mul = staticmethod(_merge_sign)
 
     @staticmethod
-    def make(m: int, data: Dict[Monomial, Fraction]) -> "GrassmannElement":
-        clean = {k: Fraction(v) for k, v in data.items() if v}
+    def make(m: int, data: Dict[Monomial, Coeff]) -> "GrassmannElement":
+        clean = {k: _canon(v) for k, v in data.items() if v}
         bad = [k for k in clean
                if not (all(1 <= i <= m for i in k) and list(k) == sorted(set(k)))]
         _require(not bad, f"not strictly increasing monomials in 1..{m}: {bad}")
@@ -174,11 +189,11 @@ class GrassmannElement(TermAlgebra):
 
     @staticmethod
     def one(m: int) -> "GrassmannElement":
-        return GrassmannElement(m, (((), Fraction(1)),))
+        return GrassmannElement(m, (((), 1),))
 
     @staticmethod
     def generator(m: int, j: int) -> "GrassmannElement":
-        return GrassmannElement.make(m, {(j,): Fraction(1)})
+        return GrassmannElement.make(m, {(j,): 1})
 
     def is_homogeneous(self) -> Optional[int]:
         degs = {len(k) for k, _ in self.terms}
@@ -256,7 +271,7 @@ class Derivation:
             raise ValueError(f"derivation in {self.m} variables applied in {a.m}")
         if not a.terms:
             return a
-        acc: Dict[object, Fraction] = {}
+        acc: Dict[object, Coeff] = {}
         self._into(acc, a, 1)
         return self._algebra._from_dict(self.m, acc)
 
@@ -273,14 +288,14 @@ class Derivation:
         if sign:
             for k, (a, b) in enumerate(zip(self.images, other.images)):
                 if a.terms or b.terms:
-                    acc: Dict[object, Fraction] = {}
+                    acc: Dict[object, Coeff] = {}
                     self._into(acc, b, 1)
                     other._into(acc, a, sign)
                     images[k] = algebra._from_dict(nv, acc)
         return self._relabel(grade, tuple(images))
 
 
-def _leibniz_into(phi: "VectorValuedForm", acc: Dict[Monomial, Fraction],
+def _leibniz_into(phi: "VectorValuedForm", acc: Dict[Monomial, Coeff],
                   a: GrassmannElement, sign: int) -> None:
     """Add sign * i(phi)a into acc by the super-Leibniz rule from
     xi_k -> phi(xi_k).
@@ -357,7 +372,7 @@ class VectorValuedForm(Derivation):
     def basis_element(m: int, mono: Monomial, j: int) -> "VectorValuedForm":
         """xi_{mono} d/dxi_j."""
         comps = [GrassmannElement.zero(m)] * m
-        comps[j - 1] = GrassmannElement.make(m, {tuple(mono): Fraction(1)})
+        comps[j - 1] = GrassmannElement.make(m, {tuple(mono): 1})
         return VectorValuedForm.make(m, len(mono) - 1, comps)
 
 

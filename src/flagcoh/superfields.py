@@ -27,16 +27,16 @@ coordinate, d1(d2_k) and -+d2(d1_k) into one dict.
 only its monomial product (the x-parts add, the xi-parts go through
 `exterior._merge_sign`) and its constructors.  The public constructors
 validate their input: `make` every monomial, `x` and `xi` the variable
-index; kernel output goes through `_from_dict` unchecked.
+index; kernel output goes through `_from_dict` unchecked.  Coefficients and
+`QnElement` entries are ints when integral, Fractions otherwise (`_canon`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import Derivation, TermAlgebra, _merge_sign
+from .exterior import Coeff, Derivation, TermAlgebra, _canon, _merge_sign
 from .rootsys import _require
 from .scalars import nullspace
 
@@ -97,31 +97,31 @@ class SuperPolynomial(TermAlgebra):
         return self.m
 
     @staticmethod
-    def make(nvars: int, data: Dict[Monomial, Fraction]) -> "SuperPolynomial":
+    def make(nvars: int, data: Dict[Monomial, Coeff]) -> "SuperPolynomial":
         bad = [k for k in data if not _is_monomial(nvars, k)]
         if bad:
             raise ValueError(
                 f"not monomials over nvars={nvars} (an x-part of (index, "
                 f"exponent >= 1) pairs and a xi-part of indices, both strictly "
                 f"increasing in 0..{nvars - 1}): {bad}")
-        clean = {k: Fraction(v) for k, v in data.items() if v}
+        clean = {k: _canon(v) for k, v in data.items() if v}
         return SuperPolynomial(nvars, tuple(sorted(clean.items())))
 
     @staticmethod
     def const(nvars: int, c) -> "SuperPolynomial":
         if not c:
             return SuperPolynomial.zero(nvars)
-        return SuperPolynomial(nvars, ((((), ()), Fraction(c)),))
+        return SuperPolynomial(nvars, ((((), ()), _canon(c)),))
 
     @staticmethod
     def x(nvars: int, k: int) -> "SuperPolynomial":
         mono = (((_variable(nvars, k), 1),), ())
-        return SuperPolynomial(nvars, ((mono, Fraction(1)),))
+        return SuperPolynomial(nvars, ((mono, 1),))
 
     @staticmethod
     def xi(nvars: int, k: int) -> "SuperPolynomial":
         mono = ((), (_variable(nvars, k),))
-        return SuperPolynomial(nvars, ((mono, Fraction(1)),))
+        return SuperPolynomial(nvars, ((mono, 1),))
 
     def sigma(self) -> "SuperPolynomial":
         """Parity automorphism: negate odd terms."""
@@ -130,11 +130,11 @@ class SuperPolynomial(TermAlgebra):
             tuple((k, -c if len(k[1]) % 2 else c) for k, c in self.terms),
         )
 
-    def constant_term(self) -> Fraction:
-        return self.tdict().get(((), ()), Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.tdict().get(((), ()), 0)
 
 
-def _apply_into(d: "SuperDerivation", acc: Dict[Monomial, Fraction],
+def _apply_into(d: "SuperDerivation", acc: Dict[Monomial, Coeff],
                 f: SuperPolynomial, sign: int) -> None:
     """Add sign * d(f) into acc by the Leibniz rule.
 
@@ -221,7 +221,7 @@ class SuperDerivation(Derivation):
     def c_xi(self) -> Tuple[SuperPolynomial, ...]:
         return self.images[self.nvars:]
 
-    def evaluate_at_origin(self) -> Tuple[List[Fraction], List[Fraction]]:
+    def evaluate_at_origin(self) -> Tuple[List[Coeff], List[Coeff]]:
         return (
             [p.constant_term() for p in self.c_x],
             [p.constant_term() for p in self.c_xi],
@@ -247,20 +247,20 @@ class QnElement:
     """Supermatrix [[A, B], [B, A]]: (A, 0) is the even part, (0, B) odd."""
 
     n: int
-    A: Tuple[Tuple[Fraction, ...], ...]
-    B: Tuple[Tuple[Fraction, ...], ...]
+    A: Tuple[Tuple[Coeff, ...], ...]
+    B: Tuple[Tuple[Coeff, ...], ...]
 
     @staticmethod
     def make(n: int, A=None, B=None) -> "QnElement":
-        z = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        fa = tuple(tuple(Fraction(x) for x in row) for row in A) if A else z
-        fb = tuple(tuple(Fraction(x) for x in row) for row in B) if B else z
+        z = ((0,) * n,) * n
+        fa = tuple(tuple(_canon(x) for x in row) for row in A) if A else z
+        fb = tuple(tuple(_canon(x) for x in row) for row in B) if B else z
         return QnElement(n, fa, fb)
 
     @staticmethod
     def unit(n: int, i: int, j: int, odd: bool) -> "QnElement":
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][j] = Fraction(1)
+        m = [[0] * n for _ in range(n)]
+        m[i][j] = 1
         m = tuple(tuple(row) for row in m)
         return QnElement.make(n, A=None if odd else m, B=m if odd else None)
 
@@ -280,16 +280,15 @@ def qn_bracket(g1: QnElement, g2: QnElement) -> QnElement:
     A = A1 A2 - A2 A1 + B1 B2 + B2 B1 and B = A1 B2 - B2 A1 + B1 A2 - A2 B1,
     summed over the nonzero entries only."""
     n = g1.n
-    zero = Fraction(0)
 
-    def rows(X) -> Dict[int, List[Tuple[int, Fraction]]]:
+    def rows(X) -> Dict[int, List[Tuple[int, Coeff]]]:
         nz = {i: [(k, x) for k, x in enumerate(row) if x] for i, row in enumerate(X)}
         return {i: row for i, row in nz.items() if row}
 
     a1, b1, a2, b2 = rows(g1.A), rows(g1.B), rows(g2.A), rows(g2.B)
 
     def block(products):
-        acc: Dict[Tuple[int, int], Fraction] = {}
+        acc: Dict[Tuple[int, int], Coeff] = {}
         for sign, X, Y in products:
             for i, xrow in X.items():
                 for k, x in xrow:
@@ -297,7 +296,7 @@ def qn_bracket(g1: QnElement, g2: QnElement) -> QnElement:
                         t = x * y if sign > 0 else -(x * y)
                         old = acc.get((i, j))
                         acc[i, j] = t if old is None else old + t
-        return tuple(tuple(acc.get((i, j), zero) for j in range(n)) for i in range(n))
+        return tuple(tuple(_canon(acc.get((i, j), 0)) for j in range(n)) for i in range(n))
 
     A = block(((1, a1, a2), (-1, a2, a1), (1, b1, b2), (1, b2, b1)))
     B = block(((1, a1, b2), (-1, b2, a1), (1, b1, a2), (-1, a2, b1)))
@@ -442,7 +441,7 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     }
 
 
-def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, Fraction], ...]]]:
+def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, int], ...]]]:
     """[e_i, e_j] on the basis `qn_basis(n)` as its nonzero (k, c) terms in
     increasing k.  With e_i = E_ab of parity p and e_j = E_cd of parity q,
     E_ab E_cd = delta_bc E_ad makes [e_i, e_j] = delta_bc E_ad -+ delta_da E_cb
@@ -461,20 +460,20 @@ def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, Fraction], ...]
             if d == a:
                 k = off + c * n + b
                 acc[k] = acc.get(k, 0) + (1 if p and q else -1)
-            row.append(tuple((k, Fraction(v)) for k, v in sorted(acc.items()) if v))
+            row.append(tuple((k, v) for k, v in sorted(acc.items()) if v))
         table.append(row)
     return table
 
 
 def _combination(fields: List[SuperDerivation],
-                 entries: Tuple[Tuple[int, Fraction], ...], r: int, s: int,
+                 entries: Tuple[Tuple[int, Coeff], ...], r: int, s: int,
                  parity: int) -> SuperDerivation:
     """sum c fields[k] over the (k, c) entries, accumulated into one dict per
     image."""
     if not entries:
         return derivation_zero(r, s, parity)
     nv = r * s
-    accs: List[Dict[Monomial, Fraction]] = [{} for _ in range(2 * nv)]
+    accs: List[Dict[Monomial, Coeff]] = [{} for _ in range(2 * nv)]
     for k, c in entries:
         for acc, p in zip(accs, fields[k].images):
             for mono, v in p.terms:
@@ -495,7 +494,7 @@ def kernel_of_action(n: int, s: int) -> List[QnElement]:
     kidx = {k: i for i, k in enumerate(keys)}
     rows = []
     for f in fields:
-        row = [Fraction(0)] * len(keys)
+        row = [0] * len(keys)
         for k, p in enumerate(f.images):
             for mono, c in p.terms:
                 row[kidx[(k, mono)]] = c
@@ -505,17 +504,11 @@ def kernel_of_action(n: int, s: int) -> List[QnElement]:
     kern = nullspace(mat, len(rows))
     out = []
     for vec in kern:
-        A = [[Fraction(0)] * n for _ in range(n)]
-        B = [[Fraction(0)] * n for _ in range(n)]
+        A = [[0] * n for _ in range(n)]
+        B = [[0] * n for _ in range(n)]
         for idx, c in enumerate(vec):
-            if not c:
-                continue
             odd, rem = divmod(idx, n * n)
-            i, j = divmod(rem, n)
-            if odd:
-                B[i][j] += c
-            else:
-                A[i][j] += c
+            (B if odd else A)[rem // n][rem % n] = c
         out.append(QnElement.make(n, A, B))
     return out
 
@@ -561,8 +554,8 @@ def isotropy_weights(n: int, s: int) -> Dict[Tuple[int, ...], Dict[str, int]]:
             for j in range(n):
                 f = diag_fields[j]
                 # coefficient of x_k in f(x_k)
-                val = f.c_x[k].tdict().get(((((k, 1),), ())), Fraction(0))
-                val_xi = f.c_xi[k].tdict().get((((), (k,))), Fraction(0))
+                val = f.c_x[k].tdict().get(((((k, 1),), ())), 0)
+                val_xi = f.c_xi[k].tdict().get((((), (k,))), 0)
                 _require(val == val_xi, "x and xi germs must share the weight")
                 wvec.append(int(val))
             key = tuple(wvec)

@@ -1,0 +1,50 @@
+"""The canonical coefficient form shared by the exterior and superfields
+tests: a coefficient is an int when integral and a Fraction otherwise."""
+
+import dataclasses
+from fractions import Fraction
+
+from flagcoh.exterior import Derivation
+
+
+def is_canonical(c, zero_ok: bool = False) -> bool:
+    """An int (never a bool), nonzero unless zero_ok, or a non-integral
+    Fraction; zero_ok is for QnElement entries, where 0 fills the blocks."""
+    if type(c) is int:
+        return zero_ok or c != 0
+    return type(c) is Fraction and c.denominator != 1
+
+
+def assert_canonical(x) -> None:
+    """Strictly increasing monomials and canonical nonzero coefficients."""
+    keys = [k for k, _ in x.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(is_canonical(c) for _, c in x.terms), x.terms
+
+
+def fraction_copy(x):
+    """x with every coefficient a Fraction, built past the constructors that
+    would make the integral ones ints: arithmetic on the copy starts from
+    Fractions only."""
+    if isinstance(x, Derivation):
+        return dataclasses.replace(x, images=tuple(map(fraction_copy, x.images)))
+    return type(x)(x.m, tuple((k, Fraction(c)) for k, c in x.terms))
+
+
+def check_against_fractions(a, b, d1, d2) -> None:
+    """+, -, negation, *, scale (by an int, by 1/2 and then by 2), apply and
+    the bracket on a, b (term-algebra elements) and d1, d2 (derivations)
+    give canonical results equal to the same computations on Fraction
+    copies."""
+    fa, fb, fd1, fd2 = map(fraction_copy, (a, b, d1, d2))
+    half = a.scale(Fraction(1, 2))
+    pairs = [
+        (a + b, fa + fb), (a - b, fa - fb), (-a, -fa), (a * b, fa * fb),
+        (a.scale(-3), fa.scale(Fraction(-3))), (half, fa.scale(Fraction(1, 2))),
+        (half.scale(2), fa), (d1.apply(a), fd1.apply(fa)), (d2.apply(b), fd2.apply(fb)),
+    ]
+    pairs += zip(d1.bracket(d2).images, fd1.bracket(fd2).images)
+    pairs += zip(d1.scale(Fraction(1, 2)).images, fd1.scale(Fraction(1, 2)).images)
+    for got, ref in pairs:
+        assert got.terms == ref.terms
+        assert_canonical(got)

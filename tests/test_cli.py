@@ -399,12 +399,13 @@ QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
 def test_queries_match_golden_output(capsys, key):
     """roots on every preset's type, invariants at (3, 2) on every preset,
     bott on every preset at a vanishing weight, one with q = 0 and one with
-    q > 0, d2 with the rt2 factor first or last, and rejected inputs (among
-    them a negative table size, the zero theta parameter, also where CP2
-    folds a theta2 + b eta to zero, a scalar with a zero denominator, two rt2
-    factors in a term or rt2 in a denominator, an empty root type and a
-    missing manifest, which exit 2 with one error line): exit code, stdout
-    and stderr are byte-identical to the recorded ones."""
+    q > 0, bott and d2 on values that begin with '-', d2 with the rt2 factor
+    first or last, and rejected inputs (among them a negative table size,
+    the zero theta parameter, also where CP2 folds a theta2 + b eta to zero,
+    a scalar with a zero denominator, two rt2 factors in a term or rt2 in a
+    denominator, a weight that is not a list of integers, an empty root type
+    and a missing manifest, which exit 2 with one error line): exit code,
+    stdout and stderr are byte-identical to the recorded ones."""
     try:
         code = main(key.split(" "))
     except SystemExit as exc:
@@ -416,6 +417,32 @@ def test_queries_match_golden_output(capsys, key):
 def test_rt2_factor_first_or_last_gives_one_output():
     first, last = (QUERIES[f"d2 --space Gr(4,2) --a {a}"] for a in ("rt2*3", "3*rt2"))
     assert first["rc"] == 0 and first == last
+
+
+@pytest.mark.parametrize("spaced,glued,rc", [
+    ("bott --space Q3 --weight -1,0", "bott --space Q3 --weight=-1,0", 0),
+    ("bott --space CP2 --weight -1,0", "bott --space CP2 --weight=-1,0", 2),
+    ("d2 --space Gr(4,2) --a -1/2 --b 1", "d2 --space Gr(4,2) --a=-1/2 --b 1", 0),
+    ("d2 --space Gr(4,2) --a 1 --b -rt2", "d2 --space Gr(4,2) --a 1 --b=-rt2", 0),
+])
+def test_a_value_beginning_with_minus_reads_as_with_equals(capsys, spaced, glued, rc):
+    """--opt -v and --opt=-v give the same exit code and stdout."""
+    runs = []
+    for argv in (spaced, glued):
+        try:
+            code = main(argv.split(" "))
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == rc
+
+
+@pytest.mark.parametrize("weight", ["1,a", "1,,0", "", "1.5,0"])
+def test_a_weight_that_is_not_integers_exits_2_with_one_line(capsys, weight):
+    with pytest.raises(SystemExit) as exc:
+        main(["bott", "--space", "CP2", "--weight", weight])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: weight must be comma-separated integers\n"
 
 
 def test_bott_goldens_cover_every_preset_and_outcome():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagcoh
+from canonical import assert_canonical, check_against_fractions
 
 from flagcoh.exterior import (
     GrassmannElement,
@@ -505,12 +506,6 @@ def random_element(rng, m, degrees):
     return G(m, data)
 
 
-def assert_canonical(x: GrassmannElement):
-    keys = [k for k, _ in x.terms]
-    assert keys == sorted(set(keys))
-    assert all(type(c) is Fraction and c for _, c in x.terms)
-
-
 def test_kernel_matches_old_leibniz_loop_m_le_5():
     """apply_derivation and the product equal the per-letter loop on random
     rational elements, for m <= 5 and every derivation degree -1..m, on
@@ -704,3 +699,41 @@ def test_form_images_are_read_only():
         phi.components = phi.images
     with pytest.raises(AttributeError):
         phi.degree = 1
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_is_canonical_and_agrees_with_fractions(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    a = random_element(rng, m, range(m + 1))
+    b = random_element(rng, m, range(m + 1))
+    p, q = rng.randint(-1, m), rng.randint(-1, m)
+    d1, d2 = (VectorValuedForm.make(m, deg, [random_element(rng, m, [deg + 1])
+                                             for _ in range(m)]) for deg in (p, q))
+    check_against_fractions(a, b, d1, d2)
+
+
+def test_integral_values_are_ints():
+    half = G(3, {(1,): Fraction(1, 2), (1, 2): Fraction(3, 2)})
+    assert half.scale(2).terms == (((1,), 1), ((1, 2), 3))
+    assert all(type(c) is int for _, c in half.scale(2).terms)
+    for c in (True, Fraction(2, 2), 1.0):
+        (_, v), = GrassmannElement.make(2, {(1,): c}).terms
+        assert type(v) is int and v == 1
+    assert type(GrassmannElement.one(2).terms[0][1]) is int
+    assert type(gen(2, 1).terms[0][1]) is int
+
+
+def test_splitting_of_the_criterion_4_forms_is_canonical():
+    """psi and chi of the random forms check_c4_exterior splits: psi comes
+    from a scale by 1 / (p! (m - p)), so it mixes ints and Fractions."""
+    for m in (2, 3, 4):
+        rng = random.Random(4)
+        for p in range(m):
+            comps = [GrassmannElement.make(m, {mono: Fraction(rng.randint(-2, 2))
+                                               for mono in basis_monomials(m, p + 1)})
+                     for _ in range(m)]
+            psi, chi = decompose_im_j_ker_c(VectorValuedForm.make(m, p, comps))
+            for x in (psi,) + chi.images:
+                assert_canonical(x)

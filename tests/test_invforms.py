@@ -349,9 +349,12 @@ def _scan_nilpotent_pairs(space):
     keys = sorted({k for f in P.values() for k in f.tensor})
     flat = {ab: _flat_coefficients(P[ab], keys, space.dim) for ab in P}
     N = len(flat[(0, 0)])
+    # a pair with an index where all four vectors vanish has A = B = C = 0
+    # and adds no quad, so the scan runs over the support in increasing order
+    support = [i for i in range(N) if any(f[i] for f in flat.values())]
     quads = []
-    for i in range(N):
-        for j in range(i + 1, N):
+    for pos, i in enumerate(support):
+        for j in support[pos + 1:]:
             A = flat[(0, 0)][i] * flat[(0, 1)][j] - flat[(0, 0)][j] * flat[(0, 1)][i]
             B = (
                 flat[(0, 0)][i] * flat[(1, 1)][j]

@@ -7,9 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flagcoh
 import flagcoh.superfields as superfields
+from canonical import assert_canonical, check_against_fractions, is_canonical
 from flagcoh.exterior import Derivation, GrassmannElement, VectorValuedForm
 
 from flagcoh.superfields import (
@@ -566,15 +569,8 @@ def random_super_polynomial(rng, nv):
     return SuperPolynomial.make(nv, data)
 
 
-def assert_canonical(p):
-    """Strictly increasing monomials, no zero coefficient, Fraction values."""
-    keys = [k for k, _ in p.terms]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert all(c and type(c) is Fraction for _, c in p.terms)
-
-
-def assert_fraction_entries(g):
-    assert all(type(x) is Fraction for X in (g.A, g.B) for row in X for x in row)
+def assert_canonical_entries(g):
+    assert all(is_canonical(x, zero_ok=True) for X in (g.A, g.B) for row in X for x in row)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -584,7 +580,7 @@ def test_sparse_qn_bracket_matches_dense_on_every_basis_pair(n):
         for g2 in basis:
             got = qn_bracket(g1, g2)
             assert got == dense_qn_bracket(g1, g2)
-            assert_fraction_entries(got)
+            assert_canonical_entries(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -595,7 +591,7 @@ def test_sparse_qn_bracket_matches_dense_on_random_elements(n):
             g1, g2 = random_qn(rng, n, density), random_qn(rng, n, density)
             got = qn_bracket(g1, g2)
             assert got == dense_qn_bracket(g1, g2)
-            assert_fraction_entries(got)
+            assert_canonical_entries(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -611,7 +607,7 @@ def test_structure_constants_match_qn_bracket_on_every_basis_pair(n):
         for j, g2 in enumerate(basis):
             entries = table[i][j]
             assert [k for k, _ in entries] == sorted({k for k, _ in entries})
-            assert all(c and type(c) is Fraction for _, c in entries)
+            assert all(is_canonical(c) for _, c in entries)
             A = [[Fraction(0)] * n for _ in range(n)]
             B = [[Fraction(0)] * n for _ in range(n)]
             for k, c in entries:
@@ -644,7 +640,7 @@ def test_apply_and_bracket_match_the_per_letter_loop(n, s):
             p = random_super_polynomial(rng, nv)
             got = f.apply(p)
             assert got.tdict() == old_apply(f, p.tdict())
-            assert all(type(c) is Fraction for _, c in got.terms)
+            assert all(is_canonical(c) for _, c in got.terms)
             assert [k for k, _ in got.terms] == sorted(k for k, _ in got.terms)
     for _ in range(60):
         d1, d2 = rng.choice(fields), rng.choice(fields)
@@ -878,3 +874,60 @@ def test_images_are_read_only():
         f.c_x = f.c_xi
     with pytest.raises(AttributeError):
         f.images = ()
+
+
+def random_super_derivation(rng, r, s, parity):
+    """A field of the given parity: c_x[k] of that parity, c_xi[k] of the
+    other, from random_super_polynomial's terms."""
+    nv = r * s
+    images = []
+    for k in range(2 * nv):
+        want = parity if k < nv else 1 - parity
+        p = random_super_polynomial(rng, nv)
+        images.append(SuperPolynomial.make(
+            nv, {mono: c for mono, c in p.terms if len(mono[1]) % 2 == want}))
+    return SuperDerivation(r, s, parity, tuple(images))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_is_canonical_and_agrees_with_fractions(seed):
+    rng = random.Random(seed)
+    r, s = rng.randint(1, 2), rng.randint(1, 2)
+    nv = r * s
+    a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
+    d1, d2 = (random_super_derivation(rng, r, s, rng.randint(0, 1)) for _ in range(2))
+    check_against_fractions(a, b, d1, d2)
+
+
+def test_integral_values_are_ints():
+    mono = (((0, 1),), (1,))
+    half = SuperPolynomial.make(2, {mono: Fraction(1, 2)})
+    assert half.scale(2).terms == ((mono, 1),) and type(half.scale(2).terms[0][1]) is int
+    for c in (True, Fraction(1, 1)):
+        assert type(SuperPolynomial.make(2, {mono: c}).terms[0][1]) is int
+    (_, three), = SuperPolynomial.const(2, Fraction(3, 1)).terms
+    assert type(three) is int and three == 3
+    for p in (SuperPolynomial.x(2, 0), SuperPolynomial.xi(2, 1)):
+        assert type(p.terms[0][1]) is int
+    assert type(SuperPolynomial.zero(2).constant_term()) is int
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_structure_constants_and_basis_entries_are_ints(n):
+    for row in superfields.qn_structure_constants(n):
+        for entries in row:
+            assert all(type(c) is int and c for _, c in entries)
+    for g in qn_basis(n):
+        assert all(type(x) is int for X in (g.A, g.B) for row in X for x in row)
+
+
+def test_qn_entries_are_canonical():
+    g = QnElement.make(2, A=[[Fraction(2, 2), Fraction(1, 2)], [True, 0]])
+    assert g.A == ((1, Fraction(1, 2)), (1, 0)) and g.B == ((0, 0), (0, 0))
+    assert_canonical_entries(g)
+    # (1/2) * 2 is integral: the bracket's entries are ints there
+    h = QnElement.make(2, A=[[0, 0], [2, 0]])
+    assert_canonical_entries(qn_bracket(g, h))
+    for k in kernel_of_action(3, 1):
+        assert_canonical_entries(k)
