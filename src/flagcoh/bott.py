@@ -194,6 +194,12 @@ def _descriptor(H: HermitianSymmetricSpace, lam_star: Weight, mult: int) -> Modu
     return ModuleDescriptor("other", w, H.rd.weyl_dimension(w), mult)
 
 
+def tag_counts(descs: Sequence[ModuleDescriptor]) -> Tuple[int, int, int]:
+    """The (adjoint, trivial, other) multiplicity totals of descs."""
+    return tuple(sum(d.mult for d in descs if d.tag == tag)
+                 for tag in ("adjoint", "trivial", "other"))
+
+
 def _merge_descriptors(items: List[ModuleDescriptor]) -> List[ModuleDescriptor]:
     acc: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     dims: Dict[Tuple[str, Tuple[int, ...]], int] = {}

@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .bott import HermitianSymmetricSpace, grassmannian_rs
 from .invforms import (
@@ -99,6 +100,13 @@ class GModuleBasis:
     # _invariant_zero
     _invariant_zero: Optional[Tuple[list, list]] = field(
         default=None, init=False, repr=False, compare=False)
+    # degree k -> the CE differential on k-cochains, filled by _delta
+    _deltas: Dict[int, Dict[object, list]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # (query, a, b) -> the d2 verdicts of d2_vanishes_on_adjoint_at_01 and
+    # d2_on_vector_fields
+    _verdicts: Dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -201,7 +209,6 @@ def _root_to_eps(H: HermitianSymmetricSpace, root) -> Tuple[Fraction, ...]:
 
 
 _G_BASIS_CACHE: Dict[object, "GModuleBasis"] = {}
-_VERDICT_CACHE: Dict[object, object] = {}
 
 
 def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
@@ -286,32 +293,23 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
     for m, pos in zip(cartan, cartan_canon):
         elements.append(BasisElement(m, zero_eps, "t", pos))
 
-    # n+ ordering must match the invforms space
+    # n+ ordering must match the invforms space; n- pairs with it
     rs = grassmannian_rs(H)
-    nplus_order: List[int] = []
-    nminus_order: List[int] = []
     if rs is not None:
         r, s = rs
         space = MatrixPairSpace(r, s)
-        for i in range(r):
-            for a in range(s):
-                # epsilon weight of E_{i, r+a} is eps_i - eps_{r+a}
-                for idx, el in enumerate(elements):
-                    if el.block == "n+" and el.canonical == (i, r + a):
-                        nplus_order.append(idx)
-                    if el.block == "n-" and el.canonical == (r + a, i):
-                        nminus_order.append(idx)
+        # E_{i, r+a} in n+ and E_{r+a, i} in n-, row-major in (i, a)
+        index = {(el.block, el.canonical): k for k, el in enumerate(elements)}
+        cells = [(i, r + a) for i in range(r) for a in range(s)]
+        plus, minus = [("n+", c) for c in cells], [("n-", c[::-1]) for c in cells]
     else:
         space = RootPairSpace(H.dim)
-        for root in H.N_plus:
-            eps = _root_to_eps(H, root)
-            neg = tuple(-c for c in eps)
-            for idx, el in enumerate(elements):
-                if el.block == "n+" and el.eps_weight == eps:
-                    nplus_order.append(idx)
-            for idx, el in enumerate(elements):
-                if el.block == "n-" and el.eps_weight == neg:
-                    nminus_order.append(idx)
+        index = {(el.block, el.eps_weight): k for k, el in enumerate(elements)}
+        eps = [_root_to_eps(H, root) for root in H.N_plus]
+        plus = [("n+", e) for e in eps]
+        minus = [("n-", tuple(-c for c in e)) for e in eps]
+    nplus_order = [index[k] for k in plus if k in index]
+    nminus_order = [index[k] for k in minus if k in index]
     _require(len(nplus_order) == H.dim and len(nminus_order) == H.dim,
              "n+/n- bases do not match the pair space")
 
@@ -325,11 +323,10 @@ def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
                 {p: c / t for p, c in el.matrix.items()},
                 el.eps_weight, el.block, el.canonical,
             )
-    for ip in nplus_order:
-        for im in nminus_order:
+    for k, ip in enumerate(nplus_order):
+        for k2, im in enumerate(nminus_order):
             t = _trace_prod(elements[ip].matrix, elements[im].matrix)
-            _require(t == (1 if nplus_order.index(ip) == nminus_order.index(im) else 0),
-                     "n+ and n- bases are not dual")
+            _require(t == (k == k2), "n+ and n- bases are not dual")
 
     # Levi simple-root vectors
     levi_raise = []
@@ -449,32 +446,35 @@ class Cochain:
         return self + other.scale(-1)
 
 
-def _delta_terms(gb: GModuleBasis, k: int):
-    """The CE differential on k-cochains as a sparse matrix:
+def _delta(gb: GModuleBasis, k: int) -> Dict[object, list]:
+    """The CE differential on k-cochains,
     (delta c)(v0 < ... < vk)(w) = sum_i (-1)^i c(v0 .. ^vi .. vk)([vi, w])
-    (n- abelian, trivial action on the coefficients).  Yields each key of
-    delta c with its terms [(key of c, coefficient)]."""
-    n, dim_g = gb.n, gb.dim
-    ad = [[gb.bracket_coords(v, w).items() for w in range(dim_g)]
-          for v in gb.nminus_order]
-    for vs in itertools.combinations(range(n), k + 1):
-        for w in range(dim_g):
-            terms = []
-            for i, v in enumerate(vs):
-                rest, sign = vs[:i] + vs[i + 1:], -1 if i % 2 else 1
-                terms.extend((rest + (gi,) if rest else gi, sign * co)
-                             for gi, co in ad[v][w])
-            if terms:
-                yield vs + (w,), terms
+    (n- abelian, trivial action on the coefficients), as a map from each key
+    of c to the [(key of delta c, coefficient)] it feeds; built once per
+    basis and degree."""
+    delta = gb._deltas.get(k)
+    if delta is None:
+        delta = gb._deltas[k] = {}
+        ad = [[gb.bracket_coords(v, w).items() for w in range(gb.dim)]
+              for v in gb.nminus_order]
+        for vs in itertools.combinations(range(gb.n), k + 1):
+            for w in range(gb.dim):
+                tgt = vs + (w,)
+                for i, v in enumerate(vs):
+                    rest = vs[:i] + vs[i + 1:]
+                    for gi, co in ad[v][w]:
+                        delta.setdefault(rest + (gi,) if rest else gi, []).append(
+                            (tgt, -co if i % 2 else co))
+    return delta
 
 
 def _differential(c: Cochain) -> Cochain:
-    """delta c in any degree (see _delta_terms)."""
+    """delta c in any degree (see _delta)."""
+    delta = _delta(c.gb, c.degree)
     out: Dict[object, Vec] = {}
-    for key, terms in _delta_terms(c.gb, c.degree):
-        for src, co in terms:
-            if src in c.data:
-                _accumulate(out, key, co, c.data[src])
+    for key, vec in c.data.items():
+        for tgt, co in delta.get(key, ()):
+            _accumulate(out, tgt, co, vec)
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
@@ -625,19 +625,32 @@ def invariant_one_cochains(gb: GModuleBasis) -> List[Cochain]:
     return _invariant_cochains(gb, 1)
 
 
-def _coordinate_rows(cochains: Sequence[Cochain]) -> List[SparseRow]:
-    """The cochains as the columns of a sparse matrix whose rows are their
-    coordinates (key, t)."""
-    rows: Dict[Tuple[object, int], SparseRow] = {}
-    for j, c in enumerate(cochains):
-        for key, vec in c.data.items():
-            for t, x in vec.items():
-                rows.setdefault((key, t), {})[j] = x
-    return list(rows.values())
+def _entries(c: Cochain):
+    """The nonzero coordinates of c as ((key, t), value) pairs."""
+    return (((key, t), x) for key, vec in c.data.items() for t, x in vec.items())
+
+
+def _span_solve(columns: Sequence[Iterable[Tuple[object, object]]],
+                target: Optional[Mapping[object, object]] = None):
+    """`sparse_rref` of the matrix whose j-th column has the (coordinate,
+    entry) pairs columns[j], each coordinate at most once, against the
+    right-hand side target {coordinate: entry} when given: the RREF, its
+    pivots and the solution whose free unknowns are 0, whatever the order of
+    the rows."""
+    rows: Dict[object, SparseRow] = {}
+    for j, col in enumerate(columns):
+        for coord, x in col:
+            rows.setdefault(coord, {})[j] = x
+    if target is None:
+        return sparse_rref(list(rows.values()), len(columns))
+    for coord in target:
+        rows.setdefault(coord, {})
+    return sparse_rref(list(rows.values()), len(columns),
+                       [target.get(coord, 0) for coord in rows])
 
 
 def _cochain_rank(cochains: Sequence[Cochain]) -> int:
-    return len(sparse_rref(_coordinate_rows(cochains), len(cochains))[1])
+    return len(_span_solve([_entries(c) for c in cochains])[1])
 
 
 def h1_invariant_dimension(gb: GModuleBasis) -> int:
@@ -664,10 +677,7 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
     basis, images = _invariant_zero(gb)
     if not basis:
         return CoboundaryResult(c.is_zero(), None)
-    # the target c is one more column, moved to the right-hand side
-    rows = _coordinate_rows(images + [c])
-    rhs = [row.pop(len(basis), 0) for row in rows]
-    x = sparse_rref(rows, len(basis), rhs)[2]
+    x = _span_solve([_entries(im) for im in images], dict(_entries(c)))[2]
     if x is None:
         return CoboundaryResult(False, None)
     data: Dict[object, Vec] = {}
@@ -732,58 +742,41 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
     _, _, mod_weights = _lambda2_module(gb)
     v_weights = [_wsum(gb.elements[v].eps_weight, el.eps_weight)
                  for v in gb.nminus_order for el in gb.elements]
+    delta = _delta(gb, 1)
+
+    def column(i, t):
+        """delta of the unknown x(v, w)_t, for (v, w) = divmod(i, dim g)."""
+        return (((tgt, t), co) for tgt, co in delta.get(divmod(i, gb.dim), ()))
+
     unknowns = _weight_pairs(v_weights, mod_weights)
-    # key (v, w) of x -> [(t, column of x(v, w)_t)]
-    columns: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for k, (i, t) in enumerate(unknowns):
-        columns.setdefault(divmod(i, gb.dim), []).append((t, k))
-    rows: Dict[Tuple[object, int], SparseRow] = {}
-    for key, terms in _delta_terms(gb, 1):
-        for src, co in terms:
-            for t, k in columns.get(src, ()):
-                row = rows.setdefault((key, t), {})
-                row[k] = row.get(k, 0) + co
-    target = {(key, t): x for key, vec in c2.data.items() for t, x in vec.items()}
-    for coord in target:
-        rows.setdefault(coord, {})
-    coords = list(rows)
-    return sparse_rref([rows[k] for k in coords], len(unknowns),
-                       [target.get(k, 0) for k in coords])[2] is not None
+    return _span_solve([column(i, t) for i, t in unknowns],
+                       dict(_entries(c2)))[2] is not None
 
 
 def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
     """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
     when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
     vanishes; decided by the exact weight-zero coboundary solve."""
-    key = ("adj01", str(H.rd.type), H.alpha0, narrow(a), narrow(b))
-    if key in _VERDICT_CACHE:
-        return _VERDICT_CACHE[key]
     gb = build_g_basis(H)
-    th = theta_form(gb, a, b)
-    c2 = two_cochain_from_d2_image(gb, th)
-    if c2.is_zero():
-        verdict = True
-    else:
-        _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
-        verdict = two_cochain_is_coboundary(gb, c2)
-    _VERDICT_CACHE[key] = verdict
-    return verdict
+    key = ("adj01", narrow(a), narrow(b))
+    if key not in gb._verdicts:
+        c2 = two_cochain_from_d2_image(gb, theta_form(gb, a, b))
+        if not c2.is_zero():
+            _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
+        gb._verdicts[key] = c2.is_zero() or two_cochain_is_coboundary(gb, c2)
+    return gb._verdicts[key]
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
     """a theta2 + b eta on the realization's pair space (eta needs Grassmann);
     rational when a and b are."""
     a, b = narrow(a), narrow(b)
-    th2 = theta_p(gb.space, 2)
-    if isinstance(gb.space, MatrixPairSpace) and min(gb.space.r, gb.space.s) >= 2:
-        return th2.scale(a) + eta(gb.space).scale(b)
-    if b:
-        # eta degenerates (or is undefined); fold it into theta2 where legal
-        if isinstance(gb.space, MatrixPairSpace):
-            sign = 1 if gb.space.r == 1 else -1
-            return th2.scale(a + b * sign)
+    th2 = theta_p(gb.space, 2).scale(a)
+    if not b:
+        return th2
+    if not isinstance(gb.space, MatrixPairSpace):
         raise ValueError("eta undefined on non-Grassmann spaces")
-    return th2.scale(a)
+    return th2 + eta(gb.space).scale(b)
 
 
 def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
@@ -792,15 +785,15 @@ def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
     a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
     c_theta it is read from (witness None when c_theta = 0); one solve per
     space and (a, b)."""
-    key = ("d2", str(H.rd.type), H.alpha0, narrow(a), narrow(b))
-    if key not in _VERDICT_CACHE:
-        gb = build_g_basis(H)
+    gb = build_g_basis(H)
+    key = ("d2", narrow(a), narrow(b))
+    if key not in gb._verdicts:
         c = cochain_from_form(gb, theta_form(gb, a, b))
         res = (CoboundaryResult(True, None) if c.is_zero()
                else is_invariant_coboundary(c))
         # dim g when the CE class of c_theta is nonzero, 0 when it vanishes
-        _VERDICT_CACHE[key] = (0 if res.is_coboundary else gb.dim, res)
-    return _VERDICT_CACHE[key]
+        gb._verdicts[key] = (0 if res.is_coboundary else gb.dim, res)
+    return gb._verdicts[key]
 
 
 def d2_rank_on_vector_fields(H: HermitianSymmetricSpace, a, b) -> int:

@@ -18,6 +18,7 @@ themselves."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -161,11 +162,8 @@ def _frac_sqrt(q: Fraction) -> Optional[Fraction]:
 def _int_sqrt(n: int) -> Optional[int]:
     if n < 0:
         return None
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _rt2_coefficient(term: str) -> Fraction:

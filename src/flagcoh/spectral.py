@@ -18,8 +18,10 @@ from typing import Dict, List, Optional, Tuple
 from .bott import (
     HermitianSymmetricSpace,
     ModuleDescriptor,
+    _merge_descriptors,
     grassmannian_rs,
     invariant_dimension,
+    tag_counts,
     tangent_sheaf_E2,
 )
 from .invforms import product_table
@@ -233,14 +235,11 @@ def cohomology_of_T(H: HermitianSymmetricSpace,
         for s in entry:
             _require(s.status == "ok", "rows 0,1 must be fully determined")
             buckets[(str(q), p % 2)].append(s.descriptor)
-    def merge(items):
-        from .bott import _merge_descriptors
-        return _merge_descriptors(items)
     report = CohomologyReport(
-        H0_even=merge(buckets[("0", 0)]),
-        H0_odd=merge(buckets[("0", 1)]),
-        H1_even=merge(buckets[("1", 0)]),
-        H1_odd=merge(buckets[("1", 1)]),
+        H0_even=_merge_descriptors(buckets[("0", 0)]),
+        H0_odd=_merge_descriptors(buckets[("0", 1)]),
+        H1_even=_merge_descriptors(buckets[("1", 0)]),
+        H1_odd=_merge_descriptors(buckets[("1", 1)]),
     )
     return report, res
 
@@ -314,13 +313,9 @@ def e3_rows_summary(res: E3Result) -> Dict[Tuple[int, int], Tuple[int, int, int]
     """Computed (adjoint, trivial, other) totals per entry, rows 0,1."""
     out = {}
     for (p, q), entry in res.E3.items():
-        if q > 1:
-            continue
-        a = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "adjoint")
-        t = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "trivial")
-        o = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "other")
-        if a or t or o:
-            out[(p, q)] = (a, t, o)
+        counts = tag_counts([s.descriptor for s in entry])
+        if q <= 1 and any(counts):
+            out[(p, q)] = counts
     return out
 
 

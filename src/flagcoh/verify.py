@@ -15,7 +15,12 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import bott, invforms, liecoh, spectral, superfields
-from .bott import DESK_PRESETS, PUBLISHED_TABLE_DEVIATIONS, space_from_preset
+from .bott import (
+    DESK_PRESETS,
+    PUBLISHED_TABLE_DEVIATIONS,
+    space_from_preset,
+    tag_counts,
+)
 from .scalars import QSqrt2, RT2
 
 
@@ -31,13 +36,6 @@ class CheckResult:
 Check = Tuple[str, str, Callable[[], Tuple[bool, str]]]
 
 
-def _tag_counts(descs):
-    a = sum(d.mult for d in descs if d.tag == "adjoint")
-    t = sum(d.mult for d in descs if d.tag == "trivial")
-    o = sum(d.mult for d in descs if d.tag == "other")
-    return a, t, o
-
-
 # --- criterion 1: published cohomology tables --------------------------------
 
 def check_c1_tables(name: str) -> Tuple[bool, str]:
@@ -47,7 +45,7 @@ def check_c1_tables(name: str) -> Tuple[bool, str]:
     for p in range(0, min(4, H.dim) + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=2)
         for q in range(3):
-            got = _tag_counts(col[q])
+            got = tag_counts(col[q])
             want = bott.published_table_entry(H.case, k, p, q) + (0,)
             if got != want:
                 bad.append(f"(p={p},q={q}): computed {got} != published {want}")
@@ -65,11 +63,10 @@ def check_c1_tables_computed(name: str) -> Tuple[bool, str]:
     for p in range(0, min(4, H.dim) + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=2)
         for q in range(3):
-            a, t, o = _tag_counts(col[q])
+            a, t, o = tag_counts(col[q])
             ea, et = bott.published_table_entry(H.case, k, p, q)
-            extra = deviations.get((p, q), [])
-            ea += sum(d.mult for d in extra if d.tag == "adjoint")
-            eo = sum(d.mult for d in extra if d.tag == "other")
+            xa, _, eo = tag_counts(deviations.get((p, q), []))
+            ea += xa
             if (a, t, o) != (ea, et, eo):
                 return False, f"(p={p},q={q}): {(a, t, o)} != {(ea, et, eo)}"
     return True, "verified table reproduced"
@@ -362,12 +359,9 @@ def _regime_check(name, a, b, regime, n=None,
     H = space_from_preset(name)
     theta = spectral.theta_for(H, a, b)
     report, res = spectral.cohomology_of_T(H, theta)
-    got_rows = {
-        k: (x, t) for k, (x, t, o) in spectral.e3_rows_summary(res).items()
-    }
-    extra_other = {
-        k: o for k, (x, t, o) in spectral.e3_rows_summary(res).items() if o
-    }
+    rows = spectral.e3_rows_summary(res)
+    got_rows = {k: (x, t) for k, (x, t, o) in rows.items()}
+    extra_other = {k: o for k, (x, t, o) in rows.items() if o}
     want_rows = spectral.published_e3_rows(H.case, regime, n)
     problems = []
     if got_rows != want_rows or extra_other:

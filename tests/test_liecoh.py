@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from flagcoh.bott import PRESET_NAMES, space_from_preset
+from flagcoh import liecoh, spectral
+from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
 from flagcoh.invforms import barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
+    _accumulate,
     _cochain_system,
     _commutator,
+    _delta,
     _differential,
     build_g_basis,
     ce_differential,
@@ -22,6 +25,7 @@ from flagcoh.liecoh import (
     theta_form,
 )
 from flagcoh.repdecomp import char_of_roots, dual, tensor, trivial_multiplicity
+from flagcoh.rootsys import SimpleLieType
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank
 
 MATRIX_PRESETS = ["CP2", "CP3", "Q3", "Q5", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)",
@@ -529,3 +533,116 @@ def test_rational_forms_and_cochains_hold_no_qsqrt2(name):
     assert not c.is_zero()
     assert not any(isinstance(x, QSqrt2)
                    for vec in c.data.values() for x in vec.values())
+
+
+# ---------------------------------------------------------------------------
+# The cached CE differential map against a scan of the whole pattern
+# ---------------------------------------------------------------------------
+
+def _ref_delta_terms(gb, k):
+    """Reference: every key of delta c of a k-cochain c with its terms
+    [(key of c, coefficient)], rescanned on every call."""
+    ad = [[gb.bracket_coords(v, w).items() for w in range(gb.dim)]
+          for v in gb.nminus_order]
+    for vs in itertools.combinations(range(gb.n), k + 1):
+        for w in range(gb.dim):
+            terms = []
+            for i, v in enumerate(vs):
+                rest, sign = vs[:i] + vs[i + 1:], -1 if i % 2 else 1
+                terms.extend((rest + (gi,) if rest else gi, sign * co)
+                             for gi, co in ad[v][w])
+            if terms:
+                yield vs + (w,), terms
+
+
+def _ref_differential(c):
+    out = {}
+    for key, terms in _ref_delta_terms(c.gb, c.degree):
+        for src, co in terms:
+            if src in c.data:
+                _accumulate(out, key, co, c.data[src])
+    return Cochain(c.gb, c.degree + 1, out, c.mdim)
+
+
+def _random_sparse_cochain(gb, degree, rng, scalar):
+    """A random k-cochain with a few nonzero entries per key, plus one key
+    (w = dim g) that no key of the pattern reads."""
+    keys = [vs + (w,) if vs else w
+            for vs in itertools.combinations(range(gb.n), degree)
+            for w in range(gb.dim + 1) if w == gb.dim or rng.random() < 0.3]
+    data = {}
+    for key in keys:
+        vec = {t: scalar(rng) for t in rng.sample(range(gb.n * gb.n), 3)}
+        data[key] = {t: x for t, x in vec.items() if x}
+    return Cochain(gb, degree, data)
+
+
+SCALARS = {
+    "fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    "qsqrt2": lambda rng: QSqrt2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                 rng.randint(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SCALARS))
+@pytest.mark.parametrize("name", ["Gr(4,2)", "Q5", "LG3", "Gr(5,3)"])
+def test_differential_matches_the_whole_pattern_scan(name, field):
+    gb = build_g_basis(space_from_preset(name))
+    rng = random.Random(f"{name}-{field}")
+    for degree in range(4):
+        c = _random_sparse_cochain(gb, degree, rng, SCALARS[field])
+        outside = (tuple(range(degree)) + (gb.dim,)) if degree else gb.dim
+        assert outside in c.data and outside not in _delta(gb, degree)
+        got = _differential(c)
+        assert got.degree == degree + 1 and not got.is_zero()
+        assert got.data == _ref_differential(c).data
+
+
+def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
+    """A d2 query and the e3 query after it on the same space build each
+    degree's map once, and the e3 query reads the d2 query's map."""
+    monkeypatch.setattr(liecoh, "_G_BASIS_CACHE", {})
+    calls = []
+    delta = liecoh._delta
+
+    def spy(gb, k):
+        calls.append((id(gb), k, k in gb._deltas))
+        return delta(gb, k)
+
+    monkeypatch.setattr(liecoh, "_delta", spy)
+    H = space_from_preset("Gr(5,2)")
+    assert liecoh.d2_on_vector_fields(H, 0, 1)[0] == 0
+    gb = build_g_basis(H)
+    after_d2 = dict(gb._deltas)
+    assert set(after_d2) == {0, 1}
+    n_d2 = len(calls)
+    spectral.cohomology_of_T(H, spectral.theta_for(H, 0, 1))
+    assert {k for _, k, cached in calls[n_d2:]} == {1, 2}
+    assert {id(gb)} == {g for g, _, _ in calls}
+    built = [k for _, k, cached in calls if not cached]
+    assert sorted(built) == [0, 1, 2]
+    assert all(gb._deltas[k] is m for k, m in after_d2.items())
+
+
+def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2(monkeypatch):
+    """eta = theta2 when r = 1 and eta = -theta2 when s = 1, so theta_form
+    needs no fold of its own; b = 0 builds no eta, and b != 0 is refused
+    where eta is undefined."""
+    rng = random.Random(18)
+    for H, sign in ((build_space(SimpleLieType("A", 2), 0), 1),
+                    (space_from_preset("CP2"), -1)):
+        gb = build_g_basis(H)
+        assert (gb.space.r, gb.space.s) == ((1, 2) if sign == 1 else (2, 1))
+        th2 = theta_p(gb.space, 2)
+        for _ in range(10):
+            a, b = (QSqrt2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                           rng.randint(-2, 2)) for _ in range(2))
+            assert theta_form(gb, a, b).tensor == th2.scale(a + b * sign).tensor
+        assert theta_form(gb, 1, -sign).is_zero()
+    monkeypatch.setattr(liecoh, "eta", None)
+    gr42 = build_g_basis(space_from_preset("Gr(4,2)"))
+    assert theta_form(gr42, 2, 0).tensor == theta_p(gr42.space, 2).scale(2).tensor
+    q3 = build_g_basis(space_from_preset("Q3"))
+    assert theta_form(q3, 1, 0).tensor == theta_p(q3.space, 2).tensor
+    with pytest.raises(ValueError):
+        theta_form(q3, 1, 1)

@@ -13,6 +13,7 @@ from flagcoh.scalars import (
     QS_ZERO,
     QSqrt2,
     RT2,
+    _int_sqrt,
     nullspace,
     parse_scalar,
     rank,
@@ -133,6 +134,18 @@ def test_sqrt_in_field():
     # (1 + rt2)^2 = 3 + 2 rt2
     assert qs(3, 2).sqrt() in (qs(1, 1), qs(-1, -1))
     assert qs(3, 1).sqrt() is None
+
+
+@pytest.mark.parametrize("digits", [40, 400])
+def test_sqrt_of_large_squares_is_exact(digits):
+    """Roots past the 53-bit float mantissa: (r/3)^2 and 10^digits."""
+    r = 10**(digits // 2) + 7
+    assert _int_sqrt(r * r) == r
+    assert qs(Fraction(r * r, 9)).sqrt() in (qs(Fraction(r, 3)), qs(Fraction(-r, 3)))
+    assert _int_sqrt(10**digits) == 10**(digits // 2)
+    # a large near-square has no integer root
+    assert _int_sqrt(r * r + 1) is None and _int_sqrt(r * r - 1) is None
+    assert qs(Fraction(r * r + 1, 9)).sqrt() is None
 
 
 @pytest.mark.parametrize("field", ["fraction", "qsqrt2"])
