@@ -251,6 +251,11 @@ def invariant_dimension(H: HermitianSymmetricSpace, p: int, q: int) -> int:
     return trivial_multiplicity(H.levi, chi)
 
 
+def k_value(H: HermitianSymmetricSpace) -> int:
+    """k = dim H^2(M, Omega^3 (x) Theta)^G, 0 when dim M < 3."""
+    return invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+
+
 def published_k_value(H: HermitianSymmetricSpace) -> Optional[int]:
     """The k = dim H^2(Omega^3 (x) Theta)^G value the published case list
     gives, or None when the space is outside that list."""

@@ -160,7 +160,7 @@ def cmd_cohomology_table(args) -> int:
                     "p": p, "q": q,
                     "modules": [_descriptor_json(d) for d in col[q]],
                 })
-    k = bott.invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+    k = bott.k_value(H)
     deviations = bott.PUBLISHED_TABLE_DEVIATIONS.get(bott._norm_name(args.space), {})
     payload = {
         "space": args.space,
@@ -203,7 +203,7 @@ def cmd_invariants(args) -> int:
     q = args.q if args.q is not None else 2
     inv = bott.invariant_dimension(H, p, q)
     col = bott.cohomology_omega_p_theta(H, p, q_max=q)
-    triv = sum(d.mult for d in col[q] if d.tag == "trivial")
+    triv = bott.tag_counts(col[q])[1]
     stated = bott.published_k_value(H) if (p, q) == (3, 2) else None
     payload = {
         "space": args.space,

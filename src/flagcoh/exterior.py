@@ -36,7 +36,6 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .rootsys import _require
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
 Coeff = Union[int, Fraction]  # int when integral (see `_canon`)
@@ -184,7 +183,8 @@ class GrassmannElement(TermAlgebra):
         clean = {k: _canon(v) for k, v in data.items() if v}
         bad = [k for k in clean
                if not (all(1 <= i <= m for i in k) and list(k) == sorted(set(k)))]
-        _require(not bad, f"not strictly increasing monomials in 1..{m}: {bad}")
+        if bad:
+            raise ValueError(f"not strictly increasing monomials in 1..{m}: {bad}")
         return GrassmannElement(m, tuple(sorted(clean.items())))
 
     @staticmethod
@@ -356,12 +356,15 @@ class VectorValuedForm(Derivation):
 
     @staticmethod
     def make(m: int, degree: int, comps: Sequence[GrassmannElement]) -> "VectorValuedForm":
-        _require(len(comps) == m, f"a form on m={m} needs {m} components")
-        _require(-1 <= degree <= m, f"derivation degree {degree} outside [-1, {m}]")
+        if len(comps) != m:
+            raise ValueError(f"a form on m={m} needs {m} components")
+        if not -1 <= degree <= m:
+            raise ValueError(f"derivation degree {degree} outside [-1, {m}]")
         for c in comps:
-            _require(c.m == m, "component of a different m")
-            _require(c.is_zero() or c.is_homogeneous() == degree + 1,
-                     f"component not homogeneous of degree {degree + 1}")
+            if c.m != m:
+                raise ValueError("component of a different m")
+            if not (c.is_zero() or c.is_homogeneous() == degree + 1):
+                raise ValueError(f"component not homogeneous of degree {degree + 1}")
         return VectorValuedForm(m, degree, tuple(comps))
 
     @staticmethod
@@ -390,9 +393,11 @@ def grading_derivation(m: int) -> VectorValuedForm:
 
 def j_map(m: int, psi: GrassmannElement, degree: int = None) -> VectorValuedForm:
     """j(psi) = sum_k (psi xi_k) (x) xi_k*; degree disambiguates psi = 0."""
-    _require(psi.m == m, f"j_map on m={m} got an element of m={psi.m}")
+    if psi.m != m:
+        raise ValueError(f"j_map on m={m} got an element of m={psi.m}")
     p = psi.is_homogeneous()
-    _require(p is not None, "j_map needs a homogeneous element")
+    if p is None:
+        raise ValueError("j_map needs a homogeneous element")
     if degree is not None and psi.is_zero():
         p = degree
     comps = [psi * GrassmannElement.generator(m, k) for k in range(1, m + 1)]

@@ -90,6 +90,8 @@ class InvariantVectorForm:
         )
 
     def __add__(self, other: "InvariantVectorForm") -> "InvariantVectorForm":
+        if self.space != other.space:
+            raise ValueError(f"forms on {self.space} and {other.space}")
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("forms of different bidegree")
         out: Dict[Key, Vec] = {k: dict(v) for k, v in self.tensor.items()}
@@ -105,7 +107,7 @@ class InvariantVectorForm:
 
     def __eq__(self, other):
         return (
-            (self.p, self.q) == (other.p, other.q)
+            (self.space, self.p, self.q) == (other.space, other.p, other.q)
             and _clean(self.tensor) == _clean(other.tensor)
         )
 

@@ -19,8 +19,9 @@ Theory, 20-21), so the lowering generators add no equation.  No averaging.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
@@ -83,9 +84,11 @@ class BasisElement:
     canonical: Tuple[int, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class GModuleBasis:
-    """Weight basis of g split as n- (+) r (+) n+ per the parabolic."""
+    """Weight basis of g split as n- (+) r (+) n+ per the parabolic.  It
+    hashes by identity, so the results computed from it are cached per
+    basis with functools.cache."""
 
     H: HermitianSymmetricSpace
     elements: List[BasisElement]
@@ -93,20 +96,6 @@ class GModuleBasis:
     nminus_order: List[int]      # dual order: (x_i, y_j) = delta_ij
     levi_raise: List[int]        # indices of e_{alpha_i}, i in S
     space: object                # the invforms pair space
-    # (i, j) -> coordinates of [e_i, e_j], filled by bracket_coords
-    _brackets: Dict[Tuple[int, int], Mapping[int, Fraction]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the invariant 0-cochains and their delta images, filled by
-    # _invariant_zero
-    _invariant_zero: Optional[Tuple[list, list]] = field(
-        default=None, init=False, repr=False, compare=False)
-    # degree k -> the CE differential on k-cochains, filled by _delta
-    _deltas: Dict[int, Dict[object, list]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # (query, a, b) -> the d2 verdicts of d2_vanishes_on_adjoint_at_01 and
-    # d2_on_vector_fields
-    _verdicts: Dict[tuple, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -119,42 +108,49 @@ class GModuleBasis:
     def expand(self, X: Mat) -> Vec:
         """Coordinates of X in the basis, as element index -> coefficient.
 
-        Root-vector supports are disjoint, so their coefficients read off
-        canonical positions; the A-family torus (H_i = E_ii - E_{i+1,i+1})
-        overlaps and uses cumulative diagonal sums instead.
+        Root-vector supports are disjoint, so each nonzero cell of X at a
+        canonical position gives one coefficient; the A-family torus
+        (H_i = E_ii - E_{i+1,i+1}) overlaps and uses cumulative diagonal
+        sums instead.  The coordinates must rebuild X exactly.
         """
+        cells, torus = _cell_map(self)
         out: Vec = {}
-        fam_a_torus = self.H.rd.type.family == "A"
+        for pos, x in X.items():
+            if x and pos in cells:
+                g, entry = cells[pos]
+                out[g] = x / entry
         acc = Fraction(0)
-        for g, el in enumerate(self.elements):
-            pos = el.canonical
-            if el.block == "t" and fam_a_torus:
-                acc += X.get(pos, Fraction(0))
-                c = acc
-            else:
-                c = X.get(pos, Fraction(0)) / el.matrix[pos]
-            if c:
-                out[g] = c
-        # safety: reconstruct
+        for g, pos in torus:
+            acc += X.get(pos, 0)
+            if acc:
+                out[g] = acc
         rec: Mat = {}
         for g, c in out.items():
             _add_into(rec, c, self.elements[g].matrix)
         _require(rec == {k: v for k, v in X.items() if v}, "expansion failed")
         return out
 
-    def project_nplus(self, X: Mat) -> Vec:
-        """The n+ coordinates of X, as n+ index -> coefficient."""
-        coords = self.expand(X)
-        return {u: coords[g] for u, g in enumerate(self.nplus_order) if g in coords}
-
+    @functools.cache
     def bracket_coords(self, i: int, j: int) -> Mapping[int, Fraction]:
         """Coordinates of [e_i, e_j], computed once per pair and basis and
         shared read-only."""
-        coords = self._brackets.get((i, j))
-        if coords is None:
-            coords = self._brackets[(i, j)] = MappingProxyType(self.expand(
-                _commutator(self.elements[i].matrix, self.elements[j].matrix)))
-        return coords
+        return MappingProxyType(self.expand(
+            _commutator(self.elements[i].matrix, self.elements[j].matrix)))
+
+
+@functools.cache
+def _cell_map(gb: GModuleBasis):
+    """{canonical cell: (element index, entry there)} for every element but
+    the A-family torus, and the (element index, diagonal cell) pairs of that
+    torus in order."""
+    fam_a = gb.H.rd.type.family == "A"
+    cells, torus = {}, []
+    for g, el in enumerate(gb.elements):
+        if el.block == "t" and fam_a:
+            torus.append((g, el.canonical))
+        else:
+            cells[el.canonical] = (g, el.matrix[el.canonical])
+    return cells, torus
 
 
 def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[Fraction, ...]:
@@ -172,7 +168,10 @@ def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[Fraction, ...
     return tuple(v)
 
 
-def _simple_roots_eps(family: str, l: int) -> List[Tuple[Fraction, ...]]:
+@functools.cache
+def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The simple roots in epsilon coordinates, built once per family and
+    rank."""
     def e(i, n):
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
@@ -184,17 +183,14 @@ def _simple_roots_eps(family: str, l: int) -> List[Tuple[Fraction, ...]]:
 
     if family == "A":
         n = l + 1
-        return [sub(e(i, n), e(i + 1, n)) for i in range(l)]
+        return tuple(sub(e(i, n), e(i + 1, n)) for i in range(l))
+    chain = tuple(sub(e(i, l), e(i + 1, l)) for i in range(l - 1))
     if family == "B":
-        return [sub(e(i, l), e(i + 1, l)) for i in range(l - 1)] + [e(l - 1, l)]
+        return chain + (e(l - 1, l),)
     if family == "C":
-        return [sub(e(i, l), e(i + 1, l)) for i in range(l - 1)] + [
-            tuple(2 * c for c in e(l - 1, l))
-        ]
+        return chain + (tuple(2 * c for c in e(l - 1, l)),)
     if family == "D":
-        return [sub(e(i, l), e(i + 1, l)) for i in range(l - 1)] + [
-            add(e(l - 2, l), e(l - 1, l))
-        ]
+        return chain + (add(e(l - 2, l), e(l - 1, l)),)
     raise ValueError(family)
 
 
@@ -208,17 +204,9 @@ def _root_to_eps(H: HermitianSymmetricSpace, root) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-_G_BASIS_CACHE: Dict[object, "GModuleBasis"] = {}
-
-
+@functools.cache
 def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
-    key = (str(H.rd.type), H.alpha0)
-    if key not in _G_BASIS_CACHE:
-        _G_BASIS_CACHE[key] = _build_g_basis(H)
-    return _G_BASIS_CACHE[key]
-
-
-def _build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
+    """The matrix realization of g for H, built once per space."""
     family = H.rd.type.family
     l = H.rd.rank
     if family == "E":
@@ -429,6 +417,8 @@ class Cochain:
         return not self.data
 
     def __add__(self, other: "Cochain") -> "Cochain":
+        if self.gb is not other.gb:
+            raise ValueError("cochains on different bases of g")
         if self.degree != other.degree or self.module_dim != other.module_dim:
             raise ValueError("cochains of different degree or module")
         out = {k: dict(v) for k, v in self.data.items()}
@@ -446,25 +436,24 @@ class Cochain:
         return self + other.scale(-1)
 
 
+@functools.cache
 def _delta(gb: GModuleBasis, k: int) -> Dict[object, list]:
     """The CE differential on k-cochains,
     (delta c)(v0 < ... < vk)(w) = sum_i (-1)^i c(v0 .. ^vi .. vk)([vi, w])
     (n- abelian, trivial action on the coefficients), as a map from each key
     of c to the [(key of delta c, coefficient)] it feeds; built once per
     basis and degree."""
-    delta = gb._deltas.get(k)
-    if delta is None:
-        delta = gb._deltas[k] = {}
-        ad = [[gb.bracket_coords(v, w).items() for w in range(gb.dim)]
-              for v in gb.nminus_order]
-        for vs in itertools.combinations(range(gb.n), k + 1):
-            for w in range(gb.dim):
-                tgt = vs + (w,)
-                for i, v in enumerate(vs):
-                    rest = vs[:i] + vs[i + 1:]
-                    for gi, co in ad[v][w]:
-                        delta.setdefault(rest + (gi,) if rest else gi, []).append(
-                            (tgt, -co if i % 2 else co))
+    delta: Dict[object, list] = {}
+    ad = [[gb.bracket_coords(v, w).items() for w in range(gb.dim)]
+          for v in gb.nminus_order]
+    for vs in itertools.combinations(range(gb.n), k + 1):
+        for w in range(gb.dim):
+            tgt = vs + (w,)
+            for i, v in enumerate(vs):
+                rest = vs[:i] + vs[i + 1:]
+                for gi, co in ad[v][w]:
+                    delta.setdefault(rest + (gi,) if rest else gi, []).append(
+                        (tgt, -co if i % 2 else co))
     return delta
 
 
@@ -494,12 +483,12 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
         raise ValueError("form space does not match the algebra realization")
     n = gb.n
     out: Dict[object, Vec] = {}
-    for w, el in enumerate(gb.elements):
-        for j, co in gb.project_nplus(el.matrix).items():
-            for v in range(n):
-                for i in range(n):
-                    _accumulate(out, (v, w), co, {
-                        i * n + u: x for u, x in theta.value([i, j], [v]).items()})
+    # pi(e_w) is the unit vector at w's position j in nplus_order
+    for j, w in enumerate(gb.nplus_order):
+        for v in range(n):
+            for i in range(n):
+                _accumulate(out, (v, w), 1, {
+                    i * n + u: x for u, x in theta.value([i, j], [v]).items()})
     return Cochain(gb, 1, out)
 
 
@@ -606,13 +595,12 @@ def _invariant_cochains(gb: GModuleBasis, degree: int) -> List[Cochain]:
     return out
 
 
+@functools.cache
 def _invariant_zero(gb: GModuleBasis) -> Tuple[List[Cochain], List[Cochain]]:
     """The invariant 0-cochains and their delta images, solved once per
     basis."""
-    if gb._invariant_zero is None:
-        basis = _invariant_cochains(gb, 0)
-        gb._invariant_zero = (basis, [ce_differential(b) for b in basis])
-    return gb._invariant_zero
+    basis = _invariant_cochains(gb, 0)
+    return basis, [ce_differential(b) for b in basis]
 
 
 def invariant_zero_cochains(gb: GModuleBasis) -> List[Cochain]:
@@ -716,17 +704,13 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
     th2 = theta_p(gb.space, 2)
     pairs, pair_index, _ = _lambda2_module(gb)
     data: Dict[object, Vec] = {}
-    for w, el in enumerate(gb.elements):
-        pw = gb.project_nplus(el.matrix)
-        if not pw:
-            continue
+    # pi(e_w) is the unit vector at w's position j in nplus_order
+    for j, w in enumerate(gb.nplus_order):
         # phi_w(u; v) = theta2(pi(w), u; v), a (1,1)-form
         phi_tensor: Dict = {}
         for a in range(n):
             for b in range(n):
-                for j, co in pw.items():
-                    _accumulate(phi_tensor, ((a,), (b,)), co,
-                                th2.value([j, a], [b]))
+                _accumulate(phi_tensor, ((a,), (b,)), 1, th2.value([j, a], [b]))
         phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
         # F_w = theta /\ phi_w, a (2,2)-form: its entry at ((i, j), (v1, v2))
         # is the value at (v1, v2, w) on the coordinates ((i, j), u)
@@ -757,14 +741,16 @@ def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
     """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
     when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
     vanishes; decided by the exact weight-zero coboundary solve."""
-    gb = build_g_basis(H)
-    key = ("adj01", narrow(a), narrow(b))
-    if key not in gb._verdicts:
-        c2 = two_cochain_from_d2_image(gb, theta_form(gb, a, b))
-        if not c2.is_zero():
-            _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
-        gb._verdicts[key] = c2.is_zero() or two_cochain_is_coboundary(gb, c2)
-    return gb._verdicts[key]
+    return _adjoint_01_verdict(build_g_basis(H), narrow(a), narrow(b))
+
+
+@functools.cache
+def _adjoint_01_verdict(gb: GModuleBasis, a, b) -> bool:
+    c2 = two_cochain_from_d2_image(gb, theta_form(gb, a, b))
+    if c2.is_zero():
+        return True
+    _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
+    return two_cochain_is_coboundary(gb, c2)
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
@@ -785,15 +771,16 @@ def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
     a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
     c_theta it is read from (witness None when c_theta = 0); one solve per
     space and (a, b)."""
-    gb = build_g_basis(H)
-    key = ("d2", narrow(a), narrow(b))
-    if key not in gb._verdicts:
-        c = cochain_from_form(gb, theta_form(gb, a, b))
-        res = (CoboundaryResult(True, None) if c.is_zero()
-               else is_invariant_coboundary(c))
-        # dim g when the CE class of c_theta is nonzero, 0 when it vanishes
-        gb._verdicts[key] = (0 if res.is_coboundary else gb.dim, res)
-    return gb._verdicts[key]
+    return _d2_verdict(build_g_basis(H), narrow(a), narrow(b))
+
+
+@functools.cache
+def _d2_verdict(gb: GModuleBasis, a, b) -> Tuple[int, CoboundaryResult]:
+    c = cochain_from_form(gb, theta_form(gb, a, b))
+    res = (CoboundaryResult(True, None) if c.is_zero()
+           else is_invariant_coboundary(c))
+    # dim g when the CE class of c_theta is nonzero, 0 when it vanishes
+    return (0 if res.is_coboundary else gb.dim, res)
 
 
 def d2_rank_on_vector_fields(H: HermitianSymmetricSpace, a, b) -> int:

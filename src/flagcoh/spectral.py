@@ -20,7 +20,7 @@ from .bott import (
     ModuleDescriptor,
     _merge_descriptors,
     grassmannian_rs,
-    invariant_dimension,
+    k_value,
     tag_counts,
     tangent_sheaf_E2,
 )
@@ -323,7 +323,7 @@ def flagged_32_comparison(res: E3Result) -> Dict[str, object]:
     """The (3,2) entry: computed trivial part vs the published superscript
     read as k-1 (case I, theta = theta2) resp. k-2 (case II)."""
     H = res.H
-    k = invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+    k = k_value(H)
     entry = res.E3.get((3, 2), [])
     computed = sum(
         s.descriptor.mult for s in entry

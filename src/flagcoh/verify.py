@@ -40,7 +40,7 @@ Check = Tuple[str, str, Callable[[], Tuple[bool, str]]]
 
 def check_c1_tables(name: str) -> Tuple[bool, str]:
     H = space_from_preset(name)
-    k = bott.invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+    k = bott.k_value(H)
     bad = []
     for p in range(0, min(4, H.dim) + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=2)
@@ -58,7 +58,7 @@ def check_c1_tables_computed(name: str) -> Tuple[bool, str]:
     """The same cells against the verified values (published + recorded
     deviations); guards the computation itself."""
     H = space_from_preset(name)
-    k = bott.invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+    k = bott.k_value(H)
     deviations = PUBLISHED_TABLE_DEVIATIONS.get(name, {})
     for p in range(0, min(4, H.dim) + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=2)
@@ -79,7 +79,7 @@ def check_c2_dual_route(name: str) -> Tuple[bool, str]:
     for p in range(0, min(3, H.dim) + 1):
         col = bott.cohomology_omega_p_theta(H, p, q_max=2)
         for q in range(0, 3):
-            triv = sum(d.mult for d in col[q] if d.tag == "trivial")
+            triv = tag_counts(col[q])[1]
             inv = bott.invariant_dimension(H, p, q)
             if inv != triv:
                 return False, f"(p={p},q={q}): {inv} != {triv}"
@@ -102,7 +102,7 @@ def check_c3_k_values() -> Tuple[bool, str]:
     bad = []
     for name, want in _K_EXPECTED.items():
         H = space_from_preset(name)
-        got = bott.invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
+        got = bott.k_value(H)
         stated = bott.published_k_value(H)
         if got != want:
             bad.append(f"{name}: computed {got} != {want}")

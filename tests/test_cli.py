@@ -189,11 +189,11 @@ def test_d2_solves_the_coboundary_system_once(capsys, monkeypatch):
     solve = liecoh.is_invariant_coboundary
     monkeypatch.setattr(liecoh, "is_invariant_coboundary",
                         lambda c: calls.append(c) or solve(c))
-    monkeypatch.setattr(liecoh, "_G_BASIS_CACHE", {})
+    liecoh._d2_verdict.cache_clear()
     code, out = run_cli(capsys, *_spectral_argv("d2 Gr(4,2) 0 1"))
     assert code == 0 and json.loads(out)["coboundary_witness"] is not None
     assert len(calls) == 1
-    monkeypatch.setattr(liecoh, "_G_BASIS_CACHE", {})
+    liecoh._d2_verdict.cache_clear()
     assert verify.check_c6_d2_ranks()[0]
     assert len(calls) == 1 + 4
 

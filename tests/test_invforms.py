@@ -128,6 +128,22 @@ def test_eta_proportional_theta2_for_projective_spaces():
         assert rank_of([theta_p(sp, 2), eta(sp)]) == 1
 
 
+def test_forms_on_different_spaces_neither_compare_equal_nor_add():
+    """theta2 on Mat 2x3, Mat 3x2 and the root-vector space of dimension 6
+    has the same tensor on each; the space still tells them apart."""
+    forms = [theta_p(MatrixPairSpace(2, 3), 2), theta_p(MatrixPairSpace(3, 2), 2),
+             theta_p(RootPairSpace(6), 2)]
+    assert forms[0].tensor == forms[1].tensor == forms[2].tensor
+    assert forms[0] == theta_p(MatrixPairSpace(2, 3), 2)
+    for f, g in itertools.permutations(forms, 2):
+        assert f != g
+        for op in (lambda: f + g, lambda: f - g):
+            with pytest.raises(ValueError, match="forms on"):
+                op()
+    with pytest.raises(ValueError, match="forms on"):
+        forms[0] + eta(MatrixPairSpace(3, 2))
+
+
 def test_eta_theta2_independent_in_the_middle():
     for sp in (GR42, GR52, GR63):
         assert rank_of([theta_p(sp, 2), eta(sp)]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
-from flagcoh.invforms import barwedge_inv, eta, eta1, eta2, eta3, theta_p
+from flagcoh.invforms import _add_into, barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
     _accumulate,
@@ -70,27 +70,86 @@ def test_basis_dimensions():
     assert build_g_basis(space_from_preset("S-D4")).dim == 28
 
 
-@pytest.mark.parametrize("name", ["Gr(4,2)", "Q5", "LG3", "S-D4"])
+def ref_expand(gb, X):
+    """Oracle: the coordinates of X by a scan over all dim g elements, each
+    read at its canonical cell (cumulative diagonal sums for the A-family
+    torus), checked by rebuilding X."""
+    out = {}
+    fam_a_torus = gb.H.rd.type.family == "A"
+    acc = Fraction(0)
+    for g, el in enumerate(gb.elements):
+        pos = el.canonical
+        if el.block == "t" and fam_a_torus:
+            acc += X.get(pos, Fraction(0))
+            c = acc
+        else:
+            c = X.get(pos, Fraction(0)) / el.matrix[pos]
+        if c:
+            out[g] = c
+    rec = {}
+    for g, c in out.items():
+        _add_into(rec, c, gb.elements[g].matrix)
+    assert rec == {k: v for k, v in X.items() if v}
+    return out
+
+
+def ref_nplus_coords(gb, X):
+    """Oracle: the n+ coordinates of X, as n+ index -> coefficient."""
+    coords = ref_expand(gb, X)
+    return {u: coords[g] for u, g in enumerate(gb.nplus_order) if g in coords}
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
 def test_bracket_coords_memo_matches_fresh_expansion(name):
     gb = build_g_basis(space_from_preset(name))
     for i, ei in enumerate(gb.elements):
         for j, ej in enumerate(gb.elements):
             coords = gb.bracket_coords(i, j)
-            assert coords == gb.expand(_commutator(ei.matrix, ej.matrix))
+            assert coords == ref_expand(gb, _commutator(ei.matrix, ej.matrix))
             assert gb.bracket_coords(i, j) is coords
+            assert {g: -c for g, c in gb.bracket_coords(j, i).items()} == coords
     with pytest.raises(TypeError):
         coords[0] = Fraction(1)
 
 
-def test_projection_structure(gr42):
-    gb = gr42
-    # pi is the identity on n+, zero on r and n-
-    for k, idx in enumerate(gb.nplus_order):
-        coords = gb.project_nplus(gb.elements[idx].matrix)
-        assert coords == {k: Fraction(1)}
-    for idx, el in enumerate(gb.elements):
-        if el.block in ("r", "t", "n-"):
-            assert not any(gb.project_nplus(el.matrix).values())
+def _bracket_vec(gb, x, y):
+    """[x, y] for coordinate vectors x, y, through bracket_coords."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            _add_into(out, a * b, gb.bracket_coords(i, j))
+    return out
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
+def test_bracket_coords_satisfy_jacobi_on_random_triples(name):
+    gb = build_g_basis(space_from_preset(name))
+    rng = random.Random(f"jacobi-{name}")
+    for _ in range(40):
+        x, y, z = ({g: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                    for g in rng.sample(range(gb.dim), 3)} for _ in range(3))
+        total = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            _add_into(total, 1, _bracket_vec(gb, a, _bracket_vec(gb, b, c)))
+        assert total == {}
+
+
+def test_projection_structure():
+    for name in MATRIX_PRESETS:
+        gb = build_g_basis(space_from_preset(name))
+        # every basis matrix expands to its own unit vector
+        for g, el in enumerate(gb.elements):
+            assert gb.expand(el.matrix) == {g: Fraction(1)}
+        # pi is the identity on n+, zero on r and n-; so pi(e_w) is the
+        # unit vector at w's position in nplus_order
+        assert sorted(gb.nplus_order) == [g for g, el in enumerate(gb.elements)
+                                          if el.block == "n+"]
+        for k, idx in enumerate(gb.nplus_order):
+            coords = ref_nplus_coords(gb, gb.elements[idx].matrix)
+            assert coords == {k: Fraction(1)}
+        for idx, el in enumerate(gb.elements):
+            if el.block in ("r", "t", "n-"):
+                assert not any(ref_nplus_coords(gb, el.matrix).values())
 
 
 def test_delta_squared_zero_on_random_invariant_cochains(gr42):
@@ -124,7 +183,7 @@ def test_c_theta2_explicit_formula(gr42):
     n = gb.n
     c = cochain_from_form(gb, theta_form(gb, 1, 0))
     for w in range(gb.dim):
-        pw = gb.project_nplus(gb.elements[w].matrix)
+        pw = ref_nplus_coords(gb, gb.elements[w].matrix)
         for v in range(n):
             expect = [QS_ZERO] * (n * n)
             # v (x) pi(w): the n- index equals v
@@ -601,19 +660,21 @@ def test_differential_matches_the_whole_pattern_scan(name, field):
 def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
     """A d2 query and the e3 query after it on the same space build each
     degree's map once, and the e3 query reads the d2 query's map."""
-    monkeypatch.setattr(liecoh, "_G_BASIS_CACHE", {})
+    build_g_basis.cache_clear()
     calls = []
     delta = liecoh._delta
 
     def spy(gb, k):
-        calls.append((id(gb), k, k in gb._deltas))
-        return delta(gb, k)
+        misses = delta.cache_info().misses
+        out = delta(gb, k)
+        calls.append((id(gb), k, delta.cache_info().misses == misses))
+        return out
 
     monkeypatch.setattr(liecoh, "_delta", spy)
     H = space_from_preset("Gr(5,2)")
     assert liecoh.d2_on_vector_fields(H, 0, 1)[0] == 0
     gb = build_g_basis(H)
-    after_d2 = dict(gb._deltas)
+    after_d2 = {k: delta(gb, k) for _, k, _ in calls}
     assert set(after_d2) == {0, 1}
     n_d2 = len(calls)
     spectral.cohomology_of_T(H, spectral.theta_for(H, 0, 1))
@@ -621,7 +682,29 @@ def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
     assert {id(gb)} == {g for g, _, _ in calls}
     built = [k for _, k, cached in calls if not cached]
     assert sorted(built) == [0, 1, 2]
-    assert all(gb._deltas[k] is m for k, m in after_d2.items())
+    assert all(delta(gb, k) is m for k, m in after_d2.items())
+
+
+def test_simple_roots_are_built_once_per_family_and_rank():
+    simple = liecoh._simple_roots_eps
+    for name in MATRIX_PRESETS:
+        H = space_from_preset(name)
+        simple.cache_clear()
+        build_g_basis.__wrapped__(H)
+        info = simple.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+        roots = simple(H.rd.type.family, H.rd.rank)
+        assert type(roots) is tuple and len(roots) == H.rd.rank
+
+
+def test_cochains_on_different_bases_do_not_mix():
+    g52, g53 = (build_g_basis(space_from_preset(name)) for name in ("Gr(5,2)", "Gr(5,3)"))
+    assert g52.n == g53.n
+    a, b = (cochain_from_form(gb, theta_form(gb, 1, 0)) for gb in (g52, g53))
+    assert (a - a).is_zero()
+    for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+        with pytest.raises(ValueError, match="different bases"):
+            op()
 
 
 def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2(monkeypatch):

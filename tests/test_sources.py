@@ -2,9 +2,11 @@
 no source depends on syntax a later Python rejects (e.g. invalid escapes).
 No library module holds an assert statement, so python -O cannot drop a
 check that guards a value, and none keeps a module-level import that
-nothing reads."""
+nothing reads.  The docs name only what exists."""
 
 import ast
+import importlib
+import re
 import warnings
 from pathlib import Path
 
@@ -57,3 +59,51 @@ def test_module_has_no_unused_import(path):
     used = _used_names(tree)
     assert [(name, line) for name, line in _imported_names(tree)
             if name not in used] == []
+
+
+
+DOCS = [Path(__file__).resolve().parents[1] / p
+        for p in ("README.md", "docs/json_schemas.md")]
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+MODULES = [f"flagcoh.{p.stem}" for p in SOURCES if p.stem != "__init__"]
+
+
+def _resolve(name):
+    """The object a dotted name in the docs names: a path from `flagcoh`,
+    from one of its modules, from a class one of them defines, or else
+    from a standard-library module."""
+    head, *rest = name.split(".")
+    if head == "flagcoh":
+        obj = flagcoh
+    elif f"flagcoh.{head}" in MODULES:
+        obj = importlib.import_module(f"flagcoh.{head}")
+    else:
+        owners = [vars(m)[head] for m in map(importlib.import_module, MODULES)
+                  if isinstance(vars(m).get(head), type)]
+        obj = owners[0] if owners else importlib.import_module(head)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_docs_name_only_what_exists(path):
+    """Every backticked dotted name in the docs resolves, so that the docs
+    cannot name a deleted internal."""
+    names = sorted(set(DOTTED.findall(path.read_text(encoding="utf-8"))))
+    missing = []
+    for name in names:
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert missing == []
+
+
+def test_a_deleted_name_does_not_resolve():
+    assert _resolve("liecoh.GModuleBasis.bracket_coords")
+    assert _resolve("Derivation.bracket") and _resolve("fractions.Fraction")
+    for name in ("liecoh._G_BASIS_CACHE", "liecoh.GModuleBasis.project_nplus",
+                 "NoSuchClass.method", "liecho.build_g_basis"):
+        with pytest.raises((AttributeError, ImportError)):
+            _resolve(name)
