@@ -9,6 +9,7 @@ data is refused outright.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,7 +50,10 @@ class HermitianSymmetricSpace:
         return f"{self.rd.type}/alpha{self.alpha0}"
 
 
+@functools.cache
 def build_space(t: SimpleLieType, alpha0: int) -> HermitianSymmetricSpace:
+    """The space G/P for the special simple root alpha0 of t, built once per
+    (t, alpha0) and shared: it is frozen, and nothing mutates it."""
     rd = build_root_system(t)
     if alpha0 not in rd.special_simple_roots():
         raise ValueError(
@@ -129,6 +133,8 @@ def _norm_name(name: str) -> str:
 
 
 def space_from_preset(name: str) -> HermitianSymmetricSpace:
+    """The preset space of that name, built once per normalised name (through
+    `build_space`)."""
     key = _norm_name(name)
     if key not in _PRESETS:
         raise ValueError(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")

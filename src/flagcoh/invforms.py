@@ -7,7 +7,8 @@ antiholomorphic group of size q over the dual n- basis), with values sparse
 vectors in n+.  theta_p has a closed form; eta, eta1, eta2 and eta3 are each
 the alternation over S_p x S_q of one matrix chain (u1 v u2, tr(u1 v1 u2 v2)
 u3, (u1, v1) u2 v2 u3, u1 v1 u2 v2 u3), summed by `_alternate` over the
-chain's nonzero ordered values.  Both families have rational entries;
+chain's nonzero ordered values.  Both families have integer entries, and
+every tensor value is an int when integral and a Fraction otherwise;
 scaling by a parameter with a sqrt(2) part gives QSqrt2 entries.  The
 barwedge runs over the stored entries on the `exterior._merge_sign` sign
 kernel; ranks and coordinates are taken over the sorted nonzero (key, n+
@@ -23,15 +24,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
-from .scalars import QSqrt2, SparseRow, narrow, nullspace, rank, rref, sparse_rref
+from .scalars import (Coeff, QSqrt2, SparseRow, canonical, narrow, nullspace, rank,
+                      rref, sparse_rref)
 
-Vec = Dict[int, Fraction]  # sparse vector in n+ coordinates
+Vec = Dict[int, Coeff]  # sparse vector in n+ coordinates (or QSqrt2 values)
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -86,7 +87,8 @@ class InvariantVectorForm:
             return InvariantVectorForm(self.space, self.p, self.q, {})
         return InvariantVectorForm(
             self.space, self.p, self.q,
-            {k: {i: c * v for i, v in vec.items()} for k, vec in self.tensor.items()},
+            {k: {i: canonical(c * v) for i, v in vec.items()}
+             for k, vec in self.tensor.items()},
         )
 
     def __add__(self, other: "InvariantVectorForm") -> "InvariantVectorForm":
@@ -126,11 +128,12 @@ def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
 
 
 def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
-    """tgt += coeff * vec, dropping the entries that cancel."""
+    """tgt += coeff * vec, dropping the entries that cancel and keeping the
+    rational ones canonical (an int iff integral)."""
     for i, c in vec.items():
         nc = tgt.get(i, 0) + coeff * c
         if nc:
-            tgt[i] = nc
+            tgt[i] = canonical(nc)
         else:
             tgt.pop(i, None)
 
@@ -162,7 +165,7 @@ def theta_p(space, p: int) -> InvariantVectorForm:
     for us in itertools.combinations(range(n), p):
         for k, uk in enumerate(us):
             sign = 1 if (p + k + 1) % 2 == 0 else -1
-            tensor[(us, us[:k] + us[k + 1:])] = {uk: Fraction(pref * sign)}
+            tensor[(us, us[:k] + us[k + 1:])] = {uk: pref * sign}
     return InvariantVectorForm(space, p, p - 1, tensor)
 
 
@@ -183,8 +186,7 @@ def _alternate(space, p: int, q: int, chains: Iterable[Tuple]) -> InvariantVecto
         if su and sv:
             vec = acc.setdefault((ku, kv), {})
             vec[w] = vec.get(w, 0) + su * sv
-    tensor = {key: {w: Fraction(c) for w, c in acc[key].items() if c}
-              for key in sorted(acc)}
+    tensor = {key: {w: c for w, c in acc[key].items() if c} for key in sorted(acc)}
     return InvariantVectorForm(space, p, q, {k: vec for k, vec in tensor.items() if vec})
 
 
@@ -251,7 +253,7 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
     tensor: Dict[Key, Vec] = {}
     if P > n or Q > n or P < 0:
         return InvariantVectorForm(space, max(P, 0), Q, tensor)
-    by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction]]] = {}
+    by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], Coeff]]] = {}
     for (ku, kv), w in psi.tensor.items():
         for widx, wc in w.items():
             by_index.setdefault(widx, []).append((ku, kv, wc))

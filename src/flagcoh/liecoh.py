@@ -22,12 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .bott import HermitianSymmetricSpace, grassmannian_rs
+from .bott import HermitianSymmetricSpace, build_space, grassmannian_rs
 from .invforms import (
     InvariantVectorForm,
     MatrixPairSpace,
@@ -37,23 +36,24 @@ from .invforms import (
     eta,
     theta_p,
 )
-from .rootsys import _require
-from .scalars import SparseRow, narrow, rref_kernel, solve, sparse_rref
+from .rootsys import SimpleLieType, _require
+from .scalars import (Coeff, SparseRow, canonical, exact_quotient, narrow,
+                      rref_kernel, solve, sparse_rref)
 
-Mat = Dict[Tuple[int, int], Fraction]
+Mat = Dict[Tuple[int, int], Coeff]
 
 
 def _mat_mul(A: Mat, B: Mat) -> Mat:
     out: Mat = {}
-    rows: Dict[int, List[Tuple[int, Fraction]]] = {}
+    rows: Dict[int, List[Tuple[int, Coeff]]] = {}
     for (i, j), c in B.items():
         rows.setdefault(i, []).append((j, c))
     for (i, k), a in A.items():
         for (j, c) in rows.get(k, []):
             key = (i, j)
-            v = out.get(key, Fraction(0)) + a * c
+            v = out.get(key, 0) + a * c
             if v:
-                out[key] = v
+                out[key] = canonical(v)
             else:
                 out.pop(key, None)
     return out
@@ -69,17 +69,17 @@ def _commutator(A: Mat, B: Mat) -> Mat:
     return _mat_sub(_mat_mul(A, B), _mat_mul(B, A))
 
 
-def _trace_prod(A: Mat, B: Mat) -> Fraction:
-    tot = Fraction(0)
+def _trace_prod(A: Mat, B: Mat) -> Coeff:
+    tot = 0
     for (i, j), c in A.items():
-        tot += c * B.get((j, i), Fraction(0))
-    return tot
+        tot += c * B.get((j, i), 0)
+    return canonical(tot)
 
 
 @dataclass
 class BasisElement:
     matrix: Mat
-    eps_weight: Tuple[Fraction, ...]
+    eps_weight: Tuple[int, ...]
     block: str            # "n+" | "n-" | "t" | "r"
     canonical: Tuple[int, int]
 
@@ -118,8 +118,8 @@ class GModuleBasis:
         for pos, x in X.items():
             if x and pos in cells:
                 g, entry = cells[pos]
-                out[g] = x / entry
-        acc = Fraction(0)
+                out[g] = exact_quotient(x, entry)
+        acc = 0
         for g, pos in torus:
             acc += X.get(pos, 0)
             if acc:
@@ -131,9 +131,11 @@ class GModuleBasis:
         return out
 
     @functools.cache
-    def bracket_coords(self, i: int, j: int) -> Mapping[int, Fraction]:
+    def bracket_coords(self, i: int, j: int) -> Mapping[int, Coeff]:
         """Coordinates of [e_i, e_j], computed once per pair and basis and
-        shared read-only."""
+        shared read-only; for i > j they are those of -[e_j, e_i]."""
+        if i > j:
+            return MappingProxyType({g: -c for g, c in self.bracket_coords(j, i).items()})
         return MappingProxyType(self.expand(
             _commutator(self.elements[i].matrix, self.elements[j].matrix)))
 
@@ -153,27 +155,27 @@ def _cell_map(gb: GModuleBasis):
     return cells, torus
 
 
-def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[Fraction, ...]:
+def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[int, ...]:
     """epsilon-weight vector attached to matrix position i (0-based)."""
-    v = [Fraction(0)] * l
+    v = [0] * l
     if family == "A":
         # gl_n: epsilon_i lives in an n-dimensional space
-        v = [Fraction(0)] * N
-        v[i] = Fraction(1)
+        v = [0] * N
+        v[i] = 1
         return tuple(v)
     if i < l:
-        v[i] = Fraction(1)
+        v[i] = 1
     elif i >= N - l:
-        v[N - 1 - i] = Fraction(-1)
+        v[N - 1 - i] = -1
     return tuple(v)
 
 
 @functools.cache
-def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[Fraction, ...], ...]:
+def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[int, ...], ...]:
     """The simple roots in epsilon coordinates, built once per family and
     rank."""
     def e(i, n):
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        return tuple(int(j == i) for j in range(n))
 
     def sub(a, b):
         return tuple(x - y for x, y in zip(a, b))
@@ -194,19 +196,27 @@ def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[Fraction, ...], ...]:
     raise ValueError(family)
 
 
-def _root_to_eps(H: HermitianSymmetricSpace, root) -> Tuple[Fraction, ...]:
+def _root_to_eps(H: HermitianSymmetricSpace, root: Sequence[int]) -> Tuple[int, ...]:
+    """An integral root in simple-root coordinates, in epsilon coordinates."""
     simple = _simple_roots_eps(H.rd.type.family, H.rd.rank)
     n = len(simple[0])
-    out = [Fraction(0)] * n
+    out = [0] * n
     for c, s in zip(root, simple):
         for i in range(n):
-            out[i] += Fraction(c) * s[i]
+            out[i] += c * s[i]
     return tuple(out)
 
 
-@functools.cache
 def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
-    """The matrix realization of g for H, built once per space."""
+    """The matrix realization of g for H, built once per space: the simple
+    type and alpha0 fix H, and are the key, so a lookup does not hash the
+    whole root datum."""
+    return _g_basis(H.rd.type, H.alpha0)
+
+
+@functools.cache
+def _g_basis(t: SimpleLieType, alpha0: int) -> GModuleBasis:
+    H = build_space(t, alpha0)
     family = H.rd.type.family
     l = H.rd.rank
     if family == "E":
@@ -215,12 +225,10 @@ def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
     if family == "A":
         N = l + 1
         candidates = [
-            ((i, j), {(i, j): Fraction(1)})
+            ((i, j), {(i, j): 1})
             for i in range(N) for j in range(N) if i != j
         ]
-        cartan = [
-            {(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)} for i in range(l)
-        ]
+        cartan = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(l)]
         cartan_canon = [(i, i) for i in range(l)]
     else:
         N = 2 * l + 1 if family == "B" else 2 * l
@@ -231,21 +239,18 @@ def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
                     continue
                 ip, jp = N - 1 - i, N - 1 - j
                 if family == "C":
-                    s = Fraction((1 if i < l else -1) * (1 if j < l else -1))
+                    s = (1 if i < l else -1) * (1 if j < l else -1)
                     if (jp, ip) == (i, j):
                         # self-mirrored long-root direction: F = 2 E_{i,j}
-                        m = {(i, j): Fraction(2)}
+                        m = {(i, j): 2}
                     else:
-                        m = {(i, j): Fraction(1), (jp, ip): -s}
+                        m = {(i, j): 1, (jp, ip): -s}
                 else:
                     if (jp, ip) == (i, j):
                         continue  # F_{i,i'} vanishes for the so families
-                    m = {(i, j): Fraction(1), (jp, ip): Fraction(-1)}
+                    m = {(i, j): 1, (jp, ip): -1}
                 candidates.append(((i, j), m))
-        cartan = [
-            {(k, k): Fraction(1), (N - 1 - k, N - 1 - k): Fraction(-1)}
-            for k in range(l)
-        ]
+        cartan = [{(k, k): 1, (N - 1 - k, N - 1 - k): -1} for k in range(l)]
         cartan_canon = [(k, k) for k in range(l)]
 
     # classify candidates by root (epsilon weight), keep one per root
@@ -277,7 +282,7 @@ def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
     n_roots = len(H.rd.positive_roots) * 2
     _require(len(elements) == n_roots,
              f"{len(elements)} root vectors for {n_roots} roots")
-    zero_eps = tuple(Fraction(0) for _ in elements[0].eps_weight)
+    zero_eps = (0,) * len(elements[0].eps_weight)
     for m, pos in zip(cartan, cartan_canon):
         elements.append(BasisElement(m, zero_eps, "t", pos))
 
@@ -308,7 +313,7 @@ def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
         if t != 1:
             el = elements[im]
             elements[im] = BasisElement(
-                {p: c / t for p, c in el.matrix.items()},
+                {p: exact_quotient(c, t) for p, c in el.matrix.items()},
                 el.eps_weight, el.block, el.canonical,
             )
     for k, ip in enumerate(nplus_order):
@@ -334,7 +339,7 @@ def roots_key(H, el: BasisElement):
     simple = _simple_roots_eps(H.rd.type.family, H.rd.rank)
     n = len(simple[0])
     mat = [[simple[j][i] for j in range(len(simple))] for i in range(n)]
-    x = solve(mat, [Fraction(c) for c in el.eps_weight])
+    x = solve(mat, list(el.eps_weight))
     _require(x is not None, "root-vector weight outside the root lattice")
     return tuple(x)
 
@@ -353,10 +358,10 @@ def _sanity_check(gb: GModuleBasis) -> None:
             _require(br == want, "weight bookkeeping broken")
 
 
-def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> Fraction:
+def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> int:
     """Evaluation of an epsilon-weight on a torus basis matrix."""
     fam = gb.H.rd.type.family
-    tot = Fraction(0)
+    tot = 0
     for (i, j), c in torus_el.matrix.items():
         if i != j:
             continue
@@ -390,9 +395,9 @@ class Cochain:
     The default coefficient module M is n- (x) n+ (coordinate v*n + u);
     mdim overrides the module dimension for other coefficient modules.
     Each value is a sparse Vec {coordinate: scalar} without zeros, and a
-    key whose value vanishes is absent.  The scalars are Fractions, and
-    elements of Q(sqrt2) where the parameter of a theta form has a sqrt(2)
-    part.
+    key whose value vanishes is absent.  The scalars are rational, an int
+    when integral and a Fraction otherwise, and elements of Q(sqrt2) where
+    the parameter of a theta form has a sqrt(2) part.
     """
 
     gb: GModuleBasis
@@ -497,7 +502,7 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
 # generators
 # ---------------------------------------------------------------------------
 
-def _wsum(*ws) -> Tuple[Fraction, ...]:
+def _wsum(*ws) -> Tuple[int, ...]:
     return tuple(sum(c) for c in zip(*ws))
 
 
@@ -505,7 +510,7 @@ class _Module(NamedTuple):
     """An R-module in a weight basis: eps weights, and for each raising
     generator the sparse image of every basis vector."""
 
-    weights: List[Tuple[Fraction, ...]]
+    weights: List[Tuple[int, ...]]
     act: Dict[int, List[SparseRow]]
 
 
@@ -537,7 +542,7 @@ def _tensor(A: _Module, B: _Module) -> _Module:
 
 def _weight_pairs(v_weights, e_weights) -> List[Tuple[int, int]]:
     """The pairs (i, t) of equal weight, i major, t minor."""
-    by_weight: Dict[Tuple[Fraction, ...], List[int]] = {}
+    by_weight: Dict[Tuple[int, ...], List[int]] = {}
     for t, w in enumerate(e_weights):
         by_weight.setdefault(w, []).append(t)
     return [(i, t) for i, w in enumerate(v_weights) for t in by_weight.get(w, ())]

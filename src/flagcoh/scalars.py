@@ -1,26 +1,31 @@
 """Exact scalars: rationals, the quadratic field Q(sqrt 2), and sparse exact
 linear algebra (rref/rank/nullspace/solve) generic over both.
 
-The forms, structure constants and cochains are rational and computed over
-Fraction; sqrt(2) enters only through a parameter (a, b) of
-theta = a theta2 + b eta and through the roots of the nilpotent-pair
-quadratics.  `narrow` turns a parameter without a sqrt(2) part into its
-Fraction where it enters, and mixed sums and products fall through to
-QSqrt2's reflected operators.
+The forms, structure constants and cochains are rational and held as ints
+where integral, Fractions otherwise (`canonical`); sqrt(2) enters only
+through a parameter (a, b) of theta = a theta2 + b eta and through the roots
+of the nilpotent-pair quadratics.  `narrow` turns a parameter without a
+sqrt(2) part into its int or Fraction where it enters, and mixed sums and
+products fall through to QSqrt2's reflected operators.
 
-`sparse_rref` is the one entry point to the sparse Gauss-Jordan kernel: it
-takes dict rows and a column count, and the dense rref/rank/nullspace/solve
-are thin wrappers over it.  Matrices whose entries are all rational are
-eliminated over Fraction, whatever their entry type; a Q(sqrt2) right-hand
-side of a rational system is split into its rational and sqrt(2) parts.
-Q(sqrt2) arithmetic remains only for matrices that contain sqrt(2)
-themselves."""
+`sparse_rref` is the one entry point to the sparse Gauss-Jordan kernel,
+`_gauss_jordan`: it takes dict rows and a column count, and the dense
+rref/rank/nullspace/solve are thin wrappers over it.  Matrices whose
+entries are all rational are eliminated in integers, whatever their entry
+type: rows cleared of denominators, combined as a*row - b*prow and divided
+by their content, and divided by their pivot only when the RREF is
+written.  A Q(sqrt2) right-hand side of a rational system is split into its
+rational and sqrt(2) parts.  Q(sqrt2) arithmetic remains only for matrices
+that contain sqrt(2) themselves."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
+
+Coeff = Union[int, Fraction]  # an int when integral, see `canonical`
 
 
 class QSqrt2:
@@ -134,10 +139,19 @@ QS_ONE = QSqrt2(1, 0)
 
 
 def narrow(x):
-    """x as a Fraction when it is rational, else the QSqrt2 itself."""
+    """x as an int when it is integral, a Fraction when it is rational, else
+    the QSqrt2 itself."""
     if isinstance(x, QSqrt2):
-        return x if x.b else x.a
-    return Fraction(x)
+        if x.b:
+            return x
+        x = x.a
+    return canonical(Fraction(x))
+
+
+def canonical(x):
+    """x with an integral Fraction made an int; ints, other Fractions and
+    QSqrt2 as they are."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _coerce(x) -> QSqrt2:
@@ -247,15 +261,16 @@ def sparse_rref(rows: List[SparseRow], n_cols: int,
     None) whose free unknowns are 0, as column -> value, or None when there
     is none.  The rows are not modified and may hold zeros.
 
-    A matrix whose entries are all rational is eliminated over Fraction,
-    whatever their type, and red holds Fractions; any other over QSqrt2.
-    Over a rational matrix the right-hand side r + s*sqrt2 is reduced as the
-    two rational columns [rows | r | s]: a pivot in either means no
-    solution, and otherwise x = x_r + sqrt2 * x_s.
+    A matrix whose entries are all rational, whatever their type, is
+    eliminated in integers (see `_gauss_jordan`), and red and x hold ints and
+    Fractions, an int iff integral; any other matrix over QSqrt2.  Over a
+    rational matrix the right-hand side r + s*sqrt2 is reduced as the two
+    rational columns [rows | r | s]: a pivot in either means no solution,
+    and otherwise x = x_r + sqrt2 * x_s.
     """
     rational = all(not isinstance(x, QSqrt2) or not x.b
                    for row in rows for x in row.values())
-    conv = _to_fraction if rational else _coerce
+    conv = _rational if rational else _coerce
     work = [{c: conv(x) for c, x in row.items() if x} for row in rows]
     typed_rhs = False
     if rhs is not None:
@@ -264,14 +279,14 @@ def sparse_rref(rows: List[SparseRow], n_cols: int,
             if not b:
                 continue
             if rational:
-                r, s = _to_fraction(b), _coerce(b).b
+                r, s = (b.a, b.b) if isinstance(b, QSqrt2) else (b, 0)
                 if r:
                     row[n_cols] = r
                 if s:
                     row[n_cols + 1] = s
             else:
                 row[n_cols] = _coerce(b)
-    red, pivots = _gauss_jordan(work, n_cols + (2 if rhs is not None else 0))
+    red, pivots = _gauss_jordan(work, n_cols + (2 if rhs is not None else 0), rational)
     x: Optional[SparseRow] = {}
     while pivots and pivots[-1] >= n_cols:
         pivots.pop()
@@ -293,7 +308,7 @@ def rref_kernel(red: List[SparseRow], pivots: List[int], n_cols: int
     for fc in range(n_cols):
         if fc in pivot_set:
             continue
-        v = {fc: Fraction(1)}
+        v = {fc: 1}
         for row, pc in zip(red, pivots):
             if fc in row:
                 v[pc] = -row[fc]
@@ -301,13 +316,51 @@ def rref_kernel(red: List[SparseRow], pivots: List[int], n_cols: int
     return basis
 
 
-def _to_fraction(x) -> Fraction:
-    return x.a if isinstance(x, QSqrt2) else Fraction(x)
+def exact_quotient(x, y):
+    """x / y for int-or-Fraction x and y != 0, an int iff integral."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    return canonical(Fraction(x, y))
 
 
-def _gauss_jordan(rows: List[SparseRow], n_cols: int
+def _rational(x):
+    """The rational part of x, as it is when x is an int or a Fraction."""
+    return x.a if isinstance(x, QSqrt2) else x
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    """row, an integer row, divided in place by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+    return row
+
+
+def _gauss_jordan(rows: List[SparseRow], n_cols: int, integral: bool
                   ) -> Tuple[List[SparseRow], List[int]]:
-    """The nonzero rows of the RREF of `rows` (consumed) and their pivots."""
+    """The nonzero rows of the RREF of `rows` (consumed) and their pivots.
+
+    Columns are reduced in order; a row is eliminated against the pivot row
+    prow, whose entry in the pivot column is a where the row's is b, as
+    row - (b/a)*prow over QSqrt2, and without fractions when `integral`
+    (the rows are rational): each row is scaled to coprime integers, and an
+    eliminated row becomes a*row - b*prow, (a, b) cut by their gcd, divided
+    by the gcd of its entries (`_eliminate`; Bareiss, Math. Comp. 22, 1968,
+    eliminates without fractions too).  Every row stays a nonzero multiple
+    of the same row over the field, so the nonzero patterns, and with them
+    the pivot choices, do not depend on `integral`.  A row is divided by its
+    pivot only when it is written into red, so red is the RREF either way,
+    with int entries where they are integral.
+    """
+    combine = _eliminate if integral else _eliminate_over_field
+    if integral:
+        for i, row in enumerate(rows):
+            d = math.lcm(*(x.denominator for x in row.values()))
+            rows[i] = _primitive({k: x.numerator * (d // x.denominator)
+                                  for k, x in row.items()})
     # column -> rows not yet used as a pivot that are nonzero there
     where: Dict[int, Set[int]] = {}
     for i, row in enumerate(rows):
@@ -322,24 +375,51 @@ def _gauss_jordan(rows: List[SparseRow], n_cols: int
             continue
         p = min(cand, key=lambda i: (len(rows[i]), i))
         cand.discard(p)
-        piv = rows[p].pop(c)
-        prow = {k: x / piv for k, x in rows[p].items()}
+        prow = rows[p]
+        piv = prow.pop(c)
         for k in prow:
             where[k].discard(p)
         for i in cand:
-            _axpy(rows[i], rows[i].pop(c), prow, where, i)
-        prow[c] = piv / piv
+            combine(rows[i], piv, rows[i].pop(c), prow, where, i)
+        prow[c] = piv
         red.append(prow)
         pivots.append(c)
-    # backward pass: above each pivot, from the last one up
+    # backward pass, from the last pivot up: a pivot row holds no earlier
+    # pivot column and, once cleared, no later one, so the rows that hold
+    # pivot column c are those that held it after the forward pass
+    holders: Dict[int, List[int]] = {c: [] for c in pivots}
+    for i, row in enumerate(red):
+        for c in row:
+            if c in holders and c != pivots[i]:
+                holders[c].append(i)
     for k in range(len(red) - 1, 0, -1):
         c, prow = pivots[k], red[k]
         tail = {j: x for j, x in prow.items() if j != c}
-        for row in red[:k]:
-            f = row.pop(c, None)
-            if f is not None:
-                _axpy(row, f, tail, None, 0)
-    return red, pivots
+        for i in holders[c]:
+            combine(red[i], prow[c], red[i].pop(c), tail, None, 0)
+    divide = exact_quotient if integral else operator.truediv
+    return [{j: divide(x, row[c]) for j, x in row.items()}
+            for row, c in zip(red, pivots)], pivots
+
+
+def _eliminate(row: SparseRow, a: int, b: int, prow: SparseRow,
+               where: Optional[Dict[int, Set[int]]], i: int) -> None:
+    """row = (a*row - b*prow) / content in place, for integer rows and
+    nonzero a and b, (a, b) first cut by their gcd; keeps where[col] (if
+    given) in step."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    _axpy(row, b, prow, where, i)
+    _primitive(row)
+
+
+def _eliminate_over_field(row: SparseRow, a, b, prow: SparseRow,
+                          where: Optional[Dict[int, Set[int]]], i: int) -> None:
+    """row -= (b/a) * prow in place, keeping where[col] (if given) in step."""
+    _axpy(row, b / a, prow, where, i)
 
 
 def _axpy(row: SparseRow, f, prow: SparseRow,
@@ -364,7 +444,7 @@ def _axpy(row: SparseRow, f, prow: SparseRow,
 def _dense(row: SparseRow, n_cols: int, typed: bool) -> Row:
     out = [QS_ZERO if typed else Fraction(0)] * n_cols
     for c, x in row.items():
-        out[c] = _coerce(x) if typed else x
+        out[c] = _coerce(x) if typed else Fraction(x)
     return out
 
 

@@ -1,5 +1,6 @@
-"""The canonical coefficient form shared by the exterior and superfields
-tests: a coefficient is an int when integral and a Fraction otherwise."""
+"""The canonical coefficient form shared by the exterior, superfields,
+invforms and liecoh tests: a coefficient is an int when integral and a
+Fraction otherwise."""
 
 import dataclasses
 from fractions import Fraction

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from canonical import is_canonical
 
 from flagcoh.invforms import (
     InvariantVectorForm,
@@ -684,11 +685,12 @@ ETA_DISPLAYS = {
                                 (3, 3), (4, 2), (2, 4)], ids=str)
 def test_eta_family_matches_the_displays(rs):
     """Same bidegree, same keys in the same sorted order, and the same
-    `Fraction` entries as the displays evaluated on every key pair."""
+    entries as the displays evaluated on every key pair, each canonical
+    (an int iff integral)."""
     space = MatrixPairSpace(*rs)
     for name, (form, p, q, terms) in ETA_DISPLAYS.items():
         got, want = form(space), _alternation_form(space, p, q, terms)
         assert (got.p, got.q) == (want.p, want.q), name
         assert list(got.tensor) == list(want.tensor), name
         assert got.tensor == want.tensor, name
-        assert all(type(c) is Fraction for vec in got.tensor.values() for c in vec.values())
+        assert all(is_canonical(c) for vec in got.tensor.values() for c in vec.values())

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from canonical import is_canonical
 
 from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
@@ -110,6 +111,20 @@ def test_bracket_coords_memo_matches_fresh_expansion(name):
             assert {g: -c for g, c in gb.bracket_coords(j, i).items()} == coords
     with pytest.raises(TypeError):
         coords[0] = Fraction(1)
+
+
+@pytest.mark.parametrize("name", MATRIX_PRESETS)
+def test_coefficients_are_canonical(name):
+    """Every basis-matrix entry, bracket coordinate, delta coefficient and
+    invariant-cochain value is an int when integral, a Fraction otherwise."""
+    gb = build_g_basis(space_from_preset(name))
+    values = [c for el in gb.elements for c in el.matrix.values()]
+    values += [c for i in range(gb.dim) for j in range(gb.dim)
+               for c in gb.bracket_coords(i, j).values()]
+    values += [co for k in (0, 1) for feeds in _delta(gb, k).values() for _, co in feeds]
+    values += [x for basis in (invariant_zero_cochains(gb), invariant_one_cochains(gb))
+               for c in basis for vec in c.data.values() for x in vec.values()]
+    assert values and all(is_canonical(x) for x in values)
 
 
 def _bracket_vec(gb, x, y):
@@ -660,7 +675,7 @@ def test_differential_matches_the_whole_pattern_scan(name, field):
 def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
     """A d2 query and the e3 query after it on the same space build each
     degree's map once, and the e3 query reads the d2 query's map."""
-    build_g_basis.cache_clear()
+    liecoh._g_basis.cache_clear()
     calls = []
     delta = liecoh._delta
 
@@ -685,12 +700,22 @@ def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
     assert all(delta(gb, k) is m for k, m in after_d2.items())
 
 
+def test_spaces_and_bases_are_built_once():
+    """One space per normalised preset name, and one basis per simple type
+    and alpha0: a new, equal space finds the cached basis."""
+    H = space_from_preset("Gr(6,3)")
+    assert space_from_preset(" Gr (6,3)") is H
+    fresh = build_space.__wrapped__(H.rd.type, H.alpha0)
+    assert fresh == H and fresh is not H
+    assert build_g_basis(fresh) is build_g_basis(H)
+
+
 def test_simple_roots_are_built_once_per_family_and_rank():
     simple = liecoh._simple_roots_eps
     for name in MATRIX_PRESETS:
         H = space_from_preset(name)
         simple.cache_clear()
-        build_g_basis.__wrapped__(H)
+        liecoh._g_basis.__wrapped__(H.rd.type, H.alpha0)
         info = simple.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
         roots = simple(H.rd.type.family, H.rd.rank)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonical import is_canonical
+
 from flagcoh.scalars import (
     QS_ONE,
     QS_ZERO,
@@ -19,6 +21,7 @@ from flagcoh.scalars import (
     rank,
     rref,
     solve,
+    sparse_rref,
 )
 
 
@@ -98,6 +101,149 @@ def test_rref_matches_dense_reference(kind):
         assert got_rows == want_rows
         entry_type = Fraction if kind == "fraction" else QSqrt2
         assert all(type(x) is entry_type for row in got_rows for x in row)
+
+
+def reference_gauss_jordan(rows, n_cols):
+    """Reference: the sparse Gauss-Jordan over Fraction that reduced every
+    rational matrix before the fraction-free kernel, the same column order
+    and fewest-nonzeros pivot choice; consumes rows."""
+    where = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    red, pivots = [], []
+    for c in range(n_cols):
+        cand = where.pop(c, None)
+        if not cand:
+            continue
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        cand.discard(p)
+        piv = rows[p].pop(c)
+        prow = {k: x / piv for k, x in rows[p].items()}
+        for k in prow:
+            where[k].discard(p)
+        for i in cand:
+            reference_axpy(rows[i], rows[i].pop(c), prow, where, i)
+        prow[c] = piv / piv
+        red.append(prow)
+        pivots.append(c)
+    for k in range(len(red) - 1, 0, -1):
+        c, prow = pivots[k], red[k]
+        tail = {j: x for j, x in prow.items() if j != c}
+        for row in red[:k]:
+            f = row.pop(c, None)
+            if f is not None:
+                reference_axpy(row, f, tail, None, 0)
+    return red, pivots
+
+
+def reference_axpy(row, f, prow, where, i):
+    for k, x in prow.items():
+        old = row.get(k)
+        if old is None:
+            row[k] = -f * x
+            if where is not None:
+                where.setdefault(k, set()).add(i)
+            continue
+        new = old - f * x
+        if new:
+            row[k] = new
+        else:
+            del row[k]
+            if where is not None:
+                where[k].discard(i)
+
+
+def reference_sparse_rref(rows, n_cols, rhs=None):
+    """Reference: `sparse_rref` on a rational matrix as it was over Fraction,
+    the right-hand side r + s*sqrt2 reduced as the columns [rows | r | s]."""
+    def frac(x):
+        return x.a if isinstance(x, QSqrt2) else Fraction(x)
+
+    work = [{c: frac(x) for c, x in row.items() if x} for row in rows]
+    typed_rhs = rhs is not None and any(isinstance(b, QSqrt2) for b in rhs)
+    for row, b in zip(work, rhs or ()):
+        if b:
+            r, s = frac(b), QSqrt2(b).b
+            if r:
+                row[n_cols] = r
+            if s:
+                row[n_cols + 1] = s
+    red, pivots = reference_gauss_jordan(work, n_cols + (2 if rhs is not None else 0))
+    x = {}
+    while pivots and pivots[-1] >= n_cols:
+        pivots.pop()
+        red.pop()
+        x = None
+    for row, pc in zip(red, pivots):
+        r, s = row.pop(n_cols, 0), row.pop(n_cols + 1, 0)
+        if x is not None and (r or s):
+            x[pc] = QSqrt2(r, s) if typed_rhs else r
+    return red, pivots, x
+
+
+def random_rational_rows(rng, n_rows, n_cols, density, big):
+    """Sparse rows of int, Fraction and rational QSqrt2 entries, small or
+    large numerators and denominators, with some empty rows and some rows
+    that combine two others."""
+    def entry():
+        if big:
+            v = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+        else:
+            v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        kind = rng.randrange(3)
+        return v.numerator if kind == 0 else v if kind == 1 else QSqrt2(v)
+
+    rows = [{c: x for c in range(n_cols) if rng.random() < density and (x := entry())}
+            for _ in range(n_rows)]
+    for i in range(2, n_rows, 3):
+        if rng.random() < 0.3:
+            rows[i] = {}
+        else:
+            a, b = rows[i - 2], rows[i - 1]
+            rows[i] = {c: a.get(c, 0) - 3 * b.get(c, 0) for c in {*a, *b}}
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "large"])
+def test_fraction_free_kernel_matches_fraction_gauss_jordan(big):
+    """On random sparse rational matrices, with no, rational, Q(sqrt2) and
+    sqrt2-only-inconsistent right-hand sides, `sparse_rref` gives the same
+    red, pivots and x as the Fraction Gauss-Jordan, every entry canonical."""
+    rng = random.Random(f"fraction-free/{big}")
+    kinds = {"none": 0, "rational": 0, "qsqrt2": 0, "rt2-inconsistent": 0}
+    for trial in range(240):
+        size = 12 if big else 30
+        n_rows, n_cols = rng.randint(0, size), rng.randint(1, size)
+        rows = random_rational_rows(rng, n_rows, n_cols,
+                                    rng.choice((0.05, 0.2, 0.5, 1.0)), big)
+        kind = list(kinds)[trial % 4]
+        rhs = None
+        if kind == "rational":
+            rhs = [rng.choice((0, 1, -2, Fraction(3, 7))) for _ in rows]
+        elif kind == "qsqrt2":
+            rhs = [QSqrt2(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in rows]
+        elif kind == "rt2-inconsistent" and n_rows:
+            # a consistent rational right-hand side, then one last row that
+            # sums two others and whose right-hand side is off by sqrt2 only
+            x0 = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in range(n_cols)}
+            rows.append({c: rows[0].get(c, 0) + rows[-1].get(c, 0)
+                         for c in {*rows[0], *rows[-1]}})
+            rhs = [sum((QSqrt2(x) * x0[c] for c, x in row.items()), QS_ZERO) for row in rows]
+            rhs[-1] = rhs[-1] + RT2
+        got = sparse_rref([dict(row) for row in rows], n_cols, rhs)
+        want = reference_sparse_rref(rows, n_cols, rhs)
+        assert got == want, trial
+        assert all(is_canonical(x) for row in got[0] for x in row.values())
+        if got[2] is not None:
+            assert all(is_canonical(x) or isinstance(x, QSqrt2) for x in got[2].values())
+        if kind == "rt2-inconsistent" and n_rows:
+            assert got[2] is None
+            rational = [b.a for b in rhs]
+            assert sparse_rref(rows, n_cols, rational)[2] is not None
+        kinds[kind] += got[2] is not None
+    assert all(kinds[k] for k in ("none", "rational", "qsqrt2"))
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20),
