@@ -33,12 +33,13 @@ from .invforms import (
     RootPairSpace,
     Vec,
     _add_into,
+    barwedge_inv,
     eta,
     theta_p,
 )
 from .rootsys import SimpleLieType, _require
-from .scalars import (Coeff, SparseRow, canonical, exact_quotient, narrow,
-                      rref_kernel, solve, sparse_rref)
+from .scalars import (Coeff, SparseRow, canonical, combine_targets, exact_quotient,
+                      narrow, reduce_targets, rref_kernel, solve, sparse_rref)
 
 Mat = Dict[Tuple[int, int], Coeff]
 
@@ -59,14 +60,10 @@ def _mat_mul(A: Mat, B: Mat) -> Mat:
     return out
 
 
-def _mat_sub(A: Mat, B: Mat) -> Mat:
-    out = dict(A)
-    _add_into(out, -1, B)
-    return out
-
-
 def _commutator(A: Mat, B: Mat) -> Mat:
-    return _mat_sub(_mat_mul(A, B), _mat_mul(B, A))
+    out = _mat_mul(A, B)
+    _add_into(out, -1, _mat_mul(B, A))
+    return out
 
 
 def _trace_prod(A: Mat, B: Mat) -> Coeff:
@@ -174,25 +171,18 @@ def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[int, ...]:
 def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[int, ...], ...]:
     """The simple roots in epsilon coordinates, built once per family and
     rank."""
-    def e(i, n):
-        return tuple(int(j == i) for j in range(n))
-
-    def sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def e(i, n, c=1):
+        return tuple(c if j == i else 0 for j in range(n))
 
     if family == "A":
-        n = l + 1
-        return tuple(sub(e(i, n), e(i + 1, n)) for i in range(l))
-    chain = tuple(sub(e(i, l), e(i + 1, l)) for i in range(l - 1))
+        return tuple(_wsum(e(i, l + 1), e(i + 1, l + 1, -1)) for i in range(l))
+    chain = tuple(_wsum(e(i, l), e(i + 1, l, -1)) for i in range(l - 1))
     if family == "B":
         return chain + (e(l - 1, l),)
     if family == "C":
-        return chain + (tuple(2 * c for c in e(l - 1, l)),)
+        return chain + (e(l - 1, l, 2),)
     if family == "D":
-        return chain + (add(e(l - 2, l), e(l - 1, l)),)
+        return chain + (_wsum(e(l - 2, l), e(l - 1, l)),)
     raise ValueError(family)
 
 
@@ -623,35 +613,42 @@ def _entries(c: Cochain):
     return (((key, t), x) for key, vec in c.data.items() for t, x in vec.items())
 
 
-def _span_solve(columns: Sequence[Iterable[Tuple[object, object]]],
-                target: Optional[Mapping[object, object]] = None):
-    """`sparse_rref` of the matrix whose j-th column has the (coordinate,
-    entry) pairs columns[j], each coordinate at most once, against the
-    right-hand side target {coordinate: entry} when given: the RREF, its
-    pivots and the solution whose free unknowns are 0, whatever the order of
-    the rows."""
+def _span_rows(columns: Sequence[Iterable[Tuple[object, object]]],
+               targets: Sequence[Cochain]):
+    """The rows of the matrix whose j-th column has the (coordinate, entry)
+    pairs columns[j], each coordinate at most once, and the target cochains
+    as right-hand sides aligned with them; no solve depends on the row
+    order."""
     rows: Dict[object, SparseRow] = {}
     for j, col in enumerate(columns):
         for coord, x in col:
             rows.setdefault(coord, {})[j] = x
-    if target is None:
-        return sparse_rref(list(rows.values()), len(columns))
-    for coord in target:
+    values = [dict(_entries(c)) for c in targets]
+    for coord in itertools.chain(*values):
         rows.setdefault(coord, {})
-    return sparse_rref(list(rows.values()), len(columns),
-                       [target.get(coord, 0) for coord in rows])
+    return list(rows.values()), [[v.get(coord, 0) for coord in rows] for v in values]
 
 
-def _cochain_rank(cochains: Sequence[Cochain]) -> int:
-    return len(_span_solve([_entries(c) for c in cochains])[1])
+def _span_solve(columns: Sequence[Iterable[Tuple[object, object]]],
+                target: Optional[Cochain] = None):
+    """`sparse_rref` of `_span_rows`, against the target when given."""
+    rows, rhs = _span_rows(columns, [] if target is None else [target])
+    return sparse_rref(rows, len(columns), *rhs)
 
 
-def h1_invariant_dimension(gb: GModuleBasis) -> int:
-    """dim H^1(n-, Hom(g, n- (x) n+))^R = invariant cocycles modulo the
-    differentials of invariant 0-cochains (delta commutes with R)."""
-    ones = invariant_one_cochains(gb)
-    cocycle_dim = len(ones) - _cochain_rank([ce_differential(c) for c in ones])
-    return cocycle_dim - _cochain_rank(_invariant_zero(gb)[1])
+def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
+    """The columns of delta x = c for a `degree`-cochain c (1 or 2): the
+    delta images of the invariant 0-cochains, or the deltas of the unknowns
+    x(v, w)_t, (v, w) = divmod(i, dim g), of the weight-zero block of the
+    1-cochains with coefficients in Lambda^2 n- (x) n+ (sufficient by torus
+    equivariance)."""
+    if degree == 1:
+        return [_entries(im) for im in _invariant_zero(gb)[1]]
+    v_weights = [_wsum(gb.elements[v].eps_weight, el.eps_weight)
+                 for v in gb.nminus_order for el in gb.elements]
+    delta = _delta(gb, 1)
+    return [[((tgt, t), co) for tgt, co in delta.get(divmod(i, gb.dim), ())]
+            for i, t in _weight_pairs(v_weights, _lambda2_module(gb)[2])]
 
 
 @dataclass
@@ -660,24 +657,26 @@ class CoboundaryResult:
     witness: Optional[Cochain]
 
 
+def _coboundary_result(gb: GModuleBasis, x: Optional[SparseRow]) -> CoboundaryResult:
+    """The verdict of a solution x on the degree-1 columns, and the witness
+    sum_j x_j b_j over the invariant 0-cochains b_j (None when x is 0)."""
+    if not x:
+        return CoboundaryResult(x is not None, None)
+    data: Dict[object, Vec] = {}
+    for j, xj in x.items():
+        for key, vec in _invariant_zero(gb)[0][j].data.items():
+            _accumulate(data, key, xj, vec)
+    return CoboundaryResult(True, Cochain(gb, 0, data))
+
+
 def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
-    """Solve c = delta c0 over the R-invariant 0-cochains, exactly."""
+    """Solve c = delta c0 over the R-invariant 0-cochains, exactly (witness
+    None when c = 0)."""
     if c.degree != 1:
         raise ValueError("coboundary test implemented for 1-cochains")
     if not ce_differential(c).is_zero():
         raise ValueError("input is not a cocycle")
-    gb = c.gb
-    basis, images = _invariant_zero(gb)
-    if not basis:
-        return CoboundaryResult(c.is_zero(), None)
-    x = _span_solve([_entries(im) for im in images], dict(_entries(c)))[2]
-    if x is None:
-        return CoboundaryResult(False, None)
-    data: Dict[object, Vec] = {}
-    for j, xj in x.items():
-        for key, vec in basis[j].data.items():
-            _accumulate(data, key, xj, vec)
-    return CoboundaryResult(True, Cochain(gb, 0, data))
+    return _coboundary_result(c.gb, _span_solve(_coboundary_columns(c.gb, 1), c)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +702,6 @@ def _lambda2_module(gb: GModuleBasis):
 def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
                               ) -> Cochain:
     """The 2-cochain representing w -> [theta /\\ (theta2 /\\ w)] at o."""
-    from .invforms import barwedge_inv
-
     n = gb.n
     th2 = theta_p(gb.space, 2)
     pairs, pair_index, _ = _lambda2_module(gb)
@@ -728,62 +725,61 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
 def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
     """Solve delta x = c2 over the weight-zero block of the 1-cochains with
     coefficients in Lambda^2 n- (x) n+ (exact; sufficient by equivariance)."""
-    _, _, mod_weights = _lambda2_module(gb)
-    v_weights = [_wsum(gb.elements[v].eps_weight, el.eps_weight)
-                 for v in gb.nminus_order for el in gb.elements]
-    delta = _delta(gb, 1)
-
-    def column(i, t):
-        """delta of the unknown x(v, w)_t, for (v, w) = divmod(i, dim g)."""
-        return (((tgt, t), co) for tgt, co in delta.get(divmod(i, gb.dim), ()))
-
-    unknowns = _weight_pairs(v_weights, mod_weights)
-    return _span_solve([column(i, t) for i, t in unknowns],
-                       dict(_entries(c2)))[2] is not None
-
-
-def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
-    """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
-    when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
-    vanishes; decided by the exact weight-zero coboundary solve."""
-    return _adjoint_01_verdict(build_g_basis(H), narrow(a), narrow(b))
-
-
-@functools.cache
-def _adjoint_01_verdict(gb: GModuleBasis, a, b) -> bool:
-    c2 = two_cochain_from_d2_image(gb, theta_form(gb, a, b))
-    if c2.is_zero():
-        return True
-    _require(_differential(c2).is_zero(), "d2-image family must be a cocycle")
-    return two_cochain_is_coboundary(gb, c2)
+    return _span_solve(_coboundary_columns(gb, 2), c2)[2] is not None
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
     """a theta2 + b eta on the realization's pair space (eta needs Grassmann);
     rational when a and b are."""
-    a, b = narrow(a), narrow(b)
+    a, b = _theta_coefficients(gb, a, b)
     th2 = theta_p(gb.space, 2).scale(a)
-    if not b:
-        return th2
-    if not isinstance(gb.space, MatrixPairSpace):
+    return th2 + eta(gb.space).scale(b) if b else th2
+
+
+def _theta_coefficients(gb: GModuleBasis, a, b):
+    """(a, b) narrowed; b must be 0 where eta is undefined."""
+    a, b = narrow(a), narrow(b)
+    if b and not isinstance(gb.space, MatrixPairSpace):
         raise ValueError("eta undefined on non-Grassmann spaces")
-    return th2 + eta(gb.space).scale(b)
+    return a, b
+
+
+@functools.cache
+def _theta_family(gb: GModuleBasis, degree: int):
+    """The `degree` coboundary system reduced once per basis and degree
+    against the cochains of theta2 and, where it is defined, of eta: c_theta
+    in degree 1, the d2-image family in degree 2.  Both are linear in theta,
+    so the family read at (a, b) solves the system for a theta2 + b eta."""
+    forms = [theta_p(gb.space, 2)]
+    if isinstance(gb.space, MatrixPairSpace):
+        forms.append(eta(gb.space))
+    build = cochain_from_form if degree == 1 else two_cochain_from_d2_image
+    targets = [build(gb, f) for f in forms]
+    _require(all(_differential(c).is_zero() for c in targets), "c_theta must be a cocycle")
+    columns = _coboundary_columns(gb, degree)
+    rows, rhs = _span_rows(columns, targets)
+    return reduce_targets(rows, len(columns), rhs)[2]
+
+
+def _theta_solution(gb: GModuleBasis, degree: int, a, b) -> Optional[SparseRow]:
+    return combine_targets(_theta_family(gb, degree), _theta_coefficients(gb, a, b))
+
+
+def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:
+    """True when d2 annihilates the i*(adjoint) summand of E2^{0,1}, i.e.
+    when the class family [theta /\\ (theta2 /\\ w)] in H^2(Omega^2 (x) Theta)
+    vanishes; read from the space's degree-2 theta family."""
+    return _theta_solution(build_g_basis(H), 2, a, b) is not None
 
 
 def d2_on_vector_fields(H: HermitianSymmetricSpace, a, b
                         ) -> Tuple[int, CoboundaryResult]:
     """The rank of ad_{l*[theta]}: H^0(M, T_-1) -> H^1(M, T_1) for theta =
     a theta2 + b eta, and the invariant-coboundary solve of the CE 1-cochain
-    c_theta it is read from (witness None when c_theta = 0); one solve per
-    space and (a, b)."""
-    return _d2_verdict(build_g_basis(H), narrow(a), narrow(b))
-
-
-@functools.cache
-def _d2_verdict(gb: GModuleBasis, a, b) -> Tuple[int, CoboundaryResult]:
-    c = cochain_from_form(gb, theta_form(gb, a, b))
-    res = (CoboundaryResult(True, None) if c.is_zero()
-           else is_invariant_coboundary(c))
+    c_theta it is read from (witness None when c_theta = 0), a read of the
+    space's degree-1 theta family (`_theta_family`)."""
+    gb = build_g_basis(H)
+    res = _coboundary_result(gb, _theta_solution(gb, 1, a, b))
     # dim g when the CE class of c_theta is nonzero, 0 when it vanishes
     return (0 if res.is_coboundary else gb.dim, res)
 

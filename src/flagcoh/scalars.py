@@ -8,22 +8,24 @@ of the nilpotent-pair quadratics.  `narrow` turns a parameter without a
 sqrt(2) part into its int or Fraction where it enters, and mixed sums and
 products fall through to QSqrt2's reflected operators.
 
-`sparse_rref` is the one entry point to the sparse Gauss-Jordan kernel,
-`_gauss_jordan`: it takes dict rows and a column count, and the dense
-rref/rank/nullspace/solve are thin wrappers over it.  Matrices whose
-entries are all rational are eliminated in integers, whatever their entry
-type: rows cleared of denominators, combined as a*row - b*prow and divided
-by their content, and divided by their pivot only when the RREF is
-written.  A Q(sqrt2) right-hand side of a rational system is split into its
-rational and sqrt(2) parts.  Q(sqrt2) arithmetic remains only for matrices
-that contain sqrt(2) themselves."""
+`reduce_targets` is the one entry point to the sparse Gauss-Jordan kernel,
+`_gauss_jordan`: it takes dict rows, a column count and right-hand sides,
+which `combine_targets` reads at any combination; `sparse_rref` reads one
+right-hand side, and the dense rref/rank/nullspace/solve are thin wrappers
+over it.  Matrices whose entries are all rational are eliminated in
+integers, whatever their entry type: rows cleared of denominators, combined
+as a*row - b*prow and divided by their content, and divided by their pivot
+only when the RREF is written.  A Q(sqrt2) right-hand side of a rational
+system is read as its rational and sqrt(2) parts.  Q(sqrt2) arithmetic
+remains only for matrices that contain sqrt(2) themselves."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 Coeff = Union[int, Fraction]  # an int when integral, see `canonical`
 
@@ -163,14 +165,9 @@ def _coerce(x) -> QSqrt2:
 
 
 def _frac_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
     q = Fraction(q)
-    pn = _int_sqrt(q.numerator)
-    pd = _int_sqrt(q.denominator)
-    if pn is None or pd is None:
-        return None
-    return Fraction(pn, pd)
+    pn, pd = _int_sqrt(q.numerator), _int_sqrt(q.denominator)
+    return None if pn is None or pd is None else Fraction(pn, pd)
 
 
 def _int_sqrt(n: int) -> Optional[int]:
@@ -251,52 +248,60 @@ Matrix = List[Row]
 SparseRow = Dict[int, object]
 
 
-def sparse_rref(rows: List[SparseRow], n_cols: int,
-                rhs: Optional[Row] = None
-                ) -> Tuple[List[SparseRow], List[int], Optional[SparseRow]]:
-    """(red, pivots, x) for sparse rows (column -> entry) over n_cols columns.
+def reduce_targets(rows: List[SparseRow], n_cols: int, targets: Sequence[Row]):
+    """(red, pivots, family): sparse rows (column -> entry) over n_cols
+    columns, not modified and maybe holding zeros, reduced once with the
+    right-hand sides `targets` (lists aligned with rows) as extra columns.
 
-    red holds the nonzero rows of the reduced row echelon form, with pivot
-    columns `pivots`; x is the solution of rows . x = rhs (rhs = 0 when
-    None) whose free unknowns are 0, as column -> value, or None when there
-    is none.  The rows are not modified and may hold zeros.
-
-    A matrix whose entries are all rational, whatever their type, is
-    eliminated in integers (see `_gauss_jordan`), and red and x hold ints and
-    Fractions, an int iff integral; any other matrix over QSqrt2.  Over a
-    rational matrix the right-hand side r + s*sqrt2 is reduced as the two
-    rational columns [rows | r | s]: a pivot in either means no solution,
-    and otherwise x = x_r + sqrt2 * x_s.
+    red holds the nonzero rows of the RREF of rows, with pivot columns
+    `pivots`; family, read by `combine_targets`, holds the target block (as
+    target index -> entry) of the rows whose pivot is a target column, and
+    of the others with their pivot columns.  Rows and targets all rational,
+    whatever their type, are eliminated in integers (`_gauss_jordan`) into
+    ints and Fractions, an int iff integral; any others over QSqrt2.
     """
-    rational = all(not isinstance(x, QSqrt2) or not x.b
-                   for row in rows for x in row.values())
+    rational = all(not isinstance(x, QSqrt2) or not x.b for x in itertools.chain(
+        *(row.values() for row in rows), *targets))
     conv = _rational if rational else _coerce
     work = [{c: conv(x) for c, x in row.items() if x} for row in rows]
-    typed_rhs = False
-    if rhs is not None:
-        typed_rhs = any(isinstance(b, QSqrt2) for b in rhs)
-        for row, b in zip(work, rhs):
-            if not b:
-                continue
-            if rational:
-                r, s = (b.a, b.b) if isinstance(b, QSqrt2) else (b, 0)
-                if r:
-                    row[n_cols] = r
-                if s:
-                    row[n_cols + 1] = s
-            else:
-                row[n_cols] = _coerce(b)
-    red, pivots = _gauss_jordan(work, n_cols + (2 if rhs is not None else 0), rational)
-    x: Optional[SparseRow] = {}
-    while pivots and pivots[-1] >= n_cols:
-        pivots.pop()
-        red.pop()
-        x = None
-    for row, pc in zip(red, pivots):
-        r, s = row.pop(n_cols, 0), row.pop(n_cols + 1, 0)
-        if x is not None and (r or s):
-            x[pc] = QSqrt2(r, s) if rational and typed_rhs else r
-    return red, pivots, x
+    for j, target in enumerate(targets, n_cols):
+        for row, b in zip(work, target):
+            if b:
+                row[j] = conv(b)
+    red, pivots = _gauss_jordan(work, n_cols + len(targets), rational)
+    blocks = [{j: row.pop(n_cols + j) for j in range(len(targets)) if n_cols + j in row}
+              for row in red]
+    k = sum(pc < n_cols for pc in pivots)
+    return red[:k], pivots[:k], (blocks[k:], list(zip(pivots[:k], blocks[:k])))
+
+
+def combine_targets(family, coeffs: Sequence) -> Optional[SparseRow]:
+    """The solution, free unknowns 0, of rows . x = sum_j coeffs[j] targets[j]
+    from the family of `reduce_targets`, or None: it exists iff the
+    combination vanishes on every condition row, and is then that combination
+    of the blocks (which the condition rows cleared from them do not change)."""
+    conditions, blocks = family
+
+    def at(block):
+        return canonical(sum(c * block.get(j, 0) for j, c in enumerate(coeffs) if c))
+
+    if any(at(rho) for rho in conditions):
+        return None
+    x = {pc: at(block) for pc, block in blocks}
+    return {pc: v for pc, v in x.items() if v}
+
+
+def sparse_rref(rows: List[SparseRow], n_cols: int, rhs: Optional[Row] = None
+                ) -> Tuple[List[SparseRow], List[int], Optional[SparseRow]]:
+    """(red, pivots, x) as in `reduce_targets`, with x the solution of rows .
+    x = rhs (0 when None) whose free unknowns are 0, or None.  rhs = r +
+    s*sqrt2 is read as the two targets [r, s] at (1, sqrt2), so a rational
+    matrix stays rational; x is over QSqrt2 when rhs holds a QSqrt2."""
+    rhs = rhs or ()
+    red, pivots, family = reduce_targets(rows, n_cols, [
+        [_rational(b) for b in rhs], [b.b if isinstance(b, QSqrt2) else 0 for b in rhs]])
+    typed = any(isinstance(b, QSqrt2) for b in rhs)
+    return red, pivots, combine_targets(family, (1, RT2 if typed else 0))
 
 
 def rref_kernel(red: List[SparseRow], pivots: List[int], n_cols: int
@@ -467,8 +472,6 @@ def rref(mat: Matrix) -> Tuple[Matrix, List[int]]:
 
 
 def rank(mat: Matrix) -> int:
-    if not mat:
-        return 0
     return len(rref(mat)[1])
 
 

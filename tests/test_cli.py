@@ -167,7 +167,8 @@ def test_forms_matches_golden_output(capsys, space):
     assert out == json.dumps(FORMS[space], indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1"])
+@pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1",
+                                 "d2 Gr(5,2) rt2 1", "e3 Gr(4,2) rt2 1"])
 def test_optimized_interpreter_gives_same_output(key):
     """python -O drops assert statements; no result may depend on them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -181,21 +182,34 @@ def test_optimized_interpreter_gives_same_output(key):
     assert plain == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
 
 
-def test_d2_solves_the_coboundary_system_once(capsys, monkeypatch):
-    """The rank and the witness of one d2 query come from one solve, and
-    criterion 6 solves once per space and theta."""
+def test_one_theta_family_elimination_per_basis_and_degree(capsys, monkeypatch):
+    """Criterion 6 and the criterion-7 regimes on Gr(4,2) and Gr(5,2), plus
+    a d2 query, reduce each space's theta family once per degree (criterion
+    6 alone: once per space, not once per space and theta), and every
+    rank, witness and adjoint verdict is a read of it: no elimination
+    against a right-hand side runs besides."""
     from flagcoh import liecoh, verify
-    calls = []
-    solve = liecoh.is_invariant_coboundary
-    monkeypatch.setattr(liecoh, "is_invariant_coboundary",
-                        lambda c: calls.append(c) or solve(c))
-    liecoh._d2_verdict.cache_clear()
-    code, out = run_cli(capsys, *_spectral_argv("d2 Gr(4,2) 0 1"))
-    assert code == 0 and json.loads(out)["coboundary_witness"] is not None
-    assert len(calls) == 1
-    liecoh._d2_verdict.cache_clear()
+    liecoh._theta_family.cache_clear()
+    built, eliminations, solves = [], [], []
+    columns, reduce, rref = (liecoh._coboundary_columns, liecoh.reduce_targets,
+                             liecoh.sparse_rref)
+    monkeypatch.setattr(liecoh, "_coboundary_columns", lambda gb, degree: built.append(
+        (str(gb.H.rd.type), gb.H.alpha0, degree)) or columns(gb, degree))
+    monkeypatch.setattr(liecoh, "reduce_targets", lambda rows, n, targets: eliminations.append(
+        len(targets)) or reduce(rows, n, targets))
+    monkeypatch.setattr(liecoh, "sparse_rref", lambda rows, n, rhs=None: solves.append(
+        rhs is not None) or rref(rows, n, rhs))
     assert verify.check_c6_d2_ranks()[0]
-    assert len(calls) == 1 + 4
+    assert built == [("A3", 1, 1), ("A4", 2, 1)] and eliminations == [2, 2]
+    for _, name, a, b, regime, n, dims in verify.C7_REGIMES:
+        if name in ("Gr(4,2)", "Gr(5,2)"):
+            verify._regime_check(name, a, b, regime, n, dims)
+    code, out = run_cli(capsys, *_spectral_argv("d2 Gr(4,2) rt2 1"))
+    assert code == 0 and json.loads(out)["rank"] == 15
+    assert built == [("A3", 1, 1), ("A4", 2, 1), ("A4", 2, 2)]
+    assert eliminations == [2, 2, 2] and not any(solves)
+    info = liecoh._theta_family.cache_info()
+    assert (info.misses, info.currsize) == (3, 3) and info.hits > 0
 
 
 def test_markdown_format(capsys):

@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
 import pytest
 from canonical import is_canonical
@@ -10,24 +13,29 @@ from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
 from flagcoh.invforms import _add_into, barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
+    GModuleBasis,
     _accumulate,
     _cochain_system,
     _commutator,
     _delta,
     _differential,
+    _entries,
+    _invariant_zero,
+    _span_solve,
     build_g_basis,
     ce_differential,
     cochain_from_form,
     d2_rank_on_vector_fields,
-    h1_invariant_dimension,
     invariant_one_cochains,
     invariant_zero_cochains,
     is_invariant_coboundary,
     theta_form,
+    two_cochain_from_d2_image,
+    two_cochain_is_coboundary,
 )
 from flagcoh.repdecomp import char_of_roots, dual, tensor, trivial_multiplicity
 from flagcoh.rootsys import SimpleLieType
-from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, rank
+from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, parse_scalar, rank
 
 MATRIX_PRESETS = ["CP2", "CP3", "Q3", "Q5", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)",
                   "Gr(6,3)", "LG3", "S-D4"]
@@ -331,6 +339,18 @@ def test_coboundary_solver(gr42):
 def test_d2_rank_on_vector_fields(name, ab, expected):
     H = space_from_preset(name)
     assert d2_rank_on_vector_fields(H, *ab) == expected
+
+
+def _cochain_rank(cochains: Sequence[Cochain]) -> int:
+    return len(_span_solve([_entries(c) for c in cochains])[1])
+
+
+def h1_invariant_dimension(gb: GModuleBasis) -> int:
+    """dim H^1(n-, Hom(g, n- (x) n+))^R = invariant cocycles modulo the
+    differentials of invariant 0-cochains (delta commutes with R)."""
+    ones = invariant_one_cochains(gb)
+    cocycle_dim = len(ones) - _cochain_rank([ce_differential(c) for c in ones])
+    return cocycle_dim - _cochain_rank(_invariant_zero(gb)[1])
 
 
 FROBENIUS_H1 = {"CP2": 0, "CP3": 0, "Q3": 1, "Q5": 1, "Gr(4,2)": 1, "Gr(5,2)": 1,
@@ -754,3 +774,85 @@ def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2(monkeypatch
     assert theta_form(q3, 1, 0).tensor == theta_p(q3.space, 2).tensor
     with pytest.raises(ValueError):
         theta_form(q3, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The theta families against the per-(a, b) solves
+# ---------------------------------------------------------------------------
+
+GOLDEN_SPECTRAL = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "spectral.json").read_text(encoding="utf-8"))
+
+
+def per_parameter_route(H, a, b):
+    """Reference: rank, witness and adjoint verdict of theta = a theta2 +
+    b eta from c_theta and its d2-image family built at (a, b) and solved
+    on their own."""
+    gb = build_g_basis(H)
+    theta = theta_form(gb, a, b)
+    res = is_invariant_coboundary(cochain_from_form(gb, theta))
+    adjoint = two_cochain_is_coboundary(gb, two_cochain_from_d2_image(gb, theta))
+    return 0 if res.is_coboundary else gb.dim, res.witness, adjoint
+
+
+def _random_parameters(rng, eta_defined):
+    def scalar():
+        return QSqrt2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2))
+    return [(scalar(), scalar() if eta_defined else 0) for _ in range(20)]
+
+
+@pytest.mark.parametrize("name", ["Gr(4,2)", "Gr(5,2)", "Gr(5,3)", "CP2", "Q3", "LG3"])
+def test_theta_family_reads_match_the_per_parameter_solves(name):
+    """At every (a, b) of the golden spectral queries on the space and at 20
+    random (a, b) in Q(sqrt2)^2 (b = 0 off Gr(4,2), Gr(5,2), Gr(5,3)), the
+    reads of the theta families give the rank, the witness values and the
+    adjoint verdict of the per-(a, b) solves."""
+    H = space_from_preset(name)
+    params = []
+    for key in GOLDEN_SPECTRAL:
+        _, space, a, b = key.split(" ")
+        if space == name:
+            theta = spectral.theta_for(H, parse_scalar(a), parse_scalar(b))
+            params.append((theta.a, theta.b))
+    assert params
+    rng = random.Random(f"theta-family/{name}")
+    params += _random_parameters(rng, name.startswith("Gr"))
+    for a, b in params:
+        rank, res = liecoh.d2_on_vector_fields(H, a, b)
+        want_rank, want_witness, want_adjoint = per_parameter_route(H, a, b)
+        assert rank == want_rank and res.is_coboundary == (rank == 0), (a, b)
+        if want_witness is None:
+            assert res.witness is None, (a, b)
+        else:
+            assert res.witness.data == want_witness.data, (a, b)
+        assert liecoh.d2_vanishes_on_adjoint_at_01(H, a, b) == want_adjoint, (a, b)
+
+
+DEGREE_2_CONDITION = ("Gr(5,2)", "Gr(5,3)", "Gr(6,3)", "LG3")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_theta_family_loci(name):
+    """Computed loci in (a : b): c_theta is a coboundary (d2 vanishes on the
+    vector fields) exactly when a = 0, except on CP2 and CP3, where always;
+    the d2-image family is one exactly when a = 0 on Gr(5,2), Gr(5,3),
+    Gr(6,3) and LG3, and always elsewhere.  Each is one condition row
+    {theta2: 1}."""
+    H = space_from_preset(name)
+    gb = build_g_basis(H)
+    conditions = [liecoh._theta_family(gb, degree)[0] for degree in (1, 2)]
+    assert conditions[0] == ([] if name in ("CP2", "CP3") else [{0: 1}])
+    assert conditions[1] == ([{0: 1}] if name in DEGREE_2_CONDITION else [])
+    rng = random.Random(f"locus/{name}")
+    for a, b in _random_parameters(rng, isinstance(gb.space, liecoh.MatrixPairSpace)):
+        assert (liecoh.d2_rank_on_vector_fields(H, a, b) == 0) == (
+            name in ("CP2", "CP3") or not a), (a, b)
+        assert liecoh.d2_vanishes_on_adjoint_at_01(H, a, b) == (
+            name not in DEGREE_2_CONDITION or not a), (a, b)
+
+
+def test_eta_is_refused_where_it_is_undefined():
+    with pytest.raises(ValueError, match="eta undefined"):
+        liecoh.d2_on_vector_fields(space_from_preset("Q3"), 0, 1)
+    with pytest.raises(ValueError, match="eta undefined"):
+        liecoh.d2_vanishes_on_adjoint_at_01(space_from_preset("LG3"), 1, 1)
