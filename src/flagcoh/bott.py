@@ -11,21 +11,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .repdecomp import (
-    FormalCharacter,
-    LeviDatum,
-    char_of_roots,
-    decompose,
-    dual,
-    exterior_power,
-    tensor,
-    trivial_multiplicity,
-    _intw,
-)
-from .rootsys import RootDatum, SimpleLieType, Weight, _require, build_root_system
+from .repdecomp import FormalCharacter, IntWeight, LeviDatum, char_of_roots, decompose, _intw
+from .rootsys import RootDatum, SimpleLieType, _require, build_root_system
 
 Case = str  # "I" | "II" | "III"
 
@@ -45,6 +34,13 @@ class HermitianSymmetricSpace:
 
     def n_plus_character(self) -> FormalCharacter:
         return char_of_roots(self.N_plus)
+
+    @functools.cached_property
+    def kostant_weights(self) -> Tuple[Tuple[IntWeight, ...], ...]:
+        """Per p = 0..dim, the highest weights of wedge^p n- = H^p(n+, C) (n+
+        is abelian), each once: Kostant's w(rho) - rho over the minimal coset
+        representatives w of length p (Ann. of Math. 74, 1961)."""
+        return tuple(map(tuple, self.rd.coset_weights(self.levi.S)))
 
     def __str__(self):
         return f"{self.rd.type}/alpha{self.alpha0}"
@@ -157,22 +153,22 @@ def grassmannian_rs(H: HermitianSymmetricSpace) -> Optional[Tuple[int, int]]:
 # Bott algorithm
 # ---------------------------------------------------------------------------
 
-Vanishes = None
-
 
 def bott_irreducible(
     H: HermitianSymmetricSpace, lam: Sequence
-) -> Optional[Tuple[int, Weight]]:
+) -> Optional[Tuple[int, IntWeight]]:
     """One irreducible bundle through Bott: None if Lam+gamma singular, else
-    (q, Lam*) with q the index and Lam* = dominant(Lam+gamma) - gamma."""
+    (q, Lam*) with q the index and Lam* = dominant(Lam+gamma) - gamma, all
+    in integers through 2(Lam + gamma)."""
     if not H.levi.is_S_dominant(lam):
         raise ValueError("bundle highest weight must be S-dominant")
     rd = H.rd
-    xi = tuple(Fraction(c) + g for c, g in zip(lam, rd.gamma))
-    dom, index, singular = rd.dominant_representative(xi)
+    two_gamma = rd.two_gamma
+    dom, index, singular = rd.fold_dominant(
+        tuple(2 * c + g for c, g in zip(_intw(lam), two_gamma)))
     if singular:
         return None
-    lam_star = tuple(a - g for a, g in zip(dom, rd.gamma))
+    lam_star = tuple((a - g) // 2 for a, g in zip(dom, two_gamma))
     _require(rd.is_dominant(lam_star), "Bott's lam* is dominant")
     return index, lam_star
 
@@ -190,14 +186,11 @@ class ModuleDescriptor:
         return self.dim * self.mult
 
 
-def _descriptor(H: HermitianSymmetricSpace, lam_star: Weight, mult: int) -> ModuleDescriptor:
-    w = _intw(lam_star)
-    zero = (0,) * H.rd.rank
-    if w == zero:
+def _descriptor(H: HermitianSymmetricSpace, w: IntWeight, mult: int) -> ModuleDescriptor:
+    if not any(w):
         return ModuleDescriptor("trivial", w, 1, mult)
-    if w == _intw(H.rd.delta):
-        return ModuleDescriptor("adjoint", w, H.rd.weyl_dimension(H.rd.delta), mult)
-    return ModuleDescriptor("other", w, H.rd.weyl_dimension(w), mult)
+    tag = "adjoint" if w == H.rd.n_coeffs else "other"
+    return ModuleDescriptor(tag, w, H.rd.weyl_dimension(w), mult)
 
 
 def tag_counts(descs: Sequence[ModuleDescriptor]) -> Tuple[int, int, int]:
@@ -207,19 +200,13 @@ def tag_counts(descs: Sequence[ModuleDescriptor]) -> Tuple[int, int, int]:
 
 
 def _merge_descriptors(items: List[ModuleDescriptor]) -> List[ModuleDescriptor]:
-    acc: Dict[Tuple[str, Tuple[int, ...]], int] = {}
-    dims: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+    acc: Dict[Tuple[str, Tuple[int, ...], int], int] = {}
     for d in items:
-        key = (d.tag, d.weight)
+        key = (d.tag, d.weight, d.dim)
         acc[key] = acc.get(key, 0) + d.mult
-        dims[key] = d.dim
     order = {"adjoint": 0, "other": 1, "trivial": 2}
-    out = [
-        ModuleDescriptor(tag, w, dims[(tag, w)], m)
-        for (tag, w), m in acc.items()
-    ]
-    out.sort(key=lambda d: (order[d.tag], tuple(-c for c in d.weight)))
-    return out
+    return sorted((ModuleDescriptor(*key, m) for key, m in acc.items()),
+                  key=lambda d: (order[d.tag], tuple(-c for c in d.weight)))
 
 
 def cohomology_omega_p_theta(
@@ -227,34 +214,35 @@ def cohomology_omega_p_theta(
 ) -> Dict[int, List[ModuleDescriptor]]:
     """H^q(M, Omega^p (x) Theta) for q = 0..q_max, as module descriptors.
 
-    The bundle is tau (x) wedge^p tau^*; its R-character is decomposed into
-    irreducibles and each one is pushed through Bott.
+    The bundle is tau (x) wedge^p tau^* = sum over Kostant's weights a of
+    degree p of V(a) (x) n+, each decomposed by one Brauer-Klimyk fold
+    (`repdecomp.decompose`); each irreducible is pushed through Bott.
     """
     if not 0 <= p <= H.dim:
         raise ValueError(f"p = {p} out of range 0..{H.dim}")
     chi_n = H.n_plus_character()
-    chi = tensor(chi_n, exterior_power(dual(chi_n), p))
+    coeffs: Dict[IntWeight, int] = {}
+    for a in H.kostant_weights[p]:
+        for lam, mult in decompose(H.levi, chi_n, a):
+            coeffs[lam] = coeffs.get(lam, 0) + mult
     column: Dict[int, List[ModuleDescriptor]] = {q: [] for q in range(q_max + 1)}
-    for lam, mult in decompose(H.levi, chi):
+    for lam, mult in coeffs.items():
         res = bott_irreducible(H, lam)
-        if res is None:
-            continue
-        q, lam_star = res
-        if q <= q_max:
-            column[q].append(_descriptor(H, lam_star, mult))
+        if res is not None and res[0] <= q_max:
+            column[res[0]].append(_descriptor(H, res[1], mult))
     return {q: _merge_descriptors(v) for q, v in column.items()}
 
 
 def invariant_dimension(H: HermitianSymmetricSpace, p: int, q: int) -> int:
     """dim H^q(M, Omega^p (x) Theta)^G via the isotropy-invariants route:
-    the trivial multiplicity of wedge^p n- (x) wedge^q n+ (x) n+ over R."""
-    if p > H.dim or q > H.dim:
+    the trivial multiplicity of wedge^p n- (x) wedge^q n+ (x) n+ over R, the
+    sum over Kostant's a, b of degrees p, q of [V(a) (x) n+ : V(b)]."""
+    if not (0 <= p <= H.dim and 0 <= q <= H.dim):
         raise ValueError("p, q out of range")
     chi_n = H.n_plus_character()
-    chi = tensor(
-        tensor(exterior_power(dual(chi_n), p), exterior_power(chi_n, q)), chi_n
-    )
-    return trivial_multiplicity(H.levi, chi)
+    targets = set(H.kostant_weights[q])
+    return sum(mult for a in H.kostant_weights[p]
+               for lam, mult in decompose(H.levi, chi_n, a) if lam in targets)
 
 
 def k_value(H: HermitianSymmetricSpace) -> int:

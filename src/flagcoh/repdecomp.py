@@ -3,12 +3,14 @@ the Levi subgroup R of a parabolic.
 
 Characters are weight -> multiplicity dicts with integer weight coordinates
 in the simple-root basis of the ambient group; the central directions ride
-along untouched.  `decompose` folds every weight into the dominant chamber of
-the Levi Weyl group W_S (Racah-Speiser/Klimyk; Humphreys, Introduction to Lie
+along untouched.  `decompose` folds weights into the dominant chamber of the
+Levi Weyl group W_S (Racah-Speiser/Klimyk; Humphreys, Introduction to Lie
 Algebras and Representation Theory, 24): a W_S-invariant chi is
 sum_lam c_lam ch V_lam, and chi is a module character exactly when every
-c_lam is >= 0.  The Freudenthal recursion `irreducible_character` is kept as
-an independent reference.
+c_lam is >= 0; given lam, it decomposes V_lam (x) chi by folding lam + mu
+over the weights mu of chi alone (Brauer-Klimyk), so the Bott layer forms
+no tensor character.  The Freudenthal recursion `irreducible_character` is
+kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import RootDatum, _require
 
@@ -53,10 +56,6 @@ def tensor(chi1: FormalCharacter, chi2: FormalCharacter) -> FormalCharacter:
             k = tuple(a + b for a, b in zip(w1, w2))
             out[k] = out.get(k, 0) + m1 * m2
     return out
-
-
-def dual(chi: FormalCharacter) -> FormalCharacter:
-    return {tuple(-c for c in w): m for w, m in chi.items()}
 
 
 def trivial_character(rank: int) -> FormalCharacter:
@@ -137,13 +136,17 @@ class LeviDatum:
                 out.append(ri)
         return out
 
-    def two_rho(self) -> IntWeight:
-        """2 rho_S: the sum of the Levi positive roots."""
+    @cached_property
+    def _two_rho(self) -> IntWeight:
         pos = self.levi_positive_roots()
         return tuple(sum(r[i] for r in pos) for i in range(self.rd.rank))
 
+    def two_rho(self) -> IntWeight:
+        """2 rho_S: the sum of the Levi positive roots."""
+        return self._two_rho
+
     def is_S_dominant(self, lam: Sequence) -> bool:
-        return all(self.rd.pairing_simple(lam, i) >= 0 for i in self.S)
+        return all(c >= 0 for i, c in enumerate(self.rd.simple_pairings(lam)) if i in self.S)
 
 
 def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
@@ -217,15 +220,17 @@ def _le(w, lam) -> bool:
     return all(a <= b for a, b in zip(w, lam))
 
 
-def decompose(L: LeviDatum, chi: FormalCharacter) -> List[Tuple[IntWeight, int]]:
-    """Highest weights (with multiplicities) of a completely reducible module.
+def decompose(L: LeviDatum, chi: FormalCharacter,
+              lam: Optional[Sequence[int]] = None) -> List[Tuple[IntWeight, int]]:
+    """Highest weights (with multiplicities) of V_lam (x) chi, for an
+    S-dominant lam (default 0: the module chi itself).
 
-    Each weight mu of chi is folded by W_S: 2(mu + rho_S) goes into the
-    closed dominant chamber in integers, a result on a wall is dropped, and
-    otherwise (-1)^steps m(mu) is added to the coefficient of
-    lam = w(mu + rho_S) - rho_S.  Sorted by (height, lex), largest first.
-    Raises ValueError unless chi is an R-module character: chi must be
-    W_S-invariant, and then every coefficient must be >= 0.
+    Brauer-Klimyk: each weight mu of chi is folded by W_S: 2(lam + mu +
+    rho_S) goes into the closed dominant chamber in integers, a result on a
+    wall is dropped, and otherwise (-1)^steps m(mu) is added to the
+    coefficient of w(lam + mu + rho_S) - rho_S.  Sorted by (height, lex),
+    largest first.  Raises ValueError unless chi is an R-module character:
+    chi must be W_S-invariant, and then every coefficient must be >= 0.
     """
     rd, S = L.rd, L.S
     for mu, m in chi.items():
@@ -235,22 +240,20 @@ def decompose(L: LeviDatum, chi: FormalCharacter) -> List[Tuple[IntWeight, int]]
             if c and chi.get(mu[:i] + (mu[i] - c,) + mu[i + 1:], 0) != m:
                 raise ValueError(f"not an R-module character (not W_S-invariant at {mu})")
     two_rho = L.two_rho()
+    shift = two_rho
+    if lam is not None:
+        if not L.is_S_dominant(lam):
+            raise ValueError(f"{tuple(lam)} is not S-dominant for S={S}")
+        shift = tuple(2 * a + b for a, b in zip(_intw(lam), two_rho))
     coeffs: Dict[IntWeight, int] = {}
     for mu, m in chi.items():
-        v, steps, singular = rd.fold(
-            tuple(2 * a + b for a, b in zip(mu, two_rho)), S
-        )
+        v, steps, singular = rd.fold(tuple(2 * a + b for a, b in zip(mu, shift)), S)
         if not singular:
-            lam = tuple((a - b) // 2 for a, b in zip(v, two_rho))
-            coeffs[lam] = coeffs.get(lam, 0) + (-m if steps % 2 else m)
-    out = [(lam, k) for lam, k in coeffs.items() if k]
-    for lam, k in out:
+            top = tuple((a - b) // 2 for a, b in zip(v, two_rho))
+            coeffs[top] = coeffs.get(top, 0) + (-m if steps % 2 else m)
+    out = [(top, k) for top, k in coeffs.items() if k]
+    for top, k in out:
         if k < 0:
-            raise ValueError(f"not an R-module character (V{lam} has multiplicity {k})")
+            raise ValueError(f"not an R-module character (V{top} has multiplicity {k})")
     out.sort(key=lambda t: (-sum(t[0]), tuple(-c for c in t[0])))
     return out
-
-
-def trivial_multiplicity(L: LeviDatum, chi: FormalCharacter) -> int:
-    zero = (0,) * L.rd.rank
-    return sum(k for w, k in decompose(L, chi) if w == zero)

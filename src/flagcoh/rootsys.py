@@ -17,8 +17,6 @@ from typing import List, Sequence, Tuple
 
 Weight = Tuple[Fraction, ...]
 
-_FAMILIES = ("A", "B", "C", "D", "E")
-
 
 @dataclass(frozen=True)
 class SimpleLieType:
@@ -141,14 +139,10 @@ class RootDatum:
             if a and b
         ) or Fraction(0)
 
-    def pairing_simple(self, lam: Sequence, i: int) -> Fraction:
-        """<lam, alpha_i> via the Cartan matrix; integral on the root lattice."""
-        return sum(Fraction(lam[j]) * self.cartan[j][i] for j in range(self.rank))
-
     # -- Weyl group --------------------------------------------------------
     @cached_property
-    def _roots(self) -> frozenset:
-        return frozenset(self.positive_roots) | {tuple(-c for c in r) for r in self.positive_roots}
+    def two_gamma(self) -> Tuple[int, ...]:
+        return tuple((2 * g).numerator for g in self.gamma)
 
     @cached_property
     def _two_gram_pos(self) -> Tuple[Tuple[int, ...], ...]:
@@ -156,20 +150,6 @@ class RootDatum:
         g2 = [[(2 * x).numerator for x in row] for row in self.gram]
         return tuple(tuple(sum(g * a.numerator for g, a in zip(row, al)) for row in g2)
                      for al in self.positive_roots)
-
-    def reflect(self, lam: Sequence, alpha: Sequence) -> Weight:
-        """sigma_alpha(lam) = lam - <lam,alpha> alpha; alpha must be a root."""
-        al = tuple(Fraction(c) for c in alpha)
-        if al not in self._roots:
-            raise ValueError(f"{alpha} is not a root of {self.type}")
-        pr = 2 * self.inner(lam, al) / self.inner(al, al)
-        return tuple(Fraction(x) - pr * a for x, a in zip(lam, al))
-
-    def reflect_simple(self, lam: Sequence, i: int) -> Weight:
-        pr = self.pairing_simple(lam, i)
-        return tuple(
-            Fraction(x) - pr if j == i else Fraction(x) for j, x in enumerate(lam)
-        )
 
     def simple_pairings(self, v: Sequence[int]) -> List[int]:
         """[<v, alpha_i> for every i], in integers for an integer v."""
@@ -209,16 +189,45 @@ class RootDatum:
         D of its coordinates, folded in integers and divided by D again.
         """
         v, D = _scaled_to_integers(xi)
-        pairs = [sum(map(mul, v, g2al)) for g2al in self._two_gram_pos]  # 2D (xi, a)
+        dom, index, singular = self.fold_dominant(v)
+        return tuple(Fraction(c, D) for c in dom), index, singular
+
+    def fold_dominant(self, v: Sequence[int]) -> Tuple[Tuple[int, ...], int, bool]:
+        """`dominant_representative` of an integer vector v, in integers."""
+        pairs = [sum(map(mul, v, g2al)) for g2al in self._two_gram_pos]  # 2 (v, a)
         index = sum(1 for s in pairs if s < 0)
         singular = 0 in pairs
         dom, steps, _ = self.fold(v, range(self.rank))
         _require(singular or steps == index,
                  f"greedy reflection count {steps} != root-counting index {index}")
-        return tuple(Fraction(c, D) for c in dom), index, singular
+        return dom, index, singular
 
     def is_dominant(self, lam: Sequence) -> bool:
-        return all(self.pairing_simple(lam, i) >= 0 for i in range(self.rank))
+        return min(self.simple_pairings(lam)) >= 0
+
+    def coset_weights(self, S: Sequence[int]) -> List[List[Tuple[int, ...]]]:
+        """The weights w(rho) - rho (minus the sum of the inversion set of w)
+        of the minimal representatives w of the cosets W_S w, by length.
+        w, kept as its images of the simple roots, grows on the right: when
+        w(alpha_j) is a positive root outside span(S), w s_j is again minimal
+        and its inversion set gains w(alpha_j).  Dropping the last letter of
+        a minimal w leaves one, so all are reached; the weight fixes w."""
+        l = self.rank
+        outside = [i for i in range(l) if i not in S]
+        level = {(0,) * l: tuple(tuple(int(i == j) for j in range(l)) for i in range(l))}
+        out = []
+        while level:
+            out.append(sorted(level, reverse=True))
+            grown = {}
+            for wt, images in level.items():
+                for j, r in enumerate(images):
+                    key = tuple(a - b for a, b in zip(wt, r))
+                    if key not in grown and any(r[i] > 0 for i in outside):
+                        # w s_j (alpha_k) = w(alpha_k) - <alpha_k, alpha_j> w(alpha_j)
+                        grown[key] = tuple(tuple(x - row[j] * y for x, y in zip(im, r))
+                                           for im, row in zip(images, self.cartan))
+            level = grown
+        return out
 
     def special_simple_roots(self) -> List[int]:
         """Indices i with n_{alpha_i} = 1 in the highest root."""
@@ -229,7 +238,7 @@ class RootDatum:
         the product over positive roots of (lam + gamma, a) / (gamma, a),
         computed on D lam for the common denominator D of lam."""
         v, D = _scaled_to_integers(lam)
-        two_gamma = [(2 * g).numerator for g in self.gamma]
+        two_gamma = self.two_gamma
         u = [2 * a + D * g for a, g in zip(v, two_gamma)]  # 2D (lam + gamma)
         num = math.prod(sum(map(mul, u, g2al)) for g2al in self._two_gram_pos)
         den = math.prod(D * sum(map(mul, two_gamma, g2al)) for g2al in self._two_gram_pos)
@@ -259,18 +268,16 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
     roots = _weyl_orbit_roots(cartan, l)
     pos = [r for r in roots if all(c >= 0 for c in r)]
     _require(len(pos) == _CLASSICAL_COUNT[t.family](l), "positive-root count")
-    pos_w: List[Weight] = [tuple(Fraction(c) for c in r) for r in sorted(pos)]
-
-    gamma = tuple(
-        Fraction(sum(r[i] for r in pos_w), 2) for i in range(l)
-    )
-    highest = [r for r in pos_w if all(
-        all(Fraction(a) - Fraction(b) >= 0 for a, b in zip(r, s)) for s in pos_w
-    )]
+    # a root above every root has the largest height, so only those are scanned
+    top = max(map(sum, pos))
+    highest = [r for r in pos if sum(r) == top
+               and all(all(a >= b for a, b in zip(r, s)) for s in pos)]
     _require(len(highest) == 1, "highest root uniqueness")
-    delta = highest[0]
-    n_coeffs = tuple(int(c) for c in delta)
+    n_coeffs = highest[0]
     _require(all(n > 0 for n in n_coeffs), "highest root has a zero coefficient")
+    pos_w: List[Weight] = [tuple(Fraction(c) for c in r) for r in sorted(pos)]
+    delta = tuple(Fraction(c) for c in n_coeffs)
+    gamma = tuple(Fraction(sum(r[i] for r in pos), 2) for i in range(l))
 
     rd = RootDatum(
         type=t,

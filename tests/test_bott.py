@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,14 +11,17 @@ import pytest
 import flagcoh
 from flagcoh.bott import (
     DESK_PRESETS,
+    PRESET_NAMES,
     ModuleDescriptor,
     bott_irreducible,
     build_space,
     cohomology_omega_p_theta,
     grassmannian_rs,
     invariant_dimension,
+    k_value,
     published_k_value,
     space_from_preset,
+    tag_counts,
     tangent_sheaf_E2,
 )
 from flagcoh.rootsys import SimpleLieType
@@ -137,7 +141,8 @@ def test_cohomology_tables_verified_values(name):
 def test_bott_no_multiple_degrees(name):
     """Each component contributes to exactly one q (one surviving degree per component)."""
     H = space_from_preset(name)
-    from flagcoh.repdecomp import decompose, dual, exterior_power, tensor
+    from flagcoh.repdecomp import decompose, exterior_power, tensor
+    from subset_route import dual
 
     chi_n = H.n_plus_character()
     for p in (0, 1, 2):
@@ -305,6 +310,115 @@ def test_tangent_sheaf_e2_matches_published(name):
             for part in ("i", "l"):
                 want = rows.get((p, q, part), (0, 0, 0))
                 assert get(p, q, part) == want, f"{name} ({p},{q},{part})"
+
+
+# --- Kostant's wedge^p n- and the Brauer-Klimyk fold against subset sums ----
+
+from collections import Counter
+from math import comb, prod
+
+from subset_route import (
+    bott_by_fractions,
+    column_by_subsets,
+    invariants_by_subsets,
+    wedge_n_minus,
+)
+
+# the presets and the probes up to dim 12: Gr(7,3), the quadric Q8 = D5/alpha_0,
+# S-D5 and LG4
+ORACLE_SPACES = [space_from_preset(n) for n in PRESET_NAMES] + [
+    build_space(SimpleLieType(f, r), a0)
+    for f, r, a0 in (("A", 6, 2), ("D", 5, 0), ("D", 5, 4), ("C", 4, 3))]
+E_SPACES = [build_space(SimpleLieType("E", 6), 0), build_space(SimpleLieType("E", 7), 6)]
+
+
+@pytest.mark.parametrize("H", ORACLE_SPACES, ids=str)
+def test_kostant_weights_are_the_components_of_wedge_n_minus(H):
+    for p in range(H.dim + 1):
+        comps = wedge_n_minus(H, p)
+        assert all(m == 1 for _, m in comps), p
+        assert sorted(H.kostant_weights[p]) == sorted(w for w, _ in comps), p
+
+
+@pytest.mark.parametrize("H", ORACLE_SPACES, ids=str)
+def test_bott_columns_equal_the_subset_route(H):
+    for p in range(H.dim + 1):
+        assert cohomology_omega_p_theta(H, p, H.dim) == column_by_subsets(H, p, H.dim), p
+
+
+@pytest.mark.parametrize("H", ORACLE_SPACES, ids=str)
+def test_invariant_counts_equal_the_subset_route(H):
+    for p in range(min(H.dim, 4) + 1):
+        for q in range(min(H.dim, 3) + 1):
+            if p + q <= (6 if H.dim <= 10 else 5):
+                assert invariant_dimension(H, p, q) == invariants_by_subsets(H, p, q), (p, q)
+
+
+@pytest.mark.parametrize("H", ORACLE_SPACES[:10], ids=str)
+def test_integer_bott_step_equals_the_fraction_route(H):
+    rng = random.Random(str(H))
+    seen = 0
+    while seen < 40:
+        lam = tuple(rng.randint(-4, 4) for _ in range(H.rd.rank))
+        if H.levi.is_S_dominant(lam):
+            seen += 1
+            assert bott_irreducible(H, lam) == bott_by_fractions(H, lam), lam
+
+
+def _weyl_order(roots):
+    """|W| of a root system from its positive roots in simple-root
+    coordinates: the product of e + 1 over its exponents e, the partition
+    dual to the number of positive roots of each height (Kostant, 1959)."""
+    per_height = Counter(sum(r) for r in roots)
+    return prod(1 + sum(1 for m in per_height.values() if m >= i)
+                for i in range(1, per_height[1] + 1))
+
+
+def _levi_weyl_dimension(L, lam):
+    """Weyl's dimension formula for the Levi: the product over its positive
+    roots a of (2 lam + 2 rho_S, a) / (2 rho_S, a)."""
+    rd, two_rho = L.rd, L.two_rho()
+    shifted = tuple(2 * c + r for c, r in zip(lam, two_rho))
+    return prod(rd.inner(shifted, a) / rd.inner(two_rho, a)
+                for a in L.levi_positive_roots())
+
+
+@pytest.mark.parametrize("H", ORACLE_SPACES + E_SPACES, ids=str)
+def test_kostant_weights_count_the_cosets_and_the_dimensions(H):
+    rd, L = H.rd, H.levi
+    cosets = _weyl_order(tuple(map(int, r)) for r in rd.positive_roots) // \
+        _weyl_order(L.levi_positive_roots())
+    assert sum(map(len, H.kostant_weights)) == cosets
+    dims = [sum(_levi_weyl_dimension(L, a) for a in level) for level in H.kostant_weights]
+    assert dims == [comb(H.dim, p) for p in range(H.dim + 1)]
+    assert sum(dims) == 2 ** H.dim
+
+
+def test_weyl_orders_and_coset_counts_of_the_e_spaces():
+    assert _weyl_order(tuple(map(int, r)) for r in E_SPACES[1].rd.positive_roots) == 2903040
+    assert [sum(map(len, H.kostant_weights)) for H in E_SPACES] == [27, 56]
+
+
+@pytest.mark.parametrize("H", E_SPACES, ids=str)
+def test_k_value_of_the_e_spaces_is_the_published_one(H):
+    assert k_value(H) == published_k_value(H) == 1
+
+
+def test_all_bott_columns_of_e7():
+    H = E_SPACES[1]
+    table = tangent_sheaf_E2(H, H.dim)
+    assert tag_counts(table[(-1, 0)]["i"]) == (1, 0, 0)
+    assert tag_counts(table[(0, 0)]["i"]) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-1, -1), (7, 0), (0, 7), (7, 7)])
+def test_degrees_outside_zero_to_dim_are_refused(p, q):
+    H = space_from_preset("Gr(5,2)")
+    with pytest.raises(ValueError, match="out of range"):
+        invariant_dimension(H, p, q)
+    if q == 0:
+        with pytest.raises(ValueError, match="out of range"):
+            cohomology_omega_p_theta(H, p)
 
 
 def test_grassmannian_rs():

@@ -66,6 +66,16 @@ def test_invariants_command(capsys):
     assert data["flag"] is None
 
 
+@pytest.mark.parametrize("degrees", [("--p", "-1"), ("--q", "-1"), ("--p", "4"),
+                                     ("--q", "4"), ("--p", "-1", "--q", "-1")])
+def test_invariants_refuses_degrees_outside_zero_to_dim(capsys, degrees):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--space", "Q3", *degrees])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: p, q out of range\n"
+
+
 def test_forms_command(capsys):
     code, out = run_cli(capsys, "forms", "--space", "Gr(4,2)")
     assert code == 0

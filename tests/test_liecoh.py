@@ -7,6 +7,7 @@ from typing import Sequence
 
 import pytest
 from canonical import is_canonical
+from subset_route import dual, trivial_multiplicity
 
 from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
@@ -33,7 +34,7 @@ from flagcoh.liecoh import (
     two_cochain_from_d2_image,
     two_cochain_is_coboundary,
 )
-from flagcoh.repdecomp import char_of_roots, dual, tensor, trivial_multiplicity
+from flagcoh.repdecomp import char_of_roots, tensor
 from flagcoh.rootsys import SimpleLieType
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, parse_scalar, rank
 

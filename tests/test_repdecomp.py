@@ -12,14 +12,13 @@ from flagcoh.repdecomp import (
     char_dim,
     char_of_roots,
     decompose,
-    dual,
     exterior_power,
     irreducible_character,
     tensor,
     trivial_character,
-    trivial_multiplicity,
 )
 from flagcoh.rootsys import root_system
+from subset_route import dual, reflect_simple, trivial_multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ def _levi_weyl_group(L):
         cols = []
         for j in range(rd.rank):
             e = tuple(1 if k == j else 0 for k in range(rd.rank))
-            cols.append(rd.reflect_simple(e, i))
+            cols.append(reflect_simple(rd, e, i))
         return tuple(tuple(int(cols[j][i2]) for j in range(rd.rank)) for i2 in range(rd.rank))
 
     gens = [refl_matrix(i) for i in L.S]
@@ -368,3 +367,27 @@ def test_decompose_of_sums_is_identity(spec, seed):
             chi[w] = chi.get(w, 0) + k * m
     got = dict(decompose(L, chi))
     assert got == picks
+
+
+@given(st.sampled_from(["A2", "A3", "B3", "C3", "D4"]), st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_brauer_klimyk_fold_equals_decomposing_the_tensor_character(spec, seed):
+    """decompose(L, chi, lam) folds lam + mu over the weights of chi alone;
+    it must equal the decomposition of the whole character V_lam (x) chi."""
+    rd = root_system(spec)
+    rng = random.Random(seed)
+    S = tuple(sorted(rng.sample(range(rd.rank), rng.randint(1, rd.rank - 1))))
+    L = LeviDatum(rd, S)
+    lam, nu = (tuple(rng.randint(-1, 2) for _ in range(rd.rank)) for _ in range(2))
+    if not (L.is_S_dominant(lam) and L.is_S_dominant(nu)):
+        return
+    chi = irreducible_character(L, nu)
+    assert decompose(L, chi, lam) == decompose(L, tensor(irreducible_character(L, lam), chi))
+
+
+def test_brauer_klimyk_fold_refuses_a_weight_that_is_not_S_dominant():
+    L = LeviDatum(root_system("A2"), (0,))
+    chi = {(1, 0): 1, (0, 0): 1, (-1, 0): 1}
+    assert decompose(L, chi, (0, 0)) == decompose(L, chi)
+    with pytest.raises(ValueError, match="not S-dominant"):
+        decompose(L, chi, (-1, 0))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcoh.rootsys import SimpleLieType, build_root_system, root_system
+from subset_route import pairing_simple, reflect, reflect_simple
 
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "E6", "E7"]
@@ -124,7 +125,7 @@ def test_delta_maximality_and_gamma(spec):
     assert tuple(Fraction(t, 2) for t in total) == rd.gamma
     # gamma pairs to 1 against every simple root
     for i in range(rd.rank):
-        assert rd.pairing_simple(rd.gamma, i) == 1
+        assert pairing_simple(rd, rd.gamma, i) == 1
 
 
 @pytest.mark.parametrize("spec", ALL_TYPES)
@@ -157,10 +158,10 @@ def test_special_simple_roots(spec, special):
 def test_reflection_basics():
     a2 = root_system("A2")
     a1, a2_root = a2.simple_roots
-    assert a2.reflect(a1, a1) == tuple(-c for c in a1)
-    assert a2.reflect(a2_root, a1) == (Fraction(1), Fraction(1))
+    assert reflect(a2, a1, a1) == tuple(-c for c in a1)
+    assert reflect(a2, a2_root, a1) == (Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
-        a2.reflect(a1, (Fraction(1), Fraction(1, 2)))
+        reflect(a2, a1, (Fraction(1), Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("spec", ALL_TYPES)
@@ -168,7 +169,7 @@ def test_simple_reflection_permutes_other_positives(spec):
     rd = root_system(spec)
     for i in range(rd.rank):
         others = {r for r in rd.positive_roots if r != rd.simple_roots[i]}
-        image = {rd.reflect_simple(r, i) for r in others}
+        image = {reflect_simple(rd, r, i) for r in others}
         assert image == others
 
 
@@ -197,8 +198,8 @@ def _det_of_accumulated_reflections(rd, xi):
     sign = 1
     while True:
         for i in range(rd.rank):
-            if rd.pairing_simple(cur, i) < 0:
-                cur = rd.reflect_simple(cur, i)
+            if pairing_simple(rd, cur, i) < 0:
+                cur = reflect_simple(rd, cur, i)
                 sign = -sign
                 break
         else:
@@ -254,8 +255,8 @@ def test_reflection_involutive_and_isometric(spec, coords):
     rd = root_system(spec)
     xi = tuple(Fraction(c) for c in coords[: rd.rank])
     for al in rd.positive_roots:
-        ref = rd.reflect(xi, al)
-        assert rd.reflect(ref, al) == xi
+        ref = reflect(rd, xi, al)
+        assert reflect(rd, ref, al) == xi
         assert rd.inner(ref, ref) == rd.inner(xi, xi)
 
 
@@ -274,8 +275,8 @@ def greedy_dominant_representative(rd, xi, simple=None):
     steps = 0
     while True:
         for i in simple:
-            if rd.pairing_simple(cur, i) < 0:
-                cur = rd.reflect_simple(cur, i)
+            if pairing_simple(rd, cur, i) < 0:
+                cur = reflect_simple(rd, cur, i)
                 steps += 1
                 break
         else:
@@ -310,8 +311,8 @@ def test_fold_over_a_subset_matches_greedy_loop(spec):
         want, want_steps = greedy_dominant_representative(rd, v, simple)
         assert folded == want and steps == want_steps
         assert all(type(c) is int for c in folded)
-        assert singular == any(rd.pairing_simple(folded, i) == 0 for i in simple)
-        assert rd.simple_pairings(v) == [rd.pairing_simple(v, i) for i in range(rd.rank)]
+        assert singular == any(pairing_simple(rd, folded, i) == 0 for i in simple)
+        assert rd.simple_pairings(v) == [pairing_simple(rd, v, i) for i in range(rd.rank)]
 
 
 def test_fold_examples():
