@@ -421,9 +421,9 @@ QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_queries_match_golden_output(capsys, key):
-    """roots on every preset's type, invariants at (3, 2) on every preset,
-    bott on every preset at a vanishing weight, one with q = 0 and one with
-    q > 0, bott and d2 on values that begin with '-', d2 with the rt2 factor
+    """roots on every preset's type and on A1, C2, D3, E6 and E7, invariants
+    at (3, 2) on every preset, bott on every preset at a vanishing weight,
+    one with q = 0 and one with q > 0, bott and d2 on values that begin with '-', d2 with the rt2 factor
     first or last, and rejected inputs (among them a negative table size,
     the zero theta parameter, also where CP2 folds a theta2 + b eta to zero,
     a scalar with a zero denominator, two rt2 factors in a term or rt2 in a
