@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .repdecomp import FormalCharacter, IntWeight, LeviDatum, char_of_roots, decompose, _intw
-from .rootsys import RootDatum, SimpleLieType, _require, build_root_system
+from .repdecomp import FormalCharacter, LeviDatum, char_of_roots, decompose
+from .rootsys import RootDatum, SimpleLieType, Weight, _require, build_root_system
 
 Case = str  # "I" | "II" | "III"
 
@@ -24,7 +24,7 @@ class HermitianSymmetricSpace:
     rd: RootDatum
     alpha0: int
     levi: LeviDatum
-    N_plus: Tuple[Tuple[int, ...], ...]
+    N_plus: Tuple[Weight, ...]
     case: Case
     neighbors: Tuple[int, ...]
 
@@ -36,7 +36,7 @@ class HermitianSymmetricSpace:
         return char_of_roots(self.N_plus)
 
     @functools.cached_property
-    def kostant_weights(self) -> Tuple[Tuple[IntWeight, ...], ...]:
+    def kostant_weights(self) -> Tuple[Tuple[Weight, ...], ...]:
         """Per p = 0..dim, the highest weights of wedge^p n- = H^p(n+, C) (n+
         is abelian), each once: Kostant's w(rho) - rho over the minimal coset
         representatives w of length p (Ann. of Math. 74, 1961)."""
@@ -54,18 +54,13 @@ def build_space(t: SimpleLieType, alpha0: int) -> HermitianSymmetricSpace:
     if alpha0 not in rd.special_simple_roots():
         raise ValueError(
             f"alpha_{alpha0} of {t} is not special (n_alpha = "
-            f"{rd.n_coeffs[alpha0] if 0 <= alpha0 < rd.rank else '?'})"
+            f"{rd.delta[alpha0] if 0 <= alpha0 < rd.rank else '?'})"
         )
     S = tuple(i for i in range(rd.rank) if i != alpha0)
-    n_plus = []
-    for r in rd.positive_roots:
-        c = int(r[alpha0])
-        if c not in (0, 1):
-            raise AssertionError("special root with coefficient > 1")
-        if c == 1:
-            n_plus.append(_intw(r))
+    # a positive root is at most delta coefficient-wise, so its alpha0-coefficient is 0 or 1
+    n_plus = [r for r in rd.positive_roots if r[alpha0]]
     # n+ is abelian: the sum of two of its roots has alpha0-coefficient 2
-    roots = {tuple(int(c) for c in r) for r in rd.positive_roots}
+    roots = set(rd.positive_roots)
     _require(all(tuple(x + y for x, y in zip(a, b)) not in roots for a in n_plus for b in n_plus),
              f"n+ of {t}/alpha{alpha0} is abelian")
 
@@ -156,7 +151,7 @@ def grassmannian_rs(H: HermitianSymmetricSpace) -> Optional[Tuple[int, int]]:
 
 def bott_irreducible(
     H: HermitianSymmetricSpace, lam: Sequence
-) -> Optional[Tuple[int, IntWeight]]:
+) -> Optional[Tuple[int, Weight]]:
     """One irreducible bundle through Bott: None if Lam+gamma singular, else
     (q, Lam*) with q the index and Lam* = dominant(Lam+gamma) - gamma, all
     in integers through 2(Lam + gamma)."""
@@ -165,7 +160,7 @@ def bott_irreducible(
     rd = H.rd
     two_gamma = rd.two_gamma
     dom, index, singular = rd.fold_dominant(
-        tuple(2 * c + g for c, g in zip(_intw(lam), two_gamma)))
+        tuple(2 * c + g for c, g in zip(lam, two_gamma)))
     if singular:
         return None
     lam_star = tuple((a - g) // 2 for a, g in zip(dom, two_gamma))
@@ -178,7 +173,7 @@ class ModuleDescriptor:
     """A G-module in a cohomology table: trivial, adjoint, or other."""
 
     tag: str            # "trivial" | "adjoint" | "other"
-    weight: Tuple[int, ...]
+    weight: Weight
     dim: int
     mult: int = 1
 
@@ -186,10 +181,10 @@ class ModuleDescriptor:
         return self.dim * self.mult
 
 
-def _descriptor(H: HermitianSymmetricSpace, w: IntWeight, mult: int) -> ModuleDescriptor:
+def _descriptor(H: HermitianSymmetricSpace, w: Weight, mult: int) -> ModuleDescriptor:
     if not any(w):
         return ModuleDescriptor("trivial", w, 1, mult)
-    tag = "adjoint" if w == H.rd.n_coeffs else "other"
+    tag = "adjoint" if w == H.rd.delta else "other"
     return ModuleDescriptor(tag, w, H.rd.weyl_dimension(w), mult)
 
 
@@ -200,7 +195,7 @@ def tag_counts(descs: Sequence[ModuleDescriptor]) -> Tuple[int, int, int]:
 
 
 def _merge_descriptors(items: List[ModuleDescriptor]) -> List[ModuleDescriptor]:
-    acc: Dict[Tuple[str, Tuple[int, ...], int], int] = {}
+    acc: Dict[Tuple[str, Weight, int], int] = {}
     for d in items:
         key = (d.tag, d.weight, d.dim)
         acc[key] = acc.get(key, 0) + d.mult
@@ -221,7 +216,7 @@ def cohomology_omega_p_theta(
     if not 0 <= p <= H.dim:
         raise ValueError(f"p = {p} out of range 0..{H.dim}")
     chi_n = H.n_plus_character()
-    coeffs: Dict[IntWeight, int] = {}
+    coeffs: Dict[Weight, int] = {}
     for a in H.kostant_weights[p]:
         for lam, mult in decompose(H.levi, chi_n, a):
             coeffs[lam] = coeffs.get(lam, 0) + mult

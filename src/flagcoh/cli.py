@@ -13,22 +13,17 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bott, invforms, liecoh, spectral, superfields, verify
 from .bott import PRESET_NAMES, space_from_preset
-from .rootsys import SimpleLieType, build_root_system
+from .rootsys import root_system
 from .scalars import QSqrt2, format_scalar, parse_scalar
 
 
 def _die(msg: str) -> "NoReturn":  # noqa: F821
     print(f"error: {msg}", file=sys.stderr)
     sys.exit(2)
-
-
-def _weight(w) -> List[str]:
-    return [str(Fraction(c)) for c in w]
 
 
 def _emit(payload: Dict, fmt: str, markdown_fn=None, csv_fn=None) -> None:
@@ -82,7 +77,7 @@ def parse_space_list(text: str) -> List[str]:
 def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
     return {
         "tag": d.tag,
-        "weight": [int(c) for c in d.weight],
+        "weight": list(d.weight),
         "dim": d.dim,
         "mult": d.mult,
     }
@@ -91,18 +86,15 @@ def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
 # --- commands -----------------------------------------------------------------
 
 def cmd_roots(args) -> int:
-    if not args.type[1:].isdigit():
-        raise ValueError(f"simple type {args.type!r} is not a letter and a rank, e.g. B3")
-    t = SimpleLieType(args.type[0].upper(), int(args.type[1:]))
-    rd = build_root_system(t)
+    rd = root_system(args.type)
     payload = {
-        "type": str(t),
+        "type": str(rd.type),
         "rank": rd.rank,
         "cartan": [list(r) for r in rd.cartan],
-        "positive_roots": [[int(c) for c in r] for r in rd.positive_roots],
-        "gamma": _weight(rd.gamma),
-        "delta": [int(c) for c in rd.delta],
-        "n_coeffs": list(rd.n_coeffs),
+        "positive_roots": [list(r) for r in rd.positive_roots],
+        "gamma": [str(g) for g in rd.gamma],
+        "delta": list(rd.delta),
+        "n_coeffs": list(rd.delta),
         "special_simple_roots": rd.special_simple_roots(),
     }
 
@@ -138,7 +130,7 @@ def cmd_bott(args) -> int:
         "weight": list(lam),
         "result": "vanishes" if res is None else {
             "q": res[0],
-            "weight_star": [int(c) for c in res[1]],
+            "weight_star": list(res[1]),
         },
     }
     _emit(payload, args.format)

@@ -246,11 +246,9 @@ def _g_basis(t: SimpleLieType, alpha0: int) -> GModuleBasis:
     # classify candidates by root (epsilon weight), keep one per root
     roots_eps = {}
     for r in H.rd.positive_roots:
-        key = tuple(int(c) for c in r)
-        roots_eps[_root_to_eps(H, key)] = key
-        roots_eps[_root_to_eps(H, tuple(-c for c in key))] = tuple(
-            -c for c in key
-        )
+        roots_eps[_root_to_eps(H, r)] = r
+        neg = tuple(-c for c in r)
+        roots_eps[_root_to_eps(H, neg)] = neg
 
     elements: List[BasisElement] = []
     used_roots = set()

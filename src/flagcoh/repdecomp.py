@@ -1,16 +1,17 @@
 """Formal characters and decomposition of completely reducible modules over
 the Levi subgroup R of a parabolic.
 
-Characters are weight -> multiplicity dicts with integer weight coordinates
-in the simple-root basis of the ambient group; the central directions ride
-along untouched.  `decompose` folds weights into the dominant chamber of the
-Levi Weyl group W_S (Racah-Speiser/Klimyk; Humphreys, Introduction to Lie
-Algebras and Representation Theory, 24): a W_S-invariant chi is
-sum_lam c_lam ch V_lam, and chi is a module character exactly when every
-c_lam is >= 0; given lam, it decomposes V_lam (x) chi by folding lam + mu
-over the weights mu of chi alone (Brauer-Klimyk), so the Bott layer forms
-no tensor character.  The Freudenthal recursion `irreducible_character` is
-kept as an independent reference.
+Characters are weight -> multiplicity dicts keyed by the ambient group's
+int-tuple weights (`rootsys.Weight`, simple-root basis); the central
+directions ride along untouched.  `decompose` folds weights into the
+dominant chamber of the Levi Weyl group W_S (Racah-Speiser/Klimyk;
+Humphreys, Introduction to Lie Algebras and Representation Theory, 24):
+a W_S-invariant chi is sum_lam c_lam ch V_lam, and chi is a module
+character exactly when every c_lam is >= 0; given lam, it decomposes
+V_lam (x) chi by folding lam + mu over the weights mu of chi alone
+(Brauer-Klimyk), so the Bott layer forms no tensor character.  The
+Freudenthal recursion `irreducible_character` is kept as an independent
+reference.
 """
 
 from __future__ import annotations
@@ -21,31 +22,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .rootsys import RootDatum, _require
+from .rootsys import RootDatum, Weight, _require
 
-IntWeight = Tuple[int, ...]
-FormalCharacter = Dict[IntWeight, int]
-
-
-def _intw(w: Sequence) -> IntWeight:
-    out = []
-    for c in w:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError(f"non-integral weight coordinate {c}")
-        out.append(int(f))
-    return tuple(out)
+FormalCharacter = Dict[Weight, int]
 
 
 def char_dim(chi: FormalCharacter) -> int:
     return sum(chi.values())
 
 
-def char_of_roots(weights: Iterable[Sequence]) -> FormalCharacter:
+def char_of_roots(weights: Iterable[Weight]) -> FormalCharacter:
     chi: FormalCharacter = {}
     for w in weights:
-        k = _intw(w)
-        chi[k] = chi.get(k, 0) + 1
+        chi[w] = chi.get(w, 0) + 1
     return chi
 
 
@@ -87,14 +76,14 @@ def exterior_power(chi: FormalCharacter, p: int) -> FormalCharacter:
 
 
 def _exterior_newton(chi: FormalCharacter, p: int) -> FormalCharacter:
-    def psum(j: int) -> Dict[IntWeight, Fraction]:
+    def psum(j: int) -> Dict[Weight, Fraction]:
         return {tuple(j * c for c in w): Fraction(m) for w, m in chi.items()}
 
-    es: List[Dict[IntWeight, Fraction]] = [
+    es: List[Dict[Weight, Fraction]] = [
         {tuple(0 for _ in next(iter(chi))): Fraction(1)}
     ]
     for k in range(1, p + 1):
-        acc: Dict[IntWeight, Fraction] = {}
+        acc: Dict[Weight, Fraction] = {}
         for j in range(1, k + 1):
             sign = 1 if (j - 1) % 2 == 0 else -1
             pj = psum(j)
@@ -127,21 +116,17 @@ class LeviDatum:
             raise ValueError("S must be a proper subset of the simple roots")
         object.__setattr__(self, "S", tuple(sorted(self.S)))
 
-    def levi_positive_roots(self) -> List[IntWeight]:
+    def levi_positive_roots(self) -> List[Weight]:
         s = set(self.S)
-        out = []
-        for r in self.rd.positive_roots:
-            ri = _intw(r)
-            if all(c == 0 for i, c in enumerate(ri) if i not in s):
-                out.append(ri)
-        return out
+        return [r for r in self.rd.positive_roots
+                if all(c == 0 for i, c in enumerate(r) if i not in s)]
 
     @cached_property
-    def _two_rho(self) -> IntWeight:
+    def _two_rho(self) -> Weight:
         pos = self.levi_positive_roots()
         return tuple(sum(r[i] for r in pos) for i in range(self.rd.rank))
 
-    def two_rho(self) -> IntWeight:
+    def two_rho(self) -> Weight:
         """2 rho_S: the sum of the Levi positive roots."""
         return self._two_rho
 
@@ -158,7 +143,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     the root lattice shifted by lam.  The ambient form needs no projection:
     the central component of every weight is constant and orthogonal to span(S).
     """
-    lam = _intw(lam)
+    lam = tuple(lam)
     if not L.is_S_dominant(lam):
         raise ValueError(f"{lam} is not S-dominant for S={L.S}")
     rd = L.rd
@@ -166,12 +151,9 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     pos = L.levi_positive_roots()
     two_rho = L.two_rho()
 
-    # inner2(x, y) = 2(x, y), integral for integer vectors
-    g2 = [[rd.gram[i][j] * 2 for j in range(rank)] for i in range(rank)]
-    _require(all(v.denominator == 1 for row in g2 for v in row), "2 x the form is integral")
-    g2 = [[v.numerator for v in row] for row in g2]
+    g2 = rd.form2
 
-    def inner2(x, y):
+    def inner2(x, y):  # 2(x, y)
         tot = 0
         for i, a in enumerate(x):
             if a:
@@ -179,7 +161,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
                 tot += a * sum(row[j] * b for j, b in enumerate(y) if b)
         return tot
 
-    mult: Dict[IntWeight, int] = {lam: 1}
+    mult: Dict[Weight, int] = {lam: 1}
     level = [lam]
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in L.S]
     while level:
@@ -221,7 +203,7 @@ def _le(w, lam) -> bool:
 
 
 def decompose(L: LeviDatum, chi: FormalCharacter,
-              lam: Optional[Sequence[int]] = None) -> List[Tuple[IntWeight, int]]:
+              lam: Optional[Sequence[int]] = None) -> List[Tuple[Weight, int]]:
     """Highest weights (with multiplicities) of V_lam (x) chi, for an
     S-dominant lam (default 0: the module chi itself).
 
@@ -244,8 +226,8 @@ def decompose(L: LeviDatum, chi: FormalCharacter,
     if lam is not None:
         if not L.is_S_dominant(lam):
             raise ValueError(f"{tuple(lam)} is not S-dominant for S={S}")
-        shift = tuple(2 * a + b for a, b in zip(_intw(lam), two_rho))
-    coeffs: Dict[IntWeight, int] = {}
+        shift = tuple(2 * a + b for a, b in zip(lam, two_rho))
+    coeffs: Dict[Weight, int] = {}
     for mu, m in chi.items():
         v, steps, singular = rd.fold(tuple(2 * a + b for a, b in zip(mu, shift)), S)
         if not singular:

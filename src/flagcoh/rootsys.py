@@ -1,21 +1,25 @@
 """Exact root systems and Weyl machinery for the simple types A-D, E6, E7.
 
-Weights live in the simple-root basis (tuples of Fractions or ints, length =
-rank).  The invariant form is normalized so that long roots have squared
-length 2; short roots (types B, C) get 1, which keeps every Cartan pairing
-<a,b> = 2(a,b)/(b,b) integral.
+Weights live in the simple-root basis as int tuples of length rank; the
+root datum holds only ints.  The invariant form is normalized so that long
+roots have squared length 2 and short roots (types B, C) 1; the datum keeps
+twice it, form2[i][j] = 2(a_i, a_j), and gamma as 2 gamma, the sum of the
+positive roots.  Only `dominant_representative` and `weyl_dimension` take
+rational weights, scaled to integers by their common denominator; `inner`
+and `gamma` are the rational reads.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import List, Sequence, Tuple
 
-Weight = Tuple[Fraction, ...]
+Weight = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def _cartan_and_lengths(t: SimpleLieType):
     return C, norms
 
 
-def _weyl_orbit_roots(cartan: List[List[int]], l: int) -> List[Tuple[int, ...]]:
+def _weyl_orbit_roots(cartan: List[List[int]], l: int) -> List[Weight]:
     """All roots as the Weyl orbit of the simple roots (exact, integer coords)."""
 
     def reflect(v, i):
@@ -106,7 +110,7 @@ def _require(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-def _scaled_to_integers(xi: Sequence) -> Tuple[Tuple[int, ...], int]:
+def _scaled_to_integers(xi: Sequence) -> Tuple[Weight, int]:
     """(D xi, D) for the least common denominator D of xi's coordinates."""
     xi = [Fraction(c) for c in xi]
     D = math.lcm(*(c.denominator for c in xi))
@@ -118,11 +122,10 @@ class RootDatum:
     type: SimpleLieType
     simple_roots: Tuple[Weight, ...]
     cartan: Tuple[Tuple[int, ...], ...]          # <a_i, a_j>
-    gram: Tuple[Tuple[Fraction, ...], ...]       # (a_i, a_j), long roots norm 2
+    form2: Tuple[Tuple[int, ...], ...]           # 2(a_i, a_j), long roots norm 2
     positive_roots: Tuple[Weight, ...]
-    gamma: Weight                                # half sum of positive roots
+    two_gamma: Weight                            # sum of the positive roots
     delta: Weight                                # highest root
-    n_coeffs: Tuple[int, ...]                    # coefficients of delta
 
     @property
     def rank(self) -> int:
@@ -131,24 +134,20 @@ class RootDatum:
     # -- bilinear forms ----------------------------------------------------
     def inner(self, lam: Sequence, mu: Sequence) -> Fraction:
         """(lam, mu) in the normalization with long roots of squared length 2."""
-        g = self.gram
-        return sum(
-            Fraction(a) * g[i][j] * Fraction(b)
-            for i, a in enumerate(lam)
-            for j, b in enumerate(mu)
-            if a and b
-        ) or Fraction(0)
+        g = self.form2
+        return Fraction(sum(a * g[i][j] * b for i, a in enumerate(lam)
+                            for j, b in enumerate(mu)), 2)
+
+    @property
+    def gamma(self) -> Tuple[Fraction, ...]:
+        """Half the sum of the positive roots."""
+        return tuple(Fraction(g, 2) for g in self.two_gamma)
 
     # -- Weyl group --------------------------------------------------------
     @cached_property
-    def two_gamma(self) -> Tuple[int, ...]:
-        return tuple((2 * g).numerator for g in self.gamma)
-
-    @cached_property
-    def _two_gram_pos(self) -> Tuple[Tuple[int, ...], ...]:
-        """2 gram alpha for each positive root alpha: v . (2 gram alpha) = 2 (v, alpha)."""
-        g2 = [[(2 * x).numerator for x in row] for row in self.gram]
-        return tuple(tuple(sum(g * a.numerator for g, a in zip(row, al)) for row in g2)
+    def _form2_pos(self) -> Tuple[Weight, ...]:
+        """form2 alpha for each positive root alpha: v . (form2 alpha) = 2 (v, alpha)."""
+        return tuple(tuple(sum(map(mul, row, al)) for row in self.form2)
                      for al in self.positive_roots)
 
     def simple_pairings(self, v: Sequence[int]) -> List[int]:
@@ -157,7 +156,7 @@ class RootDatum:
 
     def fold(
         self, v: Sequence[int], simple: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], int, bool]:
+    ) -> Tuple[Weight, int, bool]:
         """Fold an integer vector into the closed dominant chamber of W_simple.
 
         v is in simple-root coordinates.  While <v, alpha_i> < 0 for some i
@@ -179,7 +178,7 @@ class RootDatum:
             pr = [p - c * cik for p, cik in zip(pr, self.cartan[i])]
             steps += 1
 
-    def dominant_representative(self, xi: Sequence) -> Tuple[Weight, int, bool]:
+    def dominant_representative(self, xi: Sequence) -> Tuple[Tuple[Fraction, ...], int, bool]:
         """Weyl-orbit representative in the dominant chamber.
 
         Returns (dominant, index, singular): index = #{a in D+ : (xi, a) < 0},
@@ -192,9 +191,9 @@ class RootDatum:
         dom, index, singular = self.fold_dominant(v)
         return tuple(Fraction(c, D) for c in dom), index, singular
 
-    def fold_dominant(self, v: Sequence[int]) -> Tuple[Tuple[int, ...], int, bool]:
+    def fold_dominant(self, v: Sequence[int]) -> Tuple[Weight, int, bool]:
         """`dominant_representative` of an integer vector v, in integers."""
-        pairs = [sum(map(mul, v, g2al)) for g2al in self._two_gram_pos]  # 2 (v, a)
+        pairs = [sum(map(mul, v, g2al)) for g2al in self._form2_pos]  # 2 (v, a)
         index = sum(1 for s in pairs if s < 0)
         singular = 0 in pairs
         dom, steps, _ = self.fold(v, range(self.rank))
@@ -205,7 +204,7 @@ class RootDatum:
     def is_dominant(self, lam: Sequence) -> bool:
         return min(self.simple_pairings(lam)) >= 0
 
-    def coset_weights(self, S: Sequence[int]) -> List[List[Tuple[int, ...]]]:
+    def coset_weights(self, S: Sequence[int]) -> List[List[Weight]]:
         """The weights w(rho) - rho (minus the sum of the inversion set of w)
         of the minimal representatives w of the cosets W_S w, by length.
         w, kept as its images of the simple roots, grows on the right: when
@@ -231,7 +230,7 @@ class RootDatum:
 
     def special_simple_roots(self) -> List[int]:
         """Indices i with n_{alpha_i} = 1 in the highest root."""
-        return [i for i, n in enumerate(self.n_coeffs) if n == 1]
+        return [i for i, n in enumerate(self.delta) if n == 1]
 
     def weyl_dimension(self, lam: Sequence) -> int:
         """Weyl dimension formula for a dominant weight of the full group:
@@ -240,8 +239,8 @@ class RootDatum:
         v, D = _scaled_to_integers(lam)
         two_gamma = self.two_gamma
         u = [2 * a + D * g for a, g in zip(v, two_gamma)]  # 2D (lam + gamma)
-        num = math.prod(sum(map(mul, u, g2al)) for g2al in self._two_gram_pos)
-        den = math.prod(D * sum(map(mul, two_gamma, g2al)) for g2al in self._two_gram_pos)
+        num = math.prod(sum(map(mul, u, g2al)) for g2al in self._form2_pos)
+        den = math.prod(D * sum(map(mul, two_gamma, g2al)) for g2al in self._form2_pos)
         if num % den:
             raise ValueError(f"{tuple(lam)} is not an integral weight of {self.type}")
         return num // den
@@ -259,11 +258,10 @@ _CLASSICAL_COUNT = {
 def build_root_system(t: SimpleLieType) -> RootDatum:
     l = t.rank
     cartan, norms = _cartan_and_lengths(t)
-    gram = tuple(
-        tuple(Fraction(cartan[j][i] * norms[i], 2) for j in range(l)) for i in range(l)
-    )
-    # gram[i][j] = (a_i, a_j) = <a_j, a_i>(a_i,a_i)/2; symmetry is checked below
-    _require(all(gram[i][j] == gram[j][i] for i in range(l) for j in range(l)), "Gram symmetry")
+    # form2[i][j] = 2(a_i, a_j) = <a_j, a_i>(a_i,a_i); symmetry is checked below
+    form2 = tuple(tuple(cartan[j][i] * norms[i] for j in range(l)) for i in range(l))
+    _require(all(form2[i][j] == form2[j][i] for i in range(l) for j in range(l)),
+             "form symmetry")
 
     roots = _weyl_orbit_roots(cartan, l)
     pos = [r for r in roots if all(c >= 0 for c in r)]
@@ -273,30 +271,24 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
     highest = [r for r in pos if sum(r) == top
                and all(all(a >= b for a, b in zip(r, s)) for s in pos)]
     _require(len(highest) == 1, "highest root uniqueness")
-    n_coeffs = highest[0]
-    _require(all(n > 0 for n in n_coeffs), "highest root has a zero coefficient")
-    pos_w: List[Weight] = [tuple(Fraction(c) for c in r) for r in sorted(pos)]
-    delta = tuple(Fraction(c) for c in n_coeffs)
-    gamma = tuple(Fraction(sum(r[i] for r in pos), 2) for i in range(l))
+    delta = highest[0]
+    _require(all(n > 0 for n in delta), "highest root has a zero coefficient")
 
     rd = RootDatum(
         type=t,
-        simple_roots=tuple(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(l))
-            for i in range(l)
-        ),
+        simple_roots=tuple(tuple(int(j == i) for j in range(l)) for i in range(l)),
         cartan=tuple(tuple(row) for row in cartan),
-        gram=gram,
-        positive_roots=tuple(pos_w),
-        gamma=gamma,
+        form2=form2,
+        positive_roots=tuple(pos),
+        two_gamma=tuple(map(sum, zip(*pos))),
         delta=delta,
-        n_coeffs=n_coeffs,
     )
     _require(rd.inner(delta, delta) == 2, "highest root is long")
     return rd
 
 
 def root_system(spec: str) -> RootDatum:
-    """Convenience: root_system('B3') etc."""
-    fam = spec[0].upper()
-    return build_root_system(SimpleLieType(fam, int(spec[1:])))
+    """The root datum of a type written as a letter and a rank, e.g. 'B3'."""
+    if not re.fullmatch(r"[A-Za-z][0-9]+", spec):
+        raise ValueError(f"simple type {spec!r} is not a letter and a rank, e.g. B3")
+    return build_root_system(SimpleLieType(spec[0].upper(), int(spec[1:])))

@@ -51,7 +51,7 @@ def test_build_space_presets_and_cases():
         H = space_from_preset(name)
         assert H.case == case, name
         assert H.dim == dim, name
-        assert H.rd.n_coeffs[H.alpha0] == 1
+        assert H.rd.delta[H.alpha0] == 1
         for r in H.rd.positive_roots:
             assert int(r[H.alpha0]) in (0, 1)
 

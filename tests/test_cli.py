@@ -25,6 +25,16 @@ def test_roots_json(capsys):
     assert len(data["positive_roots"]) == 4
 
 
+@pytest.mark.parametrize("spec", ["", "B", "B+3", "B 3", "B\u00b3"])
+def test_roots_rejects_a_type_that_is_not_a_letter_and_a_rank(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", spec])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: simple type {spec!r} is not a letter and a rank, e.g. B3\n"
+
+
 def test_bott_command(capsys):
     code, out = run_cli(capsys, "bott", "--space", "CP2", "--weight", "0,0")
     assert code == 0
@@ -423,13 +433,14 @@ QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
 def test_queries_match_golden_output(capsys, key):
     """roots on every preset's type and on A1, C2, D3, E6 and E7, invariants
     at (3, 2) on every preset, bott on every preset at a vanishing weight,
-    one with q = 0 and one with q > 0, bott and d2 on values that begin with '-', d2 with the rt2 factor
-    first or last, and rejected inputs (among them a negative table size,
-    the zero theta parameter, also where CP2 folds a theta2 + b eta to zero,
-    a scalar with a zero denominator, two rt2 factors in a term or rt2 in a
-    denominator, a weight that is not a list of integers, an empty root type
-    and a missing manifest, which exit 2 with one error line): exit code,
-    stdout and stderr are byte-identical to the recorded ones."""
+    one with q = 0 and one with q > 0, bott and d2 on values that begin
+    with '-', d2 with the rt2 factor first or last, and rejected inputs
+    (among them a negative table size, the zero theta parameter, also where
+    CP2 folds a theta2 + b eta to zero, a scalar with a zero denominator,
+    two rt2 factors in a term or rt2 in a denominator, a weight that is not
+    a list of integers, an empty root type and a missing manifest, which
+    exit 2 with one error line): exit code, stdout and stderr are
+    byte-identical to the recorded ones."""
     try:
         code = main(key.split(" "))
     except SystemExit as exc:

@@ -1,5 +1,5 @@
+import dataclasses
 import itertools
-import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -113,7 +113,7 @@ def test_a1_data():
 def test_a3_highest_root():
     rd = root_system("A3")
     assert tuple(int(c) for c in rd.delta) == (1, 1, 1)
-    assert rd.n_coeffs == (1, 1, 1)
+    assert rd.delta == (1, 1, 1)
 
 
 @pytest.mark.parametrize("spec", ALL_TYPES)
@@ -207,10 +207,9 @@ def _det_of_accumulated_reflections(rd, xi):
 
 
 def _regularity_table(rd):
-    """den * gram * alpha for each positive root alpha, with den the lcm of
-    the gram denominators, so that xi . row = den (xi, alpha) in integers."""
-    den = math.lcm(*(x.denominator for row in rd.gram for x in row))
-    return [tuple(int(den * sum(g * a for g, a in zip(row, al))) for row in rd.gram)
+    """form2 * alpha for each positive root alpha, so that xi . row =
+    2 (xi, alpha) in integers."""
+    return [tuple(sum(g * a for g, a in zip(row, al)) for row in rd.form2)
             for al in rd.positive_roots]
 
 
@@ -258,6 +257,56 @@ def test_reflection_involutive_and_isometric(spec, coords):
         ref = reflect(rd, xi, al)
         assert reflect(rd, ref, al) == xi
         assert rd.inner(ref, ref) == rd.inner(xi, xi)
+
+
+INTEGRAL_TYPES = ([f"A{l}" for l in range(1, 10)] + [f"B{l}" for l in range(2, 8)]
+                  + [f"C{l}" for l in range(2, 8)] + [f"D{l}" for l in range(3, 9)]
+                  + ["E6", "E7"])
+
+
+def _leaves(x):
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("spec", INTEGRAL_TYPES)
+def test_root_datum_is_integral(spec):
+    """Every field but the type holds ints; form2 is symmetric with
+    diagonal 2(a_i, a_i) in {2, 4}; and inner equals the rational Gram read
+    (a_i, a_j) = <a_j, a_i> (a_i, a_i) / 2, built here from the root lengths."""
+    rd = root_system(spec)
+    for field in dataclasses.fields(rd):
+        if field.name != "type":
+            assert all(type(c) is int for c in _leaves(getattr(rd, field.name))), field.name
+    l = rd.rank
+    assert all(rd.form2[i][j] == rd.form2[j][i] for i in range(l) for j in range(l))
+    assert {rd.form2[i][i] for i in range(l)} <= {2, 4}
+    norms = {"B": [2] * (l - 1) + [1], "C": [1] * (l - 1) + [2]}.get(spec[0], [2] * l)
+    gram = [[Fraction(rd.cartan[j][i] * norms[i], 2) for j in range(l)] for i in range(l)]
+    rng = random.Random(spec)
+    for _ in range(20):
+        lam, mu = ([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(l)]
+                   for _ in range(2))
+        want = sum(a * gram[i][j] * b for i, a in enumerate(lam) for j, b in enumerate(mu))
+        assert rd.inner(lam, mu) == want
+        assert type(rd.inner(lam, mu)) is Fraction
+    for i in range(l):
+        for j in range(l):
+            assert rd.inner(rd.simple_roots[i], rd.simple_roots[j]) == gram[i][j]
+
+
+@pytest.mark.parametrize("spec", ["", "B", "B+3", "B 3", "B3 ", "B\u00b3", "33"])
+def test_root_system_reads_only_a_letter_and_ascii_digits(spec):
+    with pytest.raises(ValueError) as exc:
+        root_system(spec)
+    assert str(exc.value) == f"simple type {spec!r} is not a letter and a rank, e.g. B3"
+
+
+def test_root_system_reads_the_letter_in_either_case():
+    assert root_system("b3") == root_system("B3")
 
 
 def test_unsupported_types_rejected():
