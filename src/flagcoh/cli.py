@@ -420,13 +420,13 @@ def cmd_verify_all(args) -> int:
             criteria = [c.strip() for c in man["criteria"].split(",")]
         if "spaces" in man:
             spaces = parse_space_list(man["spaces"])
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = verify.run_all(criteria=criteria, spaces=spaces)
     n_pass = sum(1 for r in results if r.ok)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"[{status}] {r.name} ({r.seconds:.1f}s): {r.detail}")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print(f"-- {n_pass}/{len(results)} checks passed in {dt:.0f}s")
     known_red = [r.name for r in results if not r.ok]
     if known_red:

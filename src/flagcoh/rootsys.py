@@ -150,9 +150,14 @@ class RootDatum:
         return tuple(tuple(sum(map(mul, row, al)) for row in self.form2)
                      for al in self.positive_roots)
 
+    @cached_property
+    def _cartan_columns(self) -> Tuple[Weight, ...]:
+        """The columns of `cartan`, kept for `simple_pairings`."""
+        return tuple(zip(*self.cartan))
+
     def simple_pairings(self, v: Sequence[int]) -> List[int]:
         """[<v, alpha_i> for every i], in integers for an integer v."""
-        return [sum(map(mul, v, col)) for col in zip(*self.cartan)]
+        return [sum(map(mul, v, col)) for col in self._cartan_columns]
 
     def fold(
         self, v: Sequence[int], simple: Sequence[int]

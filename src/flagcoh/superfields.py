@@ -411,6 +411,8 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     consts = qn_structure_constants(n)
     sigma: Optional[int] = None
     checked = 0
+    # each distinct (structure constants, parity) target is built once
+    targets: Dict[Tuple[Tuple[Tuple[int, int], ...], int], SuperDerivation] = {}
     for i in range(2 * nn):
         p1 = 1 if i >= nn else 0
         for j in range(2 * nn):
@@ -419,7 +421,11 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             _require(br_fields.parity == p1 ^ p2, "parity bookkeeping broken")
             # the field map is linear: [g1, g2]* is the combination of the
             # basis fields with [g1, g2]'s structure constants
-            target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
+            key = (consts[i][j], br_fields.parity)
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = _combination(
+                    fields, consts[i][j], n - s, s, br_fields.parity)
             twist = -1 if (p1 and p2) else 1
             if br_fields.is_zero() and target.is_zero():
                 checked += 1

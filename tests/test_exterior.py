@@ -737,3 +737,67 @@ def test_splitting_of_the_criterion_4_forms_is_canonical():
             psi, chi = decompose_im_j_ker_c(VectorValuedForm.make(m, p, comps))
             for x in (psi,) + chi.images:
                 assert_canonical(x)
+
+
+def _with_one_more_term(f):
+    """f with xi_1 added to its first image: a different form of f's degree."""
+    first = f.images[0] + GrassmannElement.make(f.m, {(1,): 1})
+    return VectorValuedForm(f.m, f.degree, (first,) + f.images[1:])
+
+
+def _n_terms(f):
+    return sum(len(a.terms) for a in f.images)
+
+
+def test_criterion_4_catches_a_bracket_wrong_off_the_basis(monkeypatch):
+    """A bracket that is wrong only when its second argument has two or
+    more terms passes every basis-pair loop; super-Jacobi, which brackets
+    with the table's values, must still catch it."""
+    import flagcoh.exterior as exterior
+    from flagcoh.verify import check_c4_exterior
+
+    true_bracket = exterior.bracket
+
+    def wrong(x, y):
+        z = true_bracket(x, y)
+        return _with_one_more_term(z) if _n_terms(y) >= 2 else z
+
+    monkeypatch.setattr(exterior, "bracket", wrong)
+    assert check_c4_exterior() == (False, "super-Jacobi failed at m=2")
+
+
+def test_criterion_4_catches_one_wrong_basis_bracket(monkeypatch):
+    import flagcoh.exterior as exterior
+    from flagcoh.verify import check_c4_exterior
+
+    true_bracket = exterior.bracket
+    bad = (VectorValuedForm.basis_element(2, (1,), 1),
+           VectorValuedForm.basis_element(2, (1, 2), 2))
+
+    def wrong(x, y):
+        z = true_bracket(x, y)
+        return _with_one_more_term(z) if (x, y) == bad else z
+
+    monkeypatch.setattr(exterior, "bracket", wrong)
+    assert check_c4_exterior() == (False, "bracket identity failed at m=2")
+
+
+def test_criterion_4_brackets_each_distinct_pair_once_in_super_jacobi(monkeypatch):
+    """Super-Jacobi (the m = 2, 3 brackets after the last m = 4 one) passes
+    no (x, y) pair to the bracket twice, and the whole check stays well
+    under the 48,480 brackets of one call per operand pair and triple."""
+    from collections import Counter
+
+    import flagcoh.exterior as exterior
+    from flagcoh.verify import check_c4_exterior
+
+    calls = []
+    true_bracket = exterior.bracket
+    monkeypatch.setattr(exterior, "bracket",
+                        lambda x, y: calls.append((x, y)) or true_bracket(x, y))
+    assert check_c4_exterior()[0]
+    last_m4 = max(k for k, (x, _) in enumerate(calls) if x.m == 4)
+    jacobi = Counter(calls[last_m4 + 1:])
+    assert jacobi and {x.m for x, _ in jacobi} == {2, 3}
+    assert max(jacobi.values()) == 1
+    assert len(calls) < 10_000, len(calls)
