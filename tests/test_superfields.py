@@ -716,6 +716,26 @@ def test_homomorphism_check_runs_the_jet_once_per_basis_element(monkeypatch):
         assert len(calls) == 2 * n * n, (n, s)
 
 
+def test_homomorphism_check_builds_each_distinct_target_once(monkeypatch):
+    """One `_combination` per distinct (structure constants, parity) pair:
+    82 nonzero targets among the 436 nonzero pairs at n = 4, plus the zero
+    of each parity."""
+    calls = []
+    combination = superfields._combination
+    monkeypatch.setattr(superfields, "_combination",
+                        lambda *args: calls.append(args[1:]) or combination(*args))
+    for n, s in C8_SIZES:
+        calls.clear()
+        homomorphism_check(n, s)
+        nn = n * n
+        consts = superfields.qn_structure_constants(n)
+        keys = {(consts[i][j], (i >= nn) ^ (j >= nn))
+                for i in range(2 * nn) for j in range(2 * nn)}
+        assert len(calls) == len(set(calls)) == len(keys), (n, s)
+        if n == 4:
+            assert len({k for k in keys if k[0]}) == 82
+
+
 def test_homomorphism_check_reads_brackets_from_the_structure_constants(monkeypatch):
     """No qn_bracket call, and every one of the (2n^2)^2 pairs is checked."""
     calls = []
