@@ -1,6 +1,6 @@
 """Bott's algorithm and bundle cohomology H^q(M, Omega^p (x) Theta) for the
 irreducible compact Hermitian symmetric spaces, with the case-I/II/III
-classification and the tangent-sheaf E2 bookkeeping.
+classification.
 
 Vector bundles enter as R-characters (the isotropy representation restricted
 to the Levi determines everything here); non-Hermitian-symmetric parabolic
@@ -302,23 +302,3 @@ def published_table_entry(case: Case, k: int, p: int, q: int) -> Tuple[int, int]
         ("III", 2, 1): (0, 1), ("III", 3, 2): (0, k),
     }
     return cells.get((case, p, q), (0, 0))
-
-
-def tangent_sheaf_E2(
-    H: HermitianSymmetricSpace, q_max: int = 2
-) -> Dict[Tuple[int, int], Dict[str, List[ModuleDescriptor]]]:
-    """E2 of the tangent sheaf of the split supermanifold: the (p, q) entry is
-    i*(H^q(Omega^{p+1} (x) Theta)) + l*(H^q(Omega^p (x) Theta)), indexed by
-    total degree q and filtration degree p >= -1."""
-    if q_max > H.dim:
-        q_max = H.dim
-    cols = {p: cohomology_omega_p_theta(H, p, q_max) for p in range(H.dim + 1)}
-    empty: List[ModuleDescriptor] = []
-    table: Dict[Tuple[int, int], Dict[str, List[ModuleDescriptor]]] = {}
-    for p in range(-1, H.dim + 1):
-        for q in range(q_max + 1):
-            i_part = cols[p + 1][q] if p + 1 <= H.dim else empty
-            l_part = cols[p][q] if p >= 0 else empty
-            if i_part or l_part:
-                table[(p, q)] = {"i": list(i_part), "l": list(l_part)}
-    return table

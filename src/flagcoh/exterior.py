@@ -141,14 +141,16 @@ class TermAlgebra:
         return self._from_dict(self.m, acc)
 
     def __neg__(self):
+        if not self.terms:
+            return self.zero(self.m)
         return type(self)(self.m, tuple((k, -c) for k, c in self.terms))
 
     def scale(self, c):
+        if not (self.terms and c):
+            return self.zero(self.m)
         if c == 1:
             return self
         c = _canon(c)
-        if not c:
-            return self.zero(self.m)
         # an int times a Fraction can be integral: only all-int products are ints
         if type(c) is int and all(type(v) is int for _, v in self.terms):
             return type(self)(self.m, tuple((k, c * v) for k, v in self.terms))
@@ -185,6 +187,8 @@ class GrassmannElement(TermAlgebra):
                if not (all(1 <= i <= m for i in k) and list(k) == sorted(set(k)))]
         if bad:
             raise ValueError(f"not strictly increasing monomials in 1..{m}: {bad}")
+        if not clean:
+            return GrassmannElement.zero(m)
         return GrassmannElement(m, tuple(sorted(clean.items())))
 
     @staticmethod

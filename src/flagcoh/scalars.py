@@ -95,7 +95,8 @@ class QSqrt2:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # equal to its rational part when b = 0, so it must hash like it
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __bool__(self):
         return bool(self.a or self.b)

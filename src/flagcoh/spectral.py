@@ -19,10 +19,10 @@ from .bott import (
     HermitianSymmetricSpace,
     ModuleDescriptor,
     _merge_descriptors,
+    cohomology_omega_p_theta,
     grassmannian_rs,
     k_value,
     tag_counts,
-    tangent_sheaf_E2,
 )
 from .invforms import product_table
 from .liecoh import (
@@ -75,16 +75,18 @@ Table = Dict[Tuple[int, int], List[Summand]]
 
 
 def assemble_E2(H: HermitianSymmetricSpace, q_max: int = 2) -> Table:
-    """E2 = H^q(M, (T_gr)_p) with i*/l* provenance, from the Bott tables."""
-    raw = tangent_sheaf_E2(H, q_max)
+    """E2 of the tangent sheaf of the split supermanifold, from the Bott
+    columns: the (p, q) entry is i*(H^q(Omega^{p+1} (x) Theta)) followed by
+    l*(H^q(Omega^p (x) Theta)), for q <= min(q_max, dim M) and p >= -1."""
+    q_max = min(q_max, H.dim)
+    cols = {p: cohomology_omega_p_theta(H, p, q_max) for p in range(H.dim + 1)}
     table: Table = {}
-    for (p, q), parts in raw.items():
-        entry: List[Summand] = []
-        for prov in ("i", "l"):
-            for d in parts[prov]:
-                entry.append(Summand(prov, d))
-        if entry:
-            table[(p, q)] = entry
+    for p in range(-1, H.dim + 1):
+        for q in range(q_max + 1):
+            entry = [Summand("i", d) for d in cols.get(p + 1, {}).get(q, ())]
+            entry += [Summand("l", d) for d in cols.get(p, {}).get(q, ())]
+            if entry:
+                table[(p, q)] = entry
     return table
 
 
@@ -120,7 +122,6 @@ def _count(entry: List[Summand], provenance: str, tag: str) -> int:
 @dataclass
 class E3Result:
     H: HermitianSymmetricSpace
-    theta: ThetaParameter
     E2: Table
     E3: Table
     rank_vector_fields: int
@@ -198,7 +199,7 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
                 s.status = "undetermined"
 
     E3 = {k: v for k, v in E3.items() if v}
-    return E3Result(H, theta, E2, E3, rank_v, kernel11, adj01, notes)
+    return E3Result(H, E2, E3, rank_v, kernel11, adj01, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def pq_consistency(H: HermitianSymmetricSpace) -> Dict[str, object]:
 # Published-table comparison (the acceptance layer asserts these)
 # ---------------------------------------------------------------------------
 
-def published_e3_rows(case: str, regime: str, n: Optional[int] = None
+def published_e3_rows(regime: str, n: Optional[int] = None
                       ) -> Dict[Tuple[int, int], Tuple[int, int]]:
     """Rows q = 0,1 of the published E3 tables as (adjoint, trivial) counts
     per (p, q).  regime: 'I', 'II-generic', 'II-special', 'II-eta',

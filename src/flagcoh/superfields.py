@@ -105,6 +105,8 @@ class SuperPolynomial(TermAlgebra):
                 f"exponent >= 1) pairs and a xi-part of indices, both strictly "
                 f"increasing in 0..{nvars - 1}): {bad}")
         clean = {k: _canon(v) for k, v in data.items() if v}
+        if not clean:
+            return SuperPolynomial.zero(nvars)
         return SuperPolynomial(nvars, tuple(sorted(clean.items())))
 
     @staticmethod

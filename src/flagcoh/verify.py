@@ -396,7 +396,7 @@ def _regime_check(name, a, b, regime, n=None,
     rows = spectral.e3_rows_summary(res)
     got_rows = {k: (x, t) for k, (x, t, o) in rows.items()}
     extra_other = {k: o for k, (x, t, o) in rows.items() if o}
-    want_rows = spectral.published_e3_rows(H.case, regime, n)
+    want_rows = spectral.published_e3_rows(regime, n)
     problems = []
     if got_rows != want_rows or extra_other:
         problems.append(

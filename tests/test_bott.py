@@ -22,9 +22,23 @@ from flagcoh.bott import (
     published_k_value,
     space_from_preset,
     tag_counts,
-    tangent_sheaf_E2,
 )
-from flagcoh.rootsys import SimpleLieType
+from flagcoh.rootsys import SimpleLieType, build_root_system
+from flagcoh.spectral import assemble_E2
+
+
+# the irreducible compact Hermitian symmetric spaces up to rank 9, one per
+# special node of A2-A9, B2-B7, C3-C7, D4-D8, E6 and E7: 73 spaces
+CLASSIFICATION = [
+    build_space(t, a0)
+    for t in (SimpleLieType(f, r) for f, lo, hi in (
+        ("A", 2, 9), ("B", 2, 7), ("C", 3, 7), ("D", 4, 8), ("E", 6, 7))
+        for r in range(lo, hi + 1))
+    for a0 in build_root_system(t).special_simple_roots()]
+_DESK_IDS = {str(space_from_preset(name)) for name in DESK_PRESETS}
+# the desk presets by name, then the rest of the classification
+SWEEP = dict([(name, space_from_preset(name)) for name in DESK_PRESETS]
+             + [(str(H), H) for H in CLASSIFICATION if str(H) not in _DESK_IDS])
 
 
 def descr_summary(descs):
@@ -156,10 +170,10 @@ def test_bott_no_multiple_degrees(name):
 
 # --- invariant dimensions ---------------------------------------------------
 
-@pytest.mark.parametrize("name", DESK_PRESETS)
+@pytest.mark.parametrize("name", SWEEP)
 def test_invariant_dimension_diagonal_law(name):
     """Nonzero invariants exactly on the diagonal q = p-1."""
-    H = space_from_preset(name)
+    H = SWEEP[name]
     for p in range(0, min(H.dim, 4) + 1):
         for q in range(0, min(H.dim, 3) + 1):
             d = invariant_dimension(H, p, q)
@@ -176,10 +190,10 @@ def test_invariant_dimension_examples():
     assert invariant_dimension(H, 3, 2) == 2
 
 
-@pytest.mark.parametrize("name", DESK_PRESETS)
+@pytest.mark.parametrize("name", SWEEP)
 def test_cross_oracle_invariants_vs_bott(name):
     """isotropy-invariants route equals the trivial count of the Bott route exactly."""
-    H = space_from_preset(name)
+    H = SWEEP[name]
     for p in range(0, min(3, H.dim) + 1):
         col = cohomology_omega_p_theta(H, p, q_max=2)
         for q in range(0, 3):
@@ -236,24 +250,30 @@ def test_h2_vanishing_statement(name):
         assert len(nontrivial) == len(extra)
 
 
-# --- tangent sheaf E2 --------------------------------------------------------
+# --- tangent sheaf E2 (spectral.assemble_E2) --------------------------------
+
+def e2_part(table, p, q, provenance):
+    """The descriptors of the (p, q) entry of an E2 table with that
+    provenance ("i" or "l")."""
+    return [s.descriptor for s in table[(p, q)] if s.provenance == provenance]
+
 
 def test_tangent_sheaf_e2_examples():
     HI = space_from_preset("Q3")
-    t = tangent_sheaf_E2(HI, 2)
-    a, tr, o = descr_summary(t[(-1, 0)]["i"])
-    assert (a, tr, o) == (1, 0, 0) and t[(-1, 0)]["l"] == []
+    t = assemble_E2(HI, 2)
+    a, tr, o = descr_summary(e2_part(t, -1, 0, "i"))
+    assert (a, tr, o) == (1, 0, 0) and e2_part(t, -1, 0, "l") == []
 
     HIII = space_from_preset("CP3")
-    t3 = tangent_sheaf_E2(HIII, 2)
-    assert descr_summary(t3[(1, 1)]["i"]) == (0, 1, 0)
-    assert t3[(1, 1)]["l"] == []
+    t3 = assemble_E2(HIII, 2)
+    assert descr_summary(e2_part(t3, 1, 1, "i")) == (0, 1, 0)
+    assert e2_part(t3, 1, 1, "l") == []
 
     HII = space_from_preset("Gr(4,2)")
-    t2 = tangent_sheaf_E2(HII, 2)
-    assert descr_summary(t2[(2, 1)]["l"]) == (0, 2, 0)
-    assert descr_summary(t2[(1, 1)]["l"]) == (1, 0, 0)
-    assert descr_summary(t2[(1, 1)]["i"]) == (0, 2, 0)
+    t2 = assemble_E2(HII, 2)
+    assert descr_summary(e2_part(t2, 2, 1, "l")) == (0, 2, 0)
+    assert descr_summary(e2_part(t2, 1, 1, "l")) == (1, 0, 0)
+    assert descr_summary(e2_part(t2, 1, 1, "i")) == (0, 2, 0)
 
 
 @pytest.mark.parametrize("name", DESK_PRESETS)
@@ -262,14 +282,13 @@ def test_tangent_sheaf_e2_matches_published(name):
     deviations of the underlying bundle cohomology."""
     H = space_from_preset(name)
     k = invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
-    table = tangent_sheaf_E2(H, 2)
+    table = assemble_E2(H, 2)
     deviations = PUBLISHED_TABLE_DEVIATIONS.get(name, {})
 
     def get(p, q, part):
-        entry = table.get((p, q))
-        if entry is None:
+        if (p, q) not in table:
             return (0, 0, 0)
-        a, t, o = descr_summary(entry[part])
+        a, t, o = descr_summary(e2_part(table, p, q, part))
         # strip the recorded extra modules: i* at (p,q) carries column p+1,
         # l* carries column p
         col = p + 1 if part == "i" else p
@@ -399,16 +418,78 @@ def test_weyl_orders_and_coset_counts_of_the_e_spaces():
     assert [sum(map(len, H.kostant_weights)) for H in E_SPACES] == [27, 56]
 
 
-@pytest.mark.parametrize("H", E_SPACES, ids=str)
+@pytest.mark.parametrize("H", CLASSIFICATION, ids=str)
 def test_k_value_of_the_e_spaces_is_the_published_one(H):
-    assert k_value(H) == published_k_value(H) == 1
+    """On the E spaces and over the rest of the classification.  The
+    published list leaves out only the quadric D4/alpha0, whose computed k is
+    2, as on the other two D4 nodes."""
+    published = published_k_value(H)
+    if published is None:
+        assert (str(H), k_value(H)) == ("D4/alpha0", 2)
+    else:
+        assert k_value(H) == published
+    if H.rd.type.family == "E":
+        assert published == 1
+
+
+def _family_deviations(H):
+    """{(p, q): (extra adjoints, extra others)} of the computed tables over
+    the published ones for p <= 4, q <= 2, as computed over the
+    classification: extra adjoints at (2,2) on Gr(n,2) for n >= 5 (one), on
+    Gr(n,k) for 3 <= k <= n-3 (two), on LG(n) for n >= 3, on the spinor nodes
+    of D_n for n >= 5 and on E6 and E7 (one each); one other module at (2,1)
+    on Q3 and at (3,2) on Q5 and LG3."""
+    t = H.rd.type
+    rs = grassmannian_rs(H)
+    if rs is None:
+        adjoints = int(t.family in ("C", "E")
+                       or (t.family == "D" and H.alpha0 != 0 and t.rank >= 5))
+    elif min(rs) == 1:
+        adjoints = 0
+    elif min(rs) == 2:
+        adjoints = int(sum(rs) >= 5)
+    else:
+        adjoints = 2
+    out = {(2, 2): (adjoints, 0)} if adjoints else {}
+    other = {("B", 2): (2, 1), ("B", 3): (3, 2), ("C", 3): (3, 2)}.get((t.family, t.rank))
+    if other:
+        out[other] = (0, 1)
+    return out
+
+
+@pytest.mark.parametrize("H", CLASSIFICATION, ids=str)
+def test_tables_differ_from_the_published_ones_by_the_family_pattern(H):
+    """The q <= 2 tables for p <= 4 are the published ones plus
+    `_family_deviations`; up to dim 12 the columns are also the subset
+    route's."""
+    k = published_k_value(H)
+    if k is None:
+        k = k_value(H)
+    extra = _family_deviations(H)
+    for p in range(min(4, H.dim) + 1):
+        col = cohomology_omega_p_theta(H, p, q_max=2)
+        if H.dim <= 12:
+            assert col == column_by_subsets(H, p, 2), p
+        for q in range(3):
+            ea, et = published_table_entry(H.case, k, p, q)
+            xa, xo = extra.get((p, q), (0, 0))
+            assert tag_counts(col[q]) == (ea + xa, et, xo), (p, q)
+
+
+def test_the_recorded_deviations_are_cases_of_the_family_pattern():
+    for name in DESK_PRESETS:
+        recorded = {}
+        for cell, descs in PUBLISHED_TABLE_DEVIATIONS.get(name, {}).items():
+            adjoints, _, others = tag_counts(descs)
+            recorded[cell] = (adjoints, others)
+        assert recorded == _family_deviations(space_from_preset(name)), name
 
 
 def test_all_bott_columns_of_e7():
     H = E_SPACES[1]
-    table = tangent_sheaf_E2(H, H.dim)
-    assert tag_counts(table[(-1, 0)]["i"]) == (1, 0, 0)
-    assert tag_counts(table[(0, 0)]["i"]) == (0, 1, 0)
+    table = assemble_E2(H, H.dim)
+    assert tag_counts(e2_part(table, -1, 0, "i")) == (1, 0, 0)
+    assert tag_counts(e2_part(table, 0, 0, "i")) == (0, 1, 0)
 
 
 @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (-1, -1), (7, 0), (0, 7), (7, 7)])

@@ -606,11 +606,18 @@ def test_bracket_matches_the_two_barwedge_oracle_m_le_4(m):
 
 def test_cancelled_bracket_component_is_the_shared_zero():
     """{phi, phi} of an even form: on each component the two halves
-    i(phi)phi_k and -i(phi)phi_k cancel exactly."""
+    i(phi)phi_k and -i(phi)phi_k cancel exactly.  Negating, scaling or
+    making a zero gives the shared zero too."""
     rng = random.Random(12)
     for m in (2, 3, 4):
         zero = GrassmannElement.zero(m)
         assert zero is GrassmannElement.zero(m)
+        assert -zero is zero
+        for c in (-1, 0, 1, 3, Fraction(1, 2)):
+            assert zero.scale(c) is zero
+        assert GrassmannElement.make(m, {}) is zero
+        assert GrassmannElement.make(m, {(1,): 0}) is zero
+        assert GrassmannElement(m, ()).scale(-1) is zero
         cancelled = 0
         for density in (1.0, 0.5, 1.0):
             phi = random_rational_form(rng, m, 0, density)

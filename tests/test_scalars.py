@@ -272,6 +272,21 @@ def test_truth_is_nonzero(a, b, truth):
     assert bool(x - x) is False
 
 
+@given(st.integers(-20, 20), st.integers(1, 20), st.integers(-20, 20))
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_equal(a, d, b):
+    """An element equal to a rational hashes like it, so it finds the int or
+    Fraction key in a dict or set, and the other way round."""
+    r = Fraction(a, d)
+    assert hash(qs(r)) == hash(r)
+    assert hash(qs(r, b)) == hash(qs(r, b) + 0)
+    assert len({qs(r), r}) == 1
+    assert {r: "a"}.get(qs(r)) == "a"
+    assert {qs(r): "a"}.get(r) == "a"
+    assert {1: "a"}.get(qs(1)) == "a"
+    assert len({qs(1), 1, Fraction(1)}) == 1
+
+
 def test_sqrt_in_field():
     assert qs(2).sqrt() == RT2 or qs(2).sqrt() == -RT2
     assert qs(4).sqrt() in (qs(2), qs(-2))

@@ -135,7 +135,7 @@ def test_case_II_generic_gr42():
     d = rep.dims()
     assert (d["H0_even"], d["H0_odd"]) == (15, 1)
     assert (d["H1_even"], d["H1_odd"]) == (16, 0)
-    want = published_e3_rows("II", "II-generic")
+    want = published_e3_rows("II-generic")
     got = e3_rows_summary(res)
     assert {k: (a, t) for k, (a, t, o) in got.items()} == want
 
@@ -161,7 +161,7 @@ def test_case_II_eta_gr42_and_gr52():
         rep, res = cohomology_of_T(H, theta_for(H, 0, 1))
         d = rep.dims()
         assert (d["H0_even"], d["H0_odd"], d["H1_even"], d["H1_odd"]) == dims
-        want = published_e3_rows("II", "II-eta")
+        want = published_e3_rows("II-eta")
         got = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res).items()}
         assert got == want, name
 
@@ -184,14 +184,14 @@ def test_case_III():
     assert (d2["H0_even"], d2["H0_odd"]) == (8, 9)
     assert (d2["H1_even"], d2["H1_odd"]) == (0, 1)
     got = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res2).items()}
-    assert got == published_e3_rows("III", "III", n=3)
+    assert got == published_e3_rows("III", n=3)
 
     H3 = space_from_preset("CP3")
     rep3, res3 = cohomology_of_T(H3, theta_for(H3, 1, 0))
     d3 = rep3.dims()
     assert (d3["H1_even"], d3["H1_odd"]) == (0, 0)
     got3 = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res3).items()}
-    assert got3 == published_e3_rows("III", "III", n=4)
+    assert got3 == published_e3_rows("III", n=4)
 
 
 def test_pq_consistency():

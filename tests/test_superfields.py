@@ -810,7 +810,14 @@ def test_cancelling_sum_is_the_shared_zero():
     got = SuperPolynomial._from_dict(nv, {mono: Fraction(0), ((), ()): Fraction(0)})
     assert got is SuperPolynomial.zero(nv)
     p = x(nv, 0) * xi(nv, 1)
-    assert p - p is SuperPolynomial.zero(nv)
+    zero = SuperPolynomial.zero(nv)
+    assert p - p is zero
+    assert -zero is zero
+    for c in (-1, 0, 1, 3, Fraction(1, 2)):
+        assert zero.scale(c) is zero
+    assert SuperPolynomial.make(nv, {}) is zero
+    assert SuperPolynomial.make(nv, {mono: 0}) is zero
+    assert -SuperPolynomial(nv, ()) is zero
     assert SuperPolynomial.zero(nv) is not GrassmannElement.zero(nv)
     assert SuperPolynomial.zero(nv) != GrassmannElement.zero(nv)
 
