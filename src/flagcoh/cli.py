@@ -215,21 +215,18 @@ def cmd_invariants(args) -> int:
 def cmd_forms(args) -> int:
     H = space_from_preset(args.space)
     rs = bott.grassmannian_rs(H)
-    if rs is None or min(rs) < 2:
+    basis = invforms.theta_basis(invforms.MatrixPairSpace(*rs)) if rs else ()
+    if len(basis) < 2:
         _die("the eta family needs a Grassmannian with 2 <= s <= n-2")
-    sp = invforms.MatrixPairSpace(*rs)
-    th2, th3 = invforms.theta_p(sp, 2), invforms.theta_p(sp, 3)
-    et = invforms.eta(sp)
+    th2, et = basis
+    sp = th2.space
+    th3 = invforms.theta_p(sp, 3)
     e1, e2, e3 = invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)
+    named = {"theta2": th2, "eta": et}
     products = {
-        "theta2^theta2": invforms.independent_coefficients(
-            invforms.barwedge_inv(th2, th2), [th3, e1, e2, e3]),
-        "theta2^eta": invforms.independent_coefficients(
-            invforms.barwedge_inv(th2, et), [th3, e1, e2, e3]),
-        "eta^theta2": invforms.independent_coefficients(
-            invforms.barwedge_inv(et, th2), [th3, e1, e2, e3]),
-        "eta^eta": invforms.independent_coefficients(
-            invforms.barwedge_inv(et, et), [th3, e1, e2, e3]),
+        f"{x}^{y}": invforms.independent_coefficients(
+            invforms.barwedge_inv(named[x], named[y]), [th3, e1, e2, e3])
+        for x in named for y in named
     }
     rep = invforms.nilpotent_pairs(sp)
     payload = {

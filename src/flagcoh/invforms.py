@@ -17,7 +17,8 @@ index) pairs only.
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
 the theta family, pairing normalized to the Kronecker form in the paired
-bases).
+bases).  theta = a theta2 + b eta is decided here alone: `theta_basis`
+and `theta_coordinates` say where eta is a basis form and fold it on CP^n.
 """
 
 from __future__ import annotations
@@ -327,20 +328,39 @@ def independent_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# The (2,1)-forms theta2, eta and their product table; nilpotent pairs
-# (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
+# theta = a theta2 + b eta: its basis and coordinates, for every module; the
+# product table; nilpotent pairs (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
-    """P[x][y] = B_x /\\ B_y over the basis B of the invariant (2,1)-forms,
-    theta2 and (when r, s >= 2) eta, restricted to the pivot columns J of
-    the products.  Restriction to J is injective on the span of the
-    products, so every combination of them keeps its rank and kernel there;
-    |J| <= 4."""
-    basis = [theta_p(space, 2)]
+def theta_basis(space) -> Tuple[InvariantVectorForm, ...]:
+    """The invariant (2,1)-forms theta has coordinates over: theta2, and eta
+    where it is independent of theta2, on Mat_{r x s} with r, s >= 2."""
     if isinstance(space, MatrixPairSpace) and min(space.r, space.s) >= 2:
-        basis.append(eta(space))
+        return theta_p(space, 2), eta(space)
+    return (theta_p(space, 2),)
+
+
+def theta_coordinates(space, a, b) -> Tuple[Coeff, ...]:
+    """theta = a theta2 + b eta over `theta_basis(space)`, narrowed: on CP^n
+    eta = theta2 (r = 1) or -theta2 (s = 1) folds into a +- b, and off the
+    Grassmannians eta is undefined and b != 0 raises ValueError."""
+    if len(theta_basis(space)) == 2:
+        return narrow(a), narrow(b)
+    if isinstance(space, MatrixPairSpace):
+        return (narrow(a + b if space.r == 1 else a - b),)
+    if narrow(b):
+        raise ValueError(f"eta undefined on {space}: theta = a theta2 takes b = 0")
+    return (narrow(a),)
+
+
+@lru_cache(maxsize=None)
+def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
+    """P[x][y] = B_x /\\ B_y over `theta_basis(space)`, restricted to the
+    pivot columns J of the products.  Restriction to J is injective on the
+    span of the products, so every combination of them keeps its rank and
+    kernel there; |J| <= 4."""
+    basis = theta_basis(space)
     rows, n_coords = _sparse_rows([barwedge_inv(x, y) for x in basis for y in basis])
     J = sparse_rref(rows, n_coords)[1]
     P = [tuple(row.get(j, 0) for j in J) for row in rows]
@@ -361,8 +381,8 @@ def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
 
     Raises ValueError when (a : b) solves a single quadratic whose roots lie
     outside Q(sqrt2)."""
-    if space.r < 2 or space.s < 2:
-        raise ValueError("eta degenerates to theta2 for s = 1 or r = 1")
+    if len(theta_basis(space)) < 2:
+        raise ValueError(f"eta is no basis form on {space}, so theta has one coordinate")
     (p00, p01), (p10, p11) = product_table(space)
 
     # theta /\ phi = a c P00 + a d P01 + b c P10 + b d P11; for fixed (a,b)

@@ -1,7 +1,8 @@
 """Chevalley-Eilenberg cochains of the abelian nilradical n- with values in
 Hom(g, n- (x) n+), the cocycle attached to an invariant (2,1)-form, exact
 coboundary solves over the R-invariant subspace, and the resulting rank of
-the degree-2 spectral differential on vector fields.
+the degree-2 spectral differential on vector fields.  theta = a theta2 +
+b eta is read over `invforms.theta_basis` at `invforms.theta_coordinates`.
 
 Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
 without zero entries: the g-coordinates of `GModuleBasis.expand`, and each
@@ -34,12 +35,13 @@ from .invforms import (
     Vec,
     _add_into,
     barwedge_inv,
-    eta,
+    theta_basis,
+    theta_coordinates,
     theta_p,
 )
 from .rootsys import SimpleLieType, _require
 from .scalars import (Coeff, SparseRow, canonical, combine_targets, exact_quotient,
-                      narrow, reduce_targets, rref_kernel, solve, sparse_rref)
+                      reduce_targets, rref_kernel, solve, sparse_rref)
 
 Mat = Dict[Tuple[int, int], Coeff]
 
@@ -727,32 +729,24 @@ def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
-    """a theta2 + b eta on the realization's pair space (eta needs Grassmann);
-    rational when a and b are."""
-    a, b = _theta_coefficients(gb, a, b)
-    th2 = theta_p(gb.space, 2).scale(a)
-    return th2 + eta(gb.space).scale(b) if b else th2
-
-
-def _theta_coefficients(gb: GModuleBasis, a, b):
-    """(a, b) narrowed; b must be 0 where eta is undefined."""
-    a, b = narrow(a), narrow(b)
-    if b and not isinstance(gb.space, MatrixPairSpace):
-        raise ValueError("eta undefined on non-Grassmann spaces")
-    return a, b
+    """a theta2 + b eta on the realization's pair space, summed over
+    `invforms.theta_basis` at `invforms.theta_coordinates`; rational when a
+    and b are."""
+    theta, *rest = (f.scale(c) for c, f in zip(theta_coordinates(gb.space, a, b),
+                                               theta_basis(gb.space)))
+    for f in rest:
+        theta = theta + f
+    return theta
 
 
 @functools.cache
 def _theta_family(gb: GModuleBasis, degree: int):
     """The `degree` coboundary system reduced once per basis and degree
-    against the cochains of theta2 and, where it is defined, of eta: c_theta
-    in degree 1, the d2-image family in degree 2.  Both are linear in theta,
-    so the family read at (a, b) solves the system for a theta2 + b eta."""
-    forms = [theta_p(gb.space, 2)]
-    if isinstance(gb.space, MatrixPairSpace):
-        forms.append(eta(gb.space))
+    against the cochains of `invforms.theta_basis`: c_theta in degree 1, the
+    d2-image family in degree 2.  Both are linear in theta, so the family
+    read at theta's coordinates solves the system for theta."""
     build = cochain_from_form if degree == 1 else two_cochain_from_d2_image
-    targets = [build(gb, f) for f in forms]
+    targets = [build(gb, f) for f in theta_basis(gb.space)]
     _require(all(_differential(c).is_zero() for c in targets), "c_theta must be a cocycle")
     columns = _coboundary_columns(gb, degree)
     rows, rhs = _span_rows(columns, targets)
@@ -760,7 +754,7 @@ def _theta_family(gb: GModuleBasis, degree: int):
 
 
 def _theta_solution(gb: GModuleBasis, degree: int, a, b) -> Optional[SparseRow]:
-    return combine_targets(_theta_family(gb, degree), _theta_coefficients(gb, a, b))
+    return combine_targets(_theta_family(gb, degree), theta_coordinates(gb.space, a, b))
 
 
 def d2_vanishes_on_adjoint_at_01(H: HermitianSymmetricSpace, a, b) -> bool:

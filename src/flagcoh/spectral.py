@@ -7,7 +7,8 @@ Coordinates: entries are indexed (p, q) with q the TOTAL cohomology degree
 (p, q) -> (p+2, q+1).  Module summands stay symbolic (trivial / adjoint /
 other) so G-equivariance can be exploited: d2 only connects summands of the
 same type.  Entries whose d2 data is unknown are emitted `undetermined`,
-never guessed.
+never guessed.  theta = a theta2 + b eta has its one basis and its coordinates
+in `invforms.theta_basis` and `invforms.theta_coordinates`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bott import (
     k_value,
     tag_counts,
 )
-from .invforms import product_table
+from .invforms import product_table, theta_coordinates
 from .liecoh import (
     build_g_basis,
     d2_rank_on_vector_fields,
@@ -36,8 +37,8 @@ from .scalars import QSqrt2, narrow, rank
 
 @dataclass(frozen=True)
 class ThetaParameter:
-    """The invariant (2,1)-form a theta2 + b eta parametrizing the
-    supermanifold; cases I/III carry the single point (1, 0)."""
+    """The invariant (2,1)-form a theta2 + b eta parametrizing the supermanifold;
+    `theta_for` reads (a, b) off `invforms.theta_coordinates`."""
 
     case: str
     a: QSqrt2
@@ -46,22 +47,11 @@ class ThetaParameter:
     def __post_init__(self):
         if not (self.a or self.b):
             raise ValueError("theta parameter must be nonzero")
-        if self.case in ("I", "III") and self.b:
-            raise ValueError("cases I/III have the single parameter theta2")
 
 
 def theta_for(H: HermitianSymmetricSpace, a=1, b=0) -> ThetaParameter:
-    a = a if isinstance(a, QSqrt2) else QSqrt2(a)
-    b = b if isinstance(b, QSqrt2) else QSqrt2(b)
-    if H.case in ("I", "III") and b:
-        # eta is proportional to theta2 (III) or undefined (I); collapse
-        rs = grassmannian_rs(H)
-        if rs is not None:
-            sign = 1 if rs[0] == 1 else -1
-            a, b = a + b * sign, QSqrt2(0)
-        else:
-            raise ValueError("eta is Grassmann-specific; case I takes b = 0")
-    return ThetaParameter(H.case, a, b)
+    a, *b = theta_coordinates(build_g_basis(H).space, a, b)
+    return ThetaParameter(H.case, QSqrt2(a), QSqrt2(b[0] if b else 0))
 
 
 @dataclass
@@ -134,6 +124,15 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     if H.rd.type.family == "E":
         raise ValueError("E-type spectral tables are outside the desk scale")
     E2 = assemble_E2(H, 2)
+    # one trivial i*-summand at (1,1) per invariant (2,1)-form of theta's basis
+    space = build_g_basis(H).space
+    P = product_table(space)
+    avail = _count(E2.get((1, 1), []), "i", "trivial")
+    if avail != len(P):
+        raise ValueError(
+            f"{H}: E2 has {avail} trivial i*-summands at (1,1) for the {len(P)} "
+            f"invariant (2,1)-forms of its realization; the presentation of "
+            f"Gr(4,2) with eta is (A3, 1)")
     E3: Table = {
         k: [Summand(s.provenance, s.descriptor, s.status) for s in v]
         for k, v in E2.items()
@@ -153,16 +152,11 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
 
     # (iii) i*-part of (1,1): phi -> l*[theta /\ phi] into the invariant part
     # of (3,2); on the invariant (2,1)-forms B_y, theta /\ B_y is
-    # sum_x c_x B_x /\ B_y with (c_x) = (a, b) (b collapsed by theta_for
-    # where eta is no basis form), read on the product table
-    P = product_table(build_g_basis(H).space)
-    coeffs = (a, b)[:len(P)]
+    # sum_x c_x B_x /\ B_y over theta's coordinates c_x, read on the product table
+    coeffs = theta_coordinates(space, a, b)
     rank11 = rank([[sum(c * Px[y][j] for c, Px in zip(coeffs, P))
                     for j in range(len(P[0][y]))] for y in range(len(P))])
     kernel11 = len(P) - rank11
-    avail = _count(E3.get((1, 1), []), "i", "trivial")
-    _require(avail == len(P),
-             f"{avail} trivial i*-summands at (1,1) for {len(P)} invariant (2,1)-forms")
     _remove(E3[(1, 1)], "i", "trivial", rank11)
     # the image lands in the invariant part of (3,2)
     _remove(E3.get((3, 2), []), "l", "trivial", rank11)
@@ -187,15 +181,9 @@ def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
     # l* of an invariant class is d2-closed and all incoming maps were
     # accounted above; everything else may have unknown d2 data.
     for (p, q), entry in E3.items():
-        if q != 2:
-            continue
         for s in entry:
-            determined = (
-                (p, q) == (3, 2)
-                and s.provenance == "l"
-                and s.descriptor.tag == "trivial"
-            )
-            if not determined:
+            if q == 2 and not (p == 3 and s.provenance == "l"
+                               and s.descriptor.tag == "trivial"):
                 s.status = "undetermined"
 
     E3 = {k: v for k, v in E3.items() if v}
@@ -229,30 +217,23 @@ class CohomologyReport:
 def cohomology_of_T(H: HermitianSymmetricSpace,
                     theta: ThetaParameter) -> Tuple[CohomologyReport, E3Result]:
     res = apply_d2(H, theta)
-    buckets = {("0", 0): [], ("0", 1): [], ("1", 0): [], ("1", 1): []}
+    # (q, parity of p) in the field order H0_even, H0_odd, H1_even, H1_odd
+    buckets = {(q, parity): [] for q in (0, 1) for parity in (0, 1)}
     for (p, q), entry in res.E3.items():
-        if q > 1:
-            continue
-        for s in entry:
+        for s in (entry if q <= 1 else ()):
             _require(s.status == "ok", "rows 0,1 must be fully determined")
-            buckets[(str(q), p % 2)].append(s.descriptor)
-    report = CohomologyReport(
-        H0_even=_merge_descriptors(buckets[("0", 0)]),
-        H0_odd=_merge_descriptors(buckets[("0", 1)]),
-        H1_even=_merge_descriptors(buckets[("1", 0)]),
-        H1_odd=_merge_descriptors(buckets[("1", 1)]),
-    )
-    return report, res
+            buckets[(q, p % 2)].append(s.descriptor)
+    return CohomologyReport(*map(_merge_descriptors, buckets.values())), res
 
 
 def pq_consistency(H: HermitianSymmetricSpace) -> Dict[str, object]:
     """For Gr(n,s) with theta = eta, the super vector-field dimensions must
     be (n^2 - 1 | n^2), matching q_n / <I>."""
     rs = grassmannian_rs(H)
-    if rs is None or min(rs) < 1:
+    if rs is None:
         raise ValueError("pq consistency is a Grassmannian check")
     n = rs[0] + rs[1]
-    theta = theta_for(H, 0, 1) if min(rs) >= 2 else theta_for(H, 1, 0)
+    theta = theta_for(H, 0, 1)
     report, _ = cohomology_of_T(H, theta)
     dims = report.dims()
     expected = {"even": n * n - 1, "odd": n * n}

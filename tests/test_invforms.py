@@ -22,6 +22,8 @@ from flagcoh.invforms import (
     nilpotent_pairs,
     rank_of,
     theta_barwedge_theta,
+    theta_basis,
+    theta_coordinates,
     theta_p,
     _clean,
     _projective_roots,
@@ -127,6 +129,27 @@ def test_eta_proportional_theta2_for_projective_spaces():
         sp = MatrixPairSpace(r, s)
         assert eta(sp) == theta_p(sp, 2).scale(sign)
         assert rank_of([theta_p(sp, 2), eta(sp)]) == 1
+
+
+def test_theta_basis_and_coordinates():
+    """theta2 and eta where r, s >= 2; theta2 alone on CP^n, where b folds
+    into a with the sign of eta = +-theta2 and the sum is narrowed, and off
+    the Grassmannians, where b != 0 is refused."""
+    for sp in (GR42, GR52, GR63):
+        assert theta_basis(sp) == (theta_p(sp, 2), eta(sp))
+        assert theta_coordinates(sp, QSqrt2(2), RT2) == (2, RT2)
+    for (r, s), sign in (((2, 1), -1), ((1, 3), 1), ((3, 1), -1)):
+        sp = MatrixPairSpace(r, s)
+        assert theta_basis(sp) == (theta_p(sp, 2),)
+        for a, b in ((2, 1), (QSqrt2(1, 1), QSqrt2(Fraction(1, 2), -sign))):
+            (c,), = [theta_coordinates(sp, a, b)]
+            assert theta_p(sp, 2).scale(c) == theta_p(sp, 2).scale(a) + eta(sp).scale(b)
+        assert type(c) is Fraction and c == Fraction(2 + sign, 2)
+    sp = RootPairSpace(4)
+    assert theta_basis(sp) == (theta_p(sp, 2),)
+    assert theta_coordinates(sp, QSqrt2(3), QSqrt2(0)) == (3,)
+    with pytest.raises(ValueError, match="eta undefined"):
+        theta_coordinates(sp, 1, RT2)
 
 
 def test_forms_on_different_spaces_neither_compare_equal_nor_add():
@@ -300,8 +323,12 @@ def test_nilpotent_pairs_zero_verification():
 
 
 def test_nilpotent_pairs_rejects_degenerate_spaces():
-    with pytest.raises(ValueError):
-        nilpotent_pairs(MatrixPairSpace(3, 1))
+    """Where eta is no basis form (CP^n, and the root-vector spaces where it
+    is undefined) theta has one coordinate and no pair problem."""
+    for space in (MatrixPairSpace(3, 1), MatrixPairSpace(1, 2), RootPairSpace(3),
+                  RootPairSpace(4)):
+        with pytest.raises(ValueError, match="eta is no basis form"):
+            nilpotent_pairs(space)
 
 
 # --- nilpotent pairs against the exhaustive minor scan ----------------------------

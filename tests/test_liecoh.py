@@ -10,7 +10,7 @@ from canonical import is_canonical
 from subset_route import dual, trivial_multiplicity
 
 from flagcoh import liecoh, spectral
-from flagcoh.bott import PRESET_NAMES, build_space, space_from_preset
+from flagcoh.bott import PRESET_NAMES, build_space, grassmannian_rs, space_from_preset
 from flagcoh.invforms import _add_into, barwedge_inv, eta, eta1, eta2, eta3, theta_p
 from flagcoh.liecoh import (
     Cochain,
@@ -753,10 +753,11 @@ def test_cochains_on_different_bases_do_not_mix():
             op()
 
 
-def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2(monkeypatch):
-    """eta = theta2 when r = 1 and eta = -theta2 when s = 1, so theta_form
-    needs no fold of its own; b = 0 builds no eta, and b != 0 is refused
-    where eta is undefined."""
+def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2():
+    """eta = theta2 when r = 1 and eta = -theta2 when s = 1, and theta_form
+    sums `invforms.theta_basis` at `invforms.theta_coordinates`, which fold
+    b into a there; b = 0 gives a theta2, and b != 0 is refused where eta
+    is undefined."""
     rng = random.Random(18)
     for H, sign in ((build_space(SimpleLieType("A", 2), 0), 1),
                     (space_from_preset("CP2"), -1)):
@@ -768,7 +769,6 @@ def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2(monkeypatch
                            rng.randint(-2, 2)) for _ in range(2))
             assert theta_form(gb, a, b).tensor == th2.scale(a + b * sign).tensor
         assert theta_form(gb, 1, -sign).is_zero()
-    monkeypatch.setattr(liecoh, "eta", None)
     gr42 = build_g_basis(space_from_preset("Gr(4,2)"))
     assert theta_form(gr42, 2, 0).tensor == theta_p(gr42.space, 2).scale(2).tensor
     q3 = build_g_basis(space_from_preset("Q3"))
@@ -805,9 +805,10 @@ def _random_parameters(rng, eta_defined):
 @pytest.mark.parametrize("name", ["Gr(4,2)", "Gr(5,2)", "Gr(5,3)", "CP2", "Q3", "LG3"])
 def test_theta_family_reads_match_the_per_parameter_solves(name):
     """At every (a, b) of the golden spectral queries on the space and at 20
-    random (a, b) in Q(sqrt2)^2 (b = 0 off Gr(4,2), Gr(5,2), Gr(5,3)), the
-    reads of the theta families give the rank, the witness values and the
-    adjoint verdict of the per-(a, b) solves."""
+    random (a, b) in Q(sqrt2)^2 (b = 0 off the Grassmannians; on CP2 b folds
+    into a through `invforms.theta_coordinates`), the reads of the theta
+    families give the rank, the witness values and the adjoint verdict of
+    the per-(a, b) solves."""
     H = space_from_preset(name)
     params = []
     for key in GOLDEN_SPECTRAL:
@@ -817,7 +818,7 @@ def test_theta_family_reads_match_the_per_parameter_solves(name):
             params.append((theta.a, theta.b))
     assert params
     rng = random.Random(f"theta-family/{name}")
-    params += _random_parameters(rng, name.startswith("Gr"))
+    params += _random_parameters(rng, grassmannian_rs(H) is not None)
     for a, b in params:
         rank, res = liecoh.d2_on_vector_fields(H, a, b)
         want_rank, want_witness, want_adjoint = per_parameter_route(H, a, b)
@@ -827,6 +828,22 @@ def test_theta_family_reads_match_the_per_parameter_solves(name):
         else:
             assert res.witness.data == want_witness.data, (a, b)
         assert liecoh.d2_vanishes_on_adjoint_at_01(H, a, b) == want_adjoint, (a, b)
+
+
+def test_theta_family_targets_are_the_theta_basis(monkeypatch):
+    """Each theta family is reduced against one cochain per form of
+    `invforms.theta_basis`: theta2 alone on CP^n, where eta = +-theta2, and
+    theta2 and eta on Gr(4,2)."""
+    seen = []
+    reduce = liecoh.reduce_targets
+    monkeypatch.setattr(liecoh, "reduce_targets", lambda rows, n, targets: (
+        seen.append(len(targets)) or reduce(rows, n, targets)))
+    spaces = [build_space(SimpleLieType("A", 2), 0)] + [
+        space_from_preset(name) for name in ("CP2", "CP3", "Gr(4,2)")]
+    for H in spaces:
+        for degree in (1, 2):
+            liecoh._theta_family.__wrapped__(build_g_basis(H), degree)
+    assert seen == [1, 1, 1, 1, 1, 1, 2, 2]
 
 
 DEGREE_2_CONDITION = ("Gr(5,2)", "Gr(5,3)", "Gr(6,3)", "LG3")

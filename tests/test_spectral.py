@@ -9,10 +9,12 @@ import pytest
 
 import flagcoh
 from flagcoh import spectral
-from flagcoh.bott import PRESET_NAMES, grassmannian_rs, space_from_preset
+from flagcoh.bott import (PRESET_NAMES, build_space, cohomology_omega_p_theta,
+                          grassmannian_rs, space_from_preset)
 from flagcoh.invforms import (
     MatrixPairSpace, RootPairSpace, barwedge_inv, eta, rank_of, theta_p,
 )
+from flagcoh.rootsys import SimpleLieType
 from flagcoh.scalars import QSqrt2, RT2, parse_scalar
 from flagcoh.spectral import (
     ThetaParameter,
@@ -304,3 +306,67 @@ def test_step_iii_matches_the_whole_tensor_rank(name, monkeypatch):
             continue
         assert apply_d2(H, theta).kernel_dim_11 == \
             _whole_tensor_kernel11(H, theta.a, theta.b), (a, b)
+
+
+# --- one answer per space, whatever its presentation ----------------------------
+
+def _descriptors(items):
+    """A list of summands up to the diagram automorphism, which moves their
+    highest weights: (tag, dim, mult), sorted."""
+    return sorted((d.tag, d.dim, d.mult) for d in items)
+
+
+def _invariants(H, a, b):
+    """H^0, H^1, the d2 rank on vector fields, kernel_dim_11,
+    adjoint_01_survives and the Bott table H^q(Omega^p (x) Theta), or
+    None when theta_for refuses (a, b)."""
+    try:
+        theta = theta_for(H, a, b)
+    except ValueError:
+        return None
+    report, res = cohomology_of_T(H, theta)
+    bott = {(p, q): _descriptors(col)
+            for p in range(H.dim + 1)
+            for q, col in cohomology_omega_p_theta(H, p, H.dim).items()}
+    return ([_descriptors(x) for x in (report.H0_even, report.H0_odd,
+                                        report.H1_even, report.H1_odd)],
+            res.rank_vector_fields, res.kernel_dim_11, res.adjoint_01_survives, bott)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_grassmannian_duality_negates_b(n):
+    """Gr(n, k+1) as (A_{n-1}, k) at (a, b) gives the invariants of
+    Gr(n, n-k-1) as (A_{n-1}, n-2-k) at (a, -b); on CP^n both sides refuse
+    the parameter that folds to zero."""
+    t = SimpleLieType("A", n - 1)
+    for k in range(n - 1):
+        H, dual = build_space(t, k), build_space(t, n - 2 - k)
+        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)):
+            got = _invariants(H, a, b)
+            assert got == _invariants(dual, a, -b), (n, k, a, b)
+            assert got is not None or min(grassmannian_rs(H)) == 1, (n, k, a, b)
+
+
+@pytest.mark.parametrize("presentations", [
+    (("B", 2, 0), ("C", 2, 1)),                                # Q3
+    (("A", 3, 0), ("A", 3, 2), ("D", 3, 1), ("D", 3, 2)),      # CP3
+])
+def test_low_rank_coincidences_agree(presentations):
+    """One space realized in sl, so and sp gives one answer."""
+    spaces = [build_space(SimpleLieType(f, r), k) for f, r, k in presentations]
+    first = _invariants(spaces[0], 1, 0)
+    assert first is not None
+    for H in spaces[1:]:
+        assert _invariants(H, 1, 0) == first, H
+
+
+def test_quadric_q4_is_refused_with_a_value_error():
+    """Gr(4,2) as (D3, 0) has the two trivial i*-summands at (1,1) of
+    theta2 and eta, but its so(6) pair space carries theta2 alone: every
+    parameter is refused with a ValueError that names (A3, 1)."""
+    H = build_space(SimpleLieType("D", 3), 0)
+    for a, b in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match=r"\(A3, 1\)"):
+            cohomology_of_T(H, ThetaParameter(H.case, QSqrt2(a), QSqrt2(b)))
+    with pytest.raises(ValueError, match="eta undefined"):
+        theta_for(H, 0, 1)
