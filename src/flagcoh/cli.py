@@ -222,11 +222,15 @@ def cmd_forms(args) -> int:
     sp = th2.space
     th3 = invforms.theta_p(sp, 3)
     e1, e2, e3 = invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)
-    named = {"theta2": th2, "eta": et}
     products = {
-        f"{x}^{y}": invforms.independent_coefficients(
-            invforms.barwedge_inv(named[x], named[y]), [th3, e1, e2, e3])
-        for x in named for y in named
+        "theta2^theta2": invforms.independent_coefficients(
+            invforms.barwedge_inv(th2, th2), [th3, e1, e2, e3]),
+        "theta2^eta": invforms.independent_coefficients(
+            invforms.barwedge_inv(th2, et), [th3, e1, e2, e3]),
+        "eta^theta2": invforms.independent_coefficients(
+            invforms.barwedge_inv(et, th2), [th3, e1, e2, e3]),
+        "eta^eta": invforms.independent_coefficients(
+            invforms.barwedge_inv(et, et), [th3, e1, e2, e3]),
     }
     rep = invforms.nilpotent_pairs(sp)
     payload = {
