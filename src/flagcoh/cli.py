@@ -275,8 +275,8 @@ def cmd_d2(args) -> int:
     H = space_from_preset(args.space)
     a = parse_scalar(args.a) if args.a else QSqrt2(1)
     b = parse_scalar(args.b) if args.b else QSqrt2(0)
-    theta = spectral.theta_for(H, a, b)
-    rank, res = liecoh.d2_on_vector_fields(H, theta.a, theta.b)
+    spectral.theta_for(H, a, b)
+    rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
     if res.witness is not None:
         # each sparse value is written as a dense list of module_dim scalars
@@ -301,8 +301,7 @@ def cmd_e3(args) -> int:
     H = space_from_preset(args.space)
     a = parse_scalar(args.a) if args.a else QSqrt2(1)
     b = parse_scalar(args.b) if args.b else QSqrt2(0)
-    theta = spectral.theta_for(H, a, b)
-    report, res = spectral.cohomology_of_T(H, theta)
+    report, res = spectral.cohomology_of_T(H, a, b)
 
     def table_json(table):
         out = []

@@ -13,7 +13,7 @@ in `invforms.theta_basis` and `invforms.theta_coordinates`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .bott import (
@@ -32,29 +32,19 @@ from .liecoh import (
     d2_vanishes_on_adjoint_at_01,
 )
 from .rootsys import _require
-from .scalars import QSqrt2, narrow, rank
+from .scalars import rank
+
+
+def theta_for(H: HermitianSymmetricSpace, a, b) -> Tuple:
+    """theta = a theta2 + b eta as its `invforms.theta_coordinates` on H's
+    realization; the one check that theta is nonzero."""
+    coeffs = theta_coordinates(build_g_basis(H).space, a, b)
+    if not any(coeffs):
+        raise ValueError("theta parameter must be nonzero")
+    return coeffs
 
 
 @dataclass(frozen=True)
-class ThetaParameter:
-    """The invariant (2,1)-form a theta2 + b eta parametrizing the supermanifold;
-    `theta_for` reads (a, b) off `invforms.theta_coordinates`."""
-
-    case: str
-    a: QSqrt2
-    b: QSqrt2
-
-    def __post_init__(self):
-        if not (self.a or self.b):
-            raise ValueError("theta parameter must be nonzero")
-
-
-def theta_for(H: HermitianSymmetricSpace, a=1, b=0) -> ThetaParameter:
-    a, *b = theta_coordinates(build_g_basis(H).space, a, b)
-    return ThetaParameter(H.case, QSqrt2(a), QSqrt2(b[0] if b else 0))
-
-
-@dataclass
 class Summand:
     provenance: str              # "i" | "l"
     descriptor: ModuleDescriptor
@@ -80,27 +70,6 @@ def assemble_E2(H: HermitianSymmetricSpace, q_max: int = 2) -> Table:
     return table
 
 
-def _remove(entry: List[Summand], provenance: str, tag: str, count: int) -> None:
-    """Remove count multiplicity from matching summands; raises if the entry
-    holds less, since the d2 bookkeeping would then be wrong."""
-    removed = 0
-    for s in entry:
-        if removed >= count:
-            break
-        if s.provenance == provenance and s.descriptor.tag == tag:
-            take = min(s.descriptor.mult, count - removed)
-            s.descriptor = ModuleDescriptor(
-                s.descriptor.tag, s.descriptor.weight, s.descriptor.dim,
-                s.descriptor.mult - take,
-            )
-            removed += take
-    entry[:] = [s for s in entry if s.descriptor.mult > 0]
-    if removed != count:
-        raise AssertionError(
-            f"E3 bookkeeping: {provenance}*-{tag} has multiplicity {removed}, "
-            f"d2 needs {count}")
-
-
 def _count(entry: List[Summand], provenance: str, tag: str) -> int:
     return sum(
         s.descriptor.mult
@@ -120,74 +89,67 @@ class E3Result:
     notes: List[str] = field(default_factory=list)
 
 
-def apply_d2(H: HermitianSymmetricSpace, theta: ThetaParameter) -> E3Result:
+def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:
     if H.rd.type.family == "E":
         raise ValueError("E-type spectral tables are outside the desk scale")
     E2 = assemble_E2(H, 2)
     # one trivial i*-summand at (1,1) per invariant (2,1)-form of theta's basis
-    space = build_g_basis(H).space
-    P = product_table(space)
+    P = product_table(build_g_basis(H).space)
     avail = _count(E2.get((1, 1), []), "i", "trivial")
     if avail != len(P):
         raise ValueError(
             f"{H}: E2 has {avail} trivial i*-summands at (1,1) for the {len(P)} "
             f"invariant (2,1)-forms of its realization; the presentation of "
             f"Gr(4,2) with eta is (A3, 1)")
-    E3: Table = {
-        k: [Summand(s.provenance, s.descriptor, s.status) for s in v]
-        for k, v in E2.items()
-    }
+    coeffs = theta_for(H, a, b)
     notes: List[str] = []
-    a, b = narrow(theta.a), narrow(theta.b)
 
     # (i) E2^{-1,0}: w -> l*[theta /\ w], rank 0 or dim g (liecoh)
     rank_v = d2_rank_on_vector_fields(H, a, b)
-    if rank_v:
-        _remove(E3[(-1, 0)], "i", "adjoint", 1)
-        _remove(E3[(1, 1)], "l", "adjoint", 1)
-
-    # (ii) the grading field at (0,0) never survives: d2(eps) = -2 l*[theta]
-    _remove(E3[(0, 0)], "i", "trivial", 1)
-    _remove(E3[(2, 1)], "l", "trivial", 1)
 
     # (iii) i*-part of (1,1): phi -> l*[theta /\ phi] into the invariant part
     # of (3,2); on the invariant (2,1)-forms B_y, theta /\ B_y is
     # sum_x c_x B_x /\ B_y over theta's coordinates c_x, read on the product table
-    coeffs = theta_coordinates(space, a, b)
     rank11 = rank([[sum(c * Px[y][j] for c, Px in zip(coeffs, P))
                     for j in range(len(P[0][y]))] for y in range(len(P))])
-    kernel11 = len(P) - rank11
-    _remove(E3[(1, 1)], "i", "trivial", rank11)
-    # the image lands in the invariant part of (3,2)
-    _remove(E3.get((3, 2), []), "l", "trivial", rank11)
 
     # (iv) adjoint summand at (0,1): structurally closed unless the target
     # (2,2)-l has an adjoint component; then decided by the exact solve
-    adj01 = True
-    if _count(E3.get((0, 1), []), "i", "adjoint"):
-        if _count(E3.get((2, 2), []), "l", "adjoint"):
-            adj01 = d2_vanishes_on_adjoint_at_01(H, a, b)
-            if not adj01:
-                _remove(E3[(0, 1)], "i", "adjoint", 1)
-                _remove(E3[(2, 2)], "l", "adjoint", 1)
-                notes.append(
-                    "d2 is nonzero on the adjoint summand of E2^{0,1} "
-                    "(absent from the published tables)"
-                )
+    adj01 = not (_count(E2.get((0, 1), []), "i", "adjoint")
+                 and _count(E2.get((2, 2), []), "l", "adjoint")
+                 ) or d2_vanishes_on_adjoint_at_01(H, a, b)
+    if not adj01:
+        notes.append("d2 is nonzero on the adjoint summand of E2^{0,1} "
+                     "(absent from the published tables)")
 
-    # row q=2 bookkeeping: entries with possibly-unknown differentials are
-    # flagged undetermined rather than guessed.  The only fully determined
-    # row-2 summands are the trivial (invariant-class) l*-parts of (3,2):
-    # l* of an invariant class is d2-closed and all incoming maps were
-    # accounted above; everything else may have unknown d2 data.
-    for (p, q), entry in E3.items():
+    # each step's rank leaves the i*-part of (p, q) and the l*-part of (p+2, q+1)
+    cut: Dict[Tuple[int, int, str, str], int] = {}
+    for p, q, tag, r in (
+        (-1, 0, "adjoint", int(rank_v > 0)),    # (i)
+        (0, 0, "trivial", 1),   # (ii) the grading field: d2(eps) = -2 l*[theta]
+        (1, 1, "trivial", rank11),              # (iii)
+        (0, 1, "adjoint", int(not adj01)),      # (iv)
+    ):
+        cut[(p, q, "i", tag)] = cut[(p + 2, q + 1, "l", tag)] = r
+
+    # row q=2: entries with possibly-unknown differentials are flagged
+    # undetermined rather than guessed.  The only fully determined row-2
+    # summands are the trivial (invariant-class) l*-parts of (3,2): l* of an
+    # invariant class is d2-closed and every incoming map is cut above.
+    E3: Table = {}
+    for (p, q), entry in E2.items():
         for s in entry:
-            if q == 2 and not (p == 3 and s.provenance == "l"
-                               and s.descriptor.tag == "trivial"):
-                s.status = "undetermined"
-
-    E3 = {k: v for k, v in E3.items() if v}
-    return E3Result(H, E2, E3, rank_v, kernel11, adj01, notes)
+            d, key = s.descriptor, (p, q, s.provenance, s.descriptor.tag)
+            take = min(d.mult, cut.get(key, 0))
+            if take:
+                cut[key] -= take
+            if d.mult > take:
+                status = ("undetermined" if q == 2 and key != (3, 2, "l", "trivial")
+                          else "ok")
+                E3.setdefault((p, q), []).append(
+                    Summand(s.provenance, replace(d, mult=d.mult - take), status))
+    _require(not any(cut.values()), f"E3 bookkeeping: d2 cuts {cut} exceed E2")
+    return E3Result(H, E2, E3, rank_v, len(P) - rank11, adj01, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +176,13 @@ class CohomologyReport:
         }
 
 
-def cohomology_of_T(H: HermitianSymmetricSpace,
-                    theta: ThetaParameter) -> Tuple[CohomologyReport, E3Result]:
-    res = apply_d2(H, theta)
+def cohomology_of_T(H: HermitianSymmetricSpace, a, b
+                    ) -> Tuple[CohomologyReport, E3Result]:
+    res = apply_d2(H, a, b)
     # (q, parity of p) in the field order H0_even, H0_odd, H1_even, H1_odd
     buckets = {(q, parity): [] for q in (0, 1) for parity in (0, 1)}
     for (p, q), entry in res.E3.items():
         for s in (entry if q <= 1 else ()):
-            _require(s.status == "ok", "rows 0,1 must be fully determined")
             buckets[(q, p % 2)].append(s.descriptor)
     return CohomologyReport(*map(_merge_descriptors, buckets.values())), res
 
@@ -233,8 +194,7 @@ def pq_consistency(H: HermitianSymmetricSpace) -> Dict[str, object]:
     if rs is None:
         raise ValueError("pq consistency is a Grassmannian check")
     n = rs[0] + rs[1]
-    theta = theta_for(H, 0, 1)
-    report, _ = cohomology_of_T(H, theta)
+    report, _ = cohomology_of_T(H, 0, 1)
     dims = report.dims()
     expected = {"even": n * n - 1, "odd": n * n}
     ok = dims["H0_even"] == expected["even"] and dims["H0_odd"] == expected["odd"]
@@ -252,42 +212,28 @@ def pq_consistency(H: HermitianSymmetricSpace) -> Dict[str, object]:
 # Published-table comparison (the acceptance layer asserts these)
 # ---------------------------------------------------------------------------
 
+# rows q = 0,1 of the published E3 tables as (adjoint, trivial) counts per
+# (p, q), one row per regime; the II-special row follows the item-(3) statement
+_PUBLISHED_E3_ROWS: Dict[str, Dict[Tuple[int, int], Tuple[int, int]]] = {
+    "I": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0)},
+    "II-generic": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0), (2, 1): (0, 1)},
+    "II-special": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (0, 1),
+                   (2, 1): (0, 1)},
+    "II-eta": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0),
+               (1, 1): (1, 0), (2, 1): (0, 1)},
+    "III": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1)},
+}
+
+
 def published_e3_rows(regime: str, n: Optional[int] = None
                       ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Rows q = 0,1 of the published E3 tables as (adjoint, trivial) counts
-    per (p, q).  regime: 'I', 'II-generic', 'II-special', 'II-eta',
-    'III'. The II-special row follows the item-(3) statement."""
-    t: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    if regime == "I":
-        t[(0, 0)] = (1, 0)
-        t[(1, 0)] = (0, 1)
-        t[(0, 1)] = (1, 0)
-    elif regime == "II-generic":
-        t[(0, 0)] = (1, 0)
-        t[(1, 0)] = (0, 1)
-        t[(0, 1)] = (1, 0)
-        t[(2, 1)] = (0, 1)
-    elif regime == "II-special":
-        t[(0, 0)] = (1, 0)
-        t[(1, 0)] = (0, 1)
-        t[(0, 1)] = (1, 0)
-        t[(1, 1)] = (0, 1)
-        t[(2, 1)] = (0, 1)
-    elif regime == "II-eta":
-        t[(-1, 0)] = (1, 0)
-        t[(0, 0)] = (1, 0)
-        t[(1, 0)] = (0, 1)
-        t[(0, 1)] = (1, 0)
-        t[(1, 1)] = (1, 0)
-        t[(2, 1)] = (0, 1)
-    elif regime == "III":
-        t[(-1, 0)] = (1, 0)
-        t[(0, 0)] = (1, 0)
-        t[(1, 0)] = (0, 1)
-        if n == 3:
-            t[(1, 1)] = (0, 1)
-    else:
+    """The published rows of `regime` ('I', 'II-generic', 'II-special',
+    'II-eta', 'III'); on CP2 (regime III, n = 3) (1,1) keeps a trivial."""
+    if regime not in _PUBLISHED_E3_ROWS:
         raise ValueError(regime)
+    t = dict(_PUBLISHED_E3_ROWS[regime])
+    if regime == "III" and n == 3:
+        t[(1, 1)] = (0, 1)
     return t
 
 

@@ -391,8 +391,7 @@ def check_c6_d2_ranks() -> Tuple[bool, str]:
 def _regime_check(name, a, b, regime, n=None,
                   expected_dims=None) -> Tuple[bool, str]:
     H = space_from_preset(name)
-    theta = spectral.theta_for(H, a, b)
-    report, res = spectral.cohomology_of_T(H, theta)
+    report, res = spectral.cohomology_of_T(H, a, b)
     rows = spectral.e3_rows_summary(res)
     got_rows = {k: (x, t) for k, (x, t, o) in rows.items()}
     extra_other = {k: o for k, (x, t, o) in rows.items() if o}
@@ -437,20 +436,15 @@ def check_c7_pq_consistency() -> Tuple[bool, str]:
 
 def check_c7_computed_deviations() -> Tuple[bool, str]:
     """Pins the verified deviating values so regressions are caught."""
-    H = space_from_preset("Q3")
-    report, res = spectral.cohomology_of_T(H, spectral.theta_for(H, 1, 0))
+    report, res = spectral.cohomology_of_T(space_from_preset("Q3"), 1, 0)
     d = report.dims()
     if (d["H1_even"], d["H1_odd"]) != (15, 5):
         return False, f"Q3 computed H1 changed: {d}"
-    H = space_from_preset("Gr(5,2)")
-    report, res = spectral.cohomology_of_T(H, spectral.theta_for(H, 1, 0))
+    report, res = spectral.cohomology_of_T(space_from_preset("Gr(5,2)"), 1, 0)
     d = report.dims()
     if (d["H1_even"], d["H1_odd"]) != (1, 0):
         return False, f"Gr(5,2) computed H1 changed: {d}"
-    rep, res = spectral.cohomology_of_T(
-        space_from_preset("Gr(4,2)"),
-        spectral.theta_for(space_from_preset("Gr(4,2)"), 1, 1),
-    )
+    rep, res = spectral.cohomology_of_T(space_from_preset("Gr(4,2)"), 1, 1)
     if rep.dims()["H1_odd"] != 1:
         return False, "the rational special value theta2+eta lost its kernel"
     return True, "verified deviations stable"

@@ -14,10 +14,9 @@ from flagcoh.bott import (PRESET_NAMES, build_space, cohomology_omega_p_theta,
 from flagcoh.invforms import (
     MatrixPairSpace, RootPairSpace, barwedge_inv, eta, rank_of, theta_p,
 )
-from flagcoh.rootsys import SimpleLieType
+from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.scalars import QSqrt2, RT2, parse_scalar
 from flagcoh.spectral import (
-    ThetaParameter,
     apply_d2,
     assemble_E2,
     cohomology_of_T,
@@ -65,8 +64,7 @@ def test_theta_parameter_validation():
         theta_for(H, 1, 1)  # eta is Grassmann-specific
     # case III collapses eta into theta2 (eta = -theta2 for s = 1)
     H3 = space_from_preset("CP2")
-    th = theta_for(H3, 2, 1)
-    assert th.b == QSqrt2(0) and th.a == QSqrt2(1)
+    assert theta_for(H3, 2, 1) == (1,)
     with pytest.raises(ValueError):
         theta_for(H3, 1, 1)  # collapses to zero
 
@@ -76,7 +74,7 @@ def test_d2_squared_zero_entrywise():
     amount, and targets of targets receive nothing (checked structurally)."""
     for name, ab in (("Gr(4,2)", (1, 0)), ("Gr(5,2)", (0, 1)), ("Q3", (1, 0))):
         H = space_from_preset(name)
-        res = apply_d2(H, theta_for(H, *ab))
+        res = apply_d2(H, *ab)
         for (p, q), entry in res.E2.items():
             e2_tot = sum(s.descriptor.total_dim() for s in entry)
             e3_tot = sum(s.descriptor.total_dim() for s in res.E3.get((p, q), []))
@@ -86,7 +84,7 @@ def test_d2_squared_zero_entrywise():
 def test_e3_dimension_bookkeeping():
     """dim E3 = dim E2 - rank(in) - rank(out) per entry for rows 0,1."""
     H = space_from_preset("Gr(4,2)")
-    res = apply_d2(H, theta_for(H, 1, 0))
+    res = apply_d2(H, 1, 0)
     lost = {
         (-1, 0): res.rank_vector_fields and H.rd.weyl_dimension(H.rd.delta),
         (0, 0): 1,
@@ -103,7 +101,7 @@ def test_e3_dimension_bookkeeping():
 def test_epsilon_never_survives():
     for name, ab in (("Q3", (1, 0)), ("Gr(4,2)", (0, 1)), ("CP2", (1, 0))):
         H = space_from_preset(name)
-        res = apply_d2(H, theta_for(H, *ab))
+        res = apply_d2(H, *ab)
         assert prov_summary(res.E3, 0, 0, "i") == (0, 0)
 
 
@@ -113,7 +111,7 @@ def test_case_I_q3_computed():
     """Q3: H0 matches the published (g | C); H1 carries the two extra
     5-dimensional summands the published table misses."""
     H = space_from_preset("Q3")
-    rep, res = cohomology_of_T(H, theta_for(H, 1, 0))
+    rep, res = cohomology_of_T(H, 1, 0)
     d = rep.dims()
     assert (d["H0_even"], d["H0_odd"]) == (10, 1)
     assert (d["H1_even"], d["H1_odd"]) == (15, 5)
@@ -123,7 +121,7 @@ def test_case_I_q3_computed():
 
 def test_case_I_sd4_matches_published():
     H = space_from_preset("S-D4")
-    rep, res = cohomology_of_T(H, theta_for(H, 1, 0))
+    rep, res = cohomology_of_T(H, 1, 0)
     d = rep.dims()
     assert (d["H0_even"], d["H0_odd"]) == (28, 1)
     assert (d["H1_even"], d["H1_odd"]) == (28, 0)
@@ -133,7 +131,7 @@ def test_case_I_sd4_matches_published():
 
 def test_case_II_generic_gr42():
     H = space_from_preset("Gr(4,2)")
-    rep, res = cohomology_of_T(H, theta_for(H, 1, 0))
+    rep, res = cohomology_of_T(H, 1, 0)
     d = rep.dims()
     assert (d["H0_even"], d["H0_odd"]) == (15, 1)
     assert (d["H1_even"], d["H1_odd"]) == (16, 0)
@@ -147,12 +145,12 @@ def test_case_II_special_value_is_rational_not_sqrt2():
     theta2 + eta (kernel of phi -> theta /\\ phi is 1-dimensional), while
     the published sqrt2 theta2 + eta value behaves generically."""
     H = space_from_preset("Gr(4,2)")
-    rep, res = cohomology_of_T(H, theta_for(H, 1, 1))
+    rep, res = cohomology_of_T(H, 1, 1)
     assert res.kernel_dim_11 == 1
     d = rep.dims()
     assert (d["H1_even"], d["H1_odd"]) == (16, 1)
 
-    rep2, res2 = cohomology_of_T(H, theta_for(H, RT2, 1))
+    rep2, res2 = cohomology_of_T(H, RT2, 1)
     assert res2.kernel_dim_11 == 0
     assert rep2.dims()["H1_odd"] == 0
 
@@ -160,7 +158,7 @@ def test_case_II_special_value_is_rational_not_sqrt2():
 def test_case_II_eta_gr42_and_gr52():
     for name, dims in (("Gr(4,2)", (15, 16, 16, 15)), ("Gr(5,2)", (24, 25, 25, 24))):
         H = space_from_preset(name)
-        rep, res = cohomology_of_T(H, theta_for(H, 0, 1))
+        rep, res = cohomology_of_T(H, 0, 1)
         d = rep.dims()
         assert (d["H0_even"], d["H0_odd"], d["H1_even"], d["H1_odd"]) == dims
         want = published_e3_rows("II-eta")
@@ -172,7 +170,7 @@ def test_case_II_generic_gr52_deviates_from_published():
     """On Gr(5,2) with a theta2-component the adjoint at (0,1) is killed by
     the honest d2 (the published tables lack the adjoint target); H1 = C."""
     H = space_from_preset("Gr(5,2)")
-    rep, res = cohomology_of_T(H, theta_for(H, 1, 0))
+    rep, res = cohomology_of_T(H, 1, 0)
     assert not res.adjoint_01_survives
     d = rep.dims()
     assert (d["H1_even"], d["H1_odd"]) == (1, 0)
@@ -181,7 +179,7 @@ def test_case_II_generic_gr52_deviates_from_published():
 
 def test_case_III():
     H2 = space_from_preset("CP2")
-    rep2, res2 = cohomology_of_T(H2, theta_for(H2, 1, 0))
+    rep2, res2 = cohomology_of_T(H2, 1, 0)
     d2 = rep2.dims()
     assert (d2["H0_even"], d2["H0_odd"]) == (8, 9)
     assert (d2["H1_even"], d2["H1_odd"]) == (0, 1)
@@ -189,7 +187,7 @@ def test_case_III():
     assert got == published_e3_rows("III", n=3)
 
     H3 = space_from_preset("CP3")
-    rep3, res3 = cohomology_of_T(H3, theta_for(H3, 1, 0))
+    rep3, res3 = cohomology_of_T(H3, 1, 0)
     d3 = rep3.dims()
     assert (d3["H1_even"], d3["H1_odd"]) == (0, 0)
     got3 = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res3).items()}
@@ -207,12 +205,12 @@ def test_flagged_32_entry():
     # case I theta2: computed k - 1; the published superscript (read as
     # k-1 resp. k-2) is compared, never silently reconciled
     H = space_from_preset("Q3")
-    res = apply_d2(H, theta_for(H, 1, 0))
+    res = apply_d2(H, 1, 0)
     cmp = flagged_32_comparison(res)
     assert cmp["k"] == 1 and cmp["computed_trivial"] == 0 and cmp["agree"]
 
     H = space_from_preset("Gr(5,2)")
-    res = apply_d2(H, theta_for(H, 1, 0))
+    res = apply_d2(H, 1, 0)
     cmp = flagged_32_comparison(res)
     rank11 = 2 - res.kernel_dim_11
     assert cmp["k"] == 3
@@ -222,7 +220,7 @@ def test_flagged_32_entry():
 
 def test_undetermined_entries_are_marked():
     H = space_from_preset("Gr(5,2)")
-    res = apply_d2(H, theta_for(H, 0, 1))
+    res = apply_d2(H, 0, 1)
     row2 = [
         s for (p, q), entry in res.E3.items() if q == 2 for s in entry
     ]
@@ -233,18 +231,23 @@ def test_undetermined_entries_are_marked():
             assert all(s.status == "ok" for s in entry)
 
 
-@pytest.mark.parametrize("space", ["Gr(4,2)", "CP2", "Q3"])
-def test_e3_is_the_same_under_python_O(space):
-    """The E3 bookkeeping must not live inside asserts that -O strips."""
+@pytest.mark.parametrize("query, key", [
+    *(pytest.param(["e3", "--space", space, "--a", "1", "--b", "0"], '"H0"', id=space)
+      for space in ("Gr(4,2)", "CP2", "Q3")),
+    pytest.param(["d2", "--space", "Gr(4,2)", "--a", "0", "--b", "1"],
+                 '"coboundary_witness": {', id="d2-Gr(4,2)"),
+])
+def test_e3_is_the_same_under_python_O(query, key):
+    """The E3 bookkeeping and the d2 witness must not live inside asserts
+    that -O strips."""
     src = str(Path(flagcoh.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["-m", "flagcoh.cli", "e3", "--space", space, "--a", "1", "--b", "0"]
     plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
-                       capture_output=True, text=True).stdout
+        subprocess.run([sys.executable, *flags, "-m", "flagcoh.cli", *query], env=env,
+                       check=True, capture_output=True, text=True).stdout
         for flags in ([], ["-O"])
     )
-    assert '"H0"' in plain
+    assert key in plain
     assert optimized == plain
 
 
@@ -254,16 +257,16 @@ def test_e3_is_the_same_under_python_O(space):
 # invariant (2,1)-forms and takes the rank of the products over every stored
 # (key, n+ index); apply_d2 reads the same rank off the product table.
 
-def _whole_tensor_kernel11(H, a, b):
+def _whole_tensor_kernel11(H, coeffs):
     rs = grassmannian_rs(H)
+    space = MatrixPairSpace(*rs) if rs is not None else RootPairSpace(H.dim)
+    basis = [theta_p(space, 2)]
     if rs is not None and min(rs) >= 2:
-        space = MatrixPairSpace(*rs)
-        basis = [theta_p(space, 2), eta(space)]
-        theta = basis[0].scale(a) + basis[1].scale(b)
-    else:
-        space = MatrixPairSpace(*rs) if rs is not None else RootPairSpace(H.dim)
-        basis = [theta_p(space, 2)]
-        theta = basis[0].scale(a)  # b collapsed by theta_for
+        basis.append(eta(space))
+    # on CP^n theta_for folds eta into the one theta2 coordinate
+    theta = basis[0].scale(coeffs[0])
+    for c, f in zip(coeffs[1:], basis[1:], strict=True):
+        theta = theta + f.scale(c)
     images = [f for f in (barwedge_inv(theta, phi) for phi in basis) if not f.is_zero()]
     return len(basis) - (rank_of(images) if images else 0)
 
@@ -301,11 +304,10 @@ def test_step_iii_matches_the_whole_tensor_rank(name, monkeypatch):
     params += _random_parameters(H, random.Random(name), 4)
     for a, b in params:
         try:
-            theta = theta_for(H, a, b)
+            coeffs = theta_for(H, a, b)
         except ValueError:  # a + b sign = 0 where eta folds into theta2
             continue
-        assert apply_d2(H, theta).kernel_dim_11 == \
-            _whole_tensor_kernel11(H, theta.a, theta.b), (a, b)
+        assert apply_d2(H, a, b).kernel_dim_11 == _whole_tensor_kernel11(H, coeffs), (a, b)
 
 
 # --- one answer per space, whatever its presentation ----------------------------
@@ -321,10 +323,10 @@ def _invariants(H, a, b):
     adjoint_01_survives and the Bott table H^q(Omega^p (x) Theta), or
     None when theta_for refuses (a, b)."""
     try:
-        theta = theta_for(H, a, b)
+        theta_for(H, a, b)
     except ValueError:
         return None
-    report, res = cohomology_of_T(H, theta)
+    report, res = cohomology_of_T(H, a, b)
     bott = {(p, q): _descriptors(col)
             for p in range(H.dim + 1)
             for q, col in cohomology_omega_p_theta(H, p, H.dim).items()}
@@ -350,6 +352,7 @@ def test_grassmannian_duality_negates_b(n):
 @pytest.mark.parametrize("presentations", [
     (("B", 2, 0), ("C", 2, 1)),                                # Q3
     (("A", 3, 0), ("A", 3, 2), ("D", 3, 1), ("D", 3, 2)),      # CP3
+    (("D", 4, 0), ("D", 4, 2), ("D", 4, 3)),                   # Q6, by triality
 ])
 def test_low_rank_coincidences_agree(presentations):
     """One space realized in sl, so and sp gives one answer."""
@@ -367,6 +370,61 @@ def test_quadric_q4_is_refused_with_a_value_error():
     H = build_space(SimpleLieType("D", 3), 0)
     for a, b in ((1, 0), (0, 1)):
         with pytest.raises(ValueError, match=r"\(A3, 1\)"):
-            cohomology_of_T(H, ThetaParameter(H.case, QSqrt2(a), QSqrt2(b)))
+            cohomology_of_T(H, a, b)
     with pytest.raises(ValueError, match="eta undefined"):
         theta_for(H, 0, 1)
+
+
+def test_e_types_are_refused_before_theta_is_read():
+    """The scope check comes first on the apply_d2 path: an E-type space
+    gets its one refusal whatever (a, b) is, a zero theta included."""
+    H = build_space(SimpleLieType("E", 6), 0)
+    for a, b in ((1, 0), (0, 0)):
+        with pytest.raises(ValueError) as err:
+            cohomology_of_T(H, a, b)
+        assert str(err.value) == "E-type spectral tables are outside the desk scale"
+
+
+# --- the A-D classification up to dim 12, as computed ---------------------------
+
+# the special nodes of A4-A7, B4-B5, C4-C5 and D4-D6 with dim M <= 12: 29 spaces
+CLASSIFICATION_SWEEP = [
+    H for t in (SimpleLieType(f, r) for f, lo, hi in (
+        ("A", 4, 7), ("B", 4, 5), ("C", 4, 5), ("D", 4, 6)) for r in range(lo, hi + 1))
+    for H in (build_space(t, a0) for a0 in build_root_system(t).special_simple_roots())
+    if H.dim <= 12]
+
+
+@pytest.mark.parametrize("H", CLASSIFICATION_SWEEP, ids=str)
+def test_classification_sweep(H):
+    """At every (a, b) of (1, 0), (0, 1), (1, 1), (1, -1) that theta_for
+    accepts: d2 on vector fields has rank dim g exactly when a != 0, except
+    on CP^n, where it is 0; the adjoint at (0,1) is killed exactly when
+    a != 0 and E2 has the (2,2) l*-adjoint; H^0 at (0, 1) is (n^2-1 | n^2)
+    on Gr(n,k); and with n+ = Mat_{r x s}, kernel_dim_11 is 1 at (1, 1)
+    iff s = 2 and at (1, -1) iff r = 2, else 0, and equals H^1 odd when
+    a != 0.  The last pins the sign of eta that the duality test cannot."""
+    rs = grassmannian_rs(H)
+    dim_g = H.rd.weyl_dimension(H.rd.delta)
+    projective = rs is not None and min(rs) == 1
+    runs = 0
+    for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        try:
+            theta_for(H, a, b)
+        except ValueError:
+            continue
+        runs += 1
+        report, res = cohomology_of_T(H, a, b)
+        d = report.dims()
+        assert res.rank_vector_fields == (dim_g if a and not projective else 0), (a, b)
+        adjoint_22 = prov_summary(res.E2, 2, 2, "l")[0] > 0
+        assert res.adjoint_01_survives == (not (a and adjoint_22)), (a, b)
+        if rs is not None and (a, b) == (0, 1):
+            n = sum(rs)
+            assert (d["H0_even"], d["H0_odd"]) == (n * n - 1, n * n)
+        r, s = rs or (0, 0)
+        kernel = int((a, b, s) == (1, 1, 2) or (a, b, r) == (1, -1, 2))
+        assert res.kernel_dim_11 == kernel, (a, b)
+        if a:
+            assert d["H1_odd"] == kernel, (a, b)
+    assert runs == (1 if rs is None else 3 if projective else 4)
