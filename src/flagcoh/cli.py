@@ -275,7 +275,7 @@ def cmd_d2(args) -> int:
     H = space_from_preset(args.space)
     a = parse_scalar(args.a) if args.a else QSqrt2(1)
     b = parse_scalar(args.b) if args.b else QSqrt2(0)
-    spectral.theta_for(H, a, b)
+    spectral.theta_for(H, a, b)  # refuses a theta that is zero on H
     rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
     if res.witness is not None:
