@@ -5,24 +5,27 @@ the degree-2 spectral differential on vector fields.  theta = a theta2 +
 b eta is read over `invforms.theta_basis` at `invforms.theta_coordinates`.
 
 Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
-without zero entries: the g-coordinates of `GModuleBasis.expand`, and each
-value of a cochain, whose absent keys are zero.  Sums go through
+without zero entries: the g-coordinates of `GModuleBasis.bracket_coords`,
+and each value of a cochain, whose absent keys are zero.  Sums go through
 `invforms._add_into`.
 
-Works over explicit matrix realizations: sl_n for the Grassmannians, so/sp
-for the classical case-I spaces.  R-invariants are cut out by torus weights
-plus the raising generators e_{alpha_i}, i in S, alone: the unknowns pair
-coordinates of equal weight, and a weight-zero vector that every
-e_{alpha_i} kills is a highest-weight vector of weight 0, which spans a
-trivial module (Humphreys, Introduction to Lie Algebras and Representation
-Theory, 20-21), so the lowering generators add no equation.  No averaging.
+g is described once, by the Chevalley structure constants of its root
+datum (`_chevalley`); basis weights are roots in simple-root coordinates.
+R-invariants are cut out by torus weights plus the raising generators
+e_{alpha_i}, i in S, alone: the unknowns pair coordinates of equal weight,
+and a weight-zero vector that every e_{alpha_i} kills is a highest-weight
+vector of weight 0, which spans a trivial module (Humphreys, Introduction
+to Lie Algebras and Representation Theory, 20-21), so the lowering
+generators add no equation.  No averaging.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -39,55 +42,96 @@ from .invforms import (
     theta_coordinates,
     theta_p,
 )
-from .rootsys import SimpleLieType, _require
+from .rootsys import RootDatum, SimpleLieType, Weight, _require
 from .scalars import (Coeff, SparseRow, canonical, combine_targets, exact_quotient,
                       reduce_targets, rref_kernel, solve, sparse_rref)
 
-Mat = Dict[Tuple[int, int], Coeff]
+
+def _neg(r: Weight) -> Weight:
+    return tuple(-c for c in r)
 
 
-def _mat_mul(A: Mat, B: Mat) -> Mat:
-    out: Mat = {}
-    rows: Dict[int, List[Tuple[int, Coeff]]] = {}
-    for (i, j), c in B.items():
-        rows.setdefault(i, []).append((j, c))
-    for (i, k), a in A.items():
-        for (j, c) in rows.get(k, []):
-            key = (i, j)
-            v = out.get(key, 0) + a * c
-            if v:
-                out[key] = canonical(v)
-            else:
-                out.pop(key, None)
-    return out
+@functools.cache
+def _chevalley(rd: RootDatum) -> Tuple[Tuple[Weight, ...], Dict[Tuple[Weight, Weight], int]]:
+    """The roots of rd and the Chevalley structure constants N(a, b), with
+    [e_a, e_b] = N(a, b) e_{a+b} for every pair of roots whose sum is a
+    root (Carter, Simple Groups of Lie Type, 4.1-4.2), built once per root
+    datum, i.e. per simple type.
 
+    The positive roots are ordered by height, then by decreasing
+    coordinates, and followed by their negatives; on type A this order
+    gives the signs of the matrix units E_ij.  N is p + 1 on each
+    extraspecial pair (a, b), p the largest with b - p a a root.  Carter
+    4.1.2 gives the rest: N(a, b) = -N(b, a) = -N(-a, -b), the rotation
+    N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b) for a + b + c = 0, and
+    the four-root relation for the other special pairs, taken by height.
+    """
+    pos = sorted(rd.positive_roots, key=lambda r: (sum(r), _neg(r)))
+    order = {r: k for k, r in enumerate(pos)}
+    roots = tuple(pos) + tuple(map(_neg, pos))
+    norm = {r: canonical(rd.inner(r, r)) for r in roots}   # 1 or 2
+    N: Dict[Tuple[Weight, Weight], int] = {}
 
-def _commutator(A: Mat, B: Mat) -> Mat:
-    out = _mat_mul(A, B)
-    _add_into(out, -1, _mat_mul(B, A))
-    return out
+    def add(x, y):
+        return tuple(map(operator.add, x, y))
 
+    def sub(x, y):
+        return tuple(map(operator.sub, x, y))
 
-def _trace_prod(A: Mat, B: Mat) -> Coeff:
-    tot = 0
-    for (i, j), c in A.items():
-        tot += c * B.get((j, i), 0)
-    return canonical(tot)
+    def string(a, b):
+        """p + 1, p the largest with b - p a a root."""
+        p = 0
+        while (b := sub(b, a)) in norm:
+            p += 1
+        return p + 1
+
+    def n(a, b):
+        """N(a, b) from the pairs of one sign already in N, by rotation."""
+        c = _neg(add(a, b))
+        if (a in order) == (b in order):
+            return N[(a, b)] if a in order else -N[(_neg(a), _neg(b))]
+        if (b in order) == (c in order):
+            return exact_quotient(norm[c] * n(b, c), norm[a])
+        return exact_quotient(norm[c] * n(c, a), norm[b])
+
+    def term(w, x, y, z):
+        s = add(w, x)
+        return Fraction(n(w, x) * n(y, z), norm[s]) if s in norm else 0
+
+    def put(a, b, v):
+        """N(a, b) = v and N(b, a) = -v, once |v| = p + 1 is checked."""
+        _require(abs(v) == string(a, b), f"N{a, b} = {v} in {rd.type}")
+        N[(a, b)], N[(b, a)] = int(v), -int(v)
+
+    for xi in pos:
+        # the special pairs (a, b) of xi, a before b; the first is extraspecial
+        special = [(a, sub(xi, a)) for a in pos if order.get(sub(xi, a), -1) > order[a]]
+        if special:
+            (a1, b1), *rest = special
+            put(a1, b1, string(a1, b1))
+            for a, b in rest:
+                na, nb = _neg(a), _neg(b)
+                put(a, b, norm[xi] / N[(a1, b1)] * (
+                    term(b1, na, a1, nb) + term(na, a1, b1, nb)))
+    for a in roots:
+        for b in roots:
+            if add(a, b) in norm and (a, b) not in N:
+                put(a, b, n(a, b))
+    return roots, N
 
 
 @dataclass
 class BasisElement:
-    matrix: Mat
-    eps_weight: Tuple[int, ...]
+    weight: Weight        # its root in simple-root coordinates, 0 on the torus
     block: str            # "n+" | "n-" | "t" | "r"
-    canonical: Tuple[int, int]
+    scale: Coeff = 1      # the element is scale * e_weight; h_k on the torus
 
 
 @dataclass(eq=False)
 class GModuleBasis:
-    """Weight basis of g split as n- (+) r (+) n+ per the parabolic.  It
-    hashes by identity, so the results computed from it are cached per
-    basis with functools.cache."""
+    """Weight basis of g split as n- (+) r (+) n+ per the parabolic: root
+    vectors, then the coroots h_1 .. h_l.  It hashes by identity, so the
+    results computed from it are cached per basis with functools.cache."""
 
     H: HermitianSymmetricSpace
     elements: List[BasisElement]
@@ -95,6 +139,8 @@ class GModuleBasis:
     nminus_order: List[int]      # dual order: (x_i, y_j) = delta_ij
     levi_raise: List[int]        # indices of e_{alpha_i}, i in S
     space: object                # the invforms pair space
+    root_index: Dict[Weight, int]  # root -> index of its root vector
+    constants: Dict[Tuple[Weight, Weight], int]  # N(a, b) of the type
 
     @property
     def dim(self) -> int:
@@ -104,103 +150,37 @@ class GModuleBasis:
     def n(self) -> int:
         return len(self.nplus_order)
 
-    def expand(self, X: Mat) -> Vec:
-        """Coordinates of X in the basis, as element index -> coefficient.
-
-        Root-vector supports are disjoint, so each nonzero cell of X at a
-        canonical position gives one coefficient; the A-family torus
-        (H_i = E_ii - E_{i+1,i+1}) overlaps and uses cumulative diagonal
-        sums instead.  The coordinates must rebuild X exactly.
-        """
-        cells, torus = _cell_map(self)
-        out: Vec = {}
-        for pos, x in X.items():
-            if x and pos in cells:
-                g, entry = cells[pos]
-                out[g] = exact_quotient(x, entry)
-        acc = 0
-        for g, pos in torus:
-            acc += X.get(pos, 0)
-            if acc:
-                out[g] = acc
-        rec: Mat = {}
-        for g, c in out.items():
-            _add_into(rec, c, self.elements[g].matrix)
-        _require(rec == {k: v for k, v in X.items() if v}, "expansion failed")
-        return out
-
     @functools.cache
     def bracket_coords(self, i: int, j: int) -> Mapping[int, Coeff]:
-        """Coordinates of [e_i, e_j], computed once per pair and basis and
-        shared read-only; for i > j they are those of -[e_j, e_i]."""
-        if i > j:
-            return MappingProxyType({g: -c for g, c in self.bracket_coords(j, i).items()})
-        return MappingProxyType(self.expand(
-            _commutator(self.elements[i].matrix, self.elements[j].matrix)))
-
-
-@functools.cache
-def _cell_map(gb: GModuleBasis):
-    """{canonical cell: (element index, entry there)} for every element but
-    the A-family torus, and the (element index, diagonal cell) pairs of that
-    torus in order."""
-    fam_a = gb.H.rd.type.family == "A"
-    cells, torus = {}, []
-    for g, el in enumerate(gb.elements):
-        if el.block == "t" and fam_a:
-            torus.append((g, el.canonical))
-        else:
-            cells[el.canonical] = (g, el.matrix[el.canonical])
-    return cells, torus
-
-
-def _eps_of_position(family: str, N: int, l: int, i: int) -> Tuple[int, ...]:
-    """epsilon-weight vector attached to matrix position i (0-based)."""
-    v = [0] * l
-    if family == "A":
-        # gl_n: epsilon_i lives in an n-dimensional space
-        v = [0] * N
-        v[i] = 1
-        return tuple(v)
-    if i < l:
-        v[i] = 1
-    elif i >= N - l:
-        v[N - 1 - i] = -1
-    return tuple(v)
-
-
-@functools.cache
-def _simple_roots_eps(family: str, l: int) -> Tuple[Tuple[int, ...], ...]:
-    """The simple roots in epsilon coordinates, built once per family and
-    rank."""
-    def e(i, n, c=1):
-        return tuple(c if j == i else 0 for j in range(n))
-
-    if family == "A":
-        return tuple(_wsum(e(i, l + 1), e(i + 1, l + 1, -1)) for i in range(l))
-    chain = tuple(_wsum(e(i, l), e(i + 1, l, -1)) for i in range(l - 1))
-    if family == "B":
-        return chain + (e(l - 1, l),)
-    if family == "C":
-        return chain + (e(l - 1, l, 2),)
-    if family == "D":
-        return chain + (_wsum(e(l - 2, l), e(l - 1, l)),)
-    raise ValueError(family)
-
-
-def _root_to_eps(H: HermitianSymmetricSpace, root: Sequence[int]) -> Tuple[int, ...]:
-    """An integral root in simple-root coordinates, in epsilon coordinates."""
-    simple = _simple_roots_eps(H.rd.type.family, H.rd.rank)
-    n = len(simple[0])
-    out = [0] * n
-    for c, s in zip(root, simple):
-        for i in range(n):
-            out[i] += c * s[i]
-    return tuple(out)
+        """Coordinates of [b_i, b_j] in the basis's own scaling, read from the
+        structure constants of the type, computed once per pair and basis
+        and shared read-only."""
+        x, y = self.elements[i], self.elements[j]
+        rd = self.H.rd
+        torus = self.dim - rd.rank
+        out: Vec = {}
+        if "t" in (x.block, y.block):
+            if x.block != y.block:
+                # [h_k, b] = <root of b, alpha_k^vee> b
+                k, g, sign = (i - torus, j, 1) if x.block == "t" else (j - torus, i, -1)
+                c = sign * rd.simple_pairings(self.elements[g].weight)[k]
+                if c:
+                    out[g] = c
+        elif N := self.constants.get((x.weight, y.weight)):
+            # [e_a, e_b] = N(a, b) e_{a+b}
+            g = self.root_index[tuple(map(operator.add, x.weight, y.weight))]
+            out[g] = exact_quotient(x.scale * y.scale * N, self.elements[g].scale)
+        elif x.weight == _neg(y.weight):
+            # [e_a, e_-a] = h_a = sum_k a_k (a_k, a_k)/(a, a) h_k
+            norm = 2 * rd.inner(x.weight, x.weight)
+            for k, a in enumerate(x.weight):
+                if a:
+                    out[torus + k] = canonical(x.scale * y.scale * a * rd.form2[k][k] / norm)
+        return MappingProxyType(out)
 
 
 def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
-    """The matrix realization of g for H, built once per space: the simple
+    """The Chevalley basis of g for H, built once per space: the simple
     type and alpha0 fix H, and are the key, so a lookup does not hash the
     whole root datum."""
     return _g_basis(H.rd.type, H.alpha0)
@@ -208,162 +188,49 @@ def build_g_basis(H: HermitianSymmetricSpace) -> GModuleBasis:
 
 @functools.cache
 def _g_basis(t: SimpleLieType, alpha0: int) -> GModuleBasis:
+    """Root vectors e_a, then h_1 .. h_l.  On type A e_a is the matrix unit
+    E_ij, a = eps_i - eps_j, in row-major order; elsewhere the roots come in
+    the order of `_chevalley`.  n+ follows the pair space, and n- is the
+    opposite roots scaled by (a, a)/2, so that (x_k, y_k) = 1 under the
+    invariant form with (e_a, e_-a) = 2/(a, a)."""
     H = build_space(t, alpha0)
-    family = H.rd.type.family
-    l = H.rd.rank
-    if family == "E":
-        raise ValueError("matrix realization not provided for E types")
-
-    if family == "A":
-        N = l + 1
-        candidates = [
-            ((i, j), {(i, j): 1})
-            for i in range(N) for j in range(N) if i != j
-        ]
-        cartan = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(l)]
-        cartan_canon = [(i, i) for i in range(l)]
-    else:
-        N = 2 * l + 1 if family == "B" else 2 * l
-        candidates = []
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    continue
-                ip, jp = N - 1 - i, N - 1 - j
-                if family == "C":
-                    s = (1 if i < l else -1) * (1 if j < l else -1)
-                    if (jp, ip) == (i, j):
-                        # self-mirrored long-root direction: F = 2 E_{i,j}
-                        m = {(i, j): 2}
-                    else:
-                        m = {(i, j): 1, (jp, ip): -s}
-                else:
-                    if (jp, ip) == (i, j):
-                        continue  # F_{i,i'} vanishes for the so families
-                    m = {(i, j): 1, (jp, ip): -1}
-                candidates.append(((i, j), m))
-        cartan = [{(k, k): 1, (N - 1 - k, N - 1 - k): -1} for k in range(l)]
-        cartan_canon = [(k, k) for k in range(l)]
-
-    # classify candidates by root (epsilon weight), keep one per root
-    roots_eps = {}
-    for r in H.rd.positive_roots:
-        roots_eps[_root_to_eps(H, r)] = r
-        neg = tuple(-c for c in r)
-        roots_eps[_root_to_eps(H, neg)] = neg
-
-    elements: List[BasisElement] = []
-    used_roots = set()
-    for (pos, m) in candidates:
-        w = tuple(
-            a - b
-            for a, b in zip(
-                _eps_of_position(family, N, l, pos[0]),
-                _eps_of_position(family, N, l, pos[1]),
-            )
-        )
-        if w not in roots_eps or w in used_roots:
-            continue
-        used_roots.add(w)
-        root = roots_eps[w]
-        a0c = root[H.alpha0]
-        block = "n+" if a0c == 1 else "n-" if a0c == -1 else "r"
-        elements.append(BasisElement(m, w, block, pos))
-    n_roots = len(H.rd.positive_roots) * 2
-    _require(len(elements) == n_roots,
-             f"{len(elements)} root vectors for {n_roots} roots")
-    zero_eps = (0,) * len(elements[0].eps_weight)
-    for m, pos in zip(cartan, cartan_canon):
-        elements.append(BasisElement(m, zero_eps, "t", pos))
-
-    # n+ ordering must match the invforms space; n- pairs with it
+    l = t.rank
+    chevalley_roots, N = _chevalley(H.rd)
     rs = grassmannian_rs(H)
     if rs is not None:
         r, s = rs
         space = MatrixPairSpace(r, s)
-        # E_{i, r+a} in n+ and E_{r+a, i} in n-, row-major in (i, a)
-        index = {(el.block, el.canonical): k for k, el in enumerate(elements)}
-        cells = [(i, r + a) for i in range(r) for a in range(s)]
-        plus, minus = [("n+", c) for c in cells], [("n-", c[::-1]) for c in cells]
+
+        def eij(i, j):
+            """eps_i - eps_j in simple-root coordinates."""
+            return tuple(int(i <= k < j) - int(j <= k < i) for k in range(l))
+
+        roots = [eij(i, j) for i in range(l + 1) for j in range(l + 1) if i != j]
+        plus = [eij(i, r + a) for i in range(r) for a in range(s)]
     else:
         space = RootPairSpace(H.dim)
-        index = {(el.block, el.eps_weight): k for k, el in enumerate(elements)}
-        eps = [_root_to_eps(H, root) for root in H.N_plus]
-        plus = [("n+", e) for e in eps]
-        minus = [("n-", tuple(-c for c in e)) for e in eps]
-    nplus_order = [index[k] for k in plus if k in index]
-    nminus_order = [index[k] for k in minus if k in index]
-    _require(len(nplus_order) == H.dim and len(nminus_order) == H.dim,
-             "n+/n- bases do not match the pair space")
-
-    # normalize n- representatives so that tr(x_i y_j) = delta_ij
-    for k, (ip, im) in enumerate(zip(nplus_order, nminus_order)):
-        t = _trace_prod(elements[ip].matrix, elements[im].matrix)
-        _require(t != 0, "n- representative orthogonal to its n+ partner")
-        if t != 1:
-            el = elements[im]
-            elements[im] = BasisElement(
-                {p: exact_quotient(c, t) for p, c in el.matrix.items()},
-                el.eps_weight, el.block, el.canonical,
-            )
-    for k, ip in enumerate(nplus_order):
-        for k2, im in enumerate(nminus_order):
-            t = _trace_prod(elements[ip].matrix, elements[im].matrix)
-            _require(t == (k == k2), "n+ and n- bases are not dual")
-
-    # Levi simple-root vectors
-    levi_raise = []
-    for i in H.levi.S:
-        eps = _root_to_eps(H, tuple(1 if j == i else 0 for j in range(l)))
-        up = [k for k, el in enumerate(elements) if el.block == "r" and el.eps_weight == eps]
-        _require(len(up) == 1, f"no single root vector for alpha_{i}")
-        levi_raise.append(up[0])
-
-    gb = GModuleBasis(H, elements, nplus_order, nminus_order, levi_raise, space)
-    _sanity_check(gb)
-    return gb
+        roots = list(chevalley_roots)
+        plus = list(H.N_plus)
+    scale = {_neg(a): canonical(H.rd.inner(a, a) / 2) for a in plus}
+    elements = [BasisElement(a, {1: "n+", -1: "n-"}.get(a[alpha0], "r"), scale.get(a, 1))
+                for a in roots]
+    elements += [BasisElement((0,) * l, "t") for _ in range(l)]
+    index = {a: g for g, a in enumerate(roots)}
+    nplus_order = [index[a] for a in plus]
+    _require(sorted(nplus_order) == [g for g, el in enumerate(elements) if el.block == "n+"],
+             "n+ basis does not match the pair space")
+    return GModuleBasis(H, elements, nplus_order, [index[_neg(a)] for a in plus],
+                        [index[H.rd.simple_roots[i]] for i in H.levi.S], space, index, N)
 
 
-def roots_key(H, el: BasisElement):
-    """Root of a root-vector element in simple-root coordinates."""
-    simple = _simple_roots_eps(H.rd.type.family, H.rd.rank)
-    n = len(simple[0])
-    mat = [[simple[j][i] for j in range(len(simple))] for i in range(n)]
-    x = solve(mat, list(el.eps_weight))
-    _require(x is not None, "root-vector weight outside the root lattice")
-    return tuple(x)
-
-
-def _sanity_check(gb: GModuleBasis) -> None:
-    # torus eigenvalues match recorded weights
-    for t_idx, el_t in enumerate(gb.elements):
-        if el_t.block != "t":
-            continue
-        for el in gb.elements:
-            if el.block == "t":
-                continue
-            br = _commutator(el_t.matrix, el.matrix)
-            lam = _weight_eval(gb, el_t, el.eps_weight)
-            want = {k: lam * v for k, v in el.matrix.items() if lam * v}
-            _require(br == want, "weight bookkeeping broken")
-
-
-def _weight_eval(gb: GModuleBasis, torus_el: BasisElement, eps_weight) -> int:
-    """Evaluation of an epsilon-weight on a torus basis matrix."""
-    fam = gb.H.rd.type.family
-    tot = 0
-    for (i, j), c in torus_el.matrix.items():
-        if i != j:
-            continue
-        if fam == "A":
-            tot += c * eps_weight[i]
-        else:
-            l = gb.H.rd.rank
-            if i < l:
-                tot += c * eps_weight[i]
-            # mirrored half carries the opposite weight and the basis matrix
-            # already stores the -1 entry there, so skip it
-    return tot
+def roots_key(gb: GModuleBasis, g: int) -> Tuple:
+    """The root of the root vector b_g in simple-root coordinates, read from
+    the torus rows of the bracket table, [h_i, b_g] = <root, alpha_i^vee>
+    b_g, by one solve against the transposed Cartan matrix."""
+    rd = gb.H.rd
+    torus = gb.dim - rd.rank
+    pairings = [gb.bracket_coords(torus + i, g).get(g, 0) for i in range(rd.rank)]
+    return tuple(solve([list(col) for col in zip(*rd.cartan)], pairings))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +378,7 @@ def _ad_module(gb: GModuleBasis, idx: Sequence[int]) -> _Module:
     act = {x: [{pos[j]: co for j, co in gb.bracket_coords(x, i).items()}
                for i in idx]
            for x in gb.levi_raise}
-    return _Module([gb.elements[i].eps_weight for i in idx], act)
+    return _Module([gb.elements[i].weight for i in idx], act)
 
 
 def _tensor(A: _Module, B: _Module) -> _Module:
@@ -644,7 +511,7 @@ def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
     equivariance)."""
     if degree == 1:
         return [_entries(im) for im in _invariant_zero(gb)[1]]
-    v_weights = [_wsum(gb.elements[v].eps_weight, el.eps_weight)
+    v_weights = [_wsum(gb.elements[v].weight, el.weight)
                  for v in gb.nminus_order for el in gb.elements]
     delta = _delta(gb, 1)
     return [[((tgt, t), co) for tgt, co in delta.get(divmod(i, gb.dim), ())]
@@ -693,8 +560,8 @@ def _lambda2_module(gb: GModuleBasis):
     n = gb.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    wm = [gb.elements[v].eps_weight for v in gb.nminus_order]
-    weights = [_wsum(wm[i], wm[j], gb.elements[u].eps_weight)
+    wm = [gb.elements[v].weight for v in gb.nminus_order]
+    weights = [_wsum(wm[i], wm[j], gb.elements[u].weight)
                for (i, j) in pairs for u in gb.nplus_order]
     return pairs, pair_index, weights
 

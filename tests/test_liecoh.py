@@ -7,6 +7,7 @@ from typing import Sequence
 
 import pytest
 from canonical import is_canonical
+from matrix_route import chevalley_images, combination, commutator, expand, matrix_basis
 from subset_route import dual, trivial_multiplicity
 
 from flagcoh import liecoh, spectral
@@ -17,7 +18,6 @@ from flagcoh.liecoh import (
     GModuleBasis,
     _accumulate,
     _cochain_system,
-    _commutator,
     _delta,
     _differential,
     _entries,
@@ -30,12 +30,13 @@ from flagcoh.liecoh import (
     invariant_one_cochains,
     invariant_zero_cochains,
     is_invariant_coboundary,
+    roots_key,
     theta_form,
     two_cochain_from_d2_image,
     two_cochain_is_coboundary,
 )
 from flagcoh.repdecomp import char_of_roots, tensor
-from flagcoh.rootsys import SimpleLieType
+from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, nullspace, parse_scalar, rank
 
 MATRIX_PRESETS = ["CP2", "CP3", "Q3", "Q5", "Gr(4,2)", "Gr(5,2)", "Gr(5,3)",
@@ -80,42 +81,31 @@ def test_basis_dimensions():
     assert build_g_basis(space_from_preset("S-D4")).dim == 28
 
 
-def ref_expand(gb, X):
-    """Oracle: the coordinates of X by a scan over all dim g elements, each
-    read at its canonical cell (cumulative diagonal sums for the A-family
-    torus), checked by rebuilding X."""
-    out = {}
-    fam_a_torus = gb.H.rd.type.family == "A"
-    acc = Fraction(0)
-    for g, el in enumerate(gb.elements):
-        pos = el.canonical
-        if el.block == "t" and fam_a_torus:
-            acc += X.get(pos, Fraction(0))
-            c = acc
-        else:
-            c = X.get(pos, Fraction(0)) / el.matrix[pos]
-        if c:
-            out[g] = c
-    rec = {}
-    for g, c in out.items():
-        _add_into(rec, c, gb.elements[g].matrix)
-    assert rec == {k: v for k, v in X.items() if v}
-    return out
-
-
 def ref_nplus_coords(gb, X):
-    """Oracle: the n+ coordinates of X, as n+ index -> coefficient."""
-    coords = ref_expand(gb, X)
+    """Oracle: the n+ coordinates of a matrix X of type A, as n+ index ->
+    coefficient."""
+    coords = expand(gb, X)
     return {u: coords[g] for u, g in enumerate(gb.nplus_order) if g in coords}
 
 
 @pytest.mark.parametrize("name", MATRIX_PRESETS)
 def test_bracket_coords_memo_matches_fresh_expansion(name):
+    """The table against the matrix realization (`matrix_route`): on type A
+    it holds the coordinates of the commutators of the basis matrices; on
+    B, C and D the map fixed by the simple root vectors is injective and
+    takes every bracket of the table to the matrix commutator."""
     gb = build_g_basis(space_from_preset(name))
-    for i, ei in enumerate(gb.elements):
-        for j, ej in enumerate(gb.elements):
+    type_a = gb.H.rd.type.family == "A"
+    mats = matrix_basis(gb) if type_a else chevalley_images(gb)
+    cells = sorted({cell for m in mats for cell in m})
+    assert rank([[m.get(cell, 0) for cell in cells] for m in mats]) == gb.dim
+    for i, ei in enumerate(mats):
+        for j, ej in enumerate(mats):
             coords = gb.bracket_coords(i, j)
-            assert coords == ref_expand(gb, _commutator(ei.matrix, ej.matrix))
+            if type_a:
+                assert coords == expand(gb, commutator(ei, ej))
+            else:
+                assert combination(mats, coords) == commutator(ei, ej), (i, j)
             assert gb.bracket_coords(i, j) is coords
             assert {g: -c for g, c in gb.bracket_coords(j, i).items()} == coords
     with pytest.raises(TypeError):
@@ -124,10 +114,10 @@ def test_bracket_coords_memo_matches_fresh_expansion(name):
 
 @pytest.mark.parametrize("name", MATRIX_PRESETS)
 def test_coefficients_are_canonical(name):
-    """Every basis-matrix entry, bracket coordinate, delta coefficient and
+    """Every basis scale, bracket coordinate, delta coefficient and
     invariant-cochain value is an int when integral, a Fraction otherwise."""
     gb = build_g_basis(space_from_preset(name))
-    values = [c for el in gb.elements for c in el.matrix.values()]
+    values = [el.scale for el in gb.elements]
     values += [c for i in range(gb.dim) for j in range(gb.dim)
                for c in gb.bracket_coords(i, j).values()]
     values += [co for k in (0, 1) for feeds in _delta(gb, k).values() for _, co in feeds]
@@ -158,22 +148,52 @@ def test_bracket_coords_satisfy_jacobi_on_random_triples(name):
         assert total == {}
 
 
+E_TYPE_SPACES = [(SimpleLieType("E", 6), 0, 78), (SimpleLieType("E", 7), 6, 133)]
+PRESETS_AND_E6 = [space_from_preset(name) for name in PRESET_NAMES] + [
+    build_space(SimpleLieType("E", 6), 0)]
+
+
+@pytest.mark.parametrize("t,alpha0,dim", E_TYPE_SPACES, ids=str)
+def test_e_type_tables_satisfy_jacobi(t, alpha0, dim):
+    """The table is antisymmetric, and ad x is a derivation of it for every
+    Chevalley generator x (e_{+-alpha_i}, h_i) over every pair (y, z).  The x
+    whose ad is a derivation form a subalgebra, and the generators generate
+    g, so the Jacobi identity holds exactly on all of g."""
+    gb = build_g_basis(build_space(t, alpha0))
+    assert gb.dim == dim and gb.n == len(gb.H.N_plus)
+    rd, torus = gb.H.rd, gb.dim - t.rank
+    gens = [gb.root_index[tuple(sign * c for c in a)] for sign in (1, -1)
+            for a in rd.simple_roots]
+    gens += range(torus, gb.dim)
+    for y in range(gb.dim):
+        for z in range(gb.dim):
+            assert {g: -c for g, c in gb.bracket_coords(z, y).items()} == \
+                gb.bracket_coords(y, z)
+    for x in gens:
+        for y in range(gb.dim):
+            xy = gb.bracket_coords(x, y)
+            for z in range(gb.dim):
+                out = _bracket_vec(gb, {x: 1}, gb.bracket_coords(y, z))
+                _add_into(out, -1, _bracket_vec(gb, xy, {z: 1}))
+                _add_into(out, -1, _bracket_vec(gb, {y: 1}, gb.bracket_coords(x, z)))
+                assert out == {}, (x, y, z)
+
+
+@pytest.mark.parametrize("H", PRESETS_AND_E6, ids=str)
+def test_roots_key_reads_the_weight_off_the_torus_rows(H):
+    gb = build_g_basis(H)
+    for g, el in enumerate(gb.elements):
+        if el.block != "t":
+            assert roots_key(gb, g) == el.weight
+
+
 def test_projection_structure():
     for name in MATRIX_PRESETS:
         gb = build_g_basis(space_from_preset(name))
-        # every basis matrix expands to its own unit vector
-        for g, el in enumerate(gb.elements):
-            assert gb.expand(el.matrix) == {g: Fraction(1)}
         # pi is the identity on n+, zero on r and n-; so pi(e_w) is the
         # unit vector at w's position in nplus_order
         assert sorted(gb.nplus_order) == [g for g, el in enumerate(gb.elements)
                                           if el.block == "n+"]
-        for k, idx in enumerate(gb.nplus_order):
-            coords = ref_nplus_coords(gb, gb.elements[idx].matrix)
-            assert coords == {k: Fraction(1)}
-        for idx, el in enumerate(gb.elements):
-            if el.block in ("r", "t", "n-"):
-                assert not any(ref_nplus_coords(gb, el.matrix).values())
 
 
 def test_delta_squared_zero_on_random_invariant_cochains(gr42):
@@ -206,8 +226,8 @@ def test_c_theta2_explicit_formula(gr42):
     gb = gr42
     n = gb.n
     c = cochain_from_form(gb, theta_form(gb, 1, 0))
-    for w in range(gb.dim):
-        pw = ref_nplus_coords(gb, gb.elements[w].matrix)
+    for w, mat in enumerate(matrix_basis(gb)):
+        pw = ref_nplus_coords(gb, mat)
         for v in range(n):
             expect = [QS_ZERO] * (n * n)
             # v (x) pi(w): the n- index equals v
@@ -227,19 +247,17 @@ def test_c_theta2_on_lowest_and_highest_root_vectors(gr42):
     n = gb.n
     c = cochain_from_form(gb, theta_form(gb, 1, 0))
     # alpha0 root = E_{r-1, r} matrix position; find its n+/n- indices
-    from flagcoh.liecoh import roots_key
-
     a0 = tuple(
         Fraction(1 if i == H.alpha0 else 0) for i in range(H.rd.rank)
     )
     delta = H.rd.delta
     i_a0 = next(
         k for k, idx in enumerate(gb.nminus_order)
-        if roots_key(H, gb.elements[idx]) == tuple(-c0 for c0 in a0)
+        if roots_key(gb, idx) == tuple(-c0 for c0 in a0)
     )
     w_delta = next(
         idx for idx in gb.nplus_order
-        if roots_key(H, gb.elements[idx]) == tuple(Fraction(c0) for c0 in delta)
+        if roots_key(gb, idx) == tuple(Fraction(c0) for c0 in delta)
     )
     u_delta = gb.nplus_order.index(w_delta)
     val = value(c, (i_a0, w_delta))
@@ -269,6 +287,26 @@ def test_cocycle_and_invariance(gr42):
         assert is_r_invariant(c)
 
 
+def killing(gb, a, b):
+    """Oracle: the Killing form tr(ad b_a ad b_b), read from the table."""
+    return sum(c * gb.bracket_coords(a, h).get(g, 0)
+               for g in range(gb.dim) for h, c in gb.bracket_coords(b, g).items())
+
+
+@pytest.mark.parametrize("H", PRESETS_AND_E6, ids=str)
+def test_nminus_is_dual_to_nplus_under_the_killing_form(H):
+    """(x_k, y_j) is one nonzero multiple of delta_kj, so the scaled n- basis
+    is the dual of n+ that the pair space's Kronecker pairing stands for,
+    and c_theta2 is an R-invariant cocycle."""
+    gb = build_g_basis(H)
+    gram = [[killing(gb, x, y) for y in gb.nminus_order] for x in gb.nplus_order]
+    c = gram[0][0]
+    assert c and gram == [[c * (k == j) for j in range(gb.n)] for k in range(gb.n)]
+    if H.rd.type.family != "E":   # E6's 1-cochain system is large
+        theta2 = cochain_from_form(gb, theta_form(gb, 1, 0))
+        assert ce_differential(theta2).is_zero() and is_r_invariant(theta2)
+
+
 def test_explicit_witness_for_c_eta(gr42):
     """The explicit 0-cochain c(E_ij) = sum_rho E_{rho j} (x) E_{i rho},
     c(E_{ab}) = sum_k E_{a k} (x) E_{k b}, c(n+) = c(n-) = 0 satisfies
@@ -285,11 +323,10 @@ def test_explicit_witness_for_c_eta(gr42):
         return i * s + a
 
     data = {}
-    for w, el in enumerate(gb.elements):
+    for w, (el, mat) in enumerate(zip(gb.elements, matrix_basis(gb))):
         if el.block != "r" and el.block != "t":
             continue
         vec = [QS_ZERO] * (n * n)
-        mat = el.matrix
         for (i, j), co in mat.items():
             if i < r and j < r:
                 # c(E_ij) = sum_rho E_{rho j} (x) E_{i rho}
@@ -382,9 +419,9 @@ def _levi_lower(gb):
     """e_{-alpha_i}, i in S, in the order of gb.levi_raise."""
     out = []
     for x in gb.levi_raise:
-        neg = tuple(-c for c in gb.elements[x].eps_weight)
+        neg = tuple(-c for c in gb.elements[x].weight)
         out.append(next(k for k, el in enumerate(gb.elements)
-                        if el.block == "r" and el.eps_weight == neg))
+                        if el.block == "r" and el.weight == neg))
     return out
 
 
@@ -394,8 +431,8 @@ def _ref_module_nminus_nplus(gb):
     def wsum(a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    weights = [wsum(gb.elements[gb.nminus_order[v]].eps_weight,
-                    gb.elements[gb.nplus_order[u]].eps_weight)
+    weights = [wsum(gb.elements[gb.nminus_order[v]].weight,
+                    gb.elements[gb.nplus_order[u]].weight)
                for v in range(n) for u in range(n)]
 
     def act(gen_idx, t):
@@ -416,7 +453,7 @@ def _ref_module_nminus_nplus(gb):
 
 def ref_invariant_zero_cochains(gb):
     n, dim_g = gb.n, gb.dim
-    g_weights = [el.eps_weight for el in gb.elements]
+    g_weights = [el.weight for el in gb.elements]
     e_weights, e_act = _ref_module_nminus_nplus(gb)
     unknowns = [(w, t) for w in range(dim_g) for t in range(n * n)
                 if g_weights[w] == e_weights[t]]
@@ -457,7 +494,7 @@ def ref_invariant_one_cochains(gb):
     n, dim_g = gb.n, gb.dim
     e_weights, e_act = _ref_module_nminus_nplus(gb)
     v_weights = [tuple(a + b for a, b in zip(
-        gb.elements[gb.nminus_order[v]].eps_weight, gb.elements[w].eps_weight))
+        gb.elements[gb.nminus_order[v]].weight, gb.elements[w].weight))
         for v in range(n) for w in range(dim_g)]
     unknowns = [(k, t) for k in range(n * dim_g) for t in range(n * n)
                 if v_weights[k] == e_weights[t]]
@@ -579,8 +616,8 @@ def test_is_r_invariant_rejects_non_invariant_cochains(gr42):
     e_weights, _ = _ref_module_nminus_nplus(gb)
 
     def weight(v, w, t):
-        return (tuple(a + b for a, b in zip(gb.elements[gb.nminus_order[v]].eps_weight,
-                                            gb.elements[w].eps_weight)), e_weights[t])
+        return (tuple(a + b for a, b in zip(gb.elements[gb.nminus_order[v]].weight,
+                                            gb.elements[w].weight)), e_weights[t])
 
     def single(v, w, t):
         vec = [QS_ZERO] * (n * n)
@@ -731,16 +768,20 @@ def test_spaces_and_bases_are_built_once():
     assert build_g_basis(fresh) is build_g_basis(H)
 
 
-def test_simple_roots_are_built_once_per_family_and_rank():
-    simple = liecoh._simple_roots_eps
-    for name in MATRIX_PRESETS:
-        H = space_from_preset(name)
-        simple.cache_clear()
-        liecoh._g_basis.__wrapped__(H.rd.type, H.alpha0)
-        info = simple.cache_info()
-        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
-        roots = simple(H.rd.type.family, H.rd.rank)
-        assert type(roots) is tuple and len(roots) == H.rd.rank
+def test_constants_are_built_once_per_type():
+    """Every basis of a simple type, one per special node, reads one table,
+    and a fresh equal root datum finds it."""
+    constants = liecoh._chevalley
+    for t in sorted({space_from_preset(name).rd.type for name in MATRIX_PRESETS}, key=str):
+        rd = build_root_system(t)
+        nodes = rd.special_simple_roots()
+        constants.cache_clear()
+        bases = [liecoh._g_basis.__wrapped__(t, alpha0) for alpha0 in nodes]
+        info = constants.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(nodes) - 1, 1)
+        roots, N = constants(build_root_system(t))
+        assert all(gb.constants is N for gb in bases)
+        assert type(roots) is tuple and len(roots) == 2 * len(rd.positive_roots)
 
 
 def test_cochains_on_different_bases_do_not_mix():

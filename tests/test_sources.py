@@ -104,6 +104,7 @@ def test_a_deleted_name_does_not_resolve():
     assert _resolve("liecoh.GModuleBasis.bracket_coords")
     assert _resolve("Derivation.bracket") and _resolve("fractions.Fraction")
     for name in ("liecoh._G_BASIS_CACHE", "liecoh.GModuleBasis.project_nplus",
+                 "liecoh.GModuleBasis.expand", "liecoh._simple_roots_eps",
                  "NoSuchClass.method", "liecho.build_g_basis"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)
