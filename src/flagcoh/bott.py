@@ -4,7 +4,8 @@ classification.
 
 Vector bundles enter as R-characters (the isotropy representation restricted
 to the Levi determines everything here); non-Hermitian-symmetric parabolic
-data is refused outright.
+data is refused outright.  The module only computes: the published k list,
+case tables and their recorded deviations are `verify`'s.
 """
 
 from __future__ import annotations
@@ -243,62 +244,3 @@ def invariant_dimension(H: HermitianSymmetricSpace, p: int, q: int) -> int:
 def k_value(H: HermitianSymmetricSpace) -> int:
     """k = dim H^2(M, Omega^3 (x) Theta)^G, 0 when dim M < 3."""
     return invariant_dimension(H, 3, 2) if H.dim >= 3 else 0
-
-
-def published_k_value(H: HermitianSymmetricSpace) -> Optional[int]:
-    """The k = dim H^2(Omega^3 (x) Theta)^G value the published case list
-    gives, or None when the space is outside that list."""
-    fam = H.rd.type.family
-    l = H.rd.rank
-    if H.case == "III":
-        return 0 if l == 2 else 1
-    if H.case == "II":
-        rs = grassmannian_rs(H)
-        _require(rs is not None, "a case II space is a Grassmannian")
-        r, s = sorted(rs)
-        if (r, s) == (2, 2):
-            return 2
-        if r == 2:
-            return 3
-        return 4
-    # case I
-    if fam in ("B", "E"):
-        return 1
-    if fam == "C":
-        return 2
-    if fam == "D":
-        if H.alpha0 == 0:
-            # quadric node; the published list covers only l > 4 here
-            return 1 if l > 4 else None
-        return 2  # fork node: maximal isotropic Grassmannian
-    return None
-
-
-# Verified deviations of the computed tables from the published case tables
-# (extra G-modules the published proofs of the H^1/H^2 vanishing statements
-# miss; each entry hand-checked in epsilon coordinates and, for Q3, against
-# a Riemann-Roch Euler characteristic).  preset -> {(p, q): [descriptors]}.
-PUBLISHED_TABLE_DEVIATIONS: Dict[str, Dict[Tuple[int, int], List[ModuleDescriptor]]] = {
-    "Q3": {(2, 1): [ModuleDescriptor("other", (1, 1), 5, 1)]},
-    "Q5": {(3, 2): [ModuleDescriptor("other", (1, 1, 1), 7, 1)]},
-    "LG3": {
-        (2, 2): [ModuleDescriptor("adjoint", (2, 2, 1), 21, 1)],
-        (3, 2): [ModuleDescriptor("other", (1, 2, 1), 14, 1)],
-    },
-    "Gr(5,2)": {(2, 2): [ModuleDescriptor("adjoint", (1, 1, 1, 1), 24, 1)]},
-    "Gr(6,3)": {(2, 2): [ModuleDescriptor("adjoint", (1, 1, 1, 1, 1), 35, 2)]},
-}
-
-
-def published_table_entry(case: Case, k: int, p: int, q: int) -> Tuple[int, int]:
-    """(adjoint count, trivial count) the published case table shows at (p,q),
-    for q <= 2; everything outside the listed cells is 0."""
-    cells = {
-        ("I", 0, 0): (1, 0), ("I", 1, 0): (0, 1),
-        ("I", 1, 1): (1, 0), ("I", 2, 1): (0, 1), ("I", 3, 2): (0, k),
-        ("II", 0, 0): (1, 0), ("II", 1, 0): (0, 1),
-        ("II", 1, 1): (1, 0), ("II", 2, 1): (0, 2), ("II", 3, 2): (0, k),
-        ("III", 0, 0): (1, 0), ("III", 1, 0): (0, 1),
-        ("III", 2, 1): (0, 1), ("III", 3, 2): (0, k),
-    }
-    return cells.get((case, p, q), (0, 0))

@@ -153,7 +153,7 @@ def cmd_cohomology_table(args) -> int:
                     "modules": [_descriptor_json(d) for d in col[q]],
                 })
     k = bott.k_value(H)
-    deviations = bott.PUBLISHED_TABLE_DEVIATIONS.get(bott._norm_name(args.space), {})
+    deviations = verify.PUBLISHED_TABLE_DEVIATIONS.get(bott._norm_name(args.space), {})
     payload = {
         "space": args.space,
         "case": H.case,
@@ -196,7 +196,7 @@ def cmd_invariants(args) -> int:
     inv = bott.invariant_dimension(H, p, q)
     col = bott.cohomology_omega_p_theta(H, p, q_max=q)
     triv = bott.tag_counts(col[q])[1]
-    stated = bott.published_k_value(H) if (p, q) == (3, 2) else None
+    stated = verify.published_k_value(H) if (p, q) == (3, 2) else None
     payload = {
         "space": args.space,
         "p": p,
@@ -324,7 +324,7 @@ def cmd_e3(args) -> int:
         "E3": table_json(res.E3),
         "H0": {"even": dims["H0_even"], "odd": dims["H0_odd"]},
         "H1": {"even": dims["H1_even"], "odd": dims["H1_odd"]},
-        "flag_32": spectral.flagged_32_comparison(res),
+        "flag_32": verify.flagged_32_comparison(res),
         "notes": res.notes,
     }
 

@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .scalars import Coeff, canonical
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
-Coeff = Union[int, Fraction]  # int when integral (see `_canon`)
 
 
 def _merge_sign(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
@@ -69,10 +69,7 @@ def _merge_sign(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
 
 def _canon(c):
     """c as an int when it is integral (a bool too), else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = c if type(c) is Fraction else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    return c if type(c) is int else canonical(c if type(c) is Fraction else Fraction(c))
 
 
 @dataclass(frozen=True)

@@ -8,22 +8,21 @@ Coordinates: entries are indexed (p, q) with q the TOTAL cohomology degree
 other) so G-equivariance can be exploited: d2 only connects summands of the
 same type.  Entries whose d2 data is unknown are emitted `undetermined`,
 never guessed.  theta = a theta2 + b eta has its one basis and its coordinates
-in `invforms.theta_basis` and `invforms.theta_coordinates`.
+in `invforms.theta_basis` and `invforms.theta_coordinates`.  The module only
+computes: the published E3 rows, the (3,2) reading and the (n^2-1 | n^2)
+check it is compared against are `verify`'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bott import (
     HermitianSymmetricSpace,
     ModuleDescriptor,
     _merge_descriptors,
     cohomology_omega_p_theta,
-    grassmannian_rs,
-    k_value,
-    tag_counts,
 )
 from .invforms import product_table, theta_coordinates
 from .liecoh import (
@@ -185,85 +184,3 @@ def cohomology_of_T(H: HermitianSymmetricSpace, a, b
         for s in (entry if q <= 1 else ()):
             buckets[(q, p % 2)].append(s.descriptor)
     return CohomologyReport(*map(_merge_descriptors, buckets.values())), res
-
-
-def pq_consistency(H: HermitianSymmetricSpace) -> Dict[str, object]:
-    """For Gr(n,s) with theta = eta, the super vector-field dimensions must
-    be (n^2 - 1 | n^2), matching q_n / <I>."""
-    rs = grassmannian_rs(H)
-    if rs is None:
-        raise ValueError("pq consistency is a Grassmannian check")
-    n = rs[0] + rs[1]
-    report, _ = cohomology_of_T(H, 0, 1)
-    dims = report.dims()
-    expected = {"even": n * n - 1, "odd": n * n}
-    ok = dims["H0_even"] == expected["even"] and dims["H0_odd"] == expected["odd"]
-    return {
-        "space": str(H),
-        "n": n,
-        "H0_even": dims["H0_even"],
-        "H0_odd": dims["H0_odd"],
-        "expected": expected,
-        "ok": ok,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Published-table comparison (the acceptance layer asserts these)
-# ---------------------------------------------------------------------------
-
-# rows q = 0,1 of the published E3 tables as (adjoint, trivial) counts per
-# (p, q), one row per regime; the II-special row follows the item-(3) statement
-_PUBLISHED_E3_ROWS: Dict[str, Dict[Tuple[int, int], Tuple[int, int]]] = {
-    "I": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0)},
-    "II-generic": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0), (2, 1): (0, 1)},
-    "II-special": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0), (1, 1): (0, 1),
-                   (2, 1): (0, 1)},
-    "II-eta": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0),
-               (1, 1): (1, 0), (2, 1): (0, 1)},
-    "III": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1)},
-}
-
-
-def published_e3_rows(regime: str, n: Optional[int] = None
-                      ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """The published rows of `regime` ('I', 'II-generic', 'II-special',
-    'II-eta', 'III'); on CP2 (regime III, n = 3) (1,1) keeps a trivial."""
-    if regime not in _PUBLISHED_E3_ROWS:
-        raise ValueError(regime)
-    t = dict(_PUBLISHED_E3_ROWS[regime])
-    if regime == "III" and n == 3:
-        t[(1, 1)] = (0, 1)
-    return t
-
-
-def e3_rows_summary(res: E3Result) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
-    """Computed (adjoint, trivial, other) totals per entry, rows 0,1."""
-    out = {}
-    for (p, q), entry in res.E3.items():
-        counts = tag_counts([s.descriptor for s in entry])
-        if q <= 1 and any(counts):
-            out[(p, q)] = counts
-    return out
-
-
-def flagged_32_comparison(res: E3Result) -> Dict[str, object]:
-    """The (3,2) entry: computed trivial part vs the published superscript
-    read as k-1 (case I, theta = theta2) resp. k-2 (case II)."""
-    H = res.H
-    k = k_value(H)
-    entry = res.E3.get((3, 2), [])
-    computed = sum(
-        s.descriptor.mult for s in entry
-        if s.descriptor.tag == "trivial" and s.status == "ok"
-    )
-    if H.case == "II":
-        published = max(k - 2, 0)
-    else:
-        published = max(k - 1, 0)
-    return {
-        "computed_trivial": computed,
-        "published_reading": published,
-        "agree": computed == published,
-        "k": k,
-    }

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exterior import Coeff, Derivation, TermAlgebra, _canon, _merge_sign
 from .rootsys import _require
+from .scalars import rank
 from .scalars import nullspace
 
 # monomial: (x-part as sorted tuple of (flat index, exponent), xi-part as
@@ -536,8 +537,6 @@ def transitivity_at_origin(n: int, s: int) -> Dict[str, int]:
             if any(cxi):
                 od_rows.append(cxi)
             _require(not any(cx), "an odd field has an even value at the origin")
-    from .scalars import rank
-
     return {
         "even": rank(ev_rows) if ev_rows else 0,
         "odd": rank(od_rows) if od_rows else 0,

@@ -19,12 +19,12 @@ from flagcoh.bott import (
     grassmannian_rs,
     invariant_dimension,
     k_value,
-    published_k_value,
     space_from_preset,
     tag_counts,
 )
 from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.spectral import assemble_E2
+from flagcoh.verify import published_k_value
 
 
 # the irreducible compact Hermitian symmetric spaces up to rank 9, one per
@@ -128,7 +128,7 @@ def test_bott_irreducible_basics():
 # the recorded deviations.  The acceptance suite separately asserts the
 # published tables as stated and stays red at exactly the deviating cells.
 
-from flagcoh.bott import PUBLISHED_TABLE_DEVIATIONS, published_table_entry
+from flagcoh.verify import PUBLISHED_TABLE_DEVIATIONS, published_table_entry
 
 
 @pytest.mark.parametrize("name", DESK_PRESETS)

@@ -61,6 +61,28 @@ def test_module_has_no_unused_import(path):
             if name not in used] == []
 
 
+def _imports_verify(tree):
+    """Whether any import in tree, at module level or not, loads
+    `flagcoh.verify`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "flagcoh.verify" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "verify" or (
+                    node.module in (None, "flagcoh")
+                    and any(a.name == "verify" for a in node.names)):
+                return True
+    return False
+
+
+def test_only_cli_imports_verify():
+    """`verify` holds the paper's published values; only the CLI, besides
+    the tests, reads it, so no computing layer can depend on them."""
+    importers = [p.name for p in SOURCES
+                 if _imports_verify(ast.parse(p.read_text(encoding="utf-8")))]
+    assert importers == ["cli.py"]
+
 
 DOCS = [Path(__file__).resolve().parents[1] / p
         for p in ("README.md", "docs/json_schemas.md")]
@@ -105,6 +127,8 @@ def test_a_deleted_name_does_not_resolve():
     assert _resolve("Derivation.bracket") and _resolve("fractions.Fraction")
     for name in ("liecoh._G_BASIS_CACHE", "liecoh.GModuleBasis.project_nplus",
                  "liecoh.GModuleBasis.expand", "liecoh._simple_roots_eps",
-                 "NoSuchClass.method", "liecho.build_g_basis"):
+                 "NoSuchClass.method", "liecho.build_g_basis",
+                 "bott.PUBLISHED_TABLE_DEVIATIONS", "bott.published_k_value",
+                 "spectral.flagged_32_comparison", "spectral.published_e3_rows"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)

@@ -16,15 +16,12 @@ from flagcoh.invforms import (
 )
 from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.scalars import QSqrt2, RT2, parse_scalar
-from flagcoh.spectral import (
-    apply_d2,
-    assemble_E2,
-    cohomology_of_T,
+from flagcoh.spectral import apply_d2, assemble_E2, cohomology_of_T, theta_for
+from flagcoh.verify import (
     e3_rows_summary,
     flagged_32_comparison,
     pq_consistency,
     published_e3_rows,
-    theta_for,
 )
 
 
