@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import bott, invforms, liecoh, spectral, superfields, verify
 from .bott import PRESET_NAMES, space_from_preset
 from .rootsys import root_system
-from .scalars import QSqrt2, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 
 def _die(msg: str) -> "NoReturn":  # noqa: F821
@@ -34,12 +34,10 @@ def _emit(payload: Dict, fmt: str, markdown_fn=None, csv_fn=None) -> None:
             print("```json\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n```")
         else:
             print(markdown_fn(payload))
-    elif fmt == "csv":
+    else:
         if csv_fn is None:
             _die("csv output is not defined for this command")
         print(csv_fn(payload))
-    else:
-        _die(f"unknown format {fmt}")
 
 
 def module_label(tag: str, dim: int, mult: int) -> str:
@@ -139,8 +137,7 @@ def cmd_bott(args) -> int:
 
 def cmd_cohomology_table(args) -> int:
     H = space_from_preset(args.space)
-    p_max = min(args.p if args.p is not None else 4, H.dim)
-    q_max = args.q if args.q is not None else 2
+    p_max, q_max = min(args.p, H.dim), args.q
     if min(p_max, q_max) < 0:
         _die("--p and --q must be nonnegative")
     entries = []
@@ -191,8 +188,7 @@ def cmd_cohomology_table(args) -> int:
 
 def cmd_invariants(args) -> int:
     H = space_from_preset(args.space)
-    p = args.p if args.p is not None else 3
-    q = args.q if args.q is not None else 2
+    p, q = args.p, args.q
     inv = bott.invariant_dimension(H, p, q)
     col = bott.cohomology_omega_p_theta(H, p, q_max=q)
     triv = bott.tag_counts(col[q])[1]
@@ -218,25 +214,17 @@ def cmd_forms(args) -> int:
     basis = invforms.theta_basis(invforms.MatrixPairSpace(*rs)) if rs else ()
     if len(basis) < 2:
         _die("the eta family needs a Grassmannian with 2 <= s <= n-2")
-    th2, et = basis
-    sp = th2.space
-    th3 = invforms.theta_p(sp, 3)
-    e1, e2, e3 = invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)
-    products = {
-        "theta2^theta2": invforms.independent_coefficients(
-            invforms.barwedge_inv(th2, th2), [th3, e1, e2, e3]),
-        "theta2^eta": invforms.independent_coefficients(
-            invforms.barwedge_inv(th2, et), [th3, e1, e2, e3]),
-        "eta^theta2": invforms.independent_coefficients(
-            invforms.barwedge_inv(et, th2), [th3, e1, e2, e3]),
-        "eta^eta": invforms.independent_coefficients(
-            invforms.barwedge_inv(et, et), [th3, e1, e2, e3]),
-    }
+    sp = basis[0].space
+    forms3 = [invforms.theta_p(sp, 3), invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)]
+    products = dict(zip(
+        ("theta2^theta2", "theta2^eta", "eta^theta2", "eta^eta"),
+        (invforms.independent_coefficients(f, forms3)
+         for row in invforms.theta_products(sp) for f in row)))
     rep = invforms.nilpotent_pairs(sp)
     payload = {
         "space": args.space,
-        "rank_theta3_eta123": invforms.rank_of([th3, e1, e2, e3]),
-        "rank_theta2_eta": invforms.rank_of([th2, et]),
+        "rank_theta3_eta123": invforms.rank_of(forms3),
+        "rank_theta2_eta": invforms.rank_of(list(basis)),
         "products_in_basis_theta3_eta1_eta2_eta3": {
             k: ([format_scalar(c) for c in v] if v is not None else "outside span")
             for k, v in products.items()
@@ -273,8 +261,7 @@ def cmd_forms(args) -> int:
 
 def cmd_d2(args) -> int:
     H = space_from_preset(args.space)
-    a = parse_scalar(args.a) if args.a else QSqrt2(1)
-    b = parse_scalar(args.b) if args.b else QSqrt2(0)
+    a, b = parse_scalar(args.a), parse_scalar(args.b)
     spectral.theta_for(H, a, b)  # refuses a theta that is zero on H
     rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
@@ -299,8 +286,7 @@ def cmd_d2(args) -> int:
 
 def cmd_e3(args) -> int:
     H = space_from_preset(args.space)
-    a = parse_scalar(args.a) if args.a else QSqrt2(1)
-    b = parse_scalar(args.b) if args.b else QSqrt2(0)
+    a, b = parse_scalar(args.a), parse_scalar(args.b)
     report, res = spectral.cohomology_of_T(H, a, b)
 
     def table_json(table):
@@ -356,9 +342,7 @@ def cmd_pi_grassmannian(args) -> int:
     n, s = args.n, args.s
     if not 1 <= s <= n - 1:
         _die("need 1 <= s <= n-1")
-    hom = superfields.homomorphism_check(n, s) if n <= 4 else {
-        "sigma": None, "note": "exhaustive check runs for n <= 4"
-    }
+    hom = superfields.homomorphism_check(n, s)
     ker = superfields.kernel_of_action(n, s)
     trans = superfields.transitivity_at_origin(n, s)
     weights = superfields.isotropy_weights(n, s)
@@ -447,14 +431,16 @@ COMMANDS: Dict[str, Tuple[Callable, str, Tuple]] = {
         ("--weight", {"required": True,
                       "help": "S-dominant weight, comma-separated simple-root coords"}))),
     "cohomology-table": (cmd_cohomology_table, "H^q(M, Omega^p x Theta) table", (
-        _SPACE, ("--p", {"type": int, "help": "max p (default 4)"}),
-        ("--q", {"type": int, "help": "max q (default 2)"}))),
-    "invariants": (cmd_invariants, "invariant dimension by both routes",
-                   (_SPACE, ("--p", {"type": int}), ("--q", {"type": int}))),
+        _SPACE, ("--p", {"type": int, "default": 4, "help": "max p (default 4)"}),
+        ("--q", {"type": int, "default": 2, "help": "max q (default 2)"}))),
+    "invariants": (cmd_invariants, "invariant dimension by both routes", (
+        _SPACE, ("--p", {"type": int, "default": 3}), ("--q", {"type": int, "default": 2}))),
     "forms": (cmd_forms, "theta/eta family report", (_SPACE,)),
     "d2": (cmd_d2, "degree-2 differential rank on vector fields", (
-        _SPACE, ("--a", {"help": "scalar, e.g. '1' or '1+2*rt2'"}), ("--b", {}))),
-    "e3": (cmd_e3, "E2/E3 tables and H^0/H^1 report", (_SPACE, ("--a", {}), ("--b", {}))),
+        _SPACE, ("--a", {"default": "1", "help": "scalar, e.g. '1' or '1+2*rt2'"}),
+        ("--b", {"default": "0"}))),
+    "e3": (cmd_e3, "E2/E3 tables and H^0/H^1 report", (
+        _SPACE, ("--a", {"default": "1"}), ("--b", {"default": "0"}))),
     "pi-grassmannian": (cmd_pi_grassmannian, "fundamental fields of the q_n action", (
         ("--n", {"type": int, "required": True}), ("--s", {"type": int, "required": True}))),
     "verify-all": (cmd_verify_all, "run the acceptance gate", (
@@ -514,7 +500,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except ValueError as exc:
         _die(str(exc))
-        return 2
 
 
 if __name__ == "__main__":

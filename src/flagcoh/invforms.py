@@ -328,8 +328,8 @@ def independent_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# theta = a theta2 + b eta: its basis and coordinates, for every module; the
-# product table; nilpotent pairs (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
+# theta = a theta2 + b eta: its basis, coordinates and products for every
+# module; nilpotent pairs (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -354,17 +354,24 @@ def theta_coordinates(space, a, b) -> Tuple[Coeff, ...]:
     return (narrow(a),)
 
 
+def theta_products(space) -> Tuple[Tuple[InvariantVectorForm, ...], ...]:
+    """B_x /\\ B_y over `theta_basis(space)`, as rows x of columns y.  Not
+    cached: callers keep only what they read of it."""
+    basis = theta_basis(space)
+    return tuple(tuple(barwedge_inv(x, y) for y in basis) for x in basis)
+
+
 @lru_cache(maxsize=None)
 def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
-    """P[x][y] = B_x /\\ B_y over `theta_basis(space)`, restricted to the
-    pivot columns J of the products.  Restriction to J is injective on the
-    span of the products, so every combination of them keeps its rank and
+    """P[x][y] = `theta_products(space)`[x][y] restricted to the pivot
+    columns J of the products.  Restriction to J is injective on the span
+    of the products, so every combination of them keeps its rank and
     kernel there; |J| <= 4."""
-    basis = theta_basis(space)
-    rows, n_coords = _sparse_rows([barwedge_inv(x, y) for x in basis for y in basis])
+    products = theta_products(space)
+    rows, n_coords = _sparse_rows([f for row in products for f in row])
     J = sparse_rref(rows, n_coords)[1]
     P = [tuple(row.get(j, 0) for j in J) for row in rows]
-    m = len(basis)
+    m = len(products)
     return tuple(tuple(P[x * m:(x + 1) * m]) for x in range(m))
 
 

@@ -385,18 +385,20 @@ def check_c5_theta_product_law() -> Tuple[bool, str]:
     return True, "theta_p ^ theta_q = p theta_{p+q-1} for p+q <= 5"
 
 
+def _c5_products_hold(sp: invforms.MatrixPairSpace, factors) -> List[bool]:
+    """Whether theta2^theta2, theta2^eta, eta^theta2 and eta^eta on sp equal
+    factors times theta3, eta1+eta2, eta2 and eta3, in that order."""
+    e2 = invforms.eta2(sp)
+    rhs = (invforms.theta_p(sp, 3), invforms.eta1(sp) + e2, e2, invforms.eta3(sp))
+    products = (f for row in invforms.theta_products(sp) for f in row)
+    return [f == r.scale(c) for f, r, c in zip(products, rhs, factors)]
+
+
 def check_c5_product_identities_published() -> Tuple[bool, str]:
-    sp = invforms.MatrixPairSpace(2, 2)
-    th2, et = invforms.theta_p(sp, 2), invforms.eta(sp)
-    e1, e2, e3 = invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)
-    th3 = invforms.theta_p(sp, 3)
-    checks = [
-        ("theta2^theta2 = 2 theta3", invforms.barwedge_inv(th2, th2) == th3.scale(2)),
-        ("theta2^eta = 2(eta1+eta2)", invforms.barwedge_inv(th2, et) == (e1 + e2).scale(2)),
-        ("eta^theta2 = 4 eta2", invforms.barwedge_inv(et, th2) == e2.scale(4)),
-        ("eta^eta = 4 eta3", invforms.barwedge_inv(et, et) == e3.scale(4)),
-    ]
-    bad = [nm for nm, ok in checks if not ok]
+    names = ("theta2^theta2 = 2 theta3", "theta2^eta = 2(eta1+eta2)",
+             "eta^theta2 = 4 eta2", "eta^eta = 4 eta3")
+    holds = _c5_products_hold(invforms.MatrixPairSpace(2, 2), (2, 2, 4, 4))
+    bad = [nm for nm, ok in zip(names, holds) if not ok]
     if bad:
         return False, "published equalities failing (computed values are half): " + ", ".join(bad)
     return True, "all four published product identities hold"
@@ -404,17 +406,7 @@ def check_c5_product_identities_published() -> Tuple[bool, str]:
 
 def check_c5_product_identities_computed() -> Tuple[bool, str]:
     for rs in ((2, 2), (3, 2), (3, 3)):
-        sp = invforms.MatrixPairSpace(*rs)
-        th2, et = invforms.theta_p(sp, 2), invforms.eta(sp)
-        e1, e2, e3 = invforms.eta1(sp), invforms.eta2(sp), invforms.eta3(sp)
-        th3 = invforms.theta_p(sp, 3)
-        ok = (
-            invforms.barwedge_inv(th2, th2) == th3.scale(2)
-            and invforms.barwedge_inv(th2, et) == e1 + e2
-            and invforms.barwedge_inv(et, th2) == e2.scale(2)
-            and invforms.barwedge_inv(et, et) == e3.scale(2)
-        )
-        if not ok:
+        if not all(_c5_products_hold(invforms.MatrixPairSpace(*rs), (2, 1, 2, 2))):
             return False, f"verified product values failed on {rs}"
     return True, "verified products: th2^eta = eta1+eta2, eta^th2 = 2 eta2, eta^eta = 2 eta3"
 
@@ -548,7 +540,7 @@ C7_REGIMES = [
 
 
 def check_c7_pq_consistency() -> Tuple[bool, str]:
-    for nm, n in (("Gr(4,2)", 4), ("Gr(5,2)", 5), ("CP2", 3)):
+    for nm in ("Gr(4,2)", "Gr(5,2)", "CP2"):
         res = pq_consistency(space_from_preset(nm))
         if not res["ok"]:
             return False, f"{nm}: {res}"

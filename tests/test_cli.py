@@ -472,6 +472,17 @@ def test_a_value_beginning_with_minus_reads_as_with_equals(capsys, spaced, glued
     assert runs[0] == runs[1] and runs[0][0] == rc
 
 
+@pytest.mark.parametrize("command", ["d2", "e3"])
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_an_empty_scalar_exits_2_with_one_line(capsys, command, flag):
+    """An empty --a or --b is an error, not the option's default."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--space", "Gr(4,2)", "--a", "1", "--b", "1", flag, ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: empty scalar literal\n"
+
+
 @pytest.mark.parametrize("weight", ["1,a", "1,,0", "", "1.5,0"])
 def test_a_weight_that_is_not_integers_exits_2_with_one_line(capsys, weight):
     with pytest.raises(SystemExit) as exc:

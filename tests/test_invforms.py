@@ -25,6 +25,7 @@ from flagcoh.invforms import (
     theta_basis,
     theta_coordinates,
     theta_p,
+    theta_products,
     _clean,
     _projective_roots,
 )
@@ -150,6 +151,19 @@ def test_theta_basis_and_coordinates():
     assert theta_coordinates(sp, QSqrt2(3), QSqrt2(0)) == (3,)
     with pytest.raises(ValueError, match="eta undefined"):
         theta_coordinates(sp, 1, RT2)
+
+
+def test_theta_products_are_rows_x_of_columns_y():
+    """B_x /\\ B_y over `theta_basis`: 2 x 2 where eta is a basis form,
+    1 x 1 on CP^n and off the Grassmannians."""
+    sp = MatrixPairSpace(2, 2)
+    products = theta_products(sp)
+    assert [len(row) for row in products] == [2, 2]
+    assert products[1][0] == barwedge_inv(eta(sp), theta_p(sp, 2))
+    assert products[1][0] != products[0][1]
+    for sp in (MatrixPairSpace(1, 3), RootPairSpace(4)):
+        th2 = theta_p(sp, 2)
+        assert theta_products(sp) == ((barwedge_inv(th2, th2),),)
 
 
 def test_forms_on_different_spaces_neither_compare_equal_nor_add():

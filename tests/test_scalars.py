@@ -336,6 +336,14 @@ def test_linear_algebra_round_trip(field):
             assert sum((c * x for c, x in zip(row, sol)), start=zero) == b
 
 
+@pytest.mark.parametrize("n", [3, 0])
+def test_nullspace_of_no_rows_is_all_of_q_n(n):
+    """A 0 x n matrix has the n unit vectors as its kernel basis, as a zero
+    row does."""
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert nullspace([], n) == units == nullspace([[0] * n], n)
+
+
 @pytest.mark.parametrize("kind", ["fraction", "rational-qsqrt2"])
 def test_solve_splits_qsqrt2_rhs_of_rational_matrix(kind):
     rng = random.Random(f"split/{kind}")

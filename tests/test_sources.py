@@ -84,6 +84,16 @@ def test_only_cli_imports_verify():
     assert importers == ["cli.py"]
 
 
+
+def test_cli_multiplies_no_forms():
+    """The forms command reads its products from `invforms.theta_products`,
+    as criterion 5 does, so the two cannot drift apart."""
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    named = [node.lineno for node in ast.walk(tree) if "barwedge_inv" in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+    assert named == []
+
+
 DOCS = [Path(__file__).resolve().parents[1] / p
         for p in ("README.md", "docs/json_schemas.md")]
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
