@@ -111,7 +111,8 @@ class InvariantVectorForm:
     def __eq__(self, other):
         return (
             (self.space, self.p, self.q) == (other.space, other.p, other.q)
-            and _clean(self.tensor) == _clean(other.tensor)
+            and _entries_within(self.tensor, other.tensor)
+            and _entries_within(other.tensor, self.tensor)
         )
 
 
@@ -139,13 +140,11 @@ def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
             tgt.pop(i, None)
 
 
-def _clean(t: Dict[Key, Vec]) -> Dict[Key, Vec]:
-    out = {}
-    for k, vec in t.items():
-        v = {i: c for i, c in vec.items() if c}
-        if v:
-            out[k] = v
-    return out
+def _entries_within(t: Dict[Key, Vec], u: Dict[Key, Vec]) -> bool:
+    """Whether each entry of t equals u's at its place (0 where u has none);
+    both ways round, two tensors agree up to stored zeros, and neither is
+    copied."""
+    return all(c == u.get(k, {}).get(i, 0) for k, vec in t.items() for i, c in vec.items())
 
 
 # ---------------------------------------------------------------------------

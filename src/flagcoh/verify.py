@@ -387,11 +387,18 @@ def check_c5_theta_product_law() -> Tuple[bool, str]:
 
 def _c5_products_hold(sp: invforms.MatrixPairSpace, factors) -> List[bool]:
     """Whether theta2^theta2, theta2^eta, eta^theta2 and eta^eta on sp equal
-    factors times theta3, eta1+eta2, eta2 and eta3, in that order."""
-    e2 = invforms.eta2(sp)
-    rhs = (invforms.theta_p(sp, 3), invforms.eta1(sp) + e2, e2, invforms.eta3(sp))
-    products = (f for row in invforms.theta_products(sp) for f in row)
-    return [f == r.scale(c) for f, r, c in zip(products, rhs, factors)]
+    factors times theta3, eta1+eta2, eta2 and eta3, in that order.  On Mat
+    3x3 these forms set the gate's peak memory, so each right-hand side is
+    built when it is compared and each product is dropped after."""
+    def rhs():
+        yield invforms.theta_p(sp, 3)
+        e2 = invforms.eta2(sp)
+        yield invforms.eta1(sp) + e2
+        yield e2
+        yield invforms.eta3(sp)
+
+    products = [f for row in invforms.theta_products(sp) for f in row][::-1]
+    return [products.pop() == r.scale(c) for r, c in zip(rhs(), factors)]
 
 
 def check_c5_product_identities_published() -> Tuple[bool, str]:

@@ -26,7 +26,6 @@ from flagcoh.invforms import (
     theta_coordinates,
     theta_p,
     theta_products,
-    _clean,
     _projective_roots,
 )
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rank, rref, solve
@@ -164,6 +163,22 @@ def test_theta_products_are_rows_x_of_columns_y():
     for sp in (MatrixPairSpace(1, 3), RootPairSpace(4)):
         th2 = theta_p(sp, 2)
         assert theta_products(sp) == ((barwedge_inv(th2, th2),),)
+
+
+def test_forms_equal_up_to_stored_zeros():
+    """Equality reads the nonzero entries: a stored 0, or a key holding
+    only zeros, changes nothing, and one differing entry either way round
+    tells two forms apart."""
+    th2 = theta_p(GR42, 2)
+    key, vec = next(iter(th2.tensor.items()))
+    assert ((0, 1), (2,)) not in th2.tensor
+    padded = InvariantVectorForm(GR42, 2, 1, th2.tensor | {
+        key: vec | {3: 0}, ((0, 1), (2,)): {0: 0}})
+    assert padded == th2 and th2 == padded
+    for tensor in ({k: v for k, v in th2.tensor.items() if k != key},
+                   th2.tensor | {key: {i: 2 * c for i, c in vec.items()}}):
+        other = InvariantVectorForm(GR42, 2, 1, tensor)
+        assert other != th2 and th2 != other
 
 
 def test_forms_on_different_spaces_neither_compare_equal_nor_add():
@@ -557,8 +572,7 @@ def _family(space):
 
 def _assert_same_product(phi, psi, label):
     got, want = barwedge_inv(phi, psi), _dense_barwedge_raw(phi, psi)
-    assert (got.p, got.q) == (want.p, want.q), label
-    assert _clean(got.tensor) == _clean(want.tensor), label
+    assert got == want, label
 
 
 @pytest.mark.parametrize("rs", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)], ids=str)
