@@ -9,8 +9,9 @@ the change checkout first on odd k, so that a drift in host speed does not
 favour either side.  For each workload and each end-to-end metric
 the record holds every run's value, the median and quartiles per side, and
 the number of pairs in which the change checkout was lower.  On `gate` it
-also keeps each check's latency (its minimum over a run's passes) and the
-per-layer metrics of one traced run per checkout.  Last, the change
+also keeps each check's latency (its minimum over a run's passes), and on
+every workload the per-layer metrics of one traced run per checkout
+(`traced`).  Last, the change
 checkout's test suite runs once, and its wall time, summary line and ten
 slowest tests go into the record, beside the line count of each checkout's
 `src/flagcoh` (`src_lines`).
@@ -141,11 +142,12 @@ def main() -> int:
             print(f"{workload} pair {k}: run_s parent {runs['parent'][-1]['run_s']:.4f}"
                   f" change {runs['change'][-1]['run_s']:.4f}", file=sys.stderr)
         record["workloads"][workload] = summarise(runs, workload)
-    record["gate_traced"] = {
+    record["traced"] = {workload: {
         "seed": SEEDS[0],
         **{side: {k: v["value"] for k, v in json.loads(
-            bench(root, "gate", SEEDS[0], trace=1)[-1])["metrics"].items()}
+            bench(root, workload, SEEDS[0], trace=1)[-1])["metrics"].items()}
            for side, root in (("parent", args.parent), ("change", args.change))}}
+        for workload in WORKLOADS}
     record["tier1"] = tier1(args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

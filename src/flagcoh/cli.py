@@ -8,11 +8,11 @@ is 0 exactly when every requested check passed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bott, invforms, liecoh, spectral, superfields, verify
@@ -421,11 +421,12 @@ def cmd_verify_all(args) -> int:
 
 
 _SPACE = ("--space", {"required": True})
+_FORMATS = ("json", "csv", "markdown")
 
-# name -> (handler, help, arguments as (flag, add_argument keywords))
+# name -> (handler, help, arguments as (flag or positional, required/type/default/help))
 COMMANDS: Dict[str, Tuple[Callable, str, Tuple]] = {
     "roots": (cmd_roots, "root-system report",
-              (("type", {"help": "simple type, e.g. B3"}),)),
+              (("type", {"required": True, "help": "simple type, e.g. B3"}),)),
     "bott": (cmd_bott, "Bott's algorithm for one bundle weight", (
         ("--space", {"required": True, "help": f"one of {PRESET_NAMES}"}),
         ("--weight", {"required": True,
@@ -448,58 +449,71 @@ COMMANDS: Dict[str, Tuple[Callable, str, Tuple]] = {
 }
 
 
-def _named_command(argv: List[str]) -> Optional[str]:
-    """The command argv names: its first token that is neither an option nor
-    the value of --format, if that token is a command; else None."""
-    tokens = iter(argv)
+def _stop(name: Optional[str], error: str = "") -> "NoReturn":  # noqa: F821
+    """Exit 2 with a usage line and the error on stderr, or 0 with the help on stdout."""
+    prog = "flagcoh" + (f" {name}" if name else "")
+    if name is None:
+        usage = f"[--format {{{','.join(_FORMATS)}}}] {{{','.join(COMMANDS)}}} ..."
+        text, rows = __doc__.strip(), [(n, h) for n, (_, h, _) in COMMANDS.items()]
+    else:
+        _, text, arguments = COMMANDS[name]
+        rows = [(f"{f} {f[2:].upper()}" if f[0] == "-" else f, kw.get("help", ""))
+                for f, kw in arguments]
+        usage = " ".join(w if kw.get("required") else f"[{w}]"
+                         for (w, _), (_, kw) in zip(rows, arguments))
+    lines = ([f"{prog}: error: {error}"] if error
+             else ["", text, "", *(f"  {a:<22}{b}".rstrip() for a, b in rows)])
+    print(f"usage: {prog} [-h] {usage}", *lines, sep="\n",
+          file=sys.stderr if error else sys.stdout)
+    sys.exit(2 if error else 0)
+
+
+def _read(name: str, tokens) -> Dict:
+    """The named command's arguments by dest, read from its tokens: a flag takes
+    the text after `=`, else the next token (which may begin with '-'); the last wins."""
+    arguments = dict(COMMANDS[name][2])
+    free = [f for f in arguments if f[0] != "-"]
+    given: Dict = {}
     for tok in tokens:
-        if tok == "--format":
-            next(tokens, None)
-        elif not tok.startswith("-"):
-            return tok if tok in COMMANDS else None
-    return None
-
-
-# options whose value may begin with '-': a negative weight or scalar
-_SIGNED = ("--weight", "--a", "--b")
-
-
-def _glue_signed(argv: List[str]) -> List[str]:
-    """argv with the token after each _SIGNED option glued on as
-    --opt=value, so that argparse does not read a value such as -1,0 or
-    -1/2 as an option."""
-    out, tokens = [], iter(argv)
-    for tok in tokens:
-        value = next(tokens, None) if tok in _SIGNED else None
-        out.append(tok if value is None else f"{tok}={value}")
-    return out
+        flag, eq, value = tok.partition("=")
+        if tok in ("-h", "--help"):
+            _stop(name)
+        elif flag[:1] != "-" and free:
+            flag, value, eq = free.pop(0), tok, "="
+        elif flag[:1] != "-" or flag not in arguments:
+            _stop(name, f"unrecognized arguments: {tok}")
+        if not eq and (value := next(tokens, None)) is None:
+            _stop(name, f"argument {flag}: expected one argument")
+        try:
+            given[flag] = arguments[flag].get("type", str)(value)
+        except ValueError:
+            _stop(name, f"argument {flag}: invalid int value: {value!r}")
+    for flag, kw in arguments.items():
+        if kw.get("required") and flag not in given:
+            _stop(name, f"the following arguments are required: {flag}")
+    return {f.lstrip("-"): given.get(f, kw.get("default")) for f, kw in arguments.items()}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse argv and run its command.  Only the named command's subparser
-    is built; with no command named, all are, so that --help and the
-    invalid-choice error list every command."""
-    argv = _glue_signed(sys.argv[1:] if argv is None else argv)
-    ap = argparse.ArgumentParser(
-        prog="flagcoh",
-        description=__doc__,
-    )
-    ap.add_argument("--format", choices=("json", "csv", "markdown"),
-                    default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
-    named = _named_command(argv)
-    for name, (fn, help_text, arguments) in COMMANDS.items():
-        if named in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(fn=fn)
-
-    args = ap.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ValueError as exc:
-        _die(str(exc))
+    """Run `[--format FORMAT] COMMAND FLAGS...`, read against COMMANDS with flags in
+    full; `-h` prints help, and malformed argv exits 2 with a usage line on stderr."""
+    tokens, fmt = iter(sys.argv[1:] if argv is None else argv), "json"
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if tok in ("-h", "--help"):
+            _stop(None)
+        elif flag == "--format":
+            fmt = value if eq else next(tokens, None)
+            if fmt not in _FORMATS:
+                _stop(None, f"argument --format: expected one of {', '.join(_FORMATS)}")
+        elif tok not in COMMANDS:
+            _stop(None, f"unknown command or option: {tok}")
+        else:
+            try:
+                return COMMANDS[tok][0](SimpleNamespace(format=fmt, **_read(tok, tokens)))
+            except ValueError as exc:
+                _die(str(exc))
+    _stop(None, "the following arguments are required: command")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from flagcoh.bott import PRESET_NAMES
-from flagcoh.cli import main
+from flagcoh.cli import COMMANDS, main
 from flagcoh.scalars import QSqrt2, parse_scalar
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -314,35 +316,21 @@ def test_verify_all_has_no_parallel_option(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["roots", "B2"],
-    ["--format", "csv", "cohomology-table", "--space", "CP2"],
-    ["--format=markdown", "invariants", "--space", "Q3", "--p", "2"],
-    ["e3", "--space=CP2", "--a=1", "--b=0"],
-], ids=lambda argv: " ".join(argv))
-def test_a_query_builds_only_its_own_subparser(monkeypatch, capsys, argv):
-    """The top-level parser and the named command's subparser: two
-    `ArgumentParser`s, not one per command."""
-    import argparse
-
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main(argv) == 0
-    assert len(built) <= 2, built
+def test_a_query_imports_neither_argparse_nor_gettext():
+    """The parse reads COMMANDS directly: a query loads no stdlib parser and
+    no message catalogue, whose first use costs more than the query."""
+    probe = ("import sys\nfrom flagcoh.cli import main\n"
+             "main(['cohomology-table', '--space', 'Q3'])\n"
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
+    assert run.returncode == 0 and run.stderr == "[]\n", run.stderr
 
 
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0), ([], 2), (["nosuch"], 2), (["--format", "markdown"], 2),
 ])
 def test_help_and_a_missing_or_unknown_command_list_every_command(capsys, argv, code):
-    from flagcoh.cli import COMMANDS
-
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
@@ -356,12 +344,48 @@ def test_help_and_a_missing_or_unknown_command_list_every_command(capsys, argv, 
     (["e3", "--space"], 2),
     (["--format", "xml", "e3", "--space", "CP2"], 2),
     (["roots", "B2", "--space", "CP2"], 2),
+    (["e3", "--space", "CP2", "--c", "1"], 2),
+    (["d2", "--space", "CP2", "--a"], 2),
+    (["cohomology-table", "--space", "CP2", "--p", "x"], 2),
+    (["e3", "CP2"], 2),
+    (["e3", "--space", "CP2", "--format", "json"], 2),
+    (["e3", "--spa", "CP2"], 2),
+    (["--format=xml", "e3", "--space", "CP2"], 2),
 ])
 def test_a_named_command_keeps_its_help_and_argparse_exit_codes(capsys, argv, code):
+    """Help exits 0; malformed argv, among it an abbreviated flag, exits 2
+    with a usage line on stderr and nothing on stdout."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == code
-    assert "flagcoh" in "".join(capsys.readouterr())
+    captured = capsys.readouterr()
+    assert "flagcoh" in captured.out + captured.err
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("usage: flagcoh ")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_command_help_names_each_of_its_flags(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag, _ in COMMANDS[name][2])
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology-table", "--space", "CP2", "--p", "2", "--q", "1"],
+    ["d2", "--space", "Gr(4,2)", "--a", "-1/2", "--b", "1"],
+    ["pi-grassmannian", "--n", "3", "--s", "1"],
+], ids=lambda argv: argv[0])
+def test_each_flag_reads_the_same_with_equals(capsys, argv):
+    """--flag value and --flag=value give the same stdout, flag by flag."""
+    assert main(argv) == 0
+    spaced = capsys.readouterr().out
+    for i in range(1, len(argv), 2):
+        glued = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+        assert main(glued) == 0
+        assert capsys.readouterr().out == spaced, glued
 
 
 def test_space_list_splits_outside_parentheses_only():
@@ -395,8 +419,6 @@ def test_rendered_tables_match_golden_output(capsys, key):
     assert code == 0
     assert out == TABLES[key]
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("spaces", [None, "Gr(4,2),Q3"])
