@@ -316,11 +316,19 @@ def test_verify_all_has_no_parallel_option(capsys):
     assert exc.value.code == 2
 
 
-def test_a_query_imports_neither_argparse_nor_gettext():
-    """The parse reads COMMANDS directly: a query loads no stdlib parser and
-    no message catalogue, whose first use costs more than the query."""
+@pytest.mark.parametrize("argv", [
+    ["roots", "B2"],
+    ["--format", "csv", "cohomology-table", "--space", "CP2"],
+    ["--format=markdown", "invariants", "--space", "Q3", "--p", "2"],
+    ["e3", "--space=CP2", "--a=1", "--b=0"],
+    ["cohomology-table", "--space", "Q3"],
+], ids=lambda argv: " ".join(argv))
+def test_a_query_builds_only_its_own_subparser(argv):
+    """The parse reads the named command's entry of COMMANDS directly: a
+    query, run in a fresh process, loads no stdlib parser and no message
+    catalogue, whose first use costs more than the query."""
     probe = ("import sys\nfrom flagcoh.cli import main\n"
-             "main(['cohomology-table', '--space', 'Q3'])\n"
+             f"assert main({argv!r}) == 0\n"
              "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
