@@ -89,8 +89,6 @@ class E3Result:
 
 
 def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:
-    if H.rd.type.family == "E":
-        raise ValueError("E-type spectral tables are outside the desk scale")
     E2 = assemble_E2(H, 2)
     # one trivial i*-summand at (1,1) per invariant (2,1)-form of theta's basis
     P = product_table(build_g_basis(H).space)

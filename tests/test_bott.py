@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -335,6 +336,7 @@ def test_tangent_sheaf_e2_matches_published(name):
 
 from collections import Counter
 from math import comb, prod
+from operator import mul
 
 from subset_route import (
     bott_by_fractions,
@@ -483,6 +485,66 @@ def test_the_recorded_deviations_are_cases_of_the_family_pattern():
             adjoints, _, others = tag_counts(descs)
             recorded[cell] = (adjoints, others)
         assert recorded == _family_deviations(space_from_preset(name)), name
+
+
+# --- Borel-Weil-Bott's Euler characteristic, with no fold -------------------
+
+def _euler_by_bott(H, p):
+    """sum_q (-1)^q dim H^q(Omega^p (x) Theta), over every q."""
+    return sum((-1) ** q * sum(d.total_dim() for d in descs)
+               for q, descs in cohomology_omega_p_theta(H, p, q_max=H.dim).items())
+
+
+def _euler_by_weyl(H, p_max):
+    """Per p <= p_max, sum_mu m(mu) d(mu) over the distinct weights mu of
+    wedge^p tau* (x) tau: a root of n+ minus p distinct ones, with d Weyl's
+    dimension polynomial (signed, and 0 on a singular weight).  pi^* of the
+    bundle on G/B has a B-stable filtration with line-bundle quotients L_mu,
+    and chi(G/B, L_mu) = d(mu).  d is evaluated once per distinct weight,
+    and not at all when <mu, alpha_i> = -1 for a simple root alpha_i: then
+    mu + rho lies on a wall, as it does for most weights."""
+    rd = H.rd
+    wedge = [Counter({(0,) * rd.rank: 1})] + [Counter() for _ in range(p_max)]
+    for beta in H.N_plus:
+        for p in range(p_max, 0, -1):
+            for w, m in wedge[p - 1].items():
+                wedge[p][tuple(a - b for a, b in zip(w, beta))] += m
+    columns = tuple(zip(*rd.cartan))
+
+    @functools.cache
+    def d(mu):
+        on_wall = any(sum(map(mul, mu, col)) == -1 for col in columns)
+        return 0 if on_wall else rd.weyl_dimension(mu)
+
+    return [sum(m * d(tuple(a + b for a, b in zip(w, beta)))
+                for w, m in level.items() for beta in H.N_plus)
+            for level in wedge]
+
+
+# the special nodes of A2-A9, B2-B7, C3-C7, D4-D8, E6 and E7 with dim <= 12: 43 spaces
+EULER_SPACES = [H for H in CLASSIFICATION if H.dim <= 12]
+
+
+@pytest.mark.parametrize("H", EULER_SPACES, ids=str)
+def test_euler_characteristic_of_every_bott_column(H):
+    """For p <= 4, the alternating sum of the Bott column, every q included,
+    is the Euler characteristic that Borel-Weil-Bott gives with no fold: a
+    sum of Weyl's d(mu) over the weights of the fibre.  The Bott route folds
+    each summand into the dominant chamber (`repdecomp.decompose`, then
+    `bott.bott_irreducible`) and walks Kostant's cosets
+    (`RootDatum.coset_weights`); this route does neither.  It shares
+    `RootDatum.weyl_dimension` and `H.N_plus` with the code under test."""
+    p_max = min(4, H.dim)
+    assert [_euler_by_bott(H, p) for p in range(p_max + 1)] == _euler_by_weyl(H, p_max)
+
+
+def test_euler_characteristic_of_q3_counts_erratum_1():
+    """chi(Q3, Omega^2 (x) Theta) = -6 on both routes: H^1 is the trivial
+    module of the published table plus erratum 1's 5-dimensional one (README),
+    without which the table would give -1."""
+    H = space_from_preset("Q3")
+    assert _euler_by_bott(H, 2) == _euler_by_weyl(H, 2)[2] == -6
+    assert [d.dim for d in cohomology_omega_p_theta(H, 2, H.dim)[1]] == [5, 1]
 
 
 def test_all_bott_columns_of_e7():

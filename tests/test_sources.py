@@ -84,6 +84,21 @@ def test_only_cli_imports_verify():
     assert importers == ["cli.py"]
 
 
+def _family_readers(path):
+    """(module, top-level definition) for every `.family` read in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(path.name, top.name) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "family"}
+
+
+def test_only_rootsys_bott_and_verify_read_the_type_family():
+    """The type family picks the Cartan matrix (`rootsys`), the realization
+    of a Grassmannian (`bott.grassmannian_rs`) and a published k
+    (`verify.published_k_value`).  Every other layer computes from the root
+    datum alone, so no type gets a branch of its own there."""
+    readers = set().union(*(_family_readers(p) for p in SOURCES if p.name != "rootsys.py"))
+    assert readers == {("bott.py", "grassmannian_rs"), ("verify.py", "published_k_value")}
+
 
 def test_cli_multiplies_no_forms():
     """The forms command reads its products from `invforms.theta_products`,

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -350,9 +351,11 @@ def test_grassmannian_duality_negates_b(n):
     (("B", 2, 0), ("C", 2, 1)),                                # Q3
     (("A", 3, 0), ("A", 3, 2), ("D", 3, 1), ("D", 3, 2)),      # CP3
     (("D", 4, 0), ("D", 4, 2), ("D", 4, 3)),                   # Q6, by triality
+    (("E", 6, 0), ("E", 6, 5)),                                # E III
 ])
 def test_low_rank_coincidences_agree(presentations):
-    """One space realized in sl, so and sp gives one answer."""
+    """One space realized in sl, so and sp, or on both ends of E6's
+    diagram automorphism, gives one answer."""
     spaces = [build_space(SimpleLieType(f, r), k) for f, r, k in presentations]
     first = _invariants(spaces[0], 1, 0)
     assert first is not None
@@ -372,17 +375,34 @@ def test_quadric_q4_is_refused_with_a_value_error():
         theta_for(H, 0, 1)
 
 
-def test_e_types_are_refused_before_theta_is_read():
-    """The scope check comes first on the apply_d2 path: an E-type space
-    gets its one refusal whatever (a, b) is, a zero theta included."""
-    H = build_space(SimpleLieType("E", 6), 0)
-    for a, b in ((1, 0), (0, 0)):
-        with pytest.raises(ValueError) as err:
+E6_NODES = [build_space(SimpleLieType("E", 6), a0) for a0 in (0, 5)]
+
+
+@pytest.mark.parametrize("H", E6_NODES, ids=str)
+def test_e6_goes_through_apply_d2_like_every_other_space(H):
+    """E III on either node, at every accepted theta = a theta2: H^0 =
+    (78 | 1), H^1 = 0, d2 of rank 78 on vector fields, no kernel on the
+    invariant (2,1)-forms, and the adjoint at (0,1) killed by the (2,2)
+    l*-adjoint; rows 0-1 of E3 are the l*-adjoint at (0,0) and the
+    l*-trivial at (1,0).  The published case-I rows keep an adjoint at
+    (0,1).  A zero theta and any eta are still refused."""
+    for a in (1, Fraction(-3, 2), RT2, 1 + RT2):
+        report, res = cohomology_of_T(H, a, 0)
+        assert report.dims() == {"H0_even": 78, "H0_odd": 1,
+                                 "H1_even": 0, "H1_odd": 0}, a
+        assert (res.rank_vector_fields, res.kernel_dim_11,
+                res.adjoint_01_survives) == (78, 0, False), a
+        rows = {pq: [(s.provenance, s.descriptor.tag, s.descriptor.mult) for s in entry]
+                for pq, entry in res.E3.items() if pq[1] <= 1}
+        assert rows == {(0, 0): [("l", "adjoint", 1)], (1, 0): [("l", "trivial", 1)]}, a
+    with pytest.raises(ValueError, match="theta parameter must be nonzero"):
+        cohomology_of_T(H, 0, 0)
+    for a, b in ((0, 1), (1, 1)):
+        with pytest.raises(ValueError, match="eta undefined"):
             cohomology_of_T(H, a, b)
-        assert str(err.value) == "E-type spectral tables are outside the desk scale"
 
 
-# --- the A-D classification up to dim 12, as computed ---------------------------
+# --- the A-D classification up to dim 12 and E6, as computed --------------------
 
 # the special nodes of A4-A7, B4-B5, C4-C5 and D4-D6 with dim M <= 12: 29 spaces
 CLASSIFICATION_SWEEP = [
@@ -392,15 +412,16 @@ CLASSIFICATION_SWEEP = [
     if H.dim <= 12]
 
 
-@pytest.mark.parametrize("H", CLASSIFICATION_SWEEP, ids=str)
+@pytest.mark.parametrize("H", CLASSIFICATION_SWEEP + E6_NODES, ids=str)
 def test_classification_sweep(H):
-    """At every (a, b) of (1, 0), (0, 1), (1, 1), (1, -1) that theta_for
-    accepts: d2 on vector fields has rank dim g exactly when a != 0, except
-    on CP^n, where it is 0; the adjoint at (0,1) is killed exactly when
-    a != 0 and E2 has the (2,2) l*-adjoint; H^0 at (0, 1) is (n^2-1 | n^2)
-    on Gr(n,k); and with n+ = Mat_{r x s}, kernel_dim_11 is 1 at (1, 1)
-    iff s = 2 and at (1, -1) iff r = 2, else 0, and equals H^1 odd when
-    a != 0.  The last pins the sign of eta that the duality test cannot."""
+    """On the 29 spaces and both E6 nodes, at every (a, b) of (1, 0),
+    (0, 1), (1, 1), (1, -1) that theta_for accepts: d2 on vector fields has
+    rank dim g exactly when a != 0, except on CP^n, where it is 0; the
+    adjoint at (0,1) is killed exactly when a != 0 and E2 has the (2,2)
+    l*-adjoint; H^0 at (0, 1) is (n^2-1 | n^2) on Gr(n,k); and with n+ =
+    Mat_{r x s}, kernel_dim_11 is 1 at (1, 1) iff s = 2 and at (1, -1) iff
+    r = 2, else 0, and equals H^1 odd when a != 0.  The last pins the sign
+    of eta that the duality test cannot."""
     rs = grassmannian_rs(H)
     dim_g = H.rd.weyl_dimension(H.rd.delta)
     projective = rs is not None and min(rs) == 1
