@@ -1,0 +1,142 @@
+"""A standing mutation run: each mutant is one exact text edit of the library
+that the tests named beside it must notice.
+
+    python3 scripts/mutants.py
+
+Each mutant is applied, one at a time, to a fresh temporary copy of the
+tree, and its tests run there with `pytest -x`.  A mutant is killed when
+they fail and survives when they pass.  First the tests of every mutant run
+once on an unmutated copy, which must pass, so that a kill is the mutant's
+doing.  One line per mutant gives killed or survived and seconds.  The exit
+code is 1 if a mutant survives or its old text does not occur exactly once
+in its file (a refactor must then update the list), and 2 if the unmutated
+tests fail.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str           # relative to src/flagcoh
+    old: str            # must occur exactly once in the file
+    new: str
+    tests: Tuple[str, ...]   # pytest node ids, relative to the tree
+
+
+MUTANTS: List[Mutant] = [
+    Mutant("rootsys.fold reflects the wrong way", "rootsys.py",
+           "            v[i] -= c\n", "            v[i] += c\n",
+           ("tests/test_rootsys.py",)),
+    Mutant("repdecomp.decompose drops the fold's sign", "repdecomp.py",
+           "(-m if steps % 2 else m)", "m",
+           ("tests/test_repdecomp.py",)),
+    Mutant("Derivation.bracket flips the second half's sign", "exterior.py",
+           "other._into(acc, a, sign)", "other._into(acc, a, -sign)",
+           ("tests/test_exterior.py",)),
+    Mutant("Derivation._into drops the exponent factor e", "exterior.py",
+           "ce = c * e if e > 1 else c", "ce = c",
+           ("tests/test_superfields.py",)),
+    Mutant("Derivation._into drops the odd-place sign", "exterior.py",
+           "if j % 2 and (grade + odd_len(k)) % 2:", "if False:",
+           ("tests/test_exterior.py",)),
+    Mutant("exterior._merge_sign drops the anticommutation sign", "exterior.py",
+           "if (len(a) - i) % 2 == 1:", "if False:",
+           ("tests/test_exterior.py",)),
+    Mutant("spectral.apply_d2 reads theta at -b in step (iii)", "spectral.py",
+           "for c, Px in zip(coeffs, P)", "for c, Px in zip(theta_for(H, a, -b), P)",
+           ("tests/test_spectral.py",)),
+    Mutant("liecoh scales every n- root vector by 1", "liecoh.py",
+           "scale = {_neg(a): canonical(H.rd.inner(a, a) / 2) for a in plus}",
+           "scale = {_neg(a): 1 for a in plus}",
+           ("tests/test_liecoh.py",)),
+    Mutant("liecoh._chevalley drops the norm ratio of the rotation", "liecoh.py",
+           "return exact_quotient(norm[c] * n(b, c), norm[a])",
+           "return n(b, c)",
+           ("tests/test_liecoh.py",)),
+    Mutant("invforms.theta_products swaps x and y", "invforms.py",
+           "barwedge_inv(x, y) for y in basis", "barwedge_inv(y, x) for y in basis",
+           ("tests/test_invforms.py",)),
+    Mutant("invforms.barwedge_inv drops the slot sign (-1)^k", "invforms.py",
+           "coeff = wc if su * sv == (-1) ** k else -wc",
+           "coeff = wc if su * sv == 1 else -wc",
+           ("tests/test_invforms.py",)),
+    Mutant("scalars.sparse_rref negates the sqrt2 part of the target", "scalars.py",
+           "[b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
+           "[-b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
+           ("tests/test_scalars.py",)),
+    Mutant("superfields jet skips sigma on an odd frame row", "superfields.py",
+           "head = z0.sigma() if odd else z0", "head = z0",
+           ("tests/test_superfields.py",)),
+    Mutant("superfields.qn_structure_constants drops the odd-odd sign", "superfields.py",
+           "acc[k] = acc.get(k, 0) + (1 if p and q else -1)",
+           "acc[k] = acc.get(k, 0) - 1",
+           ("tests/test_superfields.py",)),
+]
+
+
+def copy_tree(dest: Path) -> Path:
+    """A copy of the sources, tests and docs the tests read, under dest."""
+    tree = dest / "tree"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", "out", "BENCH_*.json"))
+    return tree
+
+
+def run_tests(tree: Path, tests: Tuple[str, ...]) -> Tuple[int, float]:
+    """(pytest exit code, seconds) of the tests in tree, stopping at the
+    first failure; exit code -1 on a timeout."""
+    started = time.monotonic()
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = -1
+    return code, time.monotonic() - started
+
+
+def main() -> int:
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, secs = run_tests(copy_tree(Path(tmp)), tests)
+        print(f"unmutated: {'pass' if code == 0 else 'FAIL'} ({secs:.1f}s)", flush=True)
+        if code != 0:
+            return 2
+    for m in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(Path(tmp))
+            path = tree / "src" / "flagcoh" / m.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: old text occurs {text.count(m.old)} times "
+                      f"in {m.file}", flush=True)
+                failed = True
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            code, secs = run_tests(tree, m.tests)
+        verdict = "killed" if code != 0 else "SURVIVED"
+        if code == -1:
+            verdict = "killed (timeout)"
+        failed |= code == 0
+        print(f"{verdict:<9} {m.name} ({secs:.1f}s)", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

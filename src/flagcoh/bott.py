@@ -114,22 +114,25 @@ DESK_PRESETS = (
 )
 
 
-def _norm_name(name: str) -> str:
+def preset_key(name: str) -> str:
+    """The preset's normalised name (spaces dropped, an alias resolved);
+    `ValueError` if name names no preset."""
     s = name.strip().replace(" ", "")
     alias = {
         "CP^2": "CP2", "CP^3": "CP3", "Q^3": "Q3", "Q^5": "Q5",
         "LG(3)": "LG3", "SD4": "S-D4", "S(D4)": "S-D4",
         "Gr(3,1)": "CP2", "Gr(4,1)": "CP3",
     }
-    return alias.get(s, s)
+    key = alias.get(s, s)
+    if key not in _PRESETS:
+        raise ValueError(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")
+    return key
 
 
 def space_from_preset(name: str) -> HermitianSymmetricSpace:
     """The preset space of that name, built once per normalised name (through
     `build_space`)."""
-    key = _norm_name(name)
-    if key not in _PRESETS:
-        raise ValueError(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")
+    key = preset_key(name)
     tspec, a0, dim = _PRESETS[key]
     H = build_space(SimpleLieType(tspec[0], int(tspec[1:])), a0)
     _require(H.dim == dim, f"{key}: dim {H.dim} != classical {dim}")

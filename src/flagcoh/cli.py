@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bott, invforms, liecoh, spectral, superfields, verify
-from .bott import PRESET_NAMES, space_from_preset
+from .bott import PRESET_NAMES, preset_key, space_from_preset
 from .rootsys import root_system
 from .scalars import format_scalar, parse_scalar
 
@@ -63,13 +63,12 @@ def _grid(ps, qs, cells: Dict, label) -> List[str]:
 
 def parse_space_list(text: str) -> List[str]:
     """Comma-separated preset names, split only at commas outside
-    parentheses (so `Gr(4,2),Q3` is two names); an unknown name is an
-    error."""
-    names = [bott._norm_name(s) for s in re.split(r",(?![^()]*\))", text)]
-    for name in names:
-        if name not in PRESET_NAMES:
-            _die(f"unknown space preset {name!r}; try one of {PRESET_NAMES}")
-    return names
+    parentheses (so `Gr(4,2),Q3` is two names), each normalised by
+    `bott.preset_key`; an unknown name is an error."""
+    try:
+        return [preset_key(s) for s in re.split(r",(?![^()]*\))", text)]
+    except ValueError as exc:
+        _die(str(exc))
 
 
 def _descriptor_json(d: bott.ModuleDescriptor) -> Dict:
@@ -150,7 +149,7 @@ def cmd_cohomology_table(args) -> int:
                     "modules": [_descriptor_json(d) for d in col[q]],
                 })
     k = bott.k_value(H)
-    deviations = verify.PUBLISHED_TABLE_DEVIATIONS.get(bott._norm_name(args.space), {})
+    deviations = verify.PUBLISHED_TABLE_DEVIATIONS.get(preset_key(args.space), {})
     payload = {
         "space": args.space,
         "case": H.case,

@@ -18,17 +18,17 @@ an integral Fraction an int but validates nothing else; only the public
 constructors validate, and `_canon` normalises each value they take.
 
 `Derivation` is the one derivation type, held as `images`, its values on
-the generators: it writes sums, scaling, `apply` and the bracket once, with
+the generators: it writes sums, scaling, `apply`, the bracket and the one
+Leibniz loop `_into` (it adds +-i(phi)a into a caller's dict) once, with
 one mismatch rule (`ValueError`).  `VectorValuedForm` and
 `superfields.SuperDerivation` subclass it with their labels and hooks: the
-term algebra, a same-space constructor and the Leibniz loop.  Here that loop
-is `_leibniz_into`, which adds +-i(phi)a into a caller's dict; `apply` and
-`barwedge` call it once per element, and the bracket twice per generator,
-i(phi) on psi's image and -+i(psi) on phi's, into one dict.
+term algebra, a same-space constructor, a monomial's odd length and
+`_letters`, the cached table of its generators that `_into` walks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -209,17 +209,17 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
 
 class Derivation:
     """A derivation of a `TermAlgebra`, held as `images`, its values on the
-    generators; sums, scaling, `apply` and the bracket are written once here.
+    generators; sums, scaling, `apply`, the bracket and the Leibniz loop
+    `_into` are written once here.
 
     A subclass is a frozen dataclass whose last field is `images`.  It names
     its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
     labels that tell two spaces of the same m apart, or None) and its
-    `_grade_field` (degree or parity), and supplies its Leibniz loop
-    `_into(acc, a, sign)`, which adds sign * self(a) into acc,
-    `_bracket_label` and `_relabel(grade, images)`, a derivation on the same
-    space.  Operands on different spaces raise `ValueError`, and so do
-    nonzero operands of different grades in a sum; a zero of another grade
-    is absorbed.
+    `_grade_field` (degree or parity), and supplies `_letters(mono, m)` and
+    `_odd_len(mono)`, which the Leibniz loop `_into` reads, `_bracket_label`
+    and `_relabel(grade, images)`, a derivation on the same space.  Operands
+    on different spaces raise `ValueError`, and so do nonzero operands of
+    different grades in a sum; a zero of another grade is absorbed.
     """
 
     @property
@@ -295,36 +295,39 @@ class Derivation:
                     images[k] = algebra._from_dict(nv, acc)
         return self._relabel(grade, tuple(images))
 
-
-def _leibniz_into(phi: "VectorValuedForm", acc: Dict[Monomial, Coeff],
-                  a: GrassmannElement, sign: int) -> None:
-    """Add sign * i(phi)a into acc by the super-Leibniz rule from
-    xi_k -> phi(xi_k).
-
-    For the letter at position pos of a monomial, xi_left phi(xi_letter)
-    xi_right = (-1)^{pos |k|} xi_k xi_rest for each image monomial k, and
-    moving the derivation past pos letters adds (-1)^{pos par}.
-    """
-    par = phi.degree % 2
-    images = phi.images
-    for mono, c in a.terms:
-        for pos, letter in enumerate(mono):
-            image = images[letter - 1].terms
-            if not image:
-                continue
-            rest = mono[:pos] + mono[pos + 1:]
-            for k, v in image:
-                merged, s = _merge_sign(k, rest)
-                if merged is None:
+    def _into(self, acc: Dict[object, Coeff], a, sign: int) -> None:
+        """Add sign * self(a) into acc by the super-Leibniz rule: a letter
+        (g, rest, e, j) of `_letters` (generator index, the monomial without
+        it, exponent, odd letters before it) gives e * images[g] * rest by
+        `_mono_mul`, times (-1)^{j (grade + odd length of the image term)}."""
+        if not a.terms:     # a quarter of the bracket's calls: skip the set-up
+            return
+        images, mul, odd_len = self.images, self._algebra._mono_mul, self._odd_len
+        grade, letters, m = getattr(self, self._grade_field), self._letters, a.m
+        for mono, c in a.terms:
+            for g, rest, e, j in letters(mono, m):
+                image = images[g].terms
+                if not image:
                     continue
-                if pos % 2 and (par + len(k)) % 2:
-                    s = -s
-                t = c * v
-                old = acc.get(merged)
-                if s == sign:
-                    acc[merged] = t if old is None else old + t
-                else:
-                    acc[merged] = -t if old is None else old - t
+                ce = c * e if e > 1 else c
+                for k, v in image:
+                    merged, s = mul(k, rest)
+                    if merged is None:
+                        continue
+                    if j % 2 and (grade + odd_len(k)) % 2:
+                        s = -s
+                    t = ce * v
+                    old = acc.get(merged)
+                    if s == sign:
+                        acc[merged] = t if old is None else old + t
+                    else:
+                        acc[merged] = -t if old is None else old - t
+
+
+@functools.cache
+def _grassmann_letters(mono: Monomial, m: int):
+    """The letters of `Derivation._into`: xi_i at place j is (i - 1, rest, 1, j)."""
+    return tuple((i - 1, mono[:j] + mono[j + 1:], 1, j) for j, i in enumerate(mono))
 
 
 @dataclass(frozen=True)
@@ -338,7 +341,8 @@ class VectorValuedForm(Derivation):
     images: Tuple[GrassmannElement, ...]
 
     _algebra = GrassmannElement
-    _into = _leibniz_into
+    _odd_len = staticmethod(len)
+    _letters = staticmethod(_grassmann_letters)
     _space = None
     _grade_field = "degree"
 
@@ -380,8 +384,8 @@ class VectorValuedForm(Derivation):
         return VectorValuedForm.make(m, len(mono) - 1, comps)
 
 
-# i(phi)a by the super-Leibniz rule `_leibniz_into`, and the algebraic bracket
-# {phi, psi} with i({phi,psi}) = [i(phi), i(psi)], as functions
+# i(phi)a by the one super-Leibniz loop `Derivation._into`, and the algebraic
+# bracket {phi, psi} with i({phi,psi}) = [i(phi), i(psi)], as functions
 apply_derivation = Derivation.apply
 bracket = Derivation.bracket
 

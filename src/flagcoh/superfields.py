@@ -17,10 +17,10 @@ elements stays public and is their test oracle.
 
 `SuperDerivation` is an `exterior.Derivation`: its `images` are the
 coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
-bracket and the mismatch rule from there.  It adds its labels (r, s,
-parity), the views `c_x` and `c_xi`, and its Leibniz loop, `_apply_into`,
-which adds +-d(f) into a caller's dict; the bracket calls it twice per
-coordinate, d1(d2_k) and -+d2(d1_k) into one dict.
+bracket, the Leibniz loop `Derivation._into` and the mismatch rule from
+there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
+what `_into` reads: a monomial's odd length (its xi-part's) and its letter
+table `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place sign.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -33,6 +33,7 @@ index; kernel output goes through `_from_dict` unchecked.  Coefficients and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -137,53 +138,15 @@ class SuperPolynomial(TermAlgebra):
         return self.tdict().get(((), ()), 0)
 
 
-def _apply_into(d: "SuperDerivation", acc: Dict[Monomial, Coeff],
-                f: SuperPolynomial, sign: int) -> None:
-    """Add sign * d(f) into acc by the Leibniz rule.
-
-    d/dx_k sends x^e to e x^(e-1) and commutes with everything.  The d/dxi
-    part moves past the x's (even) and the j preceding xi's (a sign for odd
-    derivations), and xi_left c xi_right = (-1)^{j |k|} xi_k xi_rest for each
-    image monomial k.
-    """
-    images, nv = d.images, d.m
-    for (xs, ss), coeff in f.terms:
-        for pos, (k, e) in enumerate(xs):
-            image = images[k].terms
-            if not image:
-                continue
-            lowered = ((k, e - 1),) if e > 1 else ()
-            rest_x = xs[:pos] + lowered + xs[pos + 1:]
-            c = coeff * e if e > 1 else coeff
-            for (ix, isx), v in image:
-                merged, s = _merge_sign(isx, ss)
-                if merged is None:
-                    continue
-                key = (_merge_x(ix, rest_x), merged)
-                t = c * v
-                old = acc.get(key)
-                if s == sign:
-                    acc[key] = t if old is None else old + t
-                else:
-                    acc[key] = -t if old is None else old - t
-        for j, sidx in enumerate(ss):
-            image = images[nv + sidx].terms
-            if not image:
-                continue
-            rest = ss[:j] + ss[j + 1:]
-            for (ix, isx), v in image:
-                merged, s = _merge_sign(isx, rest)
-                if merged is None:
-                    continue
-                if j % 2 and (d.parity + len(isx)) % 2:
-                    s = -s
-                key = (_merge_x(xs, ix), merged)
-                t = coeff * v
-                old = acc.get(key)
-                if s == sign:
-                    acc[key] = t if old is None else old + t
-                else:
-                    acc[key] = -t if old is None else old - t
+@functools.cache
+def _super_letters(mono: Monomial, nv: int):
+    """The letters of `Derivation._into`: x_k^e is (k, rest with x_k^(e-1), e,
+    0), as d/dx_k is even, and xi_k at place j is (nv + k, rest, 1, j)."""
+    xs, ss = mono
+    return tuple(
+        [(k, (xs[:pos] + (((k, e - 1),) if e > 1 else ()) + xs[pos + 1:], ss), e, 0)
+         for pos, (k, e) in enumerate(xs)]
+        + [(nv + k, (xs, ss[:j] + ss[j + 1:]), 1, j) for j, k in enumerate(ss)])
 
 
 @dataclass(frozen=True)
@@ -197,7 +160,8 @@ class SuperDerivation(Derivation):
     images: Tuple[SuperPolynomial, ...]
 
     _algebra = SuperPolynomial
-    _into = _apply_into
+    _letters = staticmethod(_super_letters)
+    _odd_len = staticmethod(lambda mono: len(mono[1]))
     _grade_field = "parity"
 
     @property

@@ -20,6 +20,7 @@ from flagcoh.bott import (
     grassmannian_rs,
     invariant_dimension,
     k_value,
+    preset_key,
     space_from_preset,
     tag_counts,
 )
@@ -95,6 +96,21 @@ def test_e_type_constructible():
     assert H6.case == "I" and H6.dim == 16
     H7 = build_space(SimpleLieType("E", 7), 6)
     assert H7.case == "I" and H7.dim == 27
+
+
+def test_preset_key_normalises_a_name_or_raises_space_from_presets_error():
+    for name in PRESET_NAMES:
+        assert preset_key(name) == name
+    for alias, key in (("CP^2", "CP2"), (" Gr(5, 3) ", "Gr(5,3)"), ("S(D4)", "S-D4"),
+                       ("Gr(4,1)", "CP3"), ("LG(3)", "LG3")):
+        assert preset_key(alias) == key
+    for bad in ("Gr(9,9)", "", "cp2"):
+        with pytest.raises(ValueError) as raised:
+            preset_key(bad)
+        with pytest.raises(ValueError) as built:
+            space_from_preset(bad)
+        assert str(raised.value) == str(built.value)
+        assert str(raised.value).startswith(f"unknown space preset {bad!r}; try one of")
 
 
 def test_bott_irreducible_basics():

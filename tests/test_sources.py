@@ -109,6 +109,23 @@ def test_cli_multiplies_no_forms():
     assert named == []
 
 
+def test_cli_reads_no_private_name_of_another_module():
+    """The CLI reaches each layer through its public names only (a preset
+    name is normalised by `bott.preset_key`), so a layer can rename its
+    internals without breaking the command line."""
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {a.asname or a.name for node in relative if node.module is None
+               for a in node.names}
+    private = [(node.lineno, a.name) for node in relative for a in node.names
+               if a.name.startswith("_")]
+    private += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
+
+
 DOCS = [Path(__file__).resolve().parents[1] / p
         for p in ("README.md", "docs/json_schemas.md")]
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
@@ -154,6 +171,7 @@ def test_a_deleted_name_does_not_resolve():
                  "liecoh.GModuleBasis.expand", "liecoh._simple_roots_eps",
                  "NoSuchClass.method", "liecho.build_g_basis",
                  "bott.PUBLISHED_TABLE_DEVIATIONS", "bott.published_k_value",
-                 "spectral.flagged_32_comparison", "spectral.published_e3_rows"):
+                 "spectral.flagged_32_comparison", "spectral.published_e3_rows",
+                 "exterior._leibniz_into", "superfields._apply_into", "bott._norm_name"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)

@@ -855,6 +855,9 @@ def test_both_derivation_types_share_one_arithmetic_and_bracket():
         assert getattr(VectorValuedForm, name) is shared, name
         assert getattr(SuperDerivation, name) is shared, name
         assert name not in vars(VectorValuedForm) and name not in vars(SuperDerivation)
+    # one Leibniz loop: each class supplies only its letter table and odd length
+    assert VectorValuedForm._into is Derivation._into is SuperDerivation._into
+    assert "_into" not in vars(VectorValuedForm) and "_into" not in vars(SuperDerivation)
 
 
 def test_a_different_space_raises_value_error_even_with_a_zero():
