@@ -73,6 +73,15 @@ MUTANTS: List[Mutant] = [
            "coeff = wc if su * sv == (-1) ** k else -wc",
            "coeff = wc if su * sv == 1 else -wc",
            ("tests/test_invforms.py",)),
+    Mutant("VecTensor.__sub__ drops the sign", "invforms.py",
+           "return self + other.scale(-1)", "return self + other",
+           ("tests/test_invforms.py",)),
+    Mutant("VecTensor._accumulate keeps a cancelled key", "invforms.py",
+           "        if not tgt:\n            del data[key]\n", "",
+           ("tests/test_liecoh.py",)),
+    Mutant("liecoh._pair_reads drops the antisymmetry sign", "liecoh.py",
+           "yield b, a, v, -1, vec", "yield b, a, v, 1, vec",
+           ("tests/test_liecoh.py",)),
     Mutant("scalars.sparse_rref negates the sqrt2 part of the target", "scalars.py",
            "[b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
            "[-b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",

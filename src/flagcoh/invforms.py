@@ -11,8 +11,9 @@ chain's nonzero ordered values.  Both families have integer entries, and
 every tensor value is an int when integral and a Fraction otherwise;
 scaling by a parameter with a sqrt(2) part gives QSqrt2 entries.  The
 barwedge runs over the stored entries on the `exterior._merge_sign` sign
-kernel; ranks and coordinates are taken over the sorted nonzero (key, n+
-index) pairs only.
+kernel.  A form and a `liecoh.Cochain` are both a `VecTensor`, which holds
+their arithmetic and nonzero (key, index) entries, and `span_solve` is
+their one span solve.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -27,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
 from .scalars import (Coeff, QSqrt2, SparseRow, canonical, narrow, nullspace, rank,
@@ -65,12 +66,66 @@ class RootPairSpace:
     dim: int
 
 
+class VecTensor:
+    """A dict from keys to sparse `Vec`s, none zero or holding a zero, with
+    its arithmetic.  A subclass is a dataclass that names that field in `_vecs`
+    and supplies `_like(vecs)`, a tensor with its own labels, and
+    `_check_like(other)`, which raises ValueError on other labels."""
+
+    _vecs: str
+
+    def _values(self) -> Dict[object, Vec]:
+        return getattr(self, self._vecs)
+
+    @staticmethod
+    def _accumulate(data: Dict[object, Vec], key, coeff, vec: Vec) -> None:
+        """data[key] += coeff * vec, dropping the key when its value cancels."""
+        tgt = data.setdefault(key, {})
+        _add_into(tgt, coeff, vec)
+        if not tgt:
+            del data[key]
+
+    def is_zero(self) -> bool:
+        return not self._values()
+
+    def entries(self) -> Iterator[Tuple[Tuple[object, int], Coeff]]:
+        """The nonzero coordinates as ((key, index), value) pairs."""
+        return (((k, i), c) for k, vec in self._values().items() for i, c in vec.items())
+
+    def scale(self, c) -> "VecTensor":
+        c = narrow(c)
+        if not c:
+            return self._like({})
+        return self._like({k: {i: canonical(c * v) for i, v in vec.items()}
+                           for k, vec in self._values().items()})
+
+    def __add__(self, other: "VecTensor") -> "VecTensor":
+        self._check_like(other)
+        out = {k: dict(v) for k, v in self._values().items()}
+        for k, vec in other._values().items():
+            self._accumulate(out, k, 1, vec)
+        return self._like(out)
+
+    def __sub__(self, other: "VecTensor") -> "VecTensor":
+        return self + other.scale(-1)
+
+
 @dataclass
-class InvariantVectorForm:
+class InvariantVectorForm(VecTensor):
     space: object
     p: int
     q: int
     tensor: Dict[Key, Vec]
+    _vecs = "tensor"
+
+    def _like(self, tensor: Dict[Key, Vec]) -> "InvariantVectorForm":
+        return InvariantVectorForm(self.space, self.p, self.q, tensor)
+
+    def _check_like(self, other: "InvariantVectorForm") -> None:
+        if self.space != other.space:
+            raise ValueError(f"forms on {self.space} and {other.space}")
+        if (self.p, self.q) != (other.p, other.q):
+            raise ValueError("forms of different bidegree")
 
     def value(self, us: Sequence[int], vs: Sequence[int]) -> Vec:
         """Evaluate on arbitrary basis-index tuples via antisymmetry."""
@@ -79,41 +134,10 @@ class InvariantVectorForm:
         base = self.tensor.get((ku, kv), {})
         return base if su * sv == 1 else {k: -c for k, c in base.items()}
 
-    def is_zero(self) -> bool:
-        return not self.tensor
-
-    def scale(self, c) -> "InvariantVectorForm":
-        c = narrow(c)
-        if not c:
-            return InvariantVectorForm(self.space, self.p, self.q, {})
-        return InvariantVectorForm(
-            self.space, self.p, self.q,
-            {k: {i: canonical(c * v) for i, v in vec.items()}
-             for k, vec in self.tensor.items()},
-        )
-
-    def __add__(self, other: "InvariantVectorForm") -> "InvariantVectorForm":
-        if self.space != other.space:
-            raise ValueError(f"forms on {self.space} and {other.space}")
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("forms of different bidegree")
-        out: Dict[Key, Vec] = {k: dict(v) for k, v in self.tensor.items()}
-        for k, vec in other.tensor.items():
-            tgt = out.setdefault(k, {})
-            _add_into(tgt, 1, vec)
-            if not tgt:
-                out.pop(k)
-        return InvariantVectorForm(self.space, self.p, self.q, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
-        return (
-            (self.space, self.p, self.q) == (other.space, other.p, other.q)
-            and _entries_within(self.tensor, other.tensor)
-            and _entries_within(other.tensor, self.tensor)
-        )
+        return ((self.space, self.p, self.q) == (other.space, other.p, other.q)
+                and _entries_within(self.tensor, other.tensor)
+                and _entries_within(other.tensor, self.tensor))
 
 
 def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -145,6 +169,29 @@ def _entries_within(t: Dict[Key, Vec], u: Dict[Key, Vec]) -> bool:
     both ways round, two tensors agree up to stored zeros, and neither is
     copied."""
     return all(c == u.get(k, {}).get(i, 0) for k, vec in t.items() for i, c in vec.items())
+
+
+def span_rows(columns: Sequence[Iterable[Tuple[object, Coeff]]],
+              targets: Sequence[VecTensor]) -> Tuple[List[SparseRow], List[List[Coeff]]]:
+    """The rows of the matrix whose j-th column has the (coordinate, entry)
+    pairs columns[j], each coordinate at most once, as `VecTensor.entries`
+    gives them, and the targets' entries as right-hand sides aligned with
+    them; no solve depends on the row order."""
+    rows: Dict[object, SparseRow] = {}
+    for j, col in enumerate(columns):
+        for coord, x in col:
+            rows.setdefault(coord, {})[j] = x
+    values = [dict(t.entries()) for t in targets]
+    for coord in itertools.chain(*values):
+        rows.setdefault(coord, {})
+    return list(rows.values()), [[v.get(coord, 0) for coord in rows] for v in values]
+
+
+def span_solve(columns: Sequence[Iterable[Tuple[object, Coeff]]],
+               target: Optional[VecTensor] = None):
+    """`sparse_rref` of `span_rows`, against the target when given."""
+    rows, rhs = span_rows(columns, [] if target is None else [target])
+    return sparse_rref(rows, len(columns), *rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +332,16 @@ def _sparse_rows(forms: List[InvariantVectorForm]
                  ) -> Tuple[List[SparseRow], int]:
     """The forms as sparse rows over their nonzero (key, n+ index)
     coordinates in sorted order, and the number of those coordinates."""
-    coords = sorted({(k, i) for f in forms for k, vec in f.tensor.items() for i in vec})
+    coords = sorted({c for f in forms for c, _ in f.entries()})
     col = {c: j for j, c in enumerate(coords)}
-    rows = [{col[(k, i)]: c for k, vec in f.tensor.items() for i, c in vec.items()}
-            for f in forms]
-    return rows, len(coords)
+    return [{col[c]: x for c, x in f.entries()} for f in forms], len(coords)
 
 
 def rank_of(forms: List[InvariantVectorForm]) -> int:
     if not forms:
         return 0
-    p, q = forms[0].p, forms[0].q
-    space = forms[0].space
     for f in forms[1:]:
-        if (f.p, f.q) != (p, q) or f.space != space:
-            raise ValueError("mixed bidegrees or spaces")
+        forms[0]._check_like(f)
     rows, n_coords = _sparse_rows(forms)  # dense `rank`: perfbench traces that binding
     return rank([[row.get(j, 0) for j in range(n_coords)] for row in rows])
 
@@ -307,23 +349,12 @@ def rank_of(forms: List[InvariantVectorForm]) -> int:
 def independent_coefficients(
     target: InvariantVectorForm, basis: List[InvariantVectorForm]
 ) -> Optional[List[QSqrt2]]:
-    """Exact coordinates of target in the span of basis, or None.
-
-    One equation sum_j basis_j[c] x_j = target[c] per nonzero (key, n+ index)
-    coordinate c; target's entries sit in column len(basis) until moved
-    to the right-hand side."""
-    n = len(basis)
-    equations: Dict[Tuple[Key, int], SparseRow] = {}
-    for j, f in enumerate(basis + [target]):
-        for k, vec in f.tensor.items():
-            for i, c in vec.items():
-                equations.setdefault((k, i), {})[j] = c
-    coords = sorted(equations)
-    rhs = [equations[c].pop(n, 0) for c in coords]
-    _, _, x = sparse_rref([equations[c] for c in coords], n, rhs)
+    """Exact coordinates of target in the span of basis by `span_solve`, or
+    None."""
+    x = span_solve([f.entries() for f in basis], target)[2]
     if x is None:
         return None
-    return [QSqrt2(x.get(j, 0)) for j in range(n)]
+    return [QSqrt2(x.get(j, 0)) for j in range(len(basis))]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +408,11 @@ def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
 @dataclass
 class NilpotentPairReport:
     space: MatrixPairSpace
-    trivial_only: bool
     solutions: List[Tuple[Tuple[QSqrt2, QSqrt2], Tuple[QSqrt2, QSqrt2]]]
+
+    @property
+    def trivial_only(self) -> bool:
+        return not self.solutions
 
 
 def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
@@ -407,7 +441,7 @@ def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
         kern = nullspace([[a * x00 + b * x10, a * x01 + b * x11]
                           for x00, x01, x10, x11 in zip(p00, p01, p10, p11)], 2)
         solutions.extend(((a, b), (c, d)) for c, d in kern)
-    return NilpotentPairReport(space, not solutions, solutions)
+    return NilpotentPairReport(space, solutions)
 
 
 def _projective_roots(quads) -> List[Tuple[QSqrt2, QSqrt2]]:

@@ -6,8 +6,8 @@ b eta is read over `invforms.theta_basis` at `invforms.theta_coordinates`.
 
 Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
 without zero entries: the g-coordinates of `GModuleBasis.bracket_coords`,
-and each value of a cochain, whose absent keys are zero.  Sums go through
-`invforms._add_into`.
+and each value of a cochain, whose absent keys are zero.  A `Cochain` is an
+`invforms.VecTensor`, and its coboundary solves read `invforms.span_rows`.
 
 g is described once, by the Chevalley structure constants of its root
 datum (`_chevalley`); basis weights are roots in simple-root coordinates.
@@ -27,8 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import HermitianSymmetricSpace, build_space, grassmannian_rs
 from .invforms import (
@@ -36,8 +35,10 @@ from .invforms import (
     MatrixPairSpace,
     RootPairSpace,
     Vec,
-    _add_into,
+    VecTensor,
     barwedge_inv,
+    span_rows,
+    span_solve,
     theta_basis,
     theta_coordinates,
     theta_p,
@@ -237,16 +238,8 @@ def roots_key(gb: GModuleBasis, g: int) -> Tuple:
 # Cochains
 # ---------------------------------------------------------------------------
 
-def _accumulate(data: Dict[object, Vec], key, coeff, vec: Vec) -> None:
-    """data[key] += coeff * vec, dropping the key when its value cancels."""
-    tgt = data.setdefault(key, {})
-    _add_into(tgt, coeff, vec)
-    if not tgt:
-        del data[key]
-
-
 @dataclass
-class Cochain:
+class Cochain(VecTensor):
     """CE cochain of n- with values in Hom(g, M), of degree k >= 0.
 
     The default coefficient module M is n- (x) n+ (coordinate v*n + u);
@@ -262,6 +255,7 @@ class Cochain:
     # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk
     data: Dict[object, Vec]
     mdim: Optional[int] = None
+    _vecs = "data"
 
     def __post_init__(self):
         # a value given as a dense list of module_dim scalars (a JSON
@@ -275,27 +269,14 @@ class Cochain:
     def module_dim(self) -> int:
         return self.mdim if self.mdim is not None else self.gb.n * self.gb.n
 
-    def is_zero(self) -> bool:
-        return not self.data
+    def _like(self, data: Dict[object, Vec]) -> "Cochain":
+        return Cochain(self.gb, self.degree, data, self.mdim)
 
-    def __add__(self, other: "Cochain") -> "Cochain":
+    def _check_like(self, other: "Cochain") -> None:
         if self.gb is not other.gb:
             raise ValueError("cochains on different bases of g")
         if self.degree != other.degree or self.module_dim != other.module_dim:
             raise ValueError("cochains of different degree or module")
-        out = {k: dict(v) for k, v in self.data.items()}
-        for k, v in other.data.items():
-            _accumulate(out, k, 1, v)
-        return Cochain(self.gb, self.degree, out, self.mdim)
-
-    def scale(self, c) -> "Cochain":
-        out: Dict[object, Vec] = {}
-        for k, v in self.data.items():
-            _accumulate(out, k, c, v)
-        return Cochain(self.gb, self.degree, out, self.mdim)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
 
 @functools.cache
@@ -325,7 +306,7 @@ def _differential(c: Cochain) -> Cochain:
     out: Dict[object, Vec] = {}
     for key, vec in c.data.items():
         for tgt, co in delta.get(key, ()):
-            _accumulate(out, tgt, co, vec)
+            VecTensor._accumulate(out, tgt, co, vec)
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
@@ -346,12 +327,19 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
     n = gb.n
     out: Dict[object, Vec] = {}
     # pi(e_w) is the unit vector at w's position j in nplus_order
-    for j, w in enumerate(gb.nplus_order):
-        for v in range(n):
-            for i in range(n):
-                _accumulate(out, (v, w), 1, {
-                    i * n + u: x for u, x in theta.value([i, j], [v]).items()})
+    for i, j, v, sign, vec in _pair_reads(theta):
+        tgt = out.setdefault((v, gb.nplus_order[j]), {})
+        for u, x in vec.items():
+            tgt[i * n + u] = sign * x
     return Cochain(gb, 1, out)
+
+
+def _pair_reads(form: InvariantVectorForm):
+    """(i, j, v, sign, vec) with form(e_i, e_j; v) = sign vec over a
+    (2,1)-form's stored entries ((a, b), (v,)), once each at (a, b) and (b, a)."""
+    for ((a, b), (v,)), vec in form.tensor.items():
+        yield a, b, v, 1, vec
+        yield b, a, v, -1, vec
 
 
 # ---------------------------------------------------------------------------
@@ -475,34 +463,6 @@ def invariant_one_cochains(gb: GModuleBasis) -> List[Cochain]:
     return _invariant_cochains(gb, 1)
 
 
-def _entries(c: Cochain):
-    """The nonzero coordinates of c as ((key, t), value) pairs."""
-    return (((key, t), x) for key, vec in c.data.items() for t, x in vec.items())
-
-
-def _span_rows(columns: Sequence[Iterable[Tuple[object, object]]],
-               targets: Sequence[Cochain]):
-    """The rows of the matrix whose j-th column has the (coordinate, entry)
-    pairs columns[j], each coordinate at most once, and the target cochains
-    as right-hand sides aligned with them; no solve depends on the row
-    order."""
-    rows: Dict[object, SparseRow] = {}
-    for j, col in enumerate(columns):
-        for coord, x in col:
-            rows.setdefault(coord, {})[j] = x
-    values = [dict(_entries(c)) for c in targets]
-    for coord in itertools.chain(*values):
-        rows.setdefault(coord, {})
-    return list(rows.values()), [[v.get(coord, 0) for coord in rows] for v in values]
-
-
-def _span_solve(columns: Sequence[Iterable[Tuple[object, object]]],
-                target: Optional[Cochain] = None):
-    """`sparse_rref` of `_span_rows`, against the target when given."""
-    rows, rhs = _span_rows(columns, [] if target is None else [target])
-    return sparse_rref(rows, len(columns), *rhs)
-
-
 def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
     """The columns of delta x = c for a `degree`-cochain c (1 or 2): the
     delta images of the invariant 0-cochains, or the deltas of the unknowns
@@ -510,7 +470,7 @@ def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
     1-cochains with coefficients in Lambda^2 n- (x) n+ (sufficient by torus
     equivariance)."""
     if degree == 1:
-        return [_entries(im) for im in _invariant_zero(gb)[1]]
+        return [im.entries() for im in _invariant_zero(gb)[1]]
     v_weights = [_wsum(gb.elements[v].weight, el.weight)
                  for v in gb.nminus_order for el in gb.elements]
     delta = _delta(gb, 1)
@@ -532,7 +492,7 @@ def _coboundary_result(gb: GModuleBasis, x: Optional[SparseRow]) -> CoboundaryRe
     data: Dict[object, Vec] = {}
     for j, xj in x.items():
         for key, vec in _invariant_zero(gb)[0][j].data.items():
-            _accumulate(data, key, xj, vec)
+            VecTensor._accumulate(data, key, xj, vec)
     return CoboundaryResult(True, Cochain(gb, 0, data))
 
 
@@ -543,7 +503,7 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
         raise ValueError("coboundary test implemented for 1-cochains")
     if not ce_differential(c).is_zero():
         raise ValueError("input is not a cocycle")
-    return _coboundary_result(c.gb, _span_solve(_coboundary_columns(c.gb, 1), c)[2])
+    return _coboundary_result(c.gb, span_solve(_coboundary_columns(c.gb, 1), c)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +530,19 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
                               ) -> Cochain:
     """The 2-cochain representing w -> [theta /\\ (theta2 /\\ w)] at o."""
     n = gb.n
-    th2 = theta_p(gb.space, 2)
     pairs, pair_index, _ = _lambda2_module(gb)
+    # phi_w(u; v) = theta2(pi(w), u; v), a (1,1)-form; pi(e_w) is the unit
+    # vector at w's position j in nplus_order
+    phis: List[dict] = [{} for _ in range(n)]
+    for j, u, v, sign, vec in _pair_reads(theta_p(gb.space, 2)):
+        phis[j][((u,), (v,))] = {t: sign * x for t, x in vec.items()}
     data: Dict[object, Vec] = {}
-    # pi(e_w) is the unit vector at w's position j in nplus_order
     for j, w in enumerate(gb.nplus_order):
-        # phi_w(u; v) = theta2(pi(w), u; v), a (1,1)-form
-        phi_tensor: Dict = {}
-        for a in range(n):
-            for b in range(n):
-                _accumulate(phi_tensor, ((a,), (b,)), 1, th2.value([j, a], [b]))
-        phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
+        phi_w = InvariantVectorForm(gb.space, 1, 1, phis[j])
         # F_w = theta /\ phi_w, a (2,2)-form: its entry at ((i, j), (v1, v2))
         # is the value at (v1, v2, w) on the coordinates ((i, j), u)
         for ((i, j), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
-            _accumulate(data, (v1, v2, w), 1, {
+            VecTensor._accumulate(data, (v1, v2, w), 1, {
                 pair_index[(i, j)] * n + u: x for u, x in vec.items()})
     return Cochain(gb, 2, data, len(pairs) * n)
 
@@ -592,7 +550,7 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
 def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:
     """Solve delta x = c2 over the weight-zero block of the 1-cochains with
     coefficients in Lambda^2 n- (x) n+ (exact; sufficient by equivariance)."""
-    return _span_solve(_coboundary_columns(gb, 2), c2)[2] is not None
+    return span_solve(_coboundary_columns(gb, 2), c2)[2] is not None
 
 
 def theta_form(gb: GModuleBasis, a, b) -> InvariantVectorForm:
@@ -616,7 +574,7 @@ def _theta_family(gb: GModuleBasis, degree: int):
     targets = [build(gb, f) for f in theta_basis(gb.space)]
     _require(all(_differential(c).is_zero() for c in targets), "c_theta must be a cocycle")
     columns = _coboundary_columns(gb, degree)
-    rows, rhs = _span_rows(columns, targets)
+    rows, rhs = span_rows(columns, targets)
     return reduce_targets(rows, len(columns), rhs)[2]
 
 

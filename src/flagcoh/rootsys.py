@@ -112,6 +112,8 @@ def _require(cond: bool, msg: str) -> None:
 
 def _scaled_to_integers(xi: Sequence) -> Tuple[Weight, int]:
     """(D xi, D) for the least common denominator D of xi's coordinates."""
+    if all(isinstance(c, int) for c in xi):
+        return tuple(xi), 1
     xi = [Fraction(c) for c in xi]
     D = math.lcm(*(c.denominator for c in xi))
     return tuple(c.numerator * (D // c.denominator) for c in xi), D
@@ -149,6 +151,11 @@ class RootDatum:
         """form2 alpha for each positive root alpha: v . (form2 alpha) = 2 (v, alpha)."""
         return tuple(tuple(sum(map(mul, row, al)) for row in self.form2)
                      for al in self.positive_roots)
+
+    @cached_property
+    def _two_gamma_product(self) -> int:
+        """The product over the positive roots alpha of 2 (2 gamma, alpha)."""
+        return math.prod(sum(map(mul, self.two_gamma, g2al)) for g2al in self._form2_pos)
 
     @cached_property
     def _cartan_columns(self) -> Tuple[Weight, ...]:
@@ -242,10 +249,9 @@ class RootDatum:
         the product over positive roots of (lam + gamma, a) / (gamma, a),
         computed on D lam for the common denominator D of lam."""
         v, D = _scaled_to_integers(lam)
-        two_gamma = self.two_gamma
-        u = [2 * a + D * g for a, g in zip(v, two_gamma)]  # 2D (lam + gamma)
+        u = [2 * a + D * g for a, g in zip(v, self.two_gamma)]  # 2D (lam + gamma)
         num = math.prod(sum(map(mul, u, g2al)) for g2al in self._form2_pos)
-        den = math.prod(D * sum(map(mul, two_gamma, g2al)) for g2al in self._form2_pos)
+        den = D ** len(self._form2_pos) * self._two_gamma_product
         if num % den:
             raise ValueError(f"{tuple(lam)} is not an integral weight of {self.type}")
         return num // den

@@ -12,17 +12,26 @@ from subset_route import dual, trivial_multiplicity
 
 from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, grassmannian_rs, space_from_preset
-from flagcoh.invforms import _add_into, barwedge_inv, eta, eta1, eta2, eta3, theta_p
+from flagcoh.invforms import (
+    InvariantVectorForm,
+    VecTensor,
+    _add_into,
+    barwedge_inv,
+    eta,
+    eta1,
+    eta2,
+    eta3,
+    span_solve,
+    theta_basis,
+    theta_p,
+)
 from flagcoh.liecoh import (
     Cochain,
     GModuleBasis,
-    _accumulate,
     _cochain_system,
     _delta,
     _differential,
-    _entries,
     _invariant_zero,
-    _span_solve,
     build_g_basis,
     ce_differential,
     cochain_from_form,
@@ -380,7 +389,7 @@ def test_d2_rank_on_vector_fields(name, ab, expected):
 
 
 def _cochain_rank(cochains: Sequence[Cochain]) -> int:
-    return len(_span_solve([_entries(c) for c in cochains])[1])
+    return len(span_solve([c.entries() for c in cochains])[1])
 
 
 def h1_invariant_dimension(gb: GModuleBasis) -> int:
@@ -692,7 +701,7 @@ def _ref_differential(c):
     for key, terms in _ref_delta_terms(c.gb, c.degree):
         for src, co in terms:
             if src in c.data:
-                _accumulate(out, key, co, c.data[src])
+                VecTensor._accumulate(out, key, co, c.data[src])
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
@@ -792,6 +801,73 @@ def test_cochains_on_different_bases_do_not_mix():
     for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
         with pytest.raises(ValueError, match="different bases"):
             op()
+
+
+def test_forms_and_cochains_share_one_tensor_arithmetic():
+    for name in ("is_zero", "entries", "scale", "__add__", "__sub__"):
+        shared = getattr(VecTensor, name)
+        assert getattr(InvariantVectorForm, name) is shared, name
+        assert getattr(Cochain, name) is shared, name
+        assert name not in vars(InvariantVectorForm) and name not in vars(Cochain)
+
+
+# ---------------------------------------------------------------------------
+# The stored-entry reads of c_theta and phi_w against the value() sweeps
+# ---------------------------------------------------------------------------
+
+def ref_cochain_from_form(gb, theta):
+    """c_theta by the n^3 sweep of theta.value over (i, w, v)."""
+    n = gb.n
+    out = {}
+    for j, w in enumerate(gb.nplus_order):
+        for v in range(n):
+            for i in range(n):
+                VecTensor._accumulate(out, (v, w), 1, {
+                    i * n + u: x for u, x in theta.value([i, j], [v]).items()})
+    return Cochain(gb, 1, out)
+
+
+def ref_two_cochain_from_d2_image(gb, theta):
+    """The d2-image 2-cochain with each phi_w(u; v) = theta2(pi(w), u; v) by
+    the n^2 sweep of theta2.value over (u, v)."""
+    n = gb.n
+    th2 = theta_p(gb.space, 2)
+    pairs, pair_index, _ = liecoh._lambda2_module(gb)
+    data = {}
+    for j, w in enumerate(gb.nplus_order):
+        phi_tensor = {}
+        for a in range(n):
+            for b in range(n):
+                VecTensor._accumulate(phi_tensor, ((a,), (b,)), 1, th2.value([j, a], [b]))
+        phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
+        for ((i, k), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
+            VecTensor._accumulate(data, (v1, v2, w), 1, {
+                pair_index[(i, k)] * n + u: x for u, x in vec.items()})
+    return Cochain(gb, 2, data, len(pairs) * n)
+
+
+def _assert_same_cochain(got, want):
+    assert got == want
+    assert all(type(x) is type(want.data[k][t]) for (k, t), x in got.entries())
+    assert all(isinstance(x, QSqrt2) or is_canonical(x) for _, x in got.entries())
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stored_entry_reads_match_the_value_sweeps(name):
+    gb = build_g_basis(space_from_preset(name))
+    for theta in theta_basis(gb.space):
+        _assert_same_cochain(cochain_from_form(gb, theta), ref_cochain_from_form(gb, theta))
+        _assert_same_cochain(two_cochain_from_d2_image(gb, theta),
+                             ref_two_cochain_from_d2_image(gb, theta))
+
+
+def test_stored_entry_reads_match_the_value_sweeps_over_qsqrt2():
+    gb = build_g_basis(space_from_preset("Gr(5,2)"))
+    theta = theta_form(gb, QSqrt2(Fraction(1, 2), 1), QSqrt2(-2, Fraction(3, 2)))
+    assert any(isinstance(x, QSqrt2) for _, x in theta.entries())
+    _assert_same_cochain(cochain_from_form(gb, theta), ref_cochain_from_form(gb, theta))
+    _assert_same_cochain(two_cochain_from_d2_image(gb, theta),
+                         ref_two_cochain_from_d2_image(gb, theta))
 
 
 def test_theta_form_on_the_projective_spaces_is_a_multiple_of_theta2():

@@ -376,6 +376,21 @@ def test_fold_examples():
     assert a2.fold((-1, -1), (0,)) == ((0, -1), 1, False)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "E6"])
+def test_weyl_dimension_of_integer_weights_matches_the_weyl_product(name):
+    """Integer weights skip the Fraction scaling (D = 1); the result is the
+    Weyl product over the positive roots in Fractions, and the weight's
+    Fraction copy gives the same."""
+    rd = root_system(name)
+    gamma = rd.gamma
+    for lam in itertools.islice(itertools.product(range(3), repeat=rd.rank), 60):
+        shifted = [c + g for c, g in zip(lam, gamma)]
+        want = 1
+        for a in rd.positive_roots:
+            want *= Fraction(rd.inner(shifted, a)) / rd.inner(gamma, a)
+        assert rd.weyl_dimension(lam) == want == rd.weyl_dimension(tuple(map(Fraction, lam)))
+
+
 def test_weyl_dimension_rejects_non_integral_weights():
     rd = root_system("A2")
     assert rd.weyl_dimension(rd.delta) == 8
