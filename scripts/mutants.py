@@ -44,7 +44,16 @@ MUTANTS: List[Mutant] = [
            "(-m if steps % 2 else m)", "m",
            ("tests/test_repdecomp.py",)),
     Mutant("Derivation.bracket flips the second half's sign", "exterior.py",
-           "other._into(acc, a, sign)", "other._into(acc, a, -sign)",
+           "into(acc, a, sign, theirs)", "into(acc, a, -sign, theirs)",
+           ("tests/test_exterior.py",)),
+    Mutant("Derivation.bracket skips the other half when its own half is empty",
+           "exterior.py", "                    if a:\n", "                    if a and b:\n",
+           ("tests/test_exterior.py",)),
+    Mutant("Derivation._leibniz keys the letter tables without m", "exterior.py",
+           "self._letter_tables[m]", "self._letter_tables[0]",
+           ("tests/test_superfields.py",)),
+    Mutant("Derivation._into keys the product memo on k alone", "exterior.py",
+           "key = (k, rest)", "key = k",
            ("tests/test_exterior.py",)),
     Mutant("Derivation._into drops the exponent factor e", "exterior.py",
            "ce = c * e if e > 1 else c", "ce = c",

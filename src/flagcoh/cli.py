@@ -495,8 +495,9 @@ def _read(name: str, tokens) -> Dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run `[--format FORMAT] COMMAND FLAGS...`, read against COMMANDS with flags in
-    full; `-h` prints help, and malformed argv exits 2 with a usage line on stderr."""
-    tokens, fmt = iter(sys.argv[1:] if argv is None else argv), "json"
+    full; `-h` prints help, and malformed argv exits 2 with a usage line on stderr.
+    `verify-all` prints plain lines only, so it refuses an explicit --format."""
+    tokens, fmt = iter(sys.argv[1:] if argv is None else argv), None
     for tok in tokens:
         flag, eq, value = tok.partition("=")
         if tok in ("-h", "--help"):
@@ -507,9 +508,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _stop(None, f"argument --format: expected one of {', '.join(_FORMATS)}")
         elif tok not in COMMANDS:
             _stop(None, f"unknown command or option: {tok}")
+        elif fmt and tok == "verify-all":
+            _stop(tok, "argument --format: not allowed with verify-all, "
+                       "which prints plain [PASS]/[FAIL] lines")
         else:
             try:
-                return COMMANDS[tok][0](SimpleNamespace(format=fmt, **_read(tok, tokens)))
+                return COMMANDS[tok][0](
+                    SimpleNamespace(format=fmt or "json", **_read(tok, tokens)))
             except ValueError as exc:
                 _die(str(exc))
     _stop(None, "the following arguments are required: command")

@@ -23,12 +23,15 @@ Leibniz loop `_into` (it adds +-i(phi)a into a caller's dict) once, with
 one mismatch rule (`ValueError`).  `VectorValuedForm` and
 `superfields.SuperDerivation` subclass it with their labels and hooks: the
 term algebra, a same-space constructor, a monomial's odd length and
-`_letters`, the cached table of its generators that `_into` walks.
+`_letters`, which lists the generators of a monomial that `_into` walks.
+`apply` and `bracket` fetch each operand's set-up (`_leibniz`) once and
+run `_into` per image; `_into` keeps each monomial's letters in the
+class's `_letter_tables` dict (one per m) and each monomial product in the
+algebra's `_products` dict, so both are computed once per process.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,8 +83,9 @@ class TermAlgebra:
     terms holds (monomial, nonzero int-or-Fraction) pairs sorted by monomial,
     an int iff integral.  A subclass supplies `_mono_mul`, the product of two
     monomials as (monomial, sign), or (None, 0) when it vanishes; each class
-    keeps one shared zero per m.  Subclasses add no field, so they inherit
-    the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
+    keeps one shared zero per m in `_zeros` and the products the Leibniz
+    loop has formed in `_products`.  Subclasses add no field, so they
+    inherit the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
     """
 
     m: int
@@ -89,23 +93,24 @@ class TermAlgebra:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._zeros = {}
+        cls._zeros = _PerM(lambda m: cls(m, ()))
+        cls._products = {}
 
     @classmethod
     def _from_dict(cls, m: int, acc: Dict[object, Coeff]):
         """The element of kernel-produced monomials and values, an integral
         Fraction made an int; the shared zero when every value cancelled."""
-        terms = tuple(sorted([(k, c if type(c) is int else _canon(c))
-                              for k, c in acc.items() if c]))
-        return cls(m, terms) if terms else cls.zero(m)
+        if acc:
+            terms = tuple(sorted([(k, c if type(c) is int else _canon(c))
+                                  for k, c in acc.items() if c]))
+            if terms:
+                return cls(m, terms)
+        return cls._zeros[m]
 
     @classmethod
     def zero(cls, m: int):
         """The zero in m variables, one shared instance per class and m."""
-        z = cls._zeros.get(m)
-        if z is None:
-            z = cls._zeros[m] = cls(m, ())
-        return z
+        return cls._zeros[m]
 
     def tdict(self) -> Dict[object, Coeff]:
         return dict(self.terms)
@@ -168,6 +173,19 @@ class TermAlgebra:
         return self._from_dict(self.m, acc)
 
 
+class _PerM(dict):
+    """A class's values by m (its shared zeros, its letter tables), each
+    made by `make(m)` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, m: int):
+        value = self[m] = self.make(m)
+        return value
+
+
 def _mismatch(op: str, a: TermAlgebra, b: TermAlgebra) -> ValueError:
     return ValueError(f"{op} of polynomials in {a.m} and {b.m} variables")
 
@@ -222,6 +240,10 @@ class Derivation:
     different grades in a sum; a zero of another grade is absorbed.
     """
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._letter_tables = _PerM(lambda m: {})
+
     @property
     def _grade(self) -> int:
         return getattr(self, self._grade_field)
@@ -273,45 +295,66 @@ class Derivation:
         if not a.terms:
             return a
         acc: Dict[object, Coeff] = {}
-        self._into(acc, a, 1)
+        self._into(acc, a.terms, 1, self._leibniz())
         return self._algebra._from_dict(self.m, acc)
 
     def bracket(self, other):
         """{self, other} on the generators: image k is self(other_k) +
         sign * other(self_k), both summed into one dict, with the grade and
         the sign (-1, +1 when both are odd, 0 when the bracket vanishes by
-        degree) from `_bracket_label`.  Generators with two zero images are
-        skipped, and an image whose halves cancel is the shared zero."""
+        degree) from `_bracket_label`.  Each operand's set-up is fetched
+        once; generators with two zero images are skipped, so is an empty
+        half, and an image whose halves cancel is the shared zero."""
         self._same_space(other, "bracket")
         grade, sign = self._bracket_label(other)
         algebra, nv = self._algebra, self.m
-        images = [algebra.zero(nv)] * len(self.images)
+        images = [algebra._zeros[nv]] * len(self.images)
         if sign:
+            mine, theirs = self._leibniz(), other._leibniz()
+            into, from_dict = self._into, algebra._from_dict
             for k, (a, b) in enumerate(zip(self.images, other.images)):
-                if a.terms or b.terms:
+                a, b = a.terms, b.terms
+                if a or b:
                     acc: Dict[object, Coeff] = {}
-                    self._into(acc, b, 1)
-                    other._into(acc, a, sign)
-                    images[k] = algebra._from_dict(nv, acc)
+                    if b:
+                        into(acc, b, 1, mine)
+                    if a:
+                        into(acc, a, sign, theirs)
+                    images[k] = from_dict(nv, acc)
         return self._relabel(grade, tuple(images))
 
-    def _into(self, acc: Dict[object, Coeff], a, sign: int) -> None:
-        """Add sign * self(a) into acc by the super-Leibniz rule: a letter
-        (g, rest, e, j) of `_letters` (generator index, the monomial without
-        it, exponent, odd letters before it) gives e * images[g] * rest by
-        `_mono_mul`, times (-1)^{j (grade + odd length of the image term)}."""
-        if not a.terms:     # a quarter of the bracket's calls: skip the set-up
-            return
-        images, mul, odd_len = self.images, self._algebra._mono_mul, self._odd_len
-        grade, letters, m = getattr(self, self._grade_field), self._letters, a.m
-        for mono, c in a.terms:
-            for g, rest, e, j in letters(mono, m):
+    def _leibniz(self):
+        """What `_into` reads of self: the images, the grade, `_odd_len`,
+        this m's letter table and `_letters` that fills it, m, and the
+        algebra's product memo and `_mono_mul`."""
+        algebra, m = self._algebra, self.m
+        return (self.images, getattr(self, self._grade_field), self._odd_len,
+                self._letter_tables[m], self._letters, m,
+                algebra._products, algebra._mono_mul)
+
+    @staticmethod
+    def _into(acc: Dict[object, Coeff], terms, sign: int, setup) -> None:
+        """Add sign * d(a) into acc by the super-Leibniz rule, for the terms
+        of a and the `_leibniz` set-up of d: a letter (g, rest, e, j) of
+        `_letters` (generator index, the monomial without it, exponent, odd
+        letters before it) gives e * images[g] * rest by `_mono_mul`, times
+        (-1)^{j (grade + odd length of the image term)}."""
+        images, grade, odd_len, table, letters_of, m, products, mul = setup
+        for mono, c in terms:
+            letters = table.get(mono)
+            if letters is None:
+                letters = table[mono] = letters_of(mono, m)
+            for g, rest, e, j in letters:
                 image = images[g].terms
                 if not image:
                     continue
                 ce = c * e if e > 1 else c
                 for k, v in image:
-                    merged, s = mul(k, rest)
+                    key = (k, rest)
+                    product = products.get(key)
+                    if product is None:
+                        product = products[key] = mul(k, rest)
+                    merged, s = product
                     if merged is None:
                         continue
                     if j % 2 and (grade + odd_len(k)) % 2:
@@ -324,7 +367,6 @@ class Derivation:
                         acc[merged] = -t if old is None else old - t
 
 
-@functools.cache
 def _grassmann_letters(mono: Monomial, m: int):
     """The letters of `Derivation._into`: xi_i at place j is (i - 1, rest, 1, j)."""
     return tuple((i - 1, mono[:j] + mono[j + 1:], 1, j) for j, i in enumerate(mono))

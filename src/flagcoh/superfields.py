@@ -7,20 +7,23 @@ Chart data: even coordinates x_{i,a} and odd xi_{i,a} with 1 <= i <= r,
 1 <= a <= s, r = n - s, arranged in the 2n x 2s coordinate matrix with
 identity blocks in the frame rows.
 
-The field map g -> g* is linear, so `homomorphism_check` builds the 2n^2
-basis fields once and expands each basis bracket [g1, g2]* as the
-combination of those fields with [g1, g2]'s entries, instead of running the
-jet again on the bracket.  It reads those entries, at most two, from the
-closed-form structure constants of `qn_structure_constants`
-(E_ab E_cd = delta_bc E_ad); the block-product `qn_bracket` of two whole
-elements stays public and is their test oracle.
+The 2n^2 basis fields of q_n on the chart of s are built once per (n, s)
+by the cached `basis_fields(n, s)`, which `homomorphism_check`,
+`kernel_of_action`, `transitivity_at_origin` and `isotropy_weights` read.
+The field map g -> g* is linear, so `homomorphism_check` expands each basis
+bracket [g1, g2]* as the combination of those fields with [g1, g2]'s
+entries, instead of running the jet again on the bracket.  It reads those
+entries, at most two, from the closed-form structure constants of
+`qn_structure_constants` (E_ab E_cd = delta_bc E_ad); the block-product
+`qn_bracket` of two whole elements stays public and is their test oracle.
 
 `SuperDerivation` is an `exterior.Derivation`: its `images` are the
 coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
 bracket, the Leibniz loop `Derivation._into` and the mismatch rule from
 there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
-what `_into` reads: a monomial's odd length (its xi-part's) and its letter
-table `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place sign.
+what `_into` reads: a monomial's odd length (its xi-part's) and its letters
+`_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place sign; they
+depend on nvars, and `_into` keeps them in one table per nvars.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -138,7 +141,6 @@ class SuperPolynomial(TermAlgebra):
         return self.tdict().get(((), ()), 0)
 
 
-@functools.cache
 def _super_letters(mono: Monomial, nv: int):
     """The letters of `Derivation._into`: x_k^e is (k, rest with x_k^(e-1), e,
     0), as d/dx_k is even, and xi_k at place j is (nv + k, rest, 1, j)."""
@@ -363,6 +365,12 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
 # Verification-style operations
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def basis_fields(n: int, s: int) -> Tuple[SuperDerivation, ...]:
+    """The fields of `qn_basis(n)` on the chart of s, built once per (n, s)."""
+    return tuple(fundamental_field(g, s) for g in qn_basis(n))
+
+
 def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     """Measure the uniform sign sigma in
         [g1*, g2*] = sigma (-1)^{p(g1) p(g2)} ([g1, g2])*
@@ -374,7 +382,7 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     statement that the sign-changed fundamental fields form an action.
     """
     nn = n * n
-    fields = [fundamental_field(g, s) for g in qn_basis(n)]
+    fields = basis_fields(n, s)
     consts = qn_structure_constants(n)
     sigma: Optional[int] = None
     checked = 0
@@ -438,7 +446,7 @@ def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, int], ...]]]:
     return table
 
 
-def _combination(fields: List[SuperDerivation],
+def _combination(fields: Tuple[SuperDerivation, ...],
                  entries: Tuple[Tuple[int, Coeff], ...], r: int, s: int,
                  parity: int) -> SuperDerivation:
     """sum c fields[k] over the (k, c) entries, accumulated into one dict per
@@ -459,8 +467,7 @@ def _combination(fields: List[SuperDerivation],
 
 def kernel_of_action(n: int, s: int) -> List[QnElement]:
     """Exact nullspace of g -> g* over the 2 n^2 basis coefficients."""
-    basis = qn_basis(n)
-    fields = [fundamental_field(g, s) for g in basis]
+    fields = basis_fields(n, s)
     # flatten each field over a common monomial index
     keys = sorted({(k, mono) for f in fields
                    for k, p in enumerate(f.images) for mono, _ in p.terms})
@@ -490,8 +497,7 @@ def transitivity_at_origin(n: int, s: int) -> Dict[str, int]:
     """Dimensions of the even/odd spans of the evaluations at the origin."""
     r = n - s
     ev_rows, od_rows = [], []
-    for g in qn_basis(n):
-        f = fundamental_field(g, s)
+    for f in basis_fields(n, s):
         cx, cxi = f.evaluate_at_origin()
         if f.parity == 0:
             if any(cx):
@@ -515,9 +521,8 @@ def isotropy_weights(n: int, s: int) -> Dict[Tuple[int, ...], Dict[str, int]]:
     r = n - s
     nv = r * s
     weights: Dict[Tuple[int, ...], Dict[str, int]] = {}
-    diag_fields = [
-        fundamental_field(QnElement.unit(n, j, j, odd=False), s) for j in range(n)
-    ]
+    # E_jj is basis element j n + j
+    diag_fields = [basis_fields(n, s)[j * n + j] for j in range(n)]
     for i in range(r):
         for a in range(s):
             k = i * s + a

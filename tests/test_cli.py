@@ -310,6 +310,25 @@ def test_verify_all_rejects_an_empty_or_unknown_selection(tmp_path, capsys, mani
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "verify-all"],
+    ["--format=csv", "verify-all"],
+    ["--format", "markdown", "verify-all", "--manifest", "unread.txt"],
+], ids=lambda argv: " ".join(argv))
+def test_verify_all_refuses_an_explicit_format(capsys, argv):
+    """verify-all prints plain [PASS]/[FAIL] lines only, so a --format it
+    would ignore is a usage error that names the flag, before any check runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: flagcoh verify-all [-h] [--manifest MANIFEST]\n"
+        "flagcoh verify-all: error: argument --format: not allowed with "
+        "verify-all, which prints plain [PASS]/[FAIL] lines\n")
+
+
 def test_verify_all_has_no_parallel_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-all", "--parallel", "2"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import flagcoh
 from canonical import assert_canonical, check_against_fractions
+from leibniz_oracle import check_against_old_kernel
 
 from flagcoh.exterior import (
     GrassmannElement,
@@ -719,6 +720,22 @@ def test_arithmetic_is_canonical_and_agrees_with_fractions(seed):
     d1, d2 = (VectorValuedForm.make(m, deg, [random_element(rng, m, [deg + 1])
                                              for _ in range(m)]) for deg in (p, q))
     check_against_fractions(a, b, d1, d2)
+
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_apply_and_bracket_match_the_per_call_kernel(seed):
+    """The set-up fetched once per apply or bracket, the letter tables, the
+    product memo and the skipped empty halves give the old kernel's values
+    on random forms with some zero components."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    a = random_element(rng, m, range(m + 1))
+    b = random_element(rng, m, [rng.randint(0, m)])
+    d1, d2 = (random_rational_form(rng, m, rng.randint(-1, m), rng.choice([0.3, 0.7, 1.0]))
+              for _ in range(2))
+    check_against_old_kernel(a, b, d1, d2)
 
 
 def test_integral_values_are_ints():

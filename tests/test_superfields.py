@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import flagcoh
 import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
+from leibniz_oracle import check_against_old_kernel
 from flagcoh.exterior import Derivation, GrassmannElement, VectorValuedForm
 
+from flagcoh import verify
 from flagcoh.superfields import (
     QnElement,
     SuperDerivation,
@@ -705,15 +707,21 @@ def test_field_map_is_linear(n, s):
 
 
 def test_homomorphism_check_runs_the_jet_once_per_basis_element(monkeypatch):
-    """Brackets are expanded over the 2n^2 basis fields, not re-jetted."""
+    """Brackets are expanded over the 2n^2 basis fields, not re-jetted, and
+    `kernel_of_action`, `transitivity_at_origin` and `isotropy_weights` read
+    the same fields: one jet per basis element and (n, s) in all."""
     calls = []
     jet = superfields._jet_field
     monkeypatch.setattr(superfields, "_jet_field",
                         lambda *args: calls.append(args[:2]) or jet(*args))
     for n, s in C8_SIZES:
+        superfields.basis_fields.cache_clear()
         calls.clear()
         homomorphism_check(n, s)
-        assert len(calls) == 2 * n * n, (n, s)
+        kernel_of_action(n, s)
+        transitivity_at_origin(n, s)
+        isotropy_weights(n, s)
+        assert calls == [(n, s)] * (2 * n * n), (n, s)
 
 
 def test_homomorphism_check_builds_each_distinct_target_once(monkeypatch):
@@ -928,6 +936,49 @@ def test_arithmetic_is_canonical_and_agrees_with_fractions(seed):
     a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
     d1, d2 = (random_super_derivation(rng, r, s, rng.randint(0, 1)) for _ in range(2))
     check_against_fractions(a, b, d1, d2)
+
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_apply_and_bracket_match_the_per_call_kernel(seed):
+    """The set-up fetched once per apply or bracket, the letter tables, the
+    product memo and the skipped empty halves give the old kernel's values
+    on random fields with (n, s) <= (4, 3)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    s = rng.randint(1, min(3, n - 1))
+    r, nv = n - s, (n - s) * s
+    a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
+    d1, d2 = (random_super_derivation(rng, r, s, rng.randint(0, 1)) for _ in range(2))
+    check_against_old_kernel(a, b, d1, d2)
+
+
+def test_letter_tables_are_kept_per_nvars():
+    """xi_0 is generator nv + 0 of a field, so its letters depend on nvars:
+    d/dxi_0 applied to xi_0 x_1 at nvars 2 and then at nvars 4, in one
+    process, gives x_1 at both."""
+    SuperDerivation._letter_tables.clear()
+    for r, s in ((1, 2), (2, 2)):
+        nv = r * s
+        zero = SuperPolynomial.zero(nv)
+        images = [zero] * (2 * nv)
+        images[nv] = SuperPolynomial.const(nv, 1)
+        d = SuperDerivation(r, s, 1, tuple(images))
+        a = SuperPolynomial.xi(nv, 0) * SuperPolynomial.x(nv, 1)
+        assert d.apply(a) == SuperPolynomial.x(nv, 1), nv
+    assert sorted(SuperDerivation._letter_tables) == [2, 4]
+
+
+def test_every_memoized_product_is_the_monomial_product():
+    """After a pass of criteria 4 and 8, each entry of a term algebra's
+    product memo is `_mono_mul` of its key."""
+    assert verify.check_c4_exterior()[0] and verify.check_c8_superfields()[0]
+    for algebra in (GrassmannElement, SuperPolynomial):
+        memo = algebra._products
+        assert memo, algebra
+        for (k, rest), product in memo.items():
+            assert product == algebra._mono_mul(k, rest), (k, rest)
 
 
 def test_integral_values_are_ints():
