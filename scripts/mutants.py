@@ -102,6 +102,31 @@ MUTANTS: List[Mutant] = [
            "acc[k] = acc.get(k, 0) + (1 if p and q else -1)",
            "acc[k] = acc.get(k, 0) - 1",
            ("tests/test_superfields.py",)),
+    Mutant("bott.bott_irreducible reads 2gamma in reversed index order", "bott.py",
+           "zip(dom, two_gamma))", "zip(dom, two_gamma[::-1]))",
+           ("tests/test_bott.py::test_serre_duality_of_every_bott_cell",)),
+    Mutant("liecoh.ce_differential drops the (-1)^i of its face sum", "liecoh.py",
+           "(tgt, -co if i % 2 else co)", "(tgt, co)",
+           ("tests/test_liecoh.py::test_delta_squared_zero_through_degree_3",)),
+    Mutant("repdecomp.exterior_power ignores multiplicities", "repdecomp.py",
+           "basis = [w for w in sorted(chi) for _ in range(chi[w])]", "basis = sorted(chi)",
+           ("tests/test_repdecomp.py::test_exterior_newton_agrees_with_subsets",)),
+    # the gate and the CLI: tests/test_acceptance.py holds the red-by-design
+    # checks, so these name green node ids, not whole files
+    Mutant("verify.check_c1_tables compares (adjoint, trivial) only", "verify.py",
+           "if got != cell + (0,)]", "if got[:2] != cell]",
+           ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
+    Mutant("verify._regime_check drops the H-dims comparison", "verify.py",
+           "    if got != expected_dims:\n", "    if False:\n",
+           ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
+    Mutant("cli._read lets the first occurrence of a flag win", "cli.py",
+           'given[flag] = arguments[flag].get("type", str)(value)',
+           'given.setdefault(flag, arguments[flag].get("type", str)(value))',
+           ("tests/test_cli.py::test_a_repeated_flag_reads_its_last_value",)),
+    Mutant("bott.preset_key drops its normalisation", "bott.py",
+           's = name.strip().replace(" ", "")', "s = name",
+           ("tests/test_bott.py::test_preset_key_normalises_a_name_or_raises_space_from_presets_error",
+            "tests/test_cli.py::test_space_list_splits_outside_parentheses_only")),
 ]
 
 

@@ -375,8 +375,8 @@ def _grassmann_letters(mono: Monomial, m: int):
 @dataclass(frozen=True)
 class VectorValuedForm(Derivation):
     """Element of Lambda^{p+1} E (x) E*, i.e. the degree-p part of der Lambda E:
-    degree is p in [-1, m], and images[k], read as components[k] too, is the
-    image of xi_{k+1}, of degree p+1."""
+    degree is p in [-1, m], and images[k] is the image of xi_{k+1}, of
+    degree p+1."""
 
     m: int
     degree: int
@@ -387,10 +387,6 @@ class VectorValuedForm(Derivation):
     _letters = staticmethod(_grassmann_letters)
     _space = None
     _grade_field = "degree"
-
-    @property
-    def components(self) -> Tuple[GrassmannElement, ...]:
-        return self.images
 
     def _bracket_label(self, other: "VectorValuedForm") -> Tuple[int, int]:
         deg = self.degree + other.degree

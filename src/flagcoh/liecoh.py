@@ -300,23 +300,16 @@ def _delta(gb: GModuleBasis, k: int) -> Dict[object, list]:
     return delta
 
 
-def _differential(c: Cochain) -> Cochain:
-    """delta c in any degree (see _delta)."""
+def ce_differential(c: Cochain) -> Cochain:
+    """delta c in any degree (see _delta): in degree 0,
+    (delta c)(y)(z) = c([y, z]), and in degree 1,
+    (delta c)(y1,y2)(z) = c(y2)([y1,z]) - c(y1)([y2,z])."""
     delta = _delta(c.gb, c.degree)
     out: Dict[object, Vec] = {}
     for key, vec in c.data.items():
         for tgt, co in delta.get(key, ()):
             VecTensor._accumulate(out, tgt, co, vec)
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
-
-
-def ce_differential(c: Cochain) -> Cochain:
-    """delta with the convention (delta c)(y)(z) = c([y, z]) in degree 0 and
-    (delta c)(y1,y2)(z) = c(y2)([y1,z]) - c(y1)([y2,z]) in degree 1
-    (n- abelian, trivial action on the coefficients)."""
-    if c.degree >= 2:
-        raise ValueError("differential implemented for degrees 0 and 1 only")
-    return _differential(c)
 
 
 def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
@@ -572,7 +565,7 @@ def _theta_family(gb: GModuleBasis, degree: int):
     read at theta's coordinates solves the system for theta."""
     build = cochain_from_form if degree == 1 else two_cochain_from_d2_image
     targets = [build(gb, f) for f in theta_basis(gb.space)]
-    _require(all(_differential(c).is_zero() for c in targets), "c_theta must be a cocycle")
+    _require(all(ce_differential(c).is_zero() for c in targets), "c_theta must be a cocycle")
     columns = _coboundary_columns(gb, degree)
     rows, rhs = span_rows(columns, targets)
     return reduce_targets(rows, len(columns), rhs)[2]

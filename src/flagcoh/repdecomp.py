@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,52 +51,17 @@ def trivial_character(rank: int) -> FormalCharacter:
 
 
 def exterior_power(chi: FormalCharacter, p: int) -> FormalCharacter:
-    """Character of the p-th exterior power.
-
-    Multiplicity-free characters go through subset sums; the general case
-    uses the Newton recursion on power-sum characters (exact, the division
-    by k at each step stays integral on actual characters).
-    """
+    """Character of the p-th exterior power: the sums of the p-subsets of a
+    weight basis, each weight of chi repeated by its multiplicity."""
     if p < 0:
         raise ValueError("exterior power degree must be >= 0")
-    rank = len(next(iter(chi))) if chi else 0
     if p == 0:
-        return trivial_character(rank)
-    if not chi or p > char_dim(chi):
-        return {}
-    if all(m == 1 for m in chi.values()):
-        out: FormalCharacter = {}
-        weights = sorted(chi)
-        for subset in itertools.combinations(weights, p):
-            k = tuple(sum(c) for c in zip(*subset))
-            out[k] = out.get(k, 0) + 1
-        return out
-    return _exterior_newton(chi, p)
-
-
-def _exterior_newton(chi: FormalCharacter, p: int) -> FormalCharacter:
-    def psum(j: int) -> Dict[Weight, Fraction]:
-        return {tuple(j * c for c in w): Fraction(m) for w, m in chi.items()}
-
-    es: List[Dict[Weight, Fraction]] = [
-        {tuple(0 for _ in next(iter(chi))): Fraction(1)}
-    ]
-    for k in range(1, p + 1):
-        acc: Dict[Weight, Fraction] = {}
-        for j in range(1, k + 1):
-            sign = 1 if (j - 1) % 2 == 0 else -1
-            pj = psum(j)
-            prev = es[k - j]
-            for w1, m1 in prev.items():
-                for w2, m2 in pj.items():
-                    key = tuple(a + b for a, b in zip(w1, w2))
-                    acc[key] = acc.get(key, Fraction(0)) + sign * m1 * m2
-        es.append({w: m / k for w, m in acc.items() if m})
+        return trivial_character(len(next(iter(chi))) if chi else 0)
     out: FormalCharacter = {}
-    for w, m in es[p].items():
-        if m:
-            _require(m.denominator == 1, "exterior-power multiplicity is integral")
-            out[w] = m.numerator
+    basis = [w for w in sorted(chi) for _ in range(chi[w])]
+    for subset in itertools.combinations(basis, p):
+        k = tuple(sum(c) for c in zip(*subset))
+        out[k] = out.get(k, 0) + 1
     return out
 
 
@@ -122,13 +86,10 @@ class LeviDatum:
                 if all(c == 0 for i, c in enumerate(r) if i not in s)]
 
     @cached_property
-    def _two_rho(self) -> Weight:
-        pos = self.levi_positive_roots()
-        return tuple(sum(r[i] for r in pos) for i in range(self.rd.rank))
-
     def two_rho(self) -> Weight:
         """2 rho_S: the sum of the Levi positive roots."""
-        return self._two_rho
+        pos = self.levi_positive_roots()
+        return tuple(sum(r[i] for r in pos) for i in range(self.rd.rank))
 
     def is_S_dominant(self, lam: Sequence) -> bool:
         return all(c >= 0 for i, c in enumerate(self.rd.simple_pairings(lam)) if i in self.S)
@@ -149,7 +110,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     rd = L.rd
     rank = rd.rank
     pos = L.levi_positive_roots()
-    two_rho = L.two_rho()
+    two_rho = L.two_rho
 
     g2 = rd.form2
 
@@ -221,7 +182,7 @@ def decompose(L: LeviDatum, chi: FormalCharacter,
             c = pr[i]
             if c and chi.get(mu[:i] + (mu[i] - c,) + mu[i + 1:], 0) != m:
                 raise ValueError(f"not an R-module character (not W_S-invariant at {mu})")
-    two_rho = L.two_rho()
+    two_rho = L.two_rho
     shift = two_rho
     if lam is not None:
         if not L.is_S_dominant(lam):

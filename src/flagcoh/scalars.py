@@ -476,11 +476,9 @@ def rank(mat: Matrix) -> int:
     return len(rref(mat)[1])
 
 
-def nullspace(mat: Matrix, n_cols: Optional[int] = None) -> Matrix:
+def nullspace(mat: Matrix, n_cols: int) -> Matrix:
     """Basis of the right kernel; rows are the basis vectors.  With no rows
-    the kernel is all of Q^n_cols (n_cols = 0 when not given)."""
-    if n_cols is None:
-        n_cols = len(mat[0]) if mat else 0
+    the kernel is all of Q^n_cols."""
     red, pivots, _ = sparse_rref([dict(enumerate(row)) for row in mat], n_cols)
     typed = _typed(mat)
     return [_dense(v, n_cols, typed) for v in rref_kernel(red, pivots, n_cols)]

@@ -337,8 +337,6 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
         out = list(MZ[row])
         for k, c1 in C1_rows:
             z0 = Z[row][k]
-            if z0.is_zero():
-                continue
             head = z0.sigma() if odd else z0
             for j, c in enumerate(c1):
                 if c.terms:

@@ -307,7 +307,7 @@ def check_c4_exterior() -> Tuple[bool, str]:
         eps = exterior.grading_derivation(m)
         for mo, j in exterior.wedge_basis(m):
             v = exterior.VectorValuedForm.basis_element(m, mo, j)
-            if exterior.bracket(eps, v).components != v.scale(v.degree).components:
+            if exterior.bracket(eps, v).images != v.scale(v.degree).images:
                 return False, "grading bracket identity failed"
         for p in range(m + 1):
             for mono in exterior.basis_monomials(m, p):
@@ -331,13 +331,13 @@ def check_c4_exterior() -> Tuple[bool, str]:
             psi, chi = exterior.decompose_im_j_ker_c(phi)
             if not exterior.contraction_c(chi).is_zero():
                 return False, "splitting failed"
-            if (exterior.j_map(m, psi, degree=p) + chi).components != phi.components:
+            if (exterior.j_map(m, psi, degree=p) + chi).images != phi.images:
                 return False, "splitting reconstruction failed"
     # super-Jacobi on every basis triple, m <= 3.  Forms are held as ids,
     # one per distinct value, and the basis ids come first.  Each bracket
     # [b, v] and [v, b] of a basis form b and a form v of the table is
     # computed once, and so is each distinct (lhs, r1, r2, s12) comparison;
-    # zero results of different degrees compare equal, as the components
+    # zero results of different degrees compare equal, as the images
     # are compared.
     for m in (2, 3):
         forms = _Ids()
@@ -361,8 +361,8 @@ def check_c4_exterior() -> Tuple[bool, str]:
                     ok = verdicts.get(key)
                     if ok is None:
                         lhs, r1, r2 = (forms.values[z] for z in key[:3])
-                        ok = verdicts[key] = (lhs - (r1 + r2.scale(s12))).components == (
-                            exterior.VectorValuedForm.zero(m, lhs.degree).components)
+                        ok = verdicts[key] = (lhs - (r1 + r2.scale(s12))).images == (
+                            exterior.VectorValuedForm.zero(m, lhs.degree).images)
                     if not ok:
                         return False, f"super-Jacobi failed at m={m}"
     dt = time.perf_counter() - t0

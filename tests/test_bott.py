@@ -24,6 +24,7 @@ from flagcoh.bott import (
     space_from_preset,
     tag_counts,
 )
+from flagcoh.repdecomp import char_of_roots, decompose
 from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.spectral import assemble_E2
 from flagcoh.verify import published_k_value
@@ -414,7 +415,7 @@ def _weyl_order(roots):
 def _levi_weyl_dimension(L, lam):
     """Weyl's dimension formula for the Levi: the product over its positive
     roots a of (2 lam + 2 rho_S, a) / (2 rho_S, a)."""
-    rd, two_rho = L.rd, L.two_rho()
+    rd, two_rho = L.rd, L.two_rho
     shifted = tuple(2 * c + r for c, r in zip(lam, two_rho))
     return prod(rd.inner(shifted, a) / rd.inner(two_rho, a)
                 for a in L.levi_positive_roots())
@@ -561,6 +562,59 @@ def test_euler_characteristic_of_q3_counts_erratum_1():
     H = space_from_preset("Q3")
     assert _euler_by_bott(H, 2) == _euler_by_weyl(H, 2)[2] == -6
     assert [d.dim for d in cohomology_omega_p_theta(H, 2, H.dim)[1]] == [5, 1]
+
+
+# --- Serre duality: H^q(Omega^p (x) Theta) = H^(N-q)(Omega^(N-p) (x) Omega^1)* --
+
+def _bott_cells(H, p):
+    """Per q, the {highest weight: multiplicity} of H^q(Omega^p (x) Theta)."""
+    return {q: {d.weight: d.mult for d in descs}
+            for q, descs in cohomology_omega_p_theta(H, p, q_max=H.dim).items()}
+
+
+def _serre_dual_cells(H, p):
+    """Per q, the {highest weight: multiplicity} of
+    H^(N-q)(M, Omega^(N-p) (x) Omega^1)*, N = dim M.  K_M = Omega^N and
+    wedge^p tau (x) wedge^N tau* = wedge^(N-p) tau*, so Serre duality makes
+    it H^q(Omega^p (x) Theta).  The bundle is the sum over Kostant's weights
+    a of degree N - p of V(a) (x) n-, each decomposed and pushed through
+    Bott; the dual of V(lam) is V(-w0 lam), the dominant weight in the
+    orbit of -lam."""
+    N, rd = H.dim, H.rd
+    n_minus = char_of_roots(tuple(-c for c in r) for r in H.N_plus)
+    coeffs = Counter()
+    for a in H.kostant_weights[N - p]:
+        for lam, mult in decompose(H.levi, n_minus, a):
+            coeffs[lam] += mult
+    cells = {q: Counter() for q in range(N + 1)}
+    for lam, mult in coeffs.items():
+        res = bott_irreducible(H, lam)
+        if res is not None:
+            dual = rd.fold(tuple(-c for c in res[1]), range(rd.rank))[0]
+            cells[N - res[0]][dual] += mult
+    return {q: dict(c) for q, c in cells.items()}
+
+
+# the special nodes with dim <= 12 (43 spaces): Q3, Q5, Gr(5,2), Gr(6,3) and
+# LG3, with their erratum cells, among them
+@pytest.mark.parametrize("H", EULER_SPACES, ids=str)
+def test_serre_duality_of_every_bott_cell(H):
+    """Every cell of every Bott column, q up to dim M, is module by module
+    the dual of its Serre-dual cell, which goes through Bott on the
+    complementary degree with n- in place of n+."""
+    for p in range(H.dim + 1):
+        assert _bott_cells(H, p) == _serre_dual_cells(H, p), p
+
+
+@pytest.mark.parametrize("name, p, q, cell", [
+    ("Q3", 2, 1, {(1, 1): 1, (0, 0): 1}),
+    ("Gr(5,2)", 2, 2, {(1, 1, 1, 1): 1}),
+])
+def test_serre_duality_pins_erratum_1_cells(name, p, q, cell):
+    """Erratum 1's extra 5-dimensional module of Q3 at (2,1) and extra
+    adjoint of Gr(5,2) at (2,2) (README) are in the Serre-dual cells too."""
+    H = space_from_preset(name)
+    assert _bott_cells(H, p)[q] == _serre_dual_cells(H, p)[q] == cell
 
 
 def test_all_bott_columns_of_e7():

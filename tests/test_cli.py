@@ -248,6 +248,36 @@ def test_csv_format(capsys):
     assert out.splitlines()[0] == "p,q,tag,dim,mult"
 
 
+def test_roots_markdown_and_csv(capsys):
+    code, out = run_cli(capsys, "--format", "markdown", "roots", "B2")
+    assert code == 0
+    assert out == ("# root system B2\n\n- rank: 2\n"
+                   "- highest root: [1, 2] (n-coefficients [1, 2])\n"
+                   "- special simple roots: [0]\n- |positive roots|: 4\n")
+    code, out = run_cli(capsys, "--format", "csv", "roots", "B2")
+    assert code == 0
+    assert out == "root\n0;1\n1;0\n1;1\n1;2\n"
+
+
+BOTT_ARGV = ("bott", "--space", "CP2", "--weight", "0,0")
+
+
+def test_markdown_without_a_renderer_is_fenced_json(capsys):
+    _, plain = run_cli(capsys, *BOTT_ARGV)
+    code, out = run_cli(capsys, "--format", "markdown", *BOTT_ARGV)
+    assert code == 0
+    assert out == "```json\n" + plain + "```\n"
+
+
+def test_csv_without_a_renderer_exits_2_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "csv", *BOTT_ARGV])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: csv output is not defined for this command\n"
+
+
 def test_unknown_space_fails_with_diagnostic(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology-table", "--space", "Gr(9,9)"])
@@ -413,6 +443,14 @@ def test_each_flag_reads_the_same_with_equals(capsys, argv):
         glued = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
         assert main(glued) == 0
         assert capsys.readouterr().out == spaced, glued
+
+
+def test_a_repeated_flag_reads_its_last_value(capsys):
+    assert main(["bott", "--space", "CP2", "--weight", "0,0"]) == 0
+    want = capsys.readouterr().out
+    assert main(["bott", "--space", "Q3", "--weight", "1,1",
+                 "--space=CP2", "--weight", "0,0"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_space_list_splits_outside_parentheses_only():

@@ -108,7 +108,7 @@ def i_formula_oracle(phi: VectorValuedForm, a: GrassmannElement, q: int):
             tail = [xs[i] for i in alpha[p + 1:]]
             # phi(head) = sum_k det_form(comp_k)(head) xi_k*
             for k in range(1, m + 1):
-                ck = det_form_value(phi.components[k - 1], head)
+                ck = det_form_value(phi.images[k - 1], head)
                 if ck:
                     total += sign * ck * det_form_value(a, [k] + tail)
         return total / (math.factorial(p + 1) * math.factorial(q - 1))
@@ -145,7 +145,7 @@ def c_formula_oracle(phi: VectorValuedForm):
     def value(xs):
         total = Fraction(0)
         for k in range(1, m + 1):
-            total += det_form_value(phi.components[k - 1], [k] + xs)
+            total += det_form_value(phi.images[k - 1], [k] + xs)
         return total
 
     return form_to_grassmann(m, p, value)
@@ -189,7 +189,7 @@ def test_grading_bracket_identity():
         v = VectorValuedForm.basis_element(m, mono, j)
         br = bracket(eps, v)
         expect = v.scale(v.degree)
-        assert br.components == expect.components
+        assert br.images == expect.images
 
 
 def test_insertion_of_j_is_grading_multiple():
@@ -209,11 +209,11 @@ def test_insertion_of_j_is_grading_multiple():
 def test_j_examples():
     m = 3
     # j(1) = identity form = epsilon's symbol
-    assert j_map(m, GrassmannElement.one(m)).components == grading_derivation(m).components
+    assert j_map(m, GrassmannElement.one(m)).images == grading_derivation(m).images
     jxi1 = j_map(m, gen(m, 1))
-    assert jxi1.components[0].is_zero()
-    assert jxi1.components[1] == G(m, {(1, 2): 1})
-    assert jxi1.components[2] == G(m, {(1, 3): 1})
+    assert jxi1.images[0].is_zero()
+    assert jxi1.images[1] == G(m, {(1, 2): 1})
+    assert jxi1.images[2] == G(m, {(1, 3): 1})
 
 
 def test_j_injective_below_top_degree():
@@ -224,7 +224,7 @@ def test_j_injective_below_top_degree():
             for mono in monos:
                 jm = j_map(m, G(m, {mono: 1}))
                 flat = []
-                for comp in jm.components:
+                for comp in jm.images:
                     d = comp.tdict()
                     flat.extend(d.get(t, Fraction(0)) for t in basis_monomials(m, p + 1))
                 images.append(flat)
@@ -265,7 +265,7 @@ def test_image_j_kernel_c_splitting():
             psi, chi = decompose_im_j_ker_c(phi)
             assert contraction_c(chi).is_zero()
             recon = j_map(m, psi, degree=p) + chi
-            assert recon.components == phi.components
+            assert recon.images == phi.images
     # j-part of j(psi) is psi; ker-c input passes through
     psi0 = G(m, {(1, 2): 3})
     jp, kc = decompose_im_j_ker_c(j_map(m, psi0))
@@ -277,7 +277,7 @@ def test_image_j_kernel_c_splitting():
 # --- bracket -----------------------------------------------------------------
 
 def _forms_equal(f1, f2):
-    return f1.components == f2.components
+    return f1.images == f2.images
 
 
 def test_bracket_constant_coefficient_fields():
@@ -386,7 +386,7 @@ def test_j_formula_oracle_matches_algebraic_j():
                 direct = j_map(m, psi)
                 oracle = j_formula_oracle(m, psi)
                 ratios = set()
-                for cd, co in zip(direct.components, oracle.components):
+                for cd, co in zip(direct.images, oracle.images):
                     dd, do = cd.tdict(), co.tdict()
                     assert set(dd) == set(do)
                     for k in dd:
@@ -436,11 +436,11 @@ def test_barwedge_bilinear_and_degree(seed):
     c = Fraction(rng.randint(-3, 3))
     lhs = barwedge(phi1.scale(c) + phi2, psi)
     rhs = barwedge(phi1, psi).scale(c) + barwedge(phi2, psi)
-    assert lhs.components == rhs.components
+    assert lhs.images == rhs.images
     assert lhs.degree == min(p + q, m)
     rl = barwedge(psi, phi1.scale(c) + phi2)
     rr = barwedge(psi, phi1).scale(c) + barwedge(psi, phi2)
-    assert rl.components == rr.components
+    assert rl.images == rr.images
 
 
 # --- the product and Leibniz loop the shared kernel replaced, as oracles ------
@@ -492,7 +492,7 @@ def old_apply_derivation(phi, a):
             sign = -1 if (par and pos % 2 == 1) else 1
             left = {tuple(mono[:pos]): Fraction(1)}
             right = {tuple(mono[pos + 1:]): Fraction(1)}
-            term = old_mul(old_mul(left, phi.components[letter - 1].tdict()), right)
+            term = old_mul(old_mul(left, phi.images[letter - 1].tdict()), right)
             for k, v in term.items():
                 out[k] = out.get(k, Fraction(0)) + sign * c * v
     return GrassmannElement.make(phi.m, out)
@@ -601,7 +601,7 @@ def test_bracket_matches_the_two_barwedge_oracle_m_le_4(m):
                 for a, b in ((phi, psi), (psi, phi)):
                     got = bracket(a, b)
                     assert got == old_bracket(a, b), (m, p, q)
-                    for comp in got.components:
+                    for comp in got.images:
                         assert_canonical(comp)
 
 
@@ -624,8 +624,8 @@ def test_cancelled_bracket_component_is_the_shared_zero():
             phi = random_rational_form(rng, m, 0, density)
             br = bracket(phi, phi)
             cancelled += sum(bool(apply_derivation(phi, half).terms)
-                             for half in phi.components)
-            for comp in br.components:
+                             for half in phi.images)
+            for comp in br.images:
                 assert comp == zero
                 assert comp is zero
         assert cancelled, m
@@ -634,8 +634,8 @@ def test_cancelled_bracket_component_is_the_shared_zero():
     phi = VectorValuedForm.basis_element(m, (1,), 1)     # xi1 d/dxi1
     psi = VectorValuedForm.basis_element(m, (1,), 2)     # xi1 d/dxi2
     br = bracket(phi, psi)
-    assert br.components[0] is GrassmannElement.zero(m)
-    assert br.components[1] == G(m, {(1,): 1})
+    assert br.images[0] is GrassmannElement.zero(m)
+    assert br.images[1] == G(m, {(1,): 1})
 
 
 def test_bracket_calls_apply_derivation_zero_times(monkeypatch):
@@ -681,7 +681,7 @@ def test_scale_by_one_is_the_same_object():
     rng = random.Random(9)
     phi = random_form(rng, 3, 1)
     assert phi.scale(1) is phi
-    assert phi.components[0].scale(Fraction(1)) is phi.components[0]
+    assert phi.images[0].scale(Fraction(1)) is phi.images[0]
 
 
 def test_a_different_m_raises_value_error_even_with_a_zero():
@@ -700,11 +700,10 @@ def test_a_different_m_raises_value_error_even_with_a_zero():
 
 def test_form_images_are_read_only():
     phi = random_form(random.Random(11), 3, 0)
-    assert phi.components is phi.images
     with pytest.raises(TypeError):
-        phi.components[0] = GrassmannElement.zero(3)
+        phi.images[0] = GrassmannElement.zero(3)
     with pytest.raises(AttributeError):
-        phi.components = phi.images
+        phi.images = phi.images
     with pytest.raises(AttributeError):
         phi.degree = 1
 

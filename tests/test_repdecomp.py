@@ -101,7 +101,7 @@ def kostant_multiplicity(L, lam, mu):
     """Oracle: mult of mu in L(lam) = sum_w (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
     rd = L.rd
     pos = tuple(tuple(int(c) for c in r) for r in L.levi_positive_roots())
-    rho = tuple(Fraction(c, 2) for c in L.two_rho())
+    rho = tuple(Fraction(c, 2) for c in L.two_rho)
     total = 0
     for mat, sign in _levi_weyl_group(L):
         lam_rho = tuple(Fraction(a) + b for a, b in zip(lam, rho))
@@ -197,15 +197,33 @@ def test_exterior_power_basics():
 
 
 def test_exterior_newton_agrees_with_subsets():
+    """The subset route satisfies Newton's identity
+    p e_p = sum_{j=1..p} (-1)^(j-1) e_{p-j} psi_j, with psi_j scaling every
+    weight by j, with and without multiplicities, and gives
+    wedge^2(V + V) = 2 wedge^2 V + V (x) V."""
     H = space_from_preset("Gr(5,2)")
     chi = H.n_plus_character()
-    from flagcoh.repdecomp import _exterior_newton
+    chi2 = {w: 2 * m for w, m in chi.items()}  # chi + chi
 
-    for p in range(4):
-        assert _exterior_newton(chi, p) == exterior_power(chi, p)
-    # with multiplicities: chi + chi
-    chi2 = {w: 2 * m for w, m in chi.items()}
-    got = _exterior_newton(chi2, 2)
+    def add(*terms):
+        out = {}
+        for k, c in terms:
+            for w, m in c.items():
+                out[w] = out.get(w, 0) + k * m
+        return {w: m for w, m in out.items() if m}
+
+    assert exterior_power(chi, 0) == exterior_power(chi2, 0) == trivial_character(4)
+    for c in (chi, chi2):
+        def psi(j):
+            return {tuple(j * x for x in w): m for w, m in c.items()}
+
+        for p in range(1, 4):
+            rhs = add(*[((-1) ** (j - 1), tensor(exterior_power(c, p - j), psi(j)))
+                        for j in range(1, p + 1)])
+            assert add((p, exterior_power(c, p))) == rhs
+    e2 = exterior_power(chi, 2)
+    got = exterior_power(chi2, 2)
+    assert got == add((2, e2), (1, tensor(chi, chi)))
     assert char_dim(got) == 12 * 11 // 2
 
 

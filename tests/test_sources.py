@@ -174,6 +174,8 @@ def test_a_deleted_name_does_not_resolve():
                  "spectral.flagged_32_comparison", "spectral.published_e3_rows",
                  "exterior._leibniz_into", "superfields._apply_into", "bott._norm_name",
                  "liecoh._accumulate", "liecoh._entries", "liecoh._span_rows",
-                 "liecoh._span_solve"):
+                 "liecoh._span_solve", "repdecomp._exterior_newton",
+                 "liecoh._differential", "LeviDatum._two_rho",
+                 "VectorValuedForm.components"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)

@@ -26,14 +26,6 @@ from flagcoh.verify import (
 )
 
 
-def summary(table, p, q):
-    entry = table.get((p, q), [])
-    a = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "adjoint")
-    t = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "trivial")
-    o = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "other")
-    return a, t, o
-
-
 def prov_summary(table, p, q, prov):
     entry = [s for s in table.get((p, q), []) if s.provenance == prov]
     a = sum(s.descriptor.mult for s in entry if s.descriptor.tag == "adjoint")
