@@ -116,6 +116,9 @@ MUTANTS: List[Mutant] = [
     Mutant("verify.check_c1_tables compares (adjoint, trivial) only", "verify.py",
            "if got != cell + (0,)]", "if got[:2] != cell]",
            ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
+    Mutant("verify._c1_cells reads the published table at the next k", "verify.py",
+           "published_table_entry(H.case, k, p, q)", "published_table_entry(H.case, k + 1, p, q)",
+           ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
     Mutant("verify._regime_check drops the H-dims comparison", "verify.py",
            "    if got != expected_dims:\n", "    if False:\n",
            ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
@@ -123,6 +126,10 @@ MUTANTS: List[Mutant] = [
            'given[flag] = arguments[flag].get("type", str)(value)',
            'given.setdefault(flag, arguments[flag].get("type", str)(value))',
            ("tests/test_cli.py::test_a_repeated_flag_reads_its_last_value",)),
+    Mutant("cli.cmd_cohomology_table flags no deviation", "cli.py",
+           "deviations = verify.PUBLISHED_TABLE_DEVIATIONS.get(preset_key(args.space), {})",
+           "deviations = {}",
+           ("tests/test_cli.py::test_cohomology_table_flags_deviations",)),
     Mutant("bott.preset_key drops its normalisation", "bott.py",
            's = name.strip().replace(" ", "")', "s = name",
            ("tests/test_bott.py::test_preset_key_normalises_a_name_or_raises_space_from_presets_error",
