@@ -40,6 +40,25 @@ MUTANTS: List[Mutant] = [
     Mutant("rootsys.fold reflects the wrong way", "rootsys.py",
            "            v[i] -= c\n", "            v[i] += c\n",
            ("tests/test_rootsys.py",)),
+    # grown on the left, the walk visits the minimal representatives of the
+    # cosets w W_S instead of W_S w; it ends, with the wrong weights
+    Mutant("RootDatum.coset_weights grows w on the left", "rootsys.py",
+           "                for j, r in enumerate(images):\n"
+           "                    key = tuple(a - b for a, b in zip(wt, r))\n"
+           "                    if key not in grown and any(r[i] > 0 for i in outside):\n"
+           "                        # w s_j (alpha_k) = w(alpha_k) - <alpha_k, alpha_j> w(alpha_j)\n"
+           "                        grown[key] = tuple(tuple(x - row[j] * y for x, y in zip(im, r))\n"
+           "                                           for im, row in zip(images, self.cartan))\n",
+           "                for j in range(l):\n"
+           "                    c = 1 + sum(a * row[j] for a, row in zip(wt, self.cartan))\n"
+           "                    key = tuple(a - c * (i == j) for i, a in enumerate(wt))\n"
+           "                    if key not in grown and c > 0 and all(\n"
+           "                            images[i] != tuple(int(k == j) for k in range(l)) for i in S):\n"
+           "                        # s_j w (alpha_k) = w(alpha_k) - <w(alpha_k), alpha_j> alpha_j\n"
+           "                        grown[key] = tuple(tuple(\n"
+           "                            x - (i == j) * sum(y * row[j] for y, row in zip(im, self.cartan))\n"
+           "                            for i, x in enumerate(im)) for im in images)\n",
+           ("tests/test_bott.py::test_euler_characteristic_of_every_bott_column",)),
     Mutant("repdecomp.decompose drops the fold's sign", "repdecomp.py",
            "(-m if steps % 2 else m)", "m",
            ("tests/test_repdecomp.py",)),
@@ -134,6 +153,15 @@ MUTANTS: List[Mutant] = [
            's = name.strip().replace(" ", "")', "s = name",
            ("tests/test_bott.py::test_preset_key_normalises_a_name_or_raises_space_from_presets_error",
             "tests/test_cli.py::test_space_list_splits_outside_parentheses_only")),
+    # python -O: a result that changes under -O alone, and a guard that -O strips
+    Mutant("spectral.apply_d2 cuts nothing under python -O", "spectral.py",
+           "take = min(d.mult, cut.get(key, 0))",
+           "take = min(d.mult, cut.get(key, 0)) if __debug__ else 0",
+           ("tests/test_cli.py::test_the_golden_queries_and_the_gate_are_the_same_under_python_O",)),
+    Mutant("spectral.apply_d2 guards its E3 bookkeeping with an assert", "spectral.py",
+           '_require(not any(cut.values()), f"E3 bookkeeping: d2 cuts {cut} exceed E2")',
+           'assert not any(cut.values()), f"E3 bookkeeping: d2 cuts {cut} exceed E2"',
+           ("tests/test_sources.py::test_module_has_no_assert_statement[spectral.py]",)),
 ]
 
 

@@ -22,14 +22,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
 _CHECKS = verify.all_checks()
 _RESULTS = {}
-_T0 = time.time()
 
 
 def _run(crit, name, fn):
     if name not in _RESULTS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn()
-        _RESULTS[name] = (ok, detail, time.time() - t0)
+        _RESULTS[name] = (ok, detail, time.perf_counter() - t0)
     return _RESULTS[name]
 
 

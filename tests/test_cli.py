@@ -122,38 +122,6 @@ def test_pi_grassmannian_command(capsys):
     assert data["transitivity"]["even"] == 2
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-PI_GRASSMANNIAN = json.loads((GOLDEN / "pi_grassmannian.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("key", sorted(PI_GRASSMANNIAN))
-def test_pi_grassmannian_matches_golden_output(capsys, key):
-    """stdout is byte-identical to the recorded output of the dense q_n
-    bracket and per-letter Leibniz implementation."""
-    n, s = key.split(",")
-    code, out = run_cli(capsys, "pi-grassmannian", "--n", n, "--s", s)
-    assert code == 0
-    assert out == json.dumps(PI_GRASSMANNIAN[key], indent=2, sort_keys=True) + "\n"
-
-
-SPECTRAL = json.loads((GOLDEN / "spectral.json").read_text(encoding="utf-8"))
-
-
-def _spectral_argv(key):
-    cmd, space, a, b = key.split(" ")
-    return [cmd, "--space", space, "--a", a, "--b", b]
-
-
-@pytest.mark.parametrize("key", sorted(SPECTRAL))
-def test_spectral_matches_golden_output(capsys, key):
-    """stdout of d2 (with its coboundary witness, which pins the order of the
-    unknowns) and e3 is byte-identical to the recorded output of the
-    hand-written equivariant solves and dense systems."""
-    code, out = run_cli(capsys, *_spectral_argv(key))
-    assert code == 0
-    assert out == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
-
-
 @pytest.mark.parametrize("space", ["Gr(4,2)", "Gr(5,2)"])
 def test_d2_witness_read_back_as_dense_lists_is_a_coboundary(capsys, space):
     """The JSON witness holds one dense list of n^2 scalars per g-basis
@@ -175,33 +143,6 @@ def test_d2_witness_read_back_as_dense_lists_is_a_coboundary(capsys, space):
     c = liecoh.cochain_from_form(gb, liecoh.theta_form(gb, 0, 1))
     assert not w.is_zero() and not c.is_zero()
     assert (liecoh.ce_differential(w) - c).is_zero()
-
-
-FORMS = json.loads((GOLDEN / "forms.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("space", sorted(FORMS))
-def test_forms_matches_golden_output(capsys, space):
-    """stdout of forms is byte-identical to the recorded output of the
-    minor scan over every coordinate pair of the flattened products."""
-    code, out = run_cli(capsys, "forms", "--space", space)
-    assert code == 0
-    assert out == json.dumps(FORMS[space], indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1",
-                                 "d2 Gr(5,2) rt2 1", "e3 Gr(4,2) rt2 1"])
-def test_optimized_interpreter_gives_same_output(key):
-    """python -O drops assert statements; no result may depend on them."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["-m", "flagcoh.cli", *_spectral_argv(key)]
-    env = {"PYTHONPATH": src, "PATH": ""}
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
-                       capture_output=True, text=True).stdout
-        for flags in ((), ("-O",)))
-    assert optimized == plain
-    assert plain == json.dumps(SPECTRAL[key], indent=2, sort_keys=True) + "\n"
 
 
 def test_one_theta_family_elimination_per_basis_and_degree(capsys, monkeypatch):
@@ -226,7 +167,7 @@ def test_one_theta_family_elimination_per_basis_and_degree(capsys, monkeypatch):
     for _, name, a, b, regime, n, dims in verify.C7_REGIMES:
         if name in ("Gr(4,2)", "Gr(5,2)"):
             verify._regime_check(name, a, b, regime, n, dims)
-    code, out = run_cli(capsys, *_spectral_argv("d2 Gr(4,2) rt2 1"))
+    code, out = run_cli(capsys, "d2", "--space", "Gr(4,2)", "--a", "rt2", "--b", "1")
     assert code == 0 and json.loads(out)["rank"] == 15
     assert built == [("A3", 1, 1), ("A4", 2, 1), ("A4", 2, 2)]
     assert eliminations == [2, 2, 2] and not any(solves)
@@ -469,23 +410,6 @@ def test_scalar_parsing():
     assert parse_scalar("3/2-1/2*rt2") == QSqrt2(Fraction(3, 2), Fraction(-1, 2))
 
 
-TABLES = json.loads((GOLDEN / "tables.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("key", sorted(TABLES))
-def test_rendered_tables_match_golden_output(capsys, key):
-    """stdout of cohomology-table (json, markdown, csv), e3 and forms
-    (markdown) is byte-identical to the recorded output."""
-    fmt, cmd, space, *ab = key.split(" ")
-    argv = ["--format", fmt, cmd, "--space", space]
-    if ab:
-        argv += ["--a", ab[0], "--b", ab[1]]
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    assert out == TABLES[key]
-
-
-
 @pytest.mark.parametrize("spaces", [None, "Gr(4,2),Q3"])
 def test_run_tables_script_emits_one_section_per_space(spaces):
     from flagcoh.bott import DESK_PRESETS
@@ -513,27 +437,50 @@ def test_run_tables_script_rejects_an_unknown_space():
     assert run.stdout == "" and run.stderr.startswith("error: unknown space preset 'P9'")
 
 
-QUERIES = json.loads((GOLDEN / "queries.json").read_text(encoding="utf-8"))
+QUERIES = json.loads((ROOT / "tests" / "golden" / "queries.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("key", sorted(QUERIES))
 def test_queries_match_golden_output(capsys, key):
-    """roots on every preset's type and on A1, C2, D3, E6 and E7, invariants
-    at (3, 2) on every preset, bott on every preset at a vanishing weight,
-    one with q = 0 and one with q > 0, bott and d2 on values that begin
-    with '-', d2 with the rt2 factor first or last, and rejected inputs
-    (among them a negative table size, the zero theta parameter, also where
-    CP2 folds a theta2 + b eta to zero, a scalar with a zero denominator,
-    two rt2 factors in a term or rt2 in a denominator, a weight that is not
-    a list of integers, an empty root type and a missing manifest, which
-    exit 2 with one error line): exit code, stdout and stderr are
-    byte-identical to the recorded ones."""
+    """Every CLI golden, one argv -> {rc, stdout, stderr} entry each:
+    cohomology-table in json, markdown and csv and e3 in markdown on every
+    desk preset, forms in json and markdown, d2 (its coboundary witness
+    pins the order of the unknowns) and e3 in json, pi-grassmannian up to
+    n = 5, roots on every preset's type and on A1, C2, D3, E6 and E7,
+    invariants at (3, 2) on every preset, bott on every preset at a
+    vanishing weight, one with q = 0 and one with q > 0, bott and d2 on
+    values that begin with '-', d2 with the rt2 factor first or last, and
+    rejected inputs (among them a negative table size, the zero theta
+    parameter, also where CP2 folds a theta2 + b eta to zero, a scalar with
+    a zero denominator, two rt2 factors in a term or rt2 in a denominator,
+    a weight that is not a list of integers, an empty root type and a
+    missing manifest, which exit 2 with one error line): exit code, stdout
+    and stderr are byte-identical to the recorded ones."""
     try:
         code = main(key.split(" "))
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
     assert {"rc": code, "stdout": captured.out, "stderr": captured.err} == QUERIES[key]
+
+
+def test_the_golden_queries_and_the_gate_are_the_same_under_python_O():
+    """python -O drops assert statements and `if __debug__` blocks, which no
+    library module holds (tests/test_sources.py), so no result may change
+    under it.  The golden queries and the gate's verdicts and details replay
+    under -O through pytest, whose rewritten asserts still run there, and
+    one golden query runs as `python -O -m flagcoh.cli`."""
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": ""}
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_cli.py::test_queries_match_golden_output",
+         "tests/test_acceptance.py::test_verdicts_and_details_match_golden"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:]
+    key = "pi-grassmannian --n 4 --s 2"
+    run = subprocess.run([sys.executable, "-O", "-m", "flagcoh.cli", *key.split(" ")],
+                         env=env, capture_output=True, text=True)
+    assert {"rc": run.returncode, "stdout": run.stdout, "stderr": run.stderr} == QUERIES[key]
 
 
 def test_rt2_factor_first_or_last_gives_one_output():

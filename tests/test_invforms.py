@@ -1,10 +1,7 @@
 import functools
 import itertools
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from canonical import is_canonical
@@ -494,18 +491,6 @@ def test_projective_roots_outside_the_field_raise():
     with pytest.raises(ValueError):
         _projective_roots(rows)
     assert _scan_reduced_roots(rows) == []
-
-
-def test_forms_under_optimized_interpreter_gives_same_output():
-    """python -O drops assert statements; no result may depend on them."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["-m", "flagcoh.cli", "forms", "--space", "Gr(4,2)"]
-    env = {"PYTHONPATH": src, "PATH": ""}
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env, check=True,
-                       capture_output=True, text=True).stdout
-        for flags in ((), ("-O",)))
-    assert plain and optimized == plain
 
 
 # --- the sparse product and the sparse rows against the dense originals -----------

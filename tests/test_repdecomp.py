@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcoh.bott import DESK_PRESETS, build_space, space_from_preset
+from flagcoh.bott import DESK_PRESETS, space_from_preset
 from flagcoh.repdecomp import (
     LeviDatum,
     char_dim,

@@ -1,8 +1,9 @@
 """Every library module compiles with warnings turned into errors, so that
 no source depends on syntax a later Python rejects (e.g. invalid escapes).
-No library module holds an assert statement, so python -O cannot drop a
-check that guards a value, and none keeps a module-level import that
-nothing reads.  The docs name only what exists."""
+No library module holds an assert statement or reads `__debug__` or
+`sys.flags`, so python -O cannot drop a check that guards a value or change
+what runs.  No library module, test or script keeps a module-level import
+that nothing reads.  The docs name only what exists."""
 
 import ast
 import importlib
@@ -15,6 +16,8 @@ import pytest
 import flagcoh
 
 SOURCES = sorted(Path(flagcoh.__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -26,8 +29,15 @@ def test_module_compiles_with_warnings_as_errors(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_assert_statement(path):
+    """Nor an `if __debug__` or any other read of `__debug__` or `sys.flags`:
+    -O strips asserts and `__debug__` blocks and sets `sys.flags.optimize`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"
+             or isinstance(node, ast.Attribute) and node.attr == "flags"
+             and isinstance(node.value, ast.Name) and node.value.id == "sys"
+             or isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and any(a.name == "flags" for a in node.names)]
     assert lines == []
 
 
@@ -53,7 +63,8 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS_AND_SCRIPTS, ids=lambda p: str(
+    p.relative_to(ROOT) if p in TESTS_AND_SCRIPTS else p.name))
 def test_module_has_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -126,8 +137,7 @@ def test_cli_reads_no_private_name_of_another_module():
     assert private == []
 
 
-DOCS = [Path(__file__).resolve().parents[1] / p
-        for p in ("README.md", "docs/json_schemas.md")]
+DOCS = [ROOT / p for p in ("README.md", "docs/json_schemas.md")]
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 MODULES = [f"flagcoh.{p.stem}" for p in SOURCES if p.stem != "__init__"]
 

@@ -1,14 +1,10 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import flagcoh
 from flagcoh import spectral
 from flagcoh.bott import (PRESET_NAMES, build_space, cohomology_omega_p_theta,
                           grassmannian_rs, space_from_preset)
@@ -221,26 +217,6 @@ def test_undetermined_entries_are_marked():
             assert all(s.status == "ok" for s in entry)
 
 
-@pytest.mark.parametrize("query, key", [
-    *(pytest.param(["e3", "--space", space, "--a", "1", "--b", "0"], '"H0"', id=space)
-      for space in ("Gr(4,2)", "CP2", "Q3")),
-    pytest.param(["d2", "--space", "Gr(4,2)", "--a", "0", "--b", "1"],
-                 '"coboundary_witness": {', id="d2-Gr(4,2)"),
-])
-def test_e3_is_the_same_under_python_O(query, key):
-    """The E3 bookkeeping and the d2 witness must not live inside asserts
-    that -O strips."""
-    src = str(Path(flagcoh.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, "-m", "flagcoh.cli", *query], env=env,
-                       check=True, capture_output=True, text=True).stdout
-        for flags in ([], ["-O"])
-    )
-    assert key in plain
-    assert optimized == plain
-
-
 # --- step (iii) against the whole-tensor rank ---------------------------------
 #
 # The oracle builds theta = a theta2 + b eta as a form, multiplies it with the
@@ -262,11 +238,13 @@ def _whole_tensor_kernel11(H, coeffs):
 
 
 def _golden_e3_parameters(name):
-    keys = json.loads((Path(__file__).resolve().parent / "golden" / "spectral.json")
-                      .read_text(encoding="utf-8"))
-    return [(parse_scalar(a), parse_scalar(b))
-            for cmd, space, a, b in (k.split(" ") for k in keys)
-            if cmd == "e3" and space == name]
+    """(a, b) of every golden e3 query on the space that exits 0."""
+    queries = json.loads((Path(__file__).resolve().parent / "golden" / "queries.json")
+                         .read_text(encoding="utf-8"))
+    return [(parse_scalar(argv[4]), parse_scalar(argv[6]))
+            for key, rec in queries.items() for argv in [key.split(" ")]
+            if argv[:3] == ["e3", "--space", name] and argv[3::2] == ["--a", "--b"]
+            and rec["rc"] == 0]
 
 
 def _random_parameters(H, rng, count):

@@ -1,16 +1,10 @@
-import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flagcoh
 import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
 from leibniz_oracle import check_against_old_kernel
@@ -659,21 +653,6 @@ def test_superfields_shares_the_exterior_kernel():
 
     assert not hasattr(superfields, "_merge_xi")
     assert superfields._merge_sign is exterior._merge_sign
-
-
-def test_pi_grassmannian_is_the_same_under_python_O():
-    """The Pi-symmetry, transitivity and isotropy checks are not asserts
-    that -O strips, and the output does not depend on them running."""
-    src = str(Path(flagcoh.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["-m", "flagcoh.cli", "pi-grassmannian", "--n", "4", "--s", "2"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env,
-                       check=True, capture_output=True, text=True).stdout
-        for flags in ([], ["-O"])
-    )
-    assert json.loads(plain)["kernel_dim"] == 1
-    assert optimized == plain
 
 
 # --- the linear expansion in homomorphism_check ------------------------------
