@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -632,3 +633,14 @@ def test_grassmannian_rs():
     assert grassmannian_rs(space_from_preset("Gr(5,2)")) == (3, 2)
     assert grassmannian_rs(space_from_preset("CP2")) == (2, 1)
     assert grassmannian_rs(space_from_preset("Q3")) is None
+
+
+@pytest.mark.parametrize("space", ["Gr(5,2)", "Gr(6,3)"])
+@pytest.mark.parametrize("query", ["--format json cohomology-table", "invariants"],
+                         ids=["cohomology-table", "invariants"])
+def test_tables_are_the_same_under_python_O(under_python_O, space, query):
+    """No check that guards a value in rootsys, repdecomp or bott may live in
+    an assert that -O strips: the golden table (invariants at the default
+    (p, q) = (3, 2)) replays unchanged under -O."""
+    entry = under_python_O.golden(f"{query} --space {space}")
+    assert entry["rc"] == 0 and json.loads(entry["stdout"])

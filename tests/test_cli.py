@@ -464,23 +464,26 @@ def test_queries_match_golden_output(capsys, key):
     assert {"rc": code, "stdout": captured.out, "stderr": captured.err} == QUERIES[key]
 
 
-def test_the_golden_queries_and_the_gate_are_the_same_under_python_O():
+def test_the_golden_queries_and_the_gate_are_the_same_under_python_O(under_python_O):
     """python -O drops assert statements and `if __debug__` blocks, which no
     library module holds (tests/test_sources.py), so no result may change
     under it.  The golden queries and the gate's verdicts and details replay
     under -O through pytest, whose rewritten asserts still run there, and
-    one golden query runs as `python -O -m flagcoh.cli`."""
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": ""}
-    run = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_cli.py::test_queries_match_golden_output",
-         "tests/test_acceptance.py::test_verdicts_and_details_match_golden"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stdout[-3000:]
-    key = "pi-grassmannian --n 4 --s 2"
-    run = subprocess.run([sys.executable, "-O", "-m", "flagcoh.cli", *key.split(" ")],
-                         env=env, capture_output=True, text=True)
-    assert {"rc": run.returncode, "stdout": run.stdout, "stderr": run.stderr} == QUERIES[key]
+    one golden query runs as `python -O -m flagcoh.cli` (tests/conftest.py)."""
+    run = under_python_O
+    assert run.rc == 0, run.tail
+    assert all(run.golden(key) for key in QUERIES)
+    assert run.passed("tests.test_acceptance::test_verdicts_and_details_match_golden")
+    assert run.cli == QUERIES[run.cli_key]
+
+
+@pytest.mark.parametrize("key", ["d2 Gr(5,2) 0 1", "e3 Gr(5,2) 0 1",
+                                 "d2 Gr(5,2) rt2 1", "e3 Gr(4,2) rt2 1"])
+def test_optimized_interpreter_gives_same_output(under_python_O, key):
+    """python -O drops assert statements; no d2 or e3 result may depend on
+    them: its golden query replays unchanged under -O."""
+    cmd, space, a, b = key.split(" ")
+    assert under_python_O.golden(f"{cmd} --space {space} --a {a} --b {b}")["rc"] == 0
 
 
 def test_rt2_factor_first_or_last_gives_one_output():

@@ -555,6 +555,21 @@ def test_arithmetic_rejects_different_m_as_super_polynomials_do():
             op()
 
 
+@pytest.mark.parametrize("optimized", [False, True], ids=["plain", "-O"])
+def test_inhomogeneous_j_map_raises_with_and_without_python_O(request, optimized):
+    """The homogeneity check of j_map is a ValueError, not an assert that
+    -O strips: the plain case raises in process, and the -O case is the
+    plain case replayed under python -O (tests/conftest.py), so only it
+    asks for that run."""
+    if optimized:
+        run = request.getfixturevalue("under_python_O")
+        assert run.passed("tests.test_exterior::"
+                          "test_inhomogeneous_j_map_raises_with_and_without_python_O[plain]")
+        return
+    with pytest.raises(ValueError, match="j_map needs a homogeneous element"):
+        j_map(3, G(3, {(1,): 1, (1, 2): 1}))
+
+
 # --- the one-pass bracket against the two-barwedge bracket it replaced -------
 
 def old_bracket(phi, psi):

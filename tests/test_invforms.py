@@ -493,6 +493,12 @@ def test_projective_roots_outside_the_field_raise():
     assert _scan_reduced_roots(rows) == []
 
 
+def test_forms_under_optimized_interpreter_gives_same_output(under_python_O):
+    """python -O drops assert statements; no result may depend on them."""
+    entry = under_python_O.golden("forms --space Gr(4,2)")
+    assert entry["rc"] == 0 and entry["stdout"]
+
+
 # --- the sparse product and the sparse rows against the dense originals -----------
 #
 # The oracle product visits every (us, vs) key tuple and every shuffle of both

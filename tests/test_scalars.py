@@ -374,6 +374,12 @@ def test_nested_qsqrt2_takes_no_second_part():
         QSqrt2(qs(1, 2), 1)
 
 
+def test_nested_qsqrt2_check_survives_optimized_interpreter(under_python_O):
+    """python -O drops assert statements, not this check: the test above
+    replays under -O."""
+    assert under_python_O.passed("tests.test_scalars::test_nested_qsqrt2_takes_no_second_part")
+
+
 def test_parse_round_trip():
     for text in ("0", "5", "-7/3", "rt2", "-rt2", "2+3*rt2", "1/2-5/4*rt2"):
         v = parse_scalar(text)

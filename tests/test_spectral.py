@@ -217,6 +217,18 @@ def test_undetermined_entries_are_marked():
             assert all(s.status == "ok" for s in entry)
 
 
+@pytest.mark.parametrize("key, marker", [
+    *(pytest.param(f"e3 --space {space} --a 1 --b 0", '"H0"', id=space)
+      for space in ("Gr(4,2)", "CP2", "Q3")),
+    pytest.param("d2 --space Gr(4,2) --a 0 --b 1", '"coboundary_witness": {', id="d2-Gr(4,2)"),
+])
+def test_e3_is_the_same_under_python_O(under_python_O, key, marker):
+    """The E3 bookkeeping and the d2 witness must not live inside asserts
+    that -O strips: the golden query replays unchanged under -O."""
+    entry = under_python_O.golden(key)
+    assert entry["rc"] == 0 and marker in entry["stdout"]
+
+
 # --- step (iii) against the whole-tensor rank ---------------------------------
 #
 # The oracle builds theta = a theta2 + b eta as a form, multiplies it with the

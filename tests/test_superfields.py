@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -653,6 +654,13 @@ def test_superfields_shares_the_exterior_kernel():
 
     assert not hasattr(superfields, "_merge_xi")
     assert superfields._merge_sign is exterior._merge_sign
+
+
+def test_pi_grassmannian_is_the_same_under_python_O(under_python_O):
+    """The Pi-symmetry, transitivity and isotropy checks are not asserts
+    that -O strips, and the output does not depend on them running."""
+    entry = under_python_O.golden("pi-grassmannian --n 4 --s 2")
+    assert entry["rc"] == 0 and json.loads(entry["stdout"])["kernel_dim"] == 1
 
 
 # --- the linear expansion in homomorphism_check ------------------------------
