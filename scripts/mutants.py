@@ -153,6 +153,26 @@ MUTANTS: List[Mutant] = [
            's = name.strip().replace(" ", "")', "s = name",
            ("tests/test_bott.py::test_preset_key_normalises_a_name_or_raises_space_from_presets_error",
             "tests/test_cli.py::test_space_list_splits_outside_parentheses_only")),
+    # the memos that decide each distinct value once: a key that drops a
+    # part must not pass
+    Mutant("verify.check_c4_exterior keys its bracket verdicts without the generator",
+           "verify.py", "key = (br, g, side)", "key = (br, side)",
+           ("tests/test_exterior.py::"
+            "test_criterion_4_applies_brackets_once_per_distinct_bracket_generator_and_rhs",)),
+    Mutant("verify.check_c4_exterior keys super-Jacobi without s12", "verify.py",
+           "repeat(s12)))", "repeat(1)))",
+           ("tests/test_acceptance.py::test_criterion[4.exterior]",)),
+    Mutant("superfields.homomorphism_check reads the target without the twist",
+           "superfields.py", "signed[cand * twist]", "signed[cand]",
+           ("tests/test_superfields.py::test_homomorphism_uniform_sign",)),
+    Mutant("HermitianSymmetricSpace.fold keys its memo without the weight", "bott.py",
+           "        got = self._folds.get(a)\n"
+           "        if got is None:\n"
+           "            got = self._folds[a] = ",
+           "        got = self._folds.get(0)\n"
+           "        if got is None:\n"
+           "            got = self._folds[0] = ",
+           ("tests/test_bott.py::test_folds_are_read_only_and_shared_by_both_routes",)),
     # python -O: a result that changes under -O alone, and a guard that -O strips
     Mutant("spectral.apply_d2 cuts nothing under python -O", "spectral.py",
            "take = min(d.mult, cut.get(key, 0))",

@@ -4,8 +4,12 @@ classification.
 
 Vector bundles enter as R-characters (the isotropy representation restricted
 to the Levi determines everything here); non-Hermitian-symmetric parabolic
-data is refused outright.  The module only computes: the published k list,
-case tables and their recorded deviations are `verify`'s.
+data is refused outright.  Every column and invariant count reads the
+Brauer-Klimyk folds of V(a) (x) n+ through `HermitianSymmetricSpace.fold`,
+which folds each Kostant weight a once per space and keeps the read-only
+result on the frozen space, keyed by a alone: no root datum is hashed.
+The module only computes: the published k list, case tables and their
+recorded deviations are `verify`'s.
 """
 
 from __future__ import annotations
@@ -42,6 +46,20 @@ class HermitianSymmetricSpace:
         is abelian), each once: Kostant's w(rho) - rho over the minimal coset
         representatives w of length p (Ann. of Math. 74, 1961)."""
         return tuple(map(tuple, self.rd.coset_weights(self.levi.S)))
+
+    @functools.cached_property
+    def _folds(self) -> Dict[Weight, Tuple[Tuple[Weight, int], ...]]:
+        """`fold`'s memo, one per space."""
+        return {}
+
+    def fold(self, a: Weight) -> Tuple[Tuple[Weight, int], ...]:
+        """The highest weights, with multiplicities, of V(a) (x) n+ by one
+        Brauer-Klimyk fold (`repdecomp.decompose`), once per weight a of the
+        space; read-only, as the space is shared."""
+        got = self._folds.get(a)
+        if got is None:
+            got = self._folds[a] = tuple(decompose(self.levi, self.n_plus_character(), a))
+        return got
 
     def __str__(self):
         return f"{self.rd.type}/alpha{self.alpha0}"
@@ -214,15 +232,15 @@ def cohomology_omega_p_theta(
     """H^q(M, Omega^p (x) Theta) for q = 0..q_max, as module descriptors.
 
     The bundle is tau (x) wedge^p tau^* = sum over Kostant's weights a of
-    degree p of V(a) (x) n+, each decomposed by one Brauer-Klimyk fold
-    (`repdecomp.decompose`); each irreducible is pushed through Bott.
+    degree p of V(a) (x) n+, each decomposed by the space's one Brauer-Klimyk
+    fold per weight (`HermitianSymmetricSpace.fold`); each irreducible is
+    pushed through Bott.
     """
     if not 0 <= p <= H.dim:
         raise ValueError(f"p = {p} out of range 0..{H.dim}")
-    chi_n = H.n_plus_character()
     coeffs: Dict[Weight, int] = {}
     for a in H.kostant_weights[p]:
-        for lam, mult in decompose(H.levi, chi_n, a):
+        for lam, mult in H.fold(a):
             coeffs[lam] = coeffs.get(lam, 0) + mult
     column: Dict[int, List[ModuleDescriptor]] = {q: [] for q in range(q_max + 1)}
     for lam, mult in coeffs.items():
@@ -235,13 +253,13 @@ def cohomology_omega_p_theta(
 def invariant_dimension(H: HermitianSymmetricSpace, p: int, q: int) -> int:
     """dim H^q(M, Omega^p (x) Theta)^G via the isotropy-invariants route:
     the trivial multiplicity of wedge^p n- (x) wedge^q n+ (x) n+ over R, the
-    sum over Kostant's a, b of degrees p, q of [V(a) (x) n+ : V(b)]."""
+    sum over Kostant's a, b of degrees p, q of [V(a) (x) n+ : V(b)], read
+    off the same folds as `cohomology_omega_p_theta`."""
     if not (0 <= p <= H.dim and 0 <= q <= H.dim):
         raise ValueError("p, q out of range")
-    chi_n = H.n_plus_character()
     targets = set(H.kostant_weights[q])
     return sum(mult for a in H.kostant_weights[p]
-               for lam, mult in decompose(H.levi, chi_n, a) if lam in targets)
+               for lam, mult in H.fold(a) if lam in targets)
 
 
 def k_value(H: HermitianSymmetricSpace) -> int:

@@ -142,15 +142,16 @@ class InvariantVectorForm(VecTensor):
 
 def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
     """The increasing tuple of group's indices and the sign of the sorting
-    permutation, or (None, 0) when an index repeats."""
-    mono: Optional[Tuple[int, ...]] = ()
+    permutation, or (None, 0) when an index repeats: the sign flips once
+    per inversion."""
     sign = 1
-    for x in group:
-        mono, s = _merge_sign(mono, (x,))
-        if mono is None:
-            return None, 0
-        sign *= s
-    return mono, sign
+    for k, x in enumerate(group, 1):
+        for y in group[k:]:
+            if x > y:
+                sign = -sign
+            elif x == y:
+                return None, 0
+    return tuple(sorted(group)), sign
 
 
 def _add_into(tgt: Vec, coeff, vec: Vec) -> None:

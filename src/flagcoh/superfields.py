@@ -9,13 +9,17 @@ identity blocks in the frame rows.
 
 The 2n^2 basis fields of q_n on the chart of s are built once per (n, s)
 by the cached `basis_fields(n, s)`, which `homomorphism_check`,
-`kernel_of_action`, `transitivity_at_origin` and `isotropy_weights` read.
+`kernel_of_action`, `transitivity_at_origin` and `isotropy_weights` read;
+their jets share one chart matrix per (n, s), `_coordinate_matrix`.
 The field map g -> g* is linear, so `homomorphism_check` expands each basis
 bracket [g1, g2]* as the combination of those fields with [g1, g2]'s
 entries, instead of running the jet again on the bracket.  It reads those
 entries, at most two, from the closed-form structure constants of
 `qn_structure_constants` (E_ab E_cd = delta_bc E_ad); the block-product
 `qn_bracket` of two whole elements stays public and is their test oracle.
+Each distinct combination is built once, with its negation and whether it
+is zero, so a basis pair costs one bracket and one comparison.  Brackets
+are not keyed by value: hashing a field costs more than the comparison.
 
 `SuperDerivation` is an `exterior.Derivation`: its `images` are the
 coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
@@ -272,8 +276,9 @@ def qn_bracket(g1: QnElement, g2: QnElement) -> QnElement:
     return QnElement(n, A, B)
 
 
-def _coordinate_matrix(n: int, s: int) -> List[List[SuperPolynomial]]:
-    """The 2n x 2s chart matrix."""
+@functools.cache
+def _coordinate_matrix(n: int, s: int) -> Tuple[Tuple[SuperPolynomial, ...], ...]:
+    """The 2n x 2s chart matrix, built once per (n, s)."""
     r = n - s
     nv = r * s
     zero = SuperPolynomial.zero(nv)
@@ -287,7 +292,7 @@ def _coordinate_matrix(n: int, s: int) -> List[List[SuperPolynomial]]:
             Z[i][s + a] = Z[n + i][a] = xi
     for a in range(s):
         Z[r + a][a] = Z[n + r + a][s + a] = one
-    return Z
+    return tuple(map(tuple, Z))
 
 
 def fundamental_field(g: QnElement, s: int) -> SuperDerivation:
@@ -384,8 +389,10 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     consts = qn_structure_constants(n)
     sigma: Optional[int] = None
     checked = 0
-    # each distinct (structure constants, parity) target is built once
-    targets: Dict[Tuple[Tuple[Tuple[int, int], ...], int], SuperDerivation] = {}
+    # each distinct (structure constants, parity) target is built once, with
+    # whether it is zero and its two signs: target by sign
+    targets: Dict[Tuple[Tuple[Tuple[int, int], ...], int],
+                  Tuple[bool, Dict[int, SuperDerivation]]] = {}
     for i in range(2 * nn):
         p1 = 1 if i >= nn else 0
         for j in range(2 * nn):
@@ -395,23 +402,23 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             # the field map is linear: [g1, g2]* is the combination of the
             # basis fields with [g1, g2]'s structure constants
             key = (consts[i][j], br_fields.parity)
-            target = targets.get(key)
-            if target is None:
-                target = targets[key] = _combination(
-                    fields, consts[i][j], n - s, s, br_fields.parity)
+            entry = targets.get(key)
+            if entry is None:
+                target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
+                entry = targets[key] = (target.is_zero(), {1: target, -1: target.scale(-1)})
+            zero, signed = entry
             twist = -1 if (p1 and p2) else 1
-            if br_fields.is_zero() and target.is_zero():
-                checked += 1
-                continue
-            # both sides are canonical (sorted terms, no zeros)
-            for cand in (1, -1) if sigma is None else (sigma,):
-                if br_fields == target.scale(cand * twist):
-                    sigma = cand
+            # both sides are canonical (sorted terms, no zeros); a zero
+            # target leaves sigma open
+            for cand in (sigma,) if sigma else (1, -1):
+                if br_fields == signed[cand * twist]:
                     break
             else:
                 raise AssertionError(
                     f"no uniform sign at basis pair ({i}, {j})"
                 )
+            if not zero:
+                sigma = cand
             checked += 1
     return {
         "sigma": sigma if sigma is not None else 1,

@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import bott, exterior, invforms, liecoh, spectral, superfields
@@ -282,25 +283,33 @@ def check_c4_exterior() -> Tuple[bool, str]:
     # derivations (on every generator).  Every instance is decided.  Values
     # are held as ids, one per distinct element: each i(psi)xi_g, each
     # i(phi)x for those values x and each distinct right-hand side is
-    # computed once, the bracket and its value on xi_g once per pair.
+    # computed once.  The bracket is computed for every pair and held as an
+    # id, and each distinct (bracket, generator, right-hand side) is decided
+    # once: one application of a bracket per such triple.
     for m in (2, 3, 4):
         gens = [exterior.GrassmannElement.generator(m, j) for j in range(1, m + 1)]
         basis = [exterior.VectorValuedForm.basis_element(m, mo, j)
                  for mo, j in exterior.wedge_basis(m)]
-        xs, ys = _Ids(), _Ids()
+        xs, ys, brs = _Ids(), _Ids(), _Ids()
         on_gens = [[xs.of(exterior.apply_derivation(psi, g)) for g in gens] for psi in basis]
         on_xs = [[ys.of(exterior.apply_derivation(phi, x)) for x in xs.values] for phi in basis]
         sides: Dict[Tuple[int, int, int], exterior.GrassmannElement] = {}
+        verdicts: Dict[Tuple[int, int, Tuple[int, int, int]], bool] = {}
         for a, phi in enumerate(basis):
             for b, psi in enumerate(basis):
-                br = exterior.bracket(phi, psi)
+                br = brs.of(exterior.bracket(phi, psi))
                 sgn = -1 if (phi.degree % 2) and (psi.degree % 2) else 1
                 for g, gen in enumerate(gens):
-                    key = (on_xs[a][on_gens[b][g]], on_xs[b][on_gens[a][g]], sgn)
-                    rhs = sides.get(key)
-                    if rhs is None:
-                        rhs = sides[key] = ys.values[key[0]] - ys.values[key[1]].scale(sgn)
-                    if exterior.apply_derivation(br, gen) != rhs:
+                    side = (on_xs[a][on_gens[b][g]], on_xs[b][on_gens[a][g]], sgn)
+                    key = (br, g, side)
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        rhs = sides.get(side)
+                        if rhs is None:
+                            rhs = sides[side] = ys.values[side[0]] - ys.values[side[1]].scale(sgn)
+                        ok = verdicts[key] = (
+                            exterior.apply_derivation(brs.values[br], gen) == rhs)
+                    if not ok:
                         return False, f"bracket identity failed at m={m}"
     # the grading-bracket, insertion-of-j and splitting identities
     for m in (2, 3, 4):
@@ -336,9 +345,10 @@ def check_c4_exterior() -> Tuple[bool, str]:
     # super-Jacobi on every basis triple, m <= 3.  Forms are held as ids,
     # one per distinct value, and the basis ids come first.  Each bracket
     # [b, v] and [v, b] of a basis form b and a form v of the table is
-    # computed once, and so is each distinct (lhs, r1, r2, s12) comparison;
-    # zero results of different degrees compare equal, as the images
-    # are compared.
+    # computed once.  Each (b1, b2) row of triples gives its b3 keys
+    # (lhs, r1, r2, s12) at once, into one set per m, and each distinct key
+    # is decided once; zero results of different degrees compare equal, as
+    # the images are compared.
     for m in (2, 3):
         forms = _Ids()
 
@@ -349,22 +359,21 @@ def check_c4_exterior() -> Tuple[bool, str]:
                  for mo, j in exterior.wedge_basis(m)]
         table = [[br(x, y) for y in basis] for x in basis]
         ids = range(len(forms.values))      # the basis and the table's values
-        left = [[table[b][v] if v in basis else br(b, v) for v in ids] for b in basis]
-        right = [[table[v][b] if v in basis else br(v, b) for b in basis] for v in ids]
-        verdicts: Dict[Tuple[int, int, int, int], bool] = {}
+        in_basis = set(basis)
+        left = [[table[b][v] if v in in_basis else br(b, v) for v in ids] for b in basis]
+        right = [[table[v][b] if v in in_basis else br(v, b) for b in basis] for v in ids]
+        keys = set()
         for b1 in basis:
+            odd1 = forms.values[b1].degree % 2
             for b2 in basis:
-                s12 = -1 if forms.values[b1].degree % 2 and forms.values[b2].degree % 2 else 1
-                for b3 in basis:
-                    key = (left[b1][table[b2][b3]], right[table[b1][b2]][b3],
-                           left[b2][table[b1][b3]], s12)
-                    ok = verdicts.get(key)
-                    if ok is None:
-                        lhs, r1, r2 = (forms.values[z] for z in key[:3])
-                        ok = verdicts[key] = (lhs - (r1 + r2.scale(s12))).images == (
-                            exterior.VectorValuedForm.zero(m, lhs.degree).images)
-                    if not ok:
-                        return False, f"super-Jacobi failed at m={m}"
+                s12 = -1 if odd1 and forms.values[b2].degree % 2 else 1
+                keys.update(zip(map(left[b1].__getitem__, table[b2]), right[table[b1][b2]],
+                                map(left[b2].__getitem__, table[b1]), repeat(s12)))
+        for key in keys:
+            lhs, r1, r2 = (forms.values[z] for z in key[:3])
+            if (lhs - (r1 + r2.scale(key[3]))).images != (
+                    exterior.VectorValuedForm.zero(m, lhs.degree).images):
+                return False, f"super-Jacobi failed at m={m}"
     dt = time.perf_counter() - t0
     return dt < 30, "all identities exact (budget 30s)"
 

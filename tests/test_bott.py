@@ -644,3 +644,70 @@ def test_tables_are_the_same_under_python_O(under_python_O, space, query):
     (p, q) = (3, 2)) replays unchanged under -O."""
     entry = under_python_O.golden(f"{query} --space {space}")
     assert entry["rc"] == 0 and json.loads(entry["stdout"])
+
+
+# --- one Brauer-Klimyk fold per space and weight ---------------------------------
+
+def test_run_all_folds_each_space_and_weight_once(monkeypatch):
+    """Criteria 1, 1c, 2 and 7 and `k_value` read the same folds of
+    V(a) (x) n+: each (space, Kostant weight) is folded once in a gate run."""
+    import flagcoh.bott as bott
+    from flagcoh import verify
+
+    names = ["Q3", "Gr(4,2)", "Gr(5,2)", "CP2"]
+    for name in names:
+        monkeypatch.delitem(vars(space_from_preset(name)), "_folds", raising=False)
+    calls = []
+    fold = bott.decompose
+    monkeypatch.setattr(bott, "decompose", lambda L, chi, a: calls.append(
+        (L.rd.type, L.S, a)) or fold(L, chi, a))
+    results = verify.run_all(spaces=names)
+    assert {r.name.split("[")[0] for r in results} >= {
+        "1.tables", "1c.tables-computed", "2.dual-route", "7.II-eta", "7.III"}
+    assert calls and max(Counter(calls).values()) == 1
+    weights = {(H.rd.type, H.levi.S, a) for H in map(space_from_preset, names)
+               for p in range(H.dim + 1) for a in H.kostant_weights[p]}
+    assert set(calls) <= weights
+
+
+def test_a_cold_query_hashes_no_root_datum(monkeypatch):
+    """The fold memo is held on the space: a fresh space answers every
+    column, invariant count and k without hashing its `RootDatum`."""
+    from flagcoh.rootsys import RootDatum
+
+    def refuse(self):
+        raise AssertionError("a RootDatum was hashed")
+
+    monkeypatch.setattr(RootDatum, "__hash__", refuse)
+    H = build_space.__wrapped__(SimpleLieType("B", 3), 0)
+    assert vars(H).get("_folds", {}) == {}
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(H.rd)
+    for p in range(H.dim + 1):
+        cohomology_omega_p_theta(H, p, q_max=H.dim)
+        for q in range(H.dim + 1):
+            invariant_dimension(H, p, q)
+    assert k_value(H) == 1
+    assert len(H._folds) == sum(map(len, H.kostant_weights))
+
+
+def test_folds_are_read_only_and_shared_by_both_routes():
+    """Each weight's fold is `decompose`'s, kept as nested tuples, and what
+    a caller does to a column does not reach it."""
+    H = space_from_preset("Gr(5,2)")
+    invariant_dimension(H, 2, 1)
+    for weights in H.kostant_weights:
+        for b in weights:
+            assert H.fold(b) == tuple(decompose(H.levi, H.n_plus_character(), b)), b
+    a = H.kostant_weights[2][0]
+    folded = H.fold(a)
+    assert H.fold(a) is folded
+    assert type(folded) is tuple and all(
+        type(t) is tuple and type(t[0]) is tuple for t in folded)
+    with pytest.raises(TypeError):
+        folded[0] = folded[0]
+    with pytest.raises(TypeError):
+        folded[0][0][0] = 0
+    column = cohomology_omega_p_theta(H, 2)
+    column[1].clear()
+    assert H.fold(a) is folded and cohomology_omega_p_theta(H, 2)[1]

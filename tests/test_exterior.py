@@ -822,3 +822,53 @@ def test_criterion_4_brackets_each_distinct_pair_once_in_super_jacobi(monkeypatc
     assert jacobi and {x.m for x, _ in jacobi} == {2, 3}
     assert max(jacobi.values()) == 1
     assert len(calls) < 10_000, len(calls)
+
+
+def test_criterion_4_catches_a_pair_given_another_pairs_bracket(monkeypatch):
+    """A pair whose bracket is another pair's correct one, seen earlier in
+    the loop, meets a bracket id that is already decided; its right-hand
+    sides differ, so the verdict memo must still decide it."""
+    import flagcoh.exterior as exterior
+    from flagcoh.verify import check_c4_exterior
+
+    true_bracket = exterior.bracket
+    seen = (VectorValuedForm.basis_element(2, (), 1),
+            VectorValuedForm.basis_element(2, (1, 2), 1))
+    bad = (VectorValuedForm.basis_element(2, (), 1),
+           VectorValuedForm.basis_element(2, (1, 2), 2))
+    assert true_bracket(*seen) != true_bracket(*bad)
+    assert not true_bracket(*seen).is_zero()
+
+    def wrong(x, y):
+        return true_bracket(*seen) if (x, y) == bad else true_bracket(x, y)
+
+    monkeypatch.setattr(exterior, "bracket", wrong)
+    assert check_c4_exterior() == (False, "bracket identity failed at m=2")
+
+
+def test_criterion_4_applies_brackets_once_per_distinct_bracket_generator_and_rhs(
+        monkeypatch):
+    """Every basis pair is bracketed, and a bracket is applied to a generator
+    once per distinct (bracket, generator, right-hand side): 1,212 times at
+    m = 4 (180 distinct brackets among 4,096 pairs), 1,560 over m = 2-4,
+    against 18,944 for one application per pair and generator."""
+    from collections import Counter
+
+    import flagcoh.exterior as exterior
+    from flagcoh.verify import check_c4_exterior
+
+    brackets, applied = [], []
+    true_bracket, true_apply = exterior.bracket, exterior.apply_derivation
+    monkeypatch.setattr(exterior, "bracket",
+                        lambda x, y: brackets.append(true_bracket(x, y)) or brackets[-1])
+    monkeypatch.setattr(exterior, "apply_derivation",
+                        lambda phi, a: applied.append((phi, a)) or true_apply(phi, a))
+    assert check_c4_exterior()[0]
+    # every result is kept alive in `brackets`, so ids tell them apart
+    results = {id(b) for b in brackets}
+    on_brackets = [(phi, a) for phi, a in applied if id(phi) in results]
+    assert all(len(a.terms) == 1 and a.is_homogeneous() == 1 for _, a in on_brackets)
+    assert Counter(phi.m for phi, _ in on_brackets) == {2: 54, 3: 294, 4: 1212}
+    # the pairs come first: 8^2 at m = 2, 24^2 at m = 3, 64^2 at m = 4
+    pairs_m4 = brackets[8 ** 2 + 24 ** 2:][:64 ** 2]
+    assert {b.m for b in pairs_m4} == {4} and len(set(pairs_m4)) == 180

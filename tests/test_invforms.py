@@ -24,7 +24,9 @@ from flagcoh.invforms import (
     theta_p,
     theta_products,
     _projective_roots,
+    _sorted_with_sign,
 )
+from flagcoh.exterior import _merge_sign
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rank, rref, solve
 
 
@@ -740,3 +742,25 @@ def test_eta_family_matches_the_displays(rs):
         assert list(got.tensor) == list(want.tensor), name
         assert got.tensor == want.tensor, name
         assert all(is_canonical(c) for vec in got.tensor.values() for c in vec.values())
+
+
+# --- the sorting sign against the merge route it replaced -----------------------
+
+def old_sorted_with_sign(group):
+    """`_sorted_with_sign` before the inversion count: one `_merge_sign` call
+    per index."""
+    mono, sign = (), 1
+    for x in group:
+        mono, s = _merge_sign(mono, (x,))
+        if mono is None:
+            return None, 0
+        sign *= s
+    return mono, sign
+
+
+def test_sorted_with_sign_matches_the_merge_route():
+    """Every tuple of length <= 4 over range(5), repeated indices included."""
+    groups = [g for k in range(5) for g in itertools.product(range(5), repeat=k)]
+    assert len(groups) == 781
+    for g in groups:
+        assert _sorted_with_sign(g) == old_sorted_with_sign(g), g
