@@ -12,9 +12,11 @@ the number of pairs in which the change checkout was lower.  On `gate` it
 also keeps each check's latency (its minimum over a run's passes), and on
 every workload the per-layer metrics of one traced run per checkout
 (`traced`).  Last, the change
-checkout's test suite runs once, and its wall time, summary line and ten
-slowest tests go into the record, beside the line count of each checkout's
-`src/flagcoh` (`src_lines`).
+checkout's test suite runs once, and its wall time, summary line, ten
+slowest tests and the node id of every failed test go into the record, each
+failed id marked whether it is a red-by-design gate check (one whose verdict
+`tests/golden/verify_all.json` records as failing); beside them goes the
+line count of each checkout's `src/flagcoh` (`src_lines`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import cpu_model  # noqa: E402 - perfbench is a directory of scripts
 
 METRICS = ("run_s", "peak_rss_mb", "setup_s")
 REPORTED = ("probe_ms", "wall_run_s")
@@ -102,7 +107,7 @@ def src_lines(root: Path) -> int:
 def tier1(root: Path) -> Dict:
     started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--durations=10"],
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True)
@@ -110,8 +115,15 @@ def tier1(root: Path) -> Dict:
     lines = proc.stdout.splitlines()
     head = next(i for i, line in enumerate(lines) if "slowest 10 durations" in line)
     durations = [line for line in lines[head + 1:head + 11] if line.strip()]
-    return {"command": "python -m pytest -q --continue-on-collection-errors --durations=10",
+    golden = json.loads((root / "tests" / "golden" / "verify_all.json").read_text(
+        encoding="utf-8"))
+    red = {f"tests/test_acceptance.py::test_criterion[{name}]"
+           for name, (ok, _) in golden.items() if not ok}
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
+              for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return {"command": "python -m pytest -q -rfE --continue-on-collection-errors --durations=10",
             "wall_s": round(wall, 1), "summary": lines[-1].strip("= "),
+            "failed": [{"id": f, "red_by_design": f in red} for f in failed],
             "durations": durations}
 
 
@@ -127,7 +139,7 @@ def main() -> int:
         "seeds": list(SEEDS),
         "order": "parent first on even pairs, change first on odd pairs",
         "python": sys.version.split()[0],
-        "machine": {"cpu": _cpu(), "nproc": os.cpu_count(),
+        "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                     "platform": platform.platform()},
         "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "workloads": {},
@@ -151,17 +163,6 @@ def main() -> int:
     record["tier1"] = tier1(args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
-
-
-def _cpu() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 if __name__ == "__main__":

@@ -127,6 +127,9 @@ MUTANTS: List[Mutant] = [
     Mutant("liecoh.ce_differential drops the (-1)^i of its face sum", "liecoh.py",
            "(tgt, -co if i % 2 else co)", "(tgt, co)",
            ("tests/test_liecoh.py::test_delta_squared_zero_through_degree_3",)),
+    Mutant("liecoh._equivariant_system flips the V-side sign of the 0-cochain solve",
+           "liecoh.py", "row[k] = row.get(k, 0) - co", "row[k] = row.get(k, 0) + co",
+           ("tests/test_liecoh.py::test_invariant_bases_match_reference_solves",)),
     Mutant("repdecomp.exterior_power ignores multiplicities", "repdecomp.py",
            "basis = [w for w in sorted(chi) for _ in range(chi[w])]", "basis = sorted(chi)",
            ("tests/test_repdecomp.py::test_exterior_newton_agrees_with_subsets",)),

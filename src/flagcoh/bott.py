@@ -31,7 +31,6 @@ class HermitianSymmetricSpace:
     levi: LeviDatum
     N_plus: Tuple[Weight, ...]
     case: Case
-    neighbors: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -88,21 +87,14 @@ def build_space(t: SimpleLieType, alpha0: int) -> HermitianSymmetricSpace:
     )
     a0 = tuple(1 if j == alpha0 else 0 for j in range(rd.rank))
     d_a0 = rd.inner(rd.delta, a0)
-    if d_a0 != 0:
-        case = "III"
-    elif len(neighbors) == 2:
-        case = "II"
-    elif len(neighbors) == 1:
-        case = "I"
-    else:
-        raise AssertionError("special root with no neighbor")
+    case = "III" if d_a0 != 0 else {2: "II", 1: "I"}.get(len(neighbors))
+    _require(case is not None, "special root with no neighbor")
     return HermitianSymmetricSpace(
         rd=rd,
         alpha0=alpha0,
         levi=LeviDatum(rd, S),
         N_plus=tuple(sorted(n_plus)),
         case=case,
-        neighbors=neighbors,
     )
 
 

@@ -207,10 +207,6 @@ class GrassmannElement(TermAlgebra):
         return GrassmannElement(m, tuple(sorted(clean.items())))
 
     @staticmethod
-    def one(m: int) -> "GrassmannElement":
-        return GrassmannElement(m, (((), 1),))
-
-    @staticmethod
     def generator(m: int, j: int) -> "GrassmannElement":
         return GrassmannElement.make(m, {(j,): 1})
 

@@ -318,13 +318,6 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
     return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
 
 
-def theta_barwedge_theta(space, p: int, q: int) -> InvariantVectorForm:
-    """theta_p /\\ theta_q, which must equal p theta_{p+q-1}."""
-    if p + q - 1 > space.dim:
-        raise ValueError("degree overflow")
-    return barwedge_inv(theta_p(space, p), theta_p(space, q))
-
-
 # ---------------------------------------------------------------------------
 # Linear algebra over the form spaces.
 # ---------------------------------------------------------------------------

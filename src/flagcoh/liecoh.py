@@ -259,7 +259,7 @@ class Cochain(VecTensor):
 
     def __post_init__(self):
         # a value given as a dense list of module_dim scalars (a JSON
-        # witness, a test oracle) is stored sparse
+        # witness, as `perfbench/worker.py` reads one back) is stored sparse
         if any(isinstance(v, list) for v in self.data.values()):
             sparse = ((k, {t: x for t, x in enumerate(v) if x}
                        if isinstance(v, list) else v) for k, v in self.data.items())
@@ -414,46 +414,28 @@ def _equivariant_system(V: _Module, E: _Module
     return unknowns, rows
 
 
-def _cochain_system(gb: GModuleBasis, degree: int):
-    """The equivariant system of the `degree`-cochains (0 or 1), i.e. of
-    the maps V -> n- (x) n+ for V = g or n- (x) g."""
-    g = _ad_module(gb, range(gb.dim))
+@functools.cache
+def _invariant_zero(gb: GModuleBasis) -> Tuple[List[Cochain], List[Cochain]]:
+    """The invariant 0-cochains, a basis of Hom_R(g, n- (x) n+), and their
+    delta images, solved once per basis: the kernel of the equivariant
+    system of the maps g -> n- (x) n+, one vector per free unknown."""
     nminus = _ad_module(gb, gb.nminus_order)
-    V = g if degree == 0 else _tensor(nminus, g)
-    return _equivariant_system(V, _tensor(nminus, _ad_module(gb, gb.nplus_order)))
-
-
-def _invariant_cochains(gb: GModuleBasis, degree: int) -> List[Cochain]:
-    """Basis of the invariant `degree`-cochains: the kernel of their
-    equivariant system, one vector per free unknown."""
-    unknowns, rows = _cochain_system(gb, degree)
+    unknowns, rows = _equivariant_system(
+        _ad_module(gb, range(gb.dim)), _tensor(nminus, _ad_module(gb, gb.nplus_order)))
     red, pivots, _ = sparse_rref(rows, len(unknowns))
-    out = []
+    basis = []
     for vec in rref_kernel(red, pivots, len(unknowns)):
         data: Dict[object, Vec] = {}
         for k, x in vec.items():
             i, t = unknowns[k]
-            data.setdefault(i if degree == 0 else divmod(i, gb.dim), {})[t] = x
-        out.append(Cochain(gb, degree, data))
-    return out
-
-
-@functools.cache
-def _invariant_zero(gb: GModuleBasis) -> Tuple[List[Cochain], List[Cochain]]:
-    """The invariant 0-cochains and their delta images, solved once per
-    basis."""
-    basis = _invariant_cochains(gb, 0)
+            data.setdefault(i, {})[t] = x
+        basis.append(Cochain(gb, 0, data))
     return basis, [ce_differential(b) for b in basis]
 
 
 def invariant_zero_cochains(gb: GModuleBasis) -> List[Cochain]:
     """Basis of Hom_R(g, n- (x) n+) by the weight-blocked equivariant solve."""
     return list(_invariant_zero(gb)[0])
-
-
-def invariant_one_cochains(gb: GModuleBasis) -> List[Cochain]:
-    """Basis of Hom_R(n- (x) g, n- (x) n+), i.e. the invariant 1-cochains."""
-    return _invariant_cochains(gb, 1)
 
 
 def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:

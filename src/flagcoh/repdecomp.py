@@ -26,10 +26,6 @@ from .rootsys import RootDatum, Weight, _require
 FormalCharacter = Dict[Weight, int]
 
 
-def char_dim(chi: FormalCharacter) -> int:
-    return sum(chi.values())
-
-
 def char_of_roots(weights: Iterable[Weight]) -> FormalCharacter:
     chi: FormalCharacter = {}
     for w in weights:

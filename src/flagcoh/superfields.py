@@ -27,7 +27,7 @@ bracket, the Leibniz loop `Derivation._into` and the mismatch rule from
 there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
 what `_into` reads: a monomial's odd length (its xi-part's) and its letters
 `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place sign; they
-depend on nvars, and `_into` keeps them in one table per nvars.
+depend on m = r s, and `_into` keeps them in one table per m.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -90,8 +90,8 @@ def _variable(nvars: int, k) -> int:
 
 
 class SuperPolynomial(TermAlgebra):
-    """Polynomial in nvars commuting x's and nvars anticommuting xi's, exact
-    rationals; nvars is the shared arithmetic's m."""
+    """Polynomial in m commuting x's and m anticommuting xi's, exact
+    rationals; the constructors take m as nvars."""
 
     @staticmethod
     def _mono_mul(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
@@ -100,10 +100,6 @@ class SuperPolynomial(TermAlgebra):
         if ss is None:
             return None, 0
         return (_merge_x(a[0], b[0]), ss), sg
-
-    @property
-    def nvars(self) -> int:
-        return self.m
 
     @staticmethod
     def make(nvars: int, data: Dict[Monomial, Coeff]) -> "SuperPolynomial":
@@ -171,10 +167,9 @@ class SuperDerivation(Derivation):
     _grade_field = "parity"
 
     @property
-    def nvars(self) -> int:
+    def m(self) -> int:
+        """The number of even (and of odd) variables, the term algebra's m."""
         return self.r * self.s
-
-    m = nvars  # the term algebra's m
 
     @property
     def _space(self) -> Tuple[int, int]:
@@ -188,11 +183,11 @@ class SuperDerivation(Derivation):
 
     @property
     def c_x(self) -> Tuple[SuperPolynomial, ...]:
-        return self.images[:self.nvars]
+        return self.images[:self.m]
 
     @property
     def c_xi(self) -> Tuple[SuperPolynomial, ...]:
-        return self.images[self.nvars:]
+        return self.images[self.m:]
 
     def evaluate_at_origin(self) -> Tuple[List[Coeff], List[Coeff]]:
         return (

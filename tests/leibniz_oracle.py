@@ -2,9 +2,29 @@
 `Derivation.bracket` fetched each operand's set-up once: `_into` called per
 image, rebuilding its set-up on each call, with each monomial's letters and
 every monomial product computed afresh.  It is the oracle of the shared
-kernel's letter tables, product memo and skipped halves."""
+kernel's letter tables, product memo and skipped halves.  `merge_sign` is
+the oracle of the Grassmann-monomial kernel `exterior._merge_sign`."""
 
 from typing import Dict
+
+
+def perm_sign(perm) -> int:
+    """(-1) to the number of inversions of perm."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def merge_sign(a, b):
+    """The sorted concatenation of the index tuples a and b and the sign of
+    the sort, read from its inversion count; (None, 0) on a repeated index."""
+    ab = a + b
+    if len(set(ab)) < len(ab):
+        return None, 0
+    return tuple(sorted(ab)), perm_sign(ab)
 
 
 def old_into(d, acc: Dict, a, sign: int) -> None:

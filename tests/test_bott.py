@@ -75,8 +75,10 @@ def test_non_special_root_rejected():
 
 
 def _m_coefficient(H, lam):
-    """Coefficient at alpha_1 (case I/III) or the sum over both neighbors."""
-    return sum(Fraction(lam[i]) for i in H.neighbors)
+    """Coefficient at alpha_1 (case I/III) or the sum over both neighbors
+    of alpha0, read off the Cartan matrix."""
+    return sum(Fraction(lam[i]) for i, row in enumerate(H.rd.cartan)
+               if i != H.alpha0 and row[H.alpha0])
 
 
 def test_m_coefficient_of_delta():

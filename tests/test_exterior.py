@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical import assert_canonical, check_against_fractions
-from leibniz_oracle import check_against_old_kernel
+from leibniz_oracle import check_against_old_kernel, merge_sign, perm_sign
 
 from flagcoh.exterior import (
     GrassmannElement,
@@ -98,7 +98,7 @@ def i_formula_oracle(phi: VectorValuedForm, a: GrassmannElement, q: int):
     def value(xs):
         total = Fraction(0)
         for alpha in itertools.permutations(range(p + q)):
-            sign = _perm_sign(alpha)
+            sign = perm_sign(alpha)
             head = [xs[i] for i in alpha[: p + 1]]
             tail = [xs[i] for i in alpha[p + 1:]]
             # phi(head) = sum_k det_form(comp_k)(head) xi_k*
@@ -146,15 +146,6 @@ def c_formula_oracle(phi: VectorValuedForm):
     return form_to_grassmann(m, p, value)
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 # --- basic derivation behavior ----------------------------------------------
 
 def test_partial_derivative():
@@ -164,7 +155,7 @@ def test_partial_derivative():
     assert apply_derivation(d1, G(m, {(2, 3): 1})).is_zero()
     # derivations kill scalars
     phi = VectorValuedForm.basis_element(m, (1, 2), 3)
-    assert apply_derivation(phi, GrassmannElement.one(m)).is_zero()
+    assert apply_derivation(phi, G(m, {(): 1})).is_zero()
 
 
 def test_grading_derivation_eq_1_1():
@@ -204,7 +195,7 @@ def test_insertion_of_j_is_grading_multiple():
 def test_j_examples():
     m = 3
     # j(1) = identity form = epsilon's symbol
-    assert j_map(m, GrassmannElement.one(m)).images == grading_derivation(m).images
+    assert j_map(m, G(m, {(): 1})).images == grading_derivation(m).images
     jxi1 = j_map(m, gen(m, 1))
     assert jxi1.images[0].is_zero()
     assert jxi1.images[1] == G(m, {(1, 2): 1})
@@ -247,7 +238,7 @@ def test_cj_normalization_all_p_m_le_5():
 
 def test_c_identity_form_and_zero():
     m = 4
-    assert contraction_c(grading_derivation(m)) == GrassmannElement.one(m).scale(m)
+    assert contraction_c(grading_derivation(m)) == G(m, {(): 1}).scale(m)
     assert contraction_c(VectorValuedForm.zero(m, 2)).is_zero()
 
 
@@ -440,40 +431,17 @@ def test_barwedge_bilinear_and_degree(seed):
 
 # --- the product and Leibniz loop the shared kernel replaced, as oracles ------
 #
-# Copied from the implementation before `_merge_sign` became the one
-# Grassmann-monomial kernel: a monomial product by merge, and a Leibniz rule
-# that builds xi_left * phi(xi_letter) * xi_right for every letter.  They run
-# on plain dicts, so they share no code with the library's kernel.
-
-def old_merge_sign(a, b):
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
+# The Leibniz loop is copied from the implementation before `_merge_sign`
+# became the one Grassmann-monomial kernel: it builds
+# xi_left * phi(xi_letter) * xi_right for every letter.  The monomial product
+# takes its sign from `leibniz_oracle.merge_sign`, an inversion count.  They
+# run on plain dicts, so they share no code with the library's kernel.
 
 def old_mul(x, y):
     acc = {}
     for ka, ca in x.items():
         for kb, cb in y.items():
-            k, s = old_merge_sign(ka, kb)
+            k, s = merge_sign(ka, kb)
             if k is not None:
                 acc[k] = acc.get(k, Fraction(0)) + s * ca * cb
     return acc
@@ -742,7 +710,6 @@ def test_integral_values_are_ints():
     for c in (True, Fraction(2, 2), 1.0):
         (_, v), = GrassmannElement.make(2, {(1,): c}).terms
         assert type(v) is int and v == 1
-    assert type(GrassmannElement.one(2).terms[0][1]) is int
     assert type(gen(2, 1).terms[0][1]) is int
 
 

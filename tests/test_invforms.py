@@ -18,7 +18,6 @@ from flagcoh.invforms import (
     independent_coefficients,
     nilpotent_pairs,
     rank_of,
-    theta_barwedge_theta,
     theta_basis,
     theta_coordinates,
     theta_p,
@@ -220,7 +219,7 @@ def test_theta1_unit_laws():
 def test_theta_product_law(space, pairs):
     """theta_p /\\ theta_q = p theta_{p+q-1} for p+q <= 5."""
     for (p, q) in pairs:
-        got = theta_barwedge_theta(space, p, q)
+        got = barwedge_inv(theta_p(space, p), theta_p(space, q))
         assert got == theta_p(space, p + q - 1).scale(p), (space, p, q)
 
 
@@ -228,7 +227,8 @@ def test_theta_products_on_root_space():
     """Same law on a generic root-vector space (case-I style)."""
     sp = RootPairSpace(5)
     for (p, q) in ((2, 2), (2, 3), (3, 2)):
-        assert theta_barwedge_theta(sp, p, q) == theta_p(sp, p + q - 1).scale(p)
+        got = barwedge_inv(theta_p(sp, p), theta_p(sp, q))
+        assert got == theta_p(sp, p + q - 1).scale(p)
 
 
 # --- the eta products: computed truth vs the published factor-2 claims --------

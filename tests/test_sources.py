@@ -6,6 +6,7 @@ what runs.  No library module, test or script keeps a module-level import
 that nothing reads.  The docs name only what exists."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import warnings
@@ -186,6 +187,14 @@ def test_a_deleted_name_does_not_resolve():
                  "liecoh._accumulate", "liecoh._entries", "liecoh._span_rows",
                  "liecoh._span_solve", "repdecomp._exterior_newton",
                  "liecoh._differential", "LeviDatum._two_rho",
-                 "VectorValuedForm.components"):
+                 "VectorValuedForm.components", "liecoh.invariant_one_cochains",
+                 "liecoh._cochain_system", "liecoh._invariant_cochains",
+                 "invforms.theta_barwedge_theta",
+                 "repdecomp.char_dim", "SuperPolynomial.nvars", "SuperDerivation.nvars",
+                 "GrassmannElement.one"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)
+    # a dataclass field without a default is no class attribute: read the fields
+    for cls, field in (("bott.HermitianSymmetricSpace", "neighbors"),
+                       ("verify.CheckResult", "criterion")):
+        assert field not in {f.name for f in dataclasses.fields(_resolve(cls))}

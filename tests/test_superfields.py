@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
-from leibniz_oracle import check_against_old_kernel
+from leibniz_oracle import check_against_old_kernel, merge_sign
 from flagcoh.exterior import Derivation, GrassmannElement, VectorValuedForm
 
 from flagcoh import verify
@@ -325,8 +325,9 @@ def test_mixed_parity_element_rejected():
 #     field that the sparse code replaced, as oracles -------------------------
 #
 # Copied from the implementation before superfields shared exterior's
-# Grassmann-monomial kernel.  Polynomials are plain {monomial: Fraction}
-# dicts here, so the oracles share no arithmetic with the library.
+# Grassmann-monomial kernel; the xi-part sign is `leibniz_oracle.merge_sign`,
+# an inversion count.  Polynomials are plain {monomial: Fraction} dicts here,
+# so the oracles share no arithmetic with the library.
 
 def dense_qn_bracket(g1, g2):
     n = g1.n
@@ -353,30 +354,6 @@ def dense_qn_bracket(g1, g2):
     return QnElement(n, A, Bm)
 
 
-def old_merge_xi(a, b):
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 def old_merge_x(a, b):
     acc = {}
     for (k, e) in a:
@@ -390,7 +367,7 @@ def old_mul(p, q):
     acc = {}
     for (xa, sa), ca in p.items():
         for (xb, sb), cb in q.items():
-            ss, sg = old_merge_xi(sa, sb)
+            ss, sg = merge_sign(sa, sb)
             if ss is None:
                 continue
             key = (old_merge_x(xa, xb), ss)
@@ -433,7 +410,7 @@ def old_apply(d, f):
 
 
 def old_bracket(d1, d2):
-    nv = d1.nvars
+    nv = d1.m
     sign = -1 if (d1.parity and d2.parity) else 1
 
     def comm(g):
@@ -817,11 +794,15 @@ def test_cancelling_sum_is_the_shared_zero():
     assert SuperPolynomial.zero(nv) != GrassmannElement.zero(nv)
 
 
-def test_nvars_is_a_read_only_alias_of_m():
-    p = x(4, 2)
-    assert p.nvars == p.m == 4
-    with pytest.raises(AttributeError):
-        p.nvars = 5
+def test_m_of_a_field_is_r_times_s_and_read_only():
+    """A field's m, its number of even (and of odd) variables, is r s, the m
+    of each of its coefficients, and no second name holds it."""
+    for r, s in ((1, 1), (2, 1), (2, 3)):
+        d = derivation_zero(r, s, 1)
+        assert d.m == r * s == d.c_x[0].m and len(d.c_x) == len(d.c_xi) == r * s
+        with pytest.raises(AttributeError):
+            d.m = 5
+        assert not hasattr(d, "nvars") and not hasattr(d.c_x[0], "nvars")
 
 
 def test_sub_matches_add_of_negation():
