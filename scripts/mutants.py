@@ -144,6 +144,10 @@ MUTANTS: List[Mutant] = [
     Mutant("verify._regime_check drops the H-dims comparison", "verify.py",
            "    if got != expected_dims:\n", "    if False:\n",
            ("tests/test_acceptance.py::test_verdicts_and_details_match_golden",)),
+    Mutant("verify's III-CP2 row drops the (1,1) trivial", "verify.py",
+           "(1, 0): (0, 1), (1, 1): (0, 1)},\n}", "(1, 0): (0, 1)},\n}",
+           ("tests/test_spectral.py::test_case_III",
+            "tests/test_acceptance.py::test_criterion[7.III[CP2]]")),
     Mutant("cli._read lets the first occurrence of a flag win", "cli.py",
            'given[flag] = arguments[flag].get("type", str)(value)',
            'given.setdefault(flag, arguments[flag].get("type", str)(value))',
@@ -156,18 +160,22 @@ MUTANTS: List[Mutant] = [
            's = name.strip().replace(" ", "")', "s = name",
            ("tests/test_bott.py::test_preset_key_normalises_a_name_or_raises_space_from_presets_error",
             "tests/test_cli.py::test_space_list_splits_outside_parentheses_only")),
-    # the memos that decide each distinct value once: a key that drops a
-    # part must not pass
-    Mutant("verify.check_c4_exterior keys its bracket verdicts without the generator",
-           "verify.py", "key = (br, g, side)", "key = (br, side)",
-           ("tests/test_exterior.py::"
-            "test_criterion_4_applies_brackets_once_per_distinct_bracket_generator_and_rhs",)),
+    # the reads and memos that decide each distinct value once: a read of
+    # the wrong value or a key that drops a part must not pass
+    Mutant("verify.check_c4_exterior reads every bracket at the first generator",
+           "verify.py", "images[g] != rhs", "images[0] != rhs",
+           ("tests/test_acceptance.py::test_criterion[4.exterior]",)),
     Mutant("verify.check_c4_exterior keys super-Jacobi without s12", "verify.py",
            "repeat(s12)))", "repeat(1)))",
            ("tests/test_acceptance.py::test_criterion[4.exterior]",)),
-    Mutant("superfields.homomorphism_check reads the target without the twist",
-           "superfields.py", "signed[cand * twist]", "signed[cand]",
+    Mutant("superfields.homomorphism_check compares the target without the twist",
+           "superfields.py", "signed[(sigma or 1) * twist]", "signed[sigma or 1]",
            ("tests/test_superfields.py::test_homomorphism_uniform_sign",)),
+    Mutant("superfields.kernel_of_action solves the transposed matrix", "superfields.py",
+           "kern = nullspace([rows[key] for key in sorted(rows)], len(fields))",
+           "kern = nullspace([list(c) for c in zip(*(rows[key] for key in sorted(rows)))],\n"
+           "                 len(rows))",
+           ("tests/test_superfields.py::test_kernel_is_identity_line",)),
     Mutant("HermitianSymmetricSpace.fold keys its memo without the weight", "bott.py",
            "        got = self._folds.get(a)\n"
            "        if got is None:\n"

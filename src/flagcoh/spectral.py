@@ -15,7 +15,7 @@ check it is compared against are `verify`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from .bott import (
@@ -85,7 +85,7 @@ class E3Result:
     rank_vector_fields: int
     kernel_dim_11: int
     adjoint_01_survives: bool
-    notes: List[str] = field(default_factory=list)
+    notes: List[str]
 
 
 def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:

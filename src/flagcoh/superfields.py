@@ -403,20 +403,14 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
                 entry = targets[key] = (target.is_zero(), {1: target, -1: target.scale(-1)})
             zero, signed = entry
             twist = -1 if (p1 and p2) else 1
-            # both sides are canonical (sorted terms, no zeros); a zero
-            # target leaves sigma open
-            for cand in (sigma,) if sigma else (1, -1):
-                if br_fields == signed[cand * twist]:
-                    break
-            else:
-                raise AssertionError(
-                    f"no uniform sign at basis pair ({i}, {j})"
-                )
-            if not zero:
-                sigma = cand
+            # both sides are canonical (sorted terms); the first nonzero target fixes sigma
+            if sigma is None and not zero:
+                sigma = 1 if br_fields == signed[twist] else -1
+            if br_fields != signed[(sigma or 1) * twist]:
+                raise AssertionError(f"no uniform sign at basis pair ({i}, {j})")
             checked += 1
     return {
-        "sigma": sigma if sigma is not None else 1,
+        "sigma": sigma or 1,
         "pairs": checked,
         "convention": "super sign rule: [g1*,g2*] = sigma (-1)^{p1 p2} [g1,g2]*",
     }
@@ -468,20 +462,13 @@ def _combination(fields: Tuple[SuperDerivation, ...],
 def kernel_of_action(n: int, s: int) -> List[QnElement]:
     """Exact nullspace of g -> g* over the 2 n^2 basis coefficients."""
     fields = basis_fields(n, s)
-    # flatten each field over a common monomial index
-    keys = sorted({(k, mono) for f in fields
-                   for k, p in enumerate(f.images) for mono, _ in p.terms})
-    kidx = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for f in fields:
-        row = [0] * len(keys)
+    # a row per (image, monomial), a column per basis field: z with sum z_i field_i = 0
+    rows: Dict[Tuple[int, Monomial], List[Coeff]] = {}
+    for col, f in enumerate(fields):
         for k, p in enumerate(f.images):
             for mono, c in p.terms:
-                row[kidx[(k, mono)]] = c
-        rows.append(row)
-    # kernel of the transpose action: coefficients z with sum z_i field_i = 0
-    mat = [[rows[i][j] for i in range(len(rows))] for j in range(len(keys))]
-    kern = nullspace(mat, len(rows))
+                rows.setdefault((k, mono), [0] * len(fields))[col] = c
+    kern = nullspace([rows[key] for key in sorted(rows)], len(fields))
     out = []
     for vec in kern:
         A = [[0] * n for _ in range(n)]
@@ -539,7 +526,5 @@ def isotropy_weights(n: int, s: int) -> Dict[Tuple[int, ...], Dict[str, int]]:
                 (-1 if j == i else 0) + (1 if j == r + a else 0) for j in range(n)
             )
             _require(key == expected, f"isotropy weight {key} != {expected}")
-            entry = weights.setdefault(key, {"even": 0, "odd": 0})
-            entry["even"] += 1
-            entry["odd"] += 1
+            weights[key] = {"even": 1, "odd": 1}
     return weights

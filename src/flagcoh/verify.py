@@ -31,8 +31,8 @@ from .scalars import QSqrt2, RT2
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
-    seconds: float = 0.0
+    detail: str
+    seconds: float
 
 
 Check = Tuple[str, str, Callable[[], Tuple[bool, str]]]
@@ -100,7 +100,8 @@ def published_table_entry(case: str, k: int, p: int, q: int) -> Tuple[int, int]:
 
 
 # rows q = 0,1 of the published E3 tables as (adjoint, trivial) counts per
-# (p, q), one row per regime; the II-special row follows the item-(3) statement
+# (p, q), one row per regime; the II-special row follows the item-(3) statement,
+# and III-CP2 is regime III on CP2 (n = 3), where (1,1) keeps a trivial
 _PUBLISHED_E3_ROWS: Dict[str, Dict[Tuple[int, int], Tuple[int, int]]] = {
     "I": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0)},
     "II-generic": {(0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0), (2, 1): (0, 1)},
@@ -109,19 +110,16 @@ _PUBLISHED_E3_ROWS: Dict[str, Dict[Tuple[int, int], Tuple[int, int]]] = {
     "II-eta": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1), (0, 1): (1, 0),
                (1, 1): (1, 0), (2, 1): (0, 1)},
     "III": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1)},
+    "III-CP2": {(-1, 0): (1, 0), (0, 0): (1, 0), (1, 0): (0, 1), (1, 1): (0, 1)},
 }
 
 
-def published_e3_rows(regime: str, n: Optional[int] = None
-                      ) -> Dict[Tuple[int, int], Tuple[int, int]]:
+def published_e3_rows(regime: str) -> Dict[Tuple[int, int], Tuple[int, int]]:
     """The published rows of `regime` ('I', 'II-generic', 'II-special',
-    'II-eta', 'III'); on CP2 (regime III, n = 3) (1,1) keeps a trivial."""
+    'II-eta', 'III', 'III-CP2')."""
     if regime not in _PUBLISHED_E3_ROWS:
         raise ValueError(regime)
-    t = dict(_PUBLISHED_E3_ROWS[regime])
-    if regime == "III" and n == 3:
-        t[(1, 1)] = (0, 1)
-    return t
+    return dict(_PUBLISHED_E3_ROWS[regime])
 
 
 def e3_rows_summary(res: spectral.E3Result) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
@@ -279,36 +277,27 @@ def check_c4_exterior() -> Tuple[bool, str]:
                 if got != psi.scale(math.factorial(p) * (m - p)):
                     return False, f"cj failed at m={m}, p={p}"
     # i(bracket) = supercommutator on every basis pair, m <= 4, compared as
-    # derivations (on every generator).  Every instance is decided.  Values
-    # are held as ids, one per distinct element: each i(psi)xi_g, each
-    # i(phi)x for those values x and each distinct right-hand side is
-    # computed once.  The bracket is computed for every pair and held as an
-    # id, and each distinct (bracket, generator, right-hand side) is decided
-    # once: one application of a bracket per such triple.
+    # derivations (on every generator).  i(psi)xi_g is psi's image of xi_g,
+    # so i([phi, psi])xi_g is the bracket's image: no bracket is applied.
+    # Values are held as ids, one per distinct element: each i(phi)x for the
+    # images x and each distinct right-hand side is computed once.
     for m in (2, 3, 4):
-        gens = [exterior.GrassmannElement.generator(m, j) for j in range(1, m + 1)]
         basis = [exterior.VectorValuedForm.basis_element(m, mo, j)
                  for mo, j in exterior.wedge_basis(m)]
-        xs, ys, brs = _Ids(), _Ids(), _Ids()
-        on_gens = [[xs.of(exterior.apply_derivation(psi, g)) for g in gens] for psi in basis]
+        xs, ys = _Ids(), _Ids()
+        on_gens = [[xs.of(x) for x in psi.images] for psi in basis]
         on_xs = [[ys.of(exterior.apply_derivation(phi, x)) for x in xs.values] for phi in basis]
         sides: Dict[Tuple[int, int, int], exterior.GrassmannElement] = {}
-        verdicts: Dict[Tuple[int, int, Tuple[int, int, int]], bool] = {}
         for a, phi in enumerate(basis):
             for b, psi in enumerate(basis):
-                br = brs.of(exterior.bracket(phi, psi))
+                images = exterior.bracket(phi, psi).images
                 sgn = -1 if (phi.degree % 2) and (psi.degree % 2) else 1
-                for g, gen in enumerate(gens):
+                for g in range(m):
                     side = (on_xs[a][on_gens[b][g]], on_xs[b][on_gens[a][g]], sgn)
-                    key = (br, g, side)
-                    ok = verdicts.get(key)
-                    if ok is None:
-                        rhs = sides.get(side)
-                        if rhs is None:
-                            rhs = sides[side] = ys.values[side[0]] - ys.values[side[1]].scale(sgn)
-                        ok = verdicts[key] = (
-                            exterior.apply_derivation(brs.values[br], gen) == rhs)
-                    if not ok:
+                    rhs = sides.get(side)
+                    if rhs is None:
+                        rhs = sides[side] = ys.values[side[0]] - ys.values[side[1]].scale(sgn)
+                    if images[g] != rhs:
                         return False, f"bracket identity failed at m={m}"
     # the grading-bracket, insertion-of-j and splitting identities
     for m in (2, 3, 4):
@@ -518,13 +507,13 @@ def check_c6_d2_ranks() -> Tuple[bool, str]:
 
 # --- criterion 7: E3 tables and H^0/H^1 -----------------------------------------
 
-def _regime_check(name, a, b, regime, n, expected_dims) -> Tuple[bool, str]:
+def _regime_check(name, a, b, regime, expected_dims) -> Tuple[bool, str]:
     H = space_from_preset(name)
     report, res = spectral.cohomology_of_T(H, a, b)
     rows = e3_rows_summary(res)
     got_rows = {k: (x, t) for k, (x, t, o) in rows.items()}
     extra_other = {k: o for k, (x, t, o) in rows.items() if o}
-    want_rows = published_e3_rows(regime, n)
+    want_rows = published_e3_rows(regime)
     problems = []
     if got_rows != want_rows or extra_other:
         problems.append(
@@ -542,15 +531,14 @@ def _regime_check(name, a, b, regime, n, expected_dims) -> Tuple[bool, str]:
 # the five published parameter regimes (plus the super-dimension check);
 # expected_dims = published (H0_even, H0_odd, H1_even, H1_odd)
 C7_REGIMES = [
-    ("7.I[Q3]", "Q3", 1, 0, "I", None, (10, 1, 10, 0)),
-    ("7.II-generic[Gr(4,2)]", "Gr(4,2)", 1, 0, "II-generic", None, (15, 1, 16, 0)),
-    ("7.II-generic[Gr(5,2)]", "Gr(5,2)", 1, 0, "II-generic", None, (24, 1, 25, 0)),
-    ("7.II-special-sqrt2[Gr(4,2)]", "Gr(4,2)", RT2, 1, "II-special", None,
-     (15, 1, 16, 1)),
-    ("7.II-eta[Gr(4,2)]", "Gr(4,2)", 0, 1, "II-eta", None, (15, 16, 16, 15)),
-    ("7.II-eta[Gr(5,2)]", "Gr(5,2)", 0, 1, "II-eta", None, (24, 25, 25, 24)),
-    ("7.III[CP2]", "CP2", 1, 0, "III", 3, (8, 9, 0, 1)),
-    ("7.III[CP3]", "CP3", 1, 0, "III", 4, (15, 16, 0, 0)),
+    ("7.I[Q3]", "Q3", 1, 0, "I", (10, 1, 10, 0)),
+    ("7.II-generic[Gr(4,2)]", "Gr(4,2)", 1, 0, "II-generic", (15, 1, 16, 0)),
+    ("7.II-generic[Gr(5,2)]", "Gr(5,2)", 1, 0, "II-generic", (24, 1, 25, 0)),
+    ("7.II-special-sqrt2[Gr(4,2)]", "Gr(4,2)", RT2, 1, "II-special", (15, 1, 16, 1)),
+    ("7.II-eta[Gr(4,2)]", "Gr(4,2)", 0, 1, "II-eta", (15, 16, 16, 15)),
+    ("7.II-eta[Gr(5,2)]", "Gr(5,2)", 0, 1, "II-eta", (24, 25, 25, 24)),
+    ("7.III[CP2]", "CP2", 1, 0, "III-CP2", (8, 9, 0, 1)),
+    ("7.III[CP3]", "CP3", 1, 0, "III", (15, 16, 0, 0)),
 ]
 
 
@@ -645,11 +633,11 @@ def all_checks() -> List[Check]:
     checks.append(("5", "5.nilpotent-published-sqrt2", check_c5_nilpotent_sqrt2))
     checks.append(("5c", "5c.nilpotent-computed", check_c5_nilpotent_computed))
     checks.append(("6", "6.d2-ranks", check_c6_d2_ranks))
-    for label, nm, a, b, regime, n, dims in C7_REGIMES:
+    for label, nm, a, b, regime, dims in C7_REGIMES:
         checks.append(
             ("7", label,
-             lambda nm=nm, a=a, b=b, regime=regime, n=n, dims=dims:
-             _regime_check(nm, a, b, regime, n, dims))
+             lambda nm=nm, a=a, b=b, regime=regime, dims=dims:
+             _regime_check(nm, a, b, regime, dims))
         )
     checks.append(("7", "7.pq-consistency", check_c7_pq_consistency))
     checks.append(("7c", "7c.computed-deviations", check_c7_computed_deviations))

@@ -164,9 +164,9 @@ def test_one_theta_family_elimination_per_basis_and_degree(capsys, monkeypatch):
         rhs is not None) or rref(rows, n, rhs))
     assert verify.check_c6_d2_ranks()[0]
     assert built == [("A3", 1, 1), ("A4", 2, 1)] and eliminations == [2, 2]
-    for _, name, a, b, regime, n, dims in verify.C7_REGIMES:
+    for _, name, a, b, regime, dims in verify.C7_REGIMES:
         if name in ("Gr(4,2)", "Gr(5,2)"):
-            verify._regime_check(name, a, b, regime, n, dims)
+            verify._regime_check(name, a, b, regime, dims)
     code, out = run_cli(capsys, "d2", "--space", "Gr(4,2)", "--a", "rt2", "--b", "1")
     assert code == 0 and json.loads(out)["rank"] == 15
     assert built == [("A3", 1, 1), ("A4", 2, 1), ("A4", 2, 2)]
@@ -435,6 +435,23 @@ def test_run_tables_script_rejects_an_unknown_space():
         capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stdout == "" and run.stderr.startswith("error: unknown space preset 'P9'")
+
+
+@pytest.mark.parametrize("space", ["Gr(4,2)", "Gr(5,2)"])
+def test_benchmark_worker_substitutes_the_d2_coboundary_witness(space):
+    """The benchmark worker replaces a d2 query's coboundary witness by the
+    verdict of its own substitution check, delta(w) == c.  It arms SIGALRM,
+    so it runs in its own interpreter, never imported here."""
+    argv = ["d2", "--space", space, "--a", "0", "--b", "1"]
+    job = {"ops": [{"kind": "cli", "id": "w", "argv": argv}],
+           "trace": False, "spans_out": None, "spawned": 0}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py")], input=json.dumps(job),
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    [result] = json.loads(run.stdout)["results"]
+    assert result["rc"] == 0 and result["error"] is None
+    assert result["payload"]["coboundary_witness"] == {"checked": True}
 
 
 QUERIES = json.loads((ROOT / "tests" / "golden" / "queries.json").read_text(encoding="utf-8"))

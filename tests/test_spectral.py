@@ -170,14 +170,14 @@ def test_case_III():
     assert (d2["H0_even"], d2["H0_odd"]) == (8, 9)
     assert (d2["H1_even"], d2["H1_odd"]) == (0, 1)
     got = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res2).items()}
-    assert got == published_e3_rows("III", n=3)
+    assert got == published_e3_rows("III-CP2")
 
     H3 = space_from_preset("CP3")
     rep3, res3 = cohomology_of_T(H3, 1, 0)
     d3 = rep3.dims()
     assert (d3["H1_even"], d3["H1_odd"]) == (0, 0)
     got3 = {k: (a, t) for k, (a, t, o) in e3_rows_summary(res3).items()}
-    assert got3 == published_e3_rows("III", n=4)
+    assert got3 == published_e3_rows("III")
 
 
 def test_pq_consistency():
