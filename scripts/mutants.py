@@ -148,6 +148,19 @@ MUTANTS: List[Mutant] = [
            "(1, 0): (0, 1), (1, 1): (0, 1)},\n}", "(1, 0): (0, 1)},\n}",
            ("tests/test_spectral.py::test_case_III",
             "tests/test_acceptance.py::test_criterion[7.III[CP2]]")),
+    # a green check's failing return turned into a pass
+    Mutant("verify.check_c1_tables_computed passes a wrong cell", "verify.py",
+           'return False, f"(p={p},q={q}): {got} != {(ea + xa, et, eo)}"',
+           'return True, f"(p={p},q={q}): {got} != {(ea + xa, et, eo)}"',
+           ("tests/test_acceptance.py::test_criterion_1c_fails_on_a_wrong_cell",)),
+    Mutant("verify.check_c6_d2_ranks passes without a coboundary witness", "verify.py",
+           'return False, f"{name}: no coboundary witness for c_eta"',
+           'return True, f"{name}: no coboundary witness for c_eta"',
+           ("tests/test_acceptance.py::test_criterion_6_fails_on_a_wrong_eta_solve",)),
+    Mutant("verify.check_c8_superfields passes a wrong n = 5 jet", "verify.py",
+           'return False, f"y* formula failed at n=5, s={s}"',
+           'return True, f"y* formula failed at n=5, s={s}"',
+           ("tests/test_acceptance.py::test_criterion_8_fails_on_a_wrong_n5_jet",)),
     Mutant("cli._read lets the first occurrence of a flag win", "cli.py",
            'given[flag] = arguments[flag].get("type", str)(value)',
            'given.setdefault(flag, arguments[flag].get("type", str)(value))',
@@ -184,6 +197,21 @@ MUTANTS: List[Mutant] = [
            "        if got is None:\n"
            "            got = self._folds[0] = ",
            ("tests/test_bott.py::test_folds_are_read_only_and_shared_by_both_routes",)),
+    # the value classes' shared dunders: equality across classes, a field
+    # left out of the key, an assignable field
+    Mutant("Record.__eq__ compares values of different classes", "record.py",
+           "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+           "", ("tests/test_record.py::test_values_of_different_classes_are_never_equal",)),
+    Mutant("Record._key drops the last field", "record.py",
+           "for f in self._fields])", "for f in self._fields[:-1]])",
+           ("tests/test_record.py::test_every_field_takes_part_in_equality",)),
+    Mutant("TermAlgebra._key drops m", "exterior.py",
+           "return self.m, self.terms", "return (self.terms,)",
+           ("tests/test_record.py::test_equal_values_compare_and_hash_equal",)),
+    Mutant("Record.__setattr__ assigns the field", "record.py",
+           "        raise AttributeError(f\"cannot assign to {name!r} of a {type(self).__name__}\")\n",
+           "        setfield(self, name, value)\n",
+           ("tests/test_record.py::test_fields_are_read_only",)),
     # python -O: a result that changes under -O alone, and a guard that -O strips
     Mutant("spectral.apply_d2 cuts nothing under python -O", "spectral.py",
            "take = min(d.mult, cut.get(key, 0))",

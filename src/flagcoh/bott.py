@@ -15,22 +15,22 @@ recorded deviations are `verify`'s.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .record import Record
 from .repdecomp import FormalCharacter, LeviDatum, char_of_roots, decompose
 from .rootsys import RootDatum, SimpleLieType, Weight, _require, build_root_system
 
 Case = str  # "I" | "II" | "III"
 
 
-@dataclass(frozen=True)
-class HermitianSymmetricSpace:
+class HermitianSymmetricSpace(Record):
     rd: RootDatum
     alpha0: int
     levi: LeviDatum
     N_plus: Tuple[Weight, ...]
     case: Case
+    _fields = ("rd", "alpha0", "levi", "N_plus", "case")
 
     @property
     def dim(self) -> int:
@@ -182,14 +182,14 @@ def bott_irreducible(
     return index, lam_star
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
+class ModuleDescriptor(Record):
     """A G-module in a cohomology table: trivial, adjoint, or other."""
 
     tag: str            # "trivial" | "adjoint" | "other"
     weight: Weight
     dim: int
-    mult: int = 1
+    mult: int
+    _fields = ("tag", "weight", "dim", "mult")
 
     def total_dim(self) -> int:
         return self.dim * self.mult
@@ -219,7 +219,7 @@ def _merge_descriptors(items: List[ModuleDescriptor]) -> List[ModuleDescriptor]:
 
 
 def cohomology_omega_p_theta(
-    H: HermitianSymmetricSpace, p: int, q_max: int = 2
+    H: HermitianSymmetricSpace, p: int, q_max: int
 ) -> Dict[int, List[ModuleDescriptor]]:
     """H^q(M, Omega^p (x) Theta) for q = 0..q_max, as module descriptors.
 

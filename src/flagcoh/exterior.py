@@ -28,17 +28,21 @@ term algebra, a same-space constructor, a monomial's odd length and
 run `_into` per image; `_into` keeps each monomial's letters in the
 class's `_letter_tables` dict (one per m) and each monomial product in the
 algebra's `_products` dict, so both are computed once per process.
+
+Elements and derivations are read-only `record.Record` values with slots:
+each class sets its fields in a short `__init__` of its own and takes its
+equality (never across classes), hash and repr from `Record`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .record import Record, setfield
 from .scalars import Coeff, canonical
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
@@ -75,8 +79,7 @@ def _canon(c):
     return c if type(c) is int else canonical(c if type(c) is Fraction else Fraction(c))
 
 
-@dataclass(frozen=True)
-class TermAlgebra:
+class TermAlgebra(Record):
     """Exact sparse combination of monomials in m variables, the arithmetic
     shared by `GrassmannElement` and `superfields.SuperPolynomial`.
 
@@ -84,12 +87,19 @@ class TermAlgebra:
     an int iff integral.  A subclass supplies `_mono_mul`, the product of two
     monomials as (monomial, sign), or (None, 0) when it vanishes; each class
     keeps one shared zero per m in `_zeros` and the products the Leibniz
-    loop has formed in `_products`.  Subclasses add no field, so they
-    inherit the frozen `__init__`, `__eq__`, `__hash__` and `__repr__`.
+    loop has formed in `_products`.  An element is a read-only `Record` with
+    the slots m and terms; subclasses add no field and no slot, so they take
+    this `__init__` and `Record`'s `__eq__`, `__hash__` and `__repr__`.
     """
 
-    m: int
-    terms: Tuple[Tuple[object, Coeff], ...]
+    __slots__ = _fields = ("m", "terms")
+
+    def __init__(self, m: int, terms: Tuple[Tuple[object, Coeff], ...]):
+        setfield(self, "m", m)
+        setfield(self, "terms", terms)
+
+    def _key(self):
+        return self.m, self.terms
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -193,6 +203,7 @@ def _mismatch(op: str, a: TermAlgebra, b: TermAlgebra) -> ValueError:
 class GrassmannElement(TermAlgebra):
     """Element of Lambda(xi_1..xi_m) with exact rational coefficients."""
 
+    __slots__ = ()
     _mono_mul = staticmethod(_merge_sign)
 
     @staticmethod
@@ -221,12 +232,13 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
     return [tuple(c) for c in itertools.combinations(range(1, m + 1), p)]
 
 
-class Derivation:
+class Derivation(Record):
     """A derivation of a `TermAlgebra`, held as `images`, its values on the
     generators; sums, scaling, `apply`, the bracket and the Leibniz loop
     `_into` are written once here.
 
-    A subclass is a frozen dataclass whose last field is `images`.  It names
+    A subclass is a read-only `Record` with slots whose last field is
+    `images`, and sets its fields in its own `__init__`.  It names
     its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
     labels that tell two spaces of the same m apart, or None) and its
     `_grade_field` (degree or parity), and supplies `_letters(mono, m)` and
@@ -235,6 +247,8 @@ class Derivation:
     on different spaces raise `ValueError`, and so do nonzero operands of
     different grades in a sum; a zero of another grade is absorbed.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -368,21 +382,25 @@ def _grassmann_letters(mono: Monomial, m: int):
     return tuple((i - 1, mono[:j] + mono[j + 1:], 1, j) for j, i in enumerate(mono))
 
 
-@dataclass(frozen=True)
 class VectorValuedForm(Derivation):
     """Element of Lambda^{p+1} E (x) E*, i.e. the degree-p part of der Lambda E:
     degree is p in [-1, m], and images[k] is the image of xi_{k+1}, of
     degree p+1."""
 
-    m: int
-    degree: int
-    images: Tuple[GrassmannElement, ...]
-
+    __slots__ = _fields = ("m", "degree", "images")
     _algebra = GrassmannElement
     _odd_len = staticmethod(len)
     _letters = staticmethod(_grassmann_letters)
     _space = None
     _grade_field = "degree"
+
+    def __init__(self, m: int, degree: int, images: Tuple[GrassmannElement, ...]):
+        setfield(self, "m", m)
+        setfield(self, "degree", degree)
+        setfield(self, "images", images)
+
+    def _key(self):
+        return self.m, self.degree, self.images
 
     def _bracket_label(self, other: "VectorValuedForm") -> Tuple[int, int]:
         deg = self.degree + other.degree

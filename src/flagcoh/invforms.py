@@ -25,12 +25,12 @@ and `theta_coordinates` say where eta is a basis form and fold it on CP^n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .exterior import _merge_sign
+from .record import Record
 from .scalars import (Coeff, QSqrt2, SparseRow, canonical, narrow, nullspace, rank,
                       rref, sparse_rref)
 
@@ -38,14 +38,14 @@ Vec = Dict[int, Coeff]  # sparse vector in n+ coordinates (or QSqrt2 values)
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class MatrixPairSpace:
+class MatrixPairSpace(Record):
     """n+ = Mat_{r x s} with basis E_{i,a} (row-major flat index i*s + a);
     n- = Mat_{s x r} indexed by the SAME flat index, k meaning E_{a,i} for
     (i, a) = coords(k), so the trace pairing is Kronecker on equal indices."""
 
     r: int
     s: int
+    _fields = ("r", "s")
 
     @property
     def dim(self) -> int:
@@ -58,17 +58,17 @@ class MatrixPairSpace:
         return divmod(k, self.s)
 
 
-@dataclass(frozen=True)
-class RootPairSpace:
+class RootPairSpace(Record):
     """Root-vector basis of n+ with the normalized Killing pairing
     (e_alpha, f_beta) = delta; theta forms only."""
 
     dim: int
+    _fields = ("dim",)
 
 
-class VecTensor:
+class VecTensor(Record):
     """A dict from keys to sparse `Vec`s, none zero or holding a zero, with
-    its arithmetic.  A subclass is a dataclass that names that field in `_vecs`
+    its arithmetic.  A subclass is a `Record` that names that field in `_vecs`
     and supplies `_like(vecs)`, a tensor with its own labels, and
     `_check_like(other)`, which raises ValueError on other labels."""
 
@@ -110,13 +110,13 @@ class VecTensor:
         return self + other.scale(-1)
 
 
-@dataclass
 class InvariantVectorForm(VecTensor):
     space: object
     p: int
     q: int
     tensor: Dict[Key, Vec]
     _vecs = "tensor"
+    _fields = ("space", "p", "q", "tensor")
 
     def _like(self, tensor: Dict[Key, Vec]) -> "InvariantVectorForm":
         return InvariantVectorForm(self.space, self.p, self.q, tensor)
@@ -399,10 +399,10 @@ def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
     return tuple(tuple(P[x * m:(x + 1) * m]) for x in range(m))
 
 
-@dataclass
-class NilpotentPairReport:
+class NilpotentPairReport(Record):
     space: MatrixPairSpace
     solutions: List[Tuple[Tuple[QSqrt2, QSqrt2], Tuple[QSqrt2, QSqrt2]]]
+    _fields = ("space", "solutions")
 
     @property
     def trivial_only(self) -> bool:

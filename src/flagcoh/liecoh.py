@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -43,6 +42,7 @@ from .invforms import (
     theta_coordinates,
     theta_p,
 )
+from .record import Record
 from .rootsys import RootDatum, SimpleLieType, Weight, _require
 from .scalars import (Coeff, SparseRow, canonical, combine_targets, exact_quotient,
                       reduce_targets, rref_kernel, solve, sparse_rref)
@@ -121,15 +121,14 @@ def _chevalley(rd: RootDatum) -> Tuple[Tuple[Weight, ...], Dict[Tuple[Weight, We
     return roots, N
 
 
-@dataclass
-class BasisElement:
+class BasisElement(Record):
     weight: Weight        # its root in simple-root coordinates, 0 on the torus
     block: str            # "n+" | "n-" | "t" | "r"
     scale: Coeff = 1      # the element is scale * e_weight; h_k on the torus
+    _fields = ("weight", "block", "scale")
 
 
-@dataclass(eq=False)
-class GModuleBasis:
+class GModuleBasis(Record):
     """Weight basis of g split as n- (+) r (+) n+ per the parabolic: root
     vectors, then the coroots h_1 .. h_l.  It hashes by identity, so the
     results computed from it are cached per basis with functools.cache."""
@@ -142,6 +141,9 @@ class GModuleBasis:
     space: object                # the invforms pair space
     root_index: Dict[Weight, int]  # root -> index of its root vector
     constants: Dict[Tuple[Weight, Weight], int]  # N(a, b) of the type
+    _fields = ("H", "elements", "nplus_order", "nminus_order", "levi_raise", "space",
+               "root_index", "constants")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
     def dim(self) -> int:
@@ -238,7 +240,6 @@ def roots_key(gb: GModuleBasis, g: int) -> Tuple:
 # Cochains
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Cochain(VecTensor):
     """CE cochain of n- with values in Hom(g, M), of degree k >= 0.
 
@@ -250,20 +251,19 @@ class Cochain(VecTensor):
     the parameter of a theta form has a sqrt(2) part.
     """
 
-    gb: GModuleBasis
-    degree: int
-    # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk
-    data: Dict[object, Vec]
-    mdim: Optional[int] = None
     _vecs = "data"
+    _fields = ("gb", "degree", "data", "mdim")
 
-    def __post_init__(self):
-        # a value given as a dense list of module_dim scalars (a JSON
+    def __init__(self, gb: GModuleBasis, degree: int, data: Dict[object, Vec],
+                 mdim: Optional[int] = None):
+        # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk.
+        # A value given as a dense list of module_dim scalars (a JSON
         # witness, as `perfbench/worker.py` reads one back) is stored sparse
-        if any(isinstance(v, list) for v in self.data.values()):
+        if any(isinstance(v, list) for v in data.values()):
             sparse = ((k, {t: x for t, x in enumerate(v) if x}
-                       if isinstance(v, list) else v) for k, v in self.data.items())
-            self.data = {k: v for k, v in sparse if v}
+                       if isinstance(v, list) else v) for k, v in data.items())
+            data = {k: v for k, v in sparse if v}
+        super().__init__(gb, degree, data, mdim)
 
     @property
     def module_dim(self) -> int:
@@ -453,10 +453,10 @@ def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
             for i, t in _weight_pairs(v_weights, _lambda2_module(gb)[2])]
 
 
-@dataclass
-class CoboundaryResult:
+class CoboundaryResult(Record):
     is_coboundary: bool
     witness: Optional[Cochain]
+    _fields = ("is_coboundary", "witness")
 
 
 def _coboundary_result(gb: GModuleBasis, x: Optional[SparseRow]) -> CoboundaryResult:

@@ -17,10 +17,10 @@ reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .record import Record
 from .rootsys import RootDatum, Weight, _require
 
 FormalCharacter = Dict[Weight, int]
@@ -64,17 +64,15 @@ def exterior_power(chi: FormalCharacter, p: int) -> FormalCharacter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeviDatum:
+class LeviDatum(Record):
     """Levi data for P = R x| N-: S = Pi \\ {alpha_0} (or any proper subset)."""
 
-    rd: RootDatum
-    S: Tuple[int, ...]
+    _fields = ("rd", "S")
 
-    def __post_init__(self):
-        if set(self.S) >= set(range(self.rd.rank)):
+    def __init__(self, rd: RootDatum, S: Sequence[int]):
+        if set(S) >= set(range(rd.rank)):
             raise ValueError("S must be a proper subset of the simple roots")
-        object.__setattr__(self, "S", tuple(sorted(self.S)))
+        super().__init__(rd, tuple(sorted(S)))
 
     def levi_positive_roots(self) -> List[Weight]:
         s = set(self.S)

@@ -13,30 +13,29 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import List, Sequence, Tuple
 
+from .record import Record
+
 Weight = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SimpleLieType:
-    family: str
-    rank: int
+class SimpleLieType(Record):
+    _fields = ("family", "rank")
 
-    def __post_init__(self):
-        fam, l = self.family, self.rank
+    def __init__(self, family: str, rank: int):
         ok = (
-            (fam == "A" and l >= 1)
-            or (fam in ("B", "C") and l >= 2)
-            or (fam == "D" and l >= 3)
-            or (fam == "E" and l in (6, 7))
+            (family == "A" and rank >= 1)
+            or (family in ("B", "C") and rank >= 2)
+            or (family == "D" and rank >= 3)
+            or (family == "E" and rank in (6, 7))
         )
         if not ok:
-            raise ValueError(f"unsupported simple type {fam}{l}")
+            raise ValueError(f"unsupported simple type {family}{rank}")
+        super().__init__(family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -119,8 +118,7 @@ def _scaled_to_integers(xi: Sequence) -> Tuple[Weight, int]:
     return tuple(c.numerator * (D // c.denominator) for c in xi), D
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     type: SimpleLieType
     simple_roots: Tuple[Weight, ...]
     cartan: Tuple[Tuple[int, ...], ...]          # <a_i, a_j>
@@ -128,6 +126,8 @@ class RootDatum:
     positive_roots: Tuple[Weight, ...]
     two_gamma: Weight                            # sum of the positive roots
     delta: Weight                                # highest root
+    _fields = ("type", "simple_roots", "cartan", "form2", "positive_roots",
+               "two_gamma", "delta")
 
     @property
     def rank(self) -> int:

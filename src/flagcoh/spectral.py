@@ -15,7 +15,6 @@ check it is compared against are `verify`'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from .bott import (
@@ -30,6 +29,7 @@ from .liecoh import (
     d2_rank_on_vector_fields,
     d2_vanishes_on_adjoint_at_01,
 )
+from .record import Record
 from .rootsys import _require
 from .scalars import rank
 
@@ -43,11 +43,11 @@ def theta_for(H: HermitianSymmetricSpace, a, b) -> Tuple:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     provenance: str              # "i" | "l"
     descriptor: ModuleDescriptor
     status: str = "ok"           # "ok" | "undetermined"
+    _fields = ("provenance", "descriptor", "status")
 
 
 Table = Dict[Tuple[int, int], List[Summand]]
@@ -77,8 +77,7 @@ def _count(entry: List[Summand], provenance: str, tag: str) -> int:
     )
 
 
-@dataclass
-class E3Result:
+class E3Result(Record):
     H: HermitianSymmetricSpace
     E2: Table
     E3: Table
@@ -86,6 +85,8 @@ class E3Result:
     kernel_dim_11: int
     adjoint_01_survives: bool
     notes: List[str]
+    _fields = ("H", "E2", "E3", "rank_vector_fields", "kernel_dim_11", "adjoint_01_survives",
+               "notes")
 
 
 def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:
@@ -143,8 +144,8 @@ def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:
             if d.mult > take:
                 status = ("undetermined" if q == 2 and key != (3, 2, "l", "trivial")
                           else "ok")
-                E3.setdefault((p, q), []).append(
-                    Summand(s.provenance, replace(d, mult=d.mult - take), status))
+                E3.setdefault((p, q), []).append(Summand(
+                    s.provenance, ModuleDescriptor(d.tag, d.weight, d.dim, d.mult - take), status))
     _require(not any(cut.values()), f"E3 bookkeeping: d2 cuts {cut} exceed E2")
     return E3Result(H, E2, E3, rank_v, len(P) - rank11, adj01, notes)
 
@@ -153,12 +154,12 @@ def apply_d2(H: HermitianSymmetricSpace, a, b) -> E3Result:
 # H^0 / H^1 readout (rows q = 0, 1 stabilize at E3)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(Record):
     H0_even: List[ModuleDescriptor]
     H0_odd: List[ModuleDescriptor]
     H1_even: List[ModuleDescriptor]
     H1_odd: List[ModuleDescriptor]
+    _fields = ("H0_even", "H0_odd", "H1_even", "H1_odd")
 
     @staticmethod
     def _dim(items: List[ModuleDescriptor]) -> int:

@@ -41,10 +41,10 @@ index; kernel output goes through `_from_dict` unchecked.  Coefficients and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exterior import Coeff, Derivation, TermAlgebra, _canon, _merge_sign
+from .record import Record, setfield
 from .rootsys import _require
 from .scalars import rank
 from .scalars import nullspace
@@ -92,6 +92,8 @@ def _variable(nvars: int, k) -> int:
 class SuperPolynomial(TermAlgebra):
     """Polynomial in m commuting x's and m anticommuting xi's, exact
     rationals; the constructors take m as nvars."""
+
+    __slots__ = ()
 
     @staticmethod
     def _mono_mul(a: Monomial, b: Monomial) -> Tuple[Optional[Monomial], int]:
@@ -151,20 +153,24 @@ def _super_letters(mono: Monomial, nv: int):
         + [(nv + k, (xs, ss[:j] + ss[j + 1:]), 1, j) for j, k in enumerate(ss)])
 
 
-@dataclass(frozen=True)
 class SuperDerivation(Derivation):
     """Vector field sum c_x[k] d/dx_k + c_xi[k] d/dxi_k with polynomial
     coefficients; parity-homogeneous.  images is c_x followed by c_xi."""
 
-    r: int
-    s: int
-    parity: int
-    images: Tuple[SuperPolynomial, ...]
-
+    __slots__ = _fields = ("r", "s", "parity", "images")
     _algebra = SuperPolynomial
     _letters = staticmethod(_super_letters)
     _odd_len = staticmethod(lambda mono: len(mono[1]))
     _grade_field = "parity"
+
+    def __init__(self, r: int, s: int, parity: int, images: Tuple[SuperPolynomial, ...]):
+        setfield(self, "r", r)
+        setfield(self, "s", s)
+        setfield(self, "parity", parity)
+        setfield(self, "images", images)
+
+    def _key(self):
+        return self.r, self.s, self.parity, self.images
 
     @property
     def m(self) -> int:
@@ -210,13 +216,13 @@ def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
 # q_n elements and the fundamental-field map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QnElement:
+class QnElement(Record):
     """Supermatrix [[A, B], [B, A]]: (A, 0) is the even part, (0, B) odd."""
 
     n: int
     A: Tuple[Tuple[Coeff, ...], ...]
     B: Tuple[Tuple[Coeff, ...], ...]
+    _fields = ("n", "A", "B")
 
     @staticmethod
     def make(n: int, A=None, B=None) -> "QnElement":

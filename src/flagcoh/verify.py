@@ -16,23 +16,23 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import bott, exterior, invforms, liecoh, spectral, superfields
 from .bott import DESK_PRESETS, ModuleDescriptor, space_from_preset, tag_counts
+from .record import Record
 from .rootsys import _require
 from .scalars import QSqrt2, RT2
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str
     seconds: float
+    _fields = ("name", "ok", "detail", "seconds")
 
 
 Check = Tuple[str, str, Callable[[], Tuple[bool, str]]]

@@ -2,7 +2,6 @@
 invforms and liecoh tests: a coefficient is an int when integral and a
 Fraction otherwise."""
 
-import dataclasses
 from fractions import Fraction
 
 from flagcoh.exterior import Derivation
@@ -28,7 +27,7 @@ def fraction_copy(x):
     would make the integral ones ints: arithmetic on the copy starts from
     Fractions only."""
     if isinstance(x, Derivation):
-        return dataclasses.replace(x, images=tuple(map(fraction_copy, x.images)))
+        return x._relabel(x._grade, tuple(map(fraction_copy, x.images)))
     return type(x)(x.m, tuple((k, Fraction(c)) for k, c in x.terms))
 
 

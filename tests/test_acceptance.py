@@ -8,6 +8,10 @@ stated.  Five spaces' tables and three product identities are disproved by
 the exact computation (see README errata and the verified deviation
 registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
+
+Last, the green checks of criteria 1c, 6 and 8 are shown to go red: each
+test perturbs the one library result a check reads and asserts the failing
+verdict and its detail.
 """
 
 import json
@@ -16,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from flagcoh import verify
+from flagcoh import bott, liecoh, superfields, verify
+from flagcoh.bott import ModuleDescriptor
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
@@ -59,3 +64,60 @@ def test_verdicts_and_details_match_golden():
         _run(crit, name, fn)
     got = {name: [ok, detail] for name, (ok, detail, _) in _RESULTS.items()}
     assert got == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+# --- green checks shown to go red: each perturbs the one library result the
+# check reads, and the check must fail with the detail that names it
+
+@pytest.mark.parametrize("space, p, q, edit, detail", [
+    ("CP2", 0, 0, lambda ds: [ModuleDescriptor(d.tag, d.weight, d.dim, d.mult + 1) for d in ds],
+     "(p=0,q=0): (2, 0, 0) != (1, 0, 0)"),
+    ("Q3", 2, 1, lambda ds: [d for d in ds if d.tag != "other"],
+     "(p=2,q=1): (0, 1, 0) != (0, 1, 1)"),
+], ids=["CP2", "Q3"])
+def test_criterion_1c_fails_on_a_wrong_cell(monkeypatch, space, p, q, edit, detail):
+    """The computed twin compares every cell with the published value plus
+    the recorded deviation (Q3's extra module at (2,1))."""
+    assert verify.check_c1_tables_computed(space)[0]
+    column = bott.cohomology_omega_p_theta
+
+    def perturbed(H, p_, q_max):
+        col = column(H, p_, q_max)
+        if p_ == p:
+            col[q] = edit(col[q])
+        return col
+    monkeypatch.setattr(bott, "cohomology_omega_p_theta", perturbed)
+    assert verify.check_c1_tables_computed(space) == (False, detail)
+
+
+@pytest.mark.parametrize("result, detail", [
+    (lambda rank, res: (1, res), "rank(eta) != 0"),
+    (lambda rank, res: (rank, liecoh.CoboundaryResult(False, None)),
+     "no coboundary witness for c_eta"),
+    (lambda rank, res: (rank, liecoh.CoboundaryResult(True, None)),
+     "no coboundary witness for c_eta"),
+    (lambda rank, res: (rank, liecoh.CoboundaryResult(True, res.witness.scale(2))),
+     "witness does not work"),
+], ids=["rank", "no-coboundary", "no-witness", "wrong-witness"])
+def test_criterion_6_fails_on_a_wrong_eta_solve(monkeypatch, result, detail):
+    """Criterion 6 reads the rank and the coboundary solve at theta = eta
+    from `liecoh.d2_on_vector_fields`; theta2's rank is left alone."""
+    solve = liecoh.d2_on_vector_fields
+    monkeypatch.setattr(liecoh, "d2_on_vector_fields", lambda H, a, b: result(
+        *solve(H, a, b)) if (a, b) == (0, 1) else solve(H, a, b))
+    assert verify.check_c6_d2_ranks() == (False, f"Gr(4,2): {detail}")
+
+
+def test_criterion_6_fails_on_a_wrong_theta2_rank(monkeypatch):
+    monkeypatch.setattr(liecoh, "d2_rank_on_vector_fields", lambda H, a, b: 0)
+    assert verify.check_c6_d2_ranks() == (False, "Gr(4,2): rank(theta2) != 15")
+
+
+def test_criterion_8_fails_on_a_wrong_n5_jet(monkeypatch):
+    """The n = 5 spot check reads `superfields.fundamental_field` directly;
+    the checks before it read the cached basis fields, filled first here so
+    that the sign flip reaches only the spot check."""
+    assert verify.check_c8_superfields()[0]
+    field = superfields.fundamental_field
+    monkeypatch.setattr(superfields, "fundamental_field", lambda g, s: field(g, s).scale(-1))
+    assert verify.check_c8_superfields() == (False, "y* formula failed at n=5, s=1")

@@ -627,7 +627,7 @@ def test_degrees_outside_zero_to_dim_are_refused(p, q):
         invariant_dimension(H, p, q)
     if q == 0:
         with pytest.raises(ValueError, match="out of range"):
-            cohomology_omega_p_theta(H, p)
+            cohomology_omega_p_theta(H, p, q_max=2)
 
 
 def test_grassmannian_rs():
@@ -710,6 +710,6 @@ def test_folds_are_read_only_and_shared_by_both_routes():
         folded[0] = folded[0]
     with pytest.raises(TypeError):
         folded[0][0][0] = 0
-    column = cohomology_omega_p_theta(H, 2)
+    column = cohomology_omega_p_theta(H, 2, q_max=2)
     column[1].clear()
-    assert H.fold(a) is folded and cohomology_omega_p_theta(H, 2)[1]
+    assert H.fold(a) is folded and cohomology_omega_p_theta(H, 2, q_max=2)[1]

@@ -316,10 +316,12 @@ def test_verify_all_has_no_parallel_option(capsys):
 def test_a_query_builds_only_its_own_subparser(argv):
     """The parse reads the named command's entry of COMMANDS directly: a
     query, run in a fresh process, loads no stdlib parser and no message
-    catalogue, whose first use costs more than the query."""
+    catalogue, whose first use costs more than the query; nor `dataclasses`
+    and the `inspect` it imports, which no flagcoh class is built with."""
     probe = ("import sys\nfrom flagcoh.cli import main\n"
              f"assert main({argv!r}) == 0\n"
-             "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
+             "print(sorted({'argparse', 'gettext', 'dataclasses', 'inspect'} & set(sys.modules)),"
+             " file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
     assert run.returncode == 0 and run.stderr == "[]\n", run.stderr
@@ -464,7 +466,8 @@ def test_queries_match_golden_output(capsys, key):
     desk preset, forms in json and markdown, d2 (its coboundary witness
     pins the order of the unknowns) and e3 in json, pi-grassmannian up to
     n = 5, roots on every preset's type and on A1, C2, D3, E6 and E7,
-    invariants at (3, 2) on every preset, bott on every preset at a
+    invariants at (3, 2) on every preset and at (2, 1) and (4, 3) on Q5,
+    Gr(5,2), Gr(5,3), LG3, S-D4 and Gr(6,3), bott on every preset at a
     vanishing weight, one with q = 0 and one with q > 0, bott and d2 on
     values that begin with '-', d2 with the rt2 factor first or last, and
     rejected inputs (among them a negative table size, the zero theta

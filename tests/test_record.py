@@ -1,0 +1,143 @@
+"""Every value class of flagcoh is a `record.Record`: built by position or
+keyword, equal by value within its class and never across classes, hashed
+as the tuple of its fields, and read-only."""
+
+import pytest
+
+from flagcoh import invforms, liecoh, spectral, superfields, verify
+from flagcoh.bott import ModuleDescriptor, space_from_preset
+from flagcoh.exterior import GrassmannElement, VectorValuedForm, grading_derivation
+from flagcoh.record import Record, setfield
+from flagcoh.repdecomp import LeviDatum
+from flagcoh.rootsys import SimpleLieType
+
+
+def _instances():
+    """One instance of each value class, by class name."""
+    H = space_from_preset("CP2")
+    gb = liecoh.build_g_basis(H)
+    report, e3 = spectral.cohomology_of_T(H, 1, 0)
+    space = invforms.MatrixPairSpace(2, 1)
+    values = [
+        SimpleLieType("A", 2), H.rd, H.levi, H, ModuleDescriptor("trivial", (0, 0), 1, 2),
+        gb.elements[0], gb, liecoh.Cochain(gb, 0, {0: {1: 3}}),
+        liecoh.CoboundaryResult(True, None), space, invforms.RootPairSpace(3),
+        invforms.theta_p(space, 1), invforms.NilpotentPairReport(space, []),
+        e3.E2[(0, 0)][0], e3, report,
+        GrassmannElement.make(2, {(1,): 3}), superfields.SuperPolynomial.x(2, 1),
+        grading_derivation(2), superfields.basis_fields(2, 1)[5],
+        superfields.qn_basis(2)[5], verify.CheckResult("c", True, "d", 0.5),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+INSTANCES = _instances()
+# the classes whose equality is Record's: InvariantVectorForm compares its
+# tensors up to stored zeros, and GModuleBasis is equal only to itself
+BY_VALUE = sorted(name for name, v in INSTANCES.items() if type(v).__eq__ is Record.__eq__)
+
+
+def _copy(x):
+    """x rebuilt from its fields by its own constructor."""
+    return type(x)(*(getattr(x, f) for f in x._fields))
+
+
+def _with(x, name, value):
+    """x with one field replaced, built past its constructor."""
+    y = object.__new__(type(x))
+    for f in x._fields:
+        setfield(y, f, value if f == name else getattr(x, f))
+    return y
+
+
+def test_every_value_class_is_a_record():
+    assert len(INSTANCES) == 22 and len(BY_VALUE) == 20
+    assert all(isinstance(v, Record) for v in INSTANCES.values())
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_equal_values_compare_and_hash_equal(name):
+    x = INSTANCES[name]
+    y = _copy(x)
+    assert y is not x and x._key() == tuple(getattr(x, f) for f in x._fields)
+    assert x == x and not x != x
+    if name == "GModuleBasis":
+        assert y != x and hash(x) == object.__hash__(x)
+        return
+    assert y == x and not y != x
+    try:
+        hash(x._key())
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == hash(x._key())
+
+
+@pytest.mark.parametrize("name", BY_VALUE)
+def test_every_field_takes_part_in_equality(name):
+    x = INSTANCES[name]
+    for f in x._fields:
+        assert _with(x, f, object()) != x, f
+        assert _with(x, f, getattr(x, f)) == x, f
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_fields_are_read_only(name):
+    x = INSTANCES[name]
+    for f in x._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, getattr(x, f))
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    with pytest.raises(AttributeError):
+        x.other = 1
+
+
+def test_values_of_different_classes_are_never_equal():
+    terms = (((1,), 3),)
+    g = GrassmannElement(2, terms)
+    p = superfields.SuperPolynomial(2, terms)
+    assert g._key() == p._key()
+    assert g != p and p != g and not g == p
+    assert g != (2, terms) and (2, terms) != g
+    assert len({g, p}) == 2
+    phi = grading_derivation(1)
+    assert phi != (phi.m, phi.degree, phi.images)
+    assert invforms.MatrixPairSpace(1, 1) != invforms.RootPairSpace(1)
+
+
+def test_construction_by_position_keyword_and_default():
+    w = (0, 0)
+    d = ModuleDescriptor("trivial", w, 1, 2)
+    assert ModuleDescriptor(tag="trivial", weight=w, dim=1, mult=2) == d
+    assert ModuleDescriptor("trivial", w, mult=2, dim=1) == d
+    assert repr(d) == "ModuleDescriptor(tag='trivial', weight=(0, 0), dim=1, mult=2)"
+    for args, kwargs in [(("trivial", w, 1), {}), (("trivial", w, 1, 2, 3), {}),
+                         (("trivial", w, 1, 2), {"dim": 1}),
+                         (("trivial", w, 1, 2), {"weights": w})]:
+        with pytest.raises(TypeError):
+            ModuleDescriptor(*args, **kwargs)
+    assert liecoh.BasisElement(w, "t").scale == 1
+    assert spectral.Summand("i", d).status == "ok"
+    assert spectral.Summand("i", d) == spectral.Summand("i", d, "ok")
+    assert VectorValuedForm(1, 0, ()) == VectorValuedForm(m=1, degree=0, images=())
+
+
+def test_constructors_keep_their_checks_and_conversions():
+    with pytest.raises(ValueError, match="unsupported simple type A0"):
+        SimpleLieType("A", 0)
+    H = space_from_preset("Gr(5,2)")
+    assert LeviDatum(H.rd, (3, 0)).S == (0, 3)
+    with pytest.raises(ValueError, match="proper subset"):
+        LeviDatum(H.rd, range(H.rd.rank))
+    gb = liecoh.build_g_basis(space_from_preset("CP2"))
+    dense = liecoh.Cochain(gb, 0, {0: [0, 3, 0, 0], 1: [0] * 4})
+    assert dense.data == {0: {1: 3}} and dense == liecoh.Cochain(gb, 0, {0: {1: 3}})
+
+
+def test_cached_properties_fill_the_instance_dict():
+    H = space_from_preset("CP2")
+    assert H.kostant_weights is H.kostant_weights and "kostant_weights" in vars(H)
+    assert H.levi.two_rho is H.levi.two_rho and "two_rho" in vars(H.levi)
+    assert H.rd._cartan_columns is H.rd._cartan_columns and "_cartan_columns" in vars(H.rd)

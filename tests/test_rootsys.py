@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -278,9 +277,9 @@ def test_root_datum_is_integral(spec):
     diagonal 2(a_i, a_i) in {2, 4}; and inner equals the rational Gram read
     (a_i, a_j) = <a_j, a_i> (a_i, a_i) / 2, built here from the root lengths."""
     rd = root_system(spec)
-    for field in dataclasses.fields(rd):
-        if field.name != "type":
-            assert all(type(c) is int for c in _leaves(getattr(rd, field.name))), field.name
+    for name in rd._fields:
+        if name != "type":
+            assert all(type(c) is int for c in _leaves(getattr(rd, name))), name
     l = rd.rank
     assert all(rd.form2[i][j] == rd.form2[j][i] for i in range(l) for j in range(l))
     assert {rd.form2[i][i] for i in range(l)} <= {2, 4}
