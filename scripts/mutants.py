@@ -40,6 +40,9 @@ MUTANTS: List[Mutant] = [
     Mutant("rootsys.fold reflects the wrong way", "rootsys.py",
            "            v[i] -= c\n", "            v[i] += c\n",
            ("tests/test_rootsys.py",)),
+    Mutant("rootsys root strings grow a root at p = <beta, alpha_i>", "rootsys.py",
+           "(beta[i] - c - 1,)", "(beta[i] - c,)",
+           ("tests/test_rootsys.py::test_root_strings_give_the_positive_half_of_the_weyl_orbit",)),
     # grown on the left, the walk visits the minimal representatives of the
     # cosets w W_S instead of W_S w; it ends, with the wrong weights
     Mutant("RootDatum.coset_weights grows w on the left", "rootsys.py",
@@ -124,6 +127,9 @@ MUTANTS: List[Mutant] = [
     Mutant("bott.bott_irreducible reads 2gamma in reversed index order", "bott.py",
            "zip(dom, two_gamma))", "zip(dom, two_gamma[::-1]))",
            ("tests/test_bott.py::test_serre_duality_of_every_bott_cell",)),
+    Mutant("bott.bott_irreducible folds a weight on a wall", "bott.py",
+           "    if 0 in pairs:\n        return None\n", "",
+           ("tests/test_bott.py::test_bott_vanishes_exactly_on_the_walls_of_dominant_representative",)),
     Mutant("liecoh.ce_differential drops the (-1)^i of its face sum", "liecoh.py",
            "(tgt, -co if i % 2 else co)", "(tgt, co)",
            ("tests/test_liecoh.py::test_delta_squared_zero_through_degree_3",)),

@@ -166,17 +166,22 @@ def grassmannian_rs(H: HermitianSymmetricSpace) -> Optional[Tuple[int, int]]:
 def bott_irreducible(
     H: HermitianSymmetricSpace, lam: Sequence
 ) -> Optional[Tuple[int, Weight]]:
-    """One irreducible bundle through Bott: None if Lam+gamma singular, else
-    (q, Lam*) with q the index and Lam* = dominant(Lam+gamma) - gamma, all
-    in integers through 2(Lam + gamma)."""
+    """One irreducible bundle through Bott: None if Lam+gamma is singular,
+    else (q, Lam*) with q the index and Lam* = dominant(Lam+gamma) - gamma,
+    in integers through 2(Lam + gamma).  The wall is decided from the positive
+    root pairings before any fold, and only a regular weight is folded."""
+    rd = H.rd
+    rd.check_weight(lam)
     if not H.levi.is_S_dominant(lam):
         raise ValueError("bundle highest weight must be S-dominant")
-    rd = H.rd
     two_gamma = rd.two_gamma
-    dom, index, singular = rd.fold_dominant(
-        tuple(2 * c + g for c, g in zip(lam, two_gamma)))
-    if singular:
+    v = tuple(2 * c + g for c, g in zip(lam, two_gamma))
+    pairs = rd.root_pairings(v)
+    if 0 in pairs:
         return None
+    dom, index, _ = rd.fold(v, range(rd.rank))
+    _require(index == sum(1 for s in pairs if s < 0),
+             f"greedy reflection count {index} != the number of negative root pairings")
     lam_star = tuple((a - g) // 2 for a, g in zip(dom, two_gamma))
     _require(rd.is_dominant(lam_star), "Bott's lam* is dominant")
     return index, lam_star

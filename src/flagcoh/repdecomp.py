@@ -99,6 +99,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     the central component of every weight is constant and orthogonal to span(S).
     """
     lam = tuple(lam)
+    L.rd.check_weight(lam)
     if not L.is_S_dominant(lam):
         raise ValueError(f"{lam} is not S-dominant for S={L.S}")
     rd = L.rd
@@ -179,6 +180,7 @@ def decompose(L: LeviDatum, chi: FormalCharacter,
     two_rho = L.two_rho
     shift = two_rho
     if lam is not None:
+        rd.check_weight(lam)
         if not L.is_S_dominant(lam):
             raise ValueError(f"{tuple(lam)} is not S-dominant for S={S}")
         shift = tuple(2 * a + b for a, b in zip(lam, two_rho))

@@ -1,4 +1,4 @@
-"""Exact root systems and Weyl machinery for the simple types A-D, E6, E7.
+"""Root systems of types A-D, E6, E7 from root strings, and Weyl machinery.
 
 Weights live in the simple-root basis as int tuples of length rank; the
 root datum holds only ints.  The invariant form is normalized so that long
@@ -80,27 +80,24 @@ def _cartan_and_lengths(t: SimpleLieType):
     return C, norms
 
 
-def _weyl_orbit_roots(cartan: List[List[int]], l: int) -> List[Weight]:
-    """All roots as the Weyl orbit of the simple roots (exact, integer coords)."""
-
-    def reflect(v, i):
-        # <v, a_i> = sum_j v_j <a_j, a_i>
-        pr = sum(v[j] * cartan[j][i] for j in range(l))
-        w = list(v)
-        w[i] -= pr
-        return tuple(w)
-
-    simple = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-    seen = set(simple)
-    queue = list(simple)
-    while queue:
-        v = queue.pop()
-        for i in range(l):
-            w = reflect(v, i)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return sorted(seen)
+def _positive_roots_from_strings(cartan: List[List[int]], l: int) -> List[Weight]:
+    """The positive roots, sorted, height by height from root strings
+    (Humphreys 9.4): beta + alpha_i is a root iff p > c = <beta, alpha_i>
+    for the largest p with beta - p alpha_i a root, that is, as the string
+    is unbroken, iff c < 0 or beta - (c + 1) alpha_i is a root.  The
+    pairings of beta + alpha_i add row i of the Cartan matrix to beta's."""
+    level = {tuple(int(i == j) for j in range(l)): cartan[i] for i in range(l)}
+    roots = set(level)
+    while level:
+        grown = {}
+        for beta, pr in level.items():
+            for i, c in enumerate(pr):
+                if c < 0 or beta[:i] + (beta[i] - c - 1,) + beta[i + 1:] in roots:
+                    grown[beta[:i] + (beta[i] + 1,) + beta[i + 1:]] = [
+                        a + b for a, b in zip(pr, cartan[i])]
+        roots.update(grown)
+        level = grown
+    return sorted(roots)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -155,12 +152,22 @@ class RootDatum(Record):
     @cached_property
     def _two_gamma_product(self) -> int:
         """The product over the positive roots alpha of 2 (2 gamma, alpha)."""
-        return math.prod(sum(map(mul, self.two_gamma, g2al)) for g2al in self._form2_pos)
+        return math.prod(self.root_pairings(self.two_gamma))
 
     @cached_property
     def _cartan_columns(self) -> Tuple[Weight, ...]:
         """The columns of `cartan`, kept for `simple_pairings`."""
         return tuple(zip(*self.cartan))
+
+    def root_pairings(self, v: Sequence[int]) -> List[int]:
+        """[2 (v, alpha) for every positive root alpha]: v is singular iff
+        one is 0, and its index is the number below 0."""
+        return [sum(map(mul, v, g2al)) for g2al in self._form2_pos]
+
+    def check_weight(self, w: Sequence) -> None:
+        """ValueError unless w has one coordinate per simple root."""
+        if len(w) != self.rank:
+            raise ValueError(f"weight must have {self.rank} coordinates")
 
     def simple_pairings(self, v: Sequence[int]) -> List[int]:
         """[<v, alpha_i> for every i], in integers for an integer v."""
@@ -199,19 +206,14 @@ class RootDatum(Record):
         before trusting Bott degrees).  xi is scaled by the common denominator
         D of its coordinates, folded in integers and divided by D again.
         """
+        self.check_weight(xi)
         v, D = _scaled_to_integers(xi)
-        dom, index, singular = self.fold_dominant(v)
-        return tuple(Fraction(c, D) for c in dom), index, singular
-
-    def fold_dominant(self, v: Sequence[int]) -> Tuple[Weight, int, bool]:
-        """`dominant_representative` of an integer vector v, in integers."""
-        pairs = [sum(map(mul, v, g2al)) for g2al in self._form2_pos]  # 2 (v, a)
+        pairs = self.root_pairings(v)
         index = sum(1 for s in pairs if s < 0)
-        singular = 0 in pairs
         dom, steps, _ = self.fold(v, range(self.rank))
-        _require(singular or steps == index,
+        _require(0 in pairs or steps == index,
                  f"greedy reflection count {steps} != root-counting index {index}")
-        return dom, index, singular
+        return tuple(Fraction(c, D) for c in dom), index, 0 in pairs
 
     def is_dominant(self, lam: Sequence) -> bool:
         return min(self.simple_pairings(lam)) >= 0
@@ -248,9 +250,10 @@ class RootDatum(Record):
         """Weyl dimension formula for a dominant weight of the full group:
         the product over positive roots of (lam + gamma, a) / (gamma, a),
         computed on D lam for the common denominator D of lam."""
+        self.check_weight(lam)
         v, D = _scaled_to_integers(lam)
         u = [2 * a + D * g for a, g in zip(v, self.two_gamma)]  # 2D (lam + gamma)
-        num = math.prod(sum(map(mul, u, g2al)) for g2al in self._form2_pos)
+        num = math.prod(self.root_pairings(u))
         den = D ** len(self._form2_pos) * self._two_gamma_product
         if num % den:
             raise ValueError(f"{tuple(lam)} is not an integral weight of {self.type}")
@@ -274,8 +277,7 @@ def build_root_system(t: SimpleLieType) -> RootDatum:
     _require(all(form2[i][j] == form2[j][i] for i in range(l) for j in range(l)),
              "form symmetry")
 
-    roots = _weyl_orbit_roots(cartan, l)
-    pos = [r for r in roots if all(c >= 0 for c in r)]
+    pos = _positive_roots_from_strings(cartan, l)
     _require(len(pos) == _CLASSICAL_COUNT[t.family](l), "positive-root count")
     # a root above every root has the largest height, so only those are scanned
     top = max(map(sum, pos))

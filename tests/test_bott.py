@@ -18,7 +18,7 @@ from flagcoh.bott import (
     space_from_preset,
     tag_counts,
 )
-from flagcoh.repdecomp import char_of_roots, decompose
+from flagcoh.repdecomp import char_of_roots, decompose, irreducible_character
 from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.spectral import assemble_E2
 from flagcoh.verify import published_k_value
@@ -132,6 +132,23 @@ def test_bott_irreducible_basics():
         int(d) - (1 if i == Hc.alpha0 else 0) for i, d in enumerate(Hc.rd.delta)
     )
     assert bott_irreducible(Hc, lam) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda H: bott_irreducible(H, (0, 0, 0, 0)),
+    lambda H: bott_irreducible(H, (1,)),
+    lambda H: H.rd.weyl_dimension((1,)),
+    lambda H: H.rd.dominant_representative((0, 0, 0, 7)),
+    lambda H: decompose(H.levi, H.n_plus_character(), (0, 0, 0, 9)),
+    lambda H: irreducible_character(H.levi, (0, 0, 0, 9)),
+    lambda H: irreducible_character(H.levi, (1,)),
+], ids=["bott-4", "bott-1", "weyl_dimension-1", "dominant_representative-4", "decompose-4",
+        "irreducible_character-4", "irreducible_character-1"])
+def test_a_weight_of_the_wrong_length_is_refused(call):
+    H = space_from_preset("Gr(4,2)")
+    with pytest.raises(ValueError) as exc:
+        call(H)
+    assert str(exc.value) == "weight must have 3 coordinates"
 
 
 # --- cohomology tables, q = 0..2, p = 0..4 ----------------------------------
@@ -397,6 +414,18 @@ def test_integer_bott_step_equals_the_fraction_route(H):
         if H.levi.is_S_dominant(lam):
             seen += 1
             assert bott_irreducible(H, lam) == bott_by_fractions(H, lam), lam
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_bott_vanishes_exactly_on_the_walls_of_dominant_representative(name):
+    """Every lam that the space's folds feed to Bott vanishes exactly when
+    `dominant_representative` finds lam + gamma singular, and otherwise
+    gets the (q, lam*) read off that representative."""
+    H = space_from_preset(name)
+    lams = {lam for level in H.kostant_weights for a in level for lam, _ in H.fold(a)}
+    want = {lam: bott_by_fractions(H, lam) for lam in lams}
+    assert {lam: bott_irreducible(H, lam) for lam in lams} == want
+    assert None in want.values() and set(want.values()) != {None}
 
 
 def _weyl_order(roots):

@@ -95,6 +95,36 @@ def test_positive_roots_against_epsilon_oracle(spec):
     assert got == oracle
 
 
+def weyl_orbit_roots(rd):
+    """Oracle: every root, as the Weyl orbit of the simple roots, closed under
+    the simple reflections s_i v = v - <v, alpha_i> alpha_i."""
+    seen = set(rd.simple_roots)
+    queue = list(seen)
+    while queue:
+        v = queue.pop()
+        for i, c in enumerate(rd.simple_pairings(v)):
+            w = v[:i] + (v[i] - c,) + v[i + 1:]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+ORBIT_TYPES = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 7)]
+               + [f"C{l}" for l in range(2, 7)] + [f"D{l}" for l in range(3, 8)]
+               + ["E6", "E7"])
+
+
+@pytest.mark.parametrize("spec", ORBIT_TYPES)
+def test_root_strings_give_the_positive_half_of_the_weyl_orbit(spec):
+    rd = root_system(spec)
+    orbit = weyl_orbit_roots(rd)
+    pos = rd.positive_roots
+    assert list(pos) == sorted(r for r in orbit if min(r) >= 0)
+    assert set(pos) | {tuple(-c for c in r) for r in pos} == orbit
+    assert len(orbit) == 2 * len(pos)
+
+
 @pytest.mark.parametrize("spec,count", [
     ("A1", 1), ("A3", 6), ("B3", 9), ("C3", 9), ("D4", 12), ("E6", 36), ("E7", 63),
 ])
