@@ -65,6 +65,15 @@ MUTANTS: List[Mutant] = [
     Mutant("repdecomp.decompose drops the fold's sign", "repdecomp.py",
            "(-m if steps % 2 else m)", "m",
            ("tests/test_repdecomp.py",)),
+    # the weight contract has one owner per part: a dropped check must show
+    Mutant("RootDatum.simple_pairings truncates a weight of the wrong length", "rootsys.py",
+           "        self.check_weight(v)\n        return [sum(map(mul, v, col))",
+           "        return [sum(map(mul, v, col))",
+           ("tests/test_bott.py::test_a_weight_of_the_wrong_length_is_refused",)),
+    Mutant("LeviDatum.check_S_dominant refuses nothing", "repdecomp.py",
+           "        if not self.is_S_dominant(lam):\n"
+           "            raise ValueError(\"weight is not S-dominant for this space\")\n", "",
+           ("tests/test_bott.py::test_a_weight_that_is_not_S_dominant_is_refused_with_one_message",)),
     Mutant("Derivation.bracket flips the second half's sign", "exterior.py",
            "into(acc, a, sign, theirs)", "into(acc, a, -sign, theirs)",
            ("tests/test_exterior.py",)),

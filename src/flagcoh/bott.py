@@ -171,9 +171,7 @@ def bott_irreducible(
     in integers through 2(Lam + gamma).  The wall is decided from the positive
     root pairings before any fold, and only a regular weight is folded."""
     rd = H.rd
-    rd.check_weight(lam)
-    if not H.levi.is_S_dominant(lam):
-        raise ValueError("bundle highest weight must be S-dominant")
+    H.levi.check_S_dominant(lam)
     two_gamma = rd.two_gamma
     v = tuple(2 * c + g for c, g in zip(lam, two_gamma))
     pairs = rd.root_pairings(v)

@@ -117,10 +117,6 @@ def cmd_bott(args) -> int:
         lam = tuple(int(x) for x in args.weight.split(","))
     except ValueError:
         _die("weight must be comma-separated integers")
-    if len(lam) != H.rd.rank:
-        _die(f"weight must have {H.rd.rank} coordinates")
-    if not H.levi.is_S_dominant(lam):
-        _die("weight is not S-dominant for this space")
     res = bott.bott_irreducible(H, lam)
     payload = {
         "space": args.space,

@@ -1,5 +1,5 @@
 """Grassmann algebra over an m-dimensional space, its derivation superalgebra,
-and the insertion / j / contraction / barwedge / algebraic-bracket calculus.
+and the insertion / j / contraction / algebraic-bracket calculus.
 
 Derivations are Leibniz extensions of their values on generators; the
 multilinear alternation formulas of the source material are kept in the test
@@ -459,18 +459,6 @@ def j_map(m: int, psi: GrassmannElement, degree: int = None) -> VectorValuedForm
         p = degree
     comps = [psi * GrassmannElement.generator(m, k) for k in range(1, m + 1)]
     return VectorValuedForm.make(m, min(p, m), comps)
-
-
-def barwedge(phi: VectorValuedForm, psi: VectorValuedForm) -> VectorValuedForm:
-    """Insertion product: apply i(psi) to the images of phi.
-
-    In derivation degrees this maps W_p x W_q -> W_{p+q}.
-    """
-    phi._same_space(psi, "barwedge")
-    deg = phi.degree + psi.degree
-    if deg < -1 or deg > phi.m:
-        return VectorValuedForm.zero(phi.m, min(max(deg, -1), phi.m))
-    return VectorValuedForm(phi.m, deg, tuple(psi.apply(c) for c in phi.images))
 
 
 def contraction_c(phi: VectorValuedForm) -> GrassmannElement:

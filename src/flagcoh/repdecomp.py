@@ -88,6 +88,13 @@ class LeviDatum(Record):
     def is_S_dominant(self, lam: Sequence) -> bool:
         return all(c >= 0 for i, c in enumerate(self.rd.simple_pairings(lam)) if i in self.S)
 
+    def check_S_dominant(self, lam: Sequence) -> None:
+        """ValueError unless lam is S-dominant, as the highest weight of an
+        irreducible R-module (a bundle Bott's theorem takes) is; a wrong
+        length is refused first, by `RootDatum.simple_pairings`."""
+        if not self.is_S_dominant(lam):
+            raise ValueError("weight is not S-dominant for this space")
+
 
 def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     """Character of the irreducible R-module with highest weight lam.
@@ -99,9 +106,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
     the central component of every weight is constant and orthogonal to span(S).
     """
     lam = tuple(lam)
-    L.rd.check_weight(lam)
-    if not L.is_S_dominant(lam):
-        raise ValueError(f"{lam} is not S-dominant for S={L.S}")
+    L.check_S_dominant(lam)
     rd = L.rd
     rank = rd.rank
     pos = L.levi_positive_roots()
@@ -180,9 +185,7 @@ def decompose(L: LeviDatum, chi: FormalCharacter,
     two_rho = L.two_rho
     shift = two_rho
     if lam is not None:
-        rd.check_weight(lam)
-        if not L.is_S_dominant(lam):
-            raise ValueError(f"{tuple(lam)} is not S-dominant for S={S}")
+        L.check_S_dominant(lam)
         shift = tuple(2 * a + b for a, b in zip(lam, two_rho))
     coeffs: Dict[Weight, int] = {}
     for mu, m in chi.items():

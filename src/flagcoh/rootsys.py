@@ -6,7 +6,9 @@ roots have squared length 2 and short roots (types B, C) 1; the datum keeps
 twice it, form2[i][j] = 2(a_i, a_j), and gamma as 2 gamma, the sum of the
 positive roots.  Only `dominant_representative` and `weyl_dimension` take
 rational weights, scaled to integers by their common denominator; `inner`
-and `gamma` are the rational reads.
+and `gamma` are the rational reads.  Every weight has one coordinate per
+simple root: `inner`, `simple_pairings` and `root_pairings`, the reads that
+every other method goes through, refuse any other length (`check_weight`).
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ class RootDatum(Record):
     # -- bilinear forms ----------------------------------------------------
     def inner(self, lam: Sequence, mu: Sequence) -> Fraction:
         """(lam, mu) in the normalization with long roots of squared length 2."""
+        self.check_weight(lam)
+        self.check_weight(mu)
         g = self.form2
         return Fraction(sum(a * g[i][j] * b for i, a in enumerate(lam)
                             for j, b in enumerate(mu)), 2)
@@ -150,9 +154,9 @@ class RootDatum(Record):
                      for al in self.positive_roots)
 
     @cached_property
-    def _two_gamma_product(self) -> int:
-        """The product over the positive roots alpha of 2 (2 gamma, alpha)."""
-        return math.prod(self.root_pairings(self.two_gamma))
+    def _two_gamma_pairings(self) -> Tuple[int, ...]:
+        """2 (2 gamma, alpha) for every positive root alpha."""
+        return tuple(self.root_pairings(self.two_gamma))
 
     @cached_property
     def _cartan_columns(self) -> Tuple[Weight, ...]:
@@ -162,6 +166,7 @@ class RootDatum(Record):
     def root_pairings(self, v: Sequence[int]) -> List[int]:
         """[2 (v, alpha) for every positive root alpha]: v is singular iff
         one is 0, and its index is the number below 0."""
+        self.check_weight(v)
         return [sum(map(mul, v, g2al)) for g2al in self._form2_pos]
 
     def check_weight(self, w: Sequence) -> None:
@@ -171,6 +176,7 @@ class RootDatum(Record):
 
     def simple_pairings(self, v: Sequence[int]) -> List[int]:
         """[<v, alpha_i> for every i], in integers for an integer v."""
+        self.check_weight(v)
         return [sum(map(mul, v, col)) for col in self._cartan_columns]
 
     def fold(
@@ -206,7 +212,6 @@ class RootDatum(Record):
         before trusting Bott degrees).  xi is scaled by the common denominator
         D of its coordinates, folded in integers and divided by D again.
         """
-        self.check_weight(xi)
         v, D = _scaled_to_integers(xi)
         pairs = self.root_pairings(v)
         index = sum(1 for s in pairs if s < 0)
@@ -250,11 +255,11 @@ class RootDatum(Record):
         """Weyl dimension formula for a dominant weight of the full group:
         the product over positive roots of (lam + gamma, a) / (gamma, a),
         computed on D lam for the common denominator D of lam."""
-        self.check_weight(lam)
         v, D = _scaled_to_integers(lam)
-        u = [2 * a + D * g for a, g in zip(v, self.two_gamma)]  # 2D (lam + gamma)
-        num = math.prod(self.root_pairings(u))
-        den = D ** len(self._form2_pos) * self._two_gamma_product
+        # 2 (2D (lam + gamma), alpha) = 2 * 2 (D lam, alpha) + D * 2 (2 gamma, alpha)
+        g = self._two_gamma_pairings
+        num = math.prod(2 * a + D * b for a, b in zip(self.root_pairings(v), g))
+        den = math.prod(D * b for b in g)
         if num % den:
             raise ValueError(f"{tuple(lam)} is not an integral weight of {self.type}")
         return num // den

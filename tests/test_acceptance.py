@@ -9,9 +9,9 @@ the exact computation (see README errata and the verified deviation
 registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
 
-Last, the green checks of criteria 1c, 6 and 8 are shown to go red: each
-test perturbs the one library result a check reads and asserts the failing
-verdict and its detail.
+Last, the green checks of criteria 1c, 2, 3, 6 and 8 are shown to go red:
+each test perturbs the one library result a check reads and asserts the
+failing verdict and its detail.
 """
 
 import json
@@ -88,6 +88,42 @@ def test_criterion_1c_fails_on_a_wrong_cell(monkeypatch, space, p, q, edit, deta
         return col
     monkeypatch.setattr(bott, "cohomology_omega_p_theta", perturbed)
     assert verify.check_c1_tables_computed(space) == (False, detail)
+
+
+def test_criterion_2_fails_when_the_two_routes_disagree(monkeypatch):
+    invariants = bott.invariant_dimension
+    monkeypatch.setattr(bott, "invariant_dimension",
+                        lambda H, p, q: invariants(H, p, q) + ((p, q) == (0, 0)))
+    assert verify.check_c2_dual_route("CP2") == (False, "(p=0,q=0): 1 != 0")
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda a, got: got + (((0, 0), 1),) if not any(a) else got,
+     "(p=0,q=0): nonzero off the diagonal"),
+    (lambda a, got: (), "(p=1,q=0): zero on the diagonal"),
+], ids=["trivial-in-n+", "empty"])
+def test_criterion_2_fails_when_both_routes_read_a_wrong_fold(monkeypatch, edit, detail):
+    """Both routes read `HermitianSymmetricSpace.fold`, so a wrong fold moves
+    them together: an extra trivial summand of n+ puts a C into H^0, and
+    empty folds leave the diagonal q = p - 1 zero."""
+    fold = bott.HermitianSymmetricSpace.fold
+    monkeypatch.setattr(bott.HermitianSymmetricSpace, "fold",
+                        lambda H, a: edit(a, fold(H, a)))
+    assert verify.check_c2_dual_route("CP2") == (False, detail)
+
+
+def test_criterion_3_fails_on_a_wrong_k(monkeypatch):
+    """A wrong k misses the expected value and the stated one alike."""
+    k_value, cp2 = bott.k_value, bott.space_from_preset("CP2")
+    monkeypatch.setattr(bott, "k_value", lambda H: k_value(H) + (H is cp2))
+    assert verify.check_c3_k_values() == (
+        False, "CP2: computed 1 != 0; CP2: flagged - computed 1, stated 0")
+
+
+def test_criterion_3_fails_on_a_wrong_stated_k(monkeypatch):
+    stated, gr42 = verify.published_k_value, bott.space_from_preset("Gr(4,2)")
+    monkeypatch.setattr(verify, "published_k_value", lambda H: stated(H) + (H is gr42))
+    assert verify.check_c3_k_values() == (False, "Gr(4,2): flagged - computed 2, stated 3")
 
 
 @pytest.mark.parametrize("result, detail", [

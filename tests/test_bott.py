@@ -142,13 +142,40 @@ def test_bott_irreducible_basics():
     lambda H: decompose(H.levi, H.n_plus_character(), (0, 0, 0, 9)),
     lambda H: irreducible_character(H.levi, (0, 0, 0, 9)),
     lambda H: irreducible_character(H.levi, (1,)),
+    lambda H: H.levi.is_S_dominant((1,)),
+    lambda H: H.levi.is_S_dominant((0, 0, 0, -5)),
+    lambda H: H.rd.is_dominant((0, 0, 0, -1)),
+    lambda H: H.rd.inner((1,), (1, 1, 1)),
+    lambda H: H.rd.simple_pairings((1,)),
+    lambda H: H.rd.root_pairings((1,)),
+    lambda H: H.rd.weyl_dimension((0, 0, 0, 5)),
 ], ids=["bott-4", "bott-1", "weyl_dimension-1", "dominant_representative-4", "decompose-4",
-        "irreducible_character-4", "irreducible_character-1"])
+        "irreducible_character-4", "irreducible_character-1", "is_S_dominant-1",
+        "is_S_dominant-4", "is_dominant-4", "inner-1", "simple_pairings-1",
+        "root_pairings-1", "weyl_dimension-4"])
 def test_a_weight_of_the_wrong_length_is_refused(call):
+    """`inner`, `simple_pairings` and `root_pairings` refuse the length, so
+    every weight helper built on them does too: none truncates a weight, not
+    even `weyl_dimension`, which shifts it by 2 gamma first."""
     H = space_from_preset("Gr(4,2)")
     with pytest.raises(ValueError) as exc:
         call(H)
     assert str(exc.value) == "weight must have 3 coordinates"
+
+
+@pytest.mark.parametrize("call", [
+    lambda H, lam: bott_irreducible(H, lam),
+    lambda H, lam: decompose(H.levi, H.n_plus_character(), lam),
+    lambda H, lam: irreducible_character(H.levi, lam),
+], ids=["bott", "decompose", "irreducible_character"])
+def test_a_weight_that_is_not_S_dominant_is_refused_with_one_message(call):
+    """-alpha_0 pairs to -2 with alpha_0, a simple root of the Levi of
+    Gr(4,2) (S = {0, 2}); the one refusal is `LeviDatum.check_S_dominant`."""
+    H = space_from_preset("Gr(4,2)")
+    assert H.levi.S == (0, 2)
+    with pytest.raises(ValueError) as exc:
+        call(H, (-1, 0, 0))
+    assert str(exc.value) == "weight is not S-dominant for this space"
 
 
 # --- cohomology tables, q = 0..2, p = 0..4 ----------------------------------

@@ -465,15 +465,17 @@ def test_queries_match_golden_output(capsys, key):
     cohomology-table in json, markdown and csv and e3 in markdown on every
     desk preset, forms in json and markdown, d2 (its coboundary witness
     pins the order of the unknowns) and e3 in json, pi-grassmannian up to
-    n = 5, roots on every preset's type and on A1, C2, D3, E6 and E7,
-    invariants at (3, 2) on every preset and at (2, 1) and (4, 3) on Q5,
-    Gr(5,2), Gr(5,3), LG3, S-D4 and Gr(6,3), bott on every preset at a
-    vanishing weight, one with q = 0 and one with q > 0, bott and d2 on
+    n = 5, roots on every preset's type and on A1, C2, D3, E6 and E7 (B2
+    also in markdown and csv), invariants at (3, 2) on every preset and at
+    (2, 1) and (4, 3) on Q5, Gr(5,2), Gr(5,3), LG3, S-D4 and Gr(6,3), bott
+    on every preset at a vanishing weight, one with q = 0 and one with
+    q > 0, bott and d2 on
     values that begin with '-', d2 with the rt2 factor first or last, and
     rejected inputs (among them a negative table size, the zero theta
     parameter, also where CP2 folds a theta2 + b eta to zero, a scalar with
     a zero denominator, two rt2 factors in a term or rt2 in a denominator,
-    a weight that is not a list of integers, an empty root type and a
+    a weight that is not a list of integers, has too few or too many
+    coordinates or is not S-dominant, an empty root type and a
     missing manifest, which exit 2 with one error line): exit code, stdout
     and stderr are byte-identical to the recorded ones."""
     try:
