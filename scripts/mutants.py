@@ -62,6 +62,11 @@ MUTANTS: List[Mutant] = [
            "                            x - (i == j) * sum(y * row[j] for y, row in zip(im, self.cartan))\n"
            "                            for i, x in enumerate(im)) for im in images)\n",
            ("tests/test_bott.py::test_euler_characteristic_of_every_bott_column",)),
+    Mutant("repdecomp.decompose skips the W_S check for a plain dict", "repdecomp.py",
+           "if chi.__class__ is not InvariantCharacter or chi.levi is not L:",
+           "if isinstance(chi, InvariantCharacter) and chi.levi is not L:",
+           ("tests/test_repdecomp.py::"
+            "test_a_character_that_is_not_invariant_is_refused_with_one_message",)),
     Mutant("repdecomp.decompose drops the fold's sign", "repdecomp.py",
            "(-m if steps % 2 else m)", "m",
            ("tests/test_repdecomp.py",)),
@@ -83,6 +88,10 @@ MUTANTS: List[Mutant] = [
     Mutant("Derivation._leibniz keys the letter tables without m", "exterior.py",
            "self._letter_tables[m]", "self._letter_tables[0]",
            ("tests/test_superfields.py",)),
+    Mutant("Derivation._leibniz keeps one set-up per class, not per derivation",
+           "exterior.py",
+           'setfield(self, "_setup", setup)', "type(self)._setup = setup",
+           ("tests/test_exterior.py",)),
     Mutant("Derivation._into keys the product memo on k alone", "exterior.py",
            "key = (k, rest)", "key = k",
            ("tests/test_exterior.py",)),
@@ -108,6 +117,12 @@ MUTANTS: List[Mutant] = [
            ("tests/test_liecoh.py",)),
     Mutant("invforms.theta_products swaps x and y", "invforms.py",
            "barwedge_inv(x, y) for y in basis", "barwedge_inv(y, x) for y in basis",
+           ("tests/test_invforms.py",)),
+    Mutant("invforms.barwedge_inv's early continue tests the v-side merge", "invforms.py",
+           "                if us is None:\n                    continue\n"
+           "                vs, sv = _merge_sign(kv, lv)\n",
+           "                vs, sv = _merge_sign(kv, lv)\n"
+           "                if vs is None:\n                    continue\n",
            ("tests/test_invforms.py",)),
     Mutant("invforms.barwedge_inv drops the slot sign (-1)^k", "invforms.py",
            "coeff = wc if su * sv == (-1) ** k else -wc",
@@ -191,7 +206,8 @@ MUTANTS: List[Mutant] = [
     # the reads and memos that decide each distinct value once: a read of
     # the wrong value or a key that drops a part must not pass
     Mutant("verify.check_c4_exterior reads every bracket at the first generator",
-           "verify.py", "images[g] != rhs", "images[0] != rhs",
+           "verify.py", "exterior.bracket(phi, psi).images != rhs",
+           "exterior.bracket(phi, psi).images[:1] * m != rhs",
            ("tests/test_acceptance.py::test_criterion[4.exterior]",)),
     Mutant("verify.check_c4_exterior keys super-Jacobi without s12", "verify.py",
            "repeat(s12)))", "repeat(1)))",
@@ -220,9 +236,13 @@ MUTANTS: List[Mutant] = [
     Mutant("Record._key drops the last field", "record.py",
            "for f in self._fields])", "for f in self._fields[:-1]])",
            ("tests/test_record.py::test_every_field_takes_part_in_equality",)),
-    Mutant("TermAlgebra._key drops m", "exterior.py",
-           "return self.m, self.terms", "return (self.terms,)",
+    Mutant("TermAlgebra.__hash__ drops m", "exterior.py",
+           "return hash((self.m, self.terms))", "return hash(self.terms)",
            ("tests/test_record.py::test_equal_values_compare_and_hash_equal",)),
+    Mutant("TermAlgebra.__eq__ ignores m", "exterior.py",
+           "return self.m == other.m and self.terms == other.terms",
+           "return self.terms == other.terms",
+           ("tests/test_record.py::test_every_field_takes_part_in_equality",)),
     Mutant("Record.__setattr__ assigns the field", "record.py",
            "        raise AttributeError(f\"cannot assign to {name!r} of a {type(self).__name__}\")\n",
            "        setfield(self, name, value)\n",

@@ -8,6 +8,8 @@ data is refused outright.  Every column and invariant count reads the
 Brauer-Klimyk folds of V(a) (x) n+ through `HermitianSymmetricSpace.fold`,
 which folds each Kostant weight a once per space and keeps the read-only
 result on the frozen space, keyed by a alone: no root datum is hashed.
+The n+ character it folds over is built, and checked W_S-invariant, once
+per space.
 The module only computes: the published k list, case tables and their
 recorded deviations are `verify`'s.
 """
@@ -18,7 +20,7 @@ import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .record import Record
-from .repdecomp import FormalCharacter, LeviDatum, char_of_roots, decompose
+from .repdecomp import InvariantCharacter, LeviDatum, char_of_roots, decompose
 from .rootsys import RootDatum, SimpleLieType, Weight, _require, build_root_system
 
 Case = str  # "I" | "II" | "III"
@@ -36,8 +38,14 @@ class HermitianSymmetricSpace(Record):
     def dim(self) -> int:
         return len(self.N_plus)
 
-    def n_plus_character(self) -> FormalCharacter:
-        return char_of_roots(self.N_plus)
+    def n_plus_character(self) -> InvariantCharacter:
+        """The character of n+, built and checked W_S-invariant once per
+        space (`_n_plus`); read-only, as the space is shared."""
+        return self._n_plus
+
+    @functools.cached_property
+    def _n_plus(self) -> InvariantCharacter:
+        return InvariantCharacter(self.levi, char_of_roots(self.N_plus))
 
     @functools.cached_property
     def kostant_weights(self) -> Tuple[Tuple[Weight, ...], ...]:

@@ -24,14 +24,18 @@ one mismatch rule (`ValueError`).  `VectorValuedForm` and
 `superfields.SuperDerivation` subclass it with their labels and hooks: the
 term algebra, a same-space constructor, a monomial's odd length and
 `_letters`, which lists the generators of a monomial that `_into` walks.
-`apply` and `bracket` fetch each operand's set-up (`_leibniz`) once and
-run `_into` per image; `_into` keeps each monomial's letters in the
-class's `_letter_tables` dict (one per m) and each monomial product in the
-algebra's `_products` dict, so both are computed once per process.
+`apply` and `bracket` fetch each operand's set-up (`_leibniz`), which a
+derivation builds on first use and keeps in its `_setup` slot, outside its
+fields, and run `_into` per image; `_into` keeps each monomial's letters in
+the class's `_letter_tables` dict (one per m) and each monomial product in
+the algebra's `_products` dict, so both are computed once per process.
 
 Elements and derivations are read-only `record.Record` values with slots:
-each class sets its fields in a short `__init__` of its own and takes its
-equality (never across classes), hash and repr from `Record`.
+each class sets its fields in a short `__init__` of its own, through
+`record.slot_setters`, and takes its repr from `Record`.  Equality is never across classes.  `TermAlgebra`
+compares and hashes on (m, terms) directly, and `SuperDerivation` compares
+its fields directly, with `Record`'s results but without its key tuples;
+`VectorValuedForm` takes its equality and hash from `Record`.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .record import Record, setfield
+from .record import Record, setfield, slot_setters
 from .scalars import Coeff, canonical
 
 Monomial = Tuple[int, ...]  # strictly increasing indices in 1..m
@@ -89,17 +93,23 @@ class TermAlgebra(Record):
     keeps one shared zero per m in `_zeros` and the products the Leibniz
     loop has formed in `_products`.  An element is a read-only `Record` with
     the slots m and terms; subclasses add no field and no slot, so they take
-    this `__init__` and `Record`'s `__eq__`, `__hash__` and `__repr__`.
+    this `__init__`, `__eq__` and `__hash__`, and `Record`'s `__repr__`.
     """
 
     __slots__ = _fields = ("m", "terms")
 
     def __init__(self, m: int, terms: Tuple[Tuple[object, Coeff], ...]):
-        setfield(self, "m", m)
-        setfield(self, "terms", terms)
+        _set_m(self, m)
+        _set_terms(self, terms)
 
-    def _key(self):
-        return self.m, self.terms
+    # `Record`'s equality and hash on (m, terms), without building key tuples
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.m, self.terms))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -183,6 +193,9 @@ class TermAlgebra(Record):
         return self._from_dict(self.m, acc)
 
 
+_set_m, _set_terms = slot_setters(TermAlgebra)
+
+
 class _PerM(dict):
     """A class's values by m (its shared zeros, its letter tables), each
     made by `make(m)` on first use."""
@@ -240,7 +253,7 @@ class Derivation(Record):
     A subclass is a read-only `Record` with slots whose last field is
     `images`, and sets its fields in its own `__init__`.  It names
     its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
-    labels that tell two spaces of the same m apart, or None) and its
+    labels of its space, which fix m: m itself, or (r, s)) and its
     `_grade_field` (degree or parity), and supplies `_letters(mono, m)` and
     `_odd_len(mono)`, which the Leibniz loop `_into` reads, `_bracket_label`
     and `_relabel(grade, images)`, a derivation on the same space.  Operands
@@ -248,7 +261,7 @@ class Derivation(Record):
     different grades in a sum; a zero of another grade is absorbed.
     """
 
-    __slots__ = ()
+    __slots__ = ("_setup",)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -259,9 +272,8 @@ class Derivation(Record):
         return getattr(self, self._grade_field)
 
     def _same_space(self, other: "Derivation", op: str) -> None:
-        if self.m != other.m or self._space != other._space:
-            raise ValueError(f"{op} of derivations on {self._space or self.m} "
-                             f"and {other._space or other.m}")
+        if self._space != other._space:
+            raise ValueError(f"{op} of derivations on {self._space} and {other._space}")
 
     def _sum_grade(self, other: "Derivation", op: str) -> Optional[int]:
         """The grade of both operands; None if other has another grade,
@@ -336,11 +348,19 @@ class Derivation(Record):
     def _leibniz(self):
         """What `_into` reads of self: the images, the grade, `_odd_len`,
         this m's letter table and `_letters` that fills it, m, and the
-        algebra's product memo and `_mono_mul`."""
+        algebra's product memo and `_mono_mul`.  It is built once per
+        derivation and kept in the `_setup` slot, which is not a field:
+        equality, hash and repr never read it."""
+        try:
+            return self._setup
+        except AttributeError:
+            pass
         algebra, m = self._algebra, self.m
-        return (self.images, getattr(self, self._grade_field), self._odd_len,
-                self._letter_tables[m], self._letters, m,
-                algebra._products, algebra._mono_mul)
+        setup = (self.images, getattr(self, self._grade_field), self._odd_len,
+                 self._letter_tables[m], self._letters, m,
+                 algebra._products, algebra._mono_mul)
+        setfield(self, "_setup", setup)
+        return setup
 
     @staticmethod
     def _into(acc: Dict[object, Coeff], terms, sign: int, setup) -> None:
@@ -391,13 +411,13 @@ class VectorValuedForm(Derivation):
     _algebra = GrassmannElement
     _odd_len = staticmethod(len)
     _letters = staticmethod(_grassmann_letters)
-    _space = None
+    _space = property(attrgetter("m"))
     _grade_field = "degree"
 
     def __init__(self, m: int, degree: int, images: Tuple[GrassmannElement, ...]):
-        setfield(self, "m", m)
-        setfield(self, "degree", degree)
-        setfield(self, "images", images)
+        _set_form_m(self, m)
+        _set_degree(self, degree)
+        _set_form_images(self, images)
 
     def _key(self):
         return self.m, self.degree, self.images
@@ -434,6 +454,9 @@ class VectorValuedForm(Derivation):
         comps = [GrassmannElement.zero(m)] * m
         comps[j - 1] = GrassmannElement.make(m, {tuple(mono): 1})
         return VectorValuedForm.make(m, len(mono) - 1, comps)
+
+
+_set_form_m, _set_degree, _set_form_images = slot_setters(VectorValuedForm)
 
 
 # i(phi)a by the one super-Leibniz loop `Derivation._into`, and the algebraic

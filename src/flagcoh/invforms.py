@@ -310,8 +310,10 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
             urest = lu[:k] + lu[k + 1:]
             for ku, kv, wc in by_index.get(widx, ()):
                 us, su = _merge_sign(ku, urest)
+                if us is None:
+                    continue
                 vs, sv = _merge_sign(kv, lv)
-                if us is None or vs is None:
+                if vs is None:
                     continue
                 coeff = wc if su * sv == (-1) ** k else -wc
                 _add_into(tensor.setdefault((us, vs), {}), coeff, vec)

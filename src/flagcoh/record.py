@@ -5,13 +5,20 @@ equals an instance of exactly its class with equal fields, hashes as the
 tuple of its fields, shows as `Name(field=value, ...)` and is read-only, so
 a constructor sets each field with `setfield`.  The classes that make many
 instances declare `__slots__ = _fields` and write their own `__init__` and
-`_key`; those with a `functools.cached_property` keep the instance
-`__dict__` it fills.
+`_key`; the term algebra and the derivations, which every bracket builds,
+set their slots through `slot_setters`.  Those with a
+`functools.cached_property` keep the instance `__dict__` it fills.
 """
 
 from itertools import repeat
 
 setfield = object.__setattr__
+
+
+def slot_setters(cls) -> tuple:
+    """The setters of the slots cls declares for its `_fields`, in that
+    order: faster than `setfield`, which finds the slot by name each call."""
+    return tuple(vars(cls)[f].__set__ for f in cls._fields)
 
 
 class Record:

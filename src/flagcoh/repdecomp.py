@@ -9,14 +9,17 @@ Humphreys, Introduction to Lie Algebras and Representation Theory, 24):
 a W_S-invariant chi is sum_lam c_lam ch V_lam, and chi is a module
 character exactly when every c_lam is >= 0; given lam, it decomposes
 V_lam (x) chi by folding lam + mu over the weights mu of chi alone
-(Brauer-Klimyk), so the Bott layer forms no tensor character.  The
-Freudenthal recursion `irreducible_character` is kept as an independent
-reference.
+(Brauer-Klimyk), so the Bott layer forms no tensor character.  It checks
+that chi is W_S-invariant unless chi is an `InvariantCharacter` of the same
+Levi datum, a read-only character checked once when it is built, as each
+space's n+ character is.  The Freudenthal recursion `irreducible_character`
+is kept as an independent reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -163,6 +166,42 @@ def _le(w, lam) -> bool:
     return all(a <= b for a, b in zip(w, lam))
 
 
+def _check_invariant(L: LeviDatum, chi: Mapping) -> None:
+    """ValueError unless chi is W_S-invariant: each simple reflection of S
+    takes a weight to one of the same multiplicity."""
+    rd, S = L.rd, L.S
+    for mu, m in chi.items():
+        pr = rd.simple_pairings(mu)
+        for i in S:
+            c = pr[i]
+            if c and chi.get(mu[:i] + (mu[i] - c,) + mu[i + 1:], 0) != m:
+                raise ValueError(f"not an R-module character (not W_S-invariant at {mu})")
+
+
+class InvariantCharacter(Mapping):
+    """A read-only W_S-invariant character of the Levi datum `levi`,
+    checked once when it is built: `decompose` does not check it again."""
+
+    __slots__ = ("levi", "_chi")
+
+    def __init__(self, L: LeviDatum, chi: Mapping):
+        chi = dict(chi)
+        _check_invariant(L, chi)
+        self.levi, self._chi = L, chi
+
+    def __getitem__(self, w: Weight) -> int:
+        return self._chi[w]
+
+    def __iter__(self):
+        return iter(self._chi)
+
+    def __len__(self) -> int:
+        return len(self._chi)
+
+    def items(self):  # the dict's own view, for `decompose`'s fold loop
+        return self._chi.items()
+
+
 def decompose(L: LeviDatum, chi: FormalCharacter,
               lam: Optional[Sequence[int]] = None) -> List[Tuple[Weight, int]]:
     """Highest weights (with multiplicities) of V_lam (x) chi, for an
@@ -175,13 +214,9 @@ def decompose(L: LeviDatum, chi: FormalCharacter,
     largest first.  Raises ValueError unless chi is an R-module character:
     chi must be W_S-invariant, and then every coefficient must be >= 0.
     """
+    if chi.__class__ is not InvariantCharacter or chi.levi is not L:
+        _check_invariant(L, chi)
     rd, S = L.rd, L.S
-    for mu, m in chi.items():
-        pr = rd.simple_pairings(mu)
-        for i in S:
-            c = pr[i]
-            if c and chi.get(mu[:i] + (mu[i] - c,) + mu[i + 1:], 0) != m:
-                raise ValueError(f"not an R-module character (not W_S-invariant at {mu})")
     two_rho = L.two_rho
     shift = two_rho
     if lam is not None:

@@ -15,7 +15,8 @@ The field map g -> g* is linear, so `homomorphism_check` expands each basis
 bracket [g1, g2]* as the combination of those fields with [g1, g2]'s
 entries, instead of running the jet again on the bracket.  It reads those
 entries, at most two, from the closed-form structure constants of
-`qn_structure_constants` (E_ab E_cd = delta_bc E_ad); the block-product
+`qn_structure_constants` (E_ab E_cd = delta_bc E_ad), a read-only table
+built once per n and shared by every s; the block-product
 `qn_bracket` of two whole elements stays public and is their test oracle.
 Each distinct combination is built once, with its negation and whether it
 is zero, so a basis pair costs one bracket and one comparison.  Brackets
@@ -41,10 +42,11 @@ index; kernel output goes through `_from_dict` unchecked.  Coefficients and
 from __future__ import annotations
 
 import functools
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .exterior import Coeff, Derivation, TermAlgebra, _canon, _merge_sign
-from .record import Record, setfield
+from .record import Record, slot_setters
 from .rootsys import _require
 from .scalars import rank
 from .scalars import nullspace
@@ -164,22 +166,29 @@ class SuperDerivation(Derivation):
     _grade_field = "parity"
 
     def __init__(self, r: int, s: int, parity: int, images: Tuple[SuperPolynomial, ...]):
-        setfield(self, "r", r)
-        setfield(self, "s", s)
-        setfield(self, "parity", parity)
-        setfield(self, "images", images)
+        _set_r(self, r)
+        _set_s(self, s)
+        _set_parity(self, parity)
+        _set_images(self, images)
 
     def _key(self):
         return self.r, self.s, self.parity, self.images
+
+    # `Record`'s equality without building key tuples
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parity == other.parity and self.images == other.images
+                and self.r == other.r and self.s == other.s)
+
+    __hash__ = Record.__hash__
 
     @property
     def m(self) -> int:
         """The number of even (and of odd) variables, the term algebra's m."""
         return self.r * self.s
 
-    @property
-    def _space(self) -> Tuple[int, int]:
-        return self.r, self.s
+    _space = property(attrgetter("r", "s"))
 
     def _bracket_label(self, other: "SuperDerivation") -> Tuple[int, int]:
         return self.parity ^ other.parity, 1 if self.parity and other.parity else -1
@@ -200,6 +209,9 @@ class SuperDerivation(Derivation):
             [p.constant_term() for p in self.c_x],
             [p.constant_term() for p in self.c_xi],
         )
+
+
+_set_r, _set_s, _set_parity, _set_images = slot_setters(SuperDerivation)
 
 
 def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
@@ -406,7 +418,7 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             entry = targets.get(key)
             if entry is None:
                 target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
-                entry = targets[key] = (target.is_zero(), {1: target, -1: target.scale(-1)})
+                entry = targets[key] = (target.is_zero(), {1: target, -1: -target})
             zero, signed = entry
             twist = -1 if (p1 and p2) else 1
             # both sides are canonical (sorted terms); the first nonzero target fixes sigma
@@ -422,11 +434,13 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     }
 
 
-def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, int], ...]]]:
+@functools.cache
+def qn_structure_constants(n: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
     """[e_i, e_j] on the basis `qn_basis(n)` as its nonzero (k, c) terms in
-    increasing k.  With e_i = E_ab of parity p and e_j = E_cd of parity q,
-    E_ab E_cd = delta_bc E_ad makes [e_i, e_j] = delta_bc E_ad -+ delta_da E_cb
-    of parity p xor q, with + when both are odd (`qn_bracket` by blocks)."""
+    increasing k, built once per n as a read-only table.  With e_i = E_ab of
+    parity p and e_j = E_cd of parity q, E_ab E_cd = delta_bc E_ad makes
+    [e_i, e_j] = delta_bc E_ad -+ delta_da E_cb of parity p xor q, with +
+    when both are odd (`qn_bracket` by blocks)."""
     nn = n * n
     table = []
     for i in range(2 * nn):
@@ -442,8 +456,8 @@ def qn_structure_constants(n: int) -> List[List[Tuple[Tuple[int, int], ...]]]:
                 k = off + c * n + b
                 acc[k] = acc.get(k, 0) + (1 if p and q else -1)
             row.append(tuple((k, v) for k, v in sorted(acc.items()) if v))
-        table.append(row)
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _combination(fields: Tuple[SuperDerivation, ...],

@@ -13,6 +13,7 @@ The repository's errata notes explain every red cell.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -287,18 +288,22 @@ def check_c4_exterior() -> Tuple[bool, str]:
         xs, ys = _Ids(), _Ids()
         on_gens = [[xs.of(x) for x in psi.images] for psi in basis]
         on_xs = [[ys.of(exterior.apply_derivation(phi, x)) for x in xs.values] for phi in basis]
-        sides: Dict[Tuple[int, int, int], exterior.GrassmannElement] = {}
-        for a, phi in enumerate(basis):
-            for b, psi in enumerate(basis):
-                images = exterior.bracket(phi, psi).images
-                sgn = -1 if (phi.degree % 2) and (psi.degree % 2) else 1
-                for g in range(m):
-                    side = (on_xs[a][on_gens[b][g]], on_xs[b][on_gens[a][g]], sgn)
-                    rhs = sides.get(side)
-                    if rhs is None:
-                        rhs = sides[side] = ys.values[side[0]] - ys.values[side[1]].scale(sgn)
-                    if images[g] != rhs:
-                        return False, f"bracket identity failed at m={m}"
+
+        @functools.cache
+        def side(u: int, v: int, sgn: int) -> exterior.GrassmannElement:
+            """A generator's right-hand side, by the ids of i(phi)psi_g and
+            i(psi)phi_g and the sign."""
+            return ys.values[u] - ys.values[v].scale(sgn)
+
+        for phi, xa, ga in zip(basis, on_xs, on_gens):
+            odd = phi.degree % 2
+            for psi, xb, gb in zip(basis, on_xs, on_gens):
+                sgn = -1 if odd and psi.degree % 2 else 1
+                # from a list: a tuple built from an iterator is shrunk from a
+                # guessed size, and each one freed would stay in CPython's free list
+                rhs = tuple([side(xa[x], xb[y], sgn) for x, y in zip(gb, ga)])
+                if exterior.bracket(phi, psi).images != rhs:
+                    return False, f"bracket identity failed at m={m}"
     # the grading-bracket, insertion-of-j and splitting identities
     for m in (2, 3, 4):
         eps = exterior.grading_derivation(m)

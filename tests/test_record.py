@@ -32,9 +32,10 @@ def _instances():
 
 
 INSTANCES = _instances()
-# the classes whose equality is Record's: InvariantVectorForm compares its
-# tensors up to stored zeros, and GModuleBasis is equal only to itself
-BY_VALUE = sorted(name for name, v in INSTANCES.items() if type(v).__eq__ is Record.__eq__)
+# the classes equal by the value of every field, by `Record.__eq__` or by an
+# equal one written out: InvariantVectorForm compares its tensors up to
+# stored zeros, and GModuleBasis is equal only to itself
+BY_VALUE = sorted(set(INSTANCES) - {"InvariantVectorForm", "GModuleBasis"})
 
 
 def _copy(x):
@@ -78,7 +79,8 @@ def test_equal_values_compare_and_hash_equal(name):
 def test_every_field_takes_part_in_equality(name):
     x = INSTANCES[name]
     for f in x._fields:
-        assert _with(x, f, object()) != x, f
+        other = _with(x, f, object())
+        assert other != x and not other == x and not x == other, f
         assert _with(x, f, getattr(x, f)) == x, f
 
 
@@ -105,6 +107,26 @@ def test_values_of_different_classes_are_never_equal():
     phi = grading_derivation(1)
     assert phi != (phi.m, phi.degree, phi.images)
     assert invforms.MatrixPairSpace(1, 1) != invforms.RootPairSpace(1)
+
+
+@pytest.mark.parametrize("name", ["VectorValuedForm", "SuperDerivation"])
+def test_the_cached_leibniz_set_up_is_no_field(name):
+    """A derivation built past its constructor caches its Leibniz set-up on
+    first use and then brackets and applies as an equal one built normally;
+    the cached set-up, even a wrong one, enters no equality, hash or repr."""
+    x = INSTANCES[name]
+    past, fresh = _with(x, "images", x.images), _copy(x)
+    assert not hasattr(past, "_setup") and not hasattr(fresh, "_setup")
+    elements = list(x.images) + [a * b for a in x.images for b in x.images]
+    for d in (past, fresh):
+        assert [d.apply(a) for a in elements] == [x.apply(a) for a in elements]
+        assert d.bracket(x) == x.bracket(d) == d.bracket(d) == x.bracket(x)
+    assert past._leibniz() is past._setup and past._setup == fresh._setup
+    assert past == fresh == x and hash(past) == hash(fresh) == hash(x)
+    assert repr(past) == repr(fresh) == repr(x) and "_setup" not in repr(x)
+    wrong = _with(x, "images", x.images)
+    setfield(wrong, "_setup", None)
+    assert wrong == x and hash(wrong) == hash(x) and repr(wrong) == repr(x)
 
 
 def test_construction_by_position_keyword_and_default():

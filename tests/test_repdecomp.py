@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcoh.bott import DESK_PRESETS, space_from_preset
+from flagcoh import repdecomp
+from flagcoh.bott import DESK_PRESETS, build_space, space_from_preset
 from flagcoh.repdecomp import (
+    InvariantCharacter,
     LeviDatum,
     char_of_roots,
     decompose,
@@ -15,7 +18,7 @@ from flagcoh.repdecomp import (
     tensor,
     trivial_character,
 )
-from flagcoh.rootsys import root_system
+from flagcoh.rootsys import SimpleLieType, root_system
 from subset_route import dual, reflect_simple, trivial_multiplicity
 
 
@@ -322,6 +325,45 @@ def test_decompose_rejects_non_module():
     # a bare non-extreme weight multiset is not W(S)-symmetric
     with pytest.raises(ValueError, match="not W_S-invariant"):
         decompose(L, {(1, 1): 1, (1, 0): 2})
+
+
+def test_a_character_that_is_not_invariant_is_refused_with_one_message():
+    """By the checked character's constructor, by `decompose` on a plain
+    dict and on another mapping, and by `decompose` on a character checked
+    for another Levi datum."""
+    rd = root_system("A2")
+    L, other = LeviDatum(rd, (0,)), LeviDatum(rd, (1,))
+    bad = {(1, 1): 1, (1, 0): 2}
+    message = r"^not an R-module character \(not W_S-invariant at \(1, 1\)\)$"
+    for refuse in (lambda: InvariantCharacter(L, bad), lambda: decompose(L, bad),
+                   lambda: decompose(L, MappingProxyType(bad))):
+        with pytest.raises(ValueError, match=message):
+            refuse()
+    # (2, 1) is fixed by s_1 and moved by s_0
+    checked = InvariantCharacter(other, {(2, 1): 1})
+    assert decompose(other, checked) == [((2, 1), 1)]
+    with pytest.raises(ValueError, match=r"^not an R-module .* at \(2, 1\)\)$"):
+        decompose(L, checked)
+
+
+def test_a_space_checks_its_n_plus_character_once(monkeypatch):
+    """Every fold of a fresh space reads one read-only n+ character, checked
+    when it was built; a plain dict of it is still checked."""
+    calls = []
+    check = repdecomp._check_invariant
+    monkeypatch.setattr(repdecomp, "_check_invariant",
+                        lambda L, chi: calls.append(type(chi)) or check(L, chi))
+    H = build_space.__wrapped__(SimpleLieType("B", 3), 0)
+    chi = H.n_plus_character()
+    assert H.n_plus_character() is chi and chi == char_of_roots(H.N_plus)
+    assert type(chi) is InvariantCharacter and chi.levi is H.levi and calls == [dict]
+    for weights in H.kostant_weights:
+        for a in weights:
+            assert H.fold(a) == tuple(decompose(H.levi, dict(chi), a))
+    assert calls == [dict] * (1 + sum(map(len, H.kostant_weights)))
+    with pytest.raises(TypeError):
+        chi[H.N_plus[0]] = 2
+    assert chi == char_of_roots(H.N_plus)
 
 
 def test_decompose_rejects_invariant_virtual_character():

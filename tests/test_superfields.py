@@ -962,6 +962,16 @@ def test_integral_values_are_ints():
     assert type(SuperPolynomial.zero(2).constant_term()) is int
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_constants_are_built_once_per_n_and_read_only(n):
+    table = superfields.qn_structure_constants(n)
+    assert superfields.qn_structure_constants(n) is table
+    assert type(table) is tuple and len(table) == 2 * n * n
+    assert all(type(row) is tuple and len(row) == 2 * n * n for row in table)
+    with pytest.raises(TypeError):
+        table[0][0] = ()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_structure_constants_and_basis_entries_are_ints(n):
     for row in superfields.qn_structure_constants(n):
