@@ -133,7 +133,13 @@ MUTANTS: List[Mutant] = [
            ("tests/test_invforms.py",)),
     Mutant("VecTensor._accumulate keeps a cancelled key", "invforms.py",
            "        if not tgt:\n            del data[key]\n", "",
-           ("tests/test_liecoh.py",)),
+           ("tests/test_liecoh.py::"
+            "test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector",
+            "tests/test_liecoh.py")),
+    Mutant("VecTensor._check_like skips a label", "invforms.py",
+           "        for f in self._fields:\n", "        for f in self._fields[:-1]:\n",
+           ("tests/test_liecoh.py::"
+            "test_cochains_with_different_coefficient_modules_do_not_add",)),
     Mutant("liecoh._pair_reads drops the antisymmetry sign", "liecoh.py",
            "yield b, a, v, -1, vec", "yield b, a, v, 1, vec",
            ("tests/test_liecoh.py",)),

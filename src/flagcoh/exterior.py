@@ -139,7 +139,7 @@ class TermAlgebra(Record):
         return not self.terms
 
     def __add__(self, other):
-        if self.m != other.m:
+        if other.__class__ is not self.__class__ or self.m != other.m:
             raise _mismatch("sum", self, other)
         if not other.terms:
             return self
@@ -152,7 +152,7 @@ class TermAlgebra(Record):
         return self._from_dict(self.m, acc)
 
     def __sub__(self, other):
-        if self.m != other.m:
+        if other.__class__ is not self.__class__ or self.m != other.m:
             raise _mismatch("difference", self, other)
         if not other.terms:
             return self
@@ -179,7 +179,7 @@ class TermAlgebra(Record):
         return self._from_dict(self.m, {k: c * v for k, v in self.terms})
 
     def __mul__(self, other):
-        if self.m != other.m:
+        if other.__class__ is not self.__class__ or self.m != other.m:
             raise _mismatch("product", self, other)
         mono_mul = self._mono_mul
         acc: Dict[object, Coeff] = {}
@@ -198,7 +198,8 @@ _set_m, _set_terms = slot_setters(TermAlgebra)
 
 class _PerM(dict):
     """A class's values by m (its shared zeros, its letter tables), each
-    made by `make(m)` on first use."""
+    made by `make(m)` on first use; `superfields.homomorphism_check` keeps
+    a target by sign in one, so its negation is made on first read."""
 
     def __init__(self, make):
         super().__init__()
@@ -209,7 +210,9 @@ class _PerM(dict):
         return value
 
 
-def _mismatch(op: str, a: TermAlgebra, b: TermAlgebra) -> ValueError:
+def _mismatch(op: str, a: TermAlgebra, b) -> ValueError:
+    if b.__class__ is not a.__class__:
+        return ValueError(f"{op} of a {type(a).__name__} and a {type(b).__name__}")
     return ValueError(f"{op} of polynomials in {a.m} and {b.m} variables")
 
 
@@ -312,8 +315,9 @@ class Derivation(Record):
 
     def apply(self, a):
         """self(a) by the Leibniz loop `_into`."""
-        if a.m != self.m:
-            raise ValueError(f"derivation in {self.m} variables applied in {a.m}")
+        if a.__class__ is not self._algebra or a.m != self.m:
+            raise ValueError(f"derivation in {self.m} variables of "
+                             f"{self._algebra.__name__}s applied to {a!r}")
         if not a.terms:
             return a
         acc: Dict[object, Coeff] = {}

@@ -12,8 +12,9 @@ every tensor value is an int when integral and a Fraction otherwise;
 scaling by a parameter with a sqrt(2) part gives QSqrt2 entries.  The
 barwedge runs over the stored entries on the `exterior._merge_sign` sign
 kernel.  A form and a `liecoh.Cochain` are both a `VecTensor`, which holds
-their arithmetic and nonzero (key, index) entries, and `span_solve` is
-their one span solve.
+their arithmetic, their nonzero (key, index) entries, their same-label
+constructor and label check, read off the fields, and takes their equality
+from `Record`; `span_solve` is their one span solve.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -24,8 +25,8 @@ and `theta_coordinates` say where eta is a basis form and fold it on CP^n.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -68,14 +69,31 @@ class RootPairSpace(Record):
 
 class VecTensor(Record):
     """A dict from keys to sparse `Vec`s, none zero or holding a zero, with
-    its arithmetic.  A subclass is a `Record` that names that field in `_vecs`
-    and supplies `_like(vecs)`, a tensor with its own labels, and
-    `_check_like(other)`, which raises ValueError on other labels."""
+    its arithmetic.  A subclass is a `Record` that names its `_fields` and,
+    in `_vecs`, the one holding that dict; the others are its labels.  It
+    takes equality from `Record`, so two tensors are equal when their labels
+    and their stored entries are."""
 
     _vecs: str
 
     def _values(self) -> Dict[object, Vec]:
         return getattr(self, self._vecs)
+
+    def _like(self, vecs: Dict[object, Vec]) -> "VecTensor":
+        """A tensor with self's labels and the given vectors, built through
+        the subclass's constructor."""
+        return type(self)(*[vecs if f == self._vecs else getattr(self, f)
+                            for f in self._fields])
+
+    def _check_like(self, other: "VecTensor") -> None:
+        """Raise ValueError unless other is of self's class with self's labels."""
+        if other.__class__ is not self.__class__:
+            raise ValueError(f"{type(self).__name__} and {type(other).__name__} "
+                             "do not combine")
+        for f in self._fields:
+            if f != self._vecs and getattr(self, f) != getattr(other, f):
+                raise ValueError(f"{type(self).__name__}s with different {f} "
+                                 "do not combine")
 
     @staticmethod
     def _accumulate(data: Dict[object, Vec], key, coeff, vec: Vec) -> None:
@@ -118,26 +136,12 @@ class InvariantVectorForm(VecTensor):
     _vecs = "tensor"
     _fields = ("space", "p", "q", "tensor")
 
-    def _like(self, tensor: Dict[Key, Vec]) -> "InvariantVectorForm":
-        return InvariantVectorForm(self.space, self.p, self.q, tensor)
-
-    def _check_like(self, other: "InvariantVectorForm") -> None:
-        if self.space != other.space:
-            raise ValueError(f"forms on {self.space} and {other.space}")
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("forms of different bidegree")
-
     def value(self, us: Sequence[int], vs: Sequence[int]) -> Vec:
         """Evaluate on arbitrary basis-index tuples via antisymmetry."""
         ku, su = _sorted_with_sign(us)
         kv, sv = _sorted_with_sign(vs)
         base = self.tensor.get((ku, kv), {})
         return base if su * sv == 1 else {k: -c for k, c in base.items()}
-
-    def __eq__(self, other):
-        return ((self.space, self.p, self.q) == (other.space, other.p, other.q)
-                and _entries_within(self.tensor, other.tensor)
-                and _entries_within(other.tensor, self.tensor))
 
 
 def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -163,13 +167,6 @@ def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
             tgt[i] = canonical(nc)
         else:
             tgt.pop(i, None)
-
-
-def _entries_within(t: Dict[Key, Vec], u: Dict[Key, Vec]) -> bool:
-    """Whether each entry of t equals u's at its place (0 where u has none);
-    both ways round, two tensors agree up to stored zeros, and neither is
-    copied."""
-    return all(c == u.get(k, {}).get(i, 0) for k, vec in t.items() for i, c in vec.items())
 
 
 def span_rows(columns: Sequence[Iterable[Tuple[object, Coeff]]],
@@ -358,7 +355,7 @@ def independent_coefficients(
 # module; nilpotent pairs (a theta2 + b eta) /\ (c theta2 + d eta) = 0.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@functools.cache
 def theta_basis(space) -> Tuple[InvariantVectorForm, ...]:
     """The invariant (2,1)-forms theta has coordinates over: theta2, and eta
     where it is independent of theta2, on Mat_{r x s} with r, s >= 2."""
@@ -387,7 +384,7 @@ def theta_products(space) -> Tuple[Tuple[InvariantVectorForm, ...], ...]:
     return tuple(tuple(barwedge_inv(x, y) for y in basis) for x in basis)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def product_table(space) -> Tuple[Tuple[Tuple, ...], ...]:
     """P[x][y] = `theta_products(space)`[x][y] restricted to the pivot
     columns J of the products.  Restriction to J is injective on the span

@@ -7,7 +7,8 @@ b eta is read over `invforms.theta_basis` at `invforms.theta_coordinates`.
 Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
 without zero entries: the g-coordinates of `GModuleBasis.bracket_coords`,
 and each value of a cochain, whose absent keys are zero.  A `Cochain` is an
-`invforms.VecTensor`, and its coboundary solves read `invforms.span_rows`.
+`invforms.VecTensor`, which gives it its arithmetic, its label check and its
+equality, and its coboundary solves read `invforms.span_rows`.
 
 g is described once, by the Chevalley structure constants of its root
 datum (`_chevalley`); basis weights are roots in simple-root coordinates.
@@ -243,8 +244,9 @@ def roots_key(gb: GModuleBasis, g: int) -> Tuple:
 class Cochain(VecTensor):
     """CE cochain of n- with values in Hom(g, M), of degree k >= 0.
 
-    The default coefficient module M is n- (x) n+ (coordinate v*n + u);
-    mdim overrides the module dimension for other coefficient modules.
+    The default coefficient module M is n- (x) n+ (coordinate v*n + u),
+    with mdim None; another module gives its dimension in mdim.  Cochains
+    combine only on the same basis gb, in one degree and with one mdim.
     Each value is a sparse Vec {coordinate: scalar} without zeros, and a
     key whose value vanishes is absent.  The scalars are rational, an int
     when integral and a Fraction otherwise, and elements of Q(sqrt2) where
@@ -268,15 +270,6 @@ class Cochain(VecTensor):
     @property
     def module_dim(self) -> int:
         return self.mdim if self.mdim is not None else self.gb.n * self.gb.n
-
-    def _like(self, data: Dict[object, Vec]) -> "Cochain":
-        return Cochain(self.gb, self.degree, data, self.mdim)
-
-    def _check_like(self, other: "Cochain") -> None:
-        if self.gb is not other.gb:
-            raise ValueError("cochains on different bases of g")
-        if self.degree != other.degree or self.module_dim != other.module_dim:
-            raise ValueError("cochains of different degree or module")
 
 
 @functools.cache

@@ -8,6 +8,8 @@ instances declare `__slots__ = _fields` and write their own `__init__` and
 `_key`; the term algebra and the derivations, which every bracket builds,
 set their slots through `slot_setters`.  Those with a
 `functools.cached_property` keep the instance `__dict__` it fills.
+`invforms.VecTensor` reads `_fields` too, to build a tensor with another's
+labels and to refuse one with other labels.
 """
 
 from itertools import repeat

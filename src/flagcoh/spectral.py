@@ -53,7 +53,7 @@ class Summand(Record):
 Table = Dict[Tuple[int, int], List[Summand]]
 
 
-def assemble_E2(H: HermitianSymmetricSpace, q_max: int = 2) -> Table:
+def assemble_E2(H: HermitianSymmetricSpace, q_max: int) -> Table:
     """E2 of the tangent sheaf of the split supermanifold, from the Bott
     columns: the (p, q) entry is i*(H^q(Omega^{p+1} (x) Theta)) followed by
     l*(H^q(Omega^p (x) Theta)), for q <= min(q_max, dim M) and p >= -1."""

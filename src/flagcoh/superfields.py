@@ -45,11 +45,10 @@ import functools
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import Coeff, Derivation, TermAlgebra, _canon, _merge_sign
+from .exterior import Coeff, Derivation, TermAlgebra, _PerM, _canon, _merge_sign
 from .record import Record, slot_setters
 from .rootsys import _require
-from .scalars import rank
-from .scalars import nullspace
+from .scalars import nullspace, rank
 
 # monomial: (x-part as sorted tuple of (flat index, exponent), xi-part as
 # sorted tuple of flat indices)
@@ -368,7 +367,7 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
         for j in range(2 * s):
             # Pi-symmetry of the chart: the lower half mirrors x <-> xi
             mirror = lower[j + s] if j < s else lower[j - s]
-            _require((upper[j] - mirror).is_zero(), "Pi-symmetry broken in jet")
+            _require(upper[j] == mirror, "Pi-symmetry broken in jet")
             # left extraction of the square-zero parameter, signs changed:
             # this makes a -> a* a homomorphism up to the super sign rule
             # (see homomorphism_check)
@@ -403,7 +402,8 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     sigma: Optional[int] = None
     checked = 0
     # each distinct (structure constants, parity) target is built once, with
-    # whether it is zero and its two signs: target by sign
+    # whether it is zero and its two signs: target by sign, the negation
+    # made when a pair first reads it (with sigma = 1, only odd-odd pairs do)
     targets: Dict[Tuple[Tuple[Tuple[int, int], ...], int],
                   Tuple[bool, Dict[int, SuperDerivation]]] = {}
     for i in range(2 * nn):
@@ -418,7 +418,9 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             entry = targets.get(key)
             if entry is None:
                 target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
-                entry = targets[key] = (target.is_zero(), {1: target, -1: -target})
+                signed = _PerM(lambda _, target=target: -target)
+                signed[1] = target
+                entry = targets[key] = (target.is_zero(), signed)
             zero, signed = entry
             twist = -1 if (p1 and p2) else 1
             # both sides are canonical (sorted terms); the first nonzero target fixes sigma

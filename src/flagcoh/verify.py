@@ -505,7 +505,7 @@ def check_c6_d2_ranks() -> Tuple[bool, str]:
             return False, f"{name}: no coboundary witness for c_eta"
         gb = liecoh.build_g_basis(H)
         c_eta = liecoh.cochain_from_form(gb, liecoh.theta_form(gb, 0, 1))
-        if not (liecoh.ce_differential(res.witness) - c_eta).is_zero():
+        if liecoh.ce_differential(res.witness) != c_eta:
             return False, f"{name}: witness does not work"
     return True, "ranks dim g / 0 with explicit witnesses recovered"
 

@@ -163,17 +163,17 @@ def test_theta_products_are_rows_x_of_columns_y():
         assert theta_products(sp) == ((barwedge_inv(th2, th2),),)
 
 
-def test_forms_equal_up_to_stored_zeros():
-    """Equality reads the nonzero entries: a stored 0, or a key holding
-    only zeros, changes nothing, and one differing entry either way round
-    tells two forms apart."""
+def test_forms_compare_by_their_stored_entries():
+    """Forms take `Record`'s equality, over their labels and their stored
+    tensors: no builder stores a zero or an empty vector (see
+    test_liecoh.py), so a form padded with either is another value, and so
+    is a form with one entry more or one entry changed."""
     th2 = theta_p(GR42, 2)
+    assert th2 == theta_p(GR42, 2) == (th2 + th2) - th2 == th2.scale(QSqrt2(1))
     key, vec = next(iter(th2.tensor.items()))
     assert ((0, 1), (2,)) not in th2.tensor
-    padded = InvariantVectorForm(GR42, 2, 1, th2.tensor | {
-        key: vec | {3: 0}, ((0, 1), (2,)): {0: 0}})
-    assert padded == th2 and th2 == padded
-    for tensor in ({k: v for k, v in th2.tensor.items() if k != key},
+    for tensor in (th2.tensor | {key: vec | {3: 0}}, th2.tensor | {((0, 1), (2,)): {}},
+                   {k: v for k, v in th2.tensor.items() if k != key},
                    th2.tensor | {key: {i: 2 * c for i, c in vec.items()}}):
         other = InvariantVectorForm(GR42, 2, 1, tensor)
         assert other != th2 and th2 != other
@@ -189,9 +189,9 @@ def test_forms_on_different_spaces_neither_compare_equal_nor_add():
     for f, g in itertools.permutations(forms, 2):
         assert f != g
         for op in (lambda: f + g, lambda: f - g):
-            with pytest.raises(ValueError, match="forms on"):
+            with pytest.raises(ValueError, match="InvariantVectorForms with different space"):
                 op()
-    with pytest.raises(ValueError, match="forms on"):
+    with pytest.raises(ValueError, match="InvariantVectorForms with different space"):
         forms[0] + eta(MatrixPairSpace(3, 2))
 
 

@@ -15,6 +15,7 @@ from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, grassmannian_rs, space_from_preset
 from flagcoh.invforms import (
     InvariantVectorForm,
+    MatrixPairSpace,
     VecTensor,
     _add_into,
     barwedge_inv,
@@ -42,6 +43,7 @@ from flagcoh.liecoh import (
     two_cochain_from_d2_image,
     two_cochain_is_coboundary,
 )
+from flagcoh.record import Record
 from flagcoh.repdecomp import char_of_roots, tensor
 from flagcoh.rootsys import SimpleLieType, build_root_system
 from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, canonical, nullspace, parse_scalar, rank
@@ -766,16 +768,88 @@ def test_cochains_on_different_bases_do_not_mix():
     a, b = (cochain_from_form(gb, theta_form(gb, 1, 0)) for gb in (g52, g53))
     assert (a - a).is_zero()
     for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
-        with pytest.raises(ValueError, match="different bases"):
+        with pytest.raises(ValueError, match="Cochains with different gb"):
             op()
 
 
+def test_cochains_with_different_coefficient_modules_do_not_add():
+    """On Q3 the coboundary of a 1-cochain has values in n- (x) n+ and the
+    d2-image 2-cochain in Lambda^2 n- (x) n+; both modules have 9
+    coordinates, but mdim tells them apart."""
+    gb = build_g_basis(space_from_preset("Q3"))
+    d = ce_differential(Cochain(gb, 1, {(0, gb.dim - 1): {0: 1}}))
+    t = two_cochain_from_d2_image(gb, theta_form(gb, 1, 0))
+    assert (d.degree, d.module_dim) == (t.degree, t.module_dim) == (2, 9)
+    assert not d.is_zero() and not t.is_zero() and d != t
+    for op in (lambda: d + t, lambda: t + d, lambda: d - t, lambda: t - d):
+        with pytest.raises(ValueError, match="Cochains with different mdim"):
+            op()
+
+
+def test_forms_and_cochains_refuse_each_other():
+    """A form and a cochain neither add nor subtract (ValueError) and are
+    never equal; a form compared with a number is unequal to it."""
+    gb = build_g_basis(space_from_preset("CP2"))
+    form = theta_form(gb, 1, 0)
+    cochain = cochain_from_form(gb, form)
+    for op in (lambda: form + cochain, lambda: cochain + form,
+               lambda: form - cochain, lambda: cochain - form):
+        with pytest.raises(ValueError, match="do not combine"):
+            op()
+    assert not cochain == form and not form == cochain
+    assert cochain != form and form != cochain
+    theta1 = theta_p(MatrixPairSpace(2, 1), 1)
+    assert not theta1 == 1 and theta1 != 1 and not 1 == theta1
+
+
 def test_forms_and_cochains_share_one_tensor_arithmetic():
-    for name in ("is_zero", "entries", "scale", "__add__", "__sub__"):
+    """Arithmetic, like-construction, the label check and equality are
+    written once: VecTensor's, and Record's equality."""
+    for name in ("is_zero", "entries", "scale", "__add__", "__sub__", "_like",
+                 "_check_like", "__eq__"):
         shared = getattr(VecTensor, name)
         assert getattr(InvariantVectorForm, name) is shared, name
         assert getattr(Cochain, name) is shared, name
         assert name not in vars(InvariantVectorForm) and name not in vars(Cochain)
+    assert VecTensor.__eq__ is Record.__eq__
+
+
+def _stores_no_zero(t: VecTensor) -> bool:
+    """Whether every stored vector of t is nonempty and holds no zero."""
+    return all(vec and all(vec.values()) for vec in t._values().values())
+
+
+@pytest.mark.parametrize("name", ["CP2", "Q3", "Gr(4,2)", "Gr(5,3)", "LG3"])
+def test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector(name):
+    """Forms and cochains take Record's equality, which compares the stored
+    dicts: equal values must be stored alike, so no builder may keep a zero
+    entry or an empty vector, also where a sum, a difference, a scaling or
+    delta o delta cancels."""
+    gb = build_g_basis(space_from_preset(name))
+    space = gb.space
+    forms = [theta_p(space, p) for p in range(1, min(space.dim, 3) + 1)]
+    if isinstance(space, MatrixPairSpace):
+        forms += [f(space) for f in (eta, eta1, eta2, eta3)]
+    forms += [barwedge_inv(f, g) for f in forms[:3] for g in forms[:3]]
+    forms += [h for f, g in itertools.product(forms, repeat=2) if (f.p, f.q) == (g.p, g.q)
+              for h in (f + g, f - g, f - f, f + g.scale(Fraction(-1, 2)),
+                        f.scale(QSqrt2(1, 1)) - g)]
+    forms += [f.scale(0) for f in forms[:3]]
+    assert all(_stores_no_zero(f) for f in forms)
+    assert any(f.is_zero() for f in forms) and not all(f.is_zero() for f in forms)
+
+    thetas = [theta_form(gb, 1, 0), theta_form(gb, QSqrt2(1, 1), 0)]
+    if len(theta_basis(space)) == 2:
+        thetas.append(theta_form(gb, 0, 1))
+    ones = [cochain_from_form(gb, th) for th in thetas]
+    cochains = ones + [two_cochain_from_d2_image(gb, th) for th in thetas]
+    cochains += invariant_zero_cochains(gb)
+    cochains += [ce_differential(c) for c in cochains if c.degree < 2]
+    cochains += [ce_differential(ce_differential(c)) for c in ones]
+    cochains += [c - c for c in ones] + [a + b.scale(-1) for a in ones for b in ones]
+    cochains += [c.scale(0) for c in ones]
+    assert all(_stores_no_zero(c) for c in cochains)
+    assert any(c.is_zero() for c in cochains)
 
 
 # ---------------------------------------------------------------------------

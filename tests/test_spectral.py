@@ -30,15 +30,15 @@ def prov_summary(table, p, q, prov):
 
 
 def test_assemble_e2_examples():
-    tI = assemble_E2(space_from_preset("Q3"))
+    tI = assemble_E2(space_from_preset("Q3"), 2)
     assert prov_summary(tI, 0, 0, "l") == (1, 0)
     assert prov_summary(tI, 0, 0, "i") == (0, 1)
 
-    tII = assemble_E2(space_from_preset("Gr(4,2)"))
+    tII = assemble_E2(space_from_preset("Gr(4,2)"), 2)
     assert prov_summary(tII, 1, 1, "l") == (1, 0)
     assert prov_summary(tII, 1, 1, "i") == (0, 2)
 
-    tIII = assemble_E2(space_from_preset("CP3"))
+    tIII = assemble_E2(space_from_preset("CP3"), 2)
     assert (-1, 1) not in tIII
 
 

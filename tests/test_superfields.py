@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
 from leibniz_oracle import check_against_old_kernel, merge_sign
-from flagcoh.exterior import Derivation, GrassmannElement, VectorValuedForm
+from flagcoh.exterior import (Derivation, GrassmannElement, VectorValuedForm,
+                              grading_derivation)
 
 from flagcoh import verify
 from flagcoh.superfields import (
@@ -760,6 +761,22 @@ def test_arithmetic_rejects_different_nvars():
             op()
     with pytest.raises(ValueError):
         p + SuperPolynomial.zero(4)
+
+
+def test_grassmann_and_super_polynomials_refuse_each_other():
+    """Elements of the two term algebras of one m neither add, subtract nor
+    multiply, and a derivation of either applies to its own algebra only."""
+    g, p = GrassmannElement.generator(2, 1), x(2, 0)
+    for a, b in ((g, p), (p, g)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match=f"of a {type(a).__name__} and a "
+                                                 f"{type(b).__name__}"):
+                op()
+    field = superfields.basis_fields(3, 1)[0]
+    assert field.m == 2
+    for d, a in ((grading_derivation(2), p), (field, g)):
+        with pytest.raises(ValueError, match="derivation in 2 variables of .* applied to"):
+            d.apply(a)
 
 
 SHARED = ("__add__", "__sub__", "__neg__", "scale", "__mul__", "_from_dict", "zero",
