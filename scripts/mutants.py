@@ -114,7 +114,10 @@ MUTANTS: List[Mutant] = [
     Mutant("liecoh._chevalley drops the norm ratio of the rotation", "liecoh.py",
            "return exact_quotient(norm[c] * n(b, c), norm[a])",
            "return n(b, c)",
-           ("tests/test_liecoh.py",)),
+           ("tests/test_liecoh.py::test_structure_constants_on_every_type",)),
+    Mutant("liecoh._code packs coordinates in base 8", "liecoh.py",
+           "c << 6 * i", "c << 3 * i",
+           ("tests/test_liecoh.py::test_root_codes_are_injective_on_every_vector_the_table_forms",)),
     Mutant("invforms.theta_products swaps x and y", "invforms.py",
            "barwedge_inv(x, y) for y in basis", "barwedge_inv(y, x) for y in basis",
            ("tests/test_invforms.py",)),
@@ -160,8 +163,8 @@ MUTANTS: List[Mutant] = [
     Mutant("bott.bott_irreducible folds a weight on a wall", "bott.py",
            "    if 0 in pairs:\n        return None\n", "",
            ("tests/test_bott.py::test_bott_vanishes_exactly_on_the_walls_of_dominant_representative",)),
-    Mutant("liecoh.ce_differential drops the (-1)^i of its face sum", "liecoh.py",
-           "(tgt, -co if i % 2 else co)", "(tgt, co)",
+    Mutant("liecoh._Delta drops the (-1)^i of its face sum", "liecoh.py",
+           "(z,), -co if i % 2 else co)", "(z,), co)",
            ("tests/test_liecoh.py::test_delta_squared_zero_through_degree_3",)),
     Mutant("liecoh._equivariant_system flips the V-side sign of the 0-cochain solve",
            "liecoh.py", "row[k] = row.get(k, 0) - co", "row[k] = row.get(k, 0) + co",
@@ -197,6 +200,9 @@ MUTANTS: List[Mutant] = [
            'return False, f"y* formula failed at n=5, s={s}"',
            'return True, f"y* formula failed at n=5, s={s}"',
            ("tests/test_acceptance.py::test_criterion_8_fails_on_a_wrong_n5_jet",)),
+    Mutant("cli._json writes dict keys unsorted", "cli.py",
+           "for k, v in sorted(x.items())", "for k, v in x.items()",
+           ("tests/test_cli.py::test_the_json_writer_writes_the_bytes_of_json_dumps",)),
     Mutant("cli._read lets the first occurrence of a flag win", "cli.py",
            'given[flag] = arguments[flag].get("type", str)(value)',
            'given.setdefault(flag, arguments[flag].get("type", str)(value))',

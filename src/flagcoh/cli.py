@@ -8,10 +8,10 @@ is 0 exactly when every requested check passed.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -26,12 +26,33 @@ def _die(msg: str) -> "NoReturn":  # noqa: F821
     sys.exit(2)
 
 
+def _json(x, indent: str = "\n") -> str:
+    """The bytes of json.dumps(x, indent=2, sort_keys=True) for a payload of
+    dicts with str keys, lists, str, int, bool and None, in one pass."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is dict or t is list:
+        if not x:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        if t is list:
+            return "[" + ",".join([inner + _json(v, inner) for v in x]) + indent + "]"
+        return "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                               for k, v in sorted(x.items())]) + indent + "}"
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    if t is int:
+        return repr(x)
+    raise TypeError(f"{t.__name__} is not a JSON payload value")
+
+
 def _emit(payload: Dict, fmt: str, markdown_fn=None, csv_fn=None) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     elif fmt == "markdown":
         if markdown_fn is None:
-            print("```json\n" + json.dumps(payload, indent=2, sort_keys=True) + "\n```")
+            print("```json\n" + _json(payload) + "\n```")
         else:
             print(markdown_fn(payload))
     else:
@@ -263,8 +284,9 @@ def cmd_d2(args) -> int:
     if res.witness is not None:
         # each sparse value is written as a dense list of module_dim scalars
         dim = res.witness.module_dim
+        zero = {"rat": "0", "rt2": "0"}
         witness = {
-            str(w): [format_scalar(vec.get(t, 0)) for t in range(dim)]
+            str(w): [format_scalar(vec[t]) if t in vec else zero for t in range(dim)]
             for w, vec in sorted(res.witness.data.items())
         }
     payload = {

@@ -275,6 +275,8 @@ class Derivation(Record):
         return getattr(self, self._grade_field)
 
     def _same_space(self, other: "Derivation", op: str) -> None:
+        if other.__class__ is not self.__class__:
+            raise _mismatch(op, self, other)
         if self._space != other._space:
             raise ValueError(f"{op} of derivations on {self._space} and {other._space}")
 

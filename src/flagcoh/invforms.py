@@ -42,7 +42,7 @@ Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 class MatrixPairSpace(Record):
     """n+ = Mat_{r x s} with basis E_{i,a} (row-major flat index i*s + a);
     n- = Mat_{s x r} indexed by the SAME flat index, k meaning E_{a,i} for
-    (i, a) = coords(k), so the trace pairing is Kronecker on equal indices."""
+    (i, a) = divmod(k, s), so the trace pairing is Kronecker on equal indices."""
 
     r: int
     s: int
@@ -54,9 +54,6 @@ class MatrixPairSpace(Record):
 
     def index(self, i: int, a: int) -> int:
         return i * self.s + a
-
-    def coords(self, k: int) -> Tuple[int, int]:
-        return divmod(k, self.s)
 
 
 class RootPairSpace(Record):
@@ -125,6 +122,7 @@ class VecTensor(Record):
         return self._like(out)
 
     def __sub__(self, other: "VecTensor") -> "VecTensor":
+        self._check_like(other)
         return self + other.scale(-1)
 
 

@@ -22,8 +22,8 @@ generators add no equation.  No averaging.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
 import operator
 from fractions import Fraction
 from types import MappingProxyType
@@ -53,6 +53,12 @@ def _neg(r: Weight) -> Weight:
     return tuple(-c for c in r)
 
 
+def _code(r: Weight) -> int:
+    """sum_i r_i 64^i: additive, positive on the positive roots, and distinct
+    on vectors with coordinates in (-32, 32), as all of `_chevalley`'s are."""
+    return sum(c << 6 * i for i, c in enumerate(r))
+
+
 @functools.cache
 def _chevalley(rd: RootDatum) -> Tuple[Tuple[Weight, ...], Dict[Tuple[Weight, Weight], int]]:
     """The roots of rd and the Chevalley structure constants N(a, b), with
@@ -67,59 +73,55 @@ def _chevalley(rd: RootDatum) -> Tuple[Tuple[Weight, ...], Dict[Tuple[Weight, We
     4.1.2 gives the rest: N(a, b) = -N(b, a) = -N(-a, -b), the rotation
     N(a, b)/(c, c) = N(b, c)/(a, a) = N(c, a)/(b, b) for a + b + c = 0, and
     the four-root relation for the other special pairs, taken by height.
+    It runs on `_code`s: a sum is one int add and a root test one lookup;
+    coordinates lie in [-4, 4] up to E7, so a + b and b - k a, k <= 4, fit.
     """
     pos = sorted(rd.positive_roots, key=lambda r: (sum(r), _neg(r)))
-    order = {r: k for k, r in enumerate(pos)}
     roots = tuple(pos) + tuple(map(_neg, pos))
-    norm = {r: canonical(rd.inner(r, r)) for r in roots}   # 1 or 2
-    N: Dict[Tuple[Weight, Weight], int] = {}
-
-    def add(x, y):
-        return tuple(map(operator.add, x, y))
-
-    def sub(x, y):
-        return tuple(map(operator.sub, x, y))
+    root = {_code(r): r for r in roots}
+    order = {_code(r): k for k, r in enumerate(pos)}
+    norm = {a: canonical(rd.inner(r, r)) for a, r in root.items()}   # 1 or 2
+    N: Dict[Tuple[int, int], int] = {}
 
     def string(a, b):
         """p + 1, p the largest with b - p a a root."""
         p = 0
-        while (b := sub(b, a)) in norm:
+        while (b := b - a) in norm:
             p += 1
         return p + 1
 
     def n(a, b):
         """N(a, b) from the pairs of one sign already in N, by rotation."""
-        c = _neg(add(a, b))
-        if (a in order) == (b in order):
-            return N[(a, b)] if a in order else -N[(_neg(a), _neg(b))]
-        if (b in order) == (c in order):
+        c = -(a + b)
+        if (a > 0) == (b > 0):
+            return N[a, b] if a > 0 else -N[-a, -b]
+        if (b > 0) == (c > 0):
             return exact_quotient(norm[c] * n(b, c), norm[a])
         return exact_quotient(norm[c] * n(c, a), norm[b])
 
     def term(w, x, y, z):
-        s = add(w, x)
+        s = w + x
         return Fraction(n(w, x) * n(y, z), norm[s]) if s in norm else 0
 
     def put(a, b, v):
         """N(a, b) = v and N(b, a) = -v, once |v| = p + 1 is checked."""
-        _require(abs(v) == string(a, b), f"N{a, b} = {v} in {rd.type}")
-        N[(a, b)], N[(b, a)] = int(v), -int(v)
+        if abs(v) != string(a, b):
+            raise AssertionError(f"N{root[a], root[b]} = {v} in {rd.type}")
+        N[a, b], N[b, a] = int(v), -int(v)
 
-    for xi in pos:
+    for xi in order:
         # the special pairs (a, b) of xi, a before b; the first is extraspecial
-        special = [(a, sub(xi, a)) for a in pos if order.get(sub(xi, a), -1) > order[a]]
+        special = [(a, xi - a) for a in order if order.get(xi - a, -1) > order[a]]
         if special:
             (a1, b1), *rest = special
             put(a1, b1, string(a1, b1))
             for a, b in rest:
-                na, nb = _neg(a), _neg(b)
-                put(a, b, norm[xi] / N[(a1, b1)] * (
-                    term(b1, na, a1, nb) + term(na, a1, b1, nb)))
-    for a in roots:
-        for b in roots:
-            if add(a, b) in norm and (a, b) not in N:
+                put(a, b, norm[xi] / N[a1, b1] * (term(b1, -a, a1, -b) + term(-a, a1, b1, -b)))
+    for a in root:
+        for b in root:
+            if a + b in norm and (a, b) not in N:
                 put(a, b, n(a, b))
-    return roots, N
+    return roots, {(root[a], root[b]): v for (a, b), v in N.items()}
 
 
 class BasisElement(Record):
@@ -273,34 +275,48 @@ class Cochain(VecTensor):
 
 
 @functools.cache
-def _delta(gb: GModuleBasis, k: int) -> Dict[object, list]:
+def _inverse_ad(gb: GModuleBasis) -> Dict[int, List[Tuple[int, int, Coeff]]]:
+    """For each g coordinate gi, the (u, z, co) with co the gi coordinate of
+    [y_u, b_z], y_u the u-th of n-, by u, then z; built once per basis."""
+    inv: Dict[int, List[Tuple[int, int, Coeff]]] = {}
+    for u, v in enumerate(gb.nminus_order):
+        for z in range(gb.dim):
+            for gi, co in gb.bracket_coords(v, z).items():
+                inv.setdefault(gi, []).append((u, z, co))
+    return inv
+
+
+class _Delta(dict):
     """The CE differential on k-cochains,
     (delta c)(v0 < ... < vk)(w) = sum_i (-1)^i c(v0 .. ^vi .. vk)([vi, w])
-    (n- abelian, trivial action on the coefficients), as a map from each key
-    of c to the [(key of delta c, coefficient)] it feeds; built once per
-    basis and degree."""
-    delta: Dict[object, list] = {}
-    ad = [[gb.bracket_coords(v, w).items() for w in range(gb.dim)]
-          for v in gb.nminus_order]
-    for vs in itertools.combinations(range(gb.n), k + 1):
-        for w in range(gb.dim):
-            tgt = vs + (w,)
-            for i, v in enumerate(vs):
-                rest = vs[:i] + vs[i + 1:]
-                for gi, co in ad[v][w]:
-                    delta.setdefault(rest + (gi,) if rest else gi, []).append(
-                        (tgt, -co if i % 2 else co))
-    return delta
+    (n- abelian, trivial action on the coefficients), as a memo from a key of
+    c to the [(key of delta c, coefficient)] it feeds, built on first read."""
+
+    def __init__(self, gb: GModuleBasis, k: int):
+        super().__init__()
+        self.inv, self.k = _inverse_ad(gb), k
+
+    def __missing__(self, key) -> list:
+        rest, gi = (key[:-1], key[-1]) if self.k else ((), key)
+        feeds = self[key] = []
+        for u, z, co in self.inv.get(gi, ()):
+            if u not in rest:
+                i = bisect.bisect(rest, u)
+                feeds.append((rest[:i] + (u,) + rest[i:] + (z,), -co if i % 2 else co))
+        return feeds
+
+
+_delta = functools.cache(_Delta)   # one memo per basis and degree
 
 
 def ce_differential(c: Cochain) -> Cochain:
-    """delta c in any degree (see _delta): in degree 0,
+    """delta c in any degree (see _Delta): in degree 0,
     (delta c)(y)(z) = c([y, z]), and in degree 1,
     (delta c)(y1,y2)(z) = c(y2)([y1,z]) - c(y1)([y2,z])."""
     delta = _delta(c.gb, c.degree)
     out: Dict[object, Vec] = {}
     for key, vec in c.data.items():
-        for tgt, co in delta.get(key, ()):
+        for tgt, co in delta[key]:
             VecTensor._accumulate(out, tgt, co, vec)
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
@@ -442,7 +458,7 @@ def _coboundary_columns(gb: GModuleBasis, degree: int) -> list:
     v_weights = [_wsum(gb.elements[v].weight, el.weight)
                  for v in gb.nminus_order for el in gb.elements]
     delta = _delta(gb, 1)
-    return [[((tgt, t), co) for tgt, co in delta.get(divmod(i, gb.dim), ())]
+    return [[((tgt, t), co) for tgt, co in delta[divmod(i, gb.dim)]]
             for i, t in _weight_pairs(v_weights, _lambda2_module(gb)[2])]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from flagcoh.bott import PRESET_NAMES
-from flagcoh.cli import COMMANDS, main
+from flagcoh.cli import COMMANDS, _json, main
 from flagcoh.scalars import QSqrt2, parse_scalar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -484,6 +484,37 @@ def test_queries_match_golden_output(capsys, key):
         code = exc.code
     captured = capsys.readouterr()
     assert {"rc": code, "stdout": captured.out, "stderr": captured.err} == QUERIES[key]
+
+
+def _json_payloads():
+    """Every JSON payload among the golden stdouts, fenced markdown included."""
+    for entry in QUERIES.values():
+        text = entry["stdout"].strip()
+        text = text[len("```json"):-len("```")] if text.startswith("```json") else text
+        if text.startswith("{"):
+            yield json.loads(text)
+
+
+WRITER_EDGES = [
+    {}, [], {"a": {}, "b": [], "c": [{}, []], "d": {"e": {"f": []}}},
+    {"\u00e9t\u00e9": "\u03b8 \u2227 \u03b7", "tab\t": "quote \" back \\ \u0001", "\U0001d4d7": ""},
+    [True, 1, False, 0, None, -1, "1", "true"],
+    {"neg": -7, "big": 10 ** 40, "small": -(10 ** 40), "zero": 0},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "10": 5, "9": 6, "": 7},
+]
+
+
+def test_the_json_writer_writes_the_bytes_of_json_dumps():
+    """`cli._json` against json.dumps(indent=2, sort_keys=True) on every JSON
+    payload of the goldens and on empty containers, non-ASCII and escaped
+    strings, booleans beside 1 and 0, None, large ints and key order."""
+    payloads = list(_json_payloads())
+    assert len(payloads) > 100
+    for payload in payloads + WRITER_EDGES:
+        assert _json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for bad in ({"x": 1.5}, {"x": (1, 2)}, {1: "x"}):
+        with pytest.raises(TypeError):
+            _json(bad)
 
 
 def test_the_golden_queries_and_the_gate_are_the_same_under_python_O(under_python_O):

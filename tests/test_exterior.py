@@ -650,6 +650,15 @@ def test_a_different_m_raises_value_error_even_with_a_zero():
         apply_derivation(phi, gen(4, 1))
 
 
+def test_a_derivation_refuses_a_number():
+    """The operand's class is tested before its space is read: a sum, a
+    difference and a bracket with a number raise the mismatch ValueError."""
+    eps = grading_derivation(2)
+    for op in (lambda: eps + 1, lambda: eps - 1, lambda: eps.bracket(1)):
+        with pytest.raises(ValueError, match="of a VectorValuedForm and a int"):
+            op()
+
+
 def test_form_images_are_read_only():
     phi = random_form(random.Random(11), 3, 0)
     with pytest.raises(TypeError):

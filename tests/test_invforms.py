@@ -195,6 +195,15 @@ def test_forms_on_different_spaces_neither_compare_equal_nor_add():
         forms[0] + eta(MatrixPairSpace(3, 2))
 
 
+def test_a_form_refuses_a_number():
+    """The label check runs before the operand is read, so a sum and a
+    difference with a number raise the contract's ValueError."""
+    form = theta_p(MatrixPairSpace(2, 2), 2)
+    for op in (lambda: form + 1, lambda: form - 1):
+        with pytest.raises(ValueError, match="InvariantVectorForm and int do not combine"):
+            op()
+
+
 def test_eta_theta2_independent_in_the_middle():
     for sp in (GR42, GR52, GR63):
         assert rank_of([theta_p(sp, 2), eta(sp)]) == 2
@@ -628,27 +637,27 @@ def test_sparse_rows_match_the_dense_flatten(space):
 
 def _uvu(space, ua, v, ub):
     """Index of E_{ua} E_v E_{ub} with E_v the n- matrix E_{av, iv}."""
-    ia, aa = space.coords(ua)
-    iv, av = space.coords(v)
-    ib, ab = space.coords(ub)
+    ia, aa = divmod(ua, space.s)
+    iv, av = divmod(v, space.s)
+    ib, ab = divmod(ub, space.s)
     return space.index(ia, ab) if aa == av and iv == ib else None
 
 
 def _uvuvu(space, ua, v1, ub, v2, uc):
-    ia, aa = space.coords(ua)
-    i1, a1 = space.coords(v1)
-    ib, ab = space.coords(ub)
-    i2, a2 = space.coords(v2)
-    ic, ac = space.coords(uc)
+    ia, aa = divmod(ua, space.s)
+    i1, a1 = divmod(v1, space.s)
+    ib, ab = divmod(ub, space.s)
+    i2, a2 = divmod(v2, space.s)
+    ic, ac = divmod(uc, space.s)
     return space.index(ia, ac) if aa == a1 and i1 == ib and ab == a2 and i2 == ic else None
 
 
 def _pair4(space, ua, v1, ub, v2):
     """(u_a v_1, u_b v_2) = tr(u_a v_1 u_b v_2)."""
-    ia, aa = space.coords(ua)
-    i1, a1 = space.coords(v1)
-    ib, ab = space.coords(ub)
-    i2, a2 = space.coords(v2)
+    ia, aa = divmod(ua, space.s)
+    i1, a1 = divmod(v1, space.s)
+    ib, ab = divmod(ub, space.s)
+    i2, a2 = divmod(v2, space.s)
     return 1 if (aa == a1 and i1 == ib and ab == a2 and i2 == ia) else 0
 
 

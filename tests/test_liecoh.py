@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -134,7 +135,7 @@ def test_coefficients_are_canonical(name):
     values = [el.scale for el in gb.elements]
     values += [c for i in range(gb.dim) for j in range(gb.dim)
                for c in gb.bracket_coords(i, j).values()]
-    values += [co for k in (0, 1) for feeds in _delta(gb, k).values() for _, co in feeds]
+    values += [co for k in (0, 1) for key in _pattern_keys(gb, k) for _, co in _delta(gb, k)[key]]
     values += [x for c in invariant_zero_cochains(gb) for vec in c.data.values()
                for x in vec.values()]
     values += [x for c in ref_invariant_one_cochains(gb) for _, x in ce_differential(c).entries()]
@@ -659,6 +660,12 @@ def _ref_differential(c):
     return Cochain(c.gb, c.degree + 1, out, c.mdim)
 
 
+def _pattern_keys(gb, degree):
+    """Every key of a degree-k cochain: w, or (v1 < ... < vk, w)."""
+    return [vs + (w,) if vs else w for vs in itertools.combinations(range(gb.n), degree)
+            for w in range(gb.dim)]
+
+
 def _random_sparse_cochain(gb, degree, rng, scalar):
     """A random k-cochain with a few nonzero entries per key, plus one key
     (w = dim g) that no key of the pattern reads."""
@@ -702,38 +709,137 @@ def test_differential_matches_the_whole_pattern_scan(name, field):
     for degree in range(4):
         c = _random_sparse_cochain(gb, degree, rng, SCALARS[field])
         outside = (tuple(range(degree)) + (gb.dim,)) if degree else gb.dim
-        assert outside in c.data and outside not in _delta(gb, degree)
+        assert outside in c.data and _delta(gb, degree)[outside] == []
         got = ce_differential(c)
         assert got.degree == degree + 1 and not got.is_zero()
         assert got.data == _ref_differential(c).data
 
 
 def test_delta_is_built_once_per_basis_and_degree(monkeypatch):
-    """A d2 query and the e3 query after it on the same space build each
-    degree's map once, and the e3 query reads the d2 query's map."""
+    """A d2 query and the e3 query after it on the same space share one memo
+    per degree, and each key's feeds are built once, when first read.  The
+    d2 query builds no degree-1 feed: its only degree-1 read, the cocycle
+    check on c_theta, meets keys (v, w), w in n+, which feed nothing."""
     liecoh._g_basis.cache_clear()
-    calls = []
-    delta = liecoh._delta
+    built = []
+    missing = liecoh._Delta.__missing__
 
-    def spy(gb, k):
-        misses = delta.cache_info().misses
-        out = delta(gb, k)
-        calls.append((id(gb), k, delta.cache_info().misses == misses))
-        return out
+    def spy(memo, key):
+        built.append((id(memo.inv), memo.k, key))
+        return missing(memo, key)
 
-    monkeypatch.setattr(liecoh, "_delta", spy)
+    monkeypatch.setattr(liecoh._Delta, "__missing__", spy)
     H = space_from_preset("Gr(5,2)")
     assert liecoh.d2_on_vector_fields(H, 0, 1)[0] == 0
     gb = build_g_basis(H)
-    after_d2 = {k: delta(gb, k) for _, k, _ in calls}
-    assert set(after_d2) == {0, 1}
-    n_d2 = len(calls)
+    after_d2 = {k: dict(_delta(gb, k)) for k in (0, 1, 2)}
+    assert after_d2[0] and any(after_d2[0].values()) and not after_d2[2]
+    assert after_d2[1] and not any(after_d2[1].values())
+    assert all(gb.elements[w].block == "n+" for _, w in after_d2[1])
     spectral.cohomology_of_T(H, 0, 1)
-    assert {k for _, k, cached in calls[n_d2:]} == {1, 2}
-    assert {id(gb)} == {g for g, _, _ in calls}
-    built = [k for _, k, cached in calls if not cached]
-    assert sorted(built) == [0, 1, 2]
-    assert all(delta(gb, k) is m for k, m in after_d2.items())
+    assert any(_delta(gb, 1).values()) and _delta(gb, 2)
+    assert len(built) == len(set(built)) == sum(len(_delta(gb, k)) for k in (0, 1, 2))
+    assert {i for i, _, _ in built} == {id(liecoh._inverse_ad(gb))}
+    assert all(_delta(gb, k)[key] is feeds for k, memo in after_d2.items()
+               for key, feeds in memo.items())
+
+
+TEN_TYPES = sorted({space_from_preset(name).rd.type for name in PRESET_NAMES}, key=str) + [
+    SimpleLieType("E", 6), SimpleLieType("E", 7)]
+
+
+def _ref_chevalley(rd):
+    """Reference: `liecoh._chevalley` in tuple arithmetic, each root a
+    tuple of simple-root coordinates, with its checks."""
+    def add(x, y):
+        return tuple(map(operator.add, x, y))
+
+    def sub(x, y):
+        return tuple(map(operator.sub, x, y))
+
+    def neg(x):
+        return tuple(-c for c in x)
+
+    pos = sorted(rd.positive_roots, key=lambda r: (sum(r), neg(r)))
+    order = {r: k for k, r in enumerate(pos)}
+    roots = tuple(pos) + tuple(map(neg, pos))
+    norm = {r: canonical(rd.inner(r, r)) for r in roots}
+    N = {}
+
+    def string(a, b):
+        p = 0
+        while (b := sub(b, a)) in norm:
+            p += 1
+        return p + 1
+
+    def n(a, b):
+        c = neg(add(a, b))
+        if (a in order) == (b in order):
+            return N[(a, b)] if a in order else -N[(neg(a), neg(b))]
+        if (b in order) == (c in order):
+            return Fraction(norm[c] * n(b, c), norm[a])
+        return Fraction(norm[c] * n(c, a), norm[b])
+
+    def term(w, x, y, z):
+        s = add(w, x)
+        return Fraction(n(w, x) * n(y, z), norm[s]) if s in norm else 0
+
+    def put(a, b, v):
+        assert abs(v) == string(a, b), (a, b, v)
+        N[(a, b)], N[(b, a)] = int(v), -int(v)
+
+    for xi in pos:
+        special = [(a, sub(xi, a)) for a in pos if order.get(sub(xi, a), -1) > order[a]]
+        if special:
+            (a1, b1), *rest = special
+            put(a1, b1, string(a1, b1))
+            for a, b in rest:
+                na, nb = neg(a), neg(b)
+                put(a, b, Fraction(norm[xi], N[(a1, b1)]) * (
+                    term(b1, na, a1, nb) + term(na, a1, b1, nb)))
+    for a in roots:
+        for b in roots:
+            if add(a, b) in norm and (a, b) not in N:
+                put(a, b, n(a, b))
+    return roots, N
+
+
+@pytest.mark.parametrize("t", TEN_TYPES, ids=str)
+def test_structure_constants_on_every_type(t):
+    """On each of the ten types a basis is built for, the table equals the
+    tuple-arithmetic reference and satisfies Carter 4.1.2: it is defined
+    exactly where a + b is a root, |N(a, b)| = p + 1, N(a, b) = -N(b, a) =
+    -N(-a, -b), and N(a, b)/(c, c) = N(b, c)/(a, a) for a + b + c = 0."""
+    rd = build_root_system(t)
+    roots, N = liecoh._chevalley(rd)
+    assert (roots, N) == _ref_chevalley(rd)
+    norm = {r: rd.inner(r, r) for r in roots}
+    neg = {r: tuple(-c for c in r) for r in roots}
+    for a in roots:
+        for b in roots:
+            s = tuple(map(operator.add, a, b))
+            assert ((a, b) in N) == (s in norm), (a, b)
+            if s in norm:
+                p = next(p for p in range(5)
+                         if tuple(y - (p + 1) * x for x, y in zip(a, b)) not in norm)
+                assert abs(N[a, b]) == p + 1
+                assert N[a, b] == -N[b, a] == -N[neg[a], neg[b]]
+                c = neg[s]
+                assert Fraction(N[a, b], norm[c]) == Fraction(N[b, c], norm[a])
+
+
+@pytest.mark.parametrize("t", TEN_TYPES, ids=str)
+def test_root_codes_are_injective_on_every_vector_the_table_forms(t):
+    """`liecoh._code` tells apart every root, every sum of two roots and
+    every b - k a, k = 1 .. 4, of roots a, b: a superset of the vectors
+    `_chevalley` codes, root strings included."""
+    roots = liecoh._chevalley(build_root_system(t))[0]
+    vectors = {tuple(y + k * x for x, y in zip(a, b))
+               for a in roots for b in roots for k in (0, 1, -1, -2, -3, -4)}
+    assert len({liecoh._code(v) for v in vectors}) == len(vectors)
+    assert all((liecoh._code(r) > 0) == (sum(r) > 0) for r in roots)
+    assert all(liecoh._code(tuple(map(operator.add, a, b))) ==
+               liecoh._code(a) + liecoh._code(b) for a in roots for b in roots)
 
 
 def test_spaces_and_bases_are_built_once():
@@ -750,7 +856,7 @@ def test_constants_are_built_once_per_type():
     """Every basis of a simple type, one per special node, reads one table,
     and a fresh equal root datum finds it."""
     constants = liecoh._chevalley
-    for t in sorted({space_from_preset(name).rd.type for name in MATRIX_PRESETS}, key=str):
+    for t in TEN_TYPES:
         rd = build_root_system(t)
         nodes = rd.special_simple_roots()
         constants.cache_clear()

@@ -190,7 +190,8 @@ def test_a_deleted_name_does_not_resolve():
                  "liecoh._cochain_system", "liecoh._invariant_cochains",
                  "invforms.theta_barwedge_theta",
                  "repdecomp.char_dim", "SuperPolynomial.nvars", "SuperDerivation.nvars",
-                 "GrassmannElement.one", "exterior.barwedge", "invforms._entries_within"):
+                 "GrassmannElement.one", "exterior.barwedge", "invforms._entries_within",
+                 "invforms.MatrixPairSpace.coords"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)
     # a field without a default is no class attribute: read the fields
