@@ -1,14 +1,19 @@
 """Alternating parent/change runs of perfbench/run.py, summarised in one JSON.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
+        [--first-seed S] [--held-out WORKLOAD]
 
 DIR is the root of a checkout (one with `src/flagcoh` and `perfbench`).
 Every workload runs ten pairs of `perfbench/run.py --seconds 20`; pair k
-runs both checkouts on seed 101 + k, the parent checkout first on even k and
-the change checkout first on odd k, so that a drift in host speed does not
-favour either side.  For each workload and each end-to-end metric
-the record holds every run's value, the median and quartiles per side, and
-the number of pairs in which the change checkout was lower.  On `gate` it
+runs both checkouts on seed S + k (S = --first-seed, 101 by default), the
+parent checkout first on even k and the change checkout first on odd k, so
+that a drift in host speed does not favour either side.  With --held-out,
+the named workload then runs ten more pairs the same way on the ten seeds
+after those, S + 10 to S + 19, which checks a claim on seeds not used while
+the change was built; they go into the record as `held_out`.  For each
+workload and each end-to-end metric the record holds every run's value, the
+median and quartiles per side, and the number of pairs in which the change
+checkout was lower.  On `gate` it
 also keeps each check's latency (its minimum over a run's passes), and on
 every workload the per-layer metrics of one traced run per checkout
 (`traced`).  Last, the change
@@ -38,7 +43,7 @@ from run import cpu_model  # noqa: E402 - perfbench is a directory of scripts
 METRICS = ("run_s", "peak_rss_mb", "setup_s")
 REPORTED = ("probe_ms", "wall_run_s")
 WORKLOADS = ("gate", "tables", "spectral")
-SEEDS = tuple(range(101, 111))    # one per pair
+PAIRS = 10
 SECONDS = 20
 
 
@@ -75,6 +80,19 @@ def run_once(root: Path, workload: str, seed: int) -> Dict:
 def spread(xs: List[float]) -> Dict:
     q1, median, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
     return {"median": median, "q1": q1, "q3": q3, "values": xs}
+
+
+def run_pairs(parent: Path, change: Path, workload: str, seeds: List[int]
+              ) -> Dict[str, List[Dict]]:
+    """One `run_once` per checkout and seed, alternating which runs first."""
+    runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
+    for k, seed in enumerate(seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(parent if side == "parent" else change, workload, seed))
+        print(f"{workload} pair {k} (seed {seed}): run_s parent {runs['parent'][-1]['run_s']:.4f}"
+              f" change {runs['change'][-1]['run_s']:.4f}", file=sys.stderr)
+    return runs
 
 
 def summarise(runs: Dict[str, List[Dict]], workload: str) -> Dict:
@@ -132,11 +150,16 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--first-seed", type=int, default=101,
+                    help="seed of the first pair; pair k runs on first seed + k")
+    ap.add_argument("--held-out", choices=WORKLOADS,
+                    help="a workload to run ten more pairs of, on the ten seeds after")
     args = ap.parse_args()
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
 
     record: Dict = {
         "command": f"perfbench/run.py --workload W --seed S --seconds {SECONDS}",
-        "seeds": list(SEEDS),
+        "seeds": seeds,
         "order": "parent first on even pairs, change first on odd pairs",
         "python": sys.version.split()[0],
         "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(),
@@ -145,19 +168,16 @@ def main() -> int:
         "workloads": {},
     }
     for workload in WORKLOADS:
-        runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
-        for k, seed in enumerate(SEEDS):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                root = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(root, workload, seed))
-            print(f"{workload} pair {k}: run_s parent {runs['parent'][-1]['run_s']:.4f}"
-                  f" change {runs['change'][-1]['run_s']:.4f}", file=sys.stderr)
-        record["workloads"][workload] = summarise(runs, workload)
+        record["workloads"][workload] = summarise(
+            run_pairs(args.parent, args.change, workload, seeds), workload)
+    if args.held_out:
+        held_out = [seed + PAIRS for seed in seeds]
+        record["held_out"] = {"workload": args.held_out, "seeds": held_out, **summarise(
+            run_pairs(args.parent, args.change, args.held_out, held_out), args.held_out)}
     record["traced"] = {workload: {
-        "seed": SEEDS[0],
+        "seed": seeds[0],
         **{side: {k: v["value"] for k, v in json.loads(
-            bench(root, workload, SEEDS[0], trace=1)[-1])["metrics"].items()}
+            bench(root, workload, seeds[0], trace=1)[-1])["metrics"].items()}
            for side, root in (("parent", args.parent), ("change", args.change))}}
         for workload in WORKLOADS}
     record["tier1"] = tier1(args.change)

@@ -121,18 +121,18 @@ MUTANTS: List[Mutant] = [
     Mutant("invforms.theta_products swaps x and y", "invforms.py",
            "barwedge_inv(x, y) for y in basis", "barwedge_inv(y, x) for y in basis",
            ("tests/test_invforms.py",)),
-    Mutant("invforms.barwedge_inv's early continue tests the v-side merge", "invforms.py",
-           "                if us is None:\n                    continue\n"
-           "                vs, sv = _merge_sign(kv, lv)\n",
-           "                vs, sv = _merge_sign(kv, lv)\n"
-           "                if vs is None:\n                    continue\n",
+    Mutant("invforms.barwedge_inv's u-side feed tests the v-side merge", "invforms.py",
+           "(_merge_sign(ku, urest),) if us is not None]",
+           "(_merge_sign(ku, urest),) if _merge_sign(kv, lv)[0] is not None]",
            ("tests/test_invforms.py",)),
     Mutant("invforms.barwedge_inv drops the slot sign (-1)^k", "invforms.py",
-           "coeff = wc if su * sv == (-1) ** k else -wc",
-           "coeff = wc if su * sv == 1 else -wc",
+           "(us, -su if k % 2 else su, kv, wc)", "(us, su, kv, wc)",
            ("tests/test_invforms.py",)),
+    Mutant("invforms.barwedge_inv keys the v-merge memo on kv alone", "invforms.py",
+           "merges = v_merges.setdefault(lv, {})", "merges = v_merges.setdefault(None, {})",
+           ("tests/test_invforms.py::test_barwedge_matches_the_slot_by_slot_loop",)),
     Mutant("VecTensor.__sub__ drops the sign", "invforms.py",
-           "return self + other.scale(-1)", "return self + other",
+           "return self._signed_sum(other, -1)", "return self._signed_sum(other, 1)",
            ("tests/test_invforms.py",)),
     Mutant("VecTensor._accumulate keeps a cancelled key", "invforms.py",
            "        if not tgt:\n            del data[key]\n", "",
@@ -146,6 +146,9 @@ MUTANTS: List[Mutant] = [
     Mutant("liecoh._pair_reads drops the antisymmetry sign", "liecoh.py",
            "yield b, a, v, -1, vec", "yield b, a, v, 1, vec",
            ("tests/test_liecoh.py",)),
+    Mutant("scalars._gauss_jordan keeps a row whose pivot is -1 undivided too", "scalars.py",
+           "row if row[c] == 1 else", "row if row[c] in (1, -1) else",
+           ("tests/test_scalars.py::test_fraction_free_kernel_matches_fraction_gauss_jordan",)),
     Mutant("scalars.sparse_rref negates the sqrt2 part of the target", "scalars.py",
            "[b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
            "[-b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",

@@ -114,16 +114,19 @@ class VecTensor(Record):
         return self._like({k: {i: canonical(c * v) for i, v in vec.items()}
                            for k, vec in self._values().items()})
 
-    def __add__(self, other: "VecTensor") -> "VecTensor":
+    def _signed_sum(self, other: "VecTensor", sign: int) -> "VecTensor":
+        """self + sign * other, for sign = 1 or -1, after one label check."""
         self._check_like(other)
         out = {k: dict(v) for k, v in self._values().items()}
         for k, vec in other._values().items():
-            self._accumulate(out, k, 1, vec)
+            self._accumulate(out, k, sign, vec)
         return self._like(out)
 
+    def __add__(self, other: "VecTensor") -> "VecTensor":
+        return self._signed_sum(other, 1)
+
     def __sub__(self, other: "VecTensor") -> "VecTensor":
-        self._check_like(other)
-        return self + other.scale(-1)
+        return self._signed_sum(other, -1)
 
 
 class InvariantVectorForm(VecTensor):
@@ -286,7 +289,9 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
 
     Sparse over stored entries: psi's (ku, kv) -> w feeds slot k of phi's
     (lu, lv) when w has the index lu[k], at the keys `_merge_sign` gives for
-    (ku, lu minus slot k) and (kv, lv), with (-1)^k times their signs."""
+    (ku, lu minus slot k) and (kv, lv), with (-1)^k times their signs.  The
+    u side of that feed depends on lu alone and is built once per lu; each
+    v-side merge is made once per (kv, lv), in a memo that lives for the call."""
     if phi.space != psi.space:
         raise ValueError("forms live on different spaces")
     space = phi.space
@@ -300,18 +305,23 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
     for (ku, kv), w in psi.tensor.items():
         for widx, wc in w.items():
             by_index.setdefault(widx, []).append((ku, kv, wc))
+    feeds, v_merges = {}, {}  # lu -> its u-side feed; lv -> kv -> _merge_sign(kv, lv)
     for (lu, lv), vec in phi.tensor.items():
-        for k, widx in enumerate(lu):
-            urest = lu[:k] + lu[k + 1:]
-            for ku, kv, wc in by_index.get(widx, ()):
-                us, su = _merge_sign(ku, urest)
-                if us is None:
-                    continue
-                vs, sv = _merge_sign(kv, lv)
-                if vs is None:
-                    continue
-                coeff = wc if su * sv == (-1) ** k else -wc
-                _add_into(tensor.setdefault((us, vs), {}), coeff, vec)
+        feed = feeds.get(lu)
+        if feed is None:
+            feed = feeds[lu] = [
+                (us, -su if k % 2 else su, kv, wc)
+                for k, widx in enumerate(lu) for urest in (lu[:k] + lu[k + 1:],)
+                for ku, kv, wc in by_index.get(widx, ())
+                for us, su in (_merge_sign(ku, urest),) if us is not None]
+        merges = v_merges.setdefault(lv, {})
+        for us, su, kv, wc in feed:
+            vs_sv = merges.get(kv)
+            if vs_sv is None:
+                vs_sv = merges[kv] = _merge_sign(kv, lv)
+            vs, sv = vs_sv
+            if vs is not None:
+                _add_into(tensor.setdefault((us, vs), {}), wc if su == sv else -wc, vec)
     return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
 
 

@@ -13,15 +13,15 @@ products fall through to QSqrt2's reflected operators.
 which `combine_targets` reads at any combination; `sparse_rref` reads one
 right-hand side, and the dense rref/rank/nullspace/solve are thin wrappers
 over it.  Matrices whose entries are all rational are eliminated in
-integers, whatever their entry type: rows cleared of denominators, combined
-as a*row - b*prow and divided by their content, and divided by their pivot
-only when the RREF is written.  A Q(sqrt2) right-hand side of a rational
-system is read as its rational and sqrt(2) parts.  Q(sqrt2) arithmetic
-remains only for matrices that contain sqrt(2) themselves."""
+integers, whatever their entry type: `reduce_targets` scales each row to
+coprime integers as it copies it, and `_gauss_jordan` combines rows as
+a*row - b*prow divided by their content and divides a row by its pivot,
+unless that is 1, only when the RREF is written.  A Q(sqrt2) right-hand
+side of a rational system is read as its rational and sqrt(2) parts.
+Q(sqrt2) arithmetic remains only for matrices that contain sqrt(2)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -257,19 +257,21 @@ def reduce_targets(rows: List[SparseRow], n_cols: int, targets: Sequence[Row]):
     red holds the nonzero rows of the RREF of rows, with pivot columns
     `pivots`; family, read by `combine_targets`, holds the target block (as
     target index -> entry) of the rows whose pivot is a target column, and
-    of the others with their pivot columns.  Rows and targets all rational,
+    of the others with their pivot columns.  Each row is copied with its
+    targets and scaled to coprime integers (`_integral`), and rational rows,
     whatever their type, are eliminated in integers (`_gauss_jordan`) into
-    ints and Fractions, an int iff integral; any others over QSqrt2.
+    ints and Fractions, an int iff integral.  One sqrt(2) part puts every
+    row over QSqrt2, a row already scaled as a multiple of itself (same RREF).
     """
-    rational = all(not isinstance(x, QSqrt2) or not x.b for x in itertools.chain(
-        *(row.values() for row in rows), *targets))
-    conv = _rational if rational else _coerce
-    work = [{c: conv(x) for c, x in row.items() if x} for row in rows]
+    work = [{c: x for c, x in row.items() if x} for row in rows]
     for j, target in enumerate(targets, n_cols):
         for row, b in zip(work, target):
             if b:
-                row[j] = conv(b)
-    red, pivots = _gauss_jordan(work, n_cols + len(targets), rational)
+                row[j] = b
+    integral = all(map(_integral, work))
+    if not integral:
+        work = [{c: _coerce(x) for c, x in row.items()} for row in work]
+    red, pivots = _gauss_jordan(work, n_cols + len(targets), integral)
     blocks = [{j: row.pop(n_cols + j) for j in range(len(targets)) if n_cols + j in row}
               for row in red]
     k = sum(pc < n_cols for pc in pivots)
@@ -336,6 +338,23 @@ def _rational(x):
     return x.a if isinstance(x, QSqrt2) else x
 
 
+def _integral(row: SparseRow) -> bool:
+    """True, with row scaled in place to coprime integers, when its entries
+    are rational, whatever their type (a row of ints by `_primitive` alone);
+    False, row unchanged, when one has a sqrt(2) part."""
+    try:
+        _primitive(row)
+    except TypeError:  # the gcd refuses a Fraction or QSqrt2 before any change
+        if any(isinstance(x, QSqrt2) and x.b for x in row.values()):
+            return False
+        d = math.lcm(*(_rational(x).denominator for x in row.values()))
+        for k, x in row.items():
+            x = _rational(x)
+            row[k] = x.numerator * (d // x.denominator)
+        _primitive(row)
+    return True
+
+
 def _primitive(row: SparseRow) -> SparseRow:
     """row, an integer row, divided in place by the gcd of its entries."""
     g = math.gcd(*row.values())
@@ -352,21 +371,18 @@ def _gauss_jordan(rows: List[SparseRow], n_cols: int, integral: bool
     Columns are reduced in order; a row is eliminated against the pivot row
     prow, whose entry in the pivot column is a where the row's is b, as
     row - (b/a)*prow over QSqrt2, and without fractions when `integral`
-    (the rows are rational): each row is scaled to coprime integers, and an
+    (the rows are coprime integer rows, as `reduce_targets` scales them): an
     eliminated row becomes a*row - b*prow, (a, b) cut by their gcd, divided
     by the gcd of its entries (`_eliminate`; Bareiss, Math. Comp. 22, 1968,
     eliminates without fractions too).  Every row stays a nonzero multiple
     of the same row over the field, so the nonzero patterns, and with them
-    the pivot choices, do not depend on `integral`.  A row is divided by its
-    pivot only when it is written into red, so red is the RREF either way,
-    with int entries where they are integral.
+    the pivot choices, do not depend on `integral`.  The backward pass
+    combines with the whole pivot row, whose pivot entry cancels.  A row is
+    divided by its pivot only when it is written into red, and kept as it
+    is when that pivot is 1, so red is the RREF either way, with int
+    entries where they are integral.
     """
     combine = _eliminate if integral else _eliminate_over_field
-    if integral:
-        for i, row in enumerate(rows):
-            d = math.lcm(*(x.denominator for x in row.values()))
-            rows[i] = _primitive({k: x.numerator * (d // x.denominator)
-                                  for k, x in row.items()})
     # column -> rows not yet used as a pivot that are nonzero there
     where: Dict[int, Set[int]] = {}
     for i, row in enumerate(rows):
@@ -400,11 +416,10 @@ def _gauss_jordan(rows: List[SparseRow], n_cols: int, integral: bool
                 holders[c].append(i)
     for k in range(len(red) - 1, 0, -1):
         c, prow = pivots[k], red[k]
-        tail = {j: x for j, x in prow.items() if j != c}
         for i in holders[c]:
-            combine(red[i], prow[c], red[i].pop(c), tail, None, 0)
+            combine(red[i], prow[c], red[i][c], prow, None, 0)
     divide = exact_quotient if integral else operator.truediv
-    return [{j: divide(x, row[c]) for j, x in row.items()}
+    return [row if row[c] == 1 else {j: divide(x, row[c]) for j, x in row.items()}
             for row, c in zip(red, pivots)], pivots
 
 

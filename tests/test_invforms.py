@@ -26,7 +26,8 @@ from flagcoh.invforms import (
     _sorted_with_sign,
 )
 from flagcoh.exterior import _merge_sign
-from flagcoh.scalars import QS_ONE, QS_ZERO, QSqrt2, RT2, nullspace, rank, rref, solve
+from flagcoh.scalars import (QS_ONE, QS_ZERO, QSqrt2, RT2, canonical, nullspace, rank,
+                             rref, solve)
 
 
 GR42 = MatrixPairSpace(2, 2)
@@ -592,6 +593,67 @@ def test_sparse_barwedge_matches_the_shuffle_sum_on_gr63():
     forms = {"theta2": theta_p(GR63, 2), "eta": eta(GR63)}
     for (x, phi), (y, psi) in itertools.product(forms.items(), repeat=2):
         _assert_same_product(phi, psi, (x, y))
+
+
+def _slot_barwedge(phi, psi):
+    """Reference: `barwedge_inv` as the slot-by-slot loop, both merges made
+    again for every entry of phi, slot k and entry of psi that meet."""
+    space = phi.space
+    P, Q = phi.p + psi.p - 1, phi.q + psi.q
+    tensor = {}
+    if P > space.dim or Q > space.dim or P < 0:
+        return InvariantVectorForm(space, max(P, 0), Q, tensor)
+    by_index = {}
+    for (ku, kv), w in psi.tensor.items():
+        for widx, wc in w.items():
+            by_index.setdefault(widx, []).append((ku, kv, wc))
+    for (lu, lv), vec in phi.tensor.items():
+        for k, widx in enumerate(lu):
+            urest = lu[:k] + lu[k + 1:]
+            for ku, kv, wc in by_index.get(widx, ()):
+                us, su = _merge_sign(ku, urest)
+                if us is None:
+                    continue
+                vs, sv = _merge_sign(kv, lv)
+                if vs is None:
+                    continue
+                coeff = wc if su * sv == (-1) ** k else -wc
+                tgt = tensor.setdefault((us, vs), {})
+                for i, c in vec.items():
+                    nc = tgt.get(i, 0) + coeff * c
+                    if nc:
+                        tgt[i] = canonical(nc)
+                    else:
+                        tgt.pop(i, None)
+    return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
+
+
+def _assert_same_as_slot_loop(phi, psi, label):
+    """Equal, with the same keys and indices in the same order and the same
+    value types, every value an int iff integral."""
+    got, want = barwedge_inv(phi, psi), _slot_barwedge(phi, psi)
+    assert got == want, label
+    layout = [(key, [(i, type(c)) for i, c in vec.items()]) for key, vec in want.tensor.items()]
+    assert [(key, [(i, type(c)) for i, c in vec.items()])
+            for key, vec in got.tensor.items()] == layout, label
+    assert all(is_canonical(c) for _, c in got.entries()), label
+
+
+@pytest.mark.parametrize("rs", [(2, 2), (3, 2), (2, 3), (3, 3)], ids=str)
+def test_barwedge_matches_the_slot_by_slot_loop(rs):
+    """Every ordered pair of theta_1..theta_4, eta and eta1-eta3, and of a
+    half-eta whose products have non-integral entries."""
+    space = MatrixPairSpace(*rs)
+    forms = {**_family(space), "eta/2": eta(space).scale(Fraction(1, 2))}
+    for (x, phi), (y, psi) in itertools.product(forms.items(), repeat=2):
+        _assert_same_as_slot_loop(phi, psi, (rs, x, y))
+
+
+def test_barwedge_matches_the_slot_by_slot_loop_on_a_root_space():
+    space = RootPairSpace(5)
+    forms = [theta_p(space, p) for p in range(1, 6)]
+    for phi, psi in itertools.product(forms, repeat=2):
+        _assert_same_as_slot_loop(phi, psi, (phi.p, psi.p))
 
 
 def _dense_rank_of(forms):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from flagcoh.scalars import (
     nullspace,
     parse_scalar,
     rank,
+    reduce_targets,
     rref,
     solve,
     sparse_rref,
@@ -240,6 +242,65 @@ def test_fraction_free_kernel_matches_fraction_gauss_jordan(big):
             assert sparse_rref(rows, n_cols, rational)[2] is not None
         kinds[kind] += got[2] is not None
     assert all(kinds[k] for k in ("none", "rational", "qsqrt2"))
+
+
+def reference_reduce_targets(rows, n_cols, targets):
+    """Reference: `reduce_targets` by the Fraction Gauss-Jordan, over QSqrt2
+    when any row or target entry has a sqrt2 part."""
+    entries = [x for row in rows for x in row.values()] + [b for t in targets for b in t]
+    if any(isinstance(x, QSqrt2) and x.b for x in entries):
+        conv = QSqrt2
+    else:
+        conv = lambda x: x.a if isinstance(x, QSqrt2) else Fraction(x)  # noqa: E731
+    work = [{c: conv(x) for c, x in row.items() if x} for row in rows]
+    for j, target in enumerate(targets, n_cols):
+        for row, b in zip(work, target):
+            if b:
+                row[j] = conv(b)
+    red, pivots = reference_gauss_jordan(work, n_cols + len(targets))
+    blocks = [{j: row.pop(n_cols + j) for j in range(len(targets)) if n_cols + j in row}
+              for row in red]
+    k = sum(pc < n_cols for pc in pivots)
+    return red[:k], pivots[:k], (blocks[k:], list(zip(pivots[:k], blocks[:k])))
+
+
+def _layout(rows, targets):
+    """Every entry of rows and targets with its type, in order."""
+    return ([[(c, type(x), x) for c, x in row.items()] for row in rows],
+            [[(type(b), b) for b in target] for target in targets])
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "rt2-in-a-target", "rt2-in-the-last-row"])
+def test_reduce_targets_matches_the_reference_and_keeps_its_input(kind):
+    """All-int rows and targets; rows and targets mixing int, Fraction and
+    rational QSqrt2; a sqrt2 part in one target entry only; a sqrt2 part in
+    the last row only.  The rows and targets passed in are left as they were."""
+    rng = random.Random(f"reduce-targets/{kind}")
+    irrational = kind.startswith("rt2")
+    for trial in range(120):
+        size = 15 if irrational else 25  # QSqrt2 arithmetic is slow
+        n_rows, n_cols = rng.randint(1 if irrational else 0, size), rng.randint(1, size)
+        rows = random_rational_rows(rng, n_rows, n_cols, rng.choice((0.1, 0.3, 1.0)), False)
+        targets = [[rng.choice((0, 0, 1, -2, Fraction(3, 7), QSqrt2(Fraction(-1, 2))))
+                    for _ in rows] for _ in range(2)]
+        if kind == "int":
+            # every entry of random_rational_rows has a denominator dividing 6
+            rows = [{c: int(6 * QSqrt2(x).a) for c, x in row.items()} for row in rows]
+            targets = [[int(6 * QSqrt2(b).a) for b in target] for target in targets]
+        elif kind == "rt2-in-a-target":
+            targets[rng.randrange(2)][rng.randrange(n_rows)] = QSqrt2(1, rng.choice((1, -2)))
+        elif kind == "rt2-in-the-last-row":
+            rows[-1][rng.randrange(n_cols)] = QSqrt2(Fraction(1, 3), 1)
+        before = _layout(copy.deepcopy(rows), copy.deepcopy(targets))
+        got = reduce_targets(rows, n_cols, targets)
+        assert _layout(rows, targets) == before, trial
+        assert got == reference_reduce_targets(rows, n_cols, targets), trial
+        red, _, (conditions, blocks) = got
+        values = [x for row in red + conditions + [b for _, b in blocks] for x in row.values()]
+        if irrational:
+            assert all(type(x) is QSqrt2 for x in values), trial
+        else:
+            assert all(is_canonical(x) for x in values), trial
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20),
