@@ -80,10 +80,16 @@ MUTANTS: List[Mutant] = [
            "            raise ValueError(\"weight is not S-dominant for this space\")\n", "",
            ("tests/test_bott.py::test_a_weight_that_is_not_S_dominant_is_refused_with_one_message",)),
     Mutant("Derivation.bracket flips the second half's sign", "exterior.py",
-           "into(acc, a, sign, theirs)", "into(acc, a, -sign, theirs)",
+           "into(accs.setdefault(k, {}), a, sign, theirs)",
+           "into(accs.setdefault(k, {}), a, -sign, theirs)",
            ("tests/test_exterior.py",)),
-    Mutant("Derivation.bracket skips the other half when its own half is empty",
-           "exterior.py", "                    if a:\n", "                    if a and b:\n",
+    Mutant("Derivation.bracket skips self's half where other's image is zero",
+           "exterior.py", "into(accs.setdefault(k, {}), a, sign, theirs)",
+           "k in accs and into(accs[k], a, sign, theirs)",
+           ("tests/test_exterior.py",)),
+    Mutant("Derivation.bracket walks only self's nonzero images", "exterior.py",
+           "for k, b in theirs[1]:",
+           "for k, b in [(k, other.images[k].terms) for k, _ in mine[1]]:",
            ("tests/test_exterior.py",)),
     Mutant("Derivation._leibniz keys the letter tables without m", "exterior.py",
            "self._letter_tables[m]", "self._letter_tables[0]",
@@ -92,15 +98,24 @@ MUTANTS: List[Mutant] = [
            "exterior.py",
            'setfield(self, "_setup", setup)', "type(self)._setup = setup",
            ("tests/test_exterior.py",)),
-    Mutant("Derivation._into keys the product memo on k alone", "exterior.py",
+    Mutant("Derivation._leibniz keeps one compiled action per class, not per derivation",
+           "exterior.py", "setup = ({}, ", "setup = (self._letter_tables[-1], ",
+           ("tests/test_exterior.py",)),
+    Mutant("Derivation._compile keys the product memo on k alone", "exterior.py",
            "key = (k, rest)", "key = k",
            ("tests/test_exterior.py",)),
-    Mutant("Derivation._into drops the exponent factor e", "exterior.py",
-           "ce = c * e if e > 1 else c", "ce = c",
+    Mutant("Derivation._compile drops the exponent factor e", "exterior.py",
+           "t = e * v if s > 0 else -e * v", "t = v if s > 0 else -v",
            ("tests/test_superfields.py",)),
-    Mutant("Derivation._into drops the odd-place sign", "exterior.py",
+    Mutant("Derivation._compile drops the odd-place sign", "exterior.py",
            "if j % 2 and (grade + odd_len(k)) % 2:", "if False:",
            ("tests/test_exterior.py",)),
+    # the refusal contract: the class test comes before any attribute of
+    # the operand is read
+    Mutant("Derivation._same_space drops its class test", "exterior.py",
+           "        if other.__class__ is not self.__class__:\n"
+           "            raise _mismatch(op, self, other)\n", "",
+           ("tests/test_record.py::test_every_foreign_operand_meets_the_refusal_contract",)),
     Mutant("exterior._merge_sign drops the anticommutation sign", "exterior.py",
            "if (len(a) - i) % 2 == 1:", "if False:",
            ("tests/test_exterior.py",)),

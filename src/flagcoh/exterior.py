@@ -23,12 +23,15 @@ Leibniz loop `_into` (it adds +-i(phi)a into a caller's dict) once, with
 one mismatch rule (`ValueError`).  `VectorValuedForm` and
 `superfields.SuperDerivation` subclass it with their labels and hooks: the
 term algebra, a same-space constructor, a monomial's odd length and
-`_letters`, which lists the generators of a monomial that `_into` walks.
+`_letters`, which lists the generators of a monomial that `_compile` walks.
 `apply` and `bracket` fetch each operand's set-up (`_leibniz`), which a
 derivation builds on first use and keeps in its `_setup` slot, outside its
-fields, and run `_into` per image; `_into` keeps each monomial's letters in
-the class's `_letter_tables` dict (one per m) and each monomial product in
-the algebra's `_products` dict, so both are computed once per process.
+fields: its compiled action, a dict from a monomial to its image d(mono)
+that `_compile` builds on first read, and its nonzero images.  `_into` only
+scales and adds compiled images, and `bracket` walks only the nonzero
+images of its operands.  `_compile` keeps each monomial's letters in the
+class's `_letter_tables` dict (one per m) and each monomial product in the
+algebra's `_products` dict, so both are computed once per process.
 
 Elements and derivations are read-only `record.Record` values with slots:
 each class sets its fields in a short `__init__` of its own, through
@@ -91,7 +94,7 @@ class TermAlgebra(Record):
     an int iff integral.  A subclass supplies `_mono_mul`, the product of two
     monomials as (monomial, sign), or (None, 0) when it vanishes; each class
     keeps one shared zero per m in `_zeros` and the products the Leibniz
-    loop has formed in `_products`.  An element is a read-only `Record` with
+    rule has formed in `_products`.  An element is a read-only `Record` with
     the slots m and terms; subclasses add no field and no slot, so they take
     this `__init__`, `__eq__` and `__hash__`, and `Record`'s `__repr__`.
     """
@@ -120,7 +123,11 @@ class TermAlgebra(Record):
     def _from_dict(cls, m: int, acc: Dict[object, Coeff]):
         """The element of kernel-produced monomials and values, an integral
         Fraction made an int; the shared zero when every value cancelled."""
-        if acc:
+        if len(acc) == 1:
+            (k, c), = acc.items()
+            if c:
+                return cls(m, ((k, c if type(c) is int else _canon(c)),))
+        elif acc:
             terms = tuple(sorted([(k, c if type(c) is int else _canon(c))
                                   for k, c in acc.items() if c]))
             if terms:
@@ -258,7 +265,7 @@ class Derivation(Record):
     its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
     labels of its space, which fix m: m itself, or (r, s)) and its
     `_grade_field` (degree or parity), and supplies `_letters(mono, m)` and
-    `_odd_len(mono)`, which the Leibniz loop `_into` reads, `_bracket_label`
+    `_odd_len(mono)`, which `_compile` reads, `_bracket_label`
     and `_relabel(grade, images)`, a derivation on the same space.  Operands
     on different spaces raise `ValueError`, and so do nonzero operands of
     different grades in a sum; a zero of another grade is absorbed.
@@ -331,38 +338,41 @@ class Derivation(Record):
         sign * other(self_k), both summed into one dict, with the grade and
         the sign (-1, +1 when both are odd, 0 when the bracket vanishes by
         degree) from `_bracket_label`.  Each operand's set-up is fetched
-        once; generators with two zero images are skipped, so is an empty
-        half, and an image whose halves cancel is the shared zero."""
+        once and only nonzero images are walked: other's fill image k's dict
+        with self(other_k) first, then self's add sign * other(self_k); an
+        image whose halves cancel is the shared zero."""
         self._same_space(other, "bracket")
         grade, sign = self._bracket_label(other)
         algebra, nv = self._algebra, self.m
         images = [algebra._zeros[nv]] * len(self.images)
         if sign:
             mine, theirs = self._leibniz(), other._leibniz()
-            into, from_dict = self._into, algebra._from_dict
-            for k, (a, b) in enumerate(zip(self.images, other.images)):
-                a, b = a.terms, b.terms
-                if a or b:
-                    acc: Dict[object, Coeff] = {}
-                    if b:
-                        into(acc, b, 1, mine)
-                    if a:
-                        into(acc, a, sign, theirs)
-                    images[k] = from_dict(nv, acc)
+            into, accs = self._into, {}
+            for k, b in theirs[1]:
+                into(accs.setdefault(k, {}), b, 1, mine)
+            for k, a in mine[1]:
+                into(accs.setdefault(k, {}), a, sign, theirs)
+            from_dict = algebra._from_dict
+            for k, acc in accs.items():
+                images[k] = from_dict(nv, acc)
         return self._relabel(grade, tuple(images))
 
     def _leibniz(self):
-        """What `_into` reads of self: the images, the grade, `_odd_len`,
-        this m's letter table and `_letters` that fills it, m, and the
-        algebra's product memo and `_mono_mul`.  It is built once per
-        derivation and kept in the `_setup` slot, which is not a field:
-        equality, hash and repr never read it."""
+        """What `_into` and `bracket` read of self: its compiled action (a
+        dict from a monomial to d(monomial), filled by `_compile` on first
+        read), its nonzero images as (k, terms), and what `_compile` reads:
+        the images, the grade, `_odd_len`, this m's letter table and
+        `_letters` that fills it, m, and the algebra's product memo and
+        `_mono_mul`.  It is built once per derivation and kept in the
+        `_setup` slot, which is not a field: equality, hash and repr never
+        read it."""
         try:
             return self._setup
         except AttributeError:
             pass
-        algebra, m = self._algebra, self.m
-        setup = (self.images, getattr(self, self._grade_field), self._odd_len,
+        algebra, m, images = self._algebra, self.m, self.images
+        setup = ({}, tuple([(k, a.terms) for k, a in enumerate(images) if a.terms]),
+                 images, getattr(self, self._grade_field), self._odd_len,
                  self._letter_tables[m], self._letters, m,
                  algebra._products, algebra._mono_mul)
         setfield(self, "_setup", setup)
@@ -370,41 +380,52 @@ class Derivation(Record):
 
     @staticmethod
     def _into(acc: Dict[object, Coeff], terms, sign: int, setup) -> None:
-        """Add sign * d(a) into acc by the super-Leibniz rule, for the terms
-        of a and the `_leibniz` set-up of d: a letter (g, rest, e, j) of
-        `_letters` (generator index, the monomial without it, exponent, odd
-        letters before it) gives e * images[g] * rest by `_mono_mul`, times
-        (-1)^{j (grade + odd length of the image term)}."""
-        images, grade, odd_len, table, letters_of, m, products, mul = setup
+        """Add sign * d(a) into acc, for the terms of a and the `_leibniz`
+        set-up of d: each term c * mono adds c times the compiled d(mono)."""
+        compiled = setup[0]
         for mono, c in terms:
-            letters = table.get(mono)
-            if letters is None:
-                letters = table[mono] = letters_of(mono, m)
-            for g, rest, e, j in letters:
-                image = images[g].terms
-                if not image:
+            image = compiled.get(mono)
+            if image is None:
+                image = compiled[mono] = Derivation._compile(mono, setup)
+            if sign < 0:
+                c = -c
+            for merged, v in image:
+                t = c * v
+                old = acc.get(merged)
+                acc[merged] = t if old is None else old + t
+
+    @staticmethod
+    def _compile(mono, setup) -> Tuple[Tuple[object, Coeff], ...]:
+        """d(mono) as (monomial, nonzero value) pairs, an int iff integral,
+        by the super-Leibniz rule: a letter (g, rest, e, j) of `_letters`
+        (generator index, the monomial without it, exponent, odd letters
+        before it) gives e * images[g] * rest by `_mono_mul`, times
+        (-1)^{j (grade + odd length of the image term)}."""
+        _, _, images, grade, odd_len, table, letters_of, m, products, mul = setup
+        letters = table.get(mono)
+        if letters is None:
+            letters = table[mono] = letters_of(mono, m)
+        acc: Dict[object, Coeff] = {}
+        for g, rest, e, j in letters:
+            for k, v in images[g].terms:
+                key = (k, rest)
+                product = products.get(key)
+                if product is None:
+                    product = products[key] = mul(k, rest)
+                merged, s = product
+                if merged is None:
                     continue
-                ce = c * e if e > 1 else c
-                for k, v in image:
-                    key = (k, rest)
-                    product = products.get(key)
-                    if product is None:
-                        product = products[key] = mul(k, rest)
-                    merged, s = product
-                    if merged is None:
-                        continue
-                    if j % 2 and (grade + odd_len(k)) % 2:
-                        s = -s
-                    t = ce * v
-                    old = acc.get(merged)
-                    if s == sign:
-                        acc[merged] = t if old is None else old + t
-                    else:
-                        acc[merged] = -t if old is None else old - t
+                if j % 2 and (grade + odd_len(k)) % 2:
+                    s = -s
+                t = e * v if s > 0 else -e * v
+                old = acc.get(merged)
+                acc[merged] = t if old is None else old + t
+        return tuple([(k, v if type(v) is int else _canon(v))
+                      for k, v in acc.items() if v]) if acc else ()
 
 
 def _grassmann_letters(mono: Monomial, m: int):
-    """The letters of `Derivation._into`: xi_i at place j is (i - 1, rest, 1, j)."""
+    """The letters of `Derivation._compile`: xi_i at place j is (i - 1, rest, 1, j)."""
     return tuple((i - 1, mono[:j] + mono[j + 1:], 1, j) for j, i in enumerate(mono))
 
 

@@ -499,14 +499,16 @@ def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
 # torus equivariance a coboundary test only needs the weight-zero block.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _lambda2_module(gb: GModuleBasis):
-    """Basis bookkeeping for Lambda^2 n- (x) n+: ((i<j) pair, u)."""
+    """Basis bookkeeping for Lambda^2 n- (x) n+: ((i<j) pair, u), built
+    once per basis; callers only read it."""
     n = gb.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     pair_index = {p: k for k, p in enumerate(pairs)}
     wm = [gb.elements[v].weight for v in gb.nminus_order]
-    weights = [_wsum(wm[i], wm[j], gb.elements[u].weight)
-               for (i, j) in pairs for u in gb.nplus_order]
+    weights = tuple(_wsum(wm[i], wm[j], gb.elements[u].weight)
+                    for (i, j) in pairs for u in gb.nplus_order)
     return pairs, pair_index, weights
 
 

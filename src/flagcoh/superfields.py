@@ -26,9 +26,10 @@ are not keyed by value: hashing a field costs more than the comparison.
 coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
 bracket, the Leibniz loop `Derivation._into` and the mismatch rule from
 there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
-what `_into` reads: a monomial's odd length (its xi-part's) and its letters
-`_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place sign; they
-depend on m = r s, and `_into` keeps them in one table per m.
+what `Derivation._compile` reads: a monomial's odd length (its xi-part's)
+and its letters `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a
+place sign; they depend on m = r s, and `_compile` keeps them in one table
+per m.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -145,7 +146,7 @@ class SuperPolynomial(TermAlgebra):
 
 
 def _super_letters(mono: Monomial, nv: int):
-    """The letters of `Derivation._into`: x_k^e is (k, rest with x_k^(e-1), e,
+    """The letters of `Derivation._compile`: x_k^e is (k, rest with x_k^(e-1), e,
     0), as d/dx_k is even, and xi_k at place j is (nv + k, rest, 1, j)."""
     xs, ss = mono
     return tuple(

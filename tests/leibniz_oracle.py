@@ -1,9 +1,10 @@
 """The Leibniz kernel as it was written before `Derivation.apply` and
 `Derivation.bracket` fetched each operand's set-up once: `_into` called per
 image, rebuilding its set-up on each call, with each monomial's letters and
-every monomial product computed afresh.  It is the oracle of the shared
-kernel's letter tables, product memo and skipped halves.  `merge_sign` is
-the oracle of the Grassmann-monomial kernel `exterior._merge_sign`."""
+every monomial product computed afresh, and every image of both operands
+walked.  It is the oracle of the shared kernel's letter tables, product
+memo, compiled action and sparse walk.  `merge_sign` is the oracle of the
+Grassmann-monomial kernel `exterior._merge_sign`."""
 
 from typing import Dict
 
@@ -76,14 +77,24 @@ def old_bracket(d1, d2):
     return d1._relabel(grade, tuple(images))
 
 
+def assert_same_values(pairs) -> None:
+    """Each (got, want) pair of elements has equal terms, coefficient types
+    included."""
+    for got, want in pairs:
+        assert got.terms == want.terms
+        assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+
+
+def bracket_pairs(got, want):
+    """The (got, want) image pairs of two brackets, whose grades agree."""
+    assert got._grade == want._grade
+    return list(zip(got.images, want.images))
+
+
 def check_against_old_kernel(a, b, d1, d2) -> None:
     """apply of d1 and d2 on a and b, and both brackets of d1 and d2, equal
     the old kernel's, coefficient types included."""
     pairs = [(d.apply(x), old_apply(d, x)) for d in (d1, d2) for x in (a, b)]
     for x, y in ((d1, d2), (d2, d1), (d1, d1)):
-        got, want = x.bracket(y), old_bracket(x, y)
-        assert got._grade == want._grade
-        pairs += zip(got.images, want.images)
-    for got, want in pairs:
-        assert got.terms == want.terms
-        assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+        pairs += bracket_pairs(x.bracket(y), old_bracket(x, y))
+    assert_same_values(pairs)

@@ -157,3 +157,26 @@ def test_criterion_8_fails_on_a_wrong_n5_jet(monkeypatch):
     field = superfields.fundamental_field
     monkeypatch.setattr(superfields, "fundamental_field", lambda g, s: field(g, s).scale(-1))
     assert verify.check_c8_superfields() == (False, "y* formula failed at n=5, s=1")
+
+
+def test_criterion_8_fails_when_every_bracket_is_negated(monkeypatch):
+    """`superfields.homomorphism_check` reads each basis bracket through
+    `superfields.bracket`: negated, every pair agrees on sigma = -1."""
+    field_bracket = superfields.bracket
+    monkeypatch.setattr(superfields, "bracket", lambda d1, d2: -field_bracket(d1, d2))
+    assert verify.check_c8_superfields() == (False, "sigma != 1 at (n,s)=(2,1)")
+
+
+def test_criterion_8_goes_red_on_one_wrong_basis_bracket(monkeypatch):
+    """A bracket doubled on the last nonzero basis pair of q_2 at s = 1,
+    after sigma is fixed, has no uniform sign: the check raises, and the
+    gate's runner reports the verdict red with the pair."""
+    fields = superfields.basis_fields(2, 1)
+    field_bracket = superfields.bracket
+    i, j = max((i, j) for i, f in enumerate(fields) for j, g in enumerate(fields)
+               if not field_bracket(f, g).is_zero())
+    monkeypatch.setattr(superfields, "bracket", lambda d1, d2: field_bracket(d1, d2).scale(
+        2 if d1 is fields[i] and d2 is fields[j] else 1))
+    result, = verify.run_all(criteria=["8"])
+    assert result.name == "8.superfields" and result.ok is False
+    assert result.detail == f"exception: no uniform sign at basis pair ({i}, {j})"

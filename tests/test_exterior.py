@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonical import assert_canonical, check_against_fractions
-from leibniz_oracle import check_against_old_kernel, merge_sign, perm_sign
+from leibniz_oracle import (assert_same_values, bracket_pairs, check_against_old_kernel,
+                            merge_sign, perm_sign)
 
 from flagcoh.exterior import (
     GrassmannElement,
@@ -696,6 +697,32 @@ def test_apply_and_bracket_match_the_per_call_kernel(seed):
     d1, d2 = (random_rational_form(rng, m, rng.randint(-1, m), rng.choice([0.3, 0.7, 1.0]))
               for _ in range(2))
     check_against_old_kernel(a, b, d1, d2)
+
+
+def test_a_warm_compiled_action_gives_the_values_of_a_fresh_copy():
+    """A form whose compiled action already holds the monomials it met
+    applies and brackets as a copy built from its fields, whose set-up and
+    compiled images are made afresh: equal values, coefficient types
+    included, on rational forms of every degree."""
+    rng = random.Random(12)
+    m = 4
+    forms = [random_rational_form(rng, m, p, 0.7) for p in range(-1, m + 1)]
+    elements = [random_element(rng, m, range(m + 1)) for _ in range(4)]
+    for d in forms:
+        for a in elements:
+            d.apply(a)
+        for e in forms:
+            d.bracket(e), e.bracket(d)
+    for d in forms:
+        assert d._leibniz()[0]
+        fresh = VectorValuedForm(d.m, d.degree, d.images)
+        assert not hasattr(fresh, "_setup")
+        pairs = [(d.apply(a), fresh.apply(a)) for a in elements]
+        for e in forms:
+            copy = VectorValuedForm(e.m, e.degree, e.images)
+            pairs += bracket_pairs(d.bracket(e), fresh.bracket(copy))
+            pairs += bracket_pairs(e.bracket(d), copy.bracket(fresh))
+        assert_same_values(pairs)
 
 
 def test_integral_values_are_ints():

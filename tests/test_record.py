@@ -1,6 +1,11 @@
 """Every value class of flagcoh is a `record.Record`: built by position or
 keyword, equal by value within its class and never across classes, hashed
-as the tuple of its fields, and read-only."""
+as the tuple of its fields, and read-only.  The arithmetic value classes
+meet one refusal contract over a generated matrix of foreign operands."""
+
+import operator
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +15,7 @@ from flagcoh.exterior import GrassmannElement, VectorValuedForm, grading_derivat
 from flagcoh.record import Record, setfield
 from flagcoh.repdecomp import LeviDatum
 from flagcoh.rootsys import SimpleLieType
+from flagcoh.scalars import QSqrt2
 
 
 def _instances():
@@ -162,3 +168,62 @@ def test_cached_properties_fill_the_instance_dict():
     assert H.kostant_weights is H.kostant_weights and "kostant_weights" in vars(H)
     assert H.levi.two_rho is H.levi.two_rho and "two_rho" in vars(H.levi)
     assert H.rd._cartan_columns is H.rd._cartan_columns and "_cartan_columns" in vars(H.rd)
+
+
+# --- one refusal contract for the arithmetic value classes ----------------------
+
+# each arithmetic class: a value and one of the same class with other labels
+# (QSqrt2 has no labels; the foreign QSqrt2 below is another of its values)
+ARITHMETIC = {
+    "GrassmannElement": (INSTANCES["GrassmannElement"], GrassmannElement.make(3, {(1,): 3})),
+    "SuperPolynomial": (INSTANCES["SuperPolynomial"], superfields.SuperPolynomial.x(3, 1)),
+    "VectorValuedForm": (INSTANCES["VectorValuedForm"], grading_derivation(3)),
+    "SuperDerivation": (INSTANCES["SuperDerivation"], superfields.basis_fields(3, 1)[5]),
+    "InvariantVectorForm": (INSTANCES["InvariantVectorForm"],
+                            invforms.theta_p(invforms.MatrixPairSpace(3, 1), 1)),
+    "Cochain": (INSTANCES["Cochain"], liecoh.Cochain(
+        liecoh.build_g_basis(space_from_preset("CP3")), 0, {0: {1: 3}})),
+    "QSqrt2": (QSqrt2(Fraction(1, 2), 3), None),
+}
+FOREIGN = (1, Fraction(1, 2), QSqrt2(1, 1), None, "x")
+OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "==": operator.eq,
+              "bracket": lambda a, b: a.bracket(b), "apply": lambda a, b: a.apply(b)}
+# the library's mismatch messages: exterior's `_mismatch`, a derivation's
+# space, grade and algebra checks, and `VecTensor._check_like`
+MISMATCH = re.compile(
+    r"^(sum|difference|product|bracket) of (a \w+ and a \w+|polynomials in \d+ and \d+ "
+    r"variables|derivations (on .+ and .+|of \w+ -?\d+ and -?\d+))$"
+    r"|^derivation in \d+ variables of \w+s applied to "
+    r"|^\w+ and \w+ do not combine$|^\w+s with different \w+ do not combine$")
+
+
+def _operand_cases():
+    """(class name, operation) for each operation a class defines; the
+    operators are defined on every class, if only to refuse."""
+    return [(name, op) for name, (x, _) in ARITHMETIC.items() for op in OPERATIONS
+            if op not in ("bracket", "apply") or hasattr(x, op)]
+
+
+@pytest.mark.parametrize("name, op", _operand_cases())
+def test_every_foreign_operand_meets_the_refusal_contract(name, op):
+    """With a number, None, a str, a value of every other arithmetic class
+    and one of its own class with other labels, both ways round for the
+    operators: every outcome is a result, the library's mismatch ValueError
+    or Python's TypeError, never an AttributeError, IndexError or KeyError,
+    and == is False."""
+    x, relabelled = ARITHMETIC[name]
+    operands = [*FOREIGN, *(v for n, (v, _) in ARITHMETIC.items() if n != name)]
+    if relabelled is not None:
+        operands.append(relabelled)
+    fn = OPERATIONS[op]
+    for y in operands:
+        for a, b in ((x, y),) if op in ("bracket", "apply") else ((x, y), (y, x)):
+            try:
+                result = fn(a, b)
+            except TypeError:
+                continue
+            except ValueError as exc:
+                assert MISMATCH.search(str(exc)), (op, a, b, exc)
+                continue
+            if op == "==":
+                assert result is False, (a, b)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
+import leibniz_oracle
 from leibniz_oracle import check_against_old_kernel, merge_sign
 from flagcoh.exterior import (Derivation, GrassmannElement, VectorValuedForm,
                               grading_derivation)
@@ -937,6 +938,21 @@ def test_apply_and_bracket_match_the_per_call_kernel(seed):
     a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
     d1, d2 = (random_super_derivation(rng, r, s, rng.randint(0, 1)) for _ in range(2))
     check_against_old_kernel(a, b, d1, d2)
+
+
+@pytest.mark.parametrize("n, s", [(3, 1), (4, 2)])
+def test_basis_field_brackets_and_applies_match_the_per_call_kernel(n, s):
+    """On every ordered pair of q_n basis fields, the bracket and the first
+    field applied to each image of the second equal the old kernel's,
+    coefficient types included."""
+    fields = superfields.basis_fields(n, s)
+    pairs = []
+    for d1 in fields:
+        for d2 in fields:
+            pairs += leibniz_oracle.bracket_pairs(d1.bracket(d2),
+                                                  leibniz_oracle.old_bracket(d1, d2))
+            pairs += [(d1.apply(a), leibniz_oracle.old_apply(d1, a)) for a in d2.images]
+    leibniz_oracle.assert_same_values(pairs)
 
 
 def test_letter_tables_are_kept_per_nvars():
