@@ -168,6 +168,10 @@ MUTANTS: List[Mutant] = [
            "[b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
            "[-b.b if isinstance(b, QSqrt2) else 0 for b in rhs]",
            ("tests/test_scalars.py",)),
+    Mutant("scalars.sqrt_of_rational drops the sqrt2 branch", "scalars.py",
+           "    v = _frac_sqrt(Fraction(q) / 2)\n    return None if v is None else QSqrt2(0, v)\n",
+           "    return None\n",
+           ("tests/test_scalars.py::test_sqrt_in_field",)),
     Mutant("superfields jet skips sigma on an odd frame row", "superfields.py",
            "head = z0.sigma() if odd else z0", "head = z0",
            ("tests/test_superfields.py",)),

@@ -472,10 +472,6 @@ class VectorValuedForm(Derivation):
         return VectorValuedForm(m, degree, tuple(comps))
 
     @staticmethod
-    def zero(m: int, degree: int) -> "VectorValuedForm":
-        return VectorValuedForm(m, degree, (GrassmannElement.zero(m),) * m)
-
-    @staticmethod
     def basis_element(m: int, mono: Monomial, j: int) -> "VectorValuedForm":
         """xi_{mono} d/dxi_j."""
         comps = [GrassmannElement.zero(m)] * m

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .exterior import _merge_sign
 from .record import Record
 from .scalars import (Coeff, QSqrt2, SparseRow, canonical, narrow, nullspace, rank,
-                      rref, sparse_rref)
+                      rref, sparse_rref, sqrt_of_rational)
 
 Vec = Dict[int, Coeff]  # sparse vector in n+ coordinates (or QSqrt2 values)
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -136,13 +136,6 @@ class InvariantVectorForm(VecTensor):
     tensor: Dict[Key, Vec]
     _vecs = "tensor"
     _fields = ("space", "p", "q", "tensor")
-
-    def value(self, us: Sequence[int], vs: Sequence[int]) -> Vec:
-        """Evaluate on arbitrary basis-index tuples via antisymmetry."""
-        ku, su = _sorted_with_sign(us)
-        kv, sv = _sorted_with_sign(vs)
-        base = self.tensor.get((ku, kv), {})
-        return base if su * sv == 1 else {k: -c for k, c in base.items()}
 
 
 def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -446,9 +439,9 @@ def nilpotent_pairs(space: MatrixPairSpace) -> NilpotentPairReport:
 
 
 def _projective_roots(quads) -> List[Tuple[QSqrt2, QSqrt2]]:
-    """Common projective roots (a : b) of the quadratic forms
-    A a^2 + B ab + C b^2 over Q(sqrt2), by the rank of the rows (A, B, C):
-    (1 : 0) first, then (t : 1) in increasing (rational, sqrt2) order of t."""
+    """Common projective roots (a : b) in Q(sqrt2) of the rational quadratic
+    forms A a^2 + B ab + C b^2, by the rank of the rows (A, B, C): (1 : 0)
+    first, then (t : 1) in increasing (rational, sqrt2) order of t."""
     red, pivots = rref(quads) if quads else ([], [])
     quads = red[:len(pivots)]
     if not quads:
@@ -471,7 +464,7 @@ def _projective_roots(quads) -> List[Tuple[QSqrt2, QSqrt2]]:
         roots = [(1, 0)] + ([(-C / B, 1)] if B else [])
     else:
         (A, B, C), = quads
-        sq = QSqrt2(B * B - 4 * A * C).sqrt()
+        sq = sqrt_of_rational(narrow(B * B - 4 * A * C))
         if sq is None:
             raise ValueError(f"the roots of {A} t^2 + {B} t + {C} lie outside Q(sqrt2)")
         ts = {(-B + sq) / (2 * A), (-B - sq) / (2 * A)}

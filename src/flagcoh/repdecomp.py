@@ -146,7 +146,7 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
                 k = 1
                 while True:
                     w = tuple(a + k * b for a, b in zip(mu, al))
-                    if not _le(w, lam):
+                    if any(a > b for a, b in zip(w, lam)):
                         break
                     m = mult.get(w, 0)
                     if m:
@@ -160,10 +160,6 @@ def irreducible_character(L: LeviDatum, lam: Sequence) -> FormalCharacter:
                     new_level.append(mu)
         level = new_level
     return dict(mult)
-
-
-def _le(w, lam) -> bool:
-    return all(a <= b for a, b in zip(w, lam))
 
 
 def _check_invariant(L: LeviDatum, chi: Mapping) -> None:

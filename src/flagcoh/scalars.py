@@ -108,33 +108,6 @@ class QSqrt2:
             return f"{self.b}*rt2"
         return f"{self.a}+{self.b}*rt2"
 
-    def sqrt(self) -> Optional["QSqrt2"]:
-        """Exact square root inside Q(sqrt2), or None if there is none.
-
-        Solves (u + v*rt2)^2 = a + b*rt2, i.e. u^2 + 2v^2 = a, 2uv = b.
-        """
-        if self.b == 0:
-            u = _frac_sqrt(self.a)
-            if u is not None:
-                return QSqrt2(u, 0)
-            h = _frac_sqrt(self.a / 2)
-            if h is not None:
-                return QSqrt2(0, h)
-            return None
-        # u^2 and 2v^2 are the roots of z^2 - a z + b^2/2 = 0
-        disc = self.a * self.a - 2 * self.b * self.b
-        d = _frac_sqrt(disc)
-        if d is None:
-            return None
-        for z in ((self.a + d) / 2, (self.a - d) / 2):
-            u = _frac_sqrt(z)
-            if u is None or u == 0:
-                continue
-            v = self.b / (2 * u)
-            if u * u + 2 * v * v == self.a:
-                return QSqrt2(u, v)
-        return None
-
 
 RT2 = QSqrt2(0, 1)
 QS_ZERO = QSqrt2(0, 0)
@@ -163,6 +136,16 @@ def _coerce(x) -> QSqrt2:
     if isinstance(x, (int, Fraction)):
         return QSqrt2(x, 0)
     raise TypeError(f"cannot coerce {type(x)} into Q(sqrt2)")
+
+
+def sqrt_of_rational(q) -> Optional[QSqrt2]:
+    """A square root of the rational q inside Q(sqrt2): u when q = u^2,
+    v*sqrt2 when q = 2 v^2, else None."""
+    u = _frac_sqrt(q)
+    if u is not None:
+        return QSqrt2(u)
+    v = _frac_sqrt(Fraction(q) / 2)
+    return None if v is None else QSqrt2(0, v)
 
 
 def _frac_sqrt(q: Fraction) -> Optional[Fraction]:

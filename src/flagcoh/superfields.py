@@ -34,10 +34,11 @@ per m.
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
 only its monomial product (the x-parts add, the xi-parts go through
-`exterior._merge_sign`) and its constructors.  The public constructors
-validate their input: `make` every monomial, `x` and `xi` the variable
-index; kernel output goes through `_from_dict` unchecked.  Coefficients and
-`QnElement` entries are ints when integral, Fractions otherwise (`_canon`).
+`exterior._merge_sign`) and its constructors: `const`, and `x` and `xi`,
+which check the variable index; every other polynomial is built from these
+by the arithmetic, or by the kernels through `_from_dict` unchecked.
+Coefficients and `QnElement` entries are ints when integral, Fractions
+otherwise (`_canon`).
 """
 
 from __future__ import annotations
@@ -67,23 +68,6 @@ def _merge_x(a, b):
     return tuple(sorted(acc.items()))
 
 
-def _is_monomial(nvars: int, mono) -> bool:
-    """Whether mono is (x-part, xi-part) in canonical form over nvars."""
-    def increasing(idx) -> bool:
-        return (all(type(i) is int and 0 <= i < nvars for i in idx)
-                and all(a < b for a, b in zip(idx, idx[1:])))
-
-    if not (type(mono) is tuple and len(mono) == 2):
-        return False
-    xs, ss = mono
-    if not (type(xs) is tuple and type(ss) is tuple):
-        return False
-    if not all(type(t) is tuple and len(t) == 2 and type(t[1]) is int and t[1] >= 1
-               for t in xs):
-        return False
-    return increasing(tuple(k for k, _ in xs)) and increasing(ss)
-
-
 def _variable(nvars: int, k) -> int:
     """k, checked to index one of the nvars even or odd variables."""
     if not (type(k) is int and 0 <= k < nvars):
@@ -104,19 +88,6 @@ class SuperPolynomial(TermAlgebra):
         if ss is None:
             return None, 0
         return (_merge_x(a[0], b[0]), ss), sg
-
-    @staticmethod
-    def make(nvars: int, data: Dict[Monomial, Coeff]) -> "SuperPolynomial":
-        bad = [k for k in data if not _is_monomial(nvars, k)]
-        if bad:
-            raise ValueError(
-                f"not monomials over nvars={nvars} (an x-part of (index, "
-                f"exponent >= 1) pairs and a xi-part of indices, both strictly "
-                f"increasing in 0..{nvars - 1}): {bad}")
-        clean = {k: _canon(v) for k, v in data.items() if v}
-        if not clean:
-            return SuperPolynomial.zero(nvars)
-        return SuperPolynomial(nvars, tuple(sorted(clean.items())))
 
     @staticmethod
     def const(nvars: int, c) -> "SuperPolynomial":
@@ -170,9 +141,6 @@ class SuperDerivation(Derivation):
         _set_s(self, s)
         _set_parity(self, parity)
         _set_images(self, images)
-
-    def _key(self):
-        return self.r, self.s, self.parity, self.images
 
     # `Record`'s equality without building key tuples
     def __eq__(self, other):

@@ -1,10 +1,12 @@
 """The canonical coefficient form shared by the exterior, superfields,
 invforms and liecoh tests: a coefficient is an int when integral and a
-Fraction otherwise."""
+Fraction otherwise.  Also `form_value`, an invariant form read on index
+tuples in any order from its canonical (increasing) keys."""
 
 from fractions import Fraction
 
 from flagcoh.exterior import Derivation
+from flagcoh.invforms import _sorted_with_sign
 
 
 def is_canonical(c, zero_ok: bool = False) -> bool:
@@ -48,3 +50,12 @@ def check_against_fractions(a, b, d1, d2) -> None:
     for got, ref in pairs:
         assert got.terms == ref.terms
         assert_canonical(got)
+
+
+def form_value(form, us, vs) -> dict:
+    """The form on basis-index tuples us and vs in any order, read from its
+    stored increasing keys by antisymmetry; {} when an index repeats."""
+    ku, su = _sorted_with_sign(us)
+    kv, sv = _sorted_with_sign(vs)
+    base = form.tensor.get((ku, kv), {})
+    return base if su * sv == 1 else {k: -c for k, c in base.items()}

@@ -9,9 +9,9 @@ the exact computation (see README errata and the verified deviation
 registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
 
-Last, the green checks of criteria 1c, 2, 3, 6 and 8 are shown to go red:
-each test perturbs the one library result a check reads and asserts the
-failing verdict and its detail.
+Last, the green checks of criteria 1c, 2, 3, 6, 7, 7c and 8 are shown to
+go red: each test perturbs the one library result a check reads and asserts
+the failing verdict and its detail.
 """
 
 import json
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcoh import bott, liecoh, superfields, verify
+from flagcoh import bott, liecoh, spectral, superfields, verify
 from flagcoh.bott import ModuleDescriptor
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
@@ -147,6 +147,48 @@ def test_criterion_6_fails_on_a_wrong_eta_solve(monkeypatch, result, detail):
 def test_criterion_6_fails_on_a_wrong_theta2_rank(monkeypatch):
     monkeypatch.setattr(liecoh, "d2_rank_on_vector_fields", lambda H, a, b: 0)
     assert verify.check_c6_d2_ranks() == (False, "Gr(4,2): rank(theta2) != 15")
+
+
+def _empty_field_of_T(monkeypatch, name, a, b, field):
+    """`spectral.cohomology_of_T` with the report's `field` emptied on the
+    preset `name` at theta = a theta2 + b eta, and as it is elsewhere."""
+    cohomology, H = spectral.cohomology_of_T, bott.space_from_preset(name)
+
+    def perturbed(space, a2, b2):
+        report, res = cohomology(space, a2, b2)
+        if space is H and (a2, b2) == (a, b):
+            report = spectral.CohomologyReport(
+                *[[] if f == field else getattr(report, f) for f in report._fields])
+        return report, res
+
+    monkeypatch.setattr(spectral, "cohomology_of_T", perturbed)
+
+
+def test_criterion_7_pq_consistency_fails_on_a_wrong_h0(monkeypatch):
+    _empty_field_of_T(monkeypatch, "Gr(4,2)", 0, 1, "H0_odd")
+    assert verify.check_c7_pq_consistency() == (False, (
+        "Gr(4,2): {'space': 'A3/alpha1', 'n': 4, 'H0_even': 15, 'H0_odd': 0, "
+        "'expected': {'even': 15, 'odd': 16}, 'ok': False}"))
+
+
+@pytest.mark.parametrize("name, a, b, field, detail", [
+    ("Q3", 1, 0, "H1_odd", "Q3 computed H1 changed: "
+     "{'H0_even': 10, 'H0_odd': 1, 'H1_even': 15, 'H1_odd': 0}"),
+    ("Gr(5,2)", 1, 0, "H1_even", "Gr(5,2) computed H1 changed: "
+     "{'H0_even': 24, 'H0_odd': 1, 'H1_even': 0, 'H1_odd': 0}"),
+    ("Gr(4,2)", 1, 1, "H1_odd", "the rational special value theta2+eta lost its kernel"),
+], ids=["Q3", "Gr(5,2)", "Gr(4,2)"])
+def test_criterion_7c_fails_on_a_wrong_deviation(monkeypatch, name, a, b, field, detail):
+    """Each pinned deviation, one cohomology_of_T call, goes red alone."""
+    _empty_field_of_T(monkeypatch, name, a, b, field)
+    assert verify.check_c7_computed_deviations() == (False, detail)
+
+
+def test_criterion_7_helpers_refuse_what_they_do_not_cover():
+    with pytest.raises(ValueError, match="^IV$"):
+        verify.published_e3_rows("IV")
+    with pytest.raises(ValueError, match="^pq consistency is a Grassmannian check$"):
+        verify.pq_consistency(bott.space_from_preset("Q3"))
 
 
 def test_criterion_8_fails_on_a_wrong_n5_jet(monkeypatch):

@@ -32,6 +32,10 @@ def gen(m, j):
     return GrassmannElement.generator(m, j)
 
 
+def zero_form(m, degree):
+    return VectorValuedForm(m, degree, (GrassmannElement.zero(m),) * m)
+
+
 def random_form(rng, m, degree):
     comps = []
     for _ in range(m):
@@ -239,7 +243,7 @@ def test_cj_normalization_all_p_m_le_5():
 def test_c_identity_form_and_zero():
     m = 4
     assert contraction_c(grading_derivation(m)) == G(m, {(): 1}).scale(m)
-    assert contraction_c(VectorValuedForm.zero(m, 2)).is_zero()
+    assert contraction_c(zero_form(m, 2)).is_zero()
 
 
 def test_image_j_kernel_c_splitting():
@@ -523,7 +527,7 @@ def barwedge(phi, psi):
     the images of phi, of degree p + q, zero outside [-1, m]."""
     deg = phi.degree + psi.degree
     if deg < -1 or deg > phi.m:
-        return VectorValuedForm.zero(phi.m, min(max(deg, -1), phi.m))
+        return zero_form(phi.m, min(max(deg, -1), phi.m))
     return VectorValuedForm(phi.m, deg, tuple(psi.apply(c) for c in phi.images))
 
 
@@ -621,7 +625,7 @@ def test_sub_matches_add_of_negation():
             for q in range(-1, m + 1):
                 if q == p:
                     continue
-                zero = VectorValuedForm.zero(m, q)
+                zero = zero_form(m, q)
                 assert phi - zero == phi + (-zero)
                 assert zero - phi == zero + (-phi)
                 other = random_form(rng, m, q)
@@ -640,7 +644,7 @@ def test_scale_by_one_is_the_same_object():
 def test_a_different_m_raises_value_error_even_with_a_zero():
     rng = random.Random(10)
     phi = random_form(rng, 3, 1)
-    for other in (VectorValuedForm.zero(2, 1), VectorValuedForm.zero(2, 0),
+    for other in (zero_form(2, 1), zero_form(2, 0),
                   random_form(rng, 4, 1)):
         for op in (lambda a, b: a + b, lambda a, b: a - b, bracket):
             with pytest.raises(ValueError, match="on 3 and|on [24] and 3"):

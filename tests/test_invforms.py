@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from canonical import is_canonical
+from canonical import form_value, is_canonical
 
 from flagcoh.invforms import (
     InvariantVectorForm,
@@ -26,8 +26,8 @@ from flagcoh.invforms import (
     _sorted_with_sign,
 )
 from flagcoh.exterior import _merge_sign
-from flagcoh.scalars import (QS_ONE, QS_ZERO, QSqrt2, RT2, canonical, nullspace, rank,
-                             rref, solve)
+from flagcoh.scalars import (QS_ONE, QS_ZERO, QSqrt2, RT2, canonical, narrow, nullspace,
+                             rank, rref, solve, sqrt_of_rational)
 
 
 GR42 = MatrixPairSpace(2, 2)
@@ -76,7 +76,7 @@ def test_theta1_is_identity():
     for sp in (GR42, GR52, RootPairSpace(5)):
         th1 = theta_p(sp, 1)
         for u in range(sp.dim):
-            assert th1.value([u], []) == {u: QS_ONE}
+            assert form_value(th1, [u], []) == {u: QS_ONE}
 
 
 def test_theta2_formula():
@@ -92,7 +92,7 @@ def test_theta2_formula():
                 if u2 == v:
                     expect[u1] = expect.get(u1, QS_ZERO) - QS_ONE
                 expect = {k: c for k, c in expect.items() if c}
-                assert th2.value([u1, u2], [v]) == expect, (u1, u2, v)
+                assert form_value(th2, [u1, u2], [v]) == expect, (u1, u2, v)
 
 
 def test_theta_range_and_vanishing():
@@ -110,11 +110,11 @@ def test_antisymmetry_of_stored_tensors():
         for (us, vs), vec in list(form.tensor.items())[:20]:
             if len(us) >= 2:
                 swapped = (us[1], us[0]) + us[2:]
-                got = form.value(swapped, vs)
+                got = form_value(form, swapped, vs)
                 assert got == {k: -c for k, c in vec.items()}
             if len(vs) >= 2:
                 swapped_v = (vs[1], vs[0]) + vs[2:]
-                got = form.value(us, swapped_v)
+                got = form_value(form, us, swapped_v)
                 assert got == {k: -c for k, c in vec.items()}
 
 
@@ -392,7 +392,7 @@ def _scan_roots(quads):
         cur = set()
         if A:
             disc = B * B - 4 * A * C
-            sq = disc.sqrt()
+            sq = sqrt_of_rational(narrow(disc))
             if sq is not None:
                 for sgn in (1, -1):
                     t = (QSqrt2(0) - B + sq * QSqrt2(sgn)) / (A * QSqrt2(2))
@@ -514,7 +514,7 @@ def test_forms_under_optimized_interpreter_gives_same_output(under_python_O):
 # --- the sparse product and the sparse rows against the dense originals -----------
 #
 # The oracle product visits every (us, vs) key tuple and every shuffle of both
-# argument groups, evaluating psi and phi through `value`; the oracle linear
+# argument groups, evaluating psi and phi through `form_value`; the oracle linear
 # algebra flattens the forms over every (key, n+ index), zeros included.
 
 def _shuffles(universe, k):
@@ -539,8 +539,8 @@ def _dense_barwedge_raw(phi, psi):
         return InvariantVectorForm(space, max(P, 0), Q, tensor)
     # both forms are evaluated on sorted arguments, or on one index in front
     # of a sorted tuple; the values depend on nothing else, so memoize them
-    psi_value = functools.lru_cache(maxsize=None)(psi.value)
-    phi_value = functools.lru_cache(maxsize=None)(phi.value)
+    psi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, psi))
+    phi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, phi))
     for us in itertools.combinations(range(n), P):
         u_shuffles = list(_shuffles(us, psi.p))
         for vs in itertools.combinations(range(n), Q):

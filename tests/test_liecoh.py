@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
-from canonical import is_canonical
+from canonical import form_value, is_canonical
 from matrix_route import chevalley_images, combination, commutator, expand, matrix_basis
 from subset_route import dual, trivial_multiplicity
 
@@ -959,24 +959,24 @@ def test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector(name):
 
 
 # ---------------------------------------------------------------------------
-# The stored-entry reads of c_theta and phi_w against the value() sweeps
+# The stored-entry reads of c_theta and phi_w against the form_value sweeps
 # ---------------------------------------------------------------------------
 
 def ref_cochain_from_form(gb, theta):
-    """c_theta by the n^3 sweep of theta.value over (i, w, v)."""
+    """c_theta by the n^3 sweep of form_value(theta) over (i, w, v)."""
     n = gb.n
     out = {}
     for j, w in enumerate(gb.nplus_order):
         for v in range(n):
             for i in range(n):
                 VecTensor._accumulate(out, (v, w), 1, {
-                    i * n + u: x for u, x in theta.value([i, j], [v]).items()})
+                    i * n + u: x for u, x in form_value(theta, [i, j], [v]).items()})
     return Cochain(gb, 1, out)
 
 
 def ref_two_cochain_from_d2_image(gb, theta):
     """The d2-image 2-cochain with each phi_w(u; v) = theta2(pi(w), u; v) by
-    the n^2 sweep of theta2.value over (u, v)."""
+    the n^2 sweep of form_value(theta2) over (u, v)."""
     n = gb.n
     th2 = theta_p(gb.space, 2)
     pairs, pair_index, _ = liecoh._lambda2_module(gb)
@@ -985,7 +985,7 @@ def ref_two_cochain_from_d2_image(gb, theta):
         phi_tensor = {}
         for a in range(n):
             for b in range(n):
-                VecTensor._accumulate(phi_tensor, ((a,), (b,)), 1, th2.value([j, a], [b]))
+                VecTensor._accumulate(phi_tensor, ((a,), (b,)), 1, form_value(th2, [j, a], [b]))
         phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
         for ((i, k), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
             VecTensor._accumulate(data, (v1, v2, w), 1, {

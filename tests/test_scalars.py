@@ -20,6 +20,7 @@ from flagcoh.scalars import (
     rref,
     solve,
     sparse_rref,
+    sqrt_of_rational,
 )
 
 
@@ -345,13 +346,14 @@ def test_equal_values_hash_equal(a, d, b):
 
 
 def test_sqrt_in_field():
-    assert qs(2).sqrt() == RT2 or qs(2).sqrt() == -RT2
-    assert qs(4).sqrt() in (qs(2), qs(-2))
-    assert qs(8).sqrt() in (qs(0, 2), qs(0, -2))
-    assert qs(3).sqrt() is None
-    # (1 + rt2)^2 = 3 + 2 rt2
-    assert qs(3, 2).sqrt() in (qs(1, 1), qs(-1, -1))
-    assert qs(3, 1).sqrt() is None
+    """A rational has a root in Q(sqrt2) when it is a square or twice one."""
+    assert sqrt_of_rational(2) in (RT2, -RT2)
+    assert sqrt_of_rational(4) in (qs(2), qs(-2))
+    assert sqrt_of_rational(8) in (qs(0, 2), qs(0, -2))
+    assert sqrt_of_rational(Fraction(9, 2)) in (qs(0, Fraction(3, 2)), qs(0, Fraction(-3, 2)))
+    assert sqrt_of_rational(0) == 0
+    for q in (3, -4, -2, Fraction(1, 3)):
+        assert sqrt_of_rational(q) is None
 
 
 @pytest.mark.parametrize("digits", [40, 400])
@@ -359,11 +361,11 @@ def test_sqrt_of_large_squares_is_exact(digits):
     """Roots past the 53-bit float mantissa: (r/3)^2 and 10^digits."""
     r = 10**(digits // 2) + 7
     assert _int_sqrt(r * r) == r
-    assert qs(Fraction(r * r, 9)).sqrt() in (qs(Fraction(r, 3)), qs(Fraction(-r, 3)))
+    assert sqrt_of_rational(Fraction(r * r, 9)) in (qs(Fraction(r, 3)), qs(Fraction(-r, 3)))
     assert _int_sqrt(10**digits) == 10**(digits // 2)
     # a large near-square has no integer root
     assert _int_sqrt(r * r + 1) is None and _int_sqrt(r * r - 1) is None
-    assert qs(Fraction(r * r + 1, 9)).sqrt() is None
+    assert sqrt_of_rational(Fraction(r * r + 1, 9)) is None
 
 
 @pytest.mark.parametrize("field", ["fraction", "qsqrt2"])
