@@ -80,17 +80,29 @@ MUTANTS: List[Mutant] = [
            "            raise ValueError(\"weight is not S-dominant for this space\")\n", "",
            ("tests/test_bott.py::test_a_weight_that_is_not_S_dominant_is_refused_with_one_message",)),
     Mutant("Derivation.bracket flips the second half's sign", "exterior.py",
-           "into(accs.setdefault(k, {}), a, sign, theirs)",
-           "into(accs.setdefault(k, {}), a, -sign, theirs)",
+           "self._into(acc, mine[1], sign, theirs)",
+           "self._into(acc, mine[1], -sign, theirs)",
            ("tests/test_exterior.py",)),
     Mutant("Derivation.bracket skips self's half where other's image is zero",
-           "exterior.py", "into(accs.setdefault(k, {}), a, sign, theirs)",
-           "k in accs and into(accs[k], a, sign, theirs)",
+           "exterior.py", "self._into(acc, mine[1], sign, theirs)",
+           "self._into(acc, [(k, a) for k, a in mine[1] if k in theirs[2]], sign, theirs)",
            ("tests/test_exterior.py",)),
     Mutant("Derivation.bracket walks only self's nonzero images", "exterior.py",
-           "for k, b in theirs[1]:",
-           "for k, b in [(k, other.images[k].terms) for k, _ in mine[1]]:",
+           "self._into(acc, theirs[1], 1, mine)",
+           "self._into(acc, [(k, theirs[2].get(k, ())) for k, _ in mine[1]], 1, mine)",
            ("tests/test_exterior.py",)),
+    # the flat terms: a bracket that keeps a cancelled key, and a hash that
+    # leaves the labels out
+    Mutant("Derivation.bracket keeps zero-valued entries", "exterior.py",
+           "            self._into(acc, mine[1], sign, theirs)\n"
+           "        return self._relabel(grade, _frozen(acc))\n",
+           "            self._into(acc, mine[1], sign, theirs)\n"
+           "        return self._relabel(grade, _Terms(acc))\n",
+           ("tests/test_superfields.py::"
+            "test_flat_brackets_and_applies_match_the_per_image_kernel",)),
+    Mutant("Derivation.__hash__ ignores the labels", "exterior.py",
+           "h = hash(self._key())", "h = hash(self.terms)",
+           ("tests/test_record.py::test_equal_values_compare_and_hash_equal",)),
     Mutant("Derivation._leibniz keys the letter tables without m", "exterior.py",
            "self._letter_tables[m]", "self._letter_tables[0]",
            ("tests/test_superfields.py",)),
@@ -240,8 +252,9 @@ MUTANTS: List[Mutant] = [
     # the reads and memos that decide each distinct value once: a read of
     # the wrong value or a key that drops a part must not pass
     Mutant("verify.check_c4_exterior reads every bracket at the first generator",
-           "verify.py", "exterior.bracket(phi, psi).images != rhs",
-           "exterior.bracket(phi, psi).images[:1] * m != rhs",
+           "verify.py", "if br.terms != rhs:",
+           "if {(g, mono): c for g in range(m) for (k, mono), c in br.terms.items()\n"
+           "                    if k == 0} != rhs:",
            ("tests/test_acceptance.py::test_criterion[4.exterior]",)),
     Mutant("verify.check_c4_exterior keys super-Jacobi without s12", "verify.py",
            "repeat(s12)))", "repeat(1)))",
@@ -254,6 +267,13 @@ MUTANTS: List[Mutant] = [
            "kern = nullspace([list(c) for c in zip(*(rows[key] for key in sorted(rows)))],\n"
            "                 len(rows))",
            ("tests/test_superfields.py::test_kernel_is_identity_line",)),
+    Mutant("superfields.kernel_of_action keys a row by its monomial alone", "superfields.py",
+           "rows.setdefault(key, [0] * len(fields))[col] = c",
+           "rows.setdefault(key[1], [0] * len(fields))[col] = c",
+           ("tests/test_superfields.py::test_kernel_is_identity_line",)),
+    Mutant("superfields._combination drops the structure constant", "superfields.py",
+           "            t = c * v\n", "            t = v\n",
+           ("tests/test_superfields.py::test_homomorphism_uniform_sign",)),
     Mutant("HermitianSymmetricSpace.fold keys its memo without the weight", "bott.py",
            "        got = self._folds.get(a)\n"
            "        if got is None:\n"

@@ -8,37 +8,32 @@ they pin per-degree constants there instead of driving this implementation).
 
 `_merge_sign` is the one Grassmann-monomial kernel: it multiplies two sorted
 index tuples with the anticommutation sign.  `TermAlgebra` is the one sparse
-term arithmetic (sum, difference, negation, scaling, product, the shared zero)
-on top of it; `GrassmannElement` and `superfields.SuperPolynomial` subclass
-it and differ only in their monomial product and their constructors.  A
-coefficient is an int when integral and a Fraction otherwise.  Products, sums
-and derivations accumulate kernel output, in ints while the values are ints,
-into one dict per call and build the result through `_from_dict`, which makes
-an integral Fraction an int but validates nothing else; only the public
+term arithmetic on top of it; `GrassmannElement` and
+`superfields.SuperPolynomial` subclass it with their monomial product and
+constructors.  A coefficient is an int when integral and a Fraction
+otherwise.  Kernels accumulate into one dict per call, in ints while the
+values are ints, and build the result through `_from_dict`, which makes an
+integral Fraction an int but validates nothing else; only the public
 constructors validate, and `_canon` normalises each value they take.
 
-`Derivation` is the one derivation type, held as `images`, its values on
-the generators: it writes sums, scaling, `apply`, the bracket and the one
-Leibniz loop `_into` (it adds +-i(phi)a into a caller's dict) once, with
-one mismatch rule (`ValueError`).  `VectorValuedForm` and
-`superfields.SuperDerivation` subclass it with their labels and hooks: the
-term algebra, a same-space constructor, a monomial's odd length and
-`_letters`, which lists the generators of a monomial that `_compile` walks.
-`apply` and `bracket` fetch each operand's set-up (`_leibniz`), which a
-derivation builds on first use and keeps in its `_setup` slot, outside its
-fields: its compiled action, a dict from a monomial to its image d(mono)
-that `_compile` builds on first read, and its nonzero images.  `_into` only
-scales and adds compiled images, and `bracket` walks only the nonzero
-images of its operands.  `_compile` keeps each monomial's letters in the
-class's `_letter_tables` dict (one per m) and each monomial product in the
-algebra's `_products` dict, so both are computed once per process.
+`Derivation` is the one derivation type, held as one read-only map `terms`
+from (generator index k, monomial) to the value; `images`, the values as
+canonical elements, is built on first read.  It writes sums, scaling,
+`apply`, the bracket, the one Leibniz loop `_into` and one mismatch rule
+(`ValueError`) once, on dicts, and `VectorValuedForm` and
+`superfields.SuperDerivation` add their labels and hooks.  A derivation's
+set-up (`_leibniz`) holds its compiled action, a dict from a monomial to
+d(mono) that `_compile` fills on first read, and its terms by generator.
+A bracket adds both operands' compiled actions into one dict keyed
+(k, monomial) and builds no element.  `_compile` keeps each monomial's
+letters in `_letter_tables` (one per m) and each monomial product in the
+algebra's `_products`, so both are computed once per process.
 
-Elements and derivations are read-only `record.Record` values with slots:
-each class sets its fields in a short `__init__` of its own, through
-`record.slot_setters`, and takes its repr from `Record`.  Equality is never across classes.  `TermAlgebra`
-compares and hashes on (m, terms) directly, and `SuperDerivation` compares
-its fields directly, with `Record`'s results but without its key tuples;
-`VectorValuedForm` takes its equality and hash from `Record`.
+Elements and derivations are read-only `record.Record` values with slots,
+set in a short `__init__` through `record.slot_setters`, with `Record`'s
+repr.  Equality is never across classes.  `TermAlgebra` compares and hashes
+on (m, terms) directly; a derivation takes `Record`'s equality and hash on
+its written-out `_key`, and keeps the hash in its `_hash` slot.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, attrgetter, sub
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .record import Record, setfield, slot_setters
@@ -146,27 +141,23 @@ class TermAlgebra(Record):
         return not self.terms
 
     def __add__(self, other):
+        return self._sum(other, 1, "sum")
+
+    def __sub__(self, other):
+        return self._sum(other, -1, "difference")
+
+    def _sum(self, other, sign: int, op: str):
+        """self + sign * other."""
         if other.__class__ is not self.__class__ or self.m != other.m:
-            raise _mismatch("sum", self, other)
+            raise _mismatch(op, self, other)
         if not other.terms:
             return self
-        if not self.terms:
+        if not self.terms and sign > 0:
             return other
         acc = dict(self.terms)
         for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = c if old is None else old + c
-        return self._from_dict(self.m, acc)
-
-    def __sub__(self, other):
-        if other.__class__ is not self.__class__ or self.m != other.m:
-            raise _mismatch("difference", self, other)
-        if not other.terms:
-            return self
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k)
-            acc[k] = -c if old is None else old - c
+            old = acc.get(k, 0)
+            acc[k] = old + c if sign > 0 else old - c
         return self._from_dict(self.m, acc)
 
     def __neg__(self):
@@ -205,8 +196,7 @@ _set_m, _set_terms = slot_setters(TermAlgebra)
 
 class _PerM(dict):
     """A class's values by m (its shared zeros, its letter tables), each
-    made by `make(m)` on first use; `superfields.homomorphism_check` keeps
-    a target by sign in one, so its negation is made on first read."""
+    made by `make(m)` on first use."""
 
     def __init__(self, make):
         super().__init__()
@@ -255,27 +245,69 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
     return [tuple(c) for c in itertools.combinations(range(1, m + 1), p)]
 
 
+class _Terms(dict):
+    """A derivation's terms: a read-only dict that hashes by its items."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a derivation's terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+def terms_of(images: Sequence[TermAlgebra]) -> _Terms:
+    """The terms of a derivation with these values on the generators."""
+    return _Terms({(k, mono): c for k, a in enumerate(images) for mono, c in a.terms})
+
+
+def _frozen(acc: Dict[object, Coeff]) -> _Terms:
+    """The nonzero values of acc, an integral Fraction made an int, as terms."""
+    values = acc.values()
+    if 0 in values or type(sum(values)) is not int:  # a zero, or a Fraction in the sum
+        acc = {k: v if type(v) is int else _canon(v) for k, v in acc.items() if v}
+    return _Terms(acc)
+
+
 class Derivation(Record):
-    """A derivation of a `TermAlgebra`, held as `images`, its values on the
-    generators; sums, scaling, `apply`, the bracket and the Leibniz loop
-    `_into` are written once here.
+    """A derivation of a `TermAlgebra`, held as `terms`, its values on the
+    generators k as one read-only map {(k, monomial): nonzero value}.
 
     A subclass is a read-only `Record` with slots whose last field is
-    `images`, and sets its fields in its own `__init__`.  It names
-    its `_algebra` (a `TermAlgebra` class), that algebra's `m`, `_space` (the
-    labels of its space, which fix m: m itself, or (r, s)) and its
-    `_grade_field` (degree or parity), and supplies `_letters(mono, m)` and
-    `_odd_len(mono)`, which `_compile` reads, `_bracket_label`
-    and `_relabel(grade, images)`, a derivation on the same space.  Operands
-    on different spaces raise `ValueError`, and so do nonzero operands of
+    `terms`.  It names its `_algebra` (a `TermAlgebra` class), that
+    algebra's `m`, `_n_gens`, `_space` (the labels that fix m: m itself, or
+    (r, s)) and `_grade_field` (degree or parity), and supplies `_letters`
+    and `_odd_len`, which `_compile` reads, `_bracket_label` and
+    `_relabel(grade, terms)`, a derivation on the same space.  Operands on
+    different spaces raise `ValueError`, and so do nonzero operands of
     different grades in a sum; a zero of another grade is absorbed.
     """
 
-    __slots__ = ("_setup",)
+    __slots__ = ("_setup", "_images", "_hash")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._letter_tables = _PerM(lambda m: {})
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._key())
+            setfield(self, "_hash", h)
+        return h
+
+    @property
+    def images(self) -> tuple:
+        """The values on the generators as elements, built on first read."""
+        images = getattr(self, "_images", None)
+        if images is None:
+            groups, from_dict, m = self._leibniz()[2], self._algebra._from_dict, self.m
+            images = tuple([from_dict(m, dict(groups.get(k, ()))) for k in range(self._n_gens)])
+            setfield(self, "_images", images)
+        return images
 
     @property
     def _grade(self) -> int:
@@ -287,40 +319,39 @@ class Derivation(Record):
         if self._space != other._space:
             raise ValueError(f"{op} of derivations on {self._space} and {other._space}")
 
-    def _sum_grade(self, other: "Derivation", op: str) -> Optional[int]:
-        """The grade of both operands; None if other has another grade,
-        which only a zero operand may."""
+    def _sum(self, other: "Derivation", sign: int, op: str) -> "Derivation":
+        """self + sign * other, of their grade; when the grades differ, the
+        operand that is not zero, which only one may be."""
         self._same_space(other, op)
-        field = self._grade_field
-        grade, other_grade = getattr(self, field), getattr(other, field)
-        if grade == other_grade:
-            return grade
-        if self.is_zero() or other.is_zero():
-            return None
-        raise ValueError(f"{op} of derivations of {field} {grade} and {other_grade}")
+        grade, other_grade = self._grade, other._grade
+        if grade != other_grade:
+            if self.terms and other.terms:
+                raise ValueError(f"{op} of derivations of {self._grade_field} "
+                                 f"{grade} and {other_grade}")
+            return self if self.terms else other if sign > 0 else -other
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            old = acc.get(key, 0)
+            acc[key] = old + c if sign > 0 else old - c
+        return self._relabel(grade, _frozen(acc))
 
     def __add__(self, other):
-        grade = self._sum_grade(other, "sum")
-        if grade is None:
-            return other if self.is_zero() else self
-        return self._relabel(grade, tuple(map(add, self.images, other.images)))
+        return self._sum(other, 1, "sum")
 
     def __sub__(self, other):
-        grade = self._sum_grade(other, "difference")
-        if grade is None:
-            return -other if self.is_zero() else self
-        return self._relabel(grade, tuple(map(sub, self.images, other.images)))
+        return self._sum(other, -1, "difference")
 
     def __neg__(self):
-        return self._relabel(self._grade, tuple(-a for a in self.images))
+        return self._relabel(self._grade, _Terms({k: -c for k, c in self.terms.items()}))
 
     def scale(self, c):
         if c == 1:
             return self
-        return self._relabel(self._grade, tuple(a.scale(c) for a in self.images))
+        c = _canon(c)
+        return self._relabel(self._grade, _frozen({k: c * v for k, v in self.terms.items()}))
 
     def is_zero(self) -> bool:
-        return not any(a.terms for a in self.images)
+        return not self.terms
 
     def apply(self, a):
         """self(a) by the Leibniz loop `_into`."""
@@ -329,85 +360,80 @@ class Derivation(Record):
                              f"{self._algebra.__name__}s applied to {a!r}")
         if not a.terms:
             return a
-        acc: Dict[object, Coeff] = {}
-        self._into(acc, a.terms, 1, self._leibniz())
-        return self._algebra._from_dict(self.m, acc)
+        acc: Dict[Tuple[int, object], Coeff] = {}
+        self._into(acc, ((0, a.terms),), 1, self._leibniz())
+        return self._algebra._from_dict(self.m, {mono: v for (_, mono), v in acc.items()})
 
     def bracket(self, other):
-        """{self, other} on the generators: image k is self(other_k) +
-        sign * other(self_k), both summed into one dict, with the grade and
-        the sign (-1, +1 when both are odd, 0 when the bracket vanishes by
-        degree) from `_bracket_label`.  Each operand's set-up is fetched
-        once and only nonzero images are walked: other's fill image k's dict
-        with self(other_k) first, then self's add sign * other(self_k); an
-        image whose halves cancel is the shared zero."""
+        """{self, other} on the generators: its value on generator k is
+        self(other_k) + sign * other(self_k), with the grade and the sign
+        (-1, +1 when both are odd, 0 when the bracket vanishes by degree)
+        from `_bracket_label`.  Both halves go into one dict keyed
+        (k, monomial), walking only the nonzero terms of each operand."""
         self._same_space(other, "bracket")
         grade, sign = self._bracket_label(other)
-        algebra, nv = self._algebra, self.m
-        images = [algebra._zeros[nv]] * len(self.images)
+        acc: Dict[Tuple[int, object], Coeff] = {}
         if sign:
             mine, theirs = self._leibniz(), other._leibniz()
-            into, accs = self._into, {}
-            for k, b in theirs[1]:
-                into(accs.setdefault(k, {}), b, 1, mine)
-            for k, a in mine[1]:
-                into(accs.setdefault(k, {}), a, sign, theirs)
-            from_dict = algebra._from_dict
-            for k, acc in accs.items():
-                images[k] = from_dict(nv, acc)
-        return self._relabel(grade, tuple(images))
+            self._into(acc, theirs[1], 1, mine)
+            self._into(acc, mine[1], sign, theirs)
+        return self._relabel(grade, _frozen(acc))
 
     def _leibniz(self):
-        """What `_into` and `bracket` read of self: its compiled action (a
-        dict from a monomial to d(monomial), filled by `_compile` on first
-        read), its nonzero images as (k, terms), and what `_compile` reads:
-        the images, the grade, `_odd_len`, this m's letter table and
-        `_letters` that fills it, m, and the algebra's product memo and
-        `_mono_mul`.  It is built once per derivation and kept in the
-        `_setup` slot, which is not a field: equality, hash and repr never
-        read it."""
+        """What `_into`, `bracket` and `images` read of self: its compiled
+        action (a dict from a monomial to d(monomial) that `_compile` fills),
+        its terms by generator as (k, [(monomial, value)]) pairs and as a
+        dict, and what `_compile` reads: the grade, `_odd_len`, this m's
+        letter table and `_letters` that fills it, m, and the algebra's
+        product memo and `_mono_mul`.  It is built once and kept in the
+        `_setup` slot, which equality, hash and repr never read."""
         try:
             return self._setup
         except AttributeError:
             pass
-        algebra, m, images = self._algebra, self.m, self.images
-        setup = ({}, tuple([(k, a.terms) for k, a in enumerate(images) if a.terms]),
-                 images, getattr(self, self._grade_field), self._odd_len,
-                 self._letter_tables[m], self._letters, m,
+        algebra, m = self._algebra, self.m
+        groups: Dict[int, List[Tuple[object, Coeff]]] = {}
+        for (k, mono), c in self.terms.items():
+            groups.setdefault(k, []).append((mono, c))
+        setup = ({}, tuple(groups.items()), groups, getattr(self, self._grade_field),
+                 self._odd_len, self._letter_tables[m], self._letters, m,
                  algebra._products, algebra._mono_mul)
         setfield(self, "_setup", setup)
         return setup
 
     @staticmethod
-    def _into(acc: Dict[object, Coeff], terms, sign: int, setup) -> None:
-        """Add sign * d(a) into acc, for the terms of a and the `_leibniz`
-        set-up of d: each term c * mono adds c times the compiled d(mono)."""
+    def _into(acc: Dict[Tuple[int, object], Coeff], groups, sign: int, setup) -> None:
+        """Add sign * d(a_k) into acc under the keys (k, monomial), for the
+        (k, terms of a_k) pairs of groups and the `_leibniz` set-up of d:
+        each term c * mono adds c times the compiled d(mono)."""
         compiled = setup[0]
-        for mono, c in terms:
-            image = compiled.get(mono)
-            if image is None:
-                image = compiled[mono] = Derivation._compile(mono, setup)
-            if sign < 0:
-                c = -c
-            for merged, v in image:
-                t = c * v
-                old = acc.get(merged)
-                acc[merged] = t if old is None else old + t
+        for k, terms in groups:
+            for mono, c in terms:
+                image = compiled.get(mono)
+                if image is None:
+                    image = compiled[mono] = Derivation._compile(mono, setup)
+                if sign < 0:
+                    c = -c
+                for merged, v in image:
+                    key = k, merged
+                    t = c * v
+                    old = acc.get(key)
+                    acc[key] = t if old is None else old + t
 
     @staticmethod
     def _compile(mono, setup) -> Tuple[Tuple[object, Coeff], ...]:
         """d(mono) as (monomial, nonzero value) pairs, an int iff integral,
         by the super-Leibniz rule: a letter (g, rest, e, j) of `_letters`
         (generator index, the monomial without it, exponent, odd letters
-        before it) gives e * images[g] * rest by `_mono_mul`, times
+        before it) gives e * d(generator g) * rest by `_mono_mul`, times
         (-1)^{j (grade + odd length of the image term)}."""
-        _, _, images, grade, odd_len, table, letters_of, m, products, mul = setup
+        _, _, groups, grade, odd_len, table, letters_of, m, products, mul = setup
         letters = table.get(mono)
         if letters is None:
             letters = table[mono] = letters_of(mono, m)
         acc: Dict[object, Coeff] = {}
         for g, rest, e, j in letters:
-            for k, v in images[g].terms:
+            for k, v in groups.get(g, ()):
                 key = (k, rest)
                 product = products.get(key)
                 if product is None:
@@ -432,22 +458,22 @@ def _grassmann_letters(mono: Monomial, m: int):
 class VectorValuedForm(Derivation):
     """Element of Lambda^{p+1} E (x) E*, i.e. the degree-p part of der Lambda E:
     degree is p in [-1, m], and images[k] is the image of xi_{k+1}, of
-    degree p+1."""
+    degree p+1, held in terms under the keys (k, monomial)."""
 
-    __slots__ = _fields = ("m", "degree", "images")
+    __slots__ = _fields = ("m", "degree", "terms")
     _algebra = GrassmannElement
     _odd_len = staticmethod(len)
     _letters = staticmethod(_grassmann_letters)
-    _space = property(attrgetter("m"))
+    _space = _n_gens = property(attrgetter("m"))
     _grade_field = "degree"
 
-    def __init__(self, m: int, degree: int, images: Tuple[GrassmannElement, ...]):
+    def __init__(self, m: int, degree: int, terms: _Terms):
         _set_form_m(self, m)
         _set_degree(self, degree)
-        _set_form_images(self, images)
+        _set_form_terms(self, terms)
 
     def _key(self):
-        return self.m, self.degree, self.images
+        return self.m, self.degree, self.terms
 
     def _bracket_label(self, other: "VectorValuedForm") -> Tuple[int, int]:
         deg = self.degree + other.degree
@@ -455,8 +481,8 @@ class VectorValuedForm(Derivation):
             return min(max(deg, -1), self.m), 0
         return deg, 1 if self.degree % 2 and other.degree % 2 else -1
 
-    def _relabel(self, degree: int, images) -> "VectorValuedForm":
-        return VectorValuedForm(self.m, degree, images)
+    def _relabel(self, degree: int, terms: _Terms) -> "VectorValuedForm":
+        return VectorValuedForm(self.m, degree, terms)
 
     @staticmethod
     def make(m: int, degree: int, comps: Sequence[GrassmannElement]) -> "VectorValuedForm":
@@ -469,7 +495,7 @@ class VectorValuedForm(Derivation):
                 raise ValueError("component of a different m")
             if not (c.is_zero() or c.is_homogeneous() == degree + 1):
                 raise ValueError(f"component not homogeneous of degree {degree + 1}")
-        return VectorValuedForm(m, degree, tuple(comps))
+        return VectorValuedForm(m, degree, terms_of(comps))
 
     @staticmethod
     def basis_element(m: int, mono: Monomial, j: int) -> "VectorValuedForm":
@@ -479,7 +505,7 @@ class VectorValuedForm(Derivation):
         return VectorValuedForm.make(m, len(mono) - 1, comps)
 
 
-_set_form_m, _set_degree, _set_form_images = slot_setters(VectorValuedForm)
+_set_form_m, _set_degree, _set_form_terms = slot_setters(VectorValuedForm)
 
 
 # i(phi)a by the one super-Leibniz loop `Derivation._into`, and the algebraic
@@ -512,12 +538,16 @@ def contraction_c(phi: VectorValuedForm) -> GrassmannElement:
 
     The bare interior-product contraction sum_k d_k(phi_k) satisfies
     cj = (-1)^p (m-p) id; the (-1)^p p! factor restores the stated law.
+    Read off the terms: d_k xi_mono = (-1)^j xi_{mono without k}, j k's place.
     """
     m, p = phi.m, phi.degree
-    total = GrassmannElement.zero(m)
-    for k in range(1, m + 1):
-        dk = VectorValuedForm.basis_element(m, (), k)
-        total = total + apply_derivation(dk, phi.images[k - 1])
+    acc: Dict[Monomial, Coeff] = {}
+    for (k, mono), c in phi.terms.items():
+        if k + 1 in mono:
+            j = mono.index(k + 1)
+            rest = mono[:j] + mono[j + 1:]
+            acc[rest] = acc.get(rest, 0) + (-c if j % 2 else c)
+    total = GrassmannElement._from_dict(m, acc)
     return total.scale((-1) ** p * math.factorial(p) if p >= 0 else 1)
 
 

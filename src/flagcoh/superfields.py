@@ -20,16 +20,16 @@ built once per n and shared by every s; the block-product
 `qn_bracket` of two whole elements stays public and is their test oracle.
 Each distinct combination is built once, with its negation and whether it
 is zero, so a basis pair costs one bracket and one comparison.  Brackets
-are not keyed by value: hashing a field costs more than the comparison.
+are not keyed by value: hashing a new field, a frozenset of its terms,
+costs more than comparing its terms.
 
-`SuperDerivation` is an `exterior.Derivation`: its `images` are the
-coefficients c_x followed by c_xi, and it takes sums, scaling, `apply`, the
-bracket, the Leibniz loop `Derivation._into` and the mismatch rule from
-there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
-what `Derivation._compile` reads: a monomial's odd length (its xi-part's)
-and its letters `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a
-place sign; they depend on m = r s, and `_compile` keeps them in one table
-per m.
+`SuperDerivation` is an `exterior.Derivation`: generator k < m is x_k and
+k >= m is xi_(k-m), so `images` is c_x followed by c_xi, and it takes its
+arithmetic, `apply`, the bracket and the mismatch rule from there.  It adds
+its labels (r, s, parity), the views `c_x` and `c_xi`, and what
+`Derivation._compile` reads: a monomial's odd length (its xi-part's) and its
+letters `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place
+sign, kept in one table per m = r s.
 
 `SuperPolynomial` takes its sums, products, scaling and shared zero from
 `exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
@@ -47,7 +47,8 @@ import functools
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .exterior import Coeff, Derivation, TermAlgebra, _PerM, _canon, _merge_sign
+from .exterior import (Coeff, Derivation, TermAlgebra, _frozen, _merge_sign, _canon, _Terms,
+                       terms_of)
 from .record import Record, slot_setters
 from .rootsys import _require
 from .scalars import nullspace, rank
@@ -128,28 +129,23 @@ def _super_letters(mono: Monomial, nv: int):
 
 class SuperDerivation(Derivation):
     """Vector field sum c_x[k] d/dx_k + c_xi[k] d/dxi_k with polynomial
-    coefficients; parity-homogeneous.  images is c_x followed by c_xi."""
+    coefficients; parity-homogeneous.  images is c_x followed by c_xi, and
+    terms holds them under the keys (k, monomial)."""
 
-    __slots__ = _fields = ("r", "s", "parity", "images")
+    __slots__ = _fields = ("r", "s", "parity", "terms")
     _algebra = SuperPolynomial
     _letters = staticmethod(_super_letters)
     _odd_len = staticmethod(lambda mono: len(mono[1]))
     _grade_field = "parity"
 
-    def __init__(self, r: int, s: int, parity: int, images: Tuple[SuperPolynomial, ...]):
+    def __init__(self, r: int, s: int, parity: int, terms: _Terms):
         _set_r(self, r)
         _set_s(self, s)
         _set_parity(self, parity)
-        _set_images(self, images)
+        _set_terms(self, terms)
 
-    # `Record`'s equality without building key tuples
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parity == other.parity and self.images == other.images
-                and self.r == other.r and self.s == other.s)
-
-    __hash__ = Record.__hash__
+    def _key(self):
+        return self.r, self.s, self.parity, self.terms
 
     @property
     def m(self) -> int:
@@ -157,12 +153,13 @@ class SuperDerivation(Derivation):
         return self.r * self.s
 
     _space = property(attrgetter("r", "s"))
+    _n_gens = property(lambda self: 2 * self.r * self.s)
 
     def _bracket_label(self, other: "SuperDerivation") -> Tuple[int, int]:
         return self.parity ^ other.parity, 1 if self.parity and other.parity else -1
 
-    def _relabel(self, parity: int, images) -> "SuperDerivation":
-        return SuperDerivation(self.r, self.s, parity, images)
+    def _relabel(self, parity: int, terms: _Terms) -> "SuperDerivation":
+        return SuperDerivation(self.r, self.s, parity, terms)
 
     @property
     def c_x(self) -> Tuple[SuperPolynomial, ...]:
@@ -179,11 +176,11 @@ class SuperDerivation(Derivation):
         )
 
 
-_set_r, _set_s, _set_parity, _set_images = slot_setters(SuperDerivation)
+_set_r, _set_s, _set_parity, _set_terms = slot_setters(SuperDerivation)
 
 
 def derivation_zero(r: int, s: int, parity: int) -> SuperDerivation:
-    return SuperDerivation(r, s, parity, (SuperPolynomial.zero(r * s),) * (2 * r * s))
+    return SuperDerivation(r, s, parity, _Terms())
 
 
 def bracket(d1: SuperDerivation, d2: SuperDerivation) -> SuperDerivation:
@@ -342,7 +339,7 @@ def _jet_field(n: int, s: int, M, odd: bool) -> SuperDerivation:
             # (see homomorphism_check)
             k = i * s + j if j < s else nv + i * s + j - s
             images[k] = images[k] - upper[j]
-    return SuperDerivation(r, s, int(odd), tuple(images))
+    return SuperDerivation(r, s, int(odd), terms_of(images))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +368,7 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
     sigma: Optional[int] = None
     checked = 0
     # each distinct (structure constants, parity) target is built once, with
-    # whether it is zero and its two signs: target by sign, the negation
-    # made when a pair first reads it (with sigma = 1, only odd-odd pairs do)
+    # whether it is zero and its two signs
     targets: Dict[Tuple[Tuple[Tuple[int, int], ...], int],
                   Tuple[bool, Dict[int, SuperDerivation]]] = {}
     for i in range(2 * nn):
@@ -387,12 +383,10 @@ def homomorphism_check(n: int, s: int) -> Dict[str, object]:
             entry = targets.get(key)
             if entry is None:
                 target = _combination(fields, consts[i][j], n - s, s, br_fields.parity)
-                signed = _PerM(lambda _, target=target: -target)
-                signed[1] = target
-                entry = targets[key] = (target.is_zero(), signed)
+                entry = targets[key] = (target.is_zero(), {1: target, -1: -target})
             zero, signed = entry
             twist = -1 if (p1 and p2) else 1
-            # both sides are canonical (sorted terms); the first nonzero target fixes sigma
+            # both sides hold canonical terms; the first nonzero target fixes sigma
             if sigma is None and not zero:
                 sigma = 1 if br_fields == signed[twist] else -1
             if br_fields != signed[(sigma or 1) * twist]:
@@ -434,31 +428,28 @@ def qn_structure_constants(n: int) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], .
 def _combination(fields: Tuple[SuperDerivation, ...],
                  entries: Tuple[Tuple[int, Coeff], ...], r: int, s: int,
                  parity: int) -> SuperDerivation:
-    """sum c fields[k] over the (k, c) entries, accumulated into one dict per
-    image."""
+    """sum c fields[k] over the (k, c) entries, their terms summed into one
+    dict."""
     if not entries:
         return derivation_zero(r, s, parity)
-    nv = r * s
-    accs: List[Dict[Monomial, Coeff]] = [{} for _ in range(2 * nv)]
+    acc: Dict[Tuple[int, Monomial], Coeff] = {}
     for k, c in entries:
-        for acc, p in zip(accs, fields[k].images):
-            for mono, v in p.terms:
-                t = c * v
-                old = acc.get(mono)
-                acc[mono] = t if old is None else old + t
-    return SuperDerivation(
-        r, s, parity, tuple(SuperPolynomial._from_dict(nv, acc) for acc in accs))
+        for key, v in fields[k].terms.items():
+            t = c * v
+            old = acc.get(key)
+            acc[key] = t if old is None else old + t
+    return SuperDerivation(r, s, parity, _frozen(acc))
 
 
 def kernel_of_action(n: int, s: int) -> List[QnElement]:
     """Exact nullspace of g -> g* over the 2 n^2 basis coefficients."""
     fields = basis_fields(n, s)
-    # a row per (image, monomial), a column per basis field: z with sum z_i field_i = 0
+    # a row per term key (k, monomial), a column per basis field: z with
+    # sum z_i field_i = 0
     rows: Dict[Tuple[int, Monomial], List[Coeff]] = {}
     for col, f in enumerate(fields):
-        for k, p in enumerate(f.images):
-            for mono, c in p.terms:
-                rows.setdefault((k, mono), [0] * len(fields))[col] = c
+        for key, c in f.terms.items():
+            rows.setdefault(key, [0] * len(fields))[col] = c
     kern = nullspace([rows[key] for key in sorted(rows)], len(fields))
     out = []
     for vec in kern:

@@ -278,38 +278,44 @@ def check_c4_exterior() -> Tuple[bool, str]:
                 if got != psi.scale(math.factorial(p) * (m - p)):
                     return False, f"cj failed at m={m}, p={p}"
     # i(bracket) = supercommutator on every basis pair, m <= 4, compared as
-    # derivations (on every generator).  i(psi)xi_g is psi's image of xi_g,
-    # so i([phi, psi])xi_g is the bracket's image: no bracket is applied.
+    # terms (on every generator).  i(psi)xi_g is psi's image of xi_g, so
+    # i([phi, psi])xi_g is the bracket's image: no bracket is applied.
     # Values are held as ids, one per distinct element: each i(phi)x for the
-    # images x and each distinct right-hand side is computed once.
+    # images x and each distinct right-hand side is computed once, and only
+    # where phi or psi has an image.  The brackets of m <= 3 are kept as
+    # the table that super-Jacobi reads.
+    bases, tables = {}, {}
     for m in (2, 3, 4):
-        basis = [exterior.VectorValuedForm.basis_element(m, mo, j)
-                 for mo, j in exterior.wedge_basis(m)]
+        basis = bases[m] = [exterior.VectorValuedForm.basis_element(m, mo, j)
+                            for mo, j in exterior.wedge_basis(m)]
         xs, ys = _Ids(), _Ids()
         on_gens = [[xs.of(x) for x in psi.images] for psi in basis]
+        nonzero = [[g for g, x in enumerate(psi.images) if x.terms] for psi in basis]
         on_xs = [[ys.of(exterior.apply_derivation(phi, x)) for x in xs.values] for phi in basis]
 
         @functools.cache
-        def side(u: int, v: int, sgn: int) -> exterior.GrassmannElement:
-            """A generator's right-hand side, by the ids of i(phi)psi_g and
-            i(psi)phi_g and the sign."""
-            return ys.values[u] - ys.values[v].scale(sgn)
+        def side(u: int, v: int, sgn: int) -> Tuple[Tuple[tuple, object], ...]:
+            """The terms of a generator's right-hand side, by the ids of
+            i(phi)psi_g and i(psi)phi_g and the sign."""
+            return (ys.values[u] - ys.values[v].scale(sgn)).terms
 
-        for phi, xa, ga in zip(basis, on_xs, on_gens):
+        table = tables[m] = []
+        for phi, xa, ga, na in zip(basis, on_xs, on_gens, nonzero):
             odd = phi.degree % 2
-            for psi, xb, gb in zip(basis, on_xs, on_gens):
+            row = [exterior.bracket(phi, psi) for psi in basis]
+            for br, psi, xb, gb, nb in zip(row, basis, on_xs, on_gens, nonzero):
                 sgn = -1 if odd and psi.degree % 2 else 1
-                # from a list: a tuple built from an iterator is shrunk from a
-                # guessed size, and each one freed would stay in CPython's free list
-                rhs = tuple([side(xa[x], xb[y], sgn) for x, y in zip(gb, ga)])
-                if exterior.bracket(phi, psi).images != rhs:
+                rhs = {(g, mono): c for g in na + nb
+                       for mono, c in side(xa[gb[g]], xb[ga[g]], sgn)}
+                if br.terms != rhs:
                     return False, f"bracket identity failed at m={m}"
+            if m < 4:
+                table.append(row)
     # the grading-bracket, insertion-of-j and splitting identities
-    for m in (2, 3, 4):
+    for m, basis in bases.items():
         eps = exterior.grading_derivation(m)
-        for mo, j in exterior.wedge_basis(m):
-            v = exterior.VectorValuedForm.basis_element(m, mo, j)
-            if exterior.bracket(eps, v).images != v.scale(v.degree).images:
+        for v in basis:
+            if exterior.bracket(eps, v).terms != v.scale(v.degree).terms:
                 return False, "grading bracket identity failed"
         for p in range(m + 1):
             for mono in exterior.basis_monomials(m, p):
@@ -333,24 +339,23 @@ def check_c4_exterior() -> Tuple[bool, str]:
             psi, chi = exterior.decompose_im_j_ker_c(phi)
             if not exterior.contraction_c(chi).is_zero():
                 return False, "splitting failed"
-            if (exterior.j_map(m, psi, degree=p) + chi).images != phi.images:
+            if (exterior.j_map(m, psi, degree=p) + chi).terms != phi.terms:
                 return False, "splitting reconstruction failed"
     # super-Jacobi on every basis triple, m <= 3.  Forms are held as ids,
     # one per distinct value, and the basis ids come first.  Each bracket
-    # [b, v] and [v, b] of a basis form b and a form v of the table is
-    # computed once.  Each (b1, b2) row of triples gives its b3 keys
+    # [b, v] and [v, b] of a basis form b and a form v of the table off the
+    # basis is computed once.  Each (b1, b2) row of triples gives its b3 keys
     # (lhs, r1, r2, s12) at once, into one set per m, and each distinct key
     # is decided once, lhs against r1 + s12 r2; zero results of different
-    # degrees compare equal, as the images are compared.
+    # degrees compare equal, as their terms are compared.
     for m in (2, 3):
         forms = _Ids()
 
         def br(x: int, y: int) -> int:
             return forms.of(exterior.bracket(forms.values[x], forms.values[y]))
 
-        basis = [forms.of(exterior.VectorValuedForm.basis_element(m, mo, j))
-                 for mo, j in exterior.wedge_basis(m)]
-        table = [[br(x, y) for y in basis] for x in basis]
+        basis = [forms.of(b) for b in bases[m]]
+        table = [[forms.of(v) for v in row] for row in tables[m]]
         ids = range(len(forms.values))      # the basis and the table's values
         in_basis = set(basis)
         left = [[table[b][v] if v in in_basis else br(b, v) for v in ids] for b in basis]
@@ -364,7 +369,7 @@ def check_c4_exterior() -> Tuple[bool, str]:
                                 map(left[b2].__getitem__, table[b1]), repeat(s12)))
         for key in keys:
             lhs, r1, r2 = (forms.values[z] for z in key[:3])
-            if lhs.images != (r1 + r2.scale(key[3])).images:
+            if lhs.terms != (r1 + r2.scale(key[3])).terms:
                 return False, f"super-Jacobi failed at m={m}"
     dt = time.perf_counter() - t0
     return dt < 30, "all identities exact (budget 30s)"

@@ -5,7 +5,7 @@ tuples in any order from its canonical (increasing) keys."""
 
 from fractions import Fraction
 
-from flagcoh.exterior import Derivation
+from flagcoh.exterior import Derivation, terms_of
 from flagcoh.invforms import _sorted_with_sign
 
 
@@ -29,7 +29,7 @@ def fraction_copy(x):
     would make the integral ones ints: arithmetic on the copy starts from
     Fractions only."""
     if isinstance(x, Derivation):
-        return x._relabel(x._grade, tuple(map(fraction_copy, x.images)))
+        return x._relabel(x._grade, terms_of([fraction_copy(a) for a in x.images]))
     return type(x)(x.m, tuple((k, Fraction(c)) for k, c in x.terms))
 
 

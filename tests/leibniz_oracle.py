@@ -8,6 +8,8 @@ Grassmann-monomial kernel `exterior._merge_sign`."""
 
 from typing import Dict
 
+from flagcoh.exterior import terms_of
+
 
 def perm_sign(perm) -> int:
     """(-1) to the number of inversions of perm."""
@@ -63,7 +65,9 @@ def old_apply(d, a):
     return d._algebra._from_dict(d.m, acc)
 
 
-def old_bracket(d1, d2):
+def old_bracket_images(d1, d2):
+    """The grade and the images of {d1, d2}, one element per generator,
+    each built by `_from_dict` from one dict."""
     grade, sign = d1._bracket_label(d2)
     algebra, nv = d1._algebra, d1.m
     images = [algebra.zero(nv)] * len(d1.images)
@@ -74,7 +78,12 @@ def old_bracket(d1, d2):
                 old_into(d1, acc, b, 1)
                 old_into(d2, acc, a, sign)
                 images[k] = algebra._from_dict(nv, acc)
-    return d1._relabel(grade, tuple(images))
+    return grade, tuple(images)
+
+
+def old_bracket(d1, d2):
+    grade, images = old_bracket_images(d1, d2)
+    return d1._relabel(grade, terms_of(images))
 
 
 def assert_same_values(pairs) -> None:

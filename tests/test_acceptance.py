@@ -9,8 +9,8 @@ the exact computation (see README errata and the verified deviation
 registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
 
-Last, the green checks of criteria 1c, 2, 3, 6, 7, 7c and 8 are shown to
-go red: each test perturbs the one library result a check reads and asserts
+Last, the green checks of criteria 1c, 2, 3, 4, 6, 7, 7c and 8 are shown
+to go red: each test perturbs the one library result a check reads and asserts
 the failing verdict and its detail.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from flagcoh import bott, liecoh, spectral, superfields, verify
+from flagcoh import bott, exterior, liecoh, spectral, superfields, verify
 from flagcoh.bott import ModuleDescriptor
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
@@ -126,6 +126,48 @@ def test_criterion_3_fails_on_a_wrong_stated_k(monkeypatch):
     assert verify.check_c3_k_values() == (False, "Gr(4,2): flagged - computed 2, stated 3")
 
 
+# criterion 4's exterior results as they are, for the perturbed ones to call
+_CONTRACTION, _GRADING = exterior.contraction_c, exterior.grading_derivation
+_J_MAP, _DECOMPOSE = exterior.j_map, exterior.decompose_im_j_ker_c
+
+
+def _j_map_with_a_wrong_top_degree(m, psi, degree=None):
+    """j(psi), except that a psi of top degree m, where j vanishes, gives
+    the grading derivation; j of lower degrees, which criterion 4's other
+    identities read, is left alone."""
+    if psi.is_homogeneous() == m:
+        return exterior.grading_derivation(m)
+    return _J_MAP(m, psi, degree)
+
+
+def _split_off_the_kernel(phi):
+    """The splitting with j(xi_1 ... xi_p) added to chi: c(chi) != 0."""
+    psi, chi = _DECOMPOSE(phi)
+    unit = exterior.GrassmannElement.make(phi.m, {tuple(range(1, phi.degree + 1)): 1})
+    return psi, chi + _J_MAP(phi.m, unit)
+
+
+def _split_with_twice_chi(phi):
+    """The splitting with chi doubled: c(2 chi) = 0, but j(psi) + 2 chi != phi."""
+    psi, chi = _DECOMPOSE(phi)
+    return psi, chi.scale(2)
+
+
+@pytest.mark.parametrize("name, perturbed, detail", [
+    ("contraction_c", lambda phi: _CONTRACTION(phi).scale(2), "cj failed at m=1, p=0"),
+    ("grading_derivation", lambda m: _GRADING(m).scale(2), "grading bracket identity failed"),
+    ("j_map", _j_map_with_a_wrong_top_degree, "i(j(psi)) = psi eps failed"),
+    ("decompose_im_j_ker_c", _split_off_the_kernel, "splitting failed"),
+    ("decompose_im_j_ker_c", _split_with_twice_chi, "splitting reconstruction failed"),
+], ids=["cj", "grading-bracket", "i-of-j", "splitting", "reconstruction"])
+def test_criterion_4_fails_on_a_wrong_identity(monkeypatch, name, perturbed, detail):
+    """Each identity of criterion 4 after the bracket identity reads one
+    `exterior` result: made wrong, the check fails with that identity's
+    detail (super-Jacobi going red is in tests/test_exterior.py)."""
+    monkeypatch.setattr(exterior, name, perturbed)
+    assert verify.check_c4_exterior() == (False, detail)
+
+
 @pytest.mark.parametrize("result, detail", [
     (lambda rank, res: (1, res), "rank(eta) != 0"),
     (lambda rank, res: (rank, liecoh.CoboundaryResult(False, None)),
@@ -199,6 +241,34 @@ def test_criterion_8_fails_on_a_wrong_n5_jet(monkeypatch):
     field = superfields.fundamental_field
     monkeypatch.setattr(superfields, "fundamental_field", lambda g, s: field(g, s).scale(-1))
     assert verify.check_c8_superfields() == (False, "y* formula failed at n=5, s=1")
+
+
+def _with_an_x_component(f):
+    """f plus xi_0 d/dx_0, a term of f's parity that moves no xi."""
+    x_part = superfields.SuperDerivation(f.r, f.s, f.parity, exterior.terms_of(
+        [superfields.SuperPolynomial.xi(f.m, 0)]))
+    return f + x_part
+
+
+@pytest.mark.parametrize("name, perturbed, detail", [
+    ("kernel_of_action", lambda kernel: lambda n, s: kernel(n, s) * 2,
+     "kernel dim != 1 at (2,1)"),
+    ("kernel_of_action", lambda kernel: lambda n, s: [superfields.QnElement.unit(n, 0, 0, False)],
+     "kernel not <I> at (2,1)"),
+    ("transitivity_at_origin", lambda dims: lambda n, s: dict(dims(n, s), even=0),
+     "transitivity failed at (2,1)"),
+    ("fundamental_field", lambda field: lambda g, s: (
+        _with_an_x_component(field(g, s)) if g.n == 5 else field(g, s)),
+     "y* has x components"),
+], ids=["kernel-dim", "kernel-not-identity", "transitivity", "y-star-x-part"])
+def test_criterion_8_fails_on_a_wrong_structural_fact(monkeypatch, name, perturbed, detail):
+    """The kernel, transitivity and n = 5 checks each read one
+    `superfields` result: made wrong, criterion 8 fails with its detail.
+    The cached basis fields are filled first, so a wrong jet reaches only
+    the n = 5 spot check."""
+    assert verify.check_c8_superfields()[0]
+    monkeypatch.setattr(superfields, name, perturbed(getattr(superfields, name)))
+    assert verify.check_c8_superfields() == (False, detail)
 
 
 def test_criterion_8_fails_when_every_bracket_is_negated(monkeypatch):

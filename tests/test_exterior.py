@@ -20,6 +20,7 @@ from flagcoh.exterior import (
     decompose_im_j_ker_c,
     grading_derivation,
     j_map,
+    terms_of,
     wedge_basis,
 )
 
@@ -33,7 +34,7 @@ def gen(m, j):
 
 
 def zero_form(m, degree):
-    return VectorValuedForm(m, degree, (GrassmannElement.zero(m),) * m)
+    return VectorValuedForm(m, degree, terms_of(()))
 
 
 def random_form(rng, m, degree):
@@ -528,7 +529,7 @@ def barwedge(phi, psi):
     deg = phi.degree + psi.degree
     if deg < -1 or deg > phi.m:
         return zero_form(phi.m, min(max(deg, -1), phi.m))
-    return VectorValuedForm(phi.m, deg, tuple(psi.apply(c) for c in phi.images))
+    return VectorValuedForm(phi.m, deg, terms_of([psi.apply(c) for c in phi.images]))
 
 
 def old_bracket(phi, psi):
@@ -719,11 +720,11 @@ def test_a_warm_compiled_action_gives_the_values_of_a_fresh_copy():
             d.bracket(e), e.bracket(d)
     for d in forms:
         assert d._leibniz()[0]
-        fresh = VectorValuedForm(d.m, d.degree, d.images)
+        fresh = VectorValuedForm(d.m, d.degree, d.terms)
         assert not hasattr(fresh, "_setup")
         pairs = [(d.apply(a), fresh.apply(a)) for a in elements]
         for e in forms:
-            copy = VectorValuedForm(e.m, e.degree, e.images)
+            copy = VectorValuedForm(e.m, e.degree, e.terms)
             pairs += bracket_pairs(d.bracket(e), fresh.bracket(copy))
             pairs += bracket_pairs(e.bracket(d), copy.bracket(fresh))
         assert_same_values(pairs)
@@ -756,7 +757,7 @@ def test_splitting_of_the_criterion_4_forms_is_canonical():
 def _with_one_more_term(f):
     """f with xi_1 added to its first image: a different form of f's degree."""
     first = f.images[0] + GrassmannElement.make(f.m, {(1,): 1})
-    return VectorValuedForm(f.m, f.degree, (first,) + f.images[1:])
+    return VectorValuedForm(f.m, f.degree, terms_of((first,) + f.images[1:]))
 
 
 def _n_terms(f):

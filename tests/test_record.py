@@ -120,7 +120,7 @@ def test_the_cached_leibniz_set_up_is_no_field(name):
     first use and then brackets and applies as an equal one built normally;
     the cached set-up, even a wrong one, enters no equality, hash or repr."""
     x = INSTANCES[name]
-    past, fresh = _with(x, "images", x.images), _copy(x)
+    past, fresh = _with(x, "terms", x.terms), _copy(x)
     assert not hasattr(past, "_setup") and not hasattr(fresh, "_setup")
     elements = list(x.images) + [a * b for a in x.images for b in x.images]
     for d in (past, fresh):
@@ -129,9 +129,27 @@ def test_the_cached_leibniz_set_up_is_no_field(name):
     assert past._leibniz() is past._setup and past._setup == fresh._setup
     assert past == fresh == x and hash(past) == hash(fresh) == hash(x)
     assert repr(past) == repr(fresh) == repr(x) and "_setup" not in repr(x)
-    wrong = _with(x, "images", x.images)
+    wrong = _with(x, "terms", x.terms)
     setfield(wrong, "_setup", None)
     assert wrong == x and hash(wrong) == hash(x) and repr(wrong) == repr(x)
+
+
+@pytest.mark.parametrize("name", ["VectorValuedForm", "SuperDerivation"])
+def test_a_derivations_terms_are_read_only(name):
+    """A derivation's terms refuse every change in place with TypeError,
+    and a copy of them is a plain dict."""
+    terms = INSTANCES[name].terms
+    key = next(iter(terms))
+    before = dict(terms)
+    for change in (lambda t: t.__setitem__(key, 2), lambda t: t.__delitem__(key),
+                   lambda t: t.clear(), lambda t: t.pop(key), lambda t: t.popitem(),
+                   lambda t: t.setdefault(key, 2), lambda t: t.update({key: 2}),
+                   lambda t: t.__ior__({key: 2})):
+        with pytest.raises(TypeError, match="read-only"):
+            change(terms)
+    assert terms == before and type(before) is dict
+    before[key] = 2
+    assert terms != before
 
 
 def test_construction_by_position_keyword_and_default():
@@ -148,7 +166,8 @@ def test_construction_by_position_keyword_and_default():
     assert liecoh.BasisElement(w, "t").scale == 1
     assert spectral.Summand("i", d).status == "ok"
     assert spectral.Summand("i", d) == spectral.Summand("i", d, "ok")
-    assert VectorValuedForm(1, 0, ()) == VectorValuedForm(m=1, degree=0, images=())
+    terms = grading_derivation(1).terms
+    assert VectorValuedForm(1, 0, terms) == VectorValuedForm(m=1, degree=0, terms=terms)
 
 
 def test_constructors_keep_their_checks_and_conversions():

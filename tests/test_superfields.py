@@ -11,7 +11,7 @@ from canonical import assert_canonical, check_against_fractions, is_canonical
 import leibniz_oracle
 from leibniz_oracle import check_against_old_kernel, merge_sign
 from flagcoh.exterior import (Derivation, GrassmannElement, VectorValuedForm,
-                              grading_derivation)
+                              grading_derivation, terms_of, wedge_basis)
 
 from flagcoh import verify
 from flagcoh.superfields import (
@@ -60,7 +60,7 @@ def field_a1(n, s, A1):
                 for a in range(s):
                     cx[i * s + a] = cx[i * s + a] + x(nv, k * s + a).scale(-A1[i][k])
                     cxi[i * s + a] = cxi[i * s + a] + xi(nv, k * s + a).scale(-A1[i][k])
-    return SuperDerivation(r, s, 0, tuple(cx + cxi))
+    return SuperDerivation(r, s, 0, terms_of(cx + cxi))
 
 
 def field_a2(n, s, B2):
@@ -74,7 +74,7 @@ def field_a2(n, s, B2):
                 for i in range(r):
                     cx[i * s + a] = cx[i * s + a] + x(nv, i * s + b).scale(B2[b][a])
                     cxi[i * s + a] = cxi[i * s + a] + xi(nv, i * s + b).scale(B2[b][a])
-    return SuperDerivation(r, s, 0, tuple(cx + cxi))
+    return SuperDerivation(r, s, 0, terms_of(cx + cxi))
 
 
 def field_v(n, s, V):
@@ -95,7 +95,7 @@ def field_v(n, s, V):
                     xs = xi(nv, i * s + b) * x(nv, j * s + a)
                     sx = x(nv, i * s + b) * xi(nv, j * s + a)
                     cxi[i * s + a] = cxi[i * s + a] + (xs + sx).scale(c)
-    return SuperDerivation(r, s, 0, tuple(cx + cxi))
+    return SuperDerivation(r, s, 0, terms_of(cx + cxi))
 
 
 def field_y(n, s, Y):
@@ -107,7 +107,7 @@ def field_y(n, s, Y):
         for a in range(s):
             if Y[i][a]:
                 cxi[i * s + a] = cxi[i * s + a] + SuperPolynomial.const(nv, -Y[i][a])
-    return SuperDerivation(r, s, 1, tuple(cx + cxi))
+    return SuperDerivation(r, s, 1, terms_of(cx + cxi))
 
 
 def _eq(d1, d2):
@@ -171,16 +171,16 @@ def test_bracket_basics():
     nv = r * s
     cx, cxi = images_zero(nv)
     cxi[0] = SuperPolynomial.const(nv, 1)              # d/dxi_0
-    d1 = SuperDerivation(r, s, 1, tuple(cx + cxi))
+    d1 = SuperDerivation(r, s, 1, terms_of(cx + cxi))
     cx, cxi = images_zero(nv)
     cx[0] = xi(nv, 0)                                  # xi_0 d/dx_0
-    d2 = SuperDerivation(r, s, 1, tuple(cx + cxi))
+    d2 = SuperDerivation(r, s, 1, terms_of(cx + cxi))
     br = bracket(d1, d2)                               # odd, odd
     assert br.parity == 0
     assert dict(br.c_x[0].terms) == {((), ()): Fraction(1)}
     # [eps-analog, d/dxi] = -d/dxi
     cx, _ = images_zero(nv)
-    eps = SuperDerivation(r, s, 0, tuple(cx + [xi(nv, k) for k in range(nv)]))
+    eps = SuperDerivation(r, s, 0, terms_of(cx + [xi(nv, k) for k in range(nv)]))
     br2 = bracket(eps, d1)
     assert _eq(br2, d1.scale(-1))
 
@@ -892,7 +892,7 @@ def random_super_derivation(rng, r, s, parity):
         p = random_super_polynomial(rng, nv)
         images.append(SuperPolynomial._from_dict(
             nv, {mono: c for mono, c in p.terms if len(mono[1]) % 2 == want}))
-    return SuperDerivation(r, s, parity, tuple(images))
+    return SuperDerivation(r, s, parity, terms_of(images))
 
 
 @given(st.integers(0, 10**6))
@@ -937,6 +937,47 @@ def test_basis_field_brackets_and_applies_match_the_per_call_kernel(n, s):
     leibniz_oracle.assert_same_values(pairs)
 
 
+# the basis derivations of criterion 4 at m = 3 and of criterion 8 at n = 3, 4
+FLAT_FAMILIES = {
+    "forms-m3": lambda: [VectorValuedForm.basis_element(3, mono, j)
+                         for mono, j in wedge_basis(3)],
+    **{f"q{n}-s{s}": (lambda n=n, s=s: superfields.basis_fields(n, s))
+       for n in (3, 4) for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FLAT_FAMILIES))
+def test_flat_brackets_and_applies_match_the_per_image_kernel(family):
+    """On every ordered pair of a family's basis derivations, the bracket
+    filled into one flat dict has the terms of the old per-image kernel's
+    bracket, values and types (an int iff integral), never a zero value, and
+    images equal to the old kernel's sorted elements; equal derivations hash
+    equal; the first applied to each image of the second gives the old
+    kernel's value.  Zero brackets of different grades have equal terms
+    but are different derivations."""
+    ds = FLAT_FAMILIES[family]()
+    pairs, zeros = [], {}
+    for d1 in ds:
+        for d2 in ds:
+            got = d1.bracket(d2)
+            grade, images = leibniz_oracle.old_bracket_images(d1, d2)
+            want = d1._relabel(grade, terms_of(images))
+            assert got == want and hash(got) == hash(want) and got._grade == grade
+            assert {k: type(c) for k, c in got.terms.items()} == \
+                {k: type(c) for k, c in want.terms.items()}
+            assert all(is_canonical(c) for c in got.terms.values())
+            assert got.images == images
+            pairs += zip(got.images, images)
+            pairs += [(d1.apply(a), leibniz_oracle.old_apply(d1, a)) for a in d2.images]
+            if got.is_zero():
+                zeros.setdefault(grade, got)
+    leibniz_oracle.assert_same_values(pairs)
+    assert len(zeros) >= 2, family
+    for a in zeros.values():
+        for b in zeros.values():
+            assert a.terms == b.terms and (a == b) == (a._grade == b._grade)
+
+
 def test_letter_tables_are_kept_per_nvars():
     """xi_0 is generator nv + 0 of a field, so its letters depend on nvars:
     d/dxi_0 applied to xi_0 x_1 at nvars 2 and then at nvars 4, in one
@@ -947,7 +988,7 @@ def test_letter_tables_are_kept_per_nvars():
         zero = SuperPolynomial.zero(nv)
         images = [zero] * (2 * nv)
         images[nv] = SuperPolynomial.const(nv, 1)
-        d = SuperDerivation(r, s, 1, tuple(images))
+        d = SuperDerivation(r, s, 1, terms_of(images))
         a = SuperPolynomial.xi(nv, 0) * SuperPolynomial.x(nv, 1)
         assert d.apply(a) == SuperPolynomial.x(nv, 1), nv
     assert sorted(SuperDerivation._letter_tables) == [2, 4]
