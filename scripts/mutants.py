@@ -159,10 +159,10 @@ MUTANTS: List[Mutant] = [
            "merges = v_merges.setdefault(lv, {})", "merges = v_merges.setdefault(None, {})",
            ("tests/test_invforms.py::test_barwedge_matches_the_slot_by_slot_loop",)),
     Mutant("VecTensor.__sub__ drops the sign", "invforms.py",
-           "return self._signed_sum(other, -1)", "return self._signed_sum(other, 1)",
+           "return self._sum(other, -1)", "return self._sum(other, 1)",
            ("tests/test_invforms.py",)),
-    Mutant("VecTensor._accumulate keeps a cancelled key", "invforms.py",
-           "        if not tgt:\n            del data[key]\n", "",
+    Mutant("exterior._frozen keeps a cancelled entry", "exterior.py",
+           "for k, v in acc.items() if v}", "for k, v in acc.items()}",
            ("tests/test_liecoh.py::"
             "test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector",
             "tests/test_liecoh.py")),
@@ -170,8 +170,8 @@ MUTANTS: List[Mutant] = [
            "        for f in self._fields:\n", "        for f in self._fields[:-1]:\n",
            ("tests/test_liecoh.py::"
             "test_cochains_with_different_coefficient_modules_do_not_add",)),
-    Mutant("liecoh._pair_reads drops the antisymmetry sign", "liecoh.py",
-           "yield b, a, v, -1, vec", "yield b, a, v, 1, vec",
+    Mutant("liecoh._pair_reads drops the antisymmetry sign at (b, a)", "liecoh.py",
+           "yield b, a, v, u, -x", "yield b, a, v, u, x",
            ("tests/test_liecoh.py",)),
     Mutant("scalars._gauss_jordan keeps a row whose pivot is -1 undivided too", "scalars.py",
            "row if row[c] == 1 else", "row if row[c] in (1, -1) else",

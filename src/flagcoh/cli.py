@@ -282,13 +282,13 @@ def cmd_d2(args) -> int:
     rank, res = liecoh.d2_on_vector_fields(H, a, b)
     witness = None
     if res.witness is not None:
-        # each sparse value is written as a dense list of module_dim scalars
-        dim = res.witness.module_dim
+        # the flat (w, t) map is written as one dense list of module_dim
+        # scalars per basis element w
+        dense: dict = {}
         zero = {"rat": "0", "rt2": "0"}
-        witness = {
-            str(w): [format_scalar(vec[t]) if t in vec else zero for t in range(dim)]
-            for w, vec in sorted(res.witness.data.items())
-        }
+        for (w, t), x in res.witness.data.items():
+            dense.setdefault(w, [zero] * res.witness.module_dim)[t] = format_scalar(x)
+        witness = {str(w): dense[w] for w in sorted(dense)}
     payload = {
         "space": args.space,
         "a": format_scalar(a),

@@ -16,16 +16,21 @@ values are ints, and build the result through `_from_dict`, which makes an
 integral Fraction an int but validates nothing else; only the public
 constructors validate, and `_canon` normalises each value they take.
 
-`Derivation` is the one derivation type, held as one read-only map `terms`
+`_Terms`, the one read-only term map, holds a derivation's terms and a
+form's or a cochain's entries (`invforms.VecTensor`); beside it are their
+one sum loop `_signed_sum` (`TermAlgebra._sum`'s too), scaling `_scaled`
+and zero-dropping `scalars.canonical` rule `_frozen`.
+
+`Derivation` is the one derivation type, held as one `_Terms` map `terms`
 from (generator index k, monomial) to the value; `images`, the values as
-canonical elements, is built on first read.  It writes sums, scaling,
-`apply`, the bracket, the one Leibniz loop `_into` and one mismatch rule
-(`ValueError`) once, on dicts, and `VectorValuedForm` and
-`superfields.SuperDerivation` add their labels and hooks.  A derivation's
-set-up (`_leibniz`) holds its compiled action, a dict from a monomial to
-d(mono) that `_compile` fills on first read, and its terms by generator.
-A bracket adds both operands' compiled actions into one dict keyed
-(k, monomial) and builds no element.  `_compile` keeps each monomial's
+canonical elements, is built on first read.  It writes `apply`, the
+bracket, the one Leibniz loop `_into` and one mismatch rule (`ValueError`)
+once, on dicts, and `VectorValuedForm` and `superfields.SuperDerivation`
+add their labels and hooks.  A derivation's set-up (`_leibniz`) holds
+its compiled action, a dict from a monomial to d(mono) that `_compile`
+fills on first read, and its terms by generator.  A bracket adds both
+operands' compiled actions into one dict keyed (k, monomial) and builds
+no element.  `_compile` keeps each monomial's
 letters in `_letter_tables` (one per m) and each monomial product in the
 algebra's `_products`, so both are computed once per process.
 
@@ -154,11 +159,7 @@ class TermAlgebra(Record):
             return self
         if not self.terms and sign > 0:
             return other
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            old = acc.get(k, 0)
-            acc[k] = old + c if sign > 0 else old - c
-        return self._from_dict(self.m, acc)
+        return self._from_dict(self.m, _signed_sum(self.terms, other.terms, sign))
 
     def __neg__(self):
         if not self.terms:
@@ -246,7 +247,8 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
 
 
 class _Terms(dict):
-    """A derivation's terms: a read-only dict that hashes by its items."""
+    """A term map {key: nonzero value} of a derivation or a
+    `invforms.VecTensor`: a read-only dict that hashes by its items."""
 
     __slots__ = ()
 
@@ -254,7 +256,7 @@ class _Terms(dict):
         return hash(frozenset(self.items()))
 
     def _read_only(self, *args, **kwargs):
-        raise TypeError("a derivation's terms are read-only")
+        raise TypeError("term maps are read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
@@ -264,12 +266,28 @@ def terms_of(images: Sequence[TermAlgebra]) -> _Terms:
     return _Terms({(k, mono): c for k, a in enumerate(images) for mono, c in a.terms})
 
 
+def _signed_sum(a, b, sign: int) -> Dict[object, Coeff]:
+    """a + sign * b, sign 1 or -1, as a new dict with its zeros, for a map or
+    the (key, value) pairs a and the pairs b."""
+    acc = dict(a)
+    for k, c in b:
+        old = acc.get(k, 0)
+        acc[k] = old + c if sign > 0 else old - c
+    return acc
+
+
 def _frozen(acc: Dict[object, Coeff]) -> _Terms:
-    """The nonzero values of acc, an integral Fraction made an int, as terms."""
+    """The nonzero values of acc as terms, each `canonical`: an integral
+    Fraction made an int, QSqrt2 values as they are."""
     values = acc.values()
-    if 0 in values or type(sum(values)) is not int:  # a zero, or a Fraction in the sum
-        acc = {k: v if type(v) is int else _canon(v) for k, v in acc.items() if v}
+    if type(sum(values)) is not int or 0 in values:  # a value no int, or a zero
+        acc = {k: v if type(v) is int else canonical(v) for k, v in acc.items() if v}
     return _Terms(acc)
+
+
+def _scaled(terms: _Terms, c) -> _Terms:
+    """c * terms, for a canonical scalar c."""
+    return _frozen({k: c * v for k, v in terms.items()})
 
 
 class Derivation(Record):
@@ -329,11 +347,7 @@ class Derivation(Record):
                 raise ValueError(f"{op} of derivations of {self._grade_field} "
                                  f"{grade} and {other_grade}")
             return self if self.terms else other if sign > 0 else -other
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            old = acc.get(key, 0)
-            acc[key] = old + c if sign > 0 else old - c
-        return self._relabel(grade, _frozen(acc))
+        return self._relabel(grade, _frozen(_signed_sum(self.terms, other.terms.items(), sign)))
 
     def __add__(self, other):
         return self._sum(other, 1, "sum")
@@ -347,8 +361,7 @@ class Derivation(Record):
     def scale(self, c):
         if c == 1:
             return self
-        c = _canon(c)
-        return self._relabel(self._grade, _frozen({k: c * v for k, v in self.terms.items()}))
+        return self._relabel(self._grade, _scaled(self.terms, _canon(c)))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -1,20 +1,21 @@
 """K-invariant vector-valued (p,q)-forms on Hermitian symmetric spaces,
 realized exactly by their values at the base point.
 
-A form of bidegree (p, q) is stored as a sparse tensor over strictly
-increasing index tuples (holomorphic group of size p over the n+ basis,
-antiholomorphic group of size q over the dual n- basis), with values sparse
-vectors in n+.  theta_p has a closed form; eta, eta1, eta2 and eta3 are each
-the alternation over S_p x S_q of one matrix chain (u1 v u2, tr(u1 v1 u2 v2)
-u3, (u1, v1) u2 v2 u3, u1 v1 u2 v2 u3), summed by `_alternate` over the
-chain's nonzero ordered values.  Both families have integer entries, and
-every tensor value is an int when integral and a Fraction otherwise;
-scaling by a parameter with a sqrt(2) part gives QSqrt2 entries.  The
-barwedge runs over the stored entries on the `exterior._merge_sign` sign
-kernel.  A form and a `liecoh.Cochain` are both a `VecTensor`, which holds
-their arithmetic, their nonzero (key, index) entries, their same-label
-constructor and label check, read off the fields, and takes their equality
-from `Record`; `span_solve` is their one span solve.
+A form of bidegree (p, q) is stored as one flat read-only map
+{((us, vs), w): nonzero value}: us and vs strictly increasing index tuples
+(holomorphic group of size p over the n+ basis, antiholomorphic group of
+size q over the dual n- basis), w an n+ index.  theta_p has a closed form;
+eta, eta1, eta2 and eta3 are each the alternation over S_p x S_q of one
+matrix chain (u1 v u2, tr(u1 v1 u2 v2) u3, (u1, v1) u2 v2 u3,
+u1 v1 u2 v2 u3), summed by `_alternate` over the chain's nonzero ordered
+values.  Both families have integer entries, and every value is an int
+when integral and a Fraction otherwise; scaling by a parameter with a
+sqrt(2) part gives QSqrt2 entries.  The barwedge runs over the stored
+entries on the `exterior._merge_sign` sign kernel.  A form and a
+`liecoh.Cochain` are both a `VecTensor`, an `exterior._Terms` map with
+exterior's sum, scaling and zero rule, their same-label constructor and
+label check, read off the fields, and `Record`'s equality and hash;
+`span_solve` is their one span solve.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -28,14 +29,13 @@ from __future__ import annotations
 import functools
 import itertools
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exterior import _merge_sign
+from .exterior import _frozen, _merge_sign, _scaled, _signed_sum, _Terms
 from .record import Record
-from .scalars import (Coeff, QSqrt2, SparseRow, canonical, narrow, nullspace, rank,
-                      rref, sparse_rref, sqrt_of_rational)
+from .scalars import (Coeff, QSqrt2, SparseRow, narrow, nullspace, rank, rref, sparse_rref,
+                      sqrt_of_rational)
 
-Vec = Dict[int, Coeff]  # sparse vector in n+ coordinates (or QSqrt2 values)
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
@@ -65,21 +65,22 @@ class RootPairSpace(Record):
 
 
 class VecTensor(Record):
-    """A dict from keys to sparse `Vec`s, none zero or holding a zero, with
-    its arithmetic.  A subclass is a `Record` that names its `_fields` and,
-    in `_vecs`, the one holding that dict; the others are its labels.  It
-    takes equality from `Record`, so two tensors are equal when their labels
-    and their stored entries are."""
+    """One read-only `exterior._Terms` map {(key, index): nonzero value},
+    the terms a derivation holds too, with its arithmetic.  A subclass is a
+    `Record` that names its `_fields` and, in `_vecs`, the one holding that
+    map; the others are its labels.  It takes equality and hash from
+    `Record`, so two tensors are equal when their labels and their stored
+    entries are."""
 
     _vecs: str
 
-    def _values(self) -> Dict[object, Vec]:
+    def _values(self) -> _Terms:
         return getattr(self, self._vecs)
 
-    def _like(self, vecs: Dict[object, Vec]) -> "VecTensor":
-        """A tensor with self's labels and the given vectors, built through
+    def _like(self, terms: _Terms) -> "VecTensor":
+        """A tensor with self's labels and the given terms, built through
         the subclass's constructor."""
-        return type(self)(*[vecs if f == self._vecs else getattr(self, f)
+        return type(self)(*[terms if f == self._vecs else getattr(self, f)
                             for f in self._fields])
 
     def _check_like(self, other: "VecTensor") -> None:
@@ -92,48 +93,33 @@ class VecTensor(Record):
                 raise ValueError(f"{type(self).__name__}s with different {f} "
                                  "do not combine")
 
-    @staticmethod
-    def _accumulate(data: Dict[object, Vec], key, coeff, vec: Vec) -> None:
-        """data[key] += coeff * vec, dropping the key when its value cancels."""
-        tgt = data.setdefault(key, {})
-        _add_into(tgt, coeff, vec)
-        if not tgt:
-            del data[key]
-
     def is_zero(self) -> bool:
         return not self._values()
 
-    def entries(self) -> Iterator[Tuple[Tuple[object, int], Coeff]]:
+    def entries(self):
         """The nonzero coordinates as ((key, index), value) pairs."""
-        return (((k, i), c) for k, vec in self._values().items() for i, c in vec.items())
+        return self._values().items()
 
     def scale(self, c) -> "VecTensor":
-        c = narrow(c)
-        if not c:
-            return self._like({})
-        return self._like({k: {i: canonical(c * v) for i, v in vec.items()}
-                           for k, vec in self._values().items()})
+        return self._like(_scaled(self._values(), narrow(c)))
 
-    def _signed_sum(self, other: "VecTensor", sign: int) -> "VecTensor":
+    def _sum(self, other: "VecTensor", sign: int) -> "VecTensor":
         """self + sign * other, for sign = 1 or -1, after one label check."""
         self._check_like(other)
-        out = {k: dict(v) for k, v in self._values().items()}
-        for k, vec in other._values().items():
-            self._accumulate(out, k, sign, vec)
-        return self._like(out)
+        return self._like(_frozen(_signed_sum(self._values(), other._values().items(), sign)))
 
     def __add__(self, other: "VecTensor") -> "VecTensor":
-        return self._signed_sum(other, 1)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "VecTensor") -> "VecTensor":
-        return self._signed_sum(other, -1)
+        return self._sum(other, -1)
 
 
 class InvariantVectorForm(VecTensor):
     space: object
     p: int
     q: int
-    tensor: Dict[Key, Vec]
+    tensor: _Terms
     _vecs = "tensor"
     _fields = ("space", "p", "q", "tensor")
 
@@ -152,17 +138,6 @@ def _sorted_with_sign(group: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], 
     return tuple(sorted(group)), sign
 
 
-def _add_into(tgt: Vec, coeff, vec: Vec) -> None:
-    """tgt += coeff * vec, dropping the entries that cancel and keeping the
-    rational ones canonical (an int iff integral)."""
-    for i, c in vec.items():
-        nc = tgt.get(i, 0) + coeff * c
-        if nc:
-            tgt[i] = canonical(nc)
-        else:
-            tgt.pop(i, None)
-
-
 def span_rows(columns: Sequence[Iterable[Tuple[object, Coeff]]],
               targets: Sequence[VecTensor]) -> Tuple[List[SparseRow], List[List[Coeff]]]:
     """The rows of the matrix whose j-th column has the (coordinate, entry)
@@ -173,7 +148,7 @@ def span_rows(columns: Sequence[Iterable[Tuple[object, Coeff]]],
     for j, col in enumerate(columns):
         for coord, x in col:
             rows.setdefault(coord, {})[j] = x
-    values = [dict(t.entries()) for t in targets]
+    values = [t._values() for t in targets]
     for coord in itertools.chain(*values):
         rows.setdefault(coord, {})
     return list(rows.values()), [[v.get(coord, 0) for coord in rows] for v in values]
@@ -200,12 +175,12 @@ def theta_p(space, p: int) -> InvariantVectorForm:
     if not 1 <= p <= n:
         raise ValueError(f"theta_{p} needs 1 <= p <= dim = {n}")
     pref = factorial(p - 1)
-    tensor: Dict[Key, Vec] = {}
+    tensor: Dict[Tuple[Key, int], int] = {}
     for us in itertools.combinations(range(n), p):
         for k, uk in enumerate(us):
             sign = 1 if (p + k + 1) % 2 == 0 else -1
-            tensor[(us, us[:k] + us[k + 1:])] = {uk: pref * sign}
-    return InvariantVectorForm(space, p, p - 1, tensor)
+            tensor[((us, us[:k] + us[k + 1:]), uk)] = pref * sign
+    return InvariantVectorForm(space, p, p - 1, _Terms(tensor))
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +193,14 @@ def _alternate(space, p: int, q: int, chains: Iterable[Tuple]) -> InvariantVecto
     """Alt over S_p x S_q of a chain given by its nonzero ordered values:
     (us, vs, w) adds sgn(us) sgn(vs) E_w at the sorted key (us, vs), and a
     repeated index alternates to zero.  Keys come out in sorted order."""
-    acc: Dict[Key, Dict[int, int]] = {}
+    acc: Dict[Tuple[Key, int], int] = {}
     for us, vs, w in chains:
         ku, su = _sorted_with_sign(us)
         kv, sv = _sorted_with_sign(vs)
         if su and sv:
-            vec = acc.setdefault((ku, kv), {})
-            vec[w] = vec.get(w, 0) + su * sv
-    tensor = {key: {w: c for w, c in acc[key].items() if c} for key in sorted(acc)}
-    return InvariantVectorForm(space, p, q, {k: vec for k, vec in tensor.items() if vec})
+            coord = ((ku, kv), w)
+            acc[coord] = acc.get(coord, 0) + su * sv
+    return InvariantVectorForm(space, p, q, _frozen({c: acc[c] for c in sorted(acc)}))
 
 
 def _cells(space: MatrixPairSpace, k: int):
@@ -291,15 +265,14 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
     P = phi.p + psi.p - 1
     Q = phi.q + psi.q
     n = space.dim
-    tensor: Dict[Key, Vec] = {}
     if P > n or Q > n or P < 0:
-        return InvariantVectorForm(space, max(P, 0), Q, tensor)
+        return InvariantVectorForm(space, max(P, 0), Q, _Terms())
     by_index: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...], Coeff]]] = {}
-    for (ku, kv), w in psi.tensor.items():
-        for widx, wc in w.items():
-            by_index.setdefault(widx, []).append((ku, kv, wc))
+    for ((ku, kv), widx), wc in psi.tensor.items():
+        by_index.setdefault(widx, []).append((ku, kv, wc))
+    acc: Dict[Tuple[Key, int], Coeff] = {}
     feeds, v_merges = {}, {}  # lu -> its u-side feed; lv -> kv -> _merge_sign(kv, lv)
-    for (lu, lv), vec in phi.tensor.items():
+    for ((lu, lv), i), c in phi.tensor.items():
         feed = feeds.get(lu)
         if feed is None:
             feed = feeds[lu] = [
@@ -314,8 +287,9 @@ def barwedge_inv(phi: InvariantVectorForm, psi: InvariantVectorForm
                 vs_sv = merges[kv] = _merge_sign(kv, lv)
             vs, sv = vs_sv
             if vs is not None:
-                _add_into(tensor.setdefault((us, vs), {}), wc if su == sv else -wc, vec)
-    return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
+                coord = ((us, vs), i)
+                acc[coord] = acc.get(coord, 0) + (wc * c if su == sv else -(wc * c))
+    return InvariantVectorForm(space, P, Q, _frozen(acc))
 
 
 # ---------------------------------------------------------------------------

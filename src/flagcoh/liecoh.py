@@ -4,11 +4,11 @@ coboundary solves over the R-invariant subspace, and the resulting rank of
 the degree-2 spectral differential on vector fields.  theta = a theta2 +
 b eta is read over `invforms.theta_basis` at `invforms.theta_coordinates`.
 
-Every coefficient vector is a sparse `invforms.Vec` {coordinate: scalar}
-without zero entries: the g-coordinates of `GModuleBasis.bracket_coords`,
-and each value of a cochain, whose absent keys are zero.  A `Cochain` is an
-`invforms.VecTensor`, which gives it its arithmetic, its label check and its
-equality, and its coboundary solves read `invforms.span_rows`.
+`GModuleBasis.bracket_coords` gives sparse g-coordinates without zeros.
+A `Cochain` is an `invforms.VecTensor`, one flat map {(key, coordinate):
+nonzero scalar} as a form's and a derivation's terms are, which gives it
+its arithmetic, its label check and its equality and hash; its builders
+fill one flat dict each, and its coboundary solves read `invforms.span_rows`.
 
 g is described once, by the Chevalley structure constants of its root
 datum (`_chevalley`); basis weights are roots in simple-root coordinates.
@@ -30,11 +30,11 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .bott import HermitianSymmetricSpace, build_space, grassmannian_rs
+from .exterior import _frozen, _Terms
 from .invforms import (
     InvariantVectorForm,
     MatrixPairSpace,
     RootPairSpace,
-    Vec,
     VecTensor,
     barwedge_inv,
     span_rows,
@@ -164,7 +164,7 @@ class GModuleBasis(Record):
         x, y = self.elements[i], self.elements[j]
         rd = self.H.rd
         torus = self.dim - rd.rank
-        out: Vec = {}
+        out: SparseRow = {}
         if "t" in (x.block, y.block):
             if x.block != y.block:
                 # [h_k, b] = <root of b, alpha_k^vee> b
@@ -249,24 +249,22 @@ class Cochain(VecTensor):
     The default coefficient module M is n- (x) n+ (coordinate v*n + u),
     with mdim None; another module gives its dimension in mdim.  Cochains
     combine only on the same basis gb, in one degree and with one mdim.
-    Each value is a sparse Vec {coordinate: scalar} without zeros, and a
-    key whose value vanishes is absent.  The scalars are rational, an int
-    when integral and a Fraction otherwise, and elements of Q(sqrt2) where
-    the parameter of a theta form has a sqrt(2) part.
+    `data` is one read-only map {(key, t): nonzero scalar}, t a coordinate
+    of M and key w in degree 0 and (v1, ..., vk, w), v1 < ... < vk, in
+    degree k; an absent coordinate is zero.  The scalars are rational, an
+    int when integral and a Fraction otherwise, and elements of Q(sqrt2)
+    where the parameter of a theta form has a sqrt(2) part.
     """
 
     _vecs = "data"
     _fields = ("gb", "degree", "data", "mdim")
 
-    def __init__(self, gb: GModuleBasis, degree: int, data: Dict[object, Vec],
+    def __init__(self, gb: GModuleBasis, degree: int, data: _Terms,
                  mdim: Optional[int] = None):
-        # deg 0: data[w] ; deg k >= 1: data[(v1, ..., vk, w)], v1 < ... < vk.
-        # A value given as a dense list of module_dim scalars (a JSON
-        # witness, as `perfbench/worker.py` reads one back) is stored sparse
+        # A dict from keys to dense lists of module_dim scalars (a JSON
+        # witness, as `perfbench/worker.py` reads one back) is stored flat
         if any(isinstance(v, list) for v in data.values()):
-            sparse = ((k, {t: x for t, x in enumerate(v) if x}
-                       if isinstance(v, list) else v) for k, v in data.items())
-            data = {k: v for k, v in sparse if v}
+            data = _Terms({(k, t): x for k, v in data.items() for t, x in enumerate(v) if x})
         super().__init__(gb, degree, data, mdim)
 
     @property
@@ -314,11 +312,12 @@ def ce_differential(c: Cochain) -> Cochain:
     (delta c)(y)(z) = c([y, z]), and in degree 1,
     (delta c)(y1,y2)(z) = c(y2)([y1,z]) - c(y1)([y2,z])."""
     delta = _delta(c.gb, c.degree)
-    out: Dict[object, Vec] = {}
-    for key, vec in c.data.items():
+    acc: Dict[object, Coeff] = {}
+    for (key, t), x in c.data.items():
         for tgt, co in delta[key]:
-            VecTensor._accumulate(out, tgt, co, vec)
-    return Cochain(c.gb, c.degree + 1, out, c.mdim)
+            coord = (tgt, t)
+            acc[coord] = acc.get(coord, 0) + co * x
+    return Cochain(c.gb, c.degree + 1, _frozen(acc), c.mdim)
 
 
 def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
@@ -326,22 +325,18 @@ def cochain_from_form(gb: GModuleBasis, theta: InvariantVectorForm) -> Cochain:
     worked examples (the displayed argument order differs by a global sign)."""
     if theta.space != gb.space:
         raise ValueError("form space does not match the algebra realization")
-    n = gb.n
-    out: Dict[object, Vec] = {}
+    n, nplus = gb.n, gb.nplus_order
     # pi(e_w) is the unit vector at w's position j in nplus_order
-    for i, j, v, sign, vec in _pair_reads(theta):
-        tgt = out.setdefault((v, gb.nplus_order[j]), {})
-        for u, x in vec.items():
-            tgt[i * n + u] = sign * x
-    return Cochain(gb, 1, out)
+    return Cochain(gb, 1, _Terms({((v, nplus[j]), i * n + u): x
+                                  for i, j, v, u, x in _pair_reads(theta)}))
 
 
 def _pair_reads(form: InvariantVectorForm):
-    """(i, j, v, sign, vec) with form(e_i, e_j; v) = sign vec over a
-    (2,1)-form's stored entries ((a, b), (v,)), once each at (a, b) and (b, a)."""
-    for ((a, b), (v,)), vec in form.tensor.items():
-        yield a, b, v, 1, vec
-        yield b, a, v, -1, vec
+    """(i, j, v, u, x), x the n+ coordinate u of form(e_i, e_j; v), once each
+    at (a, b) and, negated, at (b, a) of a (2,1)-form's entries (((a, b), (v,)), u)."""
+    for (((a, b), (v,)), u), x in form.tensor.items():
+        yield a, b, v, u, x
+        yield b, a, v, u, -x
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +427,9 @@ def _invariant_zero(gb: GModuleBasis) -> Tuple[List[Cochain], List[Cochain]]:
     unknowns, rows = _equivariant_system(
         _ad_module(gb, range(gb.dim)), _tensor(nminus, _ad_module(gb, gb.nplus_order)))
     red, pivots, _ = sparse_rref(rows, len(unknowns))
-    basis = []
-    for vec in rref_kernel(red, pivots, len(unknowns)):
-        data: Dict[object, Vec] = {}
-        for k, x in vec.items():
-            i, t = unknowns[k]
-            data.setdefault(i, {})[t] = x
-        basis.append(Cochain(gb, 0, data))
+    # the unknown (i, t) is the coordinate t of the value at the basis element i
+    basis = [Cochain(gb, 0, _Terms({unknowns[k]: x for k, x in vec.items()}))
+             for vec in rref_kernel(red, pivots, len(unknowns))]
     return basis, [ce_differential(b) for b in basis]
 
 
@@ -473,11 +464,11 @@ def _coboundary_result(gb: GModuleBasis, x: Optional[SparseRow]) -> CoboundaryRe
     sum_j x_j b_j over the invariant 0-cochains b_j (None when x is 0)."""
     if not x:
         return CoboundaryResult(x is not None, None)
-    data: Dict[object, Vec] = {}
+    basis, acc = _invariant_zero(gb)[0], {}
     for j, xj in x.items():
-        for key, vec in _invariant_zero(gb)[0][j].data.items():
-            VecTensor._accumulate(data, key, xj, vec)
-    return CoboundaryResult(True, Cochain(gb, 0, data))
+        for coord, v in basis[j].data.items():
+            acc[coord] = acc.get(coord, 0) + xj * v
+    return CoboundaryResult(True, Cochain(gb, 0, _frozen(acc)))
 
 
 def is_invariant_coboundary(c: Cochain) -> CoboundaryResult:
@@ -520,17 +511,16 @@ def two_cochain_from_d2_image(gb: GModuleBasis, theta: InvariantVectorForm
     # phi_w(u; v) = theta2(pi(w), u; v), a (1,1)-form; pi(e_w) is the unit
     # vector at w's position j in nplus_order
     phis: List[dict] = [{} for _ in range(n)]
-    for j, u, v, sign, vec in _pair_reads(theta_p(gb.space, 2)):
-        phis[j][((u,), (v,))] = {t: sign * x for t, x in vec.items()}
-    data: Dict[object, Vec] = {}
-    for j, w in enumerate(gb.nplus_order):
-        phi_w = InvariantVectorForm(gb.space, 1, 1, phis[j])
-        # F_w = theta /\ phi_w, a (2,2)-form: its entry at ((i, j), (v1, v2))
-        # is the value at (v1, v2, w) on the coordinates ((i, j), u)
-        for ((i, j), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
-            VecTensor._accumulate(data, (v1, v2, w), 1, {
-                pair_index[(i, j)] * n + u: x for u, x in vec.items()})
-    return Cochain(gb, 2, data, len(pairs) * n)
+    for j, u, v, t, x in _pair_reads(theta_p(gb.space, 2)):
+        phis[j][(((u,), (v,)), t)] = x
+    data = {}
+    for phi, w in zip(phis, gb.nplus_order):
+        phi_w = InvariantVectorForm(gb.space, 1, 1, _Terms(phi))
+        # F_w = theta /\ phi_w, a (2,2)-form: its entry (((i, j), (v1, v2)), u)
+        # is the value at (v1, v2, w) on the coordinate ((i, j), u)
+        for (((i, j), (v1, v2)), u), x in barwedge_inv(theta, phi_w).tensor.items():
+            data[((v1, v2, w), pair_index[(i, j)] * n + u)] = x
+    return Cochain(gb, 2, _Terms(data), len(pairs) * n)
 
 
 def two_cochain_is_coboundary(gb: GModuleBasis, c2: Cochain) -> bool:

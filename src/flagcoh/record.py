@@ -9,7 +9,9 @@ instances declare `__slots__ = _fields` and write their own `__init__` and
 set their slots through `slot_setters`.  Those with a
 `functools.cached_property` keep the instance `__dict__` it fills.
 `invforms.VecTensor` reads `_fields` too, to build a tensor with another's
-labels and to refuse one with other labels.
+labels and to refuse one with other labels.  A derivation, an invariant
+form and a cochain hold their values in one read-only `exterior._Terms`
+map, which hashes by its items, so they hash like every other record.
 """
 
 from itertools import repeat

@@ -1,12 +1,16 @@
 """The canonical coefficient form shared by the exterior, superfields,
 invforms and liecoh tests: a coefficient is an int when integral and a
-Fraction otherwise.  Also `form_value`, an invariant form read on index
-tuples in any order from its canonical (increasing) keys."""
+Fraction otherwise.  Also `nested`, the one read of a form's or a
+cochain's flat entries as vectors by key; `form_value`, an invariant form
+read on index tuples in any order from its canonical (increasing) keys;
+and `add_into`, the plain sparse add of the test oracles, which share no
+code with the library kernels they check."""
 
 from fractions import Fraction
 
 from flagcoh.exterior import Derivation, terms_of
 from flagcoh.invforms import _sorted_with_sign
+from flagcoh.scalars import canonical
 
 
 def is_canonical(c, zero_ok: bool = False) -> bool:
@@ -52,10 +56,31 @@ def check_against_fractions(a, b, d1, d2) -> None:
         assert_canonical(got)
 
 
-def form_value(form, us, vs) -> dict:
-    """The form on basis-index tuples us and vs in any order, read from its
-    stored increasing keys by antisymmetry; {} when an index repeats."""
+def nested(t) -> dict:
+    """The flat {(key, index): value} entries of a form or a cochain as
+    {key: {index: value}}, keys and indices in stored order."""
+    out = {}
+    for (key, i), c in t.entries():
+        out.setdefault(key, {})[i] = c
+    return out
+
+
+def form_value(vectors, us, vs) -> dict:
+    """The form with `nested` vectors on basis-index tuples us and vs in any
+    order, read from its stored increasing keys by antisymmetry; {} when an
+    index repeats."""
     ku, su = _sorted_with_sign(us)
     kv, sv = _sorted_with_sign(vs)
-    base = form.tensor.get((ku, kv), {})
+    base = vectors.get((ku, kv), {})
     return base if su * sv == 1 else {k: -c for k, c in base.items()}
+
+
+def add_into(tgt: dict, coeff, vec: dict) -> None:
+    """tgt += coeff * vec, dropping the entries that cancel and keeping the
+    rational ones canonical (an int iff integral)."""
+    for i, c in vec.items():
+        nc = tgt.get(i, 0) + coeff * c
+        if nc:
+            tgt[i] = canonical(nc)
+        else:
+            tgt.pop(i, None)

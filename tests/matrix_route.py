@@ -13,8 +13,9 @@ simple root vectors.
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from canonical import add_into
+
 from flagcoh import liecoh
-from flagcoh.invforms import _add_into
 from flagcoh.rootsys import build_root_system
 
 Mat = Dict[Tuple[int, int], Fraction]
@@ -25,13 +26,13 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     for (i, k), a in A.items():
         for (k2, j), b in B.items():
             if k == k2:
-                _add_into(out, a * b, {(i, j): 1})
+                add_into(out, a * b, {(i, j): 1})
     return out
 
 
 def commutator(A: Mat, B: Mat) -> Mat:
     out = mat_mul(A, B)
-    _add_into(out, -1, mat_mul(B, A))
+    add_into(out, -1, mat_mul(B, A))
     return out
 
 
@@ -39,7 +40,7 @@ def combination(mats: List[Mat], coords) -> Mat:
     """sum_g coords[g] mats[g]."""
     out: Mat = {}
     for g, c in coords.items():
-        _add_into(out, c, mats[g])
+        add_into(out, c, mats[g])
     return out
 
 

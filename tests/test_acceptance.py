@@ -9,7 +9,7 @@ the exact computation (see README errata and the verified deviation
 registry); those tests stay red by design rather than silently weakening
 the criteria.  The `*c.*-computed` twins pin the verified values.
 
-Last, the green checks of criteria 1c, 2, 3, 4, 6, 7, 7c and 8 are shown
+Last, the green checks of criteria 1c, 2, 3, 4, 5, 6, 7, 7c and 8 are shown
 to go red: each test perturbs the one library result a check reads and asserts
 the failing verdict and its detail.
 """
@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from flagcoh import bott, exterior, liecoh, spectral, superfields, verify
+from flagcoh import bott, exterior, invforms, liecoh, spectral, superfields, verify
 from flagcoh.bott import ModuleDescriptor
+from flagcoh.scalars import RT2
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all.json"
 
@@ -166,6 +167,98 @@ def test_criterion_4_fails_on_a_wrong_identity(monkeypatch, name, perturbed, det
     detail (super-Jacobi going red is in tests/test_exterior.py)."""
     monkeypatch.setattr(exterior, name, perturbed)
     assert verify.check_c4_exterior() == (False, detail)
+
+
+# criterion 5 reads `invforms` results through the module, so each test
+# patches that binding; none reaches the cached `theta_basis` or
+# `product_table` with a perturbed product
+GR42, GR52, GR53, GR63 = (invforms.MatrixPairSpace(*rs) for rs in ((2, 2), (3, 2), (2, 3), (3, 3)))
+
+
+def _doubled_on(name, space):
+    """`invforms.<name>` with its result doubled on space alone."""
+    form = getattr(invforms, name)
+    return lambda sp: form(sp).scale(2) if sp == space else form(sp)
+
+
+def test_criterion_5_theta_product_law_fails_on_a_wrong_product(monkeypatch):
+    barwedge = invforms.barwedge_inv
+    monkeypatch.setattr(invforms, "barwedge_inv", lambda phi, psi: (
+        barwedge(phi, psi).scale(2 if (phi.p, psi.p) == (2, 3) else 1)))
+    assert verify.check_c5_theta_product_law() == (False, "theta_2 ^ theta_3 failed on (3, 2)")
+
+
+def test_criterion_5_products_computed_fails_on_a_wrong_product(monkeypatch):
+    """eta ^ eta doubled on Mat 3x2 alone: Mat 2x2 passes first."""
+    products = invforms.theta_products
+    monkeypatch.setattr(invforms, "theta_products", lambda sp: tuple(
+        tuple(f.scale(2) if (sp, x, y) == (GR52, 1, 1) else f for y, f in enumerate(row))
+        for x, row in enumerate(products(sp))))
+    assert verify.check_c5_product_identities_computed() == (
+        False, "verified product values failed on (3, 2)")
+
+
+@pytest.mark.parametrize("name, space, detail", [
+    ("eta3", GR53, "r=2 eta relation failed on Gr(5,3)"),
+    ("eta3", GR52, "s=2 eta relation failed on Gr(5,2)"),
+    ("eta2", GR42, "Gr(4,2) eta2 relation failed"),
+    ("eta3", GR42, "Gr(4,2) eta3 relation failed"),
+], ids=["Gr(5,3)", "Gr(5,2)", "Gr(4,2)-eta2", "Gr(4,2)-eta3"])
+def test_criterion_5_relations_fail_on_a_wrong_form(monkeypatch, name, space, detail):
+    """Each relation reads the eta forms of one space: one of them doubled
+    there fails that relation, the ones before it holding."""
+    monkeypatch.setattr(invforms, name, _doubled_on(name, space))
+    assert verify.check_c5_relations_and_ranks() == (False, detail)
+
+
+def test_criterion_5_ranks_fail_on_a_wrong_rank(monkeypatch):
+    """The rank of theta3, eta1, eta2, eta3 on Mat 3x3, read one lower."""
+    rank_of = invforms.rank_of
+    monkeypatch.setattr(invforms, "rank_of", lambda forms: rank_of(forms) - (
+        forms[0].space == GR63))
+    assert verify.check_c5_relations_and_ranks() == (False, "independence ranks failed")
+
+
+def test_criterion_5_published_sqrt2_check_reads_gr52_past_a_vanishing_pair(monkeypatch):
+    """With the published sqrt2 pair made to annihilate, the check goes on
+    to Gr(5,2), whose nontrivial pair fails the published n >= 5 claim.
+    Gr(5,2)'s product table is cached before the patch, from the genuine
+    products, which the patch leaves alone anyway."""
+    th2, et = invforms.theta_p(GR42, 2), invforms.eta(GR42)
+    pair = (th2.scale(RT2) + et, th2 + et.scale(RT2))
+    invforms.product_table(GR52)
+    barwedge = invforms.barwedge_inv
+    monkeypatch.setattr(invforms, "barwedge_inv", lambda phi, psi: (
+        barwedge(phi, psi).scale(0) if (phi, psi) == pair else barwedge(phi, psi)))
+    assert verify.check_c5_nilpotent_sqrt2() == (
+        False, "nontrivial pairs exist on Gr(5,2) (published: none for n >= 5)")
+
+
+def _first_solution_only(report):
+    return invforms.NilpotentPairReport(report.space, report.solutions[:1])
+
+
+def _no_solution(report):
+    return invforms.NilpotentPairReport(report.space, [])
+
+
+def _gr42_solutions(report):
+    return invforms.NilpotentPairReport(report.space, invforms.nilpotent_pairs(GR42).solutions)
+
+
+@pytest.mark.parametrize("space, edit, detail", [
+    (GR42, _first_solution_only, "Gr(4,2) solutions {('-1', '1', '-1/2', '1')}"),
+    (GR52, _no_solution, "Gr(5,2) computed solutions changed"),
+    (GR63, _gr42_solutions, "Gr(6,3) should be trivial-only"),
+], ids=["Gr(4,2)", "Gr(5,2)", "Gr(6,3)"])
+def test_criterion_5_nilpotent_computed_fails_on_wrong_pairs(monkeypatch, space, edit, detail):
+    """`invforms.nilpotent_pairs` itself is patched, on one space, so no
+    cached product table sees a perturbed value; a single solution keeps
+    the detail's set free of hash order."""
+    pairs = invforms.nilpotent_pairs
+    monkeypatch.setattr(invforms, "nilpotent_pairs", lambda sp: (
+        edit(pairs(sp)) if sp == space else pairs(sp)))
+    assert verify.check_c5_nilpotent_computed() == (False, detail)
 
 
 @pytest.mark.parametrize("result, detail", [

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from canonical import form_value, is_canonical
+from canonical import form_value, is_canonical, nested
 
 from flagcoh.invforms import (
     InvariantVectorForm,
@@ -25,7 +25,7 @@ from flagcoh.invforms import (
     _projective_roots,
     _sorted_with_sign,
 )
-from flagcoh.exterior import _merge_sign
+from flagcoh.exterior import _merge_sign, _Terms
 from flagcoh.scalars import (QS_ONE, QS_ZERO, QSqrt2, RT2, canonical, narrow, nullspace,
                              rank, rref, solve, sqrt_of_rational)
 
@@ -74,14 +74,14 @@ def test_two_by_two_trace_identity():
 
 def test_theta1_is_identity():
     for sp in (GR42, GR52, RootPairSpace(5)):
-        th1 = theta_p(sp, 1)
+        th1 = nested(theta_p(sp, 1))
         for u in range(sp.dim):
             assert form_value(th1, [u], []) == {u: QS_ONE}
 
 
 def test_theta2_formula():
     sp = GR42
-    th2 = theta_p(sp, 2)
+    th2 = nested(theta_p(sp, 2))
     # theta2(u1,u2,v) = (u1,v) u2 - (u2,v) u1 with Kronecker pairing
     for u1 in range(4):
         for u2 in range(4):
@@ -106,8 +106,8 @@ def test_theta_range_and_vanishing():
 
 def test_antisymmetry_of_stored_tensors():
     sp = GR52
-    for form in (theta_p(sp, 3), eta(sp), eta2(sp)):
-        for (us, vs), vec in list(form.tensor.items())[:20]:
+    for form in map(nested, (theta_p(sp, 3), eta(sp), eta2(sp))):
+        for (us, vs), vec in list(form.items())[:20]:
             if len(us) >= 2:
                 swapped = (us[1], us[0]) + us[2:]
                 got = form_value(form, swapped, vs)
@@ -166,17 +166,17 @@ def test_theta_products_are_rows_x_of_columns_y():
 
 def test_forms_compare_by_their_stored_entries():
     """Forms take `Record`'s equality, over their labels and their stored
-    tensors: no builder stores a zero or an empty vector (see
-    test_liecoh.py), so a form padded with either is another value, and so
-    is a form with one entry more or one entry changed."""
+    entries: no builder stores a zero (see test_liecoh.py), so a form padded
+    with one, at a key it holds or at one it does not, is another value,
+    and so is a form with one entry more or one entry changed."""
     th2 = theta_p(GR42, 2)
     assert th2 == theta_p(GR42, 2) == (th2 + th2) - th2 == th2.scale(QSqrt2(1))
-    key, vec = next(iter(th2.tensor.items()))
-    assert ((0, 1), (2,)) not in th2.tensor
-    for tensor in (th2.tensor | {key: vec | {3: 0}}, th2.tensor | {((0, 1), (2,)): {}},
-                   {k: v for k, v in th2.tensor.items() if k != key},
-                   th2.tensor | {key: {i: 2 * c for i, c in vec.items()}}):
-        other = InvariantVectorForm(GR42, 2, 1, tensor)
+    (key, i), c = next(iter(th2.entries()))
+    assert ((0, 1), (2,)) not in nested(th2)
+    for tensor in (th2.tensor | {(key, 3): 0}, th2.tensor | {(((0, 1), (2,)), 0): 0},
+                   {k: v for k, v in th2.tensor.items() if k != (key, i)},
+                   th2.tensor | {(key, i): 2 * c}):
+        other = InvariantVectorForm(GR42, 2, 1, _Terms(tensor))
         assert other != th2 and th2 != other
 
 
@@ -378,7 +378,8 @@ def test_nilpotent_pairs_rejects_degenerate_spaces():
 
 def _flat_coefficients(form, keys, dim):
     """The form's coefficients over every (key, n+ index), zeros included."""
-    return [form.tensor.get(k, {}).get(i, QS_ZERO) for k in keys for i in range(dim)]
+    vectors = nested(form)
+    return [vectors.get(k, {}).get(i, QS_ZERO) for k in keys for i in range(dim)]
 
 
 def _scan_roots(quads):
@@ -428,7 +429,7 @@ def _scan_nilpotent_pairs(space):
         (1, 0): barwedge_inv(et, th2),
         (1, 1): barwedge_inv(et, et),
     }
-    keys = sorted({k for f in P.values() for k in f.tensor})
+    keys = sorted({k for f in P.values() for k in nested(f)})
     flat = {ab: _flat_coefficients(P[ab], keys, space.dim) for ab in P}
     N = len(flat[(0, 0)])
     # a pair with an index where all four vectors vanish has A = B = C = 0
@@ -536,11 +537,11 @@ def _dense_barwedge_raw(phi, psi):
     n = space.dim
     tensor = {}
     if P > n or Q > n or P < 0:
-        return InvariantVectorForm(space, max(P, 0), Q, tensor)
+        return InvariantVectorForm(space, max(P, 0), Q, _Terms(tensor))
     # both forms are evaluated on sorted arguments, or on one index in front
     # of a sorted tuple; the values depend on nothing else, so memoize them
-    psi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, psi))
-    phi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, phi))
+    psi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, nested(psi)))
+    phi_value = functools.lru_cache(maxsize=None)(functools.partial(form_value, nested(phi)))
     for us in itertools.combinations(range(n), P):
         u_shuffles = list(_shuffles(us, psi.p))
         for vs in itertools.combinations(range(n), Q):
@@ -562,9 +563,8 @@ def _dense_barwedge_raw(phi, psi):
                                 out[i] = nc
                             else:
                                 out.pop(i, None)
-            if out:
-                tensor[(us, vs)] = out
-    return InvariantVectorForm(space, P, Q, tensor)
+            tensor.update((((us, vs), i), c) for i, c in out.items())
+    return InvariantVectorForm(space, P, Q, _Terms(tensor))
 
 
 def _family(space):
@@ -602,12 +602,12 @@ def _slot_barwedge(phi, psi):
     P, Q = phi.p + psi.p - 1, phi.q + psi.q
     tensor = {}
     if P > space.dim or Q > space.dim or P < 0:
-        return InvariantVectorForm(space, max(P, 0), Q, tensor)
+        return InvariantVectorForm(space, max(P, 0), Q, _Terms(tensor))
     by_index = {}
-    for (ku, kv), w in psi.tensor.items():
+    for (ku, kv), w in nested(psi).items():
         for widx, wc in w.items():
             by_index.setdefault(widx, []).append((ku, kv, wc))
-    for (lu, lv), vec in phi.tensor.items():
+    for (lu, lv), vec in nested(phi).items():
         for k, widx in enumerate(lu):
             urest = lu[:k] + lu[k + 1:]
             for ku, kv, wc in by_index.get(widx, ()):
@@ -618,24 +618,25 @@ def _slot_barwedge(phi, psi):
                 if vs is None:
                     continue
                 coeff = wc if su * sv == (-1) ** k else -wc
-                tgt = tensor.setdefault((us, vs), {})
                 for i, c in vec.items():
-                    nc = tgt.get(i, 0) + coeff * c
+                    coord = ((us, vs), i)
+                    nc = tensor.get(coord, 0) + coeff * c
                     if nc:
-                        tgt[i] = canonical(nc)
+                        tensor[coord] = canonical(nc)
                     else:
-                        tgt.pop(i, None)
-    return InvariantVectorForm(space, P, Q, {k: v for k, v in tensor.items() if v})
+                        tensor.pop(coord, None)
+    return InvariantVectorForm(space, P, Q, _Terms(tensor))
 
 
 def _assert_same_as_slot_loop(phi, psi, label):
-    """Equal, with the same keys and indices in the same order and the same
-    value types, every value an int iff integral."""
+    """Equal, with the same value type at every (key, index) entry, every
+    value an int iff integral.  The order of the entries is no part of the
+    value: the product sums into one dict and drops its zeros once, so an
+    entry that cancels and comes back keeps the place where it first came."""
     got, want = barwedge_inv(phi, psi), _slot_barwedge(phi, psi)
     assert got == want, label
-    layout = [(key, [(i, type(c)) for i, c in vec.items()]) for key, vec in want.tensor.items()]
-    assert [(key, [(i, type(c)) for i, c in vec.items()])
-            for key, vec in got.tensor.items()] == layout, label
+    types = {coord: type(c) for coord, c in want.entries()}
+    assert {coord: type(c) for coord, c in got.entries()} == types, label
     assert all(is_canonical(c) for _, c in got.entries()), label
 
 
@@ -657,12 +658,12 @@ def test_barwedge_matches_the_slot_by_slot_loop_on_a_root_space():
 
 
 def _dense_rank_of(forms):
-    keys = sorted({k for f in forms for k in f.tensor})
+    keys = sorted({k for f in forms for k in nested(f)})
     return rank([_flat_coefficients(f, keys, f.space.dim) for f in forms])
 
 
 def _dense_coefficients(target, basis):
-    keys = sorted({k for f in basis for k in f.tensor} | set(target.tensor))
+    keys = sorted({k for f in basis + [target] for k in nested(f)})
     dim = target.space.dim
     cols = [_flat_coefficients(f, keys, dim) for f in basis]
     rhs = _flat_coefficients(target, keys, dim)
@@ -746,10 +747,8 @@ def _alternation_form(space, p, q, term_fn):
     tensor = {}
     for us in itertools.combinations(range(space.dim), p):
         for vs in itertools.combinations(range(space.dim), q):
-            vec = term_fn(space, us, vs)
-            if vec:
-                tensor[(us, vs)] = vec
-    return InvariantVectorForm(space, p, q, tensor)
+            tensor.update((((us, vs), i), c) for i, c in term_fn(space, us, vs).items())
+    return InvariantVectorForm(space, p, q, _Terms(tensor))
 
 
 def _terms_eta(space, us, vs):
@@ -810,9 +809,9 @@ def test_eta_family_matches_the_displays(rs):
     for name, (form, p, q, terms) in ETA_DISPLAYS.items():
         got, want = form(space), _alternation_form(space, p, q, terms)
         assert (got.p, got.q) == (want.p, want.q), name
-        assert list(got.tensor) == list(want.tensor), name
+        assert list(nested(got)) == list(nested(want)), name
         assert got.tensor == want.tensor, name
-        assert all(is_canonical(c) for vec in got.tensor.values() for c in vec.values())
+        assert all(is_canonical(c) for _, c in got.entries())
 
 
 # --- the sorting sign against the merge route it replaced -----------------------

@@ -8,17 +8,17 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
-from canonical import form_value, is_canonical
+from canonical import add_into, form_value, is_canonical, nested
 from matrix_route import chevalley_images, combination, commutator, expand, matrix_basis
 from subset_route import dual, trivial_multiplicity
 
 from flagcoh import liecoh, spectral
 from flagcoh.bott import PRESET_NAMES, build_space, grassmannian_rs, space_from_preset
+from flagcoh.exterior import _Terms
 from flagcoh.invforms import (
     InvariantVectorForm,
     MatrixPairSpace,
     VecTensor,
-    _add_into,
     barwedge_inv,
     eta,
     eta1,
@@ -61,8 +61,7 @@ def gr42():
 
 def value(c: Cochain, key) -> list:
     """The value of c at key as a dense list of module_dim scalars."""
-    vec = c.data.get(key, {})
-    return [vec.get(t, Fraction(0)) for t in range(c.module_dim)]
+    return [c.data.get((key, t), Fraction(0)) for t in range(c.module_dim)]
 
 
 def is_r_invariant(c: Cochain) -> bool:
@@ -78,12 +77,11 @@ def is_r_invariant(c: Cochain) -> bool:
         liecoh._tensor(nminus, liecoh._ad_module(gb, gb.nplus_order)))
     index = {u: k for k, u in enumerate(unknowns)}
     coords = {}
-    for (v, w), vec in c.data.items():
-        for t, x in vec.items():
-            k = index.get((v * c.gb.dim + w, t))
-            if k is None:
-                return False
-            coords[k] = x
+    for ((v, w), t), x in c.data.items():
+        k = index.get((v * c.gb.dim + w, t))
+        if k is None:
+            return False
+        coords[k] = x
     return not any(sum(co * coords[k] for k, co in row.items() if k in coords)
                    for row in rows)
 
@@ -136,8 +134,7 @@ def test_coefficients_are_canonical(name):
     values += [c for i in range(gb.dim) for j in range(gb.dim)
                for c in gb.bracket_coords(i, j).values()]
     values += [co for k in (0, 1) for key in _pattern_keys(gb, k) for _, co in _delta(gb, k)[key]]
-    values += [x for c in invariant_zero_cochains(gb) for vec in c.data.values()
-               for x in vec.values()]
+    values += [x for c in invariant_zero_cochains(gb) for _, x in c.entries()]
     values += [x for c in ref_invariant_one_cochains(gb) for _, x in ce_differential(c).entries()]
     assert values and all(is_canonical(x) for x in values)
 
@@ -147,7 +144,7 @@ def _bracket_vec(gb, x, y):
     out = {}
     for i, a in x.items():
         for j, b in y.items():
-            _add_into(out, a * b, gb.bracket_coords(i, j))
+            add_into(out, a * b, gb.bracket_coords(i, j))
     return out
 
 
@@ -160,7 +157,7 @@ def test_bracket_coords_satisfy_jacobi_on_random_triples(name):
                     for g in rng.sample(range(gb.dim), 3)} for _ in range(3))
         total = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            _add_into(total, 1, _bracket_vec(gb, a, _bracket_vec(gb, b, c)))
+            add_into(total, 1, _bracket_vec(gb, a, _bracket_vec(gb, b, c)))
         assert total == {}
 
 
@@ -190,8 +187,8 @@ def test_e_type_tables_satisfy_jacobi(t, alpha0, dim):
             xy = gb.bracket_coords(x, y)
             for z in range(gb.dim):
                 out = _bracket_vec(gb, {x: 1}, gb.bracket_coords(y, z))
-                _add_into(out, -1, _bracket_vec(gb, xy, {z: 1}))
-                _add_into(out, -1, _bracket_vec(gb, {y: 1}, gb.bracket_coords(x, z)))
+                add_into(out, -1, _bracket_vec(gb, xy, {z: 1}))
+                add_into(out, -1, _bracket_vec(gb, {y: 1}, gb.bracket_coords(x, z)))
                 assert out == {}, (x, y, z)
 
 
@@ -218,7 +215,7 @@ def test_delta_squared_zero_on_random_invariant_cochains(gr42):
     assert len(basis) >= 2
     rng = random.Random(42)
     for _ in range(50):
-        c = Cochain(gb, 0, {})
+        c = Cochain(gb, 0, _Terms())
         for b in basis:
             c = c + b.scale(QSqrt2(rng.randint(-3, 3), rng.randint(-1, 1)))
         assert ce_differential(ce_differential(c)).is_zero()
@@ -226,10 +223,10 @@ def test_delta_squared_zero_on_random_invariant_cochains(gr42):
 
 def test_delta_of_zero_and_rejections(gr42):
     gb = gr42
-    zero1 = Cochain(gb, 1, {})
+    zero1 = Cochain(gb, 1, _Terms())
     assert ce_differential(zero1).is_zero()
     # non-cocycle rejection: build some non-invariant 1-cochain
-    bad = Cochain(gb, 1, {(0, 0): dict.fromkeys(range(gb.n * gb.n), QS_ONE)})
+    bad = Cochain(gb, 1, _Terms({((0, 0), t): QS_ONE for t in range(gb.n * gb.n)}))
     if not ce_differential(bad).is_zero():
         with pytest.raises(ValueError):
             is_invariant_coboundary(bad)
@@ -355,10 +352,8 @@ def test_explicit_witness_for_c_eta(gr42):
                     vi = nminus_idx(a, k)
                     ui = sp.index(k, b2)
                     vec[vi * n + ui] = vec.get(vi * n + ui, 0) + co
-        vec = {t: x for t, x in vec.items() if x}
-        if vec:
-            data[w] = vec
-    witness = Cochain(gb, 0, data)
+        data.update(((w, t), x) for t, x in vec.items() if x)
+    witness = Cochain(gb, 0, _Terms(data))
     c_eta = cochain_from_form(gb, theta_form(gb, 0, 1))
     assert (ce_differential(witness) - c_eta).is_zero()
 
@@ -498,9 +493,8 @@ def ref_invariant_zero_cochains(gb):
         data = {}
         for k, c in enumerate(vec):
             if c:
-                w, t = unknowns[k]
-                data.setdefault(w, {})[t] = canonical(c)
-        out.append(Cochain(gb, 0, data))
+                data[unknowns[k]] = canonical(c)
+        out.append(Cochain(gb, 0, _Terms(data)))
     return out
 
 
@@ -549,8 +543,8 @@ def ref_invariant_one_cochains(gb):
         for i, c in enumerate(vec):
             if c:
                 k, t = unknowns[i]
-                data.setdefault(divmod(k, dim_g), {})[t] = canonical(c)
-        out.append(Cochain(gb, 1, data))
+                data[(divmod(k, dim_g), t)] = canonical(c)
+        out.append(Cochain(gb, 1, _Terms(data)))
     return out
 
 
@@ -586,7 +580,7 @@ def test_is_r_invariant_rejects_non_invariant_cochains(gr42):
                                             gb.elements[w].weight)), e_weights[t])
 
     def single(v, w, t):
-        return Cochain(gb, 1, {(v, w): {t: QS_ONE}})
+        return Cochain(gb, 1, _Terms({((v, w), t): QS_ONE}))
 
     coords = [(v, w, t) for v in range(n) for w in range(gb.dim) for t in range(n * n)]
     off = next(k for k in coords if weight(*k)[0] != weight(*k)[1])
@@ -608,7 +602,7 @@ def test_is_r_invariant_rejects_non_invariant_cochains(gr42):
     assert is_r_invariant(c)
     assert not is_r_invariant(c + single(*on))
     with pytest.raises(ValueError):
-        is_r_invariant(Cochain(gb, 0, {}))
+        is_r_invariant(Cochain(gb, 0, _Terms()))
 
 
 @pytest.mark.parametrize("name", GRASSMANN_PRESETS)
@@ -623,12 +617,10 @@ def test_rational_forms_and_cochains_hold_no_qsqrt2(name):
     forms += [et, eta1(sp), eta2(sp), eta3(sp)]
     forms += [barwedge_inv(x, y) for x in (th2, et) for y in (th2, et)]
     for f in forms:
-        assert not any(isinstance(c, QSqrt2)
-                       for vec in f.tensor.values() for c in vec.values()), f.p
+        assert not any(isinstance(c, QSqrt2) for _, c in f.entries()), f.p
     c = cochain_from_form(gb, theta_form(gb, QSqrt2(0), QSqrt2(1)))
     assert not c.is_zero()
-    assert not any(isinstance(x, QSqrt2)
-                   for vec in c.data.values() for x in vec.values())
+    assert not any(isinstance(x, QSqrt2) for _, x in c.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +644,12 @@ def _ref_delta_terms(gb, k):
 
 
 def _ref_differential(c):
-    out = {}
+    vectors, out = nested(c), {}
     for key, terms in _ref_delta_terms(c.gb, c.degree):
         for src, co in terms:
-            if src in c.data:
-                VecTensor._accumulate(out, key, co, c.data[src])
-    return Cochain(c.gb, c.degree + 1, out, c.mdim)
+            if src in vectors:
+                add_into(out, co, {(key, t): x for t, x in vectors[src].items()})
+    return Cochain(c.gb, c.degree + 1, _Terms(out), c.mdim)
 
 
 def _pattern_keys(gb, degree):
@@ -675,8 +667,8 @@ def _random_sparse_cochain(gb, degree, rng, scalar):
     data = {}
     for key in keys:
         vec = {t: scalar(rng) for t in rng.sample(range(gb.n * gb.n), 3)}
-        data[key] = {t: x for t, x in vec.items() if x}
-    return Cochain(gb, degree, data)
+        data.update(((key, t), x) for t, x in vec.items() if x)
+    return Cochain(gb, degree, _Terms(data))
 
 
 SCALARS = {
@@ -709,7 +701,7 @@ def test_differential_matches_the_whole_pattern_scan(name, field):
     for degree in range(4):
         c = _random_sparse_cochain(gb, degree, rng, SCALARS[field])
         outside = (tuple(range(degree)) + (gb.dim,)) if degree else gb.dim
-        assert outside in c.data and _delta(gb, degree)[outside] == []
+        assert outside in nested(c) and _delta(gb, degree)[outside] == []
         got = ce_differential(c)
         assert got.degree == degree + 1 and not got.is_zero()
         assert got.data == _ref_differential(c).data
@@ -883,7 +875,7 @@ def test_cochains_with_different_coefficient_modules_do_not_add():
     d2-image 2-cochain in Lambda^2 n- (x) n+; both modules have 9
     coordinates, but mdim tells them apart."""
     gb = build_g_basis(space_from_preset("Q3"))
-    d = ce_differential(Cochain(gb, 1, {(0, gb.dim - 1): {0: 1}}))
+    d = ce_differential(Cochain(gb, 1, _Terms({((0, gb.dim - 1), 0): 1})))
     t = two_cochain_from_d2_image(gb, theta_form(gb, 1, 0))
     assert (d.degree, d.module_dim) == (t.degree, t.module_dim) == (2, 9)
     assert not d.is_zero() and not t.is_zero() and d != t
@@ -909,20 +901,20 @@ def test_forms_and_cochains_refuse_each_other():
 
 
 def test_forms_and_cochains_share_one_tensor_arithmetic():
-    """Arithmetic, like-construction, the label check and equality are
-    written once: VecTensor's, and Record's equality."""
-    for name in ("is_zero", "entries", "scale", "__add__", "__sub__", "_like",
-                 "_check_like", "__eq__"):
+    """Arithmetic, like-construction, the label check, equality and hash are
+    written once: VecTensor's, and Record's equality and hash."""
+    for name in ("is_zero", "entries", "scale", "_sum", "__add__", "__sub__", "_like",
+                 "_check_like", "__eq__", "__hash__"):
         shared = getattr(VecTensor, name)
         assert getattr(InvariantVectorForm, name) is shared, name
         assert getattr(Cochain, name) is shared, name
         assert name not in vars(InvariantVectorForm) and name not in vars(Cochain)
-    assert VecTensor.__eq__ is Record.__eq__
+    assert VecTensor.__eq__ is Record.__eq__ and VecTensor.__hash__ is Record.__hash__
 
 
 def _stores_no_zero(t: VecTensor) -> bool:
-    """Whether every stored vector of t is nonempty and holds no zero."""
-    return all(vec and all(vec.values()) for vec in t._values().values())
+    """Whether t stores its entries as one read-only term map holding no zero."""
+    return type(t._values()) is _Terms and all(t._values().values())
 
 
 @pytest.mark.parametrize("name", ["CP2", "Q3", "Gr(4,2)", "Gr(5,3)", "LG3"])
@@ -964,38 +956,39 @@ def test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector(name):
 
 def ref_cochain_from_form(gb, theta):
     """c_theta by the n^3 sweep of form_value(theta) over (i, w, v)."""
-    n = gb.n
+    n, vectors = gb.n, nested(theta)
     out = {}
     for j, w in enumerate(gb.nplus_order):
         for v in range(n):
             for i in range(n):
-                VecTensor._accumulate(out, (v, w), 1, {
-                    i * n + u: x for u, x in form_value(theta, [i, j], [v]).items()})
-    return Cochain(gb, 1, out)
+                add_into(out, 1, {((v, w), i * n + u): x
+                                  for u, x in form_value(vectors, [i, j], [v]).items()})
+    return Cochain(gb, 1, _Terms(out))
 
 
 def ref_two_cochain_from_d2_image(gb, theta):
     """The d2-image 2-cochain with each phi_w(u; v) = theta2(pi(w), u; v) by
     the n^2 sweep of form_value(theta2) over (u, v)."""
     n = gb.n
-    th2 = theta_p(gb.space, 2)
+    th2 = nested(theta_p(gb.space, 2))
     pairs, pair_index, _ = liecoh._lambda2_module(gb)
     data = {}
     for j, w in enumerate(gb.nplus_order):
         phi_tensor = {}
         for a in range(n):
             for b in range(n):
-                VecTensor._accumulate(phi_tensor, ((a,), (b,)), 1, form_value(th2, [j, a], [b]))
-        phi_w = InvariantVectorForm(gb.space, 1, 1, phi_tensor)
-        for ((i, k), (v1, v2)), vec in barwedge_inv(theta, phi_w).tensor.items():
-            VecTensor._accumulate(data, (v1, v2, w), 1, {
-                pair_index[(i, k)] * n + u: x for u, x in vec.items()})
-    return Cochain(gb, 2, data, len(pairs) * n)
+                add_into(phi_tensor, 1, {(((a,), (b,)), t): x
+                                         for t, x in form_value(th2, [j, a], [b]).items()})
+        phi_w = InvariantVectorForm(gb.space, 1, 1, _Terms(phi_tensor))
+        for ((i, k), (v1, v2)), vec in nested(barwedge_inv(theta, phi_w)).items():
+            add_into(data, 1, {((v1, v2, w), pair_index[(i, k)] * n + u): x
+                               for u, x in vec.items()})
+    return Cochain(gb, 2, _Terms(data), len(pairs) * n)
 
 
 def _assert_same_cochain(got, want):
     assert got == want
-    assert all(type(x) is type(want.data[k][t]) for (k, t), x in got.entries())
+    assert all(type(x) is type(want.data[coord]) for coord, x in got.entries())
     assert all(isinstance(x, QSqrt2) or is_canonical(x) for _, x in got.entries())
 
 

@@ -24,7 +24,7 @@ UNENTERED = {
     "exterior._mismatch": (GUARD, "the mismatch ValueError; tests/test_record.py::"
                                   "test_every_foreign_operand_meets_the_refusal_contract"),
     "exterior._Terms._read_only": (GUARD, "tests/test_record.py::"
-                                          "test_a_derivations_terms_are_read_only"),
+                                          "test_a_term_map_is_read_only"),
     "exterior.TermAlgebra.__neg__": (PROTOCOL, "an element's unary minus; tests/test_exterior"
                                                ".py::test_sub_matches_add_of_negation"),
     "liecoh.invariant_zero_cochains": (PIN, "perfbench/tracing.py LAYERS"),

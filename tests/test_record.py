@@ -11,7 +11,7 @@ import pytest
 
 from flagcoh import invforms, liecoh, spectral, superfields, verify
 from flagcoh.bott import ModuleDescriptor, space_from_preset
-from flagcoh.exterior import GrassmannElement, VectorValuedForm, grading_derivation
+from flagcoh.exterior import GrassmannElement, VectorValuedForm, _Terms, grading_derivation
 from flagcoh.record import Record, setfield
 from flagcoh.repdecomp import LeviDatum
 from flagcoh.rootsys import SimpleLieType
@@ -26,7 +26,7 @@ def _instances():
     space = invforms.MatrixPairSpace(2, 1)
     values = [
         SimpleLieType("A", 2), H.rd, H.levi, H, ModuleDescriptor("trivial", (0, 0), 1, 2),
-        gb.elements[0], gb, liecoh.Cochain(gb, 0, {0: {1: 3}}),
+        gb.elements[0], gb, liecoh.Cochain(gb, 0, _Terms({(0, 1): 3})),
         liecoh.CoboundaryResult(True, None), space, invforms.RootPairSpace(3),
         invforms.theta_p(space, 1), invforms.NilpotentPairReport(space, []),
         e3.E2[(0, 0)][0], e3, report,
@@ -41,6 +41,10 @@ INSTANCES = _instances()
 # the classes equal by the value of every field, by `Record.__eq__` or by an
 # equal one written out: GModuleBasis is equal only to itself
 BY_VALUE = sorted(set(INSTANCES) - {"GModuleBasis"})
+# the classes that hold their values in one read-only `exterior._Terms` map,
+# by the field that holds it
+TERM_MAPS = {"VectorValuedForm": "terms", "SuperDerivation": "terms",
+             "InvariantVectorForm": "tensor", "Cochain": "data"}
 
 
 def _copy(x):
@@ -71,6 +75,8 @@ def test_equal_values_compare_and_hash_equal(name):
         assert y != x and hash(x) == object.__hash__(x)
         return
     assert y == x and not y != x
+    if name in TERM_MAPS:  # hashable through the read-only map, whatever it holds
+        assert hash(x) == hash(y) == hash(x._key())
     try:
         hash(x._key())
     except TypeError:
@@ -134,11 +140,12 @@ def test_the_cached_leibniz_set_up_is_no_field(name):
     assert wrong == x and hash(wrong) == hash(x) and repr(wrong) == repr(x)
 
 
-@pytest.mark.parametrize("name", ["VectorValuedForm", "SuperDerivation"])
-def test_a_derivations_terms_are_read_only(name):
-    """A derivation's terms refuse every change in place with TypeError,
-    and a copy of them is a plain dict."""
-    terms = INSTANCES[name].terms
+@pytest.mark.parametrize("name", sorted(TERM_MAPS))
+def test_a_term_map_is_read_only(name):
+    """A derivation's terms, a form's tensor and a cochain's data refuse
+    every change in place with TypeError, and a copy of them is a plain
+    dict."""
+    terms = getattr(INSTANCES[name], TERM_MAPS[name])
     key = next(iter(terms))
     before = dict(terms)
     for change in (lambda t: t.__setitem__(key, 2), lambda t: t.__delitem__(key),
@@ -179,7 +186,8 @@ def test_constructors_keep_their_checks_and_conversions():
         LeviDatum(H.rd, range(H.rd.rank))
     gb = liecoh.build_g_basis(space_from_preset("CP2"))
     dense = liecoh.Cochain(gb, 0, {0: [0, 3, 0, 0], 1: [0] * 4})
-    assert dense.data == {0: {1: 3}} and dense == liecoh.Cochain(gb, 0, {0: {1: 3}})
+    assert type(dense.data) is _Terms and dense.data == {(0, 1): 3}
+    assert dense == liecoh.Cochain(gb, 0, _Terms({(0, 1): 3}))
 
 
 def test_cached_properties_fill_the_instance_dict():
@@ -201,7 +209,7 @@ ARITHMETIC = {
     "InvariantVectorForm": (INSTANCES["InvariantVectorForm"],
                             invforms.theta_p(invforms.MatrixPairSpace(3, 1), 1)),
     "Cochain": (INSTANCES["Cochain"], liecoh.Cochain(
-        liecoh.build_g_basis(space_from_preset("CP3")), 0, {0: {1: 3}})),
+        liecoh.build_g_basis(space_from_preset("CP3")), 0, _Terms({(0, 1): 3}))),
     "QSqrt2": (QSqrt2(Fraction(1, 2), 3), None),
 }
 FOREIGN = (1, Fraction(1, 2), QSqrt2(1, 1), None, "x")

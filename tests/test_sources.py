@@ -1,5 +1,7 @@
 """Every library module compiles with warnings turned into errors, so that
-no source depends on syntax a later Python rejects (e.g. invalid escapes).
+no source depends on syntax a later Python rejects (e.g. invalid escapes),
+and every library module and script parses as Python 3.10, the oldest
+version `requires-python` admits.
 No library module holds an assert statement or reads `__debug__` or
 `sys.flags`, so python -O cannot drop a check that guards a value or change
 what runs.  No library module, test or script keeps a module-level import
@@ -17,7 +19,8 @@ import flagcoh
 
 SOURCES = sorted(Path(flagcoh.__file__).resolve().parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
-TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + SCRIPTS
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -25,6 +28,14 @@ def test_module_compiles_with_warnings_as_errors(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: str(
+    p.relative_to(ROOT) if p in SCRIPTS else p.name))
+def test_module_parses_as_python_3_10(path):
+    """`requires-python` is >=3.10, and tier-1 runs on a later Python: no
+    library module or script may use syntax that 3.10 lacks."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -193,7 +204,7 @@ def test_a_deleted_name_does_not_resolve():
                  "GrassmannElement.one", "exterior.barwedge", "invforms._entries_within",
                  "invforms.MatrixPairSpace.coords", "SuperPolynomial.make",
                  "superfields._is_monomial", "InvariantVectorForm.value", "QSqrt2.sqrt",
-                 "VectorValuedForm.zero"):
+                 "VectorValuedForm.zero", "invforms._add_into", "VecTensor._accumulate"):
         with pytest.raises((AttributeError, ImportError)):
             _resolve(name)
     # a field without a default is no class attribute: read the fields
