@@ -124,9 +124,13 @@ MUTANTS: List[Mutant] = [
            ("tests/test_exterior.py",)),
     # the refusal contract: the class test comes before any attribute of
     # the operand is read
-    Mutant("Derivation._same_space drops its class test", "exterior.py",
+    Mutant("TermMap._combine drops its class test", "exterior.py",
            "        if other.__class__ is not self.__class__:\n"
            "            raise _mismatch(op, self, other)\n", "",
+           ("tests/test_record.py::test_every_foreign_operand_meets_the_refusal_contract",)),
+    Mutant("Derivation.bracket drops its class test", "exterior.py",
+           "        if other.__class__ is not self.__class__:\n"
+           "            raise _mismatch(\"bracket\", self, other)\n", "",
            ("tests/test_record.py::test_every_foreign_operand_meets_the_refusal_contract",)),
     Mutant("exterior._merge_sign drops the anticommutation sign", "exterior.py",
            "if (len(a) - i) % 2 == 1:", "if False:",
@@ -158,15 +162,24 @@ MUTANTS: List[Mutant] = [
     Mutant("invforms.barwedge_inv keys the v-merge memo on kv alone", "invforms.py",
            "merges = v_merges.setdefault(lv, {})", "merges = v_merges.setdefault(None, {})",
            ("tests/test_invforms.py::test_barwedge_matches_the_slot_by_slot_loop",)),
-    Mutant("VecTensor.__sub__ drops the sign", "invforms.py",
-           "return self._sum(other, -1)", "return self._sum(other, 1)",
-           ("tests/test_invforms.py",)),
+    # the one arithmetic of every term map
+    Mutant("TermMap.__sub__ drops the sign", "exterior.py",
+           "return self._sum(other, -1, \"difference\")",
+           "return self._sum(other, 1, \"difference\")",
+           ("tests/test_record.py::test_a_term_map_class_shares_the_one_arithmetic",)),
+    Mutant("TermMap.__neg__ returns self", "exterior.py",
+           "return self.scale(-1)", "return self",
+           ("tests/test_record.py::test_a_term_map_class_shares_the_one_arithmetic",)),
+    Mutant("TermMap.scale skips _frozen", "exterior.py",
+           "return self._like(_frozen({k: c * v for k, v in self.terms.items()}))",
+           "return self._like(_Terms({k: c * v for k, v in self.terms.items()}))",
+           ("tests/test_record.py::test_a_term_map_class_shares_the_one_arithmetic",)),
     Mutant("exterior._frozen keeps a cancelled entry", "exterior.py",
            "for k, v in acc.items() if v}", "for k, v in acc.items()}",
            ("tests/test_liecoh.py::"
             "test_no_form_or_cochain_builder_stores_a_zero_or_an_empty_vector",
             "tests/test_liecoh.py")),
-    Mutant("VecTensor._check_like skips a label", "invforms.py",
+    Mutant("VecTensor._other_label skips a label", "invforms.py",
            "        for f in self._fields:\n", "        for f in self._fields[:-1]:\n",
            ("tests/test_liecoh.py::"
             "test_cochains_with_different_coefficient_modules_do_not_add",)),

@@ -368,10 +368,10 @@ def cmd_pi_grassmannian(args) -> int:
         return {
             "parity": f.parity,
             "d/dx": [
-                {str(k): str(c) for k, c in p.terms} for p in f.c_x
+                {str(k): str(c) for k, c in p.terms.items()} for p in f.c_x
             ],
             "d/dxi": [
-                {str(k): str(c) for k, c in p.terms} for p in f.c_xi
+                {str(k): str(c) for k, c in p.terms.items()} for p in f.c_xi
             ],
         }
 

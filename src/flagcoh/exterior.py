@@ -7,26 +7,26 @@ suite as oracles (their prefactor conventions are mutually inconsistent, so
 they pin per-degree constants there instead of driving this implementation).
 
 `_merge_sign` is the one Grassmann-monomial kernel: it multiplies two sorted
-index tuples with the anticommutation sign.  `TermAlgebra` is the one sparse
-term arithmetic on top of it; `GrassmannElement` and
-`superfields.SuperPolynomial` subclass it with their monomial product and
-constructors.  A coefficient is an int when integral and a Fraction
-otherwise.  Kernels accumulate into one dict per call, in ints while the
-values are ints, and build the result through `_from_dict`, which makes an
-integral Fraction an int but validates nothing else; only the public
-constructors validate, and `_canon` normalises each value they take.
+index tuples with the anticommutation sign.
 
-`_Terms`, the one read-only term map, holds a derivation's terms and a
-form's or a cochain's entries (`invforms.VecTensor`); beside it are their
-one sum loop `_signed_sum` (`TermAlgebra._sum`'s too), scaling `_scaled`
-and zero-dropping `scalars.canonical` rule `_frozen`.
+`TermMap` is the one sparse exact value: a `Record` holding one read-only
+`_Terms` map {key: nonzero value} beside its labels, with +, -, negation,
+`scale` and `is_zero` written once on the zero-dropping
+`scalars.canonical` rule `_frozen`, and one refusal, `_mismatch`.  A value is an int when integral, a Fraction otherwise, or a
+QSqrt2 in a form.  `TermAlgebra` (`GrassmannElement` and
+`superfields.SuperPolynomial`), `Derivation` and `invforms.VecTensor` are
+its subclasses; each adds its labels and their rule, its like-constructor
+and its scale-factor normaliser.  The algebra kernels accumulate into one
+dict per call, in ints while the values are ints, and build the result
+through `_from_dict`, which validates nothing; only the public
+constructors validate, and `_canon` normalises each value they take.
 
 `Derivation` is the one derivation type, held as one `_Terms` map `terms`
 from (generator index k, monomial) to the value; `images`, the values as
 canonical elements, is built on first read.  It writes `apply`, the
-bracket, the one Leibniz loop `_into` and one mismatch rule (`ValueError`)
-once, on dicts, and `VectorValuedForm` and `superfields.SuperDerivation`
-add their labels and hooks.  A derivation's set-up (`_leibniz`) holds
+bracket and the one Leibniz loop `_into` once, on dicts, and
+`VectorValuedForm` and `superfields.SuperDerivation` add their labels and
+hooks.  A derivation's set-up (`_leibniz`) holds
 its compiled action, a dict from a monomial to d(mono) that `_compile`
 fills on first read, and its terms by generator.  A bracket adds both
 operands' compiled actions into one dict keyed (k, monomial) and builds
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -86,24 +87,111 @@ def _canon(c):
     return c if type(c) is int else canonical(c if type(c) is Fraction else Fraction(c))
 
 
-class TermAlgebra(Record):
-    """Exact sparse combination of monomials in m variables, the arithmetic
-    shared by `GrassmannElement` and `superfields.SuperPolynomial`.
+class _Terms(dict):
+    """The one term map {key: nonzero value} of every `TermMap`: a read-only
+    dict that hashes by its items."""
 
-    terms holds (monomial, nonzero int-or-Fraction) pairs sorted by monomial,
-    an int iff integral.  A subclass supplies `_mono_mul`, the product of two
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("term maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+def _frozen(acc: Dict[object, Coeff]) -> _Terms:
+    """The nonzero values of acc as terms, each `canonical`: an integral
+    Fraction made an int, QSqrt2 values as they are."""
+    values = acc.values()
+    if type(sum(values)) is not int or 0 in values:  # a value no int, or a zero
+        acc = {k: v if type(v) is int else canonical(v) for k, v in acc.items() if v}
+    return _Terms(acc)
+
+
+def _mismatch(op: str, a, b, label: Optional[str] = None) -> ValueError:
+    """The one refusal of op on a and b: b of a class a does not take, or,
+    when label is given, b with another value of that label."""
+    text = f"{op} of a {type(a).__name__} and a {type(b).__name__}"
+    return ValueError(text if label is None else f"{text} with different {label}")
+
+
+class TermMap(Record):
+    """A value held as one read-only `_Terms` map `terms` {key: nonzero
+    value} beside its labels, with the one sparse arithmetic: sum,
+    difference, negation, scaling and the zero test.
+
+    A subclass supplies `_like(terms)`, a value with self's labels, and
+    `_other_label(other)`, the label that keeps another value of its class
+    out of a sum, or None; `_scalar` normalises a scale factor.  A result
+    keeps no zero and holds each value `canonical`.  A sum with an empty
+    operand returns the other, and `scale(1)` returns self.
+    """
+
+    __slots__ = ()
+    _scalar = staticmethod(_canon)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return self._sum(other, 1, "sum")
+
+    def __sub__(self, other):
+        return self._sum(other, -1, "difference")
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        if c == 1:
+            return self
+        c = self._scalar(c)
+        return self._like(_frozen({k: c * v for k, v in self.terms.items()}))
+
+    def _combine(self, other, op: str) -> None:
+        """Raise the one mismatch ValueError unless other is of self's class
+        with labels that combine with self's."""
+        if other.__class__ is not self.__class__:
+            raise _mismatch(op, self, other)
+        label = self._other_label(other)
+        if label is not None:
+            raise _mismatch(op, self, other, label)
+
+    def _sum(self, other, sign: int, op: str):
+        """self + sign * other, for sign 1 or -1."""
+        self._combine(other, op)
+        if not self.terms:
+            return other if sign > 0 else other.scale(-1)
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            old = acc.get(k, 0)
+            acc[k] = old + c if sign > 0 else old - c
+        return self._like(_frozen(acc))
+
+
+class TermAlgebra(TermMap):
+    """Exact sparse combination of monomials in m variables, the algebra of
+    `GrassmannElement` and `superfields.SuperPolynomial`.
+
+    terms maps each monomial to its nonzero int-or-Fraction value, an int
+    iff integral.  A subclass supplies `_mono_mul`, the product of two
     monomials as (monomial, sign), or (None, 0) when it vanishes; each class
-    keeps one shared zero per m in `_zeros` and the products the Leibniz
-    rule has formed in `_products`.  An element is a read-only `Record` with
-    the slots m and terms; subclasses add no field and no slot, so they take
-    this `__init__`, `__eq__` and `__hash__`, and `Record`'s `__repr__`.
+    keeps the products the Leibniz rule has formed in `_products`.  An
+    element is a read-only `Record` with the slots m and terms; subclasses
+    add no field and no slot, so they take this `__init__`, `__eq__` and
+    `__hash__`, and `Record`'s `__repr__`.
     """
 
     __slots__ = _fields = ("m", "terms")
 
-    def __init__(self, m: int, terms: Tuple[Tuple[object, Coeff], ...]):
+    def __init__(self, m: int, terms: _Terms):
         _set_m(self, m)
-        _set_terms(self, terms)
+        _set_terms(self, terms if terms.__class__ is _Terms else _frozen(dict(terms)))
 
     # `Record`'s equality and hash on (m, terms), without building key tuples
     def __eq__(self, other):
@@ -116,74 +204,30 @@ class TermAlgebra(Record):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._zeros = _PerM(lambda m: cls(m, ()))
         cls._products = {}
 
     @classmethod
     def _from_dict(cls, m: int, acc: Dict[object, Coeff]):
-        """The element of kernel-produced monomials and values, an integral
-        Fraction made an int; the shared zero when every value cancelled."""
-        if len(acc) == 1:
-            (k, c), = acc.items()
-            if c:
-                return cls(m, ((k, c if type(c) is int else _canon(c)),))
-        elif acc:
-            terms = tuple(sorted([(k, c if type(c) is int else _canon(c))
-                                  for k, c in acc.items() if c]))
-            if terms:
-                return cls(m, terms)
-        return cls._zeros[m]
+        """The element of kernel-produced monomials and values, through
+        `_frozen`: no check of the monomials."""
+        return cls(m, _frozen(acc))
 
     @classmethod
     def zero(cls, m: int):
-        """The zero in m variables, one shared instance per class and m."""
-        return cls._zeros[m]
+        return cls(m, _Terms())
 
-    def tdict(self) -> Dict[object, Coeff]:
-        return dict(self.terms)
+    def _like(self, terms: _Terms):
+        return type(self)(self.m, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        return self._sum(other, 1, "sum")
-
-    def __sub__(self, other):
-        return self._sum(other, -1, "difference")
-
-    def _sum(self, other, sign: int, op: str):
-        """self + sign * other."""
-        if other.__class__ is not self.__class__ or self.m != other.m:
-            raise _mismatch(op, self, other)
-        if not other.terms:
-            return self
-        if not self.terms and sign > 0:
-            return other
-        return self._from_dict(self.m, _signed_sum(self.terms, other.terms, sign))
-
-    def __neg__(self):
-        if not self.terms:
-            return self.zero(self.m)
-        return type(self)(self.m, tuple((k, -c) for k, c in self.terms))
-
-    def scale(self, c):
-        if not (self.terms and c):
-            return self.zero(self.m)
-        if c == 1:
-            return self
-        c = _canon(c)
-        # an int times a Fraction can be integral: only all-int products are ints
-        if type(c) is int and all(type(v) is int for _, v in self.terms):
-            return type(self)(self.m, tuple((k, c * v) for k, v in self.terms))
-        return self._from_dict(self.m, {k: c * v for k, v in self.terms})
+    def _other_label(self, other) -> Optional[str]:
+        return None if self.m == other.m else "m"
 
     def __mul__(self, other):
-        if other.__class__ is not self.__class__ or self.m != other.m:
-            raise _mismatch("product", self, other)
+        self._combine(other, "product")
         mono_mul = self._mono_mul
         acc: Dict[object, Coeff] = {}
-        for ka, ca in self.terms:
-            for kb, cb in other.terms:
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
                 k, s = mono_mul(ka, kb)
                 if k is not None:
                     t = ca * cb if s > 0 else -(ca * cb)
@@ -193,25 +237,6 @@ class TermAlgebra(Record):
 
 
 _set_m, _set_terms = slot_setters(TermAlgebra)
-
-
-class _PerM(dict):
-    """A class's values by m (its shared zeros, its letter tables), each
-    made by `make(m)` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, m: int):
-        value = self[m] = self.make(m)
-        return value
-
-
-def _mismatch(op: str, a: TermAlgebra, b) -> ValueError:
-    if b.__class__ is not a.__class__:
-        return ValueError(f"{op} of a {type(a).__name__} and a {type(b).__name__}")
-    return ValueError(f"{op} of polynomials in {a.m} and {b.m} variables")
 
 
 class GrassmannElement(TermAlgebra):
@@ -227,16 +252,14 @@ class GrassmannElement(TermAlgebra):
                if not (all(1 <= i <= m for i in k) and list(k) == sorted(set(k)))]
         if bad:
             raise ValueError(f"not strictly increasing monomials in 1..{m}: {bad}")
-        if not clean:
-            return GrassmannElement.zero(m)
-        return GrassmannElement(m, tuple(sorted(clean.items())))
+        return GrassmannElement(m, _Terms(clean))
 
     @staticmethod
     def generator(m: int, j: int) -> "GrassmannElement":
         return GrassmannElement.make(m, {(j,): 1})
 
     def is_homogeneous(self) -> Optional[int]:
-        degs = {len(k) for k, _ in self.terms}
+        degs = {len(k) for k in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None if degs else 0
@@ -246,51 +269,12 @@ def basis_monomials(m: int, p: int) -> List[Monomial]:
     return [tuple(c) for c in itertools.combinations(range(1, m + 1), p)]
 
 
-class _Terms(dict):
-    """A term map {key: nonzero value} of a derivation or a
-    `invforms.VecTensor`: a read-only dict that hashes by its items."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("term maps are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
-
-
 def terms_of(images: Sequence[TermAlgebra]) -> _Terms:
     """The terms of a derivation with these values on the generators."""
-    return _Terms({(k, mono): c for k, a in enumerate(images) for mono, c in a.terms})
+    return _Terms({(k, mono): c for k, a in enumerate(images) for mono, c in a.terms.items()})
 
 
-def _signed_sum(a, b, sign: int) -> Dict[object, Coeff]:
-    """a + sign * b, sign 1 or -1, as a new dict with its zeros, for a map or
-    the (key, value) pairs a and the pairs b."""
-    acc = dict(a)
-    for k, c in b:
-        old = acc.get(k, 0)
-        acc[k] = old + c if sign > 0 else old - c
-    return acc
-
-
-def _frozen(acc: Dict[object, Coeff]) -> _Terms:
-    """The nonzero values of acc as terms, each `canonical`: an integral
-    Fraction made an int, QSqrt2 values as they are."""
-    values = acc.values()
-    if type(sum(values)) is not int or 0 in values:  # a value no int, or a zero
-        acc = {k: v if type(v) is int else canonical(v) for k, v in acc.items() if v}
-    return _Terms(acc)
-
-
-def _scaled(terms: _Terms, c) -> _Terms:
-    """c * terms, for a canonical scalar c."""
-    return _frozen({k: c * v for k, v in terms.items()})
-
-
-class Derivation(Record):
+class Derivation(TermMap):
     """A derivation of a `TermAlgebra`, held as `terms`, its values on the
     generators k as one read-only map {(k, monomial): nonzero value}.
 
@@ -300,15 +284,15 @@ class Derivation(Record):
     (r, s)) and `_grade_field` (degree or parity), and supplies `_letters`
     and `_odd_len`, which `_compile` reads, `_bracket_label` and
     `_relabel(grade, terms)`, a derivation on the same space.  Operands on
-    different spaces raise `ValueError`, and so do nonzero operands of
-    different grades in a sum; a zero of another grade is absorbed.
+    different spaces are refused, and so are nonzero operands of different
+    grades in a sum; a zero of another grade is absorbed.
     """
 
     __slots__ = ("_setup", "_images", "_hash")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._letter_tables = _PerM(lambda m: {})
+        cls._letter_tables = defaultdict(dict)
 
     def __hash__(self):
         h = getattr(self, "_hash", None)
@@ -322,8 +306,8 @@ class Derivation(Record):
         """The values on the generators as elements, built on first read."""
         images = getattr(self, "_images", None)
         if images is None:
-            groups, from_dict, m = self._leibniz()[2], self._algebra._from_dict, self.m
-            images = tuple([from_dict(m, dict(groups.get(k, ()))) for k in range(self._n_gens)])
+            groups, algebra, m = self._leibniz()[2], self._algebra, self.m
+            images = tuple([algebra(m, _Terms(groups.get(k, ()))) for k in range(self._n_gens)])
             setfield(self, "_images", images)
         return images
 
@@ -331,50 +315,26 @@ class Derivation(Record):
     def _grade(self) -> int:
         return getattr(self, self._grade_field)
 
-    def _same_space(self, other: "Derivation", op: str) -> None:
-        if other.__class__ is not self.__class__:
-            raise _mismatch(op, self, other)
+    def _like(self, terms: _Terms) -> "Derivation":
+        return self._relabel(self._grade, terms)
+
+    def _other_label(self, other: "Derivation") -> Optional[str]:
         if self._space != other._space:
-            raise ValueError(f"{op} of derivations on {self._space} and {other._space}")
-
-    def _sum(self, other: "Derivation", sign: int, op: str) -> "Derivation":
-        """self + sign * other, of their grade; when the grades differ, the
-        operand that is not zero, which only one may be."""
-        self._same_space(other, op)
-        grade, other_grade = self._grade, other._grade
-        if grade != other_grade:
-            if self.terms and other.terms:
-                raise ValueError(f"{op} of derivations of {self._grade_field} "
-                                 f"{grade} and {other_grade}")
-            return self if self.terms else other if sign > 0 else -other
-        return self._relabel(grade, _frozen(_signed_sum(self.terms, other.terms.items(), sign)))
-
-    def __add__(self, other):
-        return self._sum(other, 1, "sum")
-
-    def __sub__(self, other):
-        return self._sum(other, -1, "difference")
-
-    def __neg__(self):
-        return self._relabel(self._grade, _Terms({k: -c for k, c in self.terms.items()}))
-
-    def scale(self, c):
-        if c == 1:
-            return self
-        return self._relabel(self._grade, _scaled(self.terms, _canon(c)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            return "space"
+        if self._grade != other._grade and self.terms and other.terms:
+            return self._grade_field
+        return None
 
     def apply(self, a):
         """self(a) by the Leibniz loop `_into`."""
-        if a.__class__ is not self._algebra or a.m != self.m:
-            raise ValueError(f"derivation in {self.m} variables of "
-                             f"{self._algebra.__name__}s applied to {a!r}")
+        if a.__class__ is not self._algebra:
+            raise _mismatch("application", self, a)
+        if a.m != self.m:
+            raise _mismatch("application", self, a, "m")
         if not a.terms:
             return a
         acc: Dict[Tuple[int, object], Coeff] = {}
-        self._into(acc, ((0, a.terms),), 1, self._leibniz())
+        self._into(acc, ((0, a.terms.items()),), 1, self._leibniz())
         return self._algebra._from_dict(self.m, {mono: v for (_, mono), v in acc.items()})
 
     def bracket(self, other):
@@ -383,7 +343,10 @@ class Derivation(Record):
         (-1, +1 when both are odd, 0 when the bracket vanishes by degree)
         from `_bracket_label`.  Both halves go into one dict keyed
         (k, monomial), walking only the nonzero terms of each operand."""
-        self._same_space(other, "bracket")
+        if other.__class__ is not self.__class__:
+            raise _mismatch("bracket", self, other)
+        if self._space != other._space:
+            raise _mismatch("bracket", self, other, "space")
         grade, sign = self._bracket_label(other)
         acc: Dict[Tuple[int, object], Coeff] = {}
         if sign:
@@ -483,7 +446,7 @@ class VectorValuedForm(Derivation):
     def __init__(self, m: int, degree: int, terms: _Terms):
         _set_form_m(self, m)
         _set_degree(self, degree)
-        _set_form_terms(self, terms)
+        _set_form_terms(self, terms if terms.__class__ is _Terms else _frozen(dict(terms)))
 
     def _key(self):
         return self.m, self.degree, self.terms

@@ -12,10 +12,10 @@ values.  Both families have integer entries, and every value is an int
 when integral and a Fraction otherwise; scaling by a parameter with a
 sqrt(2) part gives QSqrt2 entries.  The barwedge runs over the stored
 entries on the `exterior._merge_sign` sign kernel.  A form and a
-`liecoh.Cochain` are both a `VecTensor`, an `exterior._Terms` map with
-exterior's sum, scaling and zero rule, their same-label constructor and
-label check, read off the fields, and `Record`'s equality and hash;
-`span_solve` is their one span solve.
+`liecoh.Cochain` are both a `VecTensor`, an `exterior.TermMap` with its
+one arithmetic and refusal, their same-label constructor and label rule,
+read off the fields, and `Record`'s equality and hash; `span_solve` is
+their one span solve.
 
 Two kinds of spaces: Grassmann matrix spaces (n+ = r x s matrices, trace
 pairing, where the eta family lives) and generic root-vector spaces (only
@@ -31,8 +31,8 @@ import itertools
 from math import factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exterior import _frozen, _merge_sign, _scaled, _signed_sum, _Terms
-from .record import Record
+from .exterior import TermMap, _frozen, _merge_sign, _Terms
+from .record import Record, setfield
 from .scalars import (Coeff, QSqrt2, SparseRow, narrow, nullspace, rank, rref, sparse_rref,
                       sqrt_of_rational)
 
@@ -64,17 +64,26 @@ class RootPairSpace(Record):
     _fields = ("dim",)
 
 
-class VecTensor(Record):
-    """One read-only `exterior._Terms` map {(key, index): nonzero value},
-    the terms a derivation holds too, with its arithmetic.  A subclass is a
-    `Record` that names its `_fields` and, in `_vecs`, the one holding that
-    map; the others are its labels.  It takes equality and hash from
+class VecTensor(TermMap):
+    """An `exterior.TermMap` {(key, index): nonzero value}, the terms a
+    derivation holds too.  A subclass is a `Record` that names its `_fields`
+    and, in `_vecs`, the one holding that map; the others are its labels,
+    and every label must agree in a sum.  Its scale factor may have a
+    sqrt(2) part (`scalars.narrow`).  It takes equality and hash from
     `Record`, so two tensors are equal when their labels and their stored
     entries are."""
 
     _vecs: str
+    _scalar = staticmethod(narrow)
 
-    def _values(self) -> _Terms:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        terms = self.terms
+        if terms.__class__ is not _Terms:
+            setfield(self, self._vecs, _frozen(dict(terms)))
+
+    @property
+    def terms(self) -> _Terms:
         return getattr(self, self._vecs)
 
     def _like(self, terms: _Terms) -> "VecTensor":
@@ -83,36 +92,15 @@ class VecTensor(Record):
         return type(self)(*[terms if f == self._vecs else getattr(self, f)
                             for f in self._fields])
 
-    def _check_like(self, other: "VecTensor") -> None:
-        """Raise ValueError unless other is of self's class with self's labels."""
-        if other.__class__ is not self.__class__:
-            raise ValueError(f"{type(self).__name__} and {type(other).__name__} "
-                             "do not combine")
+    def _other_label(self, other: "VecTensor") -> Optional[str]:
         for f in self._fields:
             if f != self._vecs and getattr(self, f) != getattr(other, f):
-                raise ValueError(f"{type(self).__name__}s with different {f} "
-                                 "do not combine")
-
-    def is_zero(self) -> bool:
-        return not self._values()
+                return f
+        return None
 
     def entries(self):
         """The nonzero coordinates as ((key, index), value) pairs."""
-        return self._values().items()
-
-    def scale(self, c) -> "VecTensor":
-        return self._like(_scaled(self._values(), narrow(c)))
-
-    def _sum(self, other: "VecTensor", sign: int) -> "VecTensor":
-        """self + sign * other, for sign = 1 or -1, after one label check."""
-        self._check_like(other)
-        return self._like(_frozen(_signed_sum(self._values(), other._values().items(), sign)))
-
-    def __add__(self, other: "VecTensor") -> "VecTensor":
-        return self._sum(other, 1)
-
-    def __sub__(self, other: "VecTensor") -> "VecTensor":
-        return self._sum(other, -1)
+        return self.terms.items()
 
 
 class InvariantVectorForm(VecTensor):
@@ -148,7 +136,7 @@ def span_rows(columns: Sequence[Iterable[Tuple[object, Coeff]]],
     for j, col in enumerate(columns):
         for coord, x in col:
             rows.setdefault(coord, {})[j] = x
-    values = [t._values() for t in targets]
+    values = [t.terms for t in targets]
     for coord in itertools.chain(*values):
         rows.setdefault(coord, {})
     return list(rows.values()), [[v.get(coord, 0) for coord in rows] for v in values]
@@ -309,7 +297,7 @@ def rank_of(forms: List[InvariantVectorForm]) -> int:
     if not forms:
         return 0
     for f in forms[1:]:
-        forms[0]._check_like(f)
+        forms[0]._combine(f, "rank")
     rows, n_coords = _sparse_rows(forms)  # dense `rank`: perfbench traces that binding
     return rank([[row.get(j, 0) for j in range(n_coords)] for row in rows])
 

@@ -25,14 +25,14 @@ costs more than comparing its terms.
 
 `SuperDerivation` is an `exterior.Derivation`: generator k < m is x_k and
 k >= m is xi_(k-m), so `images` is c_x followed by c_xi, and it takes its
-arithmetic, `apply`, the bracket and the mismatch rule from there.  It adds
-its labels (r, s, parity), the views `c_x` and `c_xi`, and what
-`Derivation._compile` reads: a monomial's odd length (its xi-part's) and its
-letters `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a place
-sign, kept in one table per m = r s.
+arithmetic and refusal (`exterior.TermMap`'s), `apply` and the bracket from
+there.  It adds its labels (r, s, parity), the views `c_x` and `c_xi`, and
+what `Derivation._compile` reads: a monomial's odd length (its xi-part's)
+and its letters `_super_letters`, where x_k^e gives e x_k^(e-1) and xi_k a
+place sign, kept in one table per m = r s.
 
-`SuperPolynomial` takes its sums, products, scaling and shared zero from
-`exterior.TermAlgebra`, the arithmetic `GrassmannElement` uses too; it adds
+`SuperPolynomial` takes its terms, sums, products and scaling from
+`exterior.TermAlgebra`, the algebra `GrassmannElement` uses too; it adds
 only its monomial product (the x-parts add, the xi-parts go through
 `exterior._merge_sign`) and its constructors: `const`, and `x` and `xi`,
 which check the variable index; every other polynomial is built from these
@@ -92,29 +92,23 @@ class SuperPolynomial(TermAlgebra):
 
     @staticmethod
     def const(nvars: int, c) -> "SuperPolynomial":
-        if not c:
-            return SuperPolynomial.zero(nvars)
-        return SuperPolynomial(nvars, ((((), ()), _canon(c)),))
+        return SuperPolynomial(nvars, _Terms({((), ()): _canon(c)} if c else ()))
 
     @staticmethod
     def x(nvars: int, k: int) -> "SuperPolynomial":
-        mono = (((_variable(nvars, k), 1),), ())
-        return SuperPolynomial(nvars, ((mono, 1),))
+        return SuperPolynomial(nvars, _Terms({(((_variable(nvars, k), 1),), ()): 1}))
 
     @staticmethod
     def xi(nvars: int, k: int) -> "SuperPolynomial":
-        mono = ((), (_variable(nvars, k),))
-        return SuperPolynomial(nvars, ((mono, 1),))
+        return SuperPolynomial(nvars, _Terms({((), (_variable(nvars, k),)): 1}))
 
     def sigma(self) -> "SuperPolynomial":
         """Parity automorphism: negate odd terms."""
-        return SuperPolynomial(
-            self.m,
-            tuple((k, -c if len(k[1]) % 2 else c) for k, c in self.terms),
-        )
+        return SuperPolynomial(self.m, _Terms({k: -c if len(k[1]) % 2 else c
+                                               for k, c in self.terms.items()}))
 
     def constant_term(self) -> Coeff:
-        return self.tdict().get(((), ()), 0)
+        return self.terms.get(((), ()), 0)
 
 
 def _super_letters(mono: Monomial, nv: int):
@@ -142,7 +136,7 @@ class SuperDerivation(Derivation):
         _set_r(self, r)
         _set_s(self, s)
         _set_parity(self, parity)
-        _set_terms(self, terms)
+        _set_terms(self, terms if terms.__class__ is _Terms else _frozen(dict(terms)))
 
     def _key(self):
         return self.r, self.s, self.parity, self.terms
@@ -499,8 +493,8 @@ def isotropy_weights(n: int, s: int) -> Dict[Tuple[int, ...], Dict[str, int]]:
             for j in range(n):
                 f = diag_fields[j]
                 # coefficient of x_k in f(x_k)
-                val = f.c_x[k].tdict().get(((((k, 1),), ())), 0)
-                val_xi = f.c_xi[k].tdict().get((((), (k,))), 0)
+                val = f.c_x[k].terms.get((((k, 1),), ()), 0)
+                val_xi = f.c_xi[k].terms.get(((), (k,)), 0)
                 _require(val == val_xi, "x and xi germs must share the weight")
                 wvec.append(int(val))
             key = tuple(wvec)

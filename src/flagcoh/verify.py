@@ -294,7 +294,7 @@ def check_c4_exterior() -> Tuple[bool, str]:
         on_xs = [[ys.of(exterior.apply_derivation(phi, x)) for x in xs.values] for phi in basis]
 
         @functools.cache
-        def side(u: int, v: int, sgn: int) -> Tuple[Tuple[tuple, object], ...]:
+        def side(u: int, v: int, sgn: int) -> Dict[tuple, object]:
             """The terms of a generator's right-hand side, by the ids of
             i(phi)psi_g and i(psi)phi_g and the sign."""
             return (ys.values[u] - ys.values[v].scale(sgn)).terms
@@ -306,7 +306,7 @@ def check_c4_exterior() -> Tuple[bool, str]:
             for br, psi, xb, gb, nb in zip(row, basis, on_xs, on_gens, nonzero):
                 sgn = -1 if odd and psi.degree % 2 else 1
                 rhs = {(g, mono): c for g in na + nb
-                       for mono, c in side(xa[gb[g]], xb[ga[g]], sgn)}
+                       for mono, c in side(xa[gb[g]], xb[ga[g]], sgn).items()}
                 if br.terms != rhs:
                     return False, f"bracket identity failed at m={m}"
             if m < 4:
@@ -613,7 +613,7 @@ def check_c8_superfields() -> Tuple[bool, str]:
         for i in range(r):
             for a in range(s):
                 expect = {} if not Y[i][a] else {((), ()): -Y[i][a]}
-                if dict(f.c_xi[i * s + a].terms) != expect:
+                if f.c_xi[i * s + a].terms != expect:
                     return False, f"y* formula failed at n=5, s={s}"
                 if not f.c_x[i * s + a].is_zero():
                     return False, "y* has x components"

@@ -8,7 +8,7 @@ code with the library kernels they check."""
 
 from fractions import Fraction
 
-from flagcoh.exterior import Derivation, terms_of
+from flagcoh.exterior import Derivation, _Terms, terms_of
 from flagcoh.invforms import _sorted_with_sign
 from flagcoh.scalars import canonical
 
@@ -22,10 +22,9 @@ def is_canonical(c, zero_ok: bool = False) -> bool:
 
 
 def assert_canonical(x) -> None:
-    """Strictly increasing monomials and canonical nonzero coefficients."""
-    keys = [k for k, _ in x.terms]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert all(is_canonical(c) for _, c in x.terms), x.terms
+    """One read-only term map of canonical nonzero coefficients."""
+    assert type(x.terms) is _Terms
+    assert all(is_canonical(c) for c in x.terms.values()), x.terms
 
 
 def fraction_copy(x):
@@ -34,7 +33,7 @@ def fraction_copy(x):
     Fractions only."""
     if isinstance(x, Derivation):
         return x._relabel(x._grade, terms_of([fraction_copy(a) for a in x.images]))
-    return type(x)(x.m, tuple((k, Fraction(c)) for k, c in x.terms))
+    return type(x)(x.m, _Terms({k: Fraction(c) for k, c in x.terms.items()}))
 
 
 def check_against_fractions(a, b, d1, d2) -> None:

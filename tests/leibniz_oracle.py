@@ -37,13 +37,13 @@ def old_into(d, acc: Dict, a, sign: int) -> None:
         return
     images, mul, odd_len = d.images, d._algebra._mono_mul, d._odd_len
     grade, letters, m = getattr(d, d._grade_field), d._letters, a.m
-    for mono, c in a.terms:
+    for mono, c in a.terms.items():
         for g, rest, e, j in letters(mono, m):
             image = images[g].terms
             if not image:
                 continue
             ce = c * e if e > 1 else c
-            for k, v in image:
+            for k, v in image.items():
                 merged, s = mul(k, rest)
                 if merged is None:
                     continue
@@ -91,7 +91,8 @@ def assert_same_values(pairs) -> None:
     included."""
     for got, want in pairs:
         assert got.terms == want.terms
-        assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+        assert ({k: type(c) for k, c in got.terms.items()}
+                == {k: type(c) for k, c in want.terms.items()})
 
 
 def bracket_pairs(got, want):

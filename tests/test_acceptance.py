@@ -326,6 +326,54 @@ def test_criterion_7_helpers_refuse_what_they_do_not_cover():
         verify.pq_consistency(bott.space_from_preset("Q3"))
 
 
+def _record_calls(monkeypatch, module, name, key):
+    """The key of each call of module.name, in order, as the call goes on to
+    the genuine function."""
+    calls, genuine = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(key(*args))
+        return genuine(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_criteria_5_and_8_cover_their_stated_inputs(monkeypatch):
+    """The inputs each green check covers, read at the binding the check
+    calls: the theta product law on Mat 3x2 and Mat 3x3 for every p, q >= 1
+    with p + q <= 5; the computed product identities on Mat 2x2, 3x2 and
+    3x3, all four per space; criterion 8's six homomorphism checks, three
+    kernels, four transitivity checks and the n = 5 jets at s = 1..4.  A
+    check that covers less fails here even where its detail is unchanged.
+    The cached basis fields are filled first, so the jets recorded are the
+    n = 5 spot check's alone."""
+    def rs(sp):
+        return sp.r, sp.s
+
+    law = _record_calls(monkeypatch, invforms, "barwedge_inv",
+                        lambda phi, psi: (rs(phi.space), phi.p, psi.p))
+    assert verify.check_c5_theta_product_law()[0]
+    assert law == [(space, p, q) for space in ((3, 2), (3, 3))
+                   for p in range(1, 5) for q in range(1, 5) if p + q <= 5]
+    tables = _record_calls(monkeypatch, invforms, "theta_products", rs)
+    eta3s = _record_calls(monkeypatch, invforms, "eta3", rs)
+    assert verify.check_c5_product_identities_computed()[0]
+    assert tables == eta3s == [(2, 2), (3, 2), (3, 3)]
+
+    assert verify.check_c8_superfields()[0]
+    n_s = {name: _record_calls(monkeypatch, superfields, name, lambda n, s: (n, s))
+           for name in ("homomorphism_check", "kernel_of_action", "transitivity_at_origin")}
+    jets = _record_calls(monkeypatch, superfields, "fundamental_field", lambda g, s: (g.n, s))
+    assert verify.check_c8_superfields()[0]
+    assert n_s == {
+        "homomorphism_check": [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)],
+        "kernel_of_action": [(2, 1), (3, 1), (4, 2)],
+        "transitivity_at_origin": [(2, 1), (3, 1), (4, 2), (5, 2)],
+    }
+    assert jets == [(5, 1), (5, 2), (5, 3), (5, 4)]
+
+
 def test_criterion_8_fails_on_a_wrong_n5_jet(monkeypatch):
     """The n = 5 spot check reads `superfields.fundamental_field` directly;
     the checks before it read the cached basis fields, filled first here so

@@ -13,6 +13,7 @@ from leibniz_oracle import (assert_same_values, bracket_pairs, check_against_old
 from flagcoh.exterior import (
     GrassmannElement,
     VectorValuedForm,
+    _Terms,
     apply_derivation,
     basis_monomials,
     bracket,
@@ -60,7 +61,7 @@ def det_form_value(a: GrassmannElement, xs):
     """a as an antisymmetric form, evaluated on basis covectors xi_{t}^*."""
     q = len(xs)
     total = Fraction(0)
-    for mono, c in a.terms:
+    for mono, c in a.terms.items():
         if len(mono) != q:
             continue
         if set(mono) != set(xs):
@@ -216,7 +217,7 @@ def test_j_injective_below_top_degree():
                 jm = j_map(m, G(m, {mono: 1}))
                 flat = []
                 for comp in jm.images:
-                    d = comp.tdict()
+                    d = comp.terms
                     flat.extend(d.get(t, Fraction(0)) for t in basis_monomials(m, p + 1))
                 images.append(flat)
             from flagcoh.scalars import rank
@@ -353,7 +354,7 @@ def test_i_formula_oracle_matches_leibniz_m_le_4():
                         assert oracle.is_zero(), (m, mono, j, amono)
                         continue
                     ratios = set()
-                    gd, od = got.tdict(), oracle.tdict()
+                    gd, od = got.terms, oracle.terms
                     assert set(gd) == set(k for k, v in od.items() if v)
                     for k, v in gd.items():
                         ratios.add(od[k] / v)
@@ -378,7 +379,7 @@ def test_j_formula_oracle_matches_algebraic_j():
                 oracle = j_formula_oracle(m, psi)
                 ratios = set()
                 for cd, co in zip(direct.images, oracle.images):
-                    dd, do = cd.tdict(), co.tdict()
+                    dd, do = cd.terms, co.terms
                     assert set(dd) == set(do)
                     for k in dd:
                         ratios.add(do[k] / dd[k])
@@ -402,7 +403,7 @@ def test_c_formula_oracle_matches_normalized_c():
                 phi = random_form(rng, m, p)
                 mine = contraction_c(phi)
                 oracle = c_formula_oracle(phi)
-                md, od = mine.tdict(), oracle.tdict()
+                md, od = mine.terms, oracle.terms
                 if not md:
                     assert not od
                     continue
@@ -433,12 +434,12 @@ def old_mul(x, y):
 def old_apply_derivation(phi, a):
     par = phi.degree % 2
     out = {}
-    for mono, c in a.terms:
+    for mono, c in a.terms.items():
         for pos, letter in enumerate(mono):
             sign = -1 if (par and pos % 2 == 1) else 1
             left = {tuple(mono[:pos]): Fraction(1)}
             right = {tuple(mono[pos + 1:]): Fraction(1)}
-            term = old_mul(old_mul(left, phi.images[letter - 1].tdict()), right)
+            term = old_mul(old_mul(left, phi.images[letter - 1].terms), right)
             for k, v in term.items():
                 out[k] = out.get(k, Fraction(0)) + sign * c * v
     return GrassmannElement.make(phi.m, out)
@@ -471,7 +472,7 @@ def test_kernel_matches_old_leibniz_loop_m_le_5():
                     assert_canonical(got)
                     b = random_element(rng, m, range(m + 1))
                     prod = a * b
-                    assert prod == GrassmannElement.make(m, old_mul(a.tdict(), b.tdict()))
+                    assert prod == GrassmannElement.make(m, old_mul(a.terms, b.terms))
                     assert_canonical(prod)
                     assert_canonical(a + b)
                     assert_canonical(a - b)
@@ -502,7 +503,8 @@ def test_arithmetic_rejects_different_m_as_super_polynomials_do():
     a, b = GrassmannElement.generator(2, 1), GrassmannElement.generator(3, 1)
     for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b - a,
                lambda: a + GrassmannElement.zero(3)):
-        with pytest.raises(ValueError, match="polynomials in [23] and [23] variables"):
+        with pytest.raises(ValueError, match="of a GrassmannElement and a GrassmannElement "
+                                             "with different m"):
             op()
 
 
@@ -563,20 +565,20 @@ def test_bracket_matches_the_two_barwedge_oracle_m_le_4(m):
                         assert_canonical(comp)
 
 
-def test_cancelled_bracket_component_is_the_shared_zero():
+def test_cancelled_bracket_component_is_zero():
     """{phi, phi} of an even form: on each component the two halves
-    i(phi)phi_k and -i(phi)phi_k cancel exactly.  Negating, scaling or
-    making a zero gives the shared zero too."""
+    i(phi)phi_k and -i(phi)phi_k cancel exactly, to an empty term map.
+    Negating, scaling or making a zero gives the zero too."""
     rng = random.Random(12)
     for m in (2, 3, 4):
         zero = GrassmannElement.zero(m)
-        assert zero is GrassmannElement.zero(m)
-        assert -zero is zero
+        assert zero == GrassmannElement.zero(m) and zero.terms == {}
+        assert -zero == zero
         for c in (-1, 0, 1, 3, Fraction(1, 2)):
-            assert zero.scale(c) is zero
-        assert GrassmannElement.make(m, {}) is zero
-        assert GrassmannElement.make(m, {(1,): 0}) is zero
-        assert GrassmannElement(m, ()).scale(-1) is zero
+            assert zero.scale(c) == zero
+        assert GrassmannElement.make(m, {}) == zero
+        assert GrassmannElement.make(m, {(1,): 0}) == zero
+        assert GrassmannElement(m, ()).scale(-1) == zero
         cancelled = 0
         for density in (1.0, 0.5, 1.0):
             phi = random_rational_form(rng, m, 0, density)
@@ -584,15 +586,14 @@ def test_cancelled_bracket_component_is_the_shared_zero():
             cancelled += sum(bool(apply_derivation(phi, half).terms)
                              for half in phi.images)
             for comp in br.images:
-                assert comp == zero
-                assert comp is zero
+                assert comp == zero and type(comp.terms) is _Terms
         assert cancelled, m
     # a vanishing component beside a surviving one
     m = 2
     phi = VectorValuedForm.basis_element(m, (1,), 1)     # xi1 d/dxi1
     psi = VectorValuedForm.basis_element(m, (1,), 2)     # xi1 d/dxi2
     br = bracket(phi, psi)
-    assert br.images[0] is GrassmannElement.zero(m)
+    assert br.images[0] == GrassmannElement.zero(m)
     assert br.images[1] == G(m, {(1,): 1})
 
 
@@ -631,15 +632,8 @@ def test_sub_matches_add_of_negation():
                 assert zero - phi == zero + (-phi)
                 other = random_form(rng, m, q)
                 if not phi.is_zero() and not other.is_zero():
-                    with pytest.raises(ValueError, match="of degree"):
+                    with pytest.raises(ValueError, match="with different degree"):
                         phi - other
-
-
-def test_scale_by_one_is_the_same_object():
-    rng = random.Random(9)
-    phi = random_form(rng, 3, 1)
-    assert phi.scale(1) is phi
-    assert phi.images[0].scale(Fraction(1)) is phi.images[0]
 
 
 def test_a_different_m_raises_value_error_even_with_a_zero():
@@ -648,11 +642,12 @@ def test_a_different_m_raises_value_error_even_with_a_zero():
     for other in (zero_form(2, 1), zero_form(2, 0),
                   random_form(rng, 4, 1)):
         for op in (lambda a, b: a + b, lambda a, b: a - b, bracket):
-            with pytest.raises(ValueError, match="on 3 and|on [24] and 3"):
+            with pytest.raises(ValueError, match="with different space"):
                 op(phi, other)
-            with pytest.raises(ValueError, match="on 3 and|on [24] and 3"):
+            with pytest.raises(ValueError, match="with different space"):
                 op(other, phi)
-    with pytest.raises(ValueError, match="derivation in 3 variables"):
+    with pytest.raises(ValueError, match="application of a VectorValuedForm and a "
+                                         "GrassmannElement with different m"):
         apply_derivation(phi, gen(4, 1))
 
 
@@ -732,12 +727,12 @@ def test_a_warm_compiled_action_gives_the_values_of_a_fresh_copy():
 
 def test_integral_values_are_ints():
     half = G(3, {(1,): Fraction(1, 2), (1, 2): Fraction(3, 2)})
-    assert half.scale(2).terms == (((1,), 1), ((1, 2), 3))
-    assert all(type(c) is int for _, c in half.scale(2).terms)
+    assert half.scale(2).terms == {(1,): 1, (1, 2): 3}
+    assert all(type(c) is int for c in half.scale(2).terms.values())
     for c in (True, Fraction(2, 2), 1.0):
-        (_, v), = GrassmannElement.make(2, {(1,): c}).terms
+        v, = GrassmannElement.make(2, {(1,): c}).terms.values()
         assert type(v) is int and v == 1
-    assert type(gen(2, 1).terms[0][1]) is int
+    assert type(gen(2, 1).terms[(1,)]) is int
 
 
 def test_splitting_of_the_criterion_4_forms_is_canonical():

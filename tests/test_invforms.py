@@ -190,18 +190,18 @@ def test_forms_on_different_spaces_neither_compare_equal_nor_add():
     for f, g in itertools.permutations(forms, 2):
         assert f != g
         for op in (lambda: f + g, lambda: f - g):
-            with pytest.raises(ValueError, match="InvariantVectorForms with different space"):
+            with pytest.raises(ValueError, match="of a InvariantVectorForm and a InvariantVectorForm with different space"):
                 op()
-    with pytest.raises(ValueError, match="InvariantVectorForms with different space"):
+    with pytest.raises(ValueError, match="of a InvariantVectorForm and a InvariantVectorForm with different space"):
         forms[0] + eta(MatrixPairSpace(3, 2))
 
 
 def test_a_form_refuses_a_number():
-    """The label check runs before the operand is read, so a sum and a
+    """The class test runs before the operand is read, so a sum and a
     difference with a number raise the contract's ValueError."""
     form = theta_p(MatrixPairSpace(2, 2), 2)
     for op in (lambda: form + 1, lambda: form - 1):
-        with pytest.raises(ValueError, match="InvariantVectorForm and int do not combine"):
+        with pytest.raises(ValueError, match="of a InvariantVectorForm and a int$"):
             op()
 
 

@@ -1,7 +1,9 @@
 """Every value class of flagcoh is a `record.Record`: built by position or
 keyword, equal by value within its class and never across classes, hashed
-as the tuple of its fields, and read-only.  The arithmetic value classes
-meet one refusal contract over a generated matrix of foreign operands."""
+as the tuple of its fields, and read-only.  The term-map classes share one
+arithmetic and freeze what they are built from, and the arithmetic value
+classes meet one refusal contract over a generated matrix of foreign
+operands."""
 
 import operator
 import re
@@ -11,7 +13,8 @@ import pytest
 
 from flagcoh import invforms, liecoh, spectral, superfields, verify
 from flagcoh.bott import ModuleDescriptor, space_from_preset
-from flagcoh.exterior import GrassmannElement, VectorValuedForm, _Terms, grading_derivation
+from flagcoh.exterior import (GrassmannElement, TermMap, VectorValuedForm, _Terms,
+                              grading_derivation)
 from flagcoh.record import Record, setfield
 from flagcoh.repdecomp import LeviDatum
 from flagcoh.rootsys import SimpleLieType
@@ -42,8 +45,9 @@ INSTANCES = _instances()
 # equal one written out: GModuleBasis is equal only to itself
 BY_VALUE = sorted(set(INSTANCES) - {"GModuleBasis"})
 # the classes that hold their values in one read-only `exterior._Terms` map,
-# by the field that holds it
-TERM_MAPS = {"VectorValuedForm": "terms", "SuperDerivation": "terms",
+# by the field that holds it: every `exterior.TermMap`
+TERM_MAPS = {"GrassmannElement": "terms", "SuperPolynomial": "terms",
+             "VectorValuedForm": "terms", "SuperDerivation": "terms",
              "InvariantVectorForm": "tensor", "Cochain": "data"}
 
 
@@ -159,6 +163,48 @@ def test_a_term_map_is_read_only(name):
     assert terms != before
 
 
+@pytest.mark.parametrize("name", sorted(TERM_MAPS))
+def test_a_term_map_class_shares_the_one_arithmetic(name):
+    """+, -, negation, scale and is_zero are `TermMap`'s: x - x is zero,
+    -x is x scaled by -1, scale(1) is x itself, and a scale that makes a
+    Fraction integral stores an int."""
+    x = INSTANCES[name]
+    for op in ("__add__", "__sub__", "__neg__", "scale", "is_zero", "_sum"):
+        assert getattr(type(x), op) is getattr(TermMap, op), op
+    assert isinstance(x, TermMap) and not x.is_zero()
+    assert (x - x).is_zero() and (x - x).terms == {} and type((x - x).terms) is _Terms
+    assert -x == x.scale(-1) and -x != x and -(-x) == x
+    y = x.scale(3)
+    assert x - y == x + (-y) == x.scale(-2) and y - x == x + x
+    assert x.scale(1) is x
+    half = x.scale(Fraction(1, 2))
+    assert any(type(v) is Fraction for v in half.terms.values())
+    assert half.scale(2) == x
+    assert all(type(v) is int for v in half.scale(2).terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(TERM_MAPS))
+def test_a_constructor_freezes_a_plain_map(name):
+    """A term-map class built from a plain dict, with a zero-valued entry
+    and an integral Fraction, stores the read-only map of the nonzero
+    values, ints where integral: equal to and hashed as the value built
+    from its own map, and zero when every value is."""
+    x = INSTANCES[name]
+    field = TERM_MAPS[name]
+
+    def built(terms):
+        return type(x)(*[terms if f == field else getattr(x, f) for f in x._fields])
+
+    terms = getattr(x, field)
+    plain = {**{k: Fraction(v) for k, v in terms.items()}, "absent": 0}
+    y = built(plain)
+    assert type(getattr(y, field)) is _Terms and getattr(y, field) == terms
+    assert all(type(v) is int for v in getattr(y, field).values())
+    assert y == x and hash(y) == hash(x) and not y.is_zero()
+    zero = built({k: 0 for k in terms})
+    assert zero.is_zero() and zero == x - x and hash(zero) == hash(x - x)
+
+
 def test_construction_by_position_keyword_and_default():
     w = (0, 0)
     d = ModuleDescriptor("trivial", w, 1, 2)
@@ -215,13 +261,10 @@ ARITHMETIC = {
 FOREIGN = (1, Fraction(1, 2), QSqrt2(1, 1), None, "x")
 OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "==": operator.eq,
               "bracket": lambda a, b: a.bracket(b), "apply": lambda a, b: a.apply(b)}
-# the library's mismatch messages: exterior's `_mismatch`, a derivation's
-# space, grade and algebra checks, and `VecTensor._check_like`
+# the library's one mismatch message, `exterior._mismatch`: an operand of
+# another class, or one with another label
 MISMATCH = re.compile(
-    r"^(sum|difference|product|bracket) of (a \w+ and a \w+|polynomials in \d+ and \d+ "
-    r"variables|derivations (on .+ and .+|of \w+ -?\d+ and -?\d+))$"
-    r"|^derivation in \d+ variables of \w+s applied to "
-    r"|^\w+ and \w+ do not combine$|^\w+s with different \w+ do not combine$")
+    r"^(sum|difference|product|bracket|application) of a \w+ and a \w+( with different \w+)?$")
 
 
 def _operand_cases():

@@ -10,7 +10,7 @@ import flagcoh.superfields as superfields
 from canonical import assert_canonical, check_against_fractions, is_canonical
 import leibniz_oracle
 from leibniz_oracle import check_against_old_kernel, merge_sign
-from flagcoh.exterior import (Derivation, GrassmannElement, VectorValuedForm,
+from flagcoh.exterior import (Derivation, GrassmannElement, VectorValuedForm, _Terms,
                               grading_derivation, terms_of, wedge_basis)
 
 from flagcoh import verify
@@ -258,7 +258,7 @@ def test_even_part_matches_classical_grassmannian_action():
             got = f.c_x[i * s + a]
             # drop xi-containing terms
             got_even = SuperPolynomial._from_dict(
-                nv, {k: c for k, c in got.terms if not k[1]}
+                nv, {k: c for k, c in got.terms.items() if not k[1]}
             )
             assert got_even == classical_delta(i, a), (i, a)
 
@@ -400,14 +400,14 @@ def old_apply(d, f):
             else:
                 rest_x[pos] = (k, e - 1)
             base = {(tuple(rest_x), ss): coeff * e}
-            add_into(out, old_mul(d.c_x[k].tdict(), base))
+            add_into(out, old_mul(d.c_x[k].terms, base))
         for j, sidx in enumerate(ss):
             if d.c_xi[sidx].is_zero():
                 continue
             sign = -1 if (d.parity and j % 2 == 1) else 1
             left = {(xs, ss[:j]): Fraction(sign) * coeff}
             right = {((), ss[j + 1:]): Fraction(1)}
-            add_into(out, old_mul(old_mul(left, d.c_xi[sidx].tdict()), right))
+            add_into(out, old_mul(old_mul(left, d.c_xi[sidx].terms), right))
     return clean(out)
 
 
@@ -602,8 +602,8 @@ def test_fields_match_dense_jet_on_every_basis_element(n, s):
         for f in fundamental_field_parts(g, s):
             M = g.B if f.parity else g.A
             fx, fxi = old_jet_field(n, s, M, bool(f.parity))
-            assert [p.tdict() for p in f.c_x] == fx
-            assert [p.tdict() for p in f.c_xi] == fxi
+            assert [p.terms for p in f.c_x] == fx
+            assert [p.terms for p in f.c_xi] == fxi
 
 
 @pytest.mark.parametrize("n,s", [(3, 1), (4, 2), (5, 2)])
@@ -615,13 +615,13 @@ def test_apply_and_bracket_match_the_per_letter_loop(n, s):
         for _ in range(3):
             p = random_super_polynomial(rng, nv)
             got = f.apply(p)
-            assert got.tdict() == old_apply(f, p.tdict())
-            assert all(is_canonical(c) for _, c in got.terms)
-            assert [k for k, _ in got.terms] == sorted(k for k, _ in got.terms)
+            assert got.terms == old_apply(f, p.terms)
+            assert all(is_canonical(c) for c in got.terms.values())
+            assert type(got.terms) is _Terms
     for _ in range(60):
         d1, d2 = rng.choice(fields), rng.choice(fields)
         br = bracket(d1, d2)
-        assert ([p.tdict() for p in br.c_x], [p.tdict() for p in br.c_xi]) \
+        assert ([p.terms for p in br.c_x], [p.terms for p in br.c_xi]) \
             == old_bracket(d1, d2)
         for p in br.c_x + br.c_xi:
             assert_canonical(p)
@@ -734,13 +734,13 @@ def test_make_accepts_canonical_monomials():
     mono = (((0, 1), (2, 3)), (0, 1, 2))
     p = (xi(3, 0) * x(3, 2) * xi(3, 1) * x(3, 2) * x(3, 0) * x(3, 2) * xi(3, 2)).scale(2)
     assert p + SuperPolynomial.const(3, 0) == p
-    assert p.terms == ((mono, Fraction(2)),)
+    assert p.terms == {mono: 2}
 
 
 def test_arithmetic_rejects_different_nvars():
     p, q = x(3, 0), x(4, 0)
     for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: q + p):
-        with pytest.raises(ValueError, match="polynomials in"):
+        with pytest.raises(ValueError, match="with different m"):
             op()
     with pytest.raises(ValueError):
         p + SuperPolynomial.zero(4)
@@ -758,12 +758,13 @@ def test_grassmann_and_super_polynomials_refuse_each_other():
     field = superfields.basis_fields(3, 1)[0]
     assert field.m == 2
     for d, a in ((grading_derivation(2), p), (field, g)):
-        with pytest.raises(ValueError, match="derivation in 2 variables of .* applied to"):
+        with pytest.raises(ValueError, match=f"^application of a {type(d).__name__} and a "
+                                             f"{type(a).__name__}$"):
             d.apply(a)
 
 
 SHARED = ("__add__", "__sub__", "__neg__", "scale", "__mul__", "_from_dict", "zero",
-          "tdict", "is_zero")
+          "is_zero")
 
 
 def test_grassmann_and_super_polynomials_share_one_arithmetic():
@@ -776,20 +777,21 @@ def test_grassmann_and_super_polynomials_share_one_arithmetic():
         assert impl(GrassmannElement, name) is impl(SuperPolynomial, name), name
 
 
-def test_cancelling_sum_is_the_shared_zero():
+def test_cancelling_sum_is_zero():
     nv = 3
     mono = (((0, 1),), (1,))
-    got = SuperPolynomial._from_dict(nv, {mono: Fraction(0), ((), ()): Fraction(0)})
-    assert got is SuperPolynomial.zero(nv)
-    p = x(nv, 0) * xi(nv, 1)
     zero = SuperPolynomial.zero(nv)
-    assert p - p is zero
-    assert -zero is zero
+    assert zero.terms == {} and type(zero.terms) is _Terms
+    got = SuperPolynomial._from_dict(nv, {mono: Fraction(0), ((), ()): Fraction(0)})
+    assert got == zero
+    p = x(nv, 0) * xi(nv, 1)
+    assert p - p == zero
+    assert -zero == zero
     for c in (-1, 0, 1, 3, Fraction(1, 2)):
-        assert zero.scale(c) is zero
-    assert SuperPolynomial._from_dict(nv, {}) is zero
-    assert SuperPolynomial.const(nv, 0) is zero
-    assert -SuperPolynomial(nv, ()) is zero
+        assert zero.scale(c) == zero
+    assert SuperPolynomial._from_dict(nv, {}) == zero
+    assert SuperPolynomial.const(nv, 0) == zero
+    assert -SuperPolynomial(nv, ()) == zero
     assert SuperPolynomial.zero(nv) is not GrassmannElement.zero(nv)
     assert SuperPolynomial.zero(nv) != GrassmannElement.zero(nv)
 
@@ -803,24 +805,6 @@ def test_m_of_a_field_is_r_times_s_and_read_only():
         with pytest.raises(AttributeError):
             d.m = 5
         assert not hasattr(d, "nvars") and not hasattr(d.c_x[0], "nvars")
-
-
-def test_sub_matches_add_of_negation():
-    rng = random.Random(11)
-    nv = 4
-    for _ in range(40):
-        a, b = random_super_polynomial(rng, nv), random_super_polynomial(rng, nv)
-        assert a - b == a + (-b)
-        assert a - a == SuperPolynomial.zero(nv)
-    fields = [fundamental_field(g, 2) for g in qn_basis(4)]
-    for _ in range(40):
-        d1, d2 = rng.choice(fields), rng.choice(fields)
-        if d1.parity != d2.parity:
-            with pytest.raises(ValueError, match="of parity"):
-                d1 - d2
-            continue
-        got, want = d1 - d2, d1 + d2.scale(-1)
-        assert (got.parity, got.c_x, got.c_xi) == (want.parity, want.c_x, want.c_xi)
 
 
 # --- one derivation type ------------------------------------------------------
@@ -843,9 +827,9 @@ def test_a_different_space_raises_value_error_even_with_a_zero():
     for other in (derivation_zero(1, 2, f.parity), derivation_zero(1, 2, 1 - f.parity),
                   derivation_zero(2, 2, f.parity), fundamental_field(qn_basis(3)[1], 2)):
         for op in (lambda a, b: a + b, lambda a, b: a - b, bracket):
-            with pytest.raises(ValueError, match="on \\("):
+            with pytest.raises(ValueError, match="with different space"):
                 op(f, other)
-            with pytest.raises(ValueError, match="on \\("):
+            with pytest.raises(ValueError, match="with different space"):
                 op(other, f)
 
 
@@ -854,9 +838,9 @@ def test_nonzero_fields_of_different_parity_raise_value_error():
     even = next(f for f in fields if f.parity == 0 and not f.is_zero())
     odd = next(f for f in fields if f.parity == 1 and not f.is_zero())
     for a, b in ((even, odd), (odd, even)):
-        with pytest.raises(ValueError, match="of parity"):
+        with pytest.raises(ValueError, match="with different parity"):
             a + b
-        with pytest.raises(ValueError, match="of parity"):
+        with pytest.raises(ValueError, match="with different parity"):
             a - b
     assert bracket(even, odd).parity == 1
 
@@ -891,7 +875,7 @@ def random_super_derivation(rng, r, s, parity):
         want = parity if k < nv else 1 - parity
         p = random_super_polynomial(rng, nv)
         images.append(SuperPolynomial._from_dict(
-            nv, {mono: c for mono, c in p.terms if len(mono[1]) % 2 == want}))
+            nv, {mono: c for mono, c in p.terms.items() if len(mono[1]) % 2 == want}))
     return SuperDerivation(r, s, parity, terms_of(images))
 
 
@@ -1008,13 +992,13 @@ def test_every_memoized_product_is_the_monomial_product():
 def test_integral_values_are_ints():
     mono = (((0, 1),), (1,))
     half = (x(2, 0) * xi(2, 1)).scale(Fraction(1, 2))
-    assert half.scale(2).terms == ((mono, 1),) and type(half.scale(2).terms[0][1]) is int
+    assert half.scale(2).terms == {mono: 1} and type(half.scale(2).terms[mono]) is int
     for c in (True, Fraction(1, 1)):
-        assert type(SuperPolynomial.const(2, c).terms[0][1]) is int
-    (_, three), = SuperPolynomial.const(2, Fraction(3, 1)).terms
+        assert type(SuperPolynomial.const(2, c).terms[(), ()]) is int
+    three, = SuperPolynomial.const(2, Fraction(3, 1)).terms.values()
     assert type(three) is int and three == 3
     for p in (SuperPolynomial.x(2, 0), SuperPolynomial.xi(2, 1)):
-        assert type(p.terms[0][1]) is int
+        assert all(type(c) is int for c in p.terms.values())
     assert type(SuperPolynomial.zero(2).constant_term()) is int
 
 
